@@ -73,8 +73,8 @@ fn main() {
         "complete runs re-admit everything they spill"
     );
 
-    // Interleaved min-over-reps timing, same estimator as BENCH_hotpath:
-    // both lanes see the same noise windows and keep only their best rep.
+    // Interleaved min-over-reps timing: both lanes see the same noise
+    // windows and keep only their best rep.
     let (mut best_uncapped, mut best_capped) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..reps {
         let start = Instant::now();

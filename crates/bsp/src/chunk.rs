@@ -1,4 +1,4 @@
-//! Pooled message chunks and per-worker steal queues.
+//! Pooled message chunks.
 //!
 //! The message plane moves `(VertexId, M)` tuples in fixed-capacity chunks
 //! instead of one unbounded `Vec` per destination worker. Chunks are
@@ -16,17 +16,9 @@
 //! metered so the engine can surface them in
 //! [`EngineMetrics`](crate::EngineMetrics) and assert, in debug builds,
 //! that every acquired chunk was released by shutdown.
-//!
-//! After the exchange, each worker regroups its inbox into per-vertex
-//! *units* (chunks split only at vertex boundaries) and publishes them to
-//! its [`StealQueue`]. The owner drains its queue front-first; when
-//! stealing is enabled, idle workers claim units from the back of straggler
-//! queues — the intra-worker analogue of the paper's workload-aware
-//! distribution (Section 5.3).
 
 use parking_lot::Mutex;
 use psgl_graph::VertexId;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// Default number of `(VertexId, M)` tuples per chunk.
@@ -127,11 +119,11 @@ impl<M> ChunkPool<M> {
         Ok(Vec::with_capacity(self.capacity))
     }
 
-    /// Hands out an empty chunk unconditionally. Structural callers (unit
-    /// assembly, a destination's first chunk) genuinely need one — their
-    /// demand is bounded by the topology (`O(workers²)` per superstep),
-    /// not by traffic — so over-cap allocation here is counted as an
-    /// exhaustion event but still served.
+    /// Hands out an empty chunk unconditionally. Structural callers (a
+    /// destination's first chunk) genuinely need one — their demand is
+    /// bounded by the topology (`O(workers²)` per superstep), not by
+    /// traffic — so over-cap allocation here is counted as an exhaustion
+    /// event but still served.
     pub fn acquire(&self) -> Chunk<M> {
         match self.try_acquire() {
             Ok(c) => c,
@@ -144,10 +136,9 @@ impl<M> ChunkPool<M> {
         }
     }
 
-    /// Returns `chunk` to the free list. Oversized chunks (a single vertex
-    /// can exceed the nominal capacity — units never split a vertex — and
-    /// exhaustion grows sender chunks) are recycled too; their extra
-    /// capacity is simply kept.
+    /// Returns `chunk` to the free list. Oversized chunks (exhaustion
+    /// grows sender chunks past the nominal capacity) are recycled too;
+    /// their extra capacity is simply kept.
     pub fn release(&self, mut chunk: Chunk<M>) {
         chunk.clear();
         if chunk.capacity() > 0 {
@@ -207,48 +198,6 @@ pub fn push_chunked<M>(pool: &ChunkPool<M>, list: &mut Vec<Chunk<M>>, to: Vertex
             c.push((to, msg));
             list.push(c);
         }
-    }
-}
-
-/// One worker's queue of ready-to-process message units for the current
-/// superstep. Units are chunks whose boundaries coincide with vertex
-/// boundaries, so processing a unit calls `compute` on complete vertices
-/// only — stealing can never split a vertex's message batch.
-#[derive(Default)]
-pub struct StealQueue<M> {
-    units: Mutex<VecDeque<Chunk<M>>>,
-}
-
-impl<M> StealQueue<M> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        StealQueue { units: Mutex::new(VecDeque::new()) }
-    }
-
-    /// Publishes a unit (owner only, before the superstep barrier).
-    pub fn push(&self, unit: Chunk<M>) {
-        self.units.lock().push_back(unit);
-    }
-
-    /// The owner claims the oldest unit (front).
-    pub fn pop_own(&self) -> Option<Chunk<M>> {
-        self.units.lock().pop_front()
-    }
-
-    /// A thief claims the newest unit (back), minimizing contention with
-    /// the owner working from the front.
-    pub fn pop_steal(&self) -> Option<Chunk<M>> {
-        self.units.lock().pop_back()
-    }
-
-    /// Number of queued units.
-    pub fn len(&self) -> usize {
-        self.units.lock().len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.units.lock().is_empty()
     }
 }
 
@@ -351,19 +300,5 @@ mod tests {
         let a = pool.acquire();
         pool.release(a);
         pool.release(Vec::with_capacity(4)); // never acquired
-    }
-
-    #[test]
-    fn steal_queue_owner_front_thief_back() {
-        let q: StealQueue<u32> = StealQueue::new();
-        q.push(vec![(0, 0)]);
-        q.push(vec![(1, 1)]);
-        q.push(vec![(2, 2)]);
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop_own().unwrap()[0].0, 0);
-        assert_eq!(q.pop_steal().unwrap()[0].0, 2);
-        assert_eq!(q.pop_own().unwrap()[0].0, 1);
-        assert!(q.is_empty());
-        assert!(q.pop_steal().is_none());
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! Messages travel in fixed-capacity chunks recycled through a
 //! [`ChunkPool`] (see [`crate::chunk`]): senders fill pooled chunks, the
-//! exchange moves them by pointer, and receivers regroup them into
-//! per-vertex units that idle workers may steal. Steady-state supersteps
-//! therefore allocate nothing on the message path.
+//! exchange moves them by pointer, and each receiver drains its inbox into
+//! a retained sort buffer, groups it by vertex and computes straight from
+//! that buffer. Steady-state supersteps therefore allocate nothing on the
+//! message path.
 //!
 //! Scheduling is pluggable through the [`Executor`] seam (see
 //! [`crate::exec`]): [`run`] uses the production [`ThreadExecutor`] (one
@@ -13,21 +14,17 @@
 //! deterministic, adversarial schedule.
 
 use crate::cancel::{CancelReason, CancelToken};
-use crate::chunk::{
-    push_chunked, Chunk, ChunkPool, PoolExhausted, StealQueue, DEFAULT_CHUNK_CAPACITY,
-};
+use crate::chunk::{push_chunked, Chunk, ChunkPool, PoolExhausted, DEFAULT_CHUNK_CAPACITY};
 use crate::exchange::{Exchange, ExchangeDirective, FrontierSink, WorkerOutbox};
 use crate::exec::{Executor, ThreadExecutor, WorkerTask};
 use crate::metrics::{
     CarriedCounters, EngineMetrics, NetSuperstepMetrics, SuperstepMetrics, WorkerSuperstepMetrics,
 };
 use crate::spill::{SpillCodec, SpillError, SpillSegment, SpillStore};
-use parking_lot::Mutex;
 use psgl_graph::partition::HashPartitioner;
 use psgl_graph::VertexId;
 use psgl_obs::Value as TraceValue;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// Engine configuration.
@@ -41,25 +38,14 @@ pub struct BspConfig {
     /// failures in Tables 2 and 4. `None` = unlimited.
     pub message_budget: Option<u64>,
     /// `(VertexId, M)` tuples per message chunk. Larger chunks amortize
-    /// pool traffic; smaller chunks give stealing finer granularity.
+    /// pool traffic; smaller chunks give spill eviction finer granularity.
     pub chunk_capacity: usize,
-    /// Let idle workers claim message units from stragglers' inboxes
-    /// within a superstep. Vertex-level results are unaffected (units
-    /// never split a vertex's batch), but *which worker* processed a unit
-    /// — and hence per-worker metrics and any worker-keyed program state —
-    /// becomes scheduling-dependent, so stealing is opt-in.
-    pub steal: bool,
     /// Cap on live message chunks; past it the pool reports the typed
     /// [`PoolExhausted`](crate::chunk::PoolExhausted) condition and
     /// senders degrade by growing their current chunk instead of
     /// allocating. Exhaustion events surface in
     /// [`EngineMetrics::pool_exhausted`]. `None` = unbounded (default).
     pub max_live_chunks: Option<u64>,
-    /// With [`BspConfig::steal`] on, cap the units one worker may steal
-    /// per superstep. Production leaves this `None` (steal until dry); the
-    /// simulation harness uses small budgets to explore partial-steal
-    /// schedules that a free-running sweep never produces.
-    pub steal_budget: Option<u64>,
     /// Chaos knob: permute, per destination, the source-worker order in
     /// which the exchange assembles inboxes (seeded, deterministic).
     /// Exercises the BSP guarantee that results are independent of message
@@ -74,9 +60,7 @@ impl Default for BspConfig {
             max_supersteps: 64,
             message_budget: None,
             chunk_capacity: DEFAULT_CHUNK_CAPACITY,
-            steal: false,
             max_live_chunks: None,
-            steal_budget: None,
             exchange_shuffle_seed: None,
         }
     }
@@ -548,8 +532,9 @@ impl<M, S, A> Default for RunControl<'_, M, S, A> {
 /// Per-worker scratch retained across supersteps so the hot loop reuses
 /// buffers instead of reallocating them.
 struct WorkerScratch<M> {
-    /// Gather buffer: inbox chunks are drained here and stably sorted by
-    /// destination vertex before being split into units.
+    /// Gather buffer: inbox parts are drained here in delivery order and
+    /// stably sorted by destination vertex; `compute` reads each vertex's
+    /// run of messages straight out of it.
     sort_buf: Vec<(VertexId, M)>,
     /// Per-vertex message batch handed to `compute`.
     batch: Vec<M>,
@@ -565,11 +550,9 @@ impl<M> WorkerScratch<M> {
 /// `partitioner`, until no messages remain in flight.
 ///
 /// Workers run as scoped OS threads (the production [`ThreadExecutor`]).
-/// Each superstep has two phases separated by a barrier: first every
-/// worker regroups its inbox chunks into per-vertex units and publishes
-/// them to its steal queue; then workers drain their own queues
-/// front-first and — when [`BspConfig::steal`] is on — claim units from
-/// the back of other workers' queues. With stealing off the engine is
+/// Each superstep is one task per worker: drain the inbox (resident chunks
+/// and spilled segments, in delivery order), group it by vertex, and call
+/// `compute` once per vertex with all its messages. The engine is
 /// deterministic for deterministic programs: each inbox is assembled in
 /// source-worker order (the local fast path slotting in at the sender's
 /// own position) and grouped with a stable sort.
@@ -585,8 +568,8 @@ pub fn run<P: VertexProgram>(
 /// [`run`] with an explicit [`Executor`] — the seam the deterministic
 /// simulation harness plugs into. Semantics are identical for every
 /// executor that upholds the contract in [`crate::exec`]; only
-/// schedule-dependent observables (who stole what, per-worker wall time)
-/// may differ.
+/// schedule-dependent observables (per-worker wall time, which sends met
+/// a capped pool) may differ.
 pub fn run_with_executor<P: VertexProgram>(
     num_vertices: usize,
     partitioner: &HashPartitioner,
@@ -677,9 +660,9 @@ pub fn run_controlled<P: VertexProgram>(
             assert_eq!(rp.frontier.len(), l, "resume frontier must cover every local partition");
             metrics.supersteps = rp.prior_supersteps;
             carried = rp.carried;
-            // Re-chunk the flattened frontier in delivery order; unit
-            // regrouping flattens and stably re-sorts anyway, so chunk
-            // boundaries need not match the original run's.
+            // Re-chunk the flattened frontier in delivery order; each
+            // worker flattens and stably re-sorts its inbox anyway, so
+            // chunk boundaries need not match the original run's.
             let inboxes: Vec<Vec<InboxPart<P::Message>>> = rp
                 .frontier
                 .into_iter()
@@ -713,16 +696,15 @@ pub fn run_controlled<P: VertexProgram>(
             debug_assert_balanced(&pool);
             return Err(BspError::SuperstepLimitExceeded(superstep));
         }
-        let queues: Vec<StealQueue<P::Message>> = (0..l).map(|_| StealQueue::new()).collect();
-        let mut worker_results: Vec<Option<(WorkerSuperstepMetrics, P::Aggregate)>> =
-            (0..l).map(|_| None).collect();
+        // `None` after the superstep means the worker's task panicked; an
+        // `Err` is a spilled segment it could not re-admit.
+        let mut worker_results: Vec<Option<WorkerResult<P>>> = (0..l).map(|_| None).collect();
         // Every chunk-holding buffer a worker touches lives in an
-        // engine-owned slot rather than a closure local: the per-worker
-        // outboxes, the unit being assembled during prepare, and the unit
-        // being processed during compute. An unwinding worker therefore
-        // cannot strand acquired chunks — whatever it held stays reachable
-        // and `abort_cleanup` returns it to the pool. Remote outboxes stay
-        // `k` wide (global destinations) even under partial ownership.
+        // engine-owned slot rather than a closure local: its inbox and its
+        // outboxes. An unwinding worker therefore cannot strand acquired
+        // chunks — whatever it held stays reachable and `abort_cleanup`
+        // returns it to the pool. Remote outboxes stay `k` wide (global
+        // destinations) even under partial ownership.
         let mut outboxes: Vec<WorkerOutbox<P::Message>> =
             (0..l).map(|_| ((0..k).map(|_| Vec::new()).collect(), Vec::new())).collect();
         // Sender-side spill segments, parallel to the outboxes: per-slot
@@ -730,140 +712,72 @@ pub fn run_controlled<P: VertexProgram>(
         // owned for the same unwind-safety reason as the outboxes.
         let mut spill_outs: Vec<(Vec<Vec<SpillSegment>>, Vec<SpillSegment>)> =
             (0..l).map(|_| ((0..k).map(|_| Vec::new()).collect(), Vec::new())).collect();
-        let mut prep_units: Vec<Option<Chunk<P::Message>>> = (0..l).map(|_| None).collect();
-        let mut comp_units: Vec<Option<Chunk<P::Message>>> = (0..l).map(|_| None).collect();
-        // Panic flags per worker: set inside the task closures (which never
-        // unwind, per the executor contract), scanned in worker order after
-        // the superstep so the first panicking worker is reported.
-        let prep_panics: Vec<AtomicBool> = (0..l).map(|_| AtomicBool::new(false)).collect();
-        let comp_panics: Vec<AtomicBool> = (0..l).map(|_| AtomicBool::new(false)).collect();
-        // Typed re-admission failures from the prepare phase (spill reads).
-        let prep_spill_errors: Vec<Mutex<Option<SpillError>>> =
-            (0..l).map(|_| Mutex::new(None)).collect();
         let prev_aggregate = &merged_aggregate;
         let poll = CancelPoll { token: cancel, hard_deadline: !checkpoint };
         let mut tasks: Vec<WorkerTask<'_>> = Vec::with_capacity(l);
-        for (
-            (((((((slot, state), inbox), scratch), result_slot), outbox), prep_unit), comp_unit),
-            spill_out,
-        ) in states
+        for ((((((slot, state), inbox), scratch), result_slot), outbox), spill_out) in states
             .iter_mut()
             .enumerate()
             .zip(inboxes.iter_mut())
             .zip(scratches.iter_mut())
             .zip(worker_results.iter_mut())
             .zip(outboxes.iter_mut())
-            .zip(prep_units.iter_mut())
-            .zip(comp_units.iter_mut())
             .zip(spill_outs.iter_mut())
         {
             let worker = locals[slot];
             let owned = &owned[slot];
-            let (queues, pool) = (&queues, &pool);
-            let (prep_flag, comp_flag) = (&prep_panics[slot], &comp_panics[slot]);
-            let spill_err_slot = &prep_spill_errors[slot];
-            let WorkerScratch { sort_buf, batch } = scratch;
-            // Phase 1: regroup the inbox into units. Panics are trapped
-            // here (before the executor's barrier) so a crashing worker
-            // cannot strand the others.
-            let prepare = Box::new(move || {
-                let prep = catch_unwind(AssertUnwindSafe(|| {
-                    publish_units(pool, &queues[slot], sort_buf, inbox, prep_unit, spill)
-                }));
-                match prep {
-                    Ok(Ok(())) => {}
-                    Ok(Err(e)) => *spill_err_slot.lock() = Some(e),
-                    Err(_) => prep_flag.store(true, Ordering::SeqCst),
-                }
-            });
-            // Phase 2: process own units, then steal stragglers'. Skipped
-            // when this worker's own prepare panicked (mirrors the
-            // historical early return after the barrier) or failed to
-            // re-admit a spilled segment.
-            let compute = Box::new(move || {
-                if prep_flag.load(Ordering::SeqCst) || spill_err_slot.lock().is_some() {
-                    return;
-                }
-                let result = catch_unwind(AssertUnwindSafe(|| {
+            let pool = &pool;
+            // Panics are trapped inside the task (tasks never unwind, per
+            // the executor contract), so a crashing worker cannot strand
+            // the others.
+            let run = Box::new(move || {
+                *result_slot = catch_unwind(AssertUnwindSafe(|| {
                     run_worker::<P>(
                         program,
                         state,
                         worker,
-                        slot,
                         superstep,
                         partitioner,
                         owned,
                         pool,
-                        queues,
-                        config.steal,
-                        config.steal_budget,
-                        batch,
+                        inbox,
+                        scratch,
                         prev_aggregate,
                         outbox,
-                        comp_unit,
                         poll,
                         spill,
                         spill_out,
                     )
-                }));
-                match result {
-                    Ok(out) => *result_slot = Some(out),
-                    Err(_) => comp_flag.store(true, Ordering::SeqCst),
-                }
+                }))
+                .ok();
             });
-            tasks.push(WorkerTask { worker: slot, prepare, compute });
+            tasks.push(WorkerTask { worker: slot, run });
         }
         executor.run_superstep(superstep, tasks);
-        for slot in 0..l {
-            if prep_panics[slot].load(Ordering::SeqCst) || comp_panics[slot].load(Ordering::SeqCst)
-            {
-                abort_cleanup(
-                    &pool,
-                    &queues,
-                    &mut prep_units,
-                    &mut comp_units,
-                    &mut outboxes,
-                    &mut spill_outs,
-                    &mut inboxes,
-                    spill,
-                );
-                debug_assert_balanced(&pool);
-                return Err(BspError::WorkerPanicked { worker: locals[slot], superstep });
-            }
+        // Scanned in worker order so the first panicking worker is reported.
+        if let Some(slot) = worker_results.iter().position(Option::is_none) {
+            abort_cleanup(&pool, &mut outboxes, &mut spill_outs, &mut inboxes, spill);
+            debug_assert_balanced(&pool);
+            return Err(BspError::WorkerPanicked { worker: locals[slot], superstep });
         }
         // A spilled segment that failed to re-admit is unrecoverable: the
         // disk copy was the only copy. Abort cleanly with the typed error.
-        for errs in &prep_spill_errors {
-            if let Some(error) = errs.lock().take() {
-                abort_cleanup(
-                    &pool,
-                    &queues,
-                    &mut prep_units,
-                    &mut comp_units,
-                    &mut outboxes,
-                    &mut spill_outs,
-                    &mut inboxes,
-                    spill,
-                );
+        let worker_results: Result<Vec<_>, SpillError> =
+            worker_results.into_iter().map(|r| r.expect("no worker panicked")).collect();
+        let worker_results = match worker_results {
+            Ok(results) => results,
+            Err(error) => {
+                abort_cleanup(&pool, &mut outboxes, &mut spill_outs, &mut inboxes, spill);
                 debug_assert_balanced(&pool);
                 return Err(BspError::Spill { superstep, error });
             }
-        }
+        };
         // A hard cancel may have aborted workers mid-superstep: the
         // superstep's partial output is discarded and every chunk —
-        // queued units, in-flight units, outboxes — goes back to the pool
-        // before the outcome is reported.
+        // undrained inbox parts, outboxes — goes back to the pool before
+        // the outcome is reported.
         if let Some(reason) = hard_cancel_reason(cancel, checkpoint) {
-            abort_cleanup(
-                &pool,
-                &queues,
-                &mut prep_units,
-                &mut comp_units,
-                &mut outboxes,
-                &mut spill_outs,
-                &mut inboxes,
-                spill,
-            );
+            abort_cleanup(&pool, &mut outboxes, &mut spill_outs, &mut inboxes, spill);
             finalize_metrics(&mut metrics, &pool, &carried, spill, start);
             return Ok(RunOutcome::Cancelled(CancelledRun {
                 reason,
@@ -881,8 +795,7 @@ pub fn run_controlled<P: VertexProgram>(
             spill_stall_nanos: 0,
         };
         let mut next_aggregate = P::Aggregate::default();
-        for result in worker_results {
-            let (wm, agg) = result.expect("worker result present when no panic");
+        for (wm, agg) in worker_results {
             step.workers.push(wm);
             program.merge_aggregates(&mut next_aggregate, agg);
         }
@@ -1093,9 +1006,9 @@ pub fn run_controlled<P: VertexProgram>(
         }
         // Barrier eviction: the freshly exchanged frontier is the coldest
         // data in the engine — nothing touches it until the next
-        // superstep's prepare phase — so while the pool sits over its
+        // superstep's workers drain it — so while the pool sits over its
         // live-chunk cap, encode runs of resident frontier chunks to disk
-        // and release them. Re-admission happens in `publish_units`, in
+        // and release them. Re-admission happens in `run_worker`, in
         // delivery order, with zero pool acquisitions.
         if let (Some(sp), Some(cap)) = (spill, config.max_live_chunks) {
             evict_frontier(&pool, sp, &mut new_inboxes, cap as i64);
@@ -1117,9 +1030,9 @@ pub fn run_controlled<P: VertexProgram>(
     }))
 }
 
-/// Worker-side cancellation poll: cheap enough to run every unit and
-/// every few message batches. Hard triggers only — soft cancels act at
-/// the barrier where a consistent frontier exists.
+/// Worker-side cancellation poll: cheap enough to run every few message
+/// batches. Hard triggers only — soft cancels act at the barrier where a
+/// consistent frontier exists.
 #[derive(Clone, Copy)]
 struct CancelPoll<'a> {
     token: Option<&'a CancelToken>,
@@ -1152,32 +1065,18 @@ fn hard_cancel_reason(cancel: Option<&CancelToken>, checkpoint: bool) -> Option<
 }
 
 /// Drains every chunk still held anywhere in the superstep's machinery
-/// back to the pool: steal queues, in-flight unit slots, outboxes, and
-/// any inbox chunks a panicking prepare never consumed. Spill segments
-/// (inbox parts and sender-side side tables) are discarded — their blobs
-/// are deleted now when a store is at hand, and the store's directory
-/// guard sweeps anything this misses.
-#[allow(clippy::too_many_arguments)]
+/// back to the pool: outboxes and any inbox parts a worker never drained
+/// (panic, failed re-admission, hard cancel). Spill segments (inbox parts
+/// and sender-side side tables) are discarded — their blobs are deleted
+/// now when a store is at hand, and the store's directory guard sweeps
+/// anything this misses.
 fn abort_cleanup<M>(
     pool: &ChunkPool<M>,
-    queues: &[StealQueue<M>],
-    prep_units: &mut [Option<Chunk<M>>],
-    comp_units: &mut [Option<Chunk<M>>],
     outboxes: &mut [WorkerOutbox<M>],
     spill_outs: &mut [(Vec<Vec<SpillSegment>>, Vec<SpillSegment>)],
     inboxes: &mut [Vec<InboxPart<M>>],
     spill: Option<SpillControl<'_, M>>,
 ) {
-    for q in queues {
-        while let Some(unit) = q.pop_own() {
-            pool.release(unit);
-        }
-    }
-    for slot in prep_units.iter_mut().chain(comp_units.iter_mut()) {
-        if let Some(unit) = slot.take() {
-            pool.release(unit);
-        }
-    }
     for (remote, local) in outboxes.iter_mut() {
         for dest in remote.iter_mut() {
             for c in dest.drain(..) {
@@ -1417,83 +1316,42 @@ fn splitmix64(state: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Phase 1 of a superstep: drains `inbox` chunks into `sort_buf`, stably
-/// sorts by destination vertex, splits the run into units at vertex
-/// boundaries (a unit may exceed the nominal chunk capacity rather than
-/// split one vertex's batch), and publishes them to `queue`.
+/// What one worker's superstep task yields: its metrics and aggregate
+/// contribution, or the spilled inbox segment it failed to re-admit.
+type WorkerResult<P> =
+    Result<(WorkerSuperstepMetrics, <P as VertexProgram>::Aggregate), SpillError>;
+
+/// Executes one worker for one superstep, filling the engine-owned
+/// `outbox` in place. Superstep 0 runs `compute` on every owned vertex;
+/// later supersteps drain `inbox` (resident chunks and spilled segments,
+/// in delivery order) into the retained sort buffer, stably sort it by
+/// destination vertex, and call `compute` once per vertex with its run of
+/// messages. Polls for a hard cancel every 32 `compute` calls.
 ///
 /// The inbox is consumed in place (entries become zero-capacity
-/// placeholders) and the unit under assembly lives in the engine-owned
-/// `unit_slot`, so a panic anywhere in here leaves every still-acquired
-/// chunk reachable for [`abort_cleanup`].
-fn publish_units<M>(
-    pool: &ChunkPool<M>,
-    queue: &StealQueue<M>,
-    sort_buf: &mut Vec<(VertexId, M)>,
-    inbox: &mut Vec<InboxPart<M>>,
-    unit_slot: &mut Option<Chunk<M>>,
-    spill: Option<SpillControl<'_, M>>,
-) -> Result<(), SpillError> {
-    sort_buf.clear();
-    for slot in inbox.iter_mut() {
-        match std::mem::take(slot) {
-            InboxPart::Chunk(mut c) => {
-                sort_buf.append(&mut c);
-                pool.release(c);
-            }
-            InboxPart::Spilled(seg) => {
-                let sp = spill.expect("spilled inbox part without a spill store");
-                sp.store.readmit(sp.codec, seg, sort_buf)?;
-            }
-        }
-    }
-    inbox.clear();
-    if sort_buf.is_empty() {
-        return Ok(());
-    }
-    sort_buf.sort_by_key(|(v, _)| *v);
-    let cap = pool.capacity();
-    *unit_slot = Some(pool.acquire());
-    for (v, m) in sort_buf.drain(..) {
-        let unit = unit_slot.as_mut().expect("unit slot filled above");
-        if unit.len() >= cap && unit.last().is_some_and(|(u, _)| *u != v) {
-            let full = std::mem::replace(unit, pool.acquire());
-            queue.push(full);
-        }
-        unit.push((v, m));
-    }
-    queue.push(unit_slot.take().expect("unit slot filled above"));
-    Ok(())
-}
-
-/// Phase 2: executes one worker for one superstep, filling the
-/// engine-owned `outbox` in place; returns its metrics and aggregate
-/// contribution. The unit currently being processed sits in the
-/// engine-owned `cur` slot so a panicking `compute` cannot strand it.
+/// placeholders) and drained chunks go straight back to the pool, so a
+/// panic or a failed re-admission anywhere in here leaves every
+/// still-acquired chunk reachable for [`abort_cleanup`].
 #[allow(clippy::too_many_arguments)]
 fn run_worker<P: VertexProgram>(
     program: &P,
     state: &mut P::WorkerState,
-    // `worker` is the global partition id (routing, `Context::worker`);
-    // `slot` is the local index into `queues` and the other engine arrays.
+    // The global partition id (routing, `Context::worker`).
     worker: usize,
-    slot: usize,
     superstep: u32,
     partitioner: &HashPartitioner,
     owned: &[VertexId],
     pool: &ChunkPool<P::Message>,
-    queues: &[StealQueue<P::Message>],
-    steal: bool,
-    steal_budget: Option<u64>,
-    batch: &mut Vec<P::Message>,
+    inbox: &mut Vec<InboxPart<P::Message>>,
+    scratch: &mut WorkerScratch<P::Message>,
     prev_aggregate: &P::Aggregate,
     outbox: &mut WorkerOutbox<P::Message>,
-    cur: &mut Option<Chunk<P::Message>>,
     poll: CancelPoll<'_>,
     spill: Option<SpillControl<'_, P::Message>>,
     spill_out: &mut (Vec<Vec<SpillSegment>>, Vec<SpillSegment>),
-) -> (WorkerSuperstepMetrics, P::Aggregate) {
+) -> WorkerResult<P> {
     let started = Instant::now();
+    let WorkerScratch { sort_buf, batch } = scratch;
     let (remote, local) = outbox;
     let (spill_remote, spill_local) = spill_out;
     let mut local_aggregate = P::Aggregate::default();
@@ -1515,7 +1373,6 @@ fn run_worker<P: VertexProgram>(
     };
     let mut active_vertices = 0u64;
     let mut messages_in = 0u64;
-    let mut chunks_stolen = 0u64;
     if superstep == 0 {
         for (i, &v) in owned.iter().enumerate() {
             if i & 31 == 0 && poll.should_abort() {
@@ -1525,43 +1382,35 @@ fn run_worker<P: VertexProgram>(
             batch.clear();
             program.compute(&mut ctx, state, v, batch);
         }
-    } else {
-        loop {
-            if poll.should_abort() {
+    } else if !poll.should_abort() {
+        sort_buf.clear();
+        for part in inbox.iter_mut() {
+            match std::mem::take(part) {
+                InboxPart::Chunk(mut c) => {
+                    sort_buf.append(&mut c);
+                    pool.release(c);
+                }
+                InboxPart::Spilled(seg) => {
+                    let sp = spill.expect("spilled inbox part without a spill store");
+                    sp.store.readmit(sp.codec, seg, sort_buf)?;
+                }
+            }
+        }
+        inbox.clear();
+        sort_buf.sort_by_key(|(v, _)| *v);
+        messages_in = sort_buf.len() as u64;
+        let mut it = sort_buf.drain(..).peekable();
+        while let Some((v, first)) = it.next() {
+            if active_vertices & 31 == 31 && poll.should_abort() {
                 break;
             }
-            let Some(unit) = queues[slot].pop_own() else { break };
-            let slot = cur.insert(unit);
-            let (a, m) = process_unit::<P>(program, &mut ctx, state, batch, slot, poll);
-            active_vertices += a;
-            messages_in += m;
-            pool.release(cur.take().expect("current unit slot"));
-        }
-        if steal {
-            // All units were published before the barrier, so one sweep
-            // over the other queues observes everything still unclaimed
-            // (up to the optional per-superstep steal budget).
-            let mut budget = steal_budget.unwrap_or(u64::MAX);
-            let l = queues.len();
-            'sweep: for off in 1..l {
-                let victim = (slot + off) % l;
-                while budget > 0 {
-                    if poll.should_abort() {
-                        break 'sweep;
-                    }
-                    let Some(unit) = queues[victim].pop_steal() else { break };
-                    budget -= 1;
-                    chunks_stolen += 1;
-                    let slot = cur.insert(unit);
-                    let (a, m) = process_unit::<P>(program, &mut ctx, state, batch, slot, poll);
-                    active_vertices += a;
-                    messages_in += m;
-                    pool.release(cur.take().expect("current unit slot"));
-                }
-                if budget == 0 {
-                    break 'sweep;
-                }
+            batch.clear();
+            batch.push(first);
+            while it.peek().is_some_and(|(u, _)| *u == v) {
+                batch.push(it.next().expect("peeked").1);
             }
+            active_vertices += 1;
+            program.compute(&mut ctx, state, v, batch);
         }
     }
     let tuple_bytes = std::mem::size_of::<(VertexId, P::Message)>() as u64;
@@ -1570,41 +1419,11 @@ fn run_worker<P: VertexProgram>(
         messages_in,
         messages_out: ctx.messages_out,
         local_delivered: ctx.local_delivered,
-        chunks_stolen,
         bytes_exchanged: (ctx.messages_out - ctx.local_delivered) * tuple_bytes,
         cost: ctx.cost,
         elapsed: started.elapsed(),
     };
-    (wm, local_aggregate)
-}
-
-/// Runs `compute` on every vertex in `unit`, batching each vertex's
-/// messages into the reused `batch` buffer. Returns `(vertices, messages)`
-/// processed. Polls for a hard cancel every 32 vertex batches.
-fn process_unit<P: VertexProgram>(
-    program: &P,
-    ctx: &mut Context<'_, P::Message, P::Aggregate>,
-    state: &mut P::WorkerState,
-    batch: &mut Vec<P::Message>,
-    unit: &mut Chunk<P::Message>,
-    poll: CancelPoll<'_>,
-) -> (u64, u64) {
-    let messages = unit.len() as u64;
-    let mut active = 0u64;
-    let mut it = unit.drain(..).peekable();
-    while let Some((v, first)) = it.next() {
-        if active & 31 == 31 && poll.should_abort() {
-            break;
-        }
-        batch.clear();
-        batch.push(first);
-        while it.peek().is_some_and(|(u, _)| *u == v) {
-            batch.push(it.next().unwrap().1);
-        }
-        active += 1;
-        program.compute(ctx, state, v, batch);
-    }
-    (active, messages)
+    Ok((wm, local_aggregate))
 }
 
 #[cfg(test)]
@@ -1687,17 +1506,6 @@ mod tests {
         for k in [2, 4, 7] {
             assert_eq!(run_min_label(&g, k), base, "worker count {k}");
         }
-    }
-
-    #[test]
-    fn min_label_unaffected_by_stealing_and_tiny_chunks() {
-        let g = erdos_renyi_gnm(200, 300, 9).unwrap();
-        let base = run_min_label(&g, 1);
-        let prog = MinLabel { graph: &g, labels: Mutex::new(g.vertices().collect()) };
-        let p = HashPartitioner::new(4);
-        let config = BspConfig { chunk_capacity: 3, steal: true, ..Default::default() };
-        run(g.num_vertices(), &p, &prog, &config).unwrap();
-        assert_eq!(prog.labels.into_inner(), base);
     }
 
     #[test]
@@ -1853,88 +1661,6 @@ mod tests {
         let config = BspConfig { message_budget: Some(1000), ..Default::default() };
         let res = run(100, &p, &prog, &config).unwrap();
         assert_eq!(res.worker_states.iter().sum::<u64>(), 1000);
-    }
-
-    /// Superstep 0 funnels every message at vertices owned by worker 0;
-    /// superstep 1 burns a little time per unit so other workers have a
-    /// window to steal.
-    struct Hotspot {
-        targets: Vec<VertexId>,
-    }
-
-    impl VertexProgram for Hotspot {
-        type Message = u8;
-        type WorkerState = u64;
-        type Aggregate = ();
-
-        fn create_worker_state(&self, _worker: usize) -> u64 {
-            0
-        }
-
-        fn compute(
-            &self,
-            ctx: &mut Context<'_, u8>,
-            state: &mut u64,
-            v: VertexId,
-            msgs: &mut Vec<u8>,
-        ) {
-            *state += msgs.len() as u64;
-            if !msgs.is_empty() {
-                std::thread::sleep(std::time::Duration::from_micros(100));
-            }
-            if ctx.superstep() == 0 {
-                let t = self.targets[v as usize % self.targets.len()];
-                ctx.send(t, 1);
-            }
-        }
-    }
-
-    #[test]
-    fn stealing_claims_straggler_chunks() {
-        let n = 256usize;
-        let p = HashPartitioner::new(4);
-        let targets: Vec<VertexId> = (0..n as VertexId).filter(|&v| p.owner(v) == 0).collect();
-        assert!(targets.len() > 10);
-        // chunk_capacity 1 → one unit per hot vertex → lots to steal.
-        let config = BspConfig { chunk_capacity: 1, steal: true, ..Default::default() };
-        let prog = Hotspot { targets: targets.clone() };
-        let res = run(n, &p, &prog, &config).unwrap();
-        assert_eq!(res.worker_states.iter().sum::<u64>(), n as u64);
-        assert!(
-            res.metrics.total_chunks_stolen() > 0,
-            "idle workers should claim units from the hot worker"
-        );
-        // With stealing off every unit stays with its owner.
-        let config = BspConfig { chunk_capacity: 1, steal: false, ..Default::default() };
-        let prog = Hotspot { targets };
-        let res = run(n, &p, &prog, &config).unwrap();
-        assert_eq!(res.worker_states.iter().sum::<u64>(), n as u64);
-        assert_eq!(res.metrics.total_chunks_stolen(), 0);
-        // All message work landed on worker 0.
-        assert_eq!(res.worker_states[0], n as u64);
-    }
-
-    #[test]
-    fn steal_budget_caps_per_worker_thefts() {
-        let n = 256usize;
-        let p = HashPartitioner::new(4);
-        let targets: Vec<VertexId> = (0..n as VertexId).filter(|&v| p.owner(v) == 0).collect();
-        let config = BspConfig {
-            chunk_capacity: 1,
-            steal: true,
-            steal_budget: Some(2),
-            ..Default::default()
-        };
-        let prog = Hotspot { targets };
-        let res = run(n, &p, &prog, &config).unwrap();
-        // No messages lost despite the budget, …
-        assert_eq!(res.worker_states.iter().sum::<u64>(), n as u64);
-        // … and no worker exceeded its per-superstep steal budget.
-        for step in &res.metrics.supersteps {
-            for (w, wm) in step.workers.iter().enumerate() {
-                assert!(wm.chunks_stolen <= 2, "worker {w} stole {}", wm.chunks_stolen);
-            }
-        }
     }
 
     struct Panicker;
@@ -2167,8 +1893,7 @@ mod tests {
     }
 
     /// Floods at superstep 0, then panics while processing messages in
-    /// superstep 1 — inboxes, outboxes, and steal queues are all hot when
-    /// the worker unwinds.
+    /// superstep 1 — inboxes and outboxes are hot when the worker unwinds.
     struct LatePanicker {
         n: usize,
     }
@@ -2207,13 +1932,7 @@ mod tests {
             }
             other => panic!("expected contained panic, got {other:?}"),
         }
-        // Same containment with tiny chunks + stealing (hot steal queues)
-        // and under the serial executor.
-        let config = BspConfig { chunk_capacity: 2, steal: true, ..Default::default() };
-        match run(64, &p, &prog, &config) {
-            Err(BspError::WorkerPanicked { superstep: 1, .. }) => {}
-            other => panic!("expected contained panic, got {other:?}"),
-        }
+        // Same containment under the serial executor.
         match run_with_executor(64, &p, &prog, &BspConfig::default(), &SerialExecutor) {
             Err(BspError::WorkerPanicked { superstep: 1, .. }) => {}
             other => panic!("expected contained panic, got {other:?}"),
@@ -2415,6 +2134,148 @@ mod tests {
         }
         assert_eq!(prog.labels.into_inner(), base);
     }
+
+    // ── the single-task superstep, across the configuration table ───────
+
+    /// What [`Probe`] does when it reaches superstep 1, vertex 41.
+    enum Trip<'a> {
+        Nothing,
+        Panic,
+        Cancel(&'a CancelToken),
+    }
+
+    /// Every vertex relays three messages per superstep for three
+    /// supersteps. A message is `sender worker << 24 | per-worker send
+    /// sequence`, so a batch in delivery order (sources in worker order,
+    /// each source's sends in send order) is strictly increasing.
+    struct Probe<'a> {
+        n: usize,
+        calls: Mutex<ProbeCalls>,
+        trip: Trip<'a>,
+    }
+
+    /// `(superstep, vertex)` → the batch of every `compute` call made for it.
+    type ProbeCalls = std::collections::BTreeMap<(u32, VertexId), Vec<Vec<u32>>>;
+
+    impl VertexProgram for Probe<'_> {
+        type Message = u32;
+        /// `(superstep, messages sent in it)`.
+        type WorkerState = (u32, u32);
+        type Aggregate = ();
+
+        fn create_worker_state(&self, _w: usize) -> (u32, u32) {
+            (0, 0)
+        }
+
+        fn compute(
+            &self,
+            ctx: &mut Context<'_, u32>,
+            state: &mut (u32, u32),
+            v: VertexId,
+            msgs: &mut Vec<u32>,
+        ) {
+            let s = ctx.superstep();
+            self.calls.lock().entry((s, v)).or_default().push(msgs.clone());
+            if state.0 != s {
+                *state = (s, 0);
+            }
+            if s >= 3 {
+                return;
+            }
+            for to in [v as usize + 1, v as usize * 5 + s as usize, v as usize + 17] {
+                ctx.send((to % self.n) as VertexId, (ctx.worker() as u32) << 24 | state.1);
+                state.1 += 1;
+            }
+            if (s, v) == (1, 41) {
+                match self.trip {
+                    Trip::Nothing => {}
+                    Trip::Panic => panic!("boom mid-superstep"),
+                    Trip::Cancel(token) => token.cancel(CancelReason::Explicit),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_compute_call_per_vertex_across_chunking_executors_and_spill() {
+        const N: usize = 64;
+        let (n, p) = (N, HashPartitioner::new(4));
+        fn probe(trip: Trip<'_>) -> Probe<'_> {
+            Probe { n: N, calls: Mutex::new(Default::default()), trip }
+        }
+        let reference = {
+            let prog = probe(Trip::Nothing);
+            run(n, &p, &prog, &BspConfig::default()).unwrap();
+            prog.calls.into_inner()
+        };
+        assert_eq!(reference.len(), 4 * n, "every vertex is active in supersteps 0..=3");
+        for (key, batches) in &reference {
+            assert_eq!(batches.len(), 1, "{key:?}: one compute call per vertex per superstep");
+            assert!(batches[0].windows(2).all(|w| w[0] < w[1]), "{key:?}: delivery order");
+        }
+        let delivered: usize = reference.values().map(|b| b[0].len()).sum();
+        assert_eq!(delivered, 3 * 3 * n, "every message sent was delivered");
+
+        let executors: [(&str, &dyn Executor); 2] =
+            [("threads", &ThreadExecutor), ("serial", &SerialExecutor)];
+        for chunk_capacity in [1, 3, DEFAULT_CHUNK_CAPACITY] {
+            for (exec_name, executor) in executors {
+                for spilling in [false, true] {
+                    let case = format!("capacity {chunk_capacity}, {exec_name}, spill {spilling}");
+                    let config = BspConfig {
+                        chunk_capacity,
+                        max_live_chunks: spilling.then_some(4),
+                        ..Default::default()
+                    };
+                    let store = SpillStore::create(&SpillConfig::in_temp()).unwrap();
+                    let control = |cancel| RunControl {
+                        cancel,
+                        spill: spilling
+                            .then_some(SpillControl { store: &store, codec: &VertexIdCodec }),
+                        ..RunControl::default()
+                    };
+
+                    let prog = probe(Trip::Nothing);
+                    match run_controlled(n, &p, &prog, &config, executor, control(None)).unwrap() {
+                        RunOutcome::Complete(r) => {
+                            assert_eq!(r.metrics.chunks_outstanding, 0, "{case}");
+                            if spilling && chunk_capacity <= 3 {
+                                assert!(r.metrics.spill_chunks > 0, "{case}: cap never bit");
+                            }
+                        }
+                        RunOutcome::Cancelled(_) => panic!("{case}: nothing cancels this run"),
+                    }
+                    assert_eq!(prog.calls.into_inner(), reference, "{case}");
+
+                    // A panic with inboxes drained and outboxes part-filled
+                    // (debug builds assert the pool balance on this path).
+                    let prog = probe(Trip::Panic);
+                    match run_controlled(n, &p, &prog, &config, executor, control(None)) {
+                        Err(BspError::WorkerPanicked { superstep: 1, worker }) => {
+                            assert_eq!(worker, p.owner(41), "{case}");
+                        }
+                        Err(e) => panic!("{case}: wrong error {e}"),
+                        Ok(_) => panic!("{case}: the panic must surface"),
+                    }
+                    assert_eq!(store.live_bytes(), 0, "{case}: blobs outlived the panic");
+
+                    let token = CancelToken::new();
+                    let prog = probe(Trip::Cancel(&token));
+                    match run_controlled(n, &p, &prog, &config, executor, control(Some(&token)))
+                        .unwrap()
+                    {
+                        RunOutcome::Cancelled(c) => {
+                            assert_eq!((c.reason, c.superstep), (CancelReason::Explicit, 1));
+                            assert!(c.frontier.is_none(), "{case}");
+                            assert_eq!(c.metrics.chunks_outstanding, 0, "{case}");
+                        }
+                        RunOutcome::Complete(_) => panic!("{case}: the cancel must surface"),
+                    }
+                    assert_eq!(store.live_bytes(), 0, "{case}: blobs outlived the cancel");
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -2466,12 +2327,6 @@ mod aggregator_tests {
         assert_eq!(result.final_aggregate, 1);
         // Vertex 0 saw the default (0) in superstep 0 and the merged 20 in
         // superstep 1.
-        assert_eq!(*prog.observed.lock(), vec![0, 20]);
-        // Stealing preserves the one-compute-call-per-vertex contract.
-        let prog = CountActive { observed: parking_lot::Mutex::new(Vec::new()) };
-        let config = BspConfig { chunk_capacity: 2, steal: true, ..Default::default() };
-        let result = run(n, &p, &prog, &config).unwrap();
-        assert_eq!(result.final_aggregate, 1);
         assert_eq!(*prog.observed.lock(), vec![0, 20]);
     }
 }

@@ -2,94 +2,72 @@
 //! order.
 //!
 //! [`engine::run`](crate::engine::run) packages each superstep as one
-//! [`WorkerTask`] per worker — a *prepare* closure (phase 1: regroup the
-//! inbox into steal-queue units) and a *compute* closure (phase 2: run the
-//! vertex program over the units) — and hands the batch to an
-//! [`Executor`]. Production uses [`ThreadExecutor`] (one scoped OS thread
-//! per worker, a real [`std::sync::Barrier`] between the phases); the
-//! simulation harness in `crates/sim` substitutes a seeded, virtual-time
-//! scheduler that runs the same closures single-threaded in an
-//! adversarial but fully reproducible order.
+//! [`WorkerTask`] per worker — a single closure that drains the worker's
+//! inbox, groups it by vertex and runs the vertex program over every batch
+//! — and hands the set to an [`Executor`]. Production uses
+//! [`ThreadExecutor`] (one scoped OS thread per worker); the simulation
+//! harness in `crates/sim` substitutes a seeded, virtual-time scheduler
+//! that runs the same closures single-threaded in an adversarial but fully
+//! reproducible order.
 //!
 //! # Executor contract
 //!
-//! - Every `prepare` closure must finish before any `compute` closure
-//!   starts (the phase barrier): `compute` may pop units from *other*
-//!   workers' steal queues, which are only complete once every `prepare`
-//!   has run.
 //! - Every closure must be invoked exactly once; `run_superstep` returns
 //!   only after all of them have returned. The closures never unwind —
 //!   the engine catches panics internally and reports them through its
 //!   own channel — so executors need no unwind handling of their own.
 //! - Closures may be run on any thread(s), sequentially or in parallel,
-//!   in any per-phase order. The engine guarantees correctness (exact
-//!   instance counts, message conservation) for *every* legal schedule;
-//!   only scheduling-dependent metrics (who stole what, per-worker
-//!   elapsed time) vary.
+//!   in any order: a worker's closure touches only that worker's inbox,
+//!   state and outbox, plus the shared chunk pool and spill store. The
+//!   engine guarantees correctness (exact instance counts, message
+//!   conservation) for *every* legal schedule; only scheduling-dependent
+//!   metrics (per-worker elapsed time, which sends met a capped pool)
+//!   vary.
 
-use std::sync::Barrier;
-
-/// A boxed phase closure for one worker; see the module docs for the
-/// execution contract.
+/// A boxed worker closure; see the module docs for the execution contract.
 pub type TaskFn<'a> = Box<dyn FnOnce() + Send + 'a>;
 
-/// One worker's share of a superstep: the phase-1 and phase-2 closures.
+/// One worker's share of a superstep.
 pub struct WorkerTask<'a> {
     /// Worker id (index into the engine's worker arrays).
     pub worker: usize,
-    /// Phase 1: drain + regroup the inbox, publish steal-queue units.
-    pub prepare: TaskFn<'a>,
-    /// Phase 2: run the vertex program over own (and stolen) units.
-    pub compute: TaskFn<'a>,
+    /// Drains the inbox and runs the vertex program over it.
+    pub run: TaskFn<'a>,
 }
 
 /// Drives the worker tasks of one superstep. See the module docs for the
 /// contract implementations must uphold.
 pub trait Executor: Sync {
-    /// Runs every task of `superstep` to completion, with barrier
-    /// semantics between the prepare and compute phases.
+    /// Runs every task of `superstep` to completion.
     fn run_superstep(&self, superstep: u32, tasks: Vec<WorkerTask<'_>>);
 }
 
-/// The production executor: one scoped OS thread per worker, phases
-/// separated by a [`Barrier`]. This reproduces the engine's historical
-/// threading exactly.
+/// The production executor: one scoped OS thread per worker.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ThreadExecutor;
 
 impl Executor for ThreadExecutor {
     fn run_superstep(&self, _superstep: u32, tasks: Vec<WorkerTask<'_>>) {
-        let barrier = Barrier::new(tasks.len());
         crossbeam::thread::scope(|scope| {
             for task in tasks {
-                let barrier = &barrier;
-                scope.spawn(move |_| {
-                    (task.prepare)();
-                    barrier.wait();
-                    (task.compute)();
-                });
+                scope.spawn(move |_| (task.run)());
             }
         })
         .expect("executor worker threads never unwind");
     }
 }
 
-/// A trivial deterministic executor: runs all prepares then all computes
-/// on the calling thread, in worker-id order. Useful for debugging engine
-/// issues without threads in the picture; `crates/sim` builds its seeded
-/// chaos scheduler on the same trait.
+/// A trivial deterministic executor: runs every task on the calling
+/// thread, in worker-id order. Useful for debugging engine issues without
+/// threads in the picture; `crates/sim` builds its seeded chaos scheduler
+/// on the same trait.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SerialExecutor;
 
 impl Executor for SerialExecutor {
     fn run_superstep(&self, _superstep: u32, tasks: Vec<WorkerTask<'_>>) {
-        let mut computes = Vec::with_capacity(tasks.len());
         for task in tasks {
-            (task.prepare)();
-            computes.push(task.compute);
-        }
-        for compute in computes {
-            compute();
+            (task.run)();
         }
     }
 }
@@ -99,37 +77,31 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// Both executors must uphold the phase barrier: every prepare runs
-    /// before any compute.
-    fn check_barrier(executor: &dyn Executor) {
-        let k = 4;
-        let prepared = AtomicUsize::new(0);
-        let violations = AtomicUsize::new(0);
-        let tasks: Vec<WorkerTask<'_>> = (0..k)
-            .map(|worker| WorkerTask {
+    fn check_every_task_runs_once(executor: &dyn Executor) {
+        let runs: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
+        let tasks: Vec<WorkerTask<'_>> = runs
+            .iter()
+            .enumerate()
+            .map(|(worker, count)| WorkerTask {
                 worker,
-                prepare: Box::new(|| {
-                    prepared.fetch_add(1, Ordering::SeqCst);
-                }),
-                compute: Box::new(|| {
-                    if prepared.load(Ordering::SeqCst) != k {
-                        violations.fetch_add(1, Ordering::SeqCst);
-                    }
+                run: Box::new(move || {
+                    count.fetch_add(1, Ordering::SeqCst);
                 }),
             })
             .collect();
         executor.run_superstep(0, tasks);
-        assert_eq!(prepared.load(Ordering::SeqCst), k);
-        assert_eq!(violations.load(Ordering::SeqCst), 0, "compute ran before all prepares");
+        for (worker, count) in runs.iter().enumerate() {
+            assert_eq!(count.load(Ordering::SeqCst), 1, "worker {worker}");
+        }
     }
 
     #[test]
-    fn thread_executor_upholds_phase_barrier() {
-        check_barrier(&ThreadExecutor);
+    fn thread_executor_runs_every_task_once() {
+        check_every_task_runs_once(&ThreadExecutor);
     }
 
     #[test]
-    fn serial_executor_upholds_phase_barrier() {
-        check_barrier(&SerialExecutor);
+    fn serial_executor_runs_every_task_once() {
+        check_every_task_runs_once(&SerialExecutor);
     }
 }

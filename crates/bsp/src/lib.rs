@@ -35,9 +35,7 @@ pub mod metrics;
 pub mod spill;
 
 pub use cancel::{CancelReason, CancelToken};
-pub use chunk::{
-    push_chunked, Chunk, ChunkPool, PoolExhausted, StealQueue, DEFAULT_CHUNK_CAPACITY,
-};
+pub use chunk::{push_chunked, Chunk, ChunkPool, PoolExhausted, DEFAULT_CHUNK_CAPACITY};
 pub use engine::{
     run, run_controlled, run_with_executor, BspConfig, BspError, BspResult, CancelledRun, Context,
     ResumePoint, RunControl, RunOutcome, SpillControl, VertexProgram,

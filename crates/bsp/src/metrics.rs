@@ -13,21 +13,19 @@ use std::time::Duration;
 pub struct WorkerSuperstepMetrics {
     /// Vertices the program ran on.
     pub active_vertices: u64,
-    /// Messages consumed this superstep (own units plus stolen ones).
+    /// Messages consumed this superstep.
     pub messages_in: u64,
     /// Messages produced this superstep.
     pub messages_out: u64,
     /// Of `messages_out`, how many were addressed to this worker's own
     /// vertices and took the local fast path past the exchange.
     pub local_delivered: u64,
-    /// Message units this worker claimed from *other* workers' queues.
-    pub chunks_stolen: u64,
     /// Bytes of `(VertexId, M)` tuples this worker handed to the exchange
     /// (locally-delivered messages excluded).
     pub bytes_exchanged: u64,
     /// User-reported cost units (PSgL: Equation 2's `load(Gpsi)` sums).
     pub cost: u64,
-    /// Wall-clock time the worker spent computing.
+    /// Wall-clock time the worker spent regrouping its inbox and computing.
     pub elapsed: Duration,
 }
 
@@ -222,11 +220,6 @@ impl EngineMetrics {
         self.total_local_delivered() as f64 / total as f64
     }
 
-    /// Message units claimed by non-owner workers over the run.
-    pub fn total_chunks_stolen(&self) -> u64 {
-        self.supersteps.iter().flat_map(|s| &s.workers).map(|w| w.chunks_stolen).sum()
-    }
-
     /// Bytes of message tuples that crossed the exchange over the run.
     pub fn total_bytes_exchanged(&self) -> u64 {
         self.supersteps.iter().flat_map(|s| &s.workers).map(|w| w.bytes_exchanged).sum()
@@ -336,23 +329,16 @@ mod tests {
 
     #[test]
     fn message_plane_counters_aggregate() {
-        let w = |out, local, stolen, bytes| WorkerSuperstepMetrics {
+        let w = |out, local, bytes| WorkerSuperstepMetrics {
             messages_out: out,
             local_delivered: local,
-            chunks_stolen: stolen,
             bytes_exchanged: bytes,
             ..Default::default()
         };
         let m = EngineMetrics {
             supersteps: vec![
-                SuperstepMetrics {
-                    workers: vec![w(10, 4, 0, 48), w(6, 6, 0, 0)],
-                    ..Default::default()
-                },
-                SuperstepMetrics {
-                    workers: vec![w(0, 0, 3, 0), w(4, 2, 0, 16)],
-                    ..Default::default()
-                },
+                SuperstepMetrics { workers: vec![w(10, 4, 48), w(6, 6, 0)], ..Default::default() },
+                SuperstepMetrics { workers: vec![w(0, 0, 0), w(4, 2, 16)], ..Default::default() },
             ],
             chunk_allocations: 5,
             chunk_reuses: 7,
@@ -360,7 +346,6 @@ mod tests {
         };
         assert_eq!(m.total_local_delivered(), 12);
         assert_eq!(m.local_delivery_ratio(), 12.0 / 20.0);
-        assert_eq!(m.total_chunks_stolen(), 3);
         assert_eq!(m.total_bytes_exchanged(), 64);
         assert_eq!(m.allocations_avoided(), 7);
         // A run with no traffic reports a zero ratio, not NaN.

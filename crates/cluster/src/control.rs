@@ -148,9 +148,7 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// The [`PsglConfig`] every participant (and the centralized oracle)
-    /// derives from this job. Work stealing stays off: in-process
-    /// stealing reorders nothing observable, but the cluster contract is
-    /// simplest to audit without it.
+    /// derives from this job.
     pub fn config(&self) -> Result<PsglConfig, String> {
         let strategy = psgl_service::parse_strategy_spec(&self.strategy)?;
         let mut config = PsglConfig::with_workers(self.partitions)
@@ -574,7 +572,6 @@ fn worker_metrics_to_json(m: &WorkerSuperstepMetrics) -> Json {
         Json::from(m.messages_in),
         Json::from(m.messages_out),
         Json::from(m.local_delivered),
-        Json::from(m.chunks_stolen),
         Json::from(m.bytes_exchanged),
         Json::from(m.cost),
         Json::from(m.elapsed.as_nanos() as u64),
@@ -583,18 +580,17 @@ fn worker_metrics_to_json(m: &WorkerSuperstepMetrics) -> Json {
 
 fn worker_metrics_from_json(v: &Json) -> Result<WorkerSuperstepMetrics, String> {
     let ns = u64_arr(v, "worker metrics")?;
-    if ns.len() != 8 {
-        return Err("worker metrics want 8 numbers".into());
+    if ns.len() != 7 {
+        return Err("worker metrics want 7 numbers".into());
     }
     Ok(WorkerSuperstepMetrics {
         active_vertices: ns[0],
         messages_in: ns[1],
         messages_out: ns[2],
         local_delivered: ns[3],
-        chunks_stolen: ns[4],
-        bytes_exchanged: ns[5],
-        cost: ns[6],
-        elapsed: Duration::from_nanos(ns[7]),
+        bytes_exchanged: ns[4],
+        cost: ns[5],
+        elapsed: Duration::from_nanos(ns[6]),
     })
 }
 
@@ -767,7 +763,6 @@ mod tests {
                         messages_in: 10,
                         messages_out: 20,
                         local_delivered: 5,
-                        chunks_stolen: 0,
                         bytes_exchanged: 900,
                         cost: 77,
                         elapsed: Duration::from_nanos(1234),

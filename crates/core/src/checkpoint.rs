@@ -17,7 +17,7 @@
 //! so corruption fails loudly, never silently.
 //!
 //! ```text
-//! magic "PSGLCKP1" | payload | checksum: u64 (FxHash of the payload)
+//! magic "PSGLCKP2" | payload | checksum: u64 (FxHash of the payload)
 //! ```
 
 use crate::distribute::{DistributorSnapshot, Strategy};
@@ -33,7 +33,7 @@ use psgl_graph::VertexId;
 use std::hash::Hasher;
 use std::time::Duration;
 
-const MAGIC: &[u8; 8] = b"PSGLCKP1";
+const MAGIC: &[u8; 8] = b"PSGLCKP2";
 const SHARD_MAGIC: &[u8; 8] = b"PSGLSHD1";
 
 /// A checkpoint failed to decode or does not match the run it is being
@@ -213,7 +213,6 @@ impl Checkpoint {
                 p.put_u64_le(w.messages_in);
                 p.put_u64_le(w.messages_out);
                 p.put_u64_le(w.local_delivered);
-                p.put_u64_le(w.chunks_stolen);
                 p.put_u64_le(w.bytes_exchanged);
                 p.put_u64_le(w.cost);
                 p.put_u64_le(w.elapsed.as_nanos() as u64);
@@ -238,7 +237,7 @@ impl Checkpoint {
     /// Deserializes the binary format; rejects corruption (checksum),
     /// truncation, and structurally invalid payloads.
     pub fn from_bytes(data: &[u8]) -> Result<Checkpoint, CheckpointError> {
-        let payload = unseal(MAGIC, "PSGLCKP1 checkpoint", data)?;
+        let payload = unseal(MAGIC, "PSGLCKP2 checkpoint", data)?;
         let mut r = Reader { data: payload };
         let guard = read_guard(&mut r)?;
         let workers = guard.workers;
@@ -264,7 +263,6 @@ impl Checkpoint {
                     messages_in: r.u64()?,
                     messages_out: r.u64()?,
                     local_delivered: r.u64()?,
-                    chunks_stolen: r.u64()?,
                     bytes_exchanged: r.u64()?,
                     cost: r.u64()?,
                     elapsed: Duration::from_nanos(r.u64()?),

@@ -39,10 +39,6 @@ pub struct PsglConfig {
     pub max_fanout: Option<u64>,
     /// Superstep safety limit.
     pub max_supersteps: u32,
-    /// Let idle workers steal message units from stragglers within a
-    /// superstep. Counts are unaffected, but per-worker metrics become
-    /// scheduling-dependent, so it defaults to off (determinism).
-    pub steal: bool,
     /// Dispatch pattern-specialized expansion kernels (connectivity-map
     /// closing, two-hop wedge joins) selected at plan time. Disabling
     /// forces the generic odometer everywhere and reproduces the paper's
@@ -72,7 +68,6 @@ impl Default for PsglConfig {
             gpsi_budget: None,
             max_fanout: None,
             max_supersteps: 64,
-            steal: false,
             compiled_kernels: true,
             seed: 42,
             spill: None,
@@ -113,12 +108,6 @@ impl PsglConfig {
     /// Builder-style seed override.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder-style work-stealing toggle.
-    pub fn steal(mut self, enabled: bool) -> Self {
-        self.steal = enabled;
         self
     }
 

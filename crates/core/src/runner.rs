@@ -12,7 +12,7 @@ use crate::checkpoint::{
     HarvestCheckpoint, WorkerCheckpoint,
 };
 use crate::config::PsglConfig;
-use crate::distribute::Distributor;
+use crate::distribute::{Distributor, Strategy};
 use crate::expand::{expand_gpsi, ExpandLimits, ExpandOutcome, ExpandScratch};
 use crate::gpsi::Gpsi;
 use crate::init_vertex::SelectionRule;
@@ -237,12 +237,10 @@ pub struct RunnerHooks<'a> {
     pub partitioner: Option<HashPartitioner>,
     /// Cap on live message chunks ([`BspConfig::max_live_chunks`]).
     pub max_live_chunks: Option<u64>,
-    /// Per-worker, per-superstep steal cap ([`BspConfig::steal_budget`]).
-    pub steal_budget: Option<u64>,
     /// Seeded exchange reordering ([`BspConfig::exchange_shuffle_seed`]).
     pub exchange_shuffle_seed: Option<u64>,
     /// Message-chunk granularity override ([`BspConfig::chunk_capacity`]).
-    /// Smaller chunks give eviction (and stealing) finer granularity;
+    /// Smaller chunks give eviction finer granularity;
     /// memory-bounded runs pair this with [`RunnerHooks::max_live_chunks`].
     pub chunk_capacity: Option<usize>,
     /// Disk spill tier override; takes precedence over
@@ -560,8 +558,17 @@ enum EngineEnd {
     Cancelled(Box<CancelledListing>),
 }
 
-/// The checkpoint guard pinning this run's inputs.
+#[cfg(test)]
+thread_local! {
+    /// [`guard_of`] calls made on this thread.
+    static GUARDS_BUILT: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
+
+/// The checkpoint guard pinning this run's inputs. Hashes the whole data
+/// graph (`O(|V| + |E|)`), so it is built only where it is consumed.
 fn guard_of(shared: &PsglShared<'_>, config: &PsglConfig, mode: HarvestMode) -> CheckpointGuard {
+    #[cfg(test)]
+    GUARDS_BUILT.with(|n| n.set(n.get() + 1));
     CheckpointGuard {
         graph_hash: shared.graph.content_hash(),
         workers: config.workers as u32,
@@ -593,13 +600,12 @@ fn snapshot_worker(ws: &WorkerState) -> WorkerCheckpoint {
     }
 }
 
-/// Rebuilds the engine's resume point from a validated checkpoint.
-fn restore_resume_point(config: &PsglConfig, cp: Checkpoint) -> ResumePoint<Gpsi, WorkerState, ()> {
-    let worker_states = cp
-        .workers
-        .into_iter()
-        .map(|wc| WorkerState {
-            distributor: Distributor::from_snapshot(config.strategy, wc.distributor),
+impl WorkerState {
+    /// Rebuilds a worker's state from its checkpoint — the inverse of
+    /// [`snapshot_worker`]; scratch buffers start empty.
+    fn restore(strategy: Strategy, wc: WorkerCheckpoint) -> WorkerState {
+        WorkerState {
+            distributor: Distributor::from_snapshot(strategy, wc.distributor),
             stats: wc.stats,
             harvest: match wc.harvest {
                 HarvestCheckpoint::CountOnly => Harvest::CountOnly,
@@ -611,8 +617,14 @@ fn restore_resume_point(config: &PsglConfig, cp: Checkpoint) -> ResumePoint<Gpsi
             emitted_this_superstep: wc.emitted_this_superstep,
             emitted_superstep: wc.emitted_superstep,
             failed: wc.failed,
-        })
-        .collect();
+        }
+    }
+}
+
+/// Rebuilds the engine's resume point from a validated checkpoint.
+fn restore_resume_point(config: &PsglConfig, cp: Checkpoint) -> ResumePoint<Gpsi, WorkerState, ()> {
+    let worker_states =
+        cp.workers.into_iter().map(|wc| WorkerState::restore(config.strategy, wc)).collect();
     ResumePoint {
         superstep: cp.superstep,
         frontier: cp.frontier,
@@ -692,21 +704,7 @@ fn restore_from_shards(
         let Some(shard) = by_partition[p].take() else {
             return Err(bad(format!("missing resume shard for partition {p}")));
         };
-        let wc = shard.worker;
-        worker_states.push(WorkerState {
-            distributor: Distributor::from_snapshot(config.strategy, wc.distributor),
-            stats: wc.stats,
-            harvest: match wc.harvest {
-                HarvestCheckpoint::CountOnly => Harvest::CountOnly,
-                HarvestCheckpoint::Instances(buf) => Harvest::Instances(buf),
-                HarvestCheckpoint::PerVertex(counts) => Harvest::PerVertex(counts),
-            },
-            scratch: ExpandScratch::new(),
-            out: Vec::new(),
-            emitted_this_superstep: wc.emitted_this_superstep,
-            emitted_superstep: wc.emitted_superstep,
-            failed: wc.failed,
-        });
+        worker_states.push(WorkerState::restore(config.strategy, shard.worker));
         frontier.push(shard.frontier);
     }
     Ok(ResumePoint {
@@ -732,7 +730,6 @@ pub fn assemble_run_stats(expand: ExpandStats, metrics: &EngineMetrics) -> RunSt
         supersteps: metrics.superstep_count(),
         messages: metrics.total_messages(),
         messages_local: metrics.total_local_delivered(),
-        chunks_stolen: metrics.total_chunks_stolen(),
         bytes_exchanged: metrics.total_bytes_exchanged(),
         messages_out_per_superstep: metrics.supersteps.iter().map(|s| s.messages_out()).collect(),
         messages_in_per_superstep: metrics
@@ -817,9 +814,7 @@ fn run_engine_seeded(
         max_supersteps: config.max_supersteps,
         // The per-worker budget also bounds the global in-flight volume.
         message_budget: config.gpsi_budget.map(|b| b.saturating_mul(config.workers as u64)),
-        steal: config.steal,
         max_live_chunks: hooks.max_live_chunks,
-        steal_budget: hooks.steal_budget,
         exchange_shuffle_seed: hooks.exchange_shuffle_seed,
         ..Default::default()
     };
@@ -827,7 +822,11 @@ fn run_engine_seeded(
         bsp_config.chunk_capacity = capacity;
     }
     let executor: &dyn psgl_bsp::Executor = hooks.executor.unwrap_or(&psgl_bsp::ThreadExecutor);
-    let guard = guard_of(shared, config, harvest_mode);
+    // Built on first use — resume validation, the shard sink, checkpoint
+    // capture — and at most once; a run with none of them never hashes
+    // the graph.
+    let guard_cell = std::cell::OnceCell::new();
+    let guard = || *guard_cell.get_or_init(|| guard_of(shared, config, harvest_mode));
     let RunControls { cancel, checkpoint, resume, cluster } = controls;
     let (cluster_exchange, cluster_sink, resume_shards) = match cluster {
         Some(cl) => (Some(cl.exchange), cl.shard_sink, cl.resume_shards),
@@ -851,11 +850,11 @@ fn run_engine_seeded(
         })
     } else if let Some(shards) = resume_shards {
         let exchange = cluster_exchange.expect("resume_shards live inside ClusterControls");
-        Some(restore_from_shards(config, &guard, shards, &exchange.local_partitions())?)
+        Some(restore_from_shards(config, &guard(), shards, &exchange.local_partitions())?)
     } else {
         match resume {
             Some(cp) => {
-                cp.validate(&guard)?;
+                cp.validate(&guard())?;
                 Some(restore_resume_point(config, cp))
             }
             None => None,
@@ -864,7 +863,7 @@ fn run_engine_seeded(
     let shard_sink = cluster_exchange.and_then(|exchange| {
         cluster_sink.map(|sink| EngineShardSink {
             sink,
-            guard,
+            guard: guard(),
             partitions: exchange.local_partitions(),
         })
     });
@@ -959,7 +958,7 @@ fn run_engine_seeded(
                 partial.instances = Some(buf);
             }
             let checkpoint = c.frontier.map(|frontier| Checkpoint {
-                guard,
+                guard: guard(),
                 superstep: c.superstep,
                 carried: CarriedCounters::of(&c.metrics),
                 prior_supersteps: c.metrics.supersteps,
@@ -1371,6 +1370,30 @@ mod tests {
         assert_eq!(resumed.stats.per_worker_cost, full.stats.per_worker_cost);
         assert_eq!(resumed.stats.supersteps, full.stats.supersteps);
         assert_eq!(resumed.stats.chunks_outstanding, 0);
+    }
+
+    #[test]
+    fn checkpoint_guard_is_built_only_where_it_is_consumed() {
+        let g = erdos_renyi_gnm(120, 700, 21).unwrap();
+        let config = PsglConfig::with_workers(3).kernels(false);
+        let shared = PsglShared::prepare(&g, &catalog::square(), &config).unwrap();
+        let built = || GUARDS_BUILT.with(|n| n.get());
+        let before = built();
+        // No controls: nothing can capture or validate a checkpoint.
+        list_subgraphs_prepared(&shared, &config).unwrap();
+        list_subgraphs_seeded(&shared, &config, &RunnerHooks::default(), Vec::new()).unwrap();
+        assert_eq!(built(), before, "an uncontrolled run hashed the whole graph");
+        // A checkpointed cancel captures with it, a resume validates with
+        // it — once each.
+        let token = CancelToken::with_superstep_deadline(2);
+        let controls = RunControls { cancel: Some(&token), checkpoint: true, ..Default::default() };
+        let end =
+            list_subgraphs_resumable(&shared, &config, &RunnerHooks::default(), controls).unwrap();
+        let ListingEnd::Cancelled(cancelled) = end else { panic!("run should hit the deadline") };
+        assert_eq!(built(), before + 1);
+        let controls = RunControls { resume: cancelled.checkpoint, ..Default::default() };
+        list_subgraphs_resumable(&shared, &config, &RunnerHooks::default(), controls).unwrap();
+        assert_eq!(built(), before + 2);
     }
 
     #[test]

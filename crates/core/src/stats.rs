@@ -102,8 +102,6 @@ pub struct RunStats {
     /// Of `messages`, how many were delivered on the sending worker's own
     /// fast path without touching the exchange.
     pub messages_local: u64,
-    /// Message units claimed by non-owner workers (work stealing).
-    pub chunks_stolen: u64,
     /// Bytes of message tuples that crossed the inter-worker exchange.
     pub bytes_exchanged: u64,
     /// Gpsi messages produced per superstep (the paper's per-iteration

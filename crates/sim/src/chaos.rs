@@ -3,8 +3,8 @@
 //!
 //! [`Scenario::from_seed`] expands a seed into a data graph, a pattern, a
 //! distribution strategy, and a draw from the full chaos fault menu
-//! (scheduler reorderings, worker stalls, steal storms with optional
-//! budgets, chunk-pool exhaustion, partition skew, exchange shuffles).
+//! (scheduler reorderings, chunk-pool exhaustion, partition skew, exchange
+//! shuffles, suspend/resume, forced preemption, disk pressure).
 //! [`Scenario::run`] executes the scenario through
 //! `list_subgraphs_prepared_with` under the [`SimExecutor`] and checks
 //! every invariant plus oracle count parity. Failures carry the seed and
@@ -85,18 +85,12 @@ pub struct Scenario {
     pub graph_edges: usize,
     /// Generator seed of the data graph.
     pub graph_seed: u64,
-    /// Whether inbox stealing is enabled (steal storms).
-    pub steal: bool,
-    /// Per-worker, per-superstep steal cap (partial-steal schedules).
-    pub steal_budget: Option<u64>,
     /// Live-chunk cap on the message pool (exhaustion fault).
     pub max_live_chunks: Option<u64>,
     /// Seed for per-destination exchange reordering.
     pub exchange_shuffle_seed: Option<u64>,
     /// Per-mille of vertices force-routed to worker 0 (partition skew).
     pub skew_per_mille: u16,
-    /// Per-mille chance a worker's compute is deferred each superstep.
-    pub stall_per_mille: u16,
     /// `PsglConfig::seed` for the run (distributor RNG, partitioner salt).
     pub run_seed: u64,
     /// Cancellation fault: suspend the run with a checkpoint at this
@@ -131,12 +125,9 @@ impl fmt::Debug for Scenario {
                     self.graph_vertices, self.graph_edges, self.graph_seed
                 ),
             )
-            .field("steal", &self.steal)
-            .field("steal_budget", &self.steal_budget)
             .field("max_live_chunks", &self.max_live_chunks)
             .field("exchange_shuffle_seed", &self.exchange_shuffle_seed)
             .field("skew_per_mille", &self.skew_per_mille)
-            .field("stall_per_mille", &self.stall_per_mille)
             .field("run_seed", &self.run_seed)
             .field("cancel_at_superstep", &self.cancel_at_superstep)
             .field("preempt_every", &self.preempt_every)
@@ -187,12 +178,11 @@ impl Scenario {
         let graph_vertices = 30 + 3 * graph_seed as usize;
         let graph_edges = 3 * graph_vertices;
         let workers = 2 + rng.below(4) as usize;
-        let steal = rng.below(2) == 0;
-        let steal_budget = if steal && rng.below(3) == 0 { Some(1 + rng.below(4)) } else { None };
+        rng.skip_retired_knobs();
         let max_live_chunks = if rng.below(3) == 0 { Some(1 + rng.below(8)) } else { None };
         let exchange_shuffle_seed = if rng.below(2) == 0 { Some(rng.next_u64()) } else { None };
         let skew_per_mille = [0u16, 200, 500, 800][rng.below(4) as usize];
-        let stall_per_mille = [0u16, 250, 500][rng.below(3) as usize];
+        rng.below(3); // a fourth retired knob
         let run_seed = rng.next_u64();
         // Drawn last so every earlier field keeps the exact stream it had
         // before this fault class existed — pinned corpus seeds still
@@ -226,12 +216,9 @@ impl Scenario {
             graph_vertices,
             graph_edges,
             graph_seed,
-            steal,
-            steal_budget,
             max_live_chunks,
             exchange_shuffle_seed,
             skew_per_mille,
-            stall_per_mille,
             run_seed,
             cancel_at_superstep,
             preempt_every,
@@ -254,7 +241,6 @@ impl Scenario {
             executor: Some(executor),
             partitioner,
             max_live_chunks: self.max_live_chunks,
-            steal_budget: self.steal_budget,
             exchange_shuffle_seed: self.exchange_shuffle_seed,
             chunk_capacity: None,
             spill: None,
@@ -288,11 +274,10 @@ impl Scenario {
         let config = PsglConfig::with_workers(self.workers)
             .strategy(self.strategy)
             .seed(self.run_seed)
-            .steal(self.steal)
             .collect(true);
         let shared = PsglShared::prepare(&graph, &self.pattern, &config)
             .map_err(|e| self.failure(vec![], Some(e.to_string())))?;
-        let executor = SimExecutor::new(self.seed, self.stall_per_mille);
+        let executor = SimExecutor::new(self.seed);
         let hooks = self.hooks(&executor, Some(tracer));
         let result = list_subgraphs_prepared_with(&shared, &config, &hooks)
             .map_err(|e| self.failure(vec![], Some(e.to_string())))?;
@@ -352,7 +337,7 @@ impl Scenario {
         tracer: &psgl_obs::Tracer,
     ) -> Result<Option<u64>, Box<SimFailure>> {
         let divergence = |msg: String| self.failure(vec![], Some(format!("spill: {msg}")));
-        let executor = SimExecutor::new(self.seed, self.stall_per_mille);
+        let executor = SimExecutor::new(self.seed);
         let mut hooks = self.hooks(&executor, Some(tracer));
         // Fine-grained chunks and a two-chunk budget: on these small
         // graphs that is genuinely memory-starved, so eviction is common.
@@ -435,7 +420,7 @@ impl Scenario {
         tracer: &psgl_obs::Tracer,
     ) -> Result<Option<u32>, Box<SimFailure>> {
         let divergence = |msg: String| self.failure(vec![], Some(format!("suspend/resume: {msg}")));
-        let executor = SimExecutor::new(self.seed, self.stall_per_mille);
+        let executor = SimExecutor::new(self.seed);
         let hooks = self.hooks(&executor, Some(tracer));
         let token = CancelToken::with_superstep_deadline(deadline);
         let controls =
@@ -520,7 +505,7 @@ impl Scenario {
         tracer: &psgl_obs::Tracer,
     ) -> Result<Option<u32>, Box<SimFailure>> {
         let divergence = |msg: String| self.failure(vec![], Some(format!("preempt/resume: {msg}")));
-        let executor = SimExecutor::new(self.seed, self.stall_per_mille);
+        let executor = SimExecutor::new(self.seed);
         let hooks = self.hooks(&executor, Some(tracer));
         let token = CancelToken::new();
         let mut resume = None;
@@ -665,11 +650,8 @@ mod tests {
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         // Across a seed range the fault menu actually varies.
         let scenarios: Vec<Scenario> = (0..64).map(Scenario::from_seed).collect();
-        assert!(scenarios.iter().any(|s| s.steal));
-        assert!(scenarios.iter().any(|s| !s.steal));
         assert!(scenarios.iter().any(|s| s.max_live_chunks.is_some()));
         assert!(scenarios.iter().any(|s| s.skew_per_mille > 0));
-        assert!(scenarios.iter().any(|s| s.stall_per_mille > 0));
         assert!(scenarios.iter().any(|s| s.exchange_shuffle_seed.is_some()));
         assert!(scenarios.iter().any(|s| s.cancel_at_superstep.is_some()));
         assert!(scenarios.iter().any(|s| s.cancel_at_superstep.is_none()));
@@ -749,10 +731,10 @@ mod tests {
         let pinned =
             Scenario::from_seed_with(7, free.pattern.clone(), free.strategy_name, free.strategy);
         assert_eq!(free.workers, pinned.workers);
-        assert_eq!(free.steal, pinned.steal);
+        assert_eq!(free.max_live_chunks, pinned.max_live_chunks);
         assert_eq!(free.graph_seed, pinned.graph_seed);
         assert_eq!(free.run_seed, pinned.run_seed);
-        assert_eq!(free.stall_per_mille, pinned.stall_per_mille);
+        assert_eq!(free.skew_per_mille, pinned.skew_per_mille);
     }
 
     #[test]

@@ -46,18 +46,12 @@ pub struct DeltaScenario {
     pub compact_threshold: usize,
     /// BSP worker count.
     pub workers: usize,
-    /// Whether inbox stealing is enabled.
-    pub steal: bool,
-    /// Per-worker, per-superstep steal cap.
-    pub steal_budget: Option<u64>,
     /// Live-chunk cap on the message pool (exhaustion fault).
     pub max_live_chunks: Option<u64>,
     /// Seed for per-destination exchange reordering.
     pub exchange_shuffle_seed: Option<u64>,
     /// Per-mille of vertices force-routed to worker 0 (partition skew).
     pub skew_per_mille: u16,
-    /// Per-mille chance a worker's compute is deferred each superstep.
-    pub stall_per_mille: u16,
     /// `PsglConfig::seed` for every run in the scenario.
     pub run_seed: u64,
 }
@@ -83,12 +77,9 @@ impl fmt::Debug for DeltaScenario {
             )
             .field("compact_threshold", &self.compact_threshold)
             .field("workers", &self.workers)
-            .field("steal", &self.steal)
-            .field("steal_budget", &self.steal_budget)
             .field("max_live_chunks", &self.max_live_chunks)
             .field("exchange_shuffle_seed", &self.exchange_shuffle_seed)
             .field("skew_per_mille", &self.skew_per_mille)
-            .field("stall_per_mille", &self.stall_per_mille)
             .field("run_seed", &self.run_seed)
             .finish()
     }
@@ -110,12 +101,11 @@ impl DeltaScenario {
         // forcing at least one mid-run compaction (ordering rebuild).
         let compact_threshold = if rng.below(4) == 0 { 4 } else { 1 << 16 };
         let workers = 2 + rng.below(3) as usize;
-        let steal = rng.below(2) == 0;
-        let steal_budget = if steal && rng.below(3) == 0 { Some(1 + rng.below(4)) } else { None };
+        rng.skip_retired_knobs();
         let max_live_chunks = if rng.below(3) == 0 { Some(1 + rng.below(8)) } else { None };
         let exchange_shuffle_seed = if rng.below(2) == 0 { Some(rng.next_u64()) } else { None };
         let skew_per_mille = [0u16, 200, 500, 800][rng.below(4) as usize];
-        let stall_per_mille = [0u16, 250, 500][rng.below(3) as usize];
+        rng.below(3); // a fourth retired knob
         let run_seed = rng.next_u64();
         DeltaScenario {
             seed,
@@ -128,12 +118,9 @@ impl DeltaScenario {
             insert_per_mille,
             compact_threshold,
             workers,
-            steal,
-            steal_budget,
             max_live_chunks,
             exchange_shuffle_seed,
             skew_per_mille,
-            stall_per_mille,
             run_seed,
         }
     }
@@ -146,7 +133,6 @@ impl DeltaScenario {
             executor: Some(executor),
             partitioner,
             max_live_chunks: self.max_live_chunks,
-            steal_budget: self.steal_budget,
             exchange_shuffle_seed: self.exchange_shuffle_seed,
             chunk_capacity: None,
             spill: None,
@@ -195,14 +181,13 @@ impl DeltaScenario {
         let config = PsglConfig::with_workers(self.workers)
             .strategy(strategy)
             .seed(self.run_seed)
-            .steal(self.steal)
             .collect(true);
         let query = DeltaQuery::new(&self.pattern, &config)
             .map_err(|e| fail(0, format!("prepare: {e}")))?;
         let mut dg = DeltaGraph::new(base.clone(), 10, self.compact_threshold);
         let mut view =
             query.full(dg.artifacts()).map_err(|e| fail(0, format!("initial listing: {e}")))?;
-        let executor = SimExecutor::new(self.seed, self.stall_per_mille);
+        let executor = SimExecutor::new(self.seed);
         let hooks = self.hooks(&executor);
         for (i, batch) in batches.iter().enumerate() {
             let pre = dg.artifacts().clone();
@@ -293,8 +278,7 @@ mod tests {
         let scenarios: Vec<DeltaScenario> = (0..64).map(DeltaScenario::from_seed).collect();
         assert!(scenarios.iter().any(|s| s.compact_threshold == 4));
         assert!(scenarios.iter().any(|s| s.compact_threshold > 4));
-        assert!(scenarios.iter().any(|s| s.steal));
-        assert!(scenarios.iter().any(|s| s.stall_per_mille > 0));
+        assert!(scenarios.iter().any(|s| s.max_live_chunks.is_some()));
         assert!(scenarios.iter().any(|s| s.skew_per_mille > 0));
         assert!(scenarios.iter().any(|s| s.insert_per_mille == 300));
         assert!(scenarios.iter().any(|s| s.insert_per_mille == 700));

@@ -66,7 +66,6 @@ pub fn fingerprint_stats(stats: &RunStats) -> u64 {
     m.mix(stats.supersteps as u64);
     m.mix(stats.messages);
     m.mix(stats.messages_local);
-    m.mix(stats.chunks_stolen);
     m.mix(stats.bytes_exchanged);
     m.mix_slice(&stats.messages_out_per_superstep);
     m.mix_slice(&stats.messages_in_per_superstep);

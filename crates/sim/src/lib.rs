@@ -14,13 +14,9 @@
 //! patching its internals:
 //!
 //! - **superstep-boundary reorderings** — the sim scheduler permutes the
-//!   per-phase worker order, and `BspConfig::exchange_shuffle_seed`
-//!   permutes inbox assembly;
-//! - **steal storms / partial steals** — `BspConfig::steal` plus
-//!   `steal_budget` under a scheduler that lets early workers drain
-//!   stragglers' queues;
-//! - **worker stalls** — the scheduler defers chosen workers' compute
-//!   closures to the back of the phase;
+//!   order workers run in each superstep (and so who meets the shared
+//!   pool cap and spill store first), and
+//!   `BspConfig::exchange_shuffle_seed` permutes inbox assembly;
 //! - **chunk-pool exhaustion** — `BspConfig::max_live_chunks` caps the
 //!   message pool, forcing the typed degraded path;
 //! - **partition skew** — `HashPartitioner::with_skew` funnels a seeded

@@ -3,14 +3,11 @@
 //! [`SimExecutor`] implements the engine's
 //! [`Executor`](psgl_bsp::Executor) seam with a single-threaded scheduler
 //! driven by one splitmix64 stream: each superstep it draws a fresh
-//! permutation for the prepare phase and another for the compute phase,
-//! optionally *stalls* a seeded subset of workers (their compute closures
-//! run after everyone else's — the sequential analogue of a straggler,
-//! which hands their steal queues to earlier workers when stealing is on),
-//! and advances a virtual clock one tick per closure. The executor
-//! contract (all prepares before any compute, each closure exactly once)
-//! is upheld for every seed, so the engine's results must be correct under
-//! *any* drawn schedule.
+//! permutation of the workers, runs their tasks in that order — which
+//! decides who meets the shared chunk-pool cap and the spill store first —
+//! and advances a virtual clock one tick per task. The executor contract
+//! (each task exactly once) is upheld for every seed, so the engine's
+//! results must be correct under *any* drawn schedule.
 //!
 //! Every scheduling decision is folded into a running trace hash, so two
 //! runs from the same seed can be checked for schedule identity — the
@@ -41,6 +38,16 @@ impl SimRng {
         self.next_u64() % bound
     }
 
+    /// Three retired scenario knobs drew from the stream mid-derivation (a
+    /// coin; on heads a one-in-three draw; on a hit a one-in-four draw).
+    /// Scenario derivation burns the same draws so every pinned corpus
+    /// seed keeps the fault menu it had.
+    pub(crate) fn skip_retired_knobs(&mut self) {
+        if self.below(2) == 0 && self.below(3) == 0 {
+            self.below(4);
+        }
+    }
+
     /// Fisher–Yates permutation of `0..k`.
     pub(crate) fn permutation(&mut self, k: usize) -> Vec<usize> {
         let mut order: Vec<usize> = (0..k).collect();
@@ -60,17 +67,13 @@ struct SimState {
 
 /// The deterministic chaos scheduler (see the module docs).
 pub struct SimExecutor {
-    stall_per_mille: u16,
     state: Mutex<SimState>,
 }
 
 impl SimExecutor {
-    /// Creates a scheduler seeded with `seed`; `stall_per_mille`‰ of
-    /// workers per superstep have their compute deferred to the back of
-    /// the phase (0 = no stalls, order chaos only).
-    pub fn new(seed: u64, stall_per_mille: u16) -> Self {
+    /// Creates a scheduler seeded with `seed`.
+    pub fn new(seed: u64) -> Self {
         SimExecutor {
-            stall_per_mille,
             state: Mutex::new(SimState {
                 rng: SimRng(splitmix64(seed ^ 0x5EED_5EED_5EED_5EED)),
                 trace_hash: 0x6A09_E667_F3BC_C908,
@@ -85,15 +88,14 @@ impl SimExecutor {
         self.state.lock().trace_hash
     }
 
-    /// Virtual clock: one tick per executed phase closure.
+    /// Virtual clock: one tick per executed task.
     pub fn virtual_time(&self) -> u64 {
         self.state.lock().virtual_time
     }
 
-    fn record(&self, superstep: u32, phase: u8, worker: usize) {
+    fn record(&self, superstep: u32, worker: usize) {
         let mut st = self.state.lock();
-        let event =
-            (u64::from(superstep) << 32) | (u64::from(phase) << 24) | (worker as u64 & 0xFF_FFFF);
+        let event = (u64::from(superstep) << 32) | (worker as u64 & 0xFFFF_FFFF);
         st.trace_hash = splitmix64(st.trace_hash ^ event);
         st.virtual_time += 1;
     }
@@ -101,38 +103,14 @@ impl SimExecutor {
 
 impl Executor for SimExecutor {
     fn run_superstep(&self, superstep: u32, tasks: Vec<WorkerTask<'_>>) {
-        let k = tasks.len();
-        // Draw both phase schedules up front so the RNG stream depends
-        // only on (seed, superstep sequence, k) — not on what the closures
-        // do.
-        let (prep_order, comp_order) = {
-            let mut st = self.state.lock();
-            let prep = st.rng.permutation(k);
-            let mut comp = st.rng.permutation(k);
-            if self.stall_per_mille > 0 {
-                let stalled: Vec<bool> =
-                    (0..k).map(|_| st.rng.below(1000) < u64::from(self.stall_per_mille)).collect();
-                // Stable: stalled workers keep their relative order but run
-                // after every non-stalled worker.
-                comp.sort_by_key(|&slot| stalled[slot]);
-            }
-            (prep, comp)
-        };
-        let mut workers = Vec::with_capacity(k);
-        let mut prepares = Vec::with_capacity(k);
-        let mut computes = Vec::with_capacity(k);
-        for t in tasks {
-            workers.push(t.worker);
-            prepares.push(Some(t.prepare));
-            computes.push(Some(t.compute));
-        }
-        for &slot in &prep_order {
-            (prepares[slot].take().expect("each prepare runs once"))();
-            self.record(superstep, 0, workers[slot]);
-        }
-        for &slot in &comp_order {
-            (computes[slot].take().expect("each compute runs once"))();
-            self.record(superstep, 1, workers[slot]);
+        // Drawn up front so the RNG stream depends only on (seed,
+        // superstep sequence, k) — not on what the tasks do.
+        let order = self.state.lock().rng.permutation(tasks.len());
+        let mut tasks: Vec<Option<WorkerTask<'_>>> = tasks.into_iter().map(Some).collect();
+        for slot in order {
+            let task = tasks[slot].take().expect("a permutation visits each slot once");
+            (task.run)();
+            self.record(superstep, task.worker);
         }
     }
 }
@@ -142,49 +120,36 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn barrier_tasks<'a>(
-        k: usize,
-        prepared: &'a AtomicUsize,
-        violations: &'a AtomicUsize,
-    ) -> Vec<WorkerTask<'a>> {
-        (0..k)
-            .map(|worker| WorkerTask {
+    fn counting_tasks(runs: &[AtomicUsize]) -> Vec<WorkerTask<'_>> {
+        runs.iter()
+            .enumerate()
+            .map(|(worker, count)| WorkerTask {
                 worker,
-                prepare: Box::new(move || {
-                    prepared.fetch_add(1, Ordering::SeqCst);
-                }),
-                compute: Box::new(move || {
-                    if prepared.load(Ordering::SeqCst) != k {
-                        violations.fetch_add(1, Ordering::SeqCst);
-                    }
+                run: Box::new(move || {
+                    count.fetch_add(1, Ordering::SeqCst);
                 }),
             })
             .collect()
     }
 
     #[test]
-    fn upholds_phase_barrier_for_many_seeds() {
+    fn runs_every_task_once_for_many_seeds() {
         for seed in 0..50 {
-            for stall in [0, 500, 1000] {
-                let exec = SimExecutor::new(seed, stall);
-                let prepared = AtomicUsize::new(0);
-                let violations = AtomicUsize::new(0);
-                exec.run_superstep(0, barrier_tasks(6, &prepared, &violations));
-                assert_eq!(prepared.load(Ordering::SeqCst), 6);
-                assert_eq!(violations.load(Ordering::SeqCst), 0, "seed {seed} stall {stall}");
-                assert_eq!(exec.virtual_time(), 12);
-            }
+            let exec = SimExecutor::new(seed);
+            let runs: Vec<AtomicUsize> = (0..6).map(|_| AtomicUsize::new(0)).collect();
+            exec.run_superstep(0, counting_tasks(&runs));
+            assert!(runs.iter().all(|c| c.load(Ordering::SeqCst) == 1), "seed {seed}");
+            assert_eq!(exec.virtual_time(), 6);
         }
     }
 
     #[test]
     fn trace_hash_is_reproducible_and_seed_sensitive() {
         let run = |seed| {
-            let exec = SimExecutor::new(seed, 300);
+            let exec = SimExecutor::new(seed);
+            let runs: Vec<AtomicUsize> = (0..5).map(|_| AtomicUsize::new(0)).collect();
             for superstep in 0..4 {
-                let prepared = AtomicUsize::new(0);
-                let violations = AtomicUsize::new(0);
-                exec.run_superstep(superstep, barrier_tasks(5, &prepared, &violations));
+                exec.run_superstep(superstep, counting_tasks(&runs));
             }
             exec.trace_hash()
         };

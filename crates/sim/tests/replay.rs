@@ -46,8 +46,8 @@ fn different_seeds_explore_different_schedules() {
 }
 
 /// The instance count is schedule-independent: pin one workload and vary
-/// only the scheduler seed / stall rate — every schedule must find the
-/// same instances the oracle does.
+/// only the scheduler seed — every schedule must find the same instances
+/// the oracle does.
 #[test]
 fn counts_are_invariant_across_schedules() {
     let pattern = chaos_patterns()[1].clone(); // square
