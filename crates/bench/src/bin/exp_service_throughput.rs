@@ -9,9 +9,12 @@
 //!    latency, and the server-side cache hit rate.
 //! 2. **Heavy-tailed**: one giant scan ([`GIANT_PATTERN`]) plus 64 small
 //!    queries share the same pool. The preemptive scheduler slices the
-//!    giant at superstep boundaries, so the smalls' p99 must stay within
-//!    `HEAVY_TAIL_GATE` (50x) of their p50 — the tail-isolation gate CI
-//!    enforces — instead of the ~458x a FIFO pool shows.
+//!    giant at superstep boundaries, so the smalls' p50 and p99 must stay
+//!    under absolute gates — the recorded latencies times
+//!    [`HEAVY_TAIL_GATE_FACTOR`] — which CI enforces. A FIFO pool fails
+//!    them by the giant's whole runtime (seconds), and so does a request
+//!    path that stalls: the old `p99 / p50` ratio gate had an ≈ 88 ms
+//!    delayed-ACK stall in its denominator and passed either way.
 //!
 //! Both phases land in `results/BENCH_service.json` via
 //! [`psgl_bench::report::write_json_report`].
@@ -25,9 +28,21 @@ use std::time::Instant;
 
 const PATTERNS: [&str; 3] = ["triangle", "tailed-triangle", "square"];
 
-/// The heavy-tailed phase's CI gate: small-query p99 may exceed small-query
-/// p50 by at most this factor while a giant scan shares the pool.
-const HEAVY_TAIL_GATE: f64 = 50.0;
+/// The scale the nightly job runs the heavy-tailed phase at, and so the
+/// one its latencies were recorded at.
+const HEAVY_TAIL_GATE_SCALE: f64 = 0.5;
+
+/// Small-query p50 / p99 of the heavy-tailed phase at that scale: medians
+/// of five runs on 2 cores. `results/BENCH_service.json` keeps one such
+/// run beside the gates.
+const HEAVY_TAIL_RECORDED_P50_MS: f64 = 17.7;
+const HEAVY_TAIL_RECORDED_P99_MS: f64 = 152.6;
+
+/// The heavy-tailed phase's CI gates are the recorded latencies times
+/// this: room for a slower runner, far below what either regression
+/// costs (the request-path stall alone adds ≈ 88 ms, five times the
+/// recorded p50; FIFO scheduling adds the giant's runtime to the p99).
+const HEAVY_TAIL_GATE_FACTOR: f64 = 3.0;
 
 /// The heavy-tailed phase's giant. Clique scans prune to almost nothing on
 /// the power-law bench graph (a 4-clique count finishes in tens of
@@ -163,7 +178,10 @@ fn main() {
     // the giant's runtime leaks into the interactive tail.
     let ht_p50 = report::percentile(&small_latencies, 0.50);
     let ht_p99 = report::percentile(&small_latencies, 0.99);
-    let p99_over_p50 = if ht_p50 > 0.0 { ht_p99 / ht_p50 } else { 0.0 };
+    let (gate_p50, gate_p99) = (
+        (HEAVY_TAIL_RECORDED_P50_MS * HEAVY_TAIL_GATE_FACTOR).round(),
+        (HEAVY_TAIL_RECORDED_P99_MS * HEAVY_TAIL_GATE_FACTOR).round(),
+    );
     let ht_queries = (small_clients * small_per_client) as u64 + 1;
 
     let stats = admin.stats().expect("stats");
@@ -216,12 +234,20 @@ fn main() {
     ht_table.row(&["giant ms".into(), format!("{giant_ms:.0}")]);
     ht_table.row(&["small p50 ms".into(), format!("{ht_p50:.2}")]);
     ht_table.row(&["small p99 ms".into(), format!("{ht_p99:.2}")]);
-    ht_table.row(&["p99 / p50".into(), format!("{p99_over_p50:.1}")]);
-    ht_table.row(&["gate (max ratio)".into(), format!("{HEAVY_TAIL_GATE:.0}")]);
+    ht_table.row(&["gate p50 ms".into(), format!("{gate_p50:.0}")]);
+    ht_table.row(&["gate p99 ms".into(), format!("{gate_p99:.0}")]);
     ht_table.row(&["phase qps".into(), format!("{:.1}", ht_queries as f64 / ht_elapsed)]);
+    // The gates are absolute latencies, so they only judge the scale they
+    // were recorded at.
+    let verdict = |value: f64, gate: f64| match (scale == HEAVY_TAIL_GATE_SCALE, value <= gate) {
+        (false, _) => "not judged at this scale against its",
+        (true, true) => "within",
+        (true, false) => "OVER",
+    };
     println!(
-        "shape: the sliced giant must not starve the smalls — ratio {} gate {HEAVY_TAIL_GATE}",
-        if p99_over_p50 <= HEAVY_TAIL_GATE { "within" } else { "OVER" }
+        "shape: the sliced giant must not starve the smalls — p50 {} gate, p99 {} gate",
+        verdict(ht_p50, gate_p50),
+        verdict(ht_p99, gate_p99)
     );
 
     let body = Json::obj([
@@ -257,8 +283,8 @@ fn main() {
                 ("giant_ms", Json::from(giant_ms)),
                 ("p50_ms", Json::from(ht_p50)),
                 ("p99_ms", Json::from(ht_p99)),
-                ("p99_over_p50", Json::from(p99_over_p50)),
-                ("gate_p99_over_p50", Json::from(HEAVY_TAIL_GATE)),
+                ("gate_p50_ms", Json::from(gate_p50)),
+                ("gate_p99_ms", Json::from(gate_p99)),
                 ("wall_secs", Json::from(ht_elapsed)),
                 ("qps", Json::from(ht_queries as f64 / ht_elapsed)),
             ]),

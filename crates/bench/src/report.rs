@@ -67,7 +67,7 @@ pub fn write_json_report(path: &str, body: &psgl_service::Json) -> std::io::Resu
     if let Some(parent) = std::path::Path::new(path).parent() {
         std::fs::create_dir_all(parent)?;
     }
-    std::fs::write(path, format!("{body}\n"))?;
+    psgl_service::wire::write_json(&mut std::fs::File::create(path)?, body)?;
     println!("wrote {path}");
     Ok(())
 }

@@ -93,14 +93,17 @@ pub fn render_json(snapshot: &RegistrySnapshot) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("{{\"name\":{}", crate::json_string(&m.name)));
+        out.push_str("{\"name\":");
+        crate::push_json_string(&mut out, &m.name);
         if !m.labels.is_empty() {
             out.push_str(",\"labels\":{");
             for (j, (k, v)) in m.labels.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!("{}:{}", crate::json_string(k), crate::json_string(v)));
+                crate::push_json_string(&mut out, k);
+                out.push(':');
+                crate::push_json_string(&mut out, v);
             }
             out.push('}');
         }

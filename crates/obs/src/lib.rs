@@ -67,26 +67,27 @@ pub fn tracer() -> &'static Tracer {
     &global().tracer
 }
 
-/// Escape a string for embedding inside a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Appends `s` to `out` as a JSON string literal: quoted, with `"`, `\`
+/// and control characters escaped. The workspace's one escape routine —
+/// trace events, the exposition renderer, the slow-query log and
+/// `psgl_service::Json`'s writer all render strings through it.
+pub fn push_json_string(out: &mut String, s: &str) {
+    out.push('"');
+    let mut rest = s;
+    while let Some(i) = rest.find(|c: char| matches!(c, '"' | '\\') || c < ' ') {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            c => out.push_str(&format!("\\u{c:04x}")),
         }
+        rest = &rest[i + 1..]; // every escaped character is one ASCII byte
     }
-    out
-}
-
-/// Quote + escape a string as a JSON string literal.
-pub fn json_string(s: &str) -> String {
-    format!("\"{}\"", json_escape(s))
+    out.push_str(rest);
+    out.push('"');
 }
 
 #[cfg(test)]
@@ -94,10 +95,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_escape_covers_control_and_quote_chars() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{01}"), "\\u0001");
-        assert_eq!(json_string("x"), "\"x\"");
+    fn json_strings_escape_control_and_quote_chars() {
+        let quoted = |s: &str| {
+            let mut out = String::new();
+            push_json_string(&mut out, s);
+            out
+        };
+        assert_eq!(quoted("a\"b\\c\nd\r\te"), "\"a\\\"b\\\\c\\nd\\r\\te\"");
+        assert_eq!(quoted("\u{01}π\u{1f}"), "\"\\u0001π\\u001f\"");
+        assert_eq!(quoted("x"), "\"x\"");
     }
 
     #[test]

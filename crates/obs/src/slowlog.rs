@@ -28,13 +28,16 @@ pub struct SlowQueryEntry {
 
 impl SlowQueryEntry {
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"query_id\":{},\"tenant\":{},\"pattern\":{},\"total_ms\":{:.3},\"timeline\":[",
-            crate::json_string(&self.query_id),
-            crate::json_string(&self.tenant),
-            crate::json_string(&self.pattern),
-            self.total_ms
-        );
+        let mut out = String::new();
+        for (key, value) in [
+            ("{\"query_id\":", &self.query_id),
+            (",\"tenant\":", &self.tenant),
+            (",\"pattern\":", &self.pattern),
+        ] {
+            out.push_str(key);
+            crate::push_json_string(&mut out, value);
+        }
+        out.push_str(&format!(",\"total_ms\":{:.3},\"timeline\":[", self.total_ms));
         for (i, t) in self.timeline.iter().enumerate() {
             if i > 0 {
                 out.push(',');

@@ -81,20 +81,16 @@ impl TraceEvent {
 
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(64);
-        out.push_str(&format!(
-            "{{\"seq\":{},\"ts_nanos\":{},\"name\":{}",
-            self.seq,
-            self.ts_nanos,
-            crate::json_string(self.name)
-        ));
+        out.push_str(&format!("{{\"seq\":{},\"ts_nanos\":{},\"name\":", self.seq, self.ts_nanos));
+        crate::push_json_string(&mut out, self.name);
         for (k, v) in &self.fields {
             out.push(',');
-            out.push_str(&crate::json_string(k));
+            crate::push_json_string(&mut out, k);
             out.push(':');
             match v {
                 Value::U64(n) => out.push_str(&n.to_string()),
                 Value::I64(n) => out.push_str(&n.to_string()),
-                Value::Str(s) => out.push_str(&crate::json_string(s)),
+                Value::Str(s) => crate::push_json_string(&mut out, s),
             }
         }
         out.push('}');

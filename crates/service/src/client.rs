@@ -93,9 +93,12 @@ fn to_result(response: Json) -> Result<Json, ClientError> {
 }
 
 impl Client {
-    /// Connects to a server.
+    /// Connects to a server. The socket gets `TCP_NODELAY`: a request is
+    /// one small write (see [`wire`]) that must leave now, not after the
+    /// ACK of whatever this connection sent before.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
         let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Client { writer, reader })
     }
@@ -242,5 +245,18 @@ impl Client {
     /// `shutdown`: asks the server to stop.
     pub fn shutdown(&mut self) -> Result<Json, ClientError> {
         self.request(&Json::obj([("verb", Json::from("shutdown"))]))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn connect_sets_tcp_nodelay() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(client.writer.nodelay().unwrap());
+        assert!(client.reader.get_ref().nodelay().unwrap(), "both halves are one socket");
     }
 }

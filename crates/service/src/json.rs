@@ -176,54 +176,56 @@ impl<T: Into<Json>> From<Vec<T>> for Json {
     }
 }
 
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Json {
+    /// Appends the document to `out`. The one serializer: [`fmt::Display`]
+    /// and [`crate::wire::write_json`] both go through it, so a line
+    /// reaches its socket as one rendered buffer instead of one fragment
+    /// per token.
+    pub(crate) fn write_to(&self, out: &mut String) {
         match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Int(i) => write!(f, "{i}"),
-            Json::Float(x) if x.is_finite() => write!(f, "{x}"),
-            Json::Float(_) => f.write_str("null"), // NaN/inf have no JSON form
-            Json::Str(s) => write_escaped(f, s),
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Int(i) => push_display(out, i),
+            Json::Float(x) if x.is_finite() => push_display(out, x),
+            Json::Float(_) => out.push_str("null"), // NaN/inf have no JSON form
+            Json::Str(s) => psgl_obs::push_json_string(out, s),
             Json::Arr(items) => {
-                f.write_str("[")?;
+                out.push('[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        f.write_str(",")?;
+                        out.push(',');
                     }
-                    write!(f, "{item}")?;
+                    item.write_to(out);
                 }
-                f.write_str("]")
+                out.push(']');
             }
             Json::Obj(pairs) => {
-                f.write_str("{")?;
+                out.push('{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        f.write_str(",")?;
+                        out.push(',');
                     }
-                    write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
+                    psgl_obs::push_json_string(out, k);
+                    out.push(':');
+                    v.write_to(out);
                 }
-                f.write_str("}")
+                out.push('}');
             }
         }
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_fmt(format_args!("{c}"))?,
-        }
+/// Appends a number in its `Display` form (writing to a `String` cannot fail).
+pub(crate) fn push_display(out: &mut String, value: impl fmt::Display) {
+    let _ = fmt::Write::write_fmt(out, format_args!("{value}"));
+}
+
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::new();
+        self.write_to(&mut out);
+        f.write_str(&out)
     }
-    f.write_str("\"")
 }
 
 struct Parser<'a> {
@@ -517,5 +519,44 @@ mod tests {
         assert_eq!(Json::parse("3.0").unwrap().as_u64(), Some(3));
         assert_eq!(Json::from(u64::MAX), Json::Float(u64::MAX as f64));
         assert_eq!(Json::Float(f64::NAN).to_string(), "null");
+    }
+
+    /// The bytes on the wire are a contract with raw-socket clients: each
+    /// row is what the token-at-a-time `Display` of earlier releases
+    /// printed for the value.
+    #[test]
+    fn serializer_output_is_pinned_byte_for_byte() {
+        let nested = Json::obj([
+            ("ok", Json::from(true)),
+            ("rows", Json::Arr(vec![Json::Arr(vec![]), Json::from(vec![1u32, 2]), Json::Null])),
+            ("inner", Json::obj([("k", Json::Obj(vec![]))])),
+        ]);
+        let escapes = Json::Obj(vec![(
+            "q\"k\\".to_string(),
+            Json::from("\" \\ \n \r \t \u{1} \u{1f} / π 😀"),
+        )]);
+        let table = [
+            (nested, r#"{"ok":true,"rows":[[],[1,2],null],"inner":{"k":{}}}"#),
+            (escapes, r#"{"q\"k\\":"\" \\ \n \r \t \u0001 \u001f / π 😀"}"#),
+            (Json::Int(i64::MIN), "-9223372036854775808"),
+            (Json::from(u64::MAX), "18446744073709552000"),
+            (Json::Float(3.0), "3"),
+            (Json::Float(-0.0), "-0"),
+            (Json::Float(0.1), "0.1"),
+            (Json::Float(95.893481), "95.893481"),
+            (Json::Float(1e21), "1000000000000000000000"),
+            (Json::Float(1.5e-7), "0.00000015"),
+            (Json::Float(f64::NAN), "null"),
+            (Json::Float(f64::INFINITY), "null"),
+            (Json::Float(f64::NEG_INFINITY), "null"),
+            (Json::Bool(false), "false"),
+            (Json::Null, "null"),
+        ];
+        for (value, golden) in table {
+            let mut out = String::new();
+            value.write_to(&mut out);
+            assert_eq!(out, golden);
+            assert_eq!(value.to_string(), golden, "Display delegates to the same writer");
+        }
     }
 }

@@ -18,7 +18,7 @@
 //! [`parse_pattern_spec`] / [`parse_strategy_spec`] which the CLI shares.
 
 use crate::error::ServiceError;
-use crate::json::Json;
+use crate::json::{push_display, Json};
 use crate::loader::GraphFormat;
 use psgl_core::Strategy;
 use psgl_graph::VertexId;
@@ -362,6 +362,33 @@ pub fn ok_response(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Js
     Json::Obj(pairs)
 }
 
+/// Renders one listing line — `{"ok":true,KEY:INDEX,"instances":[[v,..],..]}`
+/// plus the trailing `\n` — straight from the instance tuples: the bytes
+/// of `ok_response([(key, index), ("instances", rows)])` without the
+/// `Json` node per vertex. Streamed pages (`"page"`) and buffered `list`
+/// chunks (`"chunk"`) both use it, so the two listings share one format.
+pub(crate) fn instances_line(key: &str, index: u64, instances: &[Vec<VertexId>]) -> Vec<u8> {
+    let width = instances.first().map_or(0, Vec::len);
+    let mut out = String::with_capacity(48 + instances.len() * (2 + 8 * width));
+    out.push_str("{\"ok\":true,");
+    psgl_obs::push_json_string(&mut out, key);
+    out.push(':');
+    push_display(&mut out, index);
+    out.push_str(",\"instances\":[");
+    for (i, instance) in instances.iter().enumerate() {
+        out.push_str(if i > 0 { ",[" } else { "[" });
+        for (j, &v) in instance.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            push_display(&mut out, v);
+        }
+        out.push(']');
+    }
+    out.push_str("]}\n");
+    out.into_bytes()
+}
+
 /// Builds the error response for a failure:
 /// `{"ok":false,"error":CODE,"message":...}`.
 pub fn error_response(err: &ServiceError) -> Json {
@@ -572,5 +599,22 @@ mod tests {
         assert_eq!(p.num_edges(), 6);
         assert!(parse_pattern_spec("dodecahedron").unwrap_err().contains("unknown pattern"));
         assert!(parse_pattern_spec("cycle:x").unwrap_err().contains("bad K"));
+    }
+
+    #[test]
+    fn instances_line_is_the_serialized_json_tree() {
+        for width in [3u32, 5] {
+            for len in [0u32, 1, 257] {
+                let instances: Vec<Vec<VertexId>> = (0..len)
+                    .map(|i| (0..width).map(|j| i.wrapping_mul(2_654_435_761) ^ j).collect())
+                    .collect();
+                for (key, index) in [("page", 0u64), ("chunk", 244)] {
+                    let rows = Json::Arr(instances.iter().cloned().map(Json::from).collect());
+                    let tree = ok_response([(key, Json::from(index)), ("instances", rows)]);
+                    let line = instances_line(key, index, &instances);
+                    assert_eq!(String::from_utf8(line).unwrap(), format!("{tree}\n"));
+                }
+            }
+        }
     }
 }

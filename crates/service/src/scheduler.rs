@@ -36,8 +36,7 @@
 
 use crate::cache::{canonical_pattern, config_fingerprint, CachedQuery, ResultKey};
 use crate::error::ServiceError;
-use crate::json::Json;
-use crate::protocol::{ok_response, QuerySpec};
+use crate::protocol::{instances_line, QuerySpec};
 use crate::state::ServiceState;
 use psgl_core::{
     list_subgraphs_resumable, list_subgraphs_slice, CancelReason, CancelToken, Checkpoint,
@@ -65,7 +64,8 @@ pub const DEFAULT_TENANT: &str = "default";
 const VTIME_SCALE: u64 = 1 << 20;
 
 /// How long a worker naps when a streaming client's page channel is full
-/// before re-checking for cancellation.
+/// before re-checking for cancellation. The connection thread blocks on
+/// the channel, so it is full only when the client itself reads slowly.
 const PAGE_BACKOFF: Duration = Duration::from_millis(1);
 
 /// Outcome of a successful query (count or list).
@@ -103,14 +103,18 @@ pub struct QueryOutcome {
     pub pages: u64,
 }
 
-/// Where a `stream: true` list query's page events go. The worker builds
-/// full `{"ok":true,"page":N,"instances":[...]}` lines and pushes them
-/// through the bounded channel; the connection thread writes them in
+/// Where a `stream: true` list query's page events go. The worker renders
+/// each `{"ok":true,"page":N,"instances":[...]}` line to its final bytes
+/// (trailing `\n` included) and pushes it through the bounded channel;
+/// the connection thread blocks on the channel and writes the lines in
 /// order. A full channel is backpressure (the worker naps and re-checks
-/// the cancel token); a closed one means the client is gone.
+/// the cancel token); one closed by the receiver means the client is
+/// gone. The worker drops the sink with the task, right after it sends
+/// [`Job::reply`], so the channel closing *is* the end-of-pages signal:
+/// by then every page is in the channel and the outcome is waiting.
 pub struct StreamSink {
-    /// Bounded page-event channel.
-    pub tx: SyncSender<Json>,
+    /// Bounded channel of rendered page lines.
+    pub tx: SyncSender<Vec<u8>>,
     /// Instances per page event.
     pub chunk: usize,
 }
@@ -407,6 +411,9 @@ fn worker_loop(shared: &SchedShared) {
             }
             SliceStep::Done(result) => {
                 finish_accounting(&shared.state, &task);
+                // `task`, and with it the page sink, drops only after this
+                // send: a streaming connection sees its page channel close
+                // once the outcome is already waiting.
                 let _ = task.job.reply.send(result);
             }
         }
@@ -656,20 +663,7 @@ fn emit_pages(
     let chunk = sink.chunk.max(1);
     let tx = sink.tx.clone();
     for block in instances.chunks(chunk) {
-        let mut line = ok_response([
-            ("page", Json::from(task.pages)),
-            (
-                "instances",
-                Json::Arr(
-                    block
-                        .iter()
-                        .map(|inst| {
-                            Json::Arr(inst.iter().map(|&v| Json::from(u64::from(v))).collect())
-                        })
-                        .collect(),
-                ),
-            ),
-        ]);
+        let mut line = instances_line("page", task.pages, block);
         loop {
             match tx.try_send(line) {
                 Ok(()) => break,

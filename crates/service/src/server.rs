@@ -3,7 +3,7 @@
 
 use crate::error::ServiceError;
 use crate::json::Json;
-use crate::protocol::{error_response, ok_response, Request};
+use crate::protocol::{error_response, instances_line, ok_response, Request};
 use crate::scheduler::{Job, QueryOutcome, Scheduler, StreamSink, DEFAULT_SLICE_SUPERSTEPS};
 use crate::state::{QueryDefaults, ServiceState};
 use crate::views;
@@ -28,10 +28,6 @@ const ACCEPT_POLL: Duration = Duration::from_millis(10);
 /// How often a connection waiting on a worker reply checks whether its
 /// client hung up (and should therefore cancel the in-flight job).
 const REPLY_POLL: Duration = Duration::from_millis(25);
-
-/// Reply-poll interval while a streamed query is live: pages should
-/// reach the wire promptly, so the forwarding loop spins faster.
-const STREAM_POLL: Duration = Duration::from_millis(2);
 
 /// Page events buffered between a worker and its streaming connection
 /// before the worker blocks (bounded so a slow client cannot make a
@@ -156,9 +152,7 @@ pub fn serve_with_state(
                     }
                     Err(_) => continue,
                 };
-                // Connections use ordinary blocking reads; only the
-                // listener itself polls.
-                if stream.set_nonblocking(false).is_err() {
+                if configure(&stream).is_err() {
                     continue;
                 }
                 state.stats.connections.inc();
@@ -178,6 +172,15 @@ pub fn serve_with_state(
         })?
     };
     Ok(ServiceHandle { addr, stop, accept: Mutex::new(Some(accept)), state })
+}
+
+/// Socket options of an accepted connection: ordinary blocking reads
+/// (only the listener itself polls), and `TCP_NODELAY` so a reply — one
+/// write, see [`wire`] — and each page behind it leave at once instead of
+/// waiting for the ACK of the line before.
+fn configure(stream: &TcpStream) -> std::io::Result<()> {
+    stream.set_nonblocking(false)?;
+    stream.set_nodelay(true)
 }
 
 struct Connection {
@@ -400,10 +403,11 @@ impl Connection {
     /// Submits through admission control and waits for the worker,
     /// watching the client socket the whole time: a client that hangs up
     /// mid-query cancels its job, so the worker slot frees up instead of
-    /// finishing work nobody will read. With `stream_chunk` set, page
-    /// events from the worker are forwarded to the client in order while
-    /// waiting; a failed page write is treated as a disconnect, which
-    /// unregisters the stream and frees the tenant's slot.
+    /// finishing work nobody will read. With `stream_chunk` set, the
+    /// worker's rendered page lines are written to the client as they
+    /// arrive, every one ahead of the outcome; a failed page write is
+    /// treated as a disconnect, which unregisters the stream and frees
+    /// the tenant's slot.
     fn run_job(
         &self,
         query: crate::protocol::QuerySpec,
@@ -427,32 +431,20 @@ impl Connection {
             }
             None => (None, None),
         };
-        let poll = if pages.is_some() { STREAM_POLL } else { REPLY_POLL };
         let (tx, rx) = channel();
-        let submitted =
-            self.scheduler.submit(Job { query, collect, token: token.clone(), reply: tx, stream });
-        let result = match submitted {
-            Ok(()) => loop {
-                if let Some(page_rx) = &pages {
-                    forward_pages(page_rx, writer, &token);
-                }
-                match rx.recv_timeout(poll) {
+        let job = Job { query, collect, token: token.clone(), reply: tx, stream };
+        let result = self.scheduler.submit(job).and_then(|()| {
+            if let Some(pages) = pages {
+                forward_pages(pages, writer, &token);
+            }
+            loop {
+                match rx.recv_timeout(REPLY_POLL) {
                     Ok(reply) => break reply,
-                    Err(RecvTimeoutError::Timeout) => {
-                        if !token.is_cancelled() && client_gone(writer) {
-                            token.cancel(CancelReason::Disconnected);
-                        }
-                    }
+                    Err(RecvTimeoutError::Timeout) => cancel_if_gone(writer, &token),
                     Err(RecvTimeoutError::Disconnected) => break Err(ServiceError::ShuttingDown),
                 }
-            },
-            Err(e) => Err(e),
-        };
-        // The worker sent every page before it replied, so one final
-        // drain puts the tail on the wire ahead of the done line.
-        if let Some(page_rx) = &pages {
-            forward_pages(page_rx, writer, &token);
-        }
+            }
+        });
         // One attributed event per disconnected query, whichever path
         // noticed it first (reply-wait probe, failed page write, or the
         // worker's closed page channel) — the `cancelled` counter alone
@@ -507,9 +499,7 @@ impl Connection {
     ) -> bool {
         let instances = outcome.instances.as_deref().map_or(&[][..], Vec::as_slice);
         for (i, block) in instances.chunks(chunk).enumerate() {
-            let rows: Vec<Json> = block.iter().map(|inst| Json::from(inst.clone())).collect();
-            let line = ok_response([("chunk", Json::from(i)), ("instances", Json::Arr(rows))]);
-            if !write_json(writer, &line) {
+            if wire::write_line(writer, &instances_line("chunk", i as u64, block)).is_err() {
                 return false;
             }
         }
@@ -519,17 +509,34 @@ impl Connection {
     }
 }
 
-/// Forwards every page event currently buffered, in order. A failed
-/// write means the client hung up mid-stream: cancel the job so the
-/// worker stops producing pages into a dead channel.
-fn forward_pages(pages: &Receiver<Json>, writer: &mut TcpStream, token: &CancelToken) {
-    while let Ok(page) = pages.try_recv() {
-        if !write_json(writer, &page) {
-            if !token.is_cancelled() {
-                token.cancel(CancelReason::Disconnected);
+/// Writes a streamed query's page lines as the worker produces them,
+/// blocking on the page channel until the worker closes it — which it
+/// does right after sending the outcome, so on return every page is on
+/// the wire and the reply is waiting. A failed write means the client
+/// hung up mid-stream: cancel the job and drop the receiver, so the
+/// worker's next page send hits a closed channel instead of filling it.
+fn forward_pages(pages: Receiver<Vec<u8>>, writer: &mut TcpStream, token: &CancelToken) {
+    loop {
+        match pages.recv_timeout(REPLY_POLL) {
+            Ok(line) => {
+                if wire::write_line(writer, &line).is_err() {
+                    if !token.is_cancelled() {
+                        token.cancel(CancelReason::Disconnected);
+                    }
+                    return;
+                }
             }
-            return;
+            Err(RecvTimeoutError::Timeout) => cancel_if_gone(writer, token),
+            Err(RecvTimeoutError::Disconnected) => return,
         }
+    }
+}
+
+/// The disconnect probe of a connection waiting on its worker: a client
+/// that hung up cancels the job it will never read.
+fn cancel_if_gone(conn: &TcpStream, token: &CancelToken) {
+    if !token.is_cancelled() && client_gone(conn) {
+        token.cancel(CancelReason::Disconnected);
     }
 }
 
@@ -641,4 +648,19 @@ fn metrics_response(state: &ServiceState, format: Option<&str>) -> Json {
 /// Writes one response line; false when the client is gone.
 fn write_json(writer: &mut TcpStream, value: &Json) -> bool {
     wire::write_json(writer, value).is_ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_sockets_get_tcp_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap(), "the default is Nagle on");
+        configure(&accepted).unwrap();
+        assert!(accepted.nodelay().unwrap());
+    }
 }

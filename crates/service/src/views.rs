@@ -140,7 +140,8 @@ pub fn publish_resync(state: &ServiceState, entry: &GraphEntry, reason: &str) ->
 }
 
 fn instance_rows(instances: &[Vec<psgl_graph::VertexId>]) -> Json {
-    Json::Arr(instances.iter().map(|inst| Json::from(inst.clone())).collect())
+    let row = |inst: &Vec<_>| Json::Arr(inst.iter().map(|&v| Json::from(v)).collect());
+    Json::Arr(instances.iter().map(row).collect())
 }
 
 fn delta_event(outcome: &MutateOutcome, delta: &InstanceDelta) -> Json {

@@ -5,10 +5,19 @@
 //! server and client, cluster coordinator and worker control channels —
 //! speak the same frame discipline: one JSON document per `\n`-terminated
 //! line, lines bounded by [`MAX_LINE_BYTES`] so a hostile or broken peer
-//! cannot balloon memory, blank lines skipped. This module owns that
-//! discipline so the buffered-line handling is written once.
+//! cannot balloon memory, blank lines skipped — and one `write` per line:
+//! a line is rendered whole (document plus `\n`) before any byte reaches
+//! the socket, so it leaves as one segment however many tokens it has.
+//! (A line written a token at a time is a `write(2)` per fragment, and on
+//! a socket without `TCP_NODELAY` each direction of a request then waits
+//! out the peer's delayed ACK, ≈ 40 ms.) Every socket that speaks these
+//! lines also sets `TCP_NODELAY`, so back-to-back lines — streamed pages,
+//! control messages — do not wait for each other's ACK either. This
+//! module owns that discipline so the buffered-line handling is written
+//! once.
 
 use crate::json::Json;
+use std::cell::RefCell;
 use std::io::{BufRead, Read, Write};
 
 /// Longest accepted wire line; a protocol line beyond this is hostile or
@@ -103,9 +112,30 @@ pub fn read_json(reader: &mut impl BufRead, limit: u64) -> Result<Option<Json>, 
     }
 }
 
-/// Writes one JSON document as a line and flushes.
+/// Line buffers larger than this are not kept between writes.
+const RETAINED_LINE_BYTES: usize = 64 << 10;
+
+thread_local! {
+    /// The calling thread's line buffer, reused from one write to the next.
+    static LINE: RefCell<String> = const { RefCell::new(String::new()) };
+}
+
+/// Writes one JSON document as a line — rendered whole, then exactly one
+/// `write_all` — and flushes.
 pub fn write_json(writer: &mut impl Write, value: &Json) -> std::io::Result<()> {
-    writeln!(writer, "{value}")?;
+    let mut line = LINE.take();
+    line.clear();
+    value.write_to(&mut line);
+    line.push('\n');
+    let result = write_line(writer, line.as_bytes());
+    line.shrink_to(RETAINED_LINE_BYTES);
+    LINE.set(line);
+    result
+}
+
+/// Writes one already rendered line (its `\n` included) and flushes.
+pub(crate) fn write_line(writer: &mut impl Write, line: &[u8]) -> std::io::Result<()> {
+    writer.write_all(line)?;
     writer.flush()
 }
 
@@ -177,5 +207,49 @@ mod tests {
         let mut reader = BufReader::new(buf.as_slice());
         let back = read_json(&mut reader, MAX_LINE_BYTES).unwrap().unwrap();
         assert_eq!(back, value);
+    }
+
+    /// A sink that counts `write` calls, as a socket would see them.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_line_is_exactly_one_write() {
+        let flat = crate::protocol::ok_response([
+            ("count", Json::from(45u64)),
+            ("selection_rule", Json::from("Rule \"1\"")),
+            ("wall_ms", Json::from(0.25)),
+        ]);
+        let instances: Vec<Vec<u32>> = (0..256).map(|i| vec![i, i + 1, i + 2]).collect();
+        let page = crate::protocol::ok_response([
+            ("page", Json::from(7u64)),
+            ("instances", Json::from(instances.clone())),
+        ]);
+        for value in [&flat, &page] {
+            let mut sink = CountingWriter::default();
+            write_json(&mut sink, value).unwrap();
+            assert_eq!(sink.writes, 1, "{value}");
+            assert_eq!(sink.bytes, format!("{value}\n").into_bytes());
+        }
+        // The worker-rendered form of the same page: one write, same bytes.
+        let mut sink = CountingWriter::default();
+        write_line(&mut sink, &crate::protocol::instances_line("page", 7, &instances)).unwrap();
+        assert_eq!(sink.writes, 1);
+        assert_eq!(sink.bytes, format!("{page}\n").into_bytes());
     }
 }

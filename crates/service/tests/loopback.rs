@@ -328,7 +328,13 @@ fn loopback_tight_budget_rejects_each_time_but_never_poisons_the_connection() {
 /// a worker long enough to observe cancellation races deterministically.
 fn load_dense_graph(client: &mut Client, name: &str) -> std::path::PathBuf {
     use std::io::Write as _;
-    let path = std::env::temp_dir().join(format!("psgl-{name}-{}.txt", std::process::id()));
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    // Tests run in parallel in one process: a file per call, or one test
+    // truncates the file another is loading.
+    static SERIAL: AtomicUsize = AtomicUsize::new(0);
+    let serial = SERIAL.fetch_add(1, Ordering::Relaxed);
+    let path =
+        std::env::temp_dir().join(format!("psgl-{name}-{}-{serial}.txt", std::process::id()));
     let mut f = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
     let (n, m) = (1_000u64, 30_000u64);
     let mut state = 0x5EEDu64;
@@ -677,6 +683,80 @@ fn loopback_streamed_pages_arrive_in_order_and_concatenate() {
     assert_eq!(u64_field(&done, "count"), 45);
     assert_eq!(u64_field(&done, "pages"), 5); // ceil(45 / 10)
     assert_eq!(pages, 5);
+    assert_eq!(streamed, expected, "pages must concatenate to the buffered list");
+    handle.shutdown();
+}
+
+/// The request path pays no delayed ACK: a request is one write on a
+/// `TCP_NODELAY` socket and so is its reply. With either missing, each
+/// direction stalled ≥ 40 ms; a healthy loopback round trip of a cached
+/// count is well under a millisecond, so 20 ms separates the two widely.
+#[test]
+fn loopback_cached_count_round_trip_pays_no_delayed_ack() {
+    use std::time::Instant;
+
+    let handle = serve(test_config()).expect("bind loopback");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    client.load("karate", "karate-club", "fixture").unwrap();
+    client.request(&count_request(&[])).unwrap(); // fills the result cache
+    let mut round_trips_ms: Vec<f64> = (0..50)
+        .map(|_| {
+            let start = Instant::now();
+            let reply = client.request(&count_request(&[])).unwrap();
+            assert_eq!(reply.get("cache_hit").and_then(Json::as_bool), Some(true));
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    round_trips_ms.sort_by(f64::total_cmp);
+    let median = round_trips_ms[round_trips_ms.len() / 2];
+    assert!(median < 20.0, "median cached round trip {median:.2} ms: {round_trips_ms:?}");
+    handle.shutdown();
+}
+
+/// A client that reads slowly still gets every page, in order, ahead of
+/// the `done` line, and the pages concatenate to the buffered answer.
+/// (That the producer stalls at the page channel's capacity meanwhile is
+/// asserted where the channel is visible: `scheduler_fairness.rs`.)
+#[test]
+fn loopback_slow_stream_reader_still_gets_the_whole_answer() {
+    let handle = serve(test_config()).expect("bind loopback");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    client.load("karate", "karate-club", "fixture").unwrap();
+    let list = |extra: &[(&'static str, Json)]| {
+        let mut fields = vec![
+            ("verb", Json::from("list")),
+            ("graph", Json::from("karate")),
+            ("pattern", Json::from("square")),
+            ("chunk", Json::from(2u64)),
+        ];
+        fields.extend(extra.iter().cloned());
+        Json::obj(fields)
+    };
+    let mut expected = Vec::new();
+    client
+        .list(&list(&[]), |chunk| {
+            expected.extend(chunk.get("instances").and_then(Json::as_arr).unwrap().iter().cloned());
+        })
+        .unwrap();
+
+    // Far more pages than the page channel holds, read one per millisecond.
+    let mut streamed = Vec::new();
+    let mut pages = 0u64;
+    let done = client
+        .list_stream(
+            &list(&[("stream", Json::from(true)), ("no_cache", Json::from(true))]),
+            |page| {
+                assert_eq!(page.get("page").and_then(Json::as_u64), Some(pages), "{page}");
+                streamed
+                    .extend(page.get("instances").and_then(Json::as_arr).unwrap().iter().cloned());
+                pages += 1;
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            },
+        )
+        .unwrap();
+    assert!(pages > 64, "only {pages} pages: the stream never outran the channel");
+    assert_eq!(u64_field(&done, "pages"), pages);
+    assert_eq!(u64_field(&done, "count"), expected.len() as u64);
     assert_eq!(streamed, expected, "pages must concatenate to the buffered list");
     handle.shutdown();
 }

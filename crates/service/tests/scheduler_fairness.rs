@@ -8,8 +8,8 @@
 
 use psgl_core::{CancelReason, CancelToken};
 use psgl_service::{
-    execute_query, GraphFormat, Job, QueryDefaults, QuerySpec, Scheduler, ServiceState, StreamSink,
-    {parse_pattern_spec, ServiceError},
+    execute_query, GraphFormat, Job, Json, QueryDefaults, QuerySpec, Scheduler, ServiceState,
+    StreamSink, {parse_pattern_spec, ServiceError},
 };
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
@@ -197,6 +197,7 @@ fn dropped_stream_receiver_cancels_and_frees_the_tenant() {
     // Read two pages, then vanish: the worker's next page send hits a
     // closed channel.
     let first = page_rx.recv_timeout(RECV).expect("first page");
+    let first = Json::parse(std::str::from_utf8(&first).unwrap()).expect("a page is one JSON line");
     assert_eq!(first.get("page").unwrap().as_u64(), Some(0));
     assert_eq!(first.get("instances").unwrap().as_arr().unwrap().len(), 1);
     let _second = page_rx.recv_timeout(RECV).expect("second page");
@@ -216,5 +217,59 @@ fn dropped_stream_receiver_cancels_and_frees_the_tenant() {
     // The server stays healthy: the same tenant's next query runs fine.
     let rx = submit(&scheduler, query("triangle", "ghost", 1), false);
     assert_eq!(rx.recv_timeout(RECV).unwrap().unwrap().count, 45);
+    scheduler.shutdown();
+}
+
+/// Backpressure: a reader that sleeps between pages stalls the producer
+/// at the channel's capacity — never more than `CAP` rendered pages wait
+/// for it — the channel closes only once the outcome is waiting, and the
+/// pages still concatenate to the buffered answer.
+#[test]
+fn slow_stream_reader_stalls_the_producer_at_the_channel_capacity() {
+    const CAP: usize = 3;
+    let state = karate_state();
+    let reference =
+        execute_query(&state, &query("triangle", "ref", 1), true, &CancelToken::new()).unwrap();
+    let expected = reference.instances.expect("collected reference");
+
+    let scheduler = Scheduler::start(Arc::clone(&state), 1, 4);
+    let mut q = query("triangle", "slow", 1);
+    q.stream = true;
+    let (page_tx, page_rx) = std::sync::mpsc::sync_channel(CAP);
+    let (tx, rx) = channel();
+    scheduler
+        .submit(Job {
+            query: q,
+            collect: true,
+            token: CancelToken::new(),
+            reply: tx,
+            stream: Some(StreamSink { tx: page_tx, chunk: 1 }),
+        })
+        .unwrap();
+    // With nobody reading, the producer fills the channel and stops there.
+    let produced = || state.tenants.get("slow").map_or(0, |account| account.pages);
+    let deadline = std::time::Instant::now() + RECV;
+    while produced() < CAP as u64 {
+        assert!(std::time::Instant::now() < deadline, "the producer never filled the channel");
+        std::thread::yield_now();
+    }
+    let mut streamed: Vec<Vec<u32>> = Vec::new();
+    // The loop ends when the worker drops its sink, i.e. after the reply.
+    for (read, line) in page_rx.iter().enumerate() {
+        // `pages` counts pages the worker has put into the channel: the
+        // ones read so far (this one included) plus at most CAP waiting.
+        let produced = produced();
+        assert!(produced <= (read + 1 + CAP) as u64, "{produced} produced after {read} reads");
+        let page = Json::parse(std::str::from_utf8(&line).unwrap()).expect("one JSON line");
+        assert_eq!(page.get("page").and_then(Json::as_u64), Some(read as u64));
+        for instance in page.get("instances").and_then(Json::as_arr).unwrap() {
+            let vertex = |v: &Json| v.as_u64().unwrap() as u32;
+            streamed.push(instance.as_arr().unwrap().iter().map(vertex).collect());
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let out = rx.try_recv().expect("the outcome is sent before the page channel closes").unwrap();
+    assert_eq!((out.count, out.pages), (45, 45));
+    assert_eq!(streamed, *expected, "pages must concatenate to the buffered list");
     scheduler.shutdown();
 }
