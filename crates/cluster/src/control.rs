@@ -798,6 +798,86 @@ mod tests {
         }
     }
 
+    /// Golden pin of the two control messages that carry counter arrays:
+    /// every field non-zero and distinct, so a reordered or dropped
+    /// counter changes the rendered line.
+    #[test]
+    fn barrier_and_done_lines_are_pinned() {
+        let barrier = WorkerMsg::Barrier {
+            attempt: 1,
+            superstep: 3,
+            partitions: vec![2, 5],
+            metrics: vec![
+                WorkerSuperstepMetrics {
+                    active_vertices: 11,
+                    messages_in: 12,
+                    messages_out: 13,
+                    local_delivered: 14,
+                    bytes_exchanged: 15,
+                    cost: 16,
+                    elapsed: Duration::from_nanos(17),
+                },
+                WorkerSuperstepMetrics {
+                    active_vertices: 21,
+                    messages_in: 22,
+                    messages_out: 23,
+                    local_delivered: 24,
+                    bytes_exchanged: 25,
+                    cost: 26,
+                    elapsed: Duration::from_nanos(27),
+                },
+            ],
+        };
+        assert_eq!(
+            barrier.to_json().to_string(),
+            r#"{"type":"barrier","attempt":1,"superstep":3,"partitions":[2,5],"metrics":[[11,12,13,14,15,16,17],[21,22,23,24,25,26,27]]}"#
+        );
+
+        let done = WorkerMsg::Done {
+            attempt: 2,
+            expand: ExpandStats {
+                expanded: 101,
+                generated: 102,
+                results: 103,
+                pruned_injectivity: 104,
+                pruned_degree: 105,
+                pruned_order: 106,
+                pruned_connectivity: 107,
+                pruned_label: 108,
+                died_gray_check: 109,
+                died_no_candidates: 110,
+                combinations_examined: 111,
+                index_probes: 112,
+                cost: 113,
+                kernel_close: 114,
+                kernel_twohop: 115,
+                cmap_probes: 116,
+                cmap_hits: 117,
+                intersect_gallop: 118,
+                intersect_probe: 119,
+            },
+            instances: Some(vec![vec![1, 2, 3], vec![4, 5, 6]]),
+            supersteps: 4,
+            net: vec![(
+                7,
+                NetSuperstepMetrics {
+                    frames_sent: 31,
+                    frames_received: 32,
+                    wire_bytes_sent: 33,
+                    wire_bytes_received: 34,
+                    barrier_wait_nanos: 35,
+                    exchange_nanos: 36,
+                },
+            )],
+            pool_exhausted: 8,
+            chunks_outstanding: -9,
+        };
+        assert_eq!(
+            done.to_json().to_string(),
+            r#"{"type":"done","attempt":2,"expand":[101,102,103,104,105,106,107,108,109,110,111,112,113,114,115,116,117,118,119],"instances":[[1,2,3],[4,5,6]],"supersteps":4,"net":[[7,31,32,33,34,35,36]],"pool_exhausted":8,"chunks_outstanding":-9}"#
+        );
+    }
+
     #[test]
     fn coordinator_messages_roundtrip() {
         let msgs = vec![

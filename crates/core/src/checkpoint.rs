@@ -712,9 +712,10 @@ mod tests {
                         active_vertices: 5,
                         messages_in: 2,
                         messages_out: 9,
+                        local_delivered: 3,
+                        bytes_exchanged: 640,
                         cost: 11,
                         elapsed: Duration::from_nanos(1234),
-                        ..Default::default()
                     },
                     WorkerSuperstepMetrics::default(),
                 ],
@@ -751,6 +752,55 @@ mod tests {
             ],
             frontier: vec![vec![(7, g), (3, Gpsi::initial(1, 3))], vec![]],
         }
+    }
+
+    /// The trailing FxHash word of a sealed blob.
+    fn checksum_word(bytes: &[u8]) -> u64 {
+        u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap())
+    }
+
+    /// Golden pin of both binary formats: the payload is a fixed sequence
+    /// of little-endian words in field-declaration order, so any change
+    /// to a counter table's order or length moves the length or the
+    /// checksum recorded here (and then needs a magic bump).
+    #[test]
+    fn checkpoint_and_shard_bytes_are_pinned() {
+        let mut cp = sample();
+        cp.workers[0].stats = ExpandStats {
+            expanded: 101,
+            generated: 102,
+            results: 103,
+            pruned_injectivity: 104,
+            pruned_degree: 105,
+            pruned_order: 106,
+            pruned_connectivity: 107,
+            pruned_label: 108,
+            died_gray_check: 109,
+            died_no_candidates: 110,
+            combinations_examined: 111,
+            index_probes: 112,
+            cost: 113,
+            kernel_close: 114,
+            kernel_twohop: 115,
+            cmap_probes: 116,
+            cmap_hits: 117,
+            intersect_gallop: 118,
+            intersect_probe: 119,
+        };
+        let bytes = cp.to_bytes();
+        assert_eq!(&bytes[..8], b"PSGLCKP2");
+        assert_eq!((bytes.len(), checksum_word(&bytes)), (913, 0x149E2D155993FA7A));
+
+        let shard = CheckpointShard {
+            guard: cp.guard,
+            partition: 1,
+            superstep: cp.superstep,
+            worker: cp.workers[0].clone(),
+            frontier: cp.frontier[0].clone(),
+        };
+        let bytes = shard.to_bytes();
+        assert_eq!(&bytes[..8], b"PSGLSHD1");
+        assert_eq!((bytes.len(), checksum_word(&bytes)), (468, 0x63C831CCF81CC2C8));
     }
 
     #[test]

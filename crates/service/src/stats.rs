@@ -335,6 +335,113 @@ mod tests {
         assert_eq!(snap.get("degraded_to_spill").unwrap().as_u64(), Some(0));
     }
 
+    fn keys(obj: &Json) -> Vec<&str> {
+        match obj {
+            Json::Obj(pairs) => pairs.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("not an object: {other}"),
+        }
+    }
+
+    /// Golden pin of what every stats surface renders, in order: the
+    /// `stats` verb's `server` and `cluster` keys, the registry's series
+    /// names, and the Prometheus exposition of a fresh service (which
+    /// also covers each series' kind and help text).
+    #[test]
+    fn stats_keys_and_series_order_are_pinned() {
+        let stats = ServerStats::new();
+        assert_eq!(
+            keys(&stats.snapshot()),
+            [
+                "uptime_secs",
+                "connections",
+                "requests",
+                "queries_ok",
+                "rejected_overloaded",
+                "rejected_budget",
+                "queries_failed",
+                "cancelled",
+                "mutations",
+                "queue_depth",
+                "running",
+                "slices",
+                "preemptions",
+                "pages_streamed",
+                "gpsis_generated",
+                "candidates_pruned",
+                "index_probes",
+                "kernel_close",
+                "kernel_twohop",
+                "cmap_probes",
+                "cmap_hits",
+                "messages_total",
+                "local_delivery_ratio",
+                "pool_exhausted",
+                "chunks_live_peak",
+                "spill_chunks",
+                "spill_bytes",
+                "spill_stall_ms",
+                "readmitted_chunks",
+                "degraded_to_spill",
+            ]
+        );
+        assert_eq!(
+            keys(&stats.cluster_snapshot()),
+            [
+                "frames_sent",
+                "frames_received",
+                "wire_bytes_sent",
+                "wire_bytes_received",
+                "barrier_wait_nanos",
+            ]
+        );
+        let registry = stats.registry().snapshot();
+        let series: Vec<&str> = registry.metrics.iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(
+            series,
+            [
+                "psgl_connections",
+                "psgl_requests",
+                "psgl_queries_ok",
+                "psgl_rejected_overloaded",
+                "psgl_rejected_budget",
+                "psgl_queries_failed",
+                "psgl_cancelled",
+                "psgl_mutations",
+                "psgl_queue_depth",
+                "psgl_running",
+                "psgl_slices",
+                "psgl_preemptions",
+                "psgl_pages_streamed",
+                "psgl_gpsis_generated",
+                "psgl_candidates_pruned",
+                "psgl_index_probes",
+                "psgl_kernel_close",
+                "psgl_kernel_twohop",
+                "psgl_cmap_probes",
+                "psgl_cmap_hits",
+                "psgl_messages_total",
+                "psgl_messages_local",
+                "psgl_frames_sent",
+                "psgl_frames_received",
+                "psgl_wire_bytes_sent",
+                "psgl_wire_bytes_received",
+                "psgl_barrier_wait_nanos",
+                "psgl_pool_exhausted",
+                "psgl_chunks_live_peak",
+                "psgl_spill_chunks",
+                "psgl_spill_bytes",
+                "psgl_spill_stall_ms",
+                "psgl_readmitted_chunks",
+                "psgl_spill_write_failures",
+                "psgl_degraded_to_spill",
+            ]
+        );
+        let text = psgl_obs::render_prometheus(&registry);
+        let mut h = psgl_graph::hash::FxHasher::default();
+        std::hash::Hasher::write(&mut h, text.as_bytes());
+        assert_eq!((text.len(), std::hash::Hasher::finish(&h)), (4046, 0xC05804C7514BCC18));
+    }
+
     /// Every field the legacy `stats` verb reports must be resolvable from
     /// the backing registry — that is what makes the `metrics` verb a
     /// superset of `stats`.

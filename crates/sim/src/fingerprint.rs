@@ -124,6 +124,49 @@ mod tests {
         assert_ne!(with(&|s| s.cost_imbalance = 2.0), reference);
     }
 
+    /// Golden pin: the digest mixes the expansion counters in declaration
+    /// order, so reordering, adding or dropping one moves this value (and
+    /// every pinned corpus fingerprint with it).
+    #[test]
+    fn stats_digest_is_pinned() {
+        let stats = RunStats {
+            expand: psgl_core::stats::ExpandStats {
+                expanded: 101,
+                generated: 102,
+                results: 103,
+                pruned_injectivity: 104,
+                pruned_degree: 105,
+                pruned_order: 106,
+                pruned_connectivity: 107,
+                pruned_label: 108,
+                died_gray_check: 109,
+                died_no_candidates: 110,
+                combinations_examined: 111,
+                index_probes: 112,
+                cost: 113,
+                kernel_close: 114,
+                kernel_twohop: 115,
+                cmap_probes: 116,
+                cmap_hits: 117,
+                intersect_gallop: 118,
+                intersect_probe: 119,
+            },
+            per_worker_cost: vec![60, 53],
+            simulated_makespan: 61,
+            supersteps: 3,
+            messages: 40,
+            messages_local: 25,
+            bytes_exchanged: 1440,
+            messages_out_per_superstep: vec![30, 10, 0],
+            messages_in_per_superstep: vec![0, 30, 10],
+            pool_exhausted: 2,
+            chunks_outstanding: 0,
+            cost_imbalance: 1.0625,
+            ..Default::default()
+        };
+        assert_eq!(fingerprint_stats(&stats), 0xDEB3F1A52DBE8711);
+    }
+
     #[test]
     fn empty_and_singleton_slices_hash_differently() {
         // Length prefixing keeps [1] ++ [] distinct from [] ++ [1].
