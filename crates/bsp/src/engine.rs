@@ -44,7 +44,7 @@ pub struct BspConfig {
     /// [`PoolExhausted`](crate::chunk::PoolExhausted) condition and
     /// senders degrade by growing their current chunk instead of
     /// allocating. Exhaustion events surface in
-    /// [`EngineMetrics::pool_exhausted`]. `None` = unbounded (default).
+    /// [`CarriedCounters::pool_exhausted`]. `None` = unbounded (default).
     pub max_live_chunks: Option<u64>,
     /// Chaos knob: permute, per destination, the source-worker order in
     /// which the exchange assembles inboxes (seeded, deterministic).
@@ -459,7 +459,7 @@ impl<M, S, A> CancelledRun<M, S, A> {
             frontier,
             worker_states: self.worker_states,
             aggregate: self.aggregate,
-            carried: CarriedCounters::of(&self.metrics),
+            carried: self.metrics.carried,
             prior_supersteps: self.metrics.supersteps,
         })
     }
@@ -648,7 +648,6 @@ pub fn run_controlled<P: VertexProgram>(
         None => (0..k).collect(),
     };
     let l = locals.len();
-    let carried: CarriedCounters;
     let (mut states, mut inboxes, mut superstep, mut merged_aggregate) = match resume {
         Some(rp) => {
             assert_eq!(
@@ -659,7 +658,7 @@ pub fn run_controlled<P: VertexProgram>(
             );
             assert_eq!(rp.frontier.len(), l, "resume frontier must cover every local partition");
             metrics.supersteps = rp.prior_supersteps;
-            carried = rp.carried;
+            metrics.carried = rp.carried;
             // Re-chunk the flattened frontier in delivery order; each
             // worker flattens and stably re-sorts its inbox anyway, so
             // chunk boundaries need not match the original run's.
@@ -673,7 +672,6 @@ pub fn run_controlled<P: VertexProgram>(
             (rp.worker_states, inboxes, rp.superstep, rp.aggregate)
         }
         None => {
-            carried = CarriedCounters::default();
             let states: Vec<P::WorkerState> =
                 locals.iter().map(|&w| program.create_worker_state(w)).collect();
             (states, (0..l).map(|_| Vec::new()).collect(), 0, P::Aggregate::default())
@@ -778,7 +776,7 @@ pub fn run_controlled<P: VertexProgram>(
         // the outcome is reported.
         if let Some(reason) = hard_cancel_reason(cancel, checkpoint) {
             abort_cleanup(&pool, &mut outboxes, &mut spill_outs, &mut inboxes, spill);
-            finalize_metrics(&mut metrics, &pool, &carried, spill, start);
+            finalize_metrics(&mut metrics, &pool, spill, start);
             return Ok(RunOutcome::Cancelled(CancelledRun {
                 reason,
                 superstep,
@@ -869,7 +867,7 @@ pub fn run_controlled<P: VertexProgram>(
                     ExchangeDirective::Abort(reason) => {
                         release_all(&pool, wrap_resident(outcome.inboxes), spill);
                         metrics.supersteps.push(step);
-                        finalize_metrics(&mut metrics, &pool, &carried, spill, start);
+                        finalize_metrics(&mut metrics, &pool, spill, start);
                         return Ok(RunOutcome::Cancelled(CancelledRun {
                             reason,
                             superstep: superstep + 1,
@@ -942,7 +940,7 @@ pub fn run_controlled<P: VertexProgram>(
                             return Err(BspError::Spill { superstep, error });
                         }
                     };
-                    finalize_metrics(&mut metrics, &pool, &carried, spill, start);
+                    finalize_metrics(&mut metrics, &pool, spill, start);
                     return Ok(RunOutcome::Cancelled(CancelledRun {
                         reason: CancelReason::Budget,
                         superstep: superstep + 1,
@@ -985,7 +983,7 @@ pub fn run_controlled<P: VertexProgram>(
                         release_all(&pool, new_inboxes, spill);
                         None
                     };
-                    finalize_metrics(&mut metrics, &pool, &carried, spill, start);
+                    finalize_metrics(&mut metrics, &pool, spill, start);
                     return Ok(RunOutcome::Cancelled(CancelledRun {
                         reason: if preempt_due {
                             CancelReason::Preempted
@@ -1016,7 +1014,7 @@ pub fn run_controlled<P: VertexProgram>(
         inboxes = new_inboxes;
         superstep += 1;
     }
-    finalize_metrics(&mut metrics, &pool, &carried, spill, start);
+    finalize_metrics(&mut metrics, &pool, spill, start);
     // The debug-build assertion above, promoted: a clean completion with
     // unreleased chunks is a leak, and chaos sweeps run in release mode.
     let outstanding = pool.outstanding();
@@ -1247,31 +1245,27 @@ fn chunk_tuples<M>(pool: &ChunkPool<M>, tuples: Vec<(VertexId, M)>) -> Vec<Chunk
 }
 
 /// Finalizes run-level metrics and asserts the pool's get/put balance —
-/// called on *every* outcome that reports metrics (complete or
-/// cancelled).
+/// called exactly once, on *every* outcome that reports metrics (complete
+/// or cancelled). `metrics.carried` holds the resumed prefix's counters
+/// (zero on a fresh run); this slice's are added on top.
 fn finalize_metrics<M>(
     metrics: &mut EngineMetrics,
     pool: &ChunkPool<M>,
-    carried: &CarriedCounters,
     spill: Option<SpillControl<'_, M>>,
     start: Instant,
 ) {
     metrics.chunk_allocations = pool.fresh_allocations();
     metrics.chunk_reuses = pool.reuses();
-    metrics.pool_exhausted = carried.pool_exhausted + pool.exhausted_events();
     metrics.chunks_outstanding = pool.outstanding();
-    metrics.chunks_live_peak = carried.chunks_live_peak.max(pool.peak_outstanding());
-    metrics.spill_chunks = carried.spill_chunks;
-    metrics.spill_bytes = carried.spill_bytes;
-    metrics.spill_stall_nanos = carried.spill_stall_nanos;
-    metrics.readmitted_chunks = carried.readmitted_chunks;
-    metrics.spill_write_failures = carried.spill_write_failures;
+    let c = &mut metrics.carried;
+    c.pool_exhausted += pool.exhausted_events();
+    c.chunks_live_peak = c.chunks_live_peak.max(pool.peak_outstanding().max(0) as u64);
     if let Some(sp) = spill {
-        metrics.spill_chunks += sp.store.spilled_chunks();
-        metrics.spill_bytes += sp.store.spilled_bytes();
-        metrics.spill_stall_nanos += sp.store.stall_nanos();
-        metrics.readmitted_chunks += sp.store.readmitted();
-        metrics.spill_write_failures += sp.store.write_failures();
+        c.spill_chunks += sp.store.spilled_chunks();
+        c.spill_bytes += sp.store.spilled_bytes();
+        c.spill_stall_nanos += sp.store.stall_nanos();
+        c.readmitted_chunks += sp.store.readmitted();
+        c.spill_write_failures += sp.store.write_failures();
     }
     debug_assert_balanced(pool);
     metrics.wall_time = start.elapsed();
@@ -1421,7 +1415,7 @@ fn run_worker<P: VertexProgram>(
         local_delivered: ctx.local_delivered,
         bytes_exchanged: (ctx.messages_out - ctx.local_delivered) * tuple_bytes,
         cost: ctx.cost,
-        elapsed: started.elapsed(),
+        elapsed_nanos: started.elapsed().as_nanos() as u64,
     };
     Ok((wm, local_aggregate))
 }
@@ -1540,7 +1534,7 @@ mod tests {
         let p = HashPartitioner::new(3);
         let res = run(g.num_vertices(), &p, &prog, &config).unwrap();
         assert_eq!(prog.labels.into_inner(), base);
-        assert!(res.metrics.pool_exhausted > 0, "the tiny cap must be hit");
+        assert!(res.metrics.carried.pool_exhausted > 0, "the tiny cap must be hit");
         assert_eq!(res.metrics.chunks_outstanding, 0, "clean shutdown releases every chunk");
     }
 
@@ -1550,7 +1544,7 @@ mod tests {
         let prog = MinLabel { graph: &g, labels: Mutex::new(g.vertices().collect()) };
         let p = HashPartitioner::new(2);
         let res = run(g.num_vertices(), &p, &prog, &BspConfig::default()).unwrap();
-        assert_eq!(res.metrics.pool_exhausted, 0);
+        assert_eq!(res.metrics.carried.pool_exhausted, 0);
         assert_eq!(res.metrics.chunks_outstanding, 0);
     }
 
@@ -2018,10 +2012,10 @@ mod tests {
         let store = SpillStore::create(&SpillConfig::in_temp()).unwrap();
         let (labels, m) = run_min_label_spilling(&g, 3, &config, &store);
         assert_eq!(labels, base, "spilling must not change any label");
-        assert!(m.spill_chunks > 0, "the tiny cap must force eviction");
-        assert_eq!(m.readmitted_chunks, m.spill_chunks, "every segment comes back");
-        assert!(m.spill_bytes > 0);
-        assert!(m.chunks_live_peak > 0);
+        assert!(m.carried.spill_chunks > 0, "the tiny cap must force eviction");
+        assert_eq!(m.carried.readmitted_chunks, m.carried.spill_chunks, "every segment comes back");
+        assert!(m.carried.spill_bytes > 0);
+        assert!(m.carried.chunks_live_peak > 0);
         assert_eq!(m.chunks_outstanding, 0, "clean shutdown releases every chunk");
         assert_eq!(store.live_bytes(), 0, "no blobs outlive the run");
     }
@@ -2057,8 +2051,8 @@ mod tests {
         let store = SpillStore::create(&SpillConfig { faults, ..SpillConfig::in_temp() }).unwrap();
         let (labels, m) = run_min_label_spilling(&g, 3, &config, &store);
         assert_eq!(labels, base, "a full disk degrades the run, never corrupts it");
-        assert_eq!(m.spill_chunks, 0, "no write ever succeeded");
-        assert!(m.pool_exhausted > 0, "the run still grew past the cap in place");
+        assert_eq!(m.carried.spill_chunks, 0, "no write ever succeeded");
+        assert!(m.carried.pool_exhausted > 0, "the run still grew past the cap in place");
     }
 
     #[test]
@@ -2082,7 +2076,7 @@ mod tests {
             RunOutcome::Cancelled(c) => {
                 assert_eq!(c.reason, CancelReason::Deadline);
                 assert!(c.frontier.is_none(), "hard cancels capture no frontier");
-                assert!(c.metrics.spill_chunks > 0, "the frontier was spilling when cut");
+                assert!(c.metrics.carried.spill_chunks > 0, "the frontier was spilling when cut");
                 assert_eq!(c.metrics.chunks_outstanding, 0);
             }
             RunOutcome::Complete(_) => panic!("expected deadline cancellation"),
@@ -2113,7 +2107,7 @@ mod tests {
             RunOutcome::Cancelled(c) => c,
             RunOutcome::Complete(_) => panic!("run should hit the superstep deadline"),
         };
-        let spilled_before_cut = cancelled.metrics.spill_chunks;
+        let spilled_before_cut = cancelled.metrics.carried.spill_chunks;
         assert!(spilled_before_cut > 0, "the frontier was spilling when cut");
         assert_eq!(store.live_bytes(), 0, "checkpoint capture re-admits every segment");
         let resume = cancelled.into_resume_point().expect("checkpointed cancel resumes");
@@ -2126,7 +2120,7 @@ mod tests {
             RunOutcome::Complete(r) => {
                 assert_eq!(r.metrics.chunks_outstanding, 0);
                 assert!(
-                    r.metrics.spill_chunks >= spilled_before_cut,
+                    r.metrics.carried.spill_chunks >= spilled_before_cut,
                     "carried counters keep the pre-cut spill volume"
                 );
             }
@@ -2240,7 +2234,10 @@ mod tests {
                         RunOutcome::Complete(r) => {
                             assert_eq!(r.metrics.chunks_outstanding, 0, "{case}");
                             if spilling && chunk_capacity <= 3 {
-                                assert!(r.metrics.spill_chunks > 0, "{case}: cap never bit");
+                                assert!(
+                                    r.metrics.carried.spill_chunks > 0,
+                                    "{case}: cap never bit"
+                                );
                             }
                         }
                         RunOutcome::Cancelled(_) => panic!("{case}: nothing cancels this run"),

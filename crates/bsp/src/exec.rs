@@ -5,7 +5,8 @@
 //! [`WorkerTask`] per worker — a single closure that drains the worker's
 //! inbox, groups it by vertex and runs the vertex program over every batch
 //! — and hands the set to an [`Executor`]. Production uses
-//! [`ThreadExecutor`] (one scoped OS thread per worker); the simulation
+//! [`ThreadExecutor`] (one scoped OS thread per worker, or the calling
+//! thread for a lone worker); the simulation
 //! harness in `crates/sim` substitutes a seeded, virtual-time scheduler
 //! that runs the same closures single-threaded in an adversarial but fully
 //! reproducible order.
@@ -42,12 +43,19 @@ pub trait Executor: Sync {
     fn run_superstep(&self, superstep: u32, tasks: Vec<WorkerTask<'_>>);
 }
 
-/// The production executor: one scoped OS thread per worker.
+/// The production executor: one scoped OS thread per worker. A lone task
+/// (a one-worker run) has nothing to run beside, so it runs on the
+/// calling thread: no thread per superstep, and a long-lived caller such
+/// as a service pool worker keeps the run's allocations in its own malloc
+/// arena instead of scattering them over short-lived threads' arenas.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ThreadExecutor;
 
 impl Executor for ThreadExecutor {
-    fn run_superstep(&self, _superstep: u32, tasks: Vec<WorkerTask<'_>>) {
+    fn run_superstep(&self, superstep: u32, tasks: Vec<WorkerTask<'_>>) {
+        if tasks.len() == 1 {
+            return SerialExecutor.run_superstep(superstep, tasks);
+        }
         crossbeam::thread::scope(|scope| {
             for task in tasks {
                 scope.spawn(move |_| (task.run)());
@@ -98,6 +106,15 @@ mod tests {
     #[test]
     fn thread_executor_runs_every_task_once() {
         check_every_task_runs_once(&ThreadExecutor);
+    }
+
+    #[test]
+    fn thread_executor_runs_a_lone_task_on_the_calling_thread() {
+        let mut ran_on = None;
+        let slot = &mut ran_on;
+        let run = Box::new(move || *slot = Some(std::thread::current().id()));
+        ThreadExecutor.run_superstep(0, vec![WorkerTask { worker: 0, run }]);
+        assert_eq!(ran_on, Some(std::thread::current().id()));
     }
 
     #[test]

@@ -8,59 +8,40 @@
 
 use std::time::Duration;
 
-/// Metrics for one worker within one superstep.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WorkerSuperstepMetrics {
-    /// Vertices the program ran on.
-    pub active_vertices: u64,
-    /// Messages consumed this superstep.
-    pub messages_in: u64,
-    /// Messages produced this superstep.
-    pub messages_out: u64,
-    /// Of `messages_out`, how many were addressed to this worker's own
-    /// vertices and took the local fast path past the exchange.
-    pub local_delivered: u64,
-    /// Bytes of `(VertexId, M)` tuples this worker handed to the exchange
-    /// (locally-delivered messages excluded).
-    pub bytes_exchanged: u64,
-    /// User-reported cost units (PSgL: Equation 2's `load(Gpsi)` sums).
-    pub cost: u64,
-    /// Wall-clock time the worker spent regrouping its inbox and computing.
-    pub elapsed: Duration,
+// Every field of the three tables below is a plain `u64` (durations in
+// nanoseconds); a consumer that wants another type converts at its edge.
+
+psgl_obs::counters! {
+    /// Metrics for one worker within one superstep.
+    pub struct WorkerSuperstepMetrics {
+        active_vertices: "Vertices the program ran on.",
+        messages_in: "Messages consumed this superstep.",
+        messages_out: "Messages produced this superstep.",
+        local_delivered: "Of `messages_out`, how many were addressed to this worker's own \
+            vertices and took the local fast path past the exchange.",
+        bytes_exchanged: "Bytes of `(VertexId, M)` tuples this worker handed to the exchange \
+            (locally-delivered messages excluded).",
+        cost: "User-reported cost units (PSgL: Equation 2's `load(Gpsi)` sums).",
+        elapsed_nanos: "Wall-clock nanoseconds the worker spent regrouping its inbox and \
+            computing.",
+    }
 }
 
-/// Network-plane counters for one superstep's exchange. All zero for the
-/// in-process engine (whose "exchange" is a pointer move); populated by a
-/// remote [`Exchange`](crate::exchange::Exchange) such as the cluster's
-/// TCP data plane.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NetSuperstepMetrics {
-    /// Data frames written to peers.
-    pub frames_sent: u64,
-    /// Data frames read from peers.
-    pub frames_received: u64,
-    /// Wire bytes written (frame headers + payloads + checksums).
-    pub wire_bytes_sent: u64,
-    /// Wire bytes read.
-    pub wire_bytes_received: u64,
-    /// Nanoseconds spent blocked at the superstep barrier waiting for the
-    /// coordinator's proceed signal (after local work and sends finished).
-    pub barrier_wait_nanos: u64,
-    /// Nanoseconds spent inside the exchange itself — flushing outboxes,
-    /// routing chunks, draining peer frames (in-process: the routing loop).
-    pub exchange_nanos: u64,
-}
-
-impl NetSuperstepMetrics {
-    /// Accumulates another set of counters into this one (coordinator-side
-    /// aggregation across workers).
-    pub fn merge(&mut self, other: &NetSuperstepMetrics) {
-        self.frames_sent += other.frames_sent;
-        self.frames_received += other.frames_received;
-        self.wire_bytes_sent += other.wire_bytes_sent;
-        self.wire_bytes_received += other.wire_bytes_received;
-        self.barrier_wait_nanos += other.barrier_wait_nanos;
-        self.exchange_nanos += other.exchange_nanos;
+psgl_obs::counters! {
+    /// Network-plane counters for one superstep's exchange. All zero for the
+    /// in-process engine (whose "exchange" is a pointer move); populated by a
+    /// remote [`Exchange`](crate::exchange::Exchange) such as the cluster's
+    /// TCP data plane. `merge` is the coordinator-side aggregation across
+    /// workers.
+    pub struct NetSuperstepMetrics {
+        frames_sent: "Data frames written to peers.",
+        frames_received: "Data frames read from peers.",
+        wire_bytes_sent: "Wire bytes written (frame headers + payloads + checksums).",
+        wire_bytes_received: "Wire bytes read.",
+        barrier_wait_nanos: "Nanoseconds spent blocked at the superstep barrier waiting for \
+            the coordinator's proceed signal (after local work and sends finished).",
+        exchange_nanos: "Nanoseconds spent inside the exchange itself — flushing outboxes, \
+            routing chunks, draining peer frames (in-process: the routing loop).",
     }
 }
 
@@ -95,43 +76,25 @@ impl SuperstepMetrics {
     }
 }
 
-/// Counters carried across a checkpoint/resume (or preemption) seam so
-/// run-level metrics stay cumulative over every slice of a logical run.
-/// Captured from the prefix's [`EngineMetrics`] by
-/// [`CancelledRun::into_resume_point`](crate::CancelledRun::into_resume_point)
-/// and folded back in when the resumed slice finalizes its metrics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CarriedCounters {
-    /// Pool-exhaustion events of the completed prefix.
-    pub pool_exhausted: u64,
-    /// Chunks the prefix evicted to the disk spill tier.
-    pub spill_chunks: u64,
-    /// Framed spill bytes the prefix wrote.
-    pub spill_bytes: u64,
-    /// Nanoseconds the prefix stalled in spill I/O.
-    pub spill_stall_nanos: u64,
-    /// Chunks' worth of spilled tuples the prefix re-admitted.
-    pub readmitted_chunks: u64,
-    /// Spill writes of the prefix that failed and degraded to resident
-    /// growth.
-    pub spill_write_failures: u64,
-    /// High-water mark of live pool chunks over the prefix.
-    pub chunks_live_peak: i64,
-}
-
-impl CarriedCounters {
-    /// Snapshots the carryable run-level counters of finalized metrics —
-    /// what a resumed slice (or a serialized checkpoint) folds back in.
-    pub fn of(m: &EngineMetrics) -> CarriedCounters {
-        CarriedCounters {
-            pool_exhausted: m.pool_exhausted,
-            spill_chunks: m.spill_chunks,
-            spill_bytes: m.spill_bytes,
-            spill_stall_nanos: m.spill_stall_nanos,
-            readmitted_chunks: m.readmitted_chunks,
-            spill_write_failures: m.spill_write_failures,
-            chunks_live_peak: m.chunks_live_peak,
-        }
+psgl_obs::counters! {
+    /// Run-level counters that stay cumulative over every slice of a
+    /// logical run: [`EngineMetrics::carried`] of a cancelled prefix
+    /// travels through the [`ResumePoint`](crate::ResumePoint) (or a
+    /// serialized checkpoint) and the resumed slice adds its own on top.
+    pub struct CarriedCounters {
+        pool_exhausted: "Times the pool's live-chunk cap forced a sender onto a degraded \
+            path (spill to disk, or grow-in-place when no spill tier is configured). Always \
+            0 when `max_live_chunks` is unset.",
+        spill_chunks: "Pool chunks whose contents were evicted to the disk spill tier.",
+        spill_bytes: "Framed bytes written to spill blobs.",
+        spill_stall_nanos: "Nanoseconds spent blocked inside spill writes and re-admission \
+            reads.",
+        readmitted_chunks: "Chunks' worth of spilled tuples decoded back in at superstep \
+            boundaries.",
+        spill_write_failures: "Spill writes that failed (budget, ENOSPC, I/O error) and \
+            degraded the sender to resident growth — served, but no longer bounded.",
+        chunks_live_peak: "High-water mark of simultaneously live pool chunks — the message \
+            plane's true peak memory footprint. A maximum, not a sum.",
     }
 }
 
@@ -146,29 +109,12 @@ pub struct EngineMetrics {
     pub chunk_allocations: u64,
     /// Message chunks served from the pool's free list.
     pub chunk_reuses: u64,
-    /// Times the pool's live-chunk cap forced a sender onto a degraded
-    /// path (spill to disk, or grow-in-place when no spill tier is
-    /// configured). Always 0 when `max_live_chunks` is unset.
-    pub pool_exhausted: u64,
     /// Pool get/put imbalance at shutdown (acquires minus releases);
     /// 0 on a clean run — anything else is a chunk leak or double-free.
     pub chunks_outstanding: i64,
-    /// High-water mark of simultaneously live pool chunks over the run —
-    /// the message plane's true peak memory footprint.
-    pub chunks_live_peak: i64,
-    /// Pool chunks whose contents were evicted to the disk spill tier.
-    pub spill_chunks: u64,
-    /// Framed bytes written to spill blobs.
-    pub spill_bytes: u64,
-    /// Nanoseconds spent blocked inside spill writes and re-admission
-    /// reads.
-    pub spill_stall_nanos: u64,
-    /// Chunks' worth of spilled tuples decoded back in at superstep
-    /// boundaries.
-    pub readmitted_chunks: u64,
-    /// Spill writes that failed (budget, ENOSPC, I/O error) and degraded
-    /// the sender to resident growth — served, but no longer bounded.
-    pub spill_write_failures: u64,
+    /// Pool-exhaustion, spill-tier and live-chunk-peak counters,
+    /// cumulative over the whole logical run (resumed prefix included).
+    pub carried: CarriedCounters,
 }
 
 impl EngineMetrics {
@@ -263,10 +209,7 @@ impl EngineMetrics {
 
     /// Per-superstep compute time (sum of worker elapsed), in nanoseconds.
     pub fn compute_nanos_per_superstep(&self) -> Vec<u64> {
-        self.supersteps
-            .iter()
-            .map(|s| s.workers.iter().map(|w| w.elapsed.as_nanos() as u64).sum())
-            .collect()
+        self.supersteps.iter().map(|s| s.workers.iter().map(|w| w.elapsed_nanos).sum()).collect()
     }
 
     /// Per-superstep exchange time, in nanoseconds.
@@ -297,6 +240,13 @@ mod tests {
 
     fn wm(cost: u64, mi: u64, mo: u64) -> WorkerSuperstepMetrics {
         WorkerSuperstepMetrics { cost, messages_in: mi, messages_out: mo, ..Default::default() }
+    }
+
+    #[test]
+    fn counter_structs_are_one_table_each() {
+        psgl_obs::assert_counter_table!(WorkerSuperstepMetrics);
+        psgl_obs::assert_counter_table!(NetSuperstepMetrics);
+        psgl_obs::assert_counter_table!(CarriedCounters);
     }
 
     #[test]

@@ -15,7 +15,6 @@ use psgl_bsp::{NetSuperstepMetrics, WorkerSuperstepMetrics};
 use psgl_core::{ExpandStats, PsglConfig};
 use psgl_graph::{DataGraph, VertexId};
 use psgl_service::{load_graph, GraphFormat, Json};
-use std::time::Duration;
 
 /// How a worker materializes the data graph. Shipping a spec instead of
 /// the graph keeps `start` messages tiny and guarantees every process
@@ -180,8 +179,8 @@ impl JobSpec {
             partitions: u64_field(v, "partitions")? as usize,
             seed: u64_field(v, "seed")?,
             collect_instances: v.get("collect").and_then(Json::as_bool).unwrap_or(false),
-            checkpoint_interval: u64_field(v, "checkpoint_interval")? as u32,
-            max_supersteps: u64_field(v, "max_supersteps")? as u32,
+            checkpoint_interval: u32_field(v, "checkpoint_interval")?,
+            max_supersteps: u32_field(v, "max_supersteps")?,
         })
     }
 }
@@ -323,7 +322,10 @@ impl WorkerMsg {
                 ("attempt", Json::from(*attempt)),
                 ("superstep", Json::from(*superstep)),
                 ("partitions", Json::from(partitions.clone())),
-                ("metrics", Json::Arr(metrics.iter().map(worker_metrics_to_json).collect())),
+                (
+                    "metrics",
+                    Json::Arr(metrics.iter().map(|m| Json::from(m.to_array().to_vec())).collect()),
+                ),
             ]),
             WorkerMsg::Shard { attempt, superstep, partition, bytes } => Json::obj([
                 ("type", Json::from("shard")),
@@ -343,7 +345,7 @@ impl WorkerMsg {
             } => Json::obj([
                 ("type", Json::from("done")),
                 ("attempt", Json::from(*attempt)),
-                ("expand", expand_to_json(expand)),
+                ("expand", Json::from(expand.to_array().to_vec())),
                 (
                     "instances",
                     match instances {
@@ -359,15 +361,9 @@ impl WorkerMsg {
                     Json::Arr(
                         net.iter()
                             .map(|(s, n)| {
-                                Json::Arr(vec![
-                                    Json::from(*s),
-                                    Json::from(n.frames_sent),
-                                    Json::from(n.frames_received),
-                                    Json::from(n.wire_bytes_sent),
-                                    Json::from(n.wire_bytes_received),
-                                    Json::from(n.barrier_wait_nanos),
-                                    Json::from(n.exchange_nanos),
-                                ])
+                                let mut row = vec![u64::from(*s)];
+                                row.extend(n.to_array());
+                                Json::from(row)
                             })
                             .collect(),
                     ),
@@ -394,22 +390,22 @@ impl WorkerMsg {
                     .and_then(Json::as_arr)
                     .ok_or("barrier missing metrics")?
                     .iter()
-                    .map(worker_metrics_from_json)
-                    .collect::<Result<Vec<_>, _>>()?;
+                    .map(|m| Ok(WorkerSuperstepMetrics::from_array(counters(m, "worker metrics")?)))
+                    .collect::<Result<Vec<_>, String>>()?;
                 if partitions.len() != metrics.len() {
                     return Err("barrier partitions/metrics length mismatch".into());
                 }
                 Ok(WorkerMsg::Barrier {
-                    attempt: u64_field(v, "attempt")? as u32,
-                    superstep: u64_field(v, "superstep")? as u32,
+                    attempt: u32_field(v, "attempt")?,
+                    superstep: u32_field(v, "superstep")?,
                     partitions,
                     metrics,
                 })
             }
             "shard" => Ok(WorkerMsg::Shard {
-                attempt: u64_field(v, "attempt")? as u32,
-                superstep: u64_field(v, "superstep")? as u32,
-                partition: u64_field(v, "partition")? as u32,
+                attempt: u32_field(v, "attempt")?,
+                superstep: u32_field(v, "superstep")?,
+                partition: u32_field(v, "partition")?,
                 bytes: from_hex(&str_field(v, "bytes")?)?,
             }),
             "done" => {
@@ -429,34 +425,29 @@ impl WorkerMsg {
                     .ok_or("done missing net")?
                     .iter()
                     .map(|entry| {
+                        // `[superstep, counters...]`
                         let ns = u64_arr(entry, "net entry")?;
-                        if ns.len() != 7 {
-                            return Err("net entry wants 7 numbers".to_string());
-                        }
-                        Ok((
-                            ns[0] as u32,
-                            NetSuperstepMetrics {
-                                frames_sent: ns[1],
-                                frames_received: ns[2],
-                                wire_bytes_sent: ns[3],
-                                wire_bytes_received: ns[4],
-                                barrier_wait_nanos: ns[5],
-                                exchange_nanos: ns[6],
-                            },
-                        ))
+                        let (&superstep, rest) = ns.split_first().ok_or("net entry is empty")?;
+                        let net = rest.try_into().map_err(|_| {
+                            format!("net entry wants {} numbers", 1 + NetSuperstepMetrics::LEN)
+                        })?;
+                        Ok((to_u32(superstep, "net entry")?, NetSuperstepMetrics::from_array(net)))
                     })
                     .collect::<Result<Vec<_>, String>>()?;
                 Ok(WorkerMsg::Done {
-                    attempt: u64_field(v, "attempt")? as u32,
-                    expand: expand_from_json(v.get("expand").ok_or("done missing expand")?)?,
+                    attempt: u32_field(v, "attempt")?,
+                    expand: ExpandStats::from_array(counters(
+                        v.get("expand").ok_or("done missing expand")?,
+                        "expand stats",
+                    )?),
                     instances,
-                    supersteps: u64_field(v, "supersteps")? as u32,
+                    supersteps: u32_field(v, "supersteps")?,
                     net,
                     pool_exhausted: u64_field(v, "pool_exhausted")?,
                     chunks_outstanding: v
                         .get("chunks_outstanding")
                         .and_then(Json::as_i64)
-                        .unwrap_or(0),
+                        .ok_or("done missing chunks_outstanding")?,
                 })
             }
             "error" => Ok(WorkerMsg::Error { message: str_field(v, "message")? }),
@@ -510,7 +501,7 @@ impl CoordMsg {
     /// Decodes from the wire.
     pub fn from_json(v: &Json) -> Result<CoordMsg, String> {
         match str_field(v, "type")?.as_str() {
-            "welcome" => Ok(CoordMsg::Welcome { proc: u64_field(v, "proc")? as u32 }),
+            "welcome" => Ok(CoordMsg::Welcome { proc: u32_field(v, "proc")? }),
             "start" => {
                 let peers = v
                     .get("peers")
@@ -521,7 +512,7 @@ impl CoordMsg {
                         let pair = pair.as_arr().ok_or("peer must be [proc, addr]")?;
                         match pair {
                             [p, addr] => Ok((
-                                p.as_u64().ok_or("bad peer proc")? as u32,
+                                to_u32(p.as_u64().ok_or("bad peer proc")?, "peer proc")?,
                                 addr.as_str().ok_or("bad peer addr")?.to_string(),
                             )),
                             _ => Err("peer must be [proc, addr]".to_string()),
@@ -540,7 +531,7 @@ impl CoordMsg {
                     .transpose()?
                     .unwrap_or_default();
                 Ok(CoordMsg::Start {
-                    attempt: u64_field(v, "attempt")? as u32,
+                    attempt: u32_field(v, "attempt")?,
                     job: JobSpec::from_json(v.get("job").ok_or("start missing job")?)?,
                     partitions: u32_arr_field(v, "partitions")?,
                     owners: u32_arr_field(v, "owners")?,
@@ -549,13 +540,13 @@ impl CoordMsg {
                 })
             }
             "proceed" => Ok(CoordMsg::Proceed {
-                attempt: u64_field(v, "attempt")? as u32,
-                superstep: u64_field(v, "superstep")? as u32,
+                attempt: u32_field(v, "attempt")?,
+                superstep: u32_field(v, "superstep")?,
                 in_flight: u64_field(v, "in_flight")?,
                 checkpoint: v.get("checkpoint").and_then(Json::as_bool).unwrap_or(false),
             }),
             "abort" => Ok(CoordMsg::Abort {
-                attempt: u64_field(v, "attempt")? as u32,
+                attempt: u32_field(v, "attempt")?,
                 reason: str_field(v, "reason")?,
             }),
             "stop" => Ok(CoordMsg::Stop),
@@ -564,93 +555,10 @@ impl CoordMsg {
     }
 }
 
-/// Per-partition superstep metrics as a fixed-order numeric array
-/// (`elapsed` in nanoseconds).
-fn worker_metrics_to_json(m: &WorkerSuperstepMetrics) -> Json {
-    Json::Arr(vec![
-        Json::from(m.active_vertices),
-        Json::from(m.messages_in),
-        Json::from(m.messages_out),
-        Json::from(m.local_delivered),
-        Json::from(m.bytes_exchanged),
-        Json::from(m.cost),
-        Json::from(m.elapsed.as_nanos() as u64),
-    ])
-}
-
-fn worker_metrics_from_json(v: &Json) -> Result<WorkerSuperstepMetrics, String> {
-    let ns = u64_arr(v, "worker metrics")?;
-    if ns.len() != 7 {
-        return Err("worker metrics want 7 numbers".into());
-    }
-    Ok(WorkerSuperstepMetrics {
-        active_vertices: ns[0],
-        messages_in: ns[1],
-        messages_out: ns[2],
-        local_delivered: ns[3],
-        bytes_exchanged: ns[4],
-        cost: ns[5],
-        elapsed: Duration::from_nanos(ns[6]),
-    })
-}
-
-/// Expansion counters as a fixed-order numeric array (field order of
-/// [`ExpandStats`]).
-fn expand_to_json(e: &ExpandStats) -> Json {
-    Json::Arr(
-        [
-            e.expanded,
-            e.generated,
-            e.results,
-            e.pruned_injectivity,
-            e.pruned_degree,
-            e.pruned_order,
-            e.pruned_connectivity,
-            e.pruned_label,
-            e.died_gray_check,
-            e.died_no_candidates,
-            e.combinations_examined,
-            e.index_probes,
-            e.cost,
-            e.kernel_close,
-            e.kernel_twohop,
-            e.cmap_probes,
-            e.cmap_hits,
-            e.intersect_gallop,
-            e.intersect_probe,
-        ]
-        .into_iter()
-        .map(Json::from)
-        .collect(),
-    )
-}
-
-fn expand_from_json(v: &Json) -> Result<ExpandStats, String> {
-    let ns = u64_arr(v, "expand stats")?;
-    if ns.len() != 19 {
-        return Err("expand stats want 19 numbers".into());
-    }
-    Ok(ExpandStats {
-        expanded: ns[0],
-        generated: ns[1],
-        results: ns[2],
-        pruned_injectivity: ns[3],
-        pruned_degree: ns[4],
-        pruned_order: ns[5],
-        pruned_connectivity: ns[6],
-        pruned_label: ns[7],
-        died_gray_check: ns[8],
-        died_no_candidates: ns[9],
-        combinations_examined: ns[10],
-        index_probes: ns[11],
-        cost: ns[12],
-        kernel_close: ns[13],
-        kernel_twohop: ns[14],
-        cmap_probes: ns[15],
-        cmap_hits: ns[16],
-        intersect_gallop: ns[17],
-        intersect_probe: ns[18],
-    })
+/// Decodes one `counters!` table from its fixed-order numeric array
+/// (declaration order; `N` is the receiving table's `LEN`).
+fn counters<const N: usize>(v: &Json, what: &str) -> Result<[u64; N], String> {
+    u64_arr(v, what)?.try_into().map_err(|_| format!("{what} wants {N} numbers"))
 }
 
 fn str_field(v: &Json, key: &str) -> Result<String, String> {
@@ -672,8 +580,17 @@ fn u64_arr(v: &Json, what: &str) -> Result<Vec<u64>, String> {
         .collect()
 }
 
+/// Hostile or corrupt lines must not alias a valid id by truncation.
+fn to_u32(x: u64, what: &str) -> Result<u32, String> {
+    u32::try_from(x).map_err(|_| format!("{what} holds {x}, which is out of range"))
+}
+
+fn u32_field(v: &Json, key: &str) -> Result<u32, String> {
+    to_u32(u64_field(v, key)?, key)
+}
+
 fn u32_arr(v: &Json, what: &str) -> Result<Vec<u32>, String> {
-    Ok(u64_arr(v, what)?.into_iter().map(|x| x as u32).collect())
+    u64_arr(v, what)?.into_iter().map(|x| to_u32(x, what)).collect()
 }
 
 fn u32_arr_field(v: &Json, key: &str) -> Result<Vec<u32>, String> {
@@ -758,15 +675,7 @@ mod tests {
                 superstep: 3,
                 partitions: vec![0, 3],
                 metrics: vec![
-                    WorkerSuperstepMetrics {
-                        active_vertices: 4,
-                        messages_in: 10,
-                        messages_out: 20,
-                        local_delivered: 5,
-                        bytes_exchanged: 900,
-                        cost: 77,
-                        elapsed: Duration::from_nanos(1234),
-                    },
+                    WorkerSuperstepMetrics::from_array([4, 10, 20, 5, 900, 77, 1234]),
                     WorkerSuperstepMetrics::default(),
                 ],
             },
@@ -776,17 +685,7 @@ mod tests {
                 expand: ExpandStats { expanded: 9, results: 3, cost: 12, ..Default::default() },
                 instances: Some(vec![vec![1, 2, 3], vec![4, 5, 6]]),
                 supersteps: 4,
-                net: vec![(
-                    0,
-                    NetSuperstepMetrics {
-                        frames_sent: 1,
-                        frames_received: 2,
-                        wire_bytes_sent: 3,
-                        wire_bytes_received: 4,
-                        barrier_wait_nanos: 5,
-                        exchange_nanos: 6,
-                    },
-                )],
+                net: vec![(0, NetSuperstepMetrics::from_array([1, 2, 3, 4, 5, 6]))],
                 pool_exhausted: 0,
                 chunks_outstanding: 0,
             },
@@ -808,24 +707,8 @@ mod tests {
             superstep: 3,
             partitions: vec![2, 5],
             metrics: vec![
-                WorkerSuperstepMetrics {
-                    active_vertices: 11,
-                    messages_in: 12,
-                    messages_out: 13,
-                    local_delivered: 14,
-                    bytes_exchanged: 15,
-                    cost: 16,
-                    elapsed: Duration::from_nanos(17),
-                },
-                WorkerSuperstepMetrics {
-                    active_vertices: 21,
-                    messages_in: 22,
-                    messages_out: 23,
-                    local_delivered: 24,
-                    bytes_exchanged: 25,
-                    cost: 26,
-                    elapsed: Duration::from_nanos(27),
-                },
+                WorkerSuperstepMetrics::from_array([11, 12, 13, 14, 15, 16, 17]),
+                WorkerSuperstepMetrics::from_array([21, 22, 23, 24, 25, 26, 27]),
             ],
         };
         assert_eq!(
@@ -835,40 +718,10 @@ mod tests {
 
         let done = WorkerMsg::Done {
             attempt: 2,
-            expand: ExpandStats {
-                expanded: 101,
-                generated: 102,
-                results: 103,
-                pruned_injectivity: 104,
-                pruned_degree: 105,
-                pruned_order: 106,
-                pruned_connectivity: 107,
-                pruned_label: 108,
-                died_gray_check: 109,
-                died_no_candidates: 110,
-                combinations_examined: 111,
-                index_probes: 112,
-                cost: 113,
-                kernel_close: 114,
-                kernel_twohop: 115,
-                cmap_probes: 116,
-                cmap_hits: 117,
-                intersect_gallop: 118,
-                intersect_probe: 119,
-            },
+            expand: ExpandStats::from_array(std::array::from_fn(|i| 101 + i as u64)),
             instances: Some(vec![vec![1, 2, 3], vec![4, 5, 6]]),
             supersteps: 4,
-            net: vec![(
-                7,
-                NetSuperstepMetrics {
-                    frames_sent: 31,
-                    frames_received: 32,
-                    wire_bytes_sent: 33,
-                    wire_bytes_received: 34,
-                    barrier_wait_nanos: 35,
-                    exchange_nanos: 36,
-                },
-            )],
+            net: vec![(7, NetSuperstepMetrics::from_array([31, 32, 33, 34, 35, 36]))],
             pool_exhausted: 8,
             chunks_outstanding: -9,
         };
@@ -876,6 +729,53 @@ mod tests {
             done.to_json().to_string(),
             r#"{"type":"done","attempt":2,"expand":[101,102,103,104,105,106,107,108,109,110,111,112,113,114,115,116,117,118,119],"instances":[[1,2,3],[4,5,6]],"supersteps":4,"net":[[7,31,32,33,34,35,36]],"pool_exhausted":8,"chunks_outstanding":-9}"#
         );
+    }
+
+    /// A number that does not fit its field is an error, never a
+    /// truncated alias of a valid id; and no `done` field is optional.
+    #[test]
+    fn out_of_range_and_missing_numbers_are_rejected() {
+        let worker = |line: &str| WorkerMsg::from_json(&Json::parse(line).unwrap());
+        let coord = |line: &str| CoordMsg::from_json(&Json::parse(line).unwrap());
+        // 4294967297 = 2^32 + 1 used to decode as 1.
+        assert!(worker(
+            r#"{"type":"shard","attempt":0,"superstep":2,"partition":4294967297,"bytes":""}"#
+        )
+        .is_err());
+        assert!(worker(
+            r#"{"type":"shard","attempt":4294967297,"superstep":2,"partition":1,"bytes":""}"#
+        )
+        .is_err());
+        assert!(worker(
+            r#"{"type":"barrier","attempt":0,"superstep":4294967297,"partitions":[],"metrics":[]}"#
+        )
+        .is_err());
+        assert!(worker(r#"{"type":"barrier","attempt":0,"superstep":1,"partitions":[4294967297],"metrics":[[0,0,0,0,0,0,0]]}"#).is_err());
+        assert!(coord(r#"{"type":"proceed","attempt":0,"superstep":4294967297,"in_flight":0}"#)
+            .is_err());
+        assert!(coord(r#"{"type":"welcome","proc":4294967297}"#).is_err());
+        // A counter array of the wrong length names the table's length.
+        let err = worker(
+            r#"{"type":"barrier","attempt":0,"superstep":1,"partitions":[0],"metrics":[[0,0,0]]}"#,
+        );
+        assert_eq!(
+            err.unwrap_err(),
+            format!("worker metrics wants {} numbers", WorkerSuperstepMetrics::LEN)
+        );
+        let done = WorkerMsg::Done {
+            attempt: 0,
+            expand: ExpandStats::default(),
+            instances: None,
+            supersteps: 1,
+            net: vec![(7, NetSuperstepMetrics::default())],
+            pool_exhausted: 0,
+            chunks_outstanding: 0,
+        }
+        .to_json()
+        .to_string();
+        assert!(worker(&done).is_ok());
+        assert!(worker(&done.replace("[[7,", "[[4294967297,")).is_err(), "net superstep");
+        assert!(worker(&done.replace(r#","chunks_outstanding":0"#, "")).is_err(), "no default");
     }
 
     #[test]

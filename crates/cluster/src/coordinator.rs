@@ -39,7 +39,9 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use psgl_bsp::{EngineMetrics, NetSuperstepMetrics, SuperstepMetrics, WorkerSuperstepMetrics};
+use psgl_bsp::{
+    CarriedCounters, EngineMetrics, NetSuperstepMetrics, SuperstepMetrics, WorkerSuperstepMetrics,
+};
 use psgl_core::{assemble_run_stats, ExpandStats, RunStats};
 use psgl_graph::VertexId;
 use psgl_obs::Value as TraceValue;
@@ -750,8 +752,8 @@ fn aggregate(
     let metrics = EngineMetrics {
         supersteps: steps,
         wall_time: started.elapsed(),
-        pool_exhausted,
         chunks_outstanding,
+        carried: CarriedCounters { pool_exhausted, ..Default::default() },
         ..EngineMetrics::default()
     };
     let stats = assemble_run_stats(expand, &metrics);

@@ -31,7 +31,6 @@ use psgl_bsp::{
 use psgl_graph::hash::FxHasher;
 use psgl_graph::VertexId;
 use std::hash::Hasher;
-use std::time::Duration;
 
 const MAGIC: &[u8; 8] = b"PSGLCKP2";
 const SHARD_MAGIC: &[u8; 8] = b"PSGLSHD1";
@@ -198,31 +197,14 @@ impl Checkpoint {
         let mut p = BytesMut::new();
         put_guard(&mut p, &self.guard);
         p.put_u32_le(self.superstep);
-        p.put_u64_le(self.carried.pool_exhausted);
-        p.put_u64_le(self.carried.spill_chunks);
-        p.put_u64_le(self.carried.spill_bytes);
-        p.put_u64_le(self.carried.spill_stall_nanos);
-        p.put_u64_le(self.carried.readmitted_chunks);
-        p.put_u64_le(self.carried.spill_write_failures);
-        p.put_u64_le(self.carried.chunks_live_peak as u64);
+        put_counters(&mut p, self.carried.to_array());
         p.put_u32_le(self.prior_supersteps.len() as u32);
         for s in &self.prior_supersteps {
             p.put_u32_le(s.workers.len() as u32);
             for w in &s.workers {
-                p.put_u64_le(w.active_vertices);
-                p.put_u64_le(w.messages_in);
-                p.put_u64_le(w.messages_out);
-                p.put_u64_le(w.local_delivered);
-                p.put_u64_le(w.bytes_exchanged);
-                p.put_u64_le(w.cost);
-                p.put_u64_le(w.elapsed.as_nanos() as u64);
+                put_counters(&mut p, w.to_array());
             }
-            p.put_u64_le(s.net.frames_sent);
-            p.put_u64_le(s.net.frames_received);
-            p.put_u64_le(s.net.wire_bytes_sent);
-            p.put_u64_le(s.net.wire_bytes_received);
-            p.put_u64_le(s.net.barrier_wait_nanos);
-            p.put_u64_le(s.net.exchange_nanos);
+            put_counters(&mut p, s.net.to_array());
             p.put_u64_le(s.spill_stall_nanos);
         }
         for w in &self.workers {
@@ -243,39 +225,16 @@ impl Checkpoint {
         let workers = guard.workers;
         let harvest_mode = guard.harvest_mode;
         let superstep = r.u32()?;
-        let carried = CarriedCounters {
-            pool_exhausted: r.u64()?,
-            spill_chunks: r.u64()?,
-            spill_bytes: r.u64()?,
-            spill_stall_nanos: r.u64()?,
-            readmitted_chunks: r.u64()?,
-            spill_write_failures: r.u64()?,
-            chunks_live_peak: r.u64()? as i64,
-        };
+        let carried = CarriedCounters::from_array(r.counters()?);
         let n_supersteps = r.u32()? as usize;
         let mut prior_supersteps = Vec::new();
         for _ in 0..n_supersteps {
             let n_workers = r.u32()? as usize;
             let mut ws = Vec::new();
             for _ in 0..n_workers {
-                ws.push(WorkerSuperstepMetrics {
-                    active_vertices: r.u64()?,
-                    messages_in: r.u64()?,
-                    messages_out: r.u64()?,
-                    local_delivered: r.u64()?,
-                    bytes_exchanged: r.u64()?,
-                    cost: r.u64()?,
-                    elapsed: Duration::from_nanos(r.u64()?),
-                });
+                ws.push(WorkerSuperstepMetrics::from_array(r.counters()?));
             }
-            let net = NetSuperstepMetrics {
-                frames_sent: r.u64()?,
-                frames_received: r.u64()?,
-                wire_bytes_sent: r.u64()?,
-                wire_bytes_received: r.u64()?,
-                barrier_wait_nanos: r.u64()?,
-                exchange_nanos: r.u64()?,
-            };
+            let net = NetSuperstepMetrics::from_array(r.counters()?);
             let spill_stall_nanos = r.u64()?;
             prior_supersteps.push(SuperstepMetrics { workers: ws, net, spill_stall_nanos });
         }
@@ -430,7 +389,7 @@ fn put_worker(p: &mut BytesMut, w: &WorkerCheckpoint) {
     for &load in &w.distributor.workload {
         p.put_f64_le(load);
     }
-    put_stats(p, &w.stats);
+    put_counters(p, w.stats.to_array());
     p.put_u64_le(w.emitted_this_superstep);
     p.put_u32_le(w.emitted_superstep);
     p.put_u8(u8::from(w.failed));
@@ -461,7 +420,7 @@ fn read_worker(r: &mut Reader<'_>, harvest_mode: u8) -> Result<WorkerCheckpoint,
     for _ in 0..n_load {
         workload.push(r.f64()?);
     }
-    let stats = read_stats(r)?;
+    let stats = ExpandStats::from_array(r.counters()?);
     let emitted_this_superstep = r.u64()?;
     let emitted_superstep = r.u32()?;
     let failed = r.u8()? != 0;
@@ -587,54 +546,13 @@ fn decode_strategy(tag: u8, alpha: f64) -> Result<Strategy, CheckpointError> {
     }
 }
 
-fn put_stats(p: &mut BytesMut, s: &ExpandStats) {
-    for v in [
-        s.expanded,
-        s.generated,
-        s.results,
-        s.pruned_injectivity,
-        s.pruned_degree,
-        s.pruned_order,
-        s.pruned_connectivity,
-        s.pruned_label,
-        s.died_gray_check,
-        s.died_no_candidates,
-        s.combinations_examined,
-        s.index_probes,
-        s.cost,
-        s.kernel_close,
-        s.kernel_twohop,
-        s.cmap_probes,
-        s.cmap_hits,
-        s.intersect_gallop,
-        s.intersect_probe,
-    ] {
+/// Writes a `counters!` table as consecutive little-endian words, in
+/// declaration order. The payload carries no count: a table that grows or
+/// shrinks changes the layout and needs a new magic.
+fn put_counters<const N: usize>(p: &mut BytesMut, values: [u64; N]) {
+    for v in values {
         p.put_u64_le(v);
     }
-}
-
-fn read_stats(r: &mut Reader<'_>) -> Result<ExpandStats, CheckpointError> {
-    Ok(ExpandStats {
-        expanded: r.u64()?,
-        generated: r.u64()?,
-        results: r.u64()?,
-        pruned_injectivity: r.u64()?,
-        pruned_degree: r.u64()?,
-        pruned_order: r.u64()?,
-        pruned_connectivity: r.u64()?,
-        pruned_label: r.u64()?,
-        died_gray_check: r.u64()?,
-        died_no_candidates: r.u64()?,
-        combinations_examined: r.u64()?,
-        index_probes: r.u64()?,
-        cost: r.u64()?,
-        kernel_close: r.u64()?,
-        kernel_twohop: r.u64()?,
-        cmap_probes: r.u64()?,
-        cmap_hits: r.u64()?,
-        intersect_gallop: r.u64()?,
-        intersect_probe: r.u64()?,
-    })
 }
 
 /// Bounds-checked little-endian cursor; every read can fail instead of
@@ -669,6 +587,15 @@ impl Reader<'_> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 
+    /// Inverse of [`put_counters`]; `N` is the receiving table's `LEN`.
+    fn counters<const N: usize>(&mut self) -> Result<[u64; N], CheckpointError> {
+        let mut values = [0u64; N];
+        for v in &mut values {
+            *v = self.u64()?;
+        }
+        Ok(values)
+    }
+
     fn u128(&mut self) -> Result<u128, CheckpointError> {
         Ok(u128::from_le_bytes(self.take(16)?.try_into().expect("16 bytes")))
     }
@@ -697,36 +624,13 @@ mod tests {
                 harvest_mode: 1,
             },
             superstep: 3,
-            carried: CarriedCounters {
-                pool_exhausted: 1,
-                spill_chunks: 4,
-                spill_bytes: 8192,
-                spill_stall_nanos: 555,
-                readmitted_chunks: 4,
-                spill_write_failures: 2,
-                chunks_live_peak: 17,
-            },
+            carried: CarriedCounters::from_array([1, 4, 8192, 555, 4, 2, 17]),
             prior_supersteps: vec![SuperstepMetrics {
                 workers: vec![
-                    WorkerSuperstepMetrics {
-                        active_vertices: 5,
-                        messages_in: 2,
-                        messages_out: 9,
-                        local_delivered: 3,
-                        bytes_exchanged: 640,
-                        cost: 11,
-                        elapsed: Duration::from_nanos(1234),
-                    },
+                    WorkerSuperstepMetrics::from_array([5, 2, 9, 3, 640, 11, 1234]),
                     WorkerSuperstepMetrics::default(),
                 ],
-                net: NetSuperstepMetrics {
-                    frames_sent: 6,
-                    frames_received: 5,
-                    wire_bytes_sent: 4096,
-                    wire_bytes_received: 3072,
-                    barrier_wait_nanos: 777,
-                    exchange_nanos: 888,
-                },
+                net: NetSuperstepMetrics::from_array([6, 5, 4096, 3072, 777, 888]),
                 spill_stall_nanos: 321,
             }],
             workers: vec![
@@ -766,27 +670,7 @@ mod tests {
     #[test]
     fn checkpoint_and_shard_bytes_are_pinned() {
         let mut cp = sample();
-        cp.workers[0].stats = ExpandStats {
-            expanded: 101,
-            generated: 102,
-            results: 103,
-            pruned_injectivity: 104,
-            pruned_degree: 105,
-            pruned_order: 106,
-            pruned_connectivity: 107,
-            pruned_label: 108,
-            died_gray_check: 109,
-            died_no_candidates: 110,
-            combinations_examined: 111,
-            index_probes: 112,
-            cost: 113,
-            kernel_close: 114,
-            kernel_twohop: 115,
-            cmap_probes: 116,
-            cmap_hits: 117,
-            intersect_gallop: 118,
-            intersect_probe: 119,
-        };
+        cp.workers[0].stats = ExpandStats::from_array(std::array::from_fn(|i| 101 + i as u64));
         let bytes = cp.to_bytes();
         assert_eq!(&bytes[..8], b"PSGLCKP2");
         assert_eq!((bytes.len(), checksum_word(&bytes)), (913, 0x149E2D155993FA7A));

@@ -723,6 +723,7 @@ fn restore_from_shards(
 /// metrics. Public so the cluster coordinator can aggregate worker
 /// metrics into the same stats shape a single-process run reports.
 pub fn assemble_run_stats(expand: ExpandStats, metrics: &EngineMetrics) -> RunStats {
+    let carried = &metrics.carried;
     RunStats {
         expand,
         per_worker_cost: metrics.per_worker_cost(),
@@ -737,13 +738,13 @@ pub fn assemble_run_stats(expand: ExpandStats, metrics: &EngineMetrics) -> RunSt
             .iter()
             .map(|s| s.workers.iter().map(|w| w.messages_in).sum())
             .collect(),
-        pool_exhausted: metrics.pool_exhausted,
+        pool_exhausted: carried.pool_exhausted,
         chunks_outstanding: metrics.chunks_outstanding,
-        chunks_live_peak: metrics.chunks_live_peak,
-        spill_chunks: metrics.spill_chunks,
-        spill_bytes: metrics.spill_bytes,
-        spill_stall_ms: metrics.spill_stall_nanos / 1_000_000,
-        readmitted_chunks: metrics.readmitted_chunks,
+        chunks_live_peak: carried.chunks_live_peak as i64,
+        spill_chunks: carried.spill_chunks,
+        spill_bytes: carried.spill_bytes,
+        spill_stall_ms: carried.spill_stall_nanos / 1_000_000,
+        readmitted_chunks: carried.readmitted_chunks,
         wall_time: metrics.wall_time,
         cost_imbalance: metrics.cost_imbalance(),
         frames_sent: metrics.total_frames_sent(),
@@ -755,7 +756,7 @@ pub fn assemble_run_stats(expand: ExpandStats, metrics: &EngineMetrics) -> RunSt
         compute_nanos_per_superstep: metrics.compute_nanos_per_superstep(),
         exchange_nanos_per_superstep: metrics.exchange_nanos_per_superstep(),
         spill_stall_per_superstep: metrics.spill_stall_per_superstep(),
-        spill_write_failures: metrics.spill_write_failures,
+        spill_write_failures: carried.spill_write_failures,
     }
 }
 
@@ -960,7 +961,7 @@ fn run_engine_seeded(
             let checkpoint = c.frontier.map(|frontier| Checkpoint {
                 guard: guard(),
                 superstep: c.superstep,
-                carried: CarriedCounters::of(&c.metrics),
+                carried: c.metrics.carried,
                 prior_supersteps: c.metrics.supersteps,
                 workers: c.worker_states.iter().map(snapshot_worker).collect(),
                 frontier,

@@ -5,77 +5,37 @@
 //! Figure 5 reports per-worker load, and Section 4.4's cost metrics are
 //! accumulated in Equation 2 units.
 
-/// Counters accumulated while expanding Gpsis (one per worker, merged at
-/// the end of a run).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ExpandStats {
-    /// Gpsis expanded (Algorithm 1 invocations).
-    pub expanded: u64,
-    /// New Gpsis generated (including complete instances).
-    pub generated: u64,
-    /// Complete subgraph instances found.
-    pub results: u64,
-    /// Candidates rejected: data vertex already used (injectivity).
-    pub pruned_injectivity: u64,
-    /// Candidates rejected by the degree rule.
-    pub pruned_degree: u64,
-    /// Candidates rejected by the partial order from automorphism breaking.
-    pub pruned_order: u64,
-    /// Candidates rejected by the light-weight edge index (rule 2).
-    pub pruned_connectivity: u64,
-    /// Candidates rejected by a label mismatch (labeled matching only).
-    pub pruned_label: u64,
-    /// Gpsis that died because a GRAY edge check failed (Algorithm 2).
-    pub died_gray_check: u64,
-    /// Gpsis that died with an empty candidate set (Algorithm 5).
-    pub died_no_candidates: u64,
-    /// Candidate combinations examined during the cartesian-product step
-    /// (including ones pruned before becoming Gpsis) — the enumeration
-    /// work term of Equation 2.
-    pub combinations_examined: u64,
-    /// Edge-index probes issued.
-    pub index_probes: u64,
-    /// Accumulated cost in Equation 2 units.
-    pub cost: u64,
-    /// Expansions handled by the connectivity-map closing kernel.
-    pub kernel_close: u64,
-    /// Expansions handled by the two-hop (wedge-join) closing kernel.
-    pub kernel_twohop: u64,
-    /// Connectivity-map lookups performed by compiled kernels.
-    pub cmap_probes: u64,
-    /// Of `cmap_probes`, lookups that found the required connectivity.
-    pub cmap_hits: u64,
-    /// Exact adjacency checks taken down the galloping-merge path.
-    pub intersect_gallop: u64,
-    /// Adjacency intersections taken down the cmap mark-and-probe path
-    /// (one per marked adjacency list).
-    pub intersect_probe: u64,
+psgl_obs::counters! {
+    /// Counters accumulated while expanding Gpsis (one per worker, merged at
+    /// the end of a run). Declaration order is the order of the checkpoint
+    /// payload, the cluster `done` array and the replay fingerprints.
+    pub struct ExpandStats {
+        expanded: "Gpsis expanded (Algorithm 1 invocations).",
+        generated: "New Gpsis generated (including complete instances).",
+        results: "Complete subgraph instances found.",
+        pruned_injectivity: "Candidates rejected: data vertex already used (injectivity).",
+        pruned_degree: "Candidates rejected by the degree rule.",
+        pruned_order: "Candidates rejected by the partial order from automorphism breaking.",
+        pruned_connectivity: "Candidates rejected by the light-weight edge index (rule 2).",
+        pruned_label: "Candidates rejected by a label mismatch (labeled matching only).",
+        died_gray_check: "Gpsis that died because a GRAY edge check failed (Algorithm 2).",
+        died_no_candidates: "Gpsis that died with an empty candidate set (Algorithm 5).",
+        combinations_examined: "Candidate combinations examined during the cartesian-product \
+            step (including ones pruned before becoming Gpsis) — the enumeration work term \
+            of Equation 2.",
+        index_probes: "Edge-index probes issued.",
+        cost: "Accumulated cost in Equation 2 units.",
+        kernel_close: "Expansions handled by the connectivity-map closing kernel.",
+        kernel_twohop: "Expansions handled by the two-hop (wedge-join) closing kernel.",
+        cmap_probes: "Connectivity-map lookups performed by compiled kernels.",
+        cmap_hits: "Of `cmap_probes`, lookups that found the required connectivity.",
+        intersect_gallop: "Exact adjacency checks taken down the galloping-merge path.",
+        intersect_probe: "Adjacency intersections taken down the cmap mark-and-probe path \
+            (one per marked adjacency list).",
+    }
 }
 
 impl ExpandStats {
-    /// Merges another worker's counters into this one.
-    pub fn merge(&mut self, other: &ExpandStats) {
-        self.expanded += other.expanded;
-        self.generated += other.generated;
-        self.results += other.results;
-        self.pruned_injectivity += other.pruned_injectivity;
-        self.pruned_degree += other.pruned_degree;
-        self.pruned_order += other.pruned_order;
-        self.pruned_connectivity += other.pruned_connectivity;
-        self.pruned_label += other.pruned_label;
-        self.died_gray_check += other.died_gray_check;
-        self.died_no_candidates += other.died_no_candidates;
-        self.combinations_examined += other.combinations_examined;
-        self.index_probes += other.index_probes;
-        self.cost += other.cost;
-        self.kernel_close += other.kernel_close;
-        self.kernel_twohop += other.kernel_twohop;
-        self.cmap_probes += other.cmap_probes;
-        self.cmap_hits += other.cmap_hits;
-        self.intersect_gallop += other.intersect_gallop;
-        self.intersect_probe += other.intersect_probe;
-    }
-
     /// Total candidates pruned by any rule.
     pub fn total_pruned(&self) -> u64 {
         self.pruned_injectivity
@@ -189,44 +149,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn merge_accumulates_every_field() {
-        let mut a = ExpandStats { expanded: 1, generated: 2, results: 3, ..Default::default() };
-        let b = ExpandStats {
-            expanded: 10,
-            generated: 20,
-            results: 30,
+    fn expand_stats_is_one_table() {
+        psgl_obs::assert_counter_table!(ExpandStats);
+        let pruned = ExpandStats {
             pruned_injectivity: 1,
             pruned_degree: 2,
             pruned_order: 3,
             pruned_connectivity: 4,
             pruned_label: 9,
-            died_gray_check: 5,
-            died_no_candidates: 6,
-            combinations_examined: 11,
-            index_probes: 7,
-            cost: 8,
-            kernel_close: 12,
-            kernel_twohop: 13,
-            cmap_probes: 14,
-            cmap_hits: 15,
-            intersect_gallop: 16,
-            intersect_probe: 17,
+            ..Default::default()
         };
-        a.merge(&b);
-        assert_eq!(a.expanded, 11);
-        assert_eq!(a.generated, 22);
-        assert_eq!(a.results, 33);
-        assert_eq!(a.total_pruned(), 19);
-        assert_eq!(a.cost, 8);
-        assert_eq!(a.index_probes, 7);
-        assert_eq!(a.combinations_examined, 11);
-        assert_eq!(a.died_gray_check, 5);
-        assert_eq!(a.died_no_candidates, 6);
-        assert_eq!(a.kernel_close, 12);
-        assert_eq!(a.kernel_twohop, 13);
-        assert_eq!(a.cmap_probes, 14);
-        assert_eq!(a.cmap_hits, 15);
-        assert_eq!(a.intersect_gallop, 16);
-        assert_eq!(a.intersect_probe, 17);
+        assert_eq!(pruned.total_pruned(), 19);
     }
 }

@@ -17,7 +17,11 @@
 //! * [`expo`] + [`slowlog`] — Prometheus text exposition of a registry
 //!   snapshot, and a threshold-triggered slow-query log carrying the
 //!   per-superstep compute / barrier / spill-stall / exchange timeline.
+//!
+//! Plus [`counters!`]: the table macro every counter struct of the stack
+//! is declared through, so each counter is named once.
 
+mod counters;
 pub mod expo;
 pub mod metrics;
 pub mod recorder;

@@ -10,157 +10,163 @@
 //! one source of truth.
 
 use crate::json::Json;
-use psgl_core::stats::RunStats;
+use psgl_core::stats::{ExpandStats, RunStats};
 use psgl_obs::{Counter, Gauge, Registry};
 use std::time::Instant;
 
-/// Monotonic counters plus the queue-depth and running gauges, all backed
-/// by registry handles (relaxed atomics underneath — these are
-/// statistics, not synchronization).
-pub struct ServerStats {
-    started: Instant,
-    registry: Registry,
-    /// Connections accepted.
-    pub connections: Counter,
-    /// Requests parsed (any verb).
-    pub requests: Counter,
-    /// Queries (count/list) answered successfully.
-    pub queries_ok: Counter,
-    /// Queries rejected at admission (`overloaded`).
-    pub rejected_overloaded: Counter,
-    /// Queries aborted by their Gpsi budget (`budget_exceeded`).
-    pub rejected_budget: Counter,
-    /// Queries failed for any other reason.
-    pub queries_failed: Counter,
-    /// Queries cancelled (explicit cancel, client disconnect, deadline,
-    /// or budget-with-checkpoint), resumable or not.
-    pub cancelled: Counter,
-    /// Edge batches applied via the `mutate` verb.
-    pub mutations: Counter,
-    /// Jobs currently waiting in the admission queue (gauge).
-    pub queue_depth: Gauge,
-    /// Jobs currently executing on the worker pool (gauge).
-    pub running: Gauge,
-    /// Superstep slices executed by the preemptive scheduler (a query
-    /// that never yields still counts one).
-    pub slices: Counter,
-    /// Slices that ended in preemption — the run yielded its worker at a
-    /// barrier and went back to the run queue.
-    pub preemptions: Counter,
-    /// Pages streamed to `stream: true` list clients.
-    pub pages_streamed: Counter,
-    /// Total Gpsis generated across executed queries (cache hits add 0).
-    pub gpsis_generated: Counter,
-    /// Total candidates pruned across executed queries.
-    pub candidates_pruned: Counter,
-    /// Total edge-index probes across executed queries.
-    pub index_probes: Counter,
-    /// Expansions served by the compiled close kernel.
-    pub kernel_close: Counter,
-    /// Expansions served by the compiled two-hop kernel.
-    pub kernel_twohop: Counter,
-    /// Connectivity-map probes across executed queries.
-    pub cmap_probes: Counter,
-    /// Of `cmap_probes`, probes that confirmed adjacency.
-    pub cmap_hits: Counter,
-    /// Total Gpsi messages exchanged across executed queries.
-    pub messages_total: Counter,
-    /// Of `messages_total`, messages delivered on the sending worker's
-    /// local fast path (never crossed the engine's exchange).
-    pub messages_local: Counter,
-    /// Wire frames sent by distributed exchanges (0 for purely
-    /// in-process runs — the shared-memory plane sends no frames).
-    pub frames_sent: Counter,
-    /// Wire frames received by distributed exchanges.
-    pub frames_received: Counter,
-    /// Encoded bytes shipped by distributed exchanges.
-    pub wire_bytes_sent: Counter,
-    /// Encoded bytes received by distributed exchanges.
-    pub wire_bytes_received: Counter,
-    /// Nanoseconds spent blocked on superstep barriers.
-    pub barrier_wait_nanos: Counter,
-    /// Times an engine chunk pool hit its live-chunk cap across executed
-    /// queries (each is either a disk eviction or a degraded in-place
-    /// grow).
-    pub pool_exhausted: Counter,
-    /// High-water mark of simultaneously live pool chunks over any single
-    /// executed query — the worst per-run memory footprint in chunk units.
-    pub chunks_live_peak: Counter,
-    /// Chunks evicted to the disk spill tier across executed queries.
-    pub spill_chunks: Counter,
-    /// Framed bytes written to spill blobs across executed queries.
-    pub spill_bytes: Counter,
-    /// Milliseconds queries spent stalled in spill I/O.
-    pub spill_stall_ms: Counter,
-    /// Chunks' worth of spilled tuples re-admitted from disk.
-    pub readmitted_chunks: Counter,
-    /// Spill-blob writes that failed (budget, injected fault, or real
-    /// I/O error) and were served from the degraded resident path.
-    pub spill_write_failures: Counter,
-    /// Giant queries admitted as memory-bounded spilling runs instead of
-    /// being rejected `overloaded`/`budget_exceeded`.
-    pub degraded_to_spill: Counter,
+/// Declares [`ServerStats`] from one table. A row is
+/// `field: Kind = "help"`: the field name is also the `stats` key and the
+/// registry series suffix (`psgl_<field>`), `Kind` is `Counter` or `Gauge`,
+/// and the help text is both the exposition `# HELP` line and the field's
+/// doc (doc comments on a row add detail below it). Series register in
+/// row order.
+macro_rules! server_stats {
+    ($($(#[$detail:meta])* $name:ident: $kind:ident = $help:literal,)+) => {
+        /// Monotonic counters plus the queue-depth and running gauges, all
+        /// backed by registry handles (relaxed atomics underneath — these
+        /// are statistics, not synchronization).
+        pub struct ServerStats {
+            started: Instant,
+            registry: Registry,
+            $(#[doc = $help] $(#[$detail])* pub $name: $kind,)+
+        }
+
+        impl Default for ServerStats {
+            fn default() -> Self {
+                let registry = Registry::new();
+                ServerStats {
+                    started: Instant::now(),
+                    $($name: server_stats!(
+                        @register registry $kind concat!("psgl_", stringify!($name)), $help
+                    ),)+
+                    registry,
+                }
+            }
+        }
+
+        impl ServerStats {
+            /// Current value of the handle named `key`.
+            fn value(&self, key: &str) -> Option<u64> {
+                match key {
+                    $(stringify!($name) => Some(self.$name.get()),)+
+                    _ => None,
+                }
+            }
+
+            /// Adds `n` to the handle named `key`, if there is one.
+            fn add(&self, key: &str, n: u64) {
+                match key {
+                    $(stringify!($name) => self.$name.add(n),)+
+                    _ => {}
+                }
+            }
+        }
+    };
+    (@register $r:ident Counter $name:expr, $help:expr) => { $r.counter($name, $help) };
+    (@register $r:ident Gauge $name:expr, $help:expr) => { $r.gauge($name, $help) };
 }
 
-impl Default for ServerStats {
-    fn default() -> Self {
-        let r = Registry::new();
-        ServerStats {
-            started: Instant::now(),
-            connections: r.counter("psgl_connections", "Connections accepted."),
-            requests: r.counter("psgl_requests", "Requests parsed (any verb)."),
-            queries_ok: r.counter("psgl_queries_ok", "Queries answered successfully."),
-            rejected_overloaded: r
-                .counter("psgl_rejected_overloaded", "Queries rejected at admission."),
-            rejected_budget: r
-                .counter("psgl_rejected_budget", "Queries aborted by their Gpsi budget."),
-            queries_failed: r.counter("psgl_queries_failed", "Queries failed for other reasons."),
-            cancelled: r.counter("psgl_cancelled", "Queries cancelled, resumable or not."),
-            mutations: r.counter("psgl_mutations", "Edge batches applied via mutate."),
-            queue_depth: r.gauge("psgl_queue_depth", "Jobs waiting in the admission queue."),
-            running: r.gauge("psgl_running", "Jobs executing on the worker pool."),
-            slices: r.counter("psgl_slices", "Superstep slices executed by the scheduler."),
-            preemptions: r.counter("psgl_preemptions", "Slices that ended in preemption."),
-            pages_streamed: r.counter("psgl_pages_streamed", "Pages streamed to list clients."),
-            gpsis_generated: r
-                .counter("psgl_gpsis_generated", "Gpsis generated across executed queries."),
-            candidates_pruned: r
-                .counter("psgl_candidates_pruned", "Candidates pruned across executed queries."),
-            index_probes: r.counter("psgl_index_probes", "Edge-index probes."),
-            kernel_close: r.counter("psgl_kernel_close", "Expansions via the close kernel."),
-            kernel_twohop: r.counter("psgl_kernel_twohop", "Expansions via the two-hop kernel."),
-            cmap_probes: r.counter("psgl_cmap_probes", "Connectivity-map probes."),
-            cmap_hits: r.counter("psgl_cmap_hits", "Connectivity-map probes that hit."),
-            messages_total: r.counter("psgl_messages_total", "Gpsi messages exchanged."),
-            messages_local: r
-                .counter("psgl_messages_local", "Messages delivered on the local fast path."),
-            frames_sent: r.counter("psgl_frames_sent", "Wire frames sent by exchanges."),
-            frames_received: r.counter("psgl_frames_received", "Wire frames received."),
-            wire_bytes_sent: r.counter("psgl_wire_bytes_sent", "Encoded bytes shipped."),
-            wire_bytes_received: r.counter("psgl_wire_bytes_received", "Encoded bytes received."),
-            barrier_wait_nanos: r
-                .counter("psgl_barrier_wait_nanos", "Nanoseconds blocked on barriers."),
-            pool_exhausted: r
-                .counter("psgl_pool_exhausted", "Times a chunk pool hit its live-chunk cap."),
-            chunks_live_peak: r
-                .counter("psgl_chunks_live_peak", "High-water mark of live pool chunks."),
-            spill_chunks: r.counter("psgl_spill_chunks", "Chunks evicted to the spill tier."),
-            spill_bytes: r.counter("psgl_spill_bytes", "Framed bytes written to spill blobs."),
-            spill_stall_ms: r.counter("psgl_spill_stall_ms", "Milliseconds stalled in spill I/O."),
-            readmitted_chunks: r
-                .counter("psgl_readmitted_chunks", "Spilled chunks re-admitted from disk."),
-            spill_write_failures: r.counter(
-                "psgl_spill_write_failures",
-                "Spill writes that failed and degraded to the resident path.",
-            ),
-            degraded_to_spill: r.counter(
-                "psgl_degraded_to_spill",
-                "Giant queries admitted as degraded spilling runs.",
-            ),
-            registry: r,
-        }
-    }
+server_stats! {
+    connections: Counter = "Connections accepted.",
+    requests: Counter = "Requests parsed (any verb).",
+    /// Counts `count`/`list` only.
+    queries_ok: Counter = "Queries answered successfully.",
+    /// The `overloaded` reply.
+    rejected_overloaded: Counter = "Queries rejected at admission.",
+    /// The `budget_exceeded` reply.
+    rejected_budget: Counter = "Queries aborted by their Gpsi budget.",
+    queries_failed: Counter = "Queries failed for other reasons.",
+    /// Explicit cancel, client disconnect, deadline, or
+    /// budget-with-checkpoint.
+    cancelled: Counter = "Queries cancelled, resumable or not.",
+    mutations: Counter = "Edge batches applied via mutate.",
+    queue_depth: Gauge = "Jobs waiting in the admission queue.",
+    running: Gauge = "Jobs executing on the worker pool.",
+    /// A query that never yields still counts one.
+    slices: Counter = "Superstep slices executed by the scheduler.",
+    /// The run yielded its worker at a barrier and went back to the run
+    /// queue.
+    preemptions: Counter = "Slices that ended in preemption.",
+    /// `stream: true` list clients only.
+    pages_streamed: Counter = "Pages streamed to list clients.",
+    /// Cache hits add 0.
+    gpsis_generated: Counter = "Gpsis generated across executed queries.",
+    candidates_pruned: Counter = "Candidates pruned across executed queries.",
+    index_probes: Counter = "Edge-index probes.",
+    kernel_close: Counter = "Expansions via the close kernel.",
+    kernel_twohop: Counter = "Expansions via the two-hop kernel.",
+    cmap_probes: Counter = "Connectivity-map probes.",
+    cmap_hits: Counter = "Connectivity-map probes that hit.",
+    messages_total: Counter = "Gpsi messages exchanged.",
+    /// Of `messages_total`, messages that never crossed the engine's
+    /// exchange.
+    messages_local: Counter = "Messages delivered on the local fast path.",
+    /// 0 for purely in-process runs — the shared-memory plane sends no
+    /// frames.
+    frames_sent: Counter = "Wire frames sent by exchanges.",
+    frames_received: Counter = "Wire frames received.",
+    wire_bytes_sent: Counter = "Encoded bytes shipped.",
+    wire_bytes_received: Counter = "Encoded bytes received.",
+    barrier_wait_nanos: Counter = "Nanoseconds blocked on barriers.",
+    /// Each is either a disk eviction or a degraded in-place grow.
+    pool_exhausted: Counter = "Times a chunk pool hit its live-chunk cap.",
+    /// Over any single executed query — the worst per-run memory footprint
+    /// in chunk units.
+    chunks_live_peak: Counter = "High-water mark of live pool chunks.",
+    spill_chunks: Counter = "Chunks evicted to the spill tier.",
+    spill_bytes: Counter = "Framed bytes written to spill blobs.",
+    spill_stall_ms: Counter = "Milliseconds stalled in spill I/O.",
+    readmitted_chunks: Counter = "Spilled chunks re-admitted from disk.",
+    /// Budget, injected fault, or real I/O error.
+    spill_write_failures: Counter = "Spill writes that failed and degraded to the resident path.",
+    /// Instead of being rejected `overloaded`/`budget_exceeded`.
+    degraded_to_spill: Counter = "Giant queries admitted as degraded spilling runs.",
 }
+
+/// The `stats` verb's `server` object, in reply order: declared handles
+/// plus the two derived values [`ServerStats::render`] computes.
+const SERVER_KEYS: &[&str] = &[
+    "uptime_secs",
+    "connections",
+    "requests",
+    "queries_ok",
+    "rejected_overloaded",
+    "rejected_budget",
+    "queries_failed",
+    "cancelled",
+    "mutations",
+    "queue_depth",
+    "running",
+    "slices",
+    "preemptions",
+    "pages_streamed",
+    "gpsis_generated",
+    "candidates_pruned",
+    "index_probes",
+    "kernel_close",
+    "kernel_twohop",
+    "cmap_probes",
+    "cmap_hits",
+    "messages_total",
+    "local_delivery_ratio",
+    "pool_exhausted",
+    "chunks_live_peak",
+    "spill_chunks",
+    "spill_bytes",
+    "spill_stall_ms",
+    "readmitted_chunks",
+    "degraded_to_spill",
+];
+
+/// The `stats` verb's `cluster` object: the wire-plane counters
+/// distributed exchanges record into `RunStats`.
+const CLUSTER_KEYS: &[&str] = &[
+    "frames_sent",
+    "frames_received",
+    "wire_bytes_sent",
+    "wire_bytes_received",
+    "barrier_wait_nanos",
+];
 
 impl ServerStats {
     /// Creates zeroed stats with the uptime clock started now.
@@ -181,14 +187,14 @@ impl ServerStats {
 
     /// Folds one executed run's engine counters in (cache hits skip this —
     /// that is exactly what makes `gpsis_generated` a "new work" signal).
+    /// An [`ExpandStats`] counter folds into the handle of the same name,
+    /// if one is declared.
     pub fn record_run(&self, stats: &RunStats) {
+        for (name, n) in ExpandStats::NAMES.into_iter().zip(stats.expand.to_array()) {
+            self.add(name, n);
+        }
         self.gpsis_generated.add(stats.expand.generated);
         self.candidates_pruned.add(stats.expand.total_pruned());
-        self.index_probes.add(stats.expand.index_probes);
-        self.kernel_close.add(stats.expand.kernel_close);
-        self.kernel_twohop.add(stats.expand.kernel_twohop);
-        self.cmap_probes.add(stats.expand.cmap_probes);
-        self.cmap_hits.add(stats.expand.cmap_hits);
         self.messages_total.add(stats.messages);
         self.messages_local.add(stats.messages_local);
         self.frames_sent.add(stats.frames_sent);
@@ -207,51 +213,24 @@ impl ServerStats {
 
     /// Snapshot as the `stats` verb's `server` object.
     pub fn snapshot(&self) -> Json {
-        Json::obj([
-            ("uptime_secs", Json::from(self.uptime_secs())),
-            ("connections", Json::from(self.connections.get())),
-            ("requests", Json::from(self.requests.get())),
-            ("queries_ok", Json::from(self.queries_ok.get())),
-            ("rejected_overloaded", Json::from(self.rejected_overloaded.get())),
-            ("rejected_budget", Json::from(self.rejected_budget.get())),
-            ("queries_failed", Json::from(self.queries_failed.get())),
-            ("cancelled", Json::from(self.cancelled.get())),
-            ("mutations", Json::from(self.mutations.get())),
-            ("queue_depth", Json::from(self.queue_depth.get())),
-            ("running", Json::from(self.running.get())),
-            ("slices", Json::from(self.slices.get())),
-            ("preemptions", Json::from(self.preemptions.get())),
-            ("pages_streamed", Json::from(self.pages_streamed.get())),
-            ("gpsis_generated", Json::from(self.gpsis_generated.get())),
-            ("candidates_pruned", Json::from(self.candidates_pruned.get())),
-            ("index_probes", Json::from(self.index_probes.get())),
-            ("kernel_close", Json::from(self.kernel_close.get())),
-            ("kernel_twohop", Json::from(self.kernel_twohop.get())),
-            ("cmap_probes", Json::from(self.cmap_probes.get())),
-            ("cmap_hits", Json::from(self.cmap_hits.get())),
-            ("messages_total", Json::from(self.messages_total.get())),
-            ("local_delivery_ratio", Json::from(self.local_delivery_ratio())),
-            ("pool_exhausted", Json::from(self.pool_exhausted.get())),
-            ("chunks_live_peak", Json::from(self.chunks_live_peak.get())),
-            ("spill_chunks", Json::from(self.spill_chunks.get())),
-            ("spill_bytes", Json::from(self.spill_bytes.get())),
-            ("spill_stall_ms", Json::from(self.spill_stall_ms.get())),
-            ("readmitted_chunks", Json::from(self.readmitted_chunks.get())),
-            ("degraded_to_spill", Json::from(self.degraded_to_spill.get())),
-        ])
+        self.render(SERVER_KEYS)
     }
 
-    /// Snapshot as the `stats` verb's `cluster` object: the wire-plane
-    /// counters distributed exchanges record into `RunStats`. All zero
-    /// on a service that has only executed in-process queries.
+    /// Snapshot as the `stats` verb's `cluster` object. All zero on a
+    /// service that has only executed in-process queries.
     pub fn cluster_snapshot(&self) -> Json {
-        Json::obj([
-            ("frames_sent", Json::from(self.frames_sent.get())),
-            ("frames_received", Json::from(self.frames_received.get())),
-            ("wire_bytes_sent", Json::from(self.wire_bytes_sent.get())),
-            ("wire_bytes_received", Json::from(self.wire_bytes_received.get())),
-            ("barrier_wait_nanos", Json::from(self.barrier_wait_nanos.get())),
-        ])
+        self.render(CLUSTER_KEYS)
+    }
+
+    fn render(&self, keys: &[&'static str]) -> Json {
+        Json::obj(keys.iter().map(|&key| {
+            let value = match key {
+                "uptime_secs" => Json::from(self.uptime_secs()),
+                "local_delivery_ratio" => Json::from(self.local_delivery_ratio()),
+                _ => Json::from(self.value(key).expect("key lists name declared handles")),
+            };
+            (key, value)
+        }))
     }
 
     /// Fraction of exchanged messages that stayed on their sending worker
@@ -268,7 +247,6 @@ impl ServerStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psgl_core::stats::ExpandStats;
 
     #[test]
     fn record_run_accumulates_engine_counters() {

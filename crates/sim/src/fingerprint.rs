@@ -37,28 +37,7 @@ impl Mixer {
 /// Digest of a [`RunStats`], excluding the nondeterministic `wall_time`.
 pub fn fingerprint_stats(stats: &RunStats) -> u64 {
     let mut m = Mixer::new();
-    let e = &stats.expand;
-    for w in [
-        e.expanded,
-        e.generated,
-        e.results,
-        e.pruned_injectivity,
-        e.pruned_degree,
-        e.pruned_order,
-        e.pruned_connectivity,
-        e.pruned_label,
-        e.died_gray_check,
-        e.died_no_candidates,
-        e.combinations_examined,
-        e.index_probes,
-        e.cost,
-        e.kernel_close,
-        e.kernel_twohop,
-        e.cmap_probes,
-        e.cmap_hits,
-        e.intersect_gallop,
-        e.intersect_probe,
-    ] {
+    for w in stats.expand.to_array() {
         m.mix(w);
     }
     m.mix_slice(&stats.per_worker_cost);
@@ -97,6 +76,7 @@ pub fn fingerprint_run(result: &ListingResult) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psgl_core::stats::ExpandStats;
 
     #[test]
     fn wall_time_does_not_influence_the_digest() {
@@ -116,7 +96,12 @@ mod tests {
             fingerprint_stats(&s)
         };
         let reference = fingerprint_stats(&base);
-        assert_ne!(with(&|s| s.expand.results = 1), reference);
+        for slot in 0..ExpandStats::LEN {
+            let mut expand = [0; ExpandStats::LEN];
+            expand[slot] = 1;
+            let digest = with(&|s| s.expand = ExpandStats::from_array(expand));
+            assert_ne!(digest, reference, "{} is not mixed in", ExpandStats::NAMES[slot]);
+        }
         assert_ne!(with(&|s| s.per_worker_cost = vec![1]), reference);
         assert_ne!(with(&|s| s.messages_out_per_superstep = vec![3]), reference);
         assert_ne!(with(&|s| s.pool_exhausted = 1), reference);
@@ -130,27 +115,7 @@ mod tests {
     #[test]
     fn stats_digest_is_pinned() {
         let stats = RunStats {
-            expand: psgl_core::stats::ExpandStats {
-                expanded: 101,
-                generated: 102,
-                results: 103,
-                pruned_injectivity: 104,
-                pruned_degree: 105,
-                pruned_order: 106,
-                pruned_connectivity: 107,
-                pruned_label: 108,
-                died_gray_check: 109,
-                died_no_candidates: 110,
-                combinations_examined: 111,
-                index_probes: 112,
-                cost: 113,
-                kernel_close: 114,
-                kernel_twohop: 115,
-                cmap_probes: 116,
-                cmap_hits: 117,
-                intersect_gallop: 118,
-                intersect_probe: 119,
-            },
+            expand: ExpandStats::from_array(std::array::from_fn(|i| 101 + i as u64)),
             per_worker_cost: vec![60, 53],
             simulated_makespan: 61,
             supersteps: 3,
