@@ -8,15 +8,16 @@
 //! message path.
 //!
 //! Scheduling is pluggable through the [`Executor`] seam (see
-//! [`crate::exec`]): [`run`] uses the production [`ThreadExecutor`] (one
-//! scoped OS thread per worker), while [`run_with_executor`] lets tests
-//! and the simulation harness drive the same per-worker closures under a
-//! deterministic, adversarial schedule.
+//! [`crate::exec`]): [`run_controlled`] takes the production
+//! [`ThreadExecutor`](crate::exec::ThreadExecutor) (one scoped OS thread
+//! per worker) or an executor with which tests and the simulation harness
+//! drive the same per-worker closures under a deterministic, adversarial
+//! schedule.
 
 use crate::cancel::{CancelReason, CancelToken};
 use crate::chunk::{push_chunked, Chunk, ChunkPool, PoolExhausted, DEFAULT_CHUNK_CAPACITY};
 use crate::exchange::{Exchange, ExchangeDirective, FrontierSink, WorkerOutbox};
-use crate::exec::{Executor, ThreadExecutor, WorkerTask};
+use crate::exec::{Executor, WorkerTask};
 use crate::metrics::{
     CarriedCounters, EngineMetrics, NetSuperstepMetrics, SuperstepMetrics, WorkerSuperstepMetrics,
 };
@@ -41,7 +42,7 @@ pub struct BspConfig {
     /// pool traffic; smaller chunks give spill eviction finer granularity.
     pub chunk_capacity: usize,
     /// Cap on live message chunks; past it the pool reports the typed
-    /// [`PoolExhausted`](crate::chunk::PoolExhausted) condition and
+    /// [`PoolExhausted`] condition and
     /// senders degrade by growing their current chunk instead of
     /// allocating. Exhaustion events surface in
     /// [`CarriedCounters::pool_exhausted`]. `None` = unbounded (default).
@@ -476,8 +477,8 @@ pub enum RunOutcome<M, S, A> {
 }
 
 /// Control inputs for [`run_controlled`]: cancellation, checkpoint
-/// capture, and resume. [`RunControl::default`] reproduces the plain
-/// [`run_with_executor`] behavior exactly.
+/// capture, and resume. Under [`RunControl::default`] nothing can cancel
+/// the run: the outcome is [`RunOutcome::Complete`] or an error.
 pub struct RunControl<'c, M, S, A> {
     /// Token polled at every superstep barrier and every few message
     /// batches inside `compute`.
@@ -546,45 +547,6 @@ impl<M> WorkerScratch<M> {
     }
 }
 
-/// Runs `program` over vertices `0..num_vertices` partitioned by
-/// `partitioner`, until no messages remain in flight.
-///
-/// Workers run as scoped OS threads (the production [`ThreadExecutor`]).
-/// Each superstep is one task per worker: drain the inbox (resident chunks
-/// and spilled segments, in delivery order), group it by vertex, and call
-/// `compute` once per vertex with all its messages. The engine is
-/// deterministic for deterministic programs: each inbox is assembled in
-/// source-worker order (the local fast path slotting in at the sender's
-/// own position) and grouped with a stable sort.
-pub fn run<P: VertexProgram>(
-    num_vertices: usize,
-    partitioner: &HashPartitioner,
-    program: &P,
-    config: &BspConfig,
-) -> Result<BspResult<P::WorkerState, P::Aggregate>, BspError> {
-    run_with_executor(num_vertices, partitioner, program, config, &ThreadExecutor)
-}
-
-/// [`run`] with an explicit [`Executor`] — the seam the deterministic
-/// simulation harness plugs into. Semantics are identical for every
-/// executor that upholds the contract in [`crate::exec`]; only
-/// schedule-dependent observables (per-worker wall time, which sends met
-/// a capped pool) may differ.
-pub fn run_with_executor<P: VertexProgram>(
-    num_vertices: usize,
-    partitioner: &HashPartitioner,
-    program: &P,
-    config: &BspConfig,
-    executor: &dyn Executor,
-) -> Result<BspResult<P::WorkerState, P::Aggregate>, BspError> {
-    let control = RunControl::default();
-    match run_controlled(num_vertices, partitioner, program, config, executor, control)? {
-        RunOutcome::Complete(res) => Ok(res),
-        // Without a token or checkpointing, no cancellation trigger exists.
-        RunOutcome::Cancelled(_) => unreachable!("no cancel token was supplied"),
-    }
-}
-
 /// What [`run_controlled`] yields: a typed outcome (complete or
 /// cancelled) over the program's associated types, or an engine error.
 pub type ControlledResult<P> = Result<
@@ -596,8 +558,19 @@ pub type ControlledResult<P> = Result<
     BspError,
 >;
 
-/// [`run_with_executor`] plus [`RunControl`]: cooperative cancellation,
-/// superstep-boundary checkpoint capture, and resume.
+/// Runs `program` over vertices `0..num_vertices` partitioned by
+/// `partitioner`, until no messages remain in flight or `control` stops
+/// the run — the crate's one entry point.
+///
+/// Each superstep is one task per worker on `executor`: drain the inbox
+/// (resident chunks and spilled segments, in delivery order), group it by
+/// vertex, and call `compute` once per vertex with all its messages. The
+/// engine is deterministic for deterministic programs: each inbox is
+/// assembled in source-worker order (the local fast path slotting in at
+/// the sender's own position) and grouped with a stable sort. Semantics
+/// are identical for every executor that upholds the contract in
+/// [`crate::exec`]; only schedule-dependent observables (per-worker wall
+/// time, which sends met a capped pool) may differ.
 ///
 /// The token is polled at every superstep barrier and every few message
 /// batches inside `compute`. A *hard* cancel (explicit request,
@@ -1423,10 +1396,34 @@ fn run_worker<P: VertexProgram>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::SerialExecutor;
+    use crate::exec::{SerialExecutor, ThreadExecutor};
     use parking_lot::Mutex;
     use psgl_graph::generators::erdos_renyi_gnm;
     use psgl_graph::DataGraph;
+
+    /// [`run_controlled`] with no controls, which nothing can cancel.
+    pub(super) fn run_with_executor<P: VertexProgram>(
+        num_vertices: usize,
+        partitioner: &HashPartitioner,
+        program: &P,
+        config: &BspConfig,
+        executor: &dyn Executor,
+    ) -> Result<BspResult<P::WorkerState, P::Aggregate>, BspError> {
+        let control = RunControl::default();
+        match run_controlled(num_vertices, partitioner, program, config, executor, control)? {
+            RunOutcome::Complete(res) => Ok(res),
+            RunOutcome::Cancelled(_) => unreachable!("no cancel token was supplied"),
+        }
+    }
+
+    pub(super) fn run<P: VertexProgram>(
+        num_vertices: usize,
+        partitioner: &HashPartitioner,
+        program: &P,
+        config: &BspConfig,
+    ) -> Result<BspResult<P::WorkerState, P::Aggregate>, BspError> {
+        run_with_executor(num_vertices, partitioner, program, config, &ThreadExecutor)
+    }
 
     /// Min-label propagation: every vertex learns the smallest vertex id in
     /// its connected component. Exercises multi-superstep messaging.
@@ -2277,6 +2274,7 @@ mod tests {
 
 #[cfg(test)]
 mod aggregator_tests {
+    use super::tests::run;
     use super::*;
 
     /// Sums active-vertex counts globally; vertices read the previous

@@ -1,7 +1,7 @@
 //! The scheduler seam: who runs a superstep's worker tasks, and in what
 //! order.
 //!
-//! [`engine::run`](crate::engine::run) packages each superstep as one
+//! [`run_controlled`](crate::engine::run_controlled) packages each superstep as one
 //! [`WorkerTask`] per worker — a single closure that drains the worker's
 //! inbox, groups it by vertex and runs the vertex program over every batch
 //! — and hands the set to an [`Executor`]. Production uses

@@ -37,8 +37,8 @@ pub mod spill;
 pub use cancel::{CancelReason, CancelToken};
 pub use chunk::{push_chunked, Chunk, ChunkPool, PoolExhausted, DEFAULT_CHUNK_CAPACITY};
 pub use engine::{
-    run, run_controlled, run_with_executor, BspConfig, BspError, BspResult, CancelledRun, Context,
-    ResumePoint, RunControl, RunOutcome, SpillControl, VertexProgram,
+    run_controlled, BspConfig, BspError, BspResult, CancelledRun, Context, ResumePoint, RunControl,
+    RunOutcome, SpillControl, VertexProgram,
 };
 pub use exchange::{
     Exchange, ExchangeDirective, ExchangeError, ExchangeOutcome, FrontierSink, WorkerOutbox,

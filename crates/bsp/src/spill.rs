@@ -70,6 +70,12 @@ pub enum SpillError {
         /// Tuples the blob actually decoded to.
         got: u64,
     },
+    /// The blob passed its checksum but a tuple in it fails the message
+    /// codec's validation — written by something other than this engine.
+    Malformed {
+        /// What the codec rejected.
+        what: &'static str,
+    },
     /// The hard spill-byte budget is exhausted; the write was refused and
     /// the caller must keep its chunks resident.
     Exhausted {
@@ -93,6 +99,7 @@ impl std::fmt::Display for SpillError {
             SpillError::CountMismatch { expected, got } => {
                 write!(f, "spill segment decoded {got} tuples, manifest says {expected}")
             }
+            SpillError::Malformed { what } => write!(f, "spill blob holds a bad tuple: {what}"),
             SpillError::Exhausted { spilled, cap } => {
                 write!(f, "spill budget exhausted: {spilled} bytes on disk, cap {cap}")
             }

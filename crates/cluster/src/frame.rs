@@ -19,12 +19,10 @@
 //! The checksum is verified *before* any field is interpreted, so a
 //! corrupt frame is rejected as [`FrameError::ChecksumMismatch`] rather
 //! than producing garbage tuples. All multi-byte fields are
-//! little-endian; a [`Gpsi`] serializes through
-//! [`Gpsi::to_raw_parts`]/[`Gpsi::from_raw_parts`] exactly as the
-//! checkpoint format does.
+//! little-endian; a [`Gpsi`] travels as [`Gpsi::encode`] writes it,
+//! exactly as in the checkpoint and spill formats.
 
-use bytes::{BufMut, BytesMut};
-use psgl_core::gpsi::{MAX_GPSI_VERTICES, UNMAPPED};
+use bytes::BufMut;
 use psgl_core::Gpsi;
 use psgl_graph::hash::FxHasher;
 use psgl_graph::VertexId;
@@ -148,7 +146,7 @@ pub trait WireMessage: Copy {
     /// Exact serialized size in bytes.
     const WIRE_BYTES: usize;
     /// Appends exactly [`Self::WIRE_BYTES`] bytes.
-    fn put(&self, buf: &mut BytesMut);
+    fn put(&self, buf: &mut Vec<u8>);
     /// Parses from exactly [`Self::WIRE_BYTES`] bytes.
     fn get(bytes: &[u8]) -> Result<Self, FrameError>;
 }
@@ -156,7 +154,7 @@ pub trait WireMessage: Copy {
 impl WireMessage for u64 {
     const WIRE_BYTES: usize = 8;
 
-    fn put(&self, buf: &mut BytesMut) {
+    fn put(&self, buf: &mut Vec<u8>) {
         buf.put_u64_le(*self);
     }
 
@@ -166,38 +164,14 @@ impl WireMessage for u64 {
 }
 
 impl WireMessage for Gpsi {
-    // mapping (12 × u32) + black u16 + mapped u16 + verified u128 +
-    // expanding u8.
-    const WIRE_BYTES: usize = MAX_GPSI_VERTICES * 4 + 2 + 2 + 16 + 1;
+    const WIRE_BYTES: usize = Gpsi::ENCODED_LEN;
 
-    fn put(&self, buf: &mut BytesMut) {
-        let (mapping, black, mapped, verified, expanding) = self.to_raw_parts();
-        for v in mapping {
-            buf.put_u32_le(v);
-        }
-        buf.put_u16_le(black);
-        buf.put_u16_le(mapped);
-        buf.put_u128_le(verified);
-        buf.put_u8(expanding);
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.encode(buf);
     }
 
     fn get(bytes: &[u8]) -> Result<Gpsi, FrameError> {
-        let mut mapping = [UNMAPPED; MAX_GPSI_VERTICES];
-        for (i, m) in mapping.iter_mut().enumerate() {
-            *m = u32::from_le_bytes(bytes[i * 4..i * 4 + 4].try_into().expect("sized"));
-        }
-        let at = MAX_GPSI_VERTICES * 4;
-        let black = u16::from_le_bytes(bytes[at..at + 2].try_into().expect("sized"));
-        let mapped = u16::from_le_bytes(bytes[at + 2..at + 4].try_into().expect("sized"));
-        let verified = u128::from_le_bytes(bytes[at + 4..at + 20].try_into().expect("sized"));
-        let expanding = bytes[at + 20];
-        if expanding as usize >= MAX_GPSI_VERTICES {
-            return Err(FrameError::BadPayload("gpsi expanding vertex out of range"));
-        }
-        if black & !mapped != 0 {
-            return Err(FrameError::BadPayload("gpsi black set exceeds mapped set"));
-        }
-        Ok(Gpsi::from_raw_parts(mapping, black, mapped, verified, expanding))
+        Gpsi::decode(bytes).map_err(|e| FrameError::BadPayload(e.as_str()))
     }
 }
 
@@ -206,7 +180,7 @@ pub fn encode<M: WireMessage>(frame: &Frame<M>) -> Vec<u8> {
     let tuple_bytes = 4 + M::WIRE_BYTES;
     let body_len = HEADER_BYTES + frame.tuples.len() * tuple_bytes + CHECKSUM_BYTES;
     debug_assert!(body_len <= MAX_FRAME_BYTES as usize, "frame body exceeds the wire cap");
-    let mut buf = BytesMut::with_capacity(4 + body_len);
+    let mut buf = Vec::with_capacity(4 + body_len);
     buf.put_u32_le(body_len as u32);
     buf.put_u32_le(FRAME_MAGIC);
     buf.put_u8(frame.kind.to_u8());
@@ -222,7 +196,7 @@ pub fn encode<M: WireMessage>(frame: &Frame<M>) -> Vec<u8> {
     hasher.write(&buf[4..]);
     let checksum = hasher.finish();
     buf.put_u64_le(checksum);
-    Vec::from(&buf[..])
+    buf
 }
 
 /// Decodes one frame from the front of `buf`, returning it and the
@@ -314,6 +288,7 @@ pub fn read_frame<M: WireMessage>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psgl_core::gpsi::{MAX_GPSI_VERTICES, UNMAPPED};
 
     fn sample_gpsi(seed: u32) -> Gpsi {
         let mut mapping = [UNMAPPED; MAX_GPSI_VERTICES];

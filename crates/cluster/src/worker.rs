@@ -5,7 +5,8 @@
 //! Thread layout per worker process:
 //!
 //! - **main loop** — waits for `start` orders, builds the per-attempt
-//!   data mesh, runs `list_subgraphs_resumable`, reports `done`.
+//!   data mesh, runs `psgl_core::run` as a [`ClusterMember`], reports
+//!   `done`.
 //! - **control reader** — routes coordinator messages into
 //!   [`ControlShared`]; a dead control connection ends the worker.
 //! - **ping** — heartbeats every [`WorkerOptions::ping_interval`].
@@ -15,7 +16,7 @@
 //! A worker survives recovery: when the coordinator aborts an attempt
 //! and sends a new `start` with reassigned partitions and resume
 //! shards, the main loop simply runs again. The engine restores the
-//! shards through `ClusterControls::resume_shards`, which rebuilds
+//! shards through [`Start::Shards`], which rebuilds
 //! distributor RNG streams and expansion counters exactly, so the
 //! re-run is bit-identical to an uninterrupted one.
 
@@ -23,8 +24,7 @@ use crate::control::{CoordMsg, GraphSpec, StartOrder, WorkerMsg};
 use crate::exchange::{parse_cancel_reason, ControlHandle, InboundRegistry, TcpExchange};
 use crate::frame::{encode, read_frame, Frame, FrameKind};
 use psgl_core::{
-    list_subgraphs_resumable, CheckpointShard, ClusterControls, Gpsi, ListingEnd, PsglShared,
-    RunControls, RunnerHooks, ShardSink,
+    run, CheckpointShard, ClusterMember, Gpsi, ListingEnd, PsglShared, RunRequest, ShardSink, Start,
 };
 use psgl_graph::DataGraph;
 use psgl_service::wire::{read_json, MAX_LINE_BYTES};
@@ -210,29 +210,19 @@ fn run_attempt(
     let die = opts.die_at_superstep.filter(|_| order.attempt == 0);
     let exchange = TcpExchange::new(order, my_proc, writers, inbound, Arc::clone(control), die);
     let sink = WireShardSink { control: Arc::clone(control), attempt: order.attempt };
-    let resume_shards = if order.resume.is_empty() {
-        None
+    let start = if order.resume.is_empty() {
+        Start::Init
     } else {
         match order.resume.iter().map(|b| CheckpointShard::from_bytes(b)).collect() {
-            Ok(shards) => Some(shards),
+            Ok(shards) => Start::Shards(shards),
             Err(e) => return report(format!("bad resume shard: {e}")),
         }
     };
-    let controls = RunControls {
-        cancel: None,
-        checkpoint: false,
-        resume: None,
-        cluster: Some(ClusterControls {
-            exchange: &exchange,
-            shard_sink: if order.job.checkpoint_interval > 0 {
-                Some(&sink as &dyn ShardSink)
-            } else {
-                None
-            },
-            resume_shards,
-        }),
+    let member = ClusterMember {
+        exchange: &exchange,
+        shard_sink: (order.job.checkpoint_interval > 0).then_some(&sink as &dyn ShardSink),
     };
-    match list_subgraphs_resumable(&shared, &config, &RunnerHooks::default(), controls) {
+    match run(&shared, &config, RunRequest { start, cluster: Some(member), ..Default::default() }) {
         Ok(ListingEnd::Complete(result)) => {
             let done = WorkerMsg::Done {
                 attempt: order.attempt,
@@ -248,7 +238,7 @@ fn run_attempt(
         }
         // An aborted attempt (recovery, deadline, explicit cancel)
         // reports nothing — the coordinator already knows why.
-        Ok(ListingEnd::Cancelled(_)) => AttemptEnd::Continue,
+        Ok(ListingEnd::Cancelled(_) | ListingEnd::Preempted { .. }) => AttemptEnd::Continue,
         Err(e) => {
             let message = e.to_string();
             if die.is_some() && message.contains("chaos") {

@@ -23,7 +23,7 @@
 use crate::distribute::{DistributorSnapshot, Strategy};
 use crate::gpsi::{Gpsi, MAX_GPSI_VERTICES};
 use crate::stats::ExpandStats;
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 use psgl_bsp::{
     CarriedCounters, NetSuperstepMetrics, SpillCodec, SpillError, SpillReader, SuperstepMetrics,
     WorkerSuperstepMetrics,
@@ -194,7 +194,7 @@ impl Checkpoint {
 
     /// Serializes the checkpoint into the binary format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut p = BytesMut::new();
+        let mut p = Vec::new();
         put_guard(&mut p, &self.guard);
         p.put_u32_le(self.superstep);
         put_counters(&mut p, self.carried.to_array());
@@ -288,7 +288,7 @@ pub struct CheckpointShard {
 impl CheckpointShard {
     /// Serializes the shard into the binary format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut p = BytesMut::new();
+        let mut p = Vec::new();
         put_guard(&mut p, &self.guard);
         p.put_u32_le(self.partition);
         p.put_u32_le(self.superstep);
@@ -344,7 +344,7 @@ fn unseal<'a>(magic: &[u8; 8], what: &str, data: &'a [u8]) -> Result<&'a [u8], C
     Ok(payload)
 }
 
-fn put_guard(p: &mut BytesMut, g: &CheckpointGuard) {
+fn put_guard(p: &mut Vec<u8>, g: &CheckpointGuard) {
     p.put_u64_le(g.graph_hash);
     p.put_u32_le(g.workers);
     p.put_u64_le(g.seed);
@@ -381,7 +381,7 @@ fn read_guard(r: &mut Reader<'_>) -> Result<CheckpointGuard, CheckpointError> {
     })
 }
 
-fn put_worker(p: &mut BytesMut, w: &WorkerCheckpoint) {
+fn put_worker(p: &mut Vec<u8>, w: &WorkerCheckpoint) {
     for s in w.distributor.rng_state {
         p.put_u64_le(s);
     }
@@ -461,18 +461,11 @@ fn read_worker(r: &mut Reader<'_>, harvest_mode: u8) -> Result<WorkerCheckpoint,
     })
 }
 
-fn put_frontier_dest(p: &mut BytesMut, dest: &[(VertexId, Gpsi)]) {
+fn put_frontier_dest(p: &mut Vec<u8>, dest: &[(VertexId, Gpsi)]) {
     p.put_u64_le(dest.len() as u64);
     for (v, gpsi) in dest {
         p.put_u32_le(*v);
-        let (mapping, black, mapped, verified, expanding) = gpsi.to_raw_parts();
-        for m in mapping {
-            p.put_u32_le(m);
-        }
-        p.put_u16_le(black);
-        p.put_u16_le(mapped);
-        p.put_u128_le(verified);
-        p.put_u8(expanding);
+        gpsi.encode(p);
     }
 }
 
@@ -481,51 +474,26 @@ fn read_frontier_dest(r: &mut Reader<'_>) -> Result<Vec<(VertexId, Gpsi)>, Check
     let mut dest = Vec::new();
     for _ in 0..n {
         let v = r.u32()?;
-        let mut mapping = [0u32; MAX_GPSI_VERTICES];
-        for m in &mut mapping {
-            *m = r.u32()?;
-        }
-        let black = r.u16()?;
-        let mapped = r.u16()?;
-        let verified = r.u128()?;
-        let expanding = r.u8()?;
-        if expanding as usize >= MAX_GPSI_VERTICES {
-            return Err(CheckpointError::new("invalid expanding vertex in frontier"));
-        }
-        dest.push((v, Gpsi::from_raw_parts(mapping, black, mapped, verified, expanding)));
+        let gpsi = Gpsi::decode(r.take(Gpsi::ENCODED_LEN)?)
+            .map_err(|e| CheckpointError::new(format!("frontier: {e}")))?;
+        dest.push((v, gpsi));
     }
     Ok(dest)
 }
 
-/// [`SpillCodec`] for [`Gpsi`] messages — the byte layout the engine's
-/// disk spill tier uses to evict frontier chunks. Reuses the checkpoint
-/// frontier tuple layout ([`put_frontier_dest`]) minus the destination
-/// vertex, which the spill blob frames itself; corruption is caught by
-/// the blob's checksum before any of these fields are decoded.
+/// [`SpillCodec`] for [`Gpsi`] messages — the engine's disk spill tier
+/// evicts frontier chunks as [`Gpsi::encode`] tuples; the destination
+/// vertex and the checksum are the spill blob's own framing.
 pub struct GpsiSpillCodec;
 
 impl SpillCodec<Gpsi> for GpsiSpillCodec {
     fn encode(&self, msg: &Gpsi, out: &mut Vec<u8>) {
-        let (mapping, black, mapped, verified, expanding) = msg.to_raw_parts();
-        for m in mapping {
-            out.extend_from_slice(&m.to_le_bytes());
-        }
-        out.extend_from_slice(&black.to_le_bytes());
-        out.extend_from_slice(&mapped.to_le_bytes());
-        out.extend_from_slice(&verified.to_le_bytes());
-        out.push(expanding);
+        msg.encode(out);
     }
 
     fn decode(&self, r: &mut SpillReader<'_>) -> Result<Gpsi, SpillError> {
-        let mut mapping = [0u32; MAX_GPSI_VERTICES];
-        for m in &mut mapping {
-            *m = r.u32("gpsi mapping")?;
-        }
-        let black = r.u16("gpsi black set")?;
-        let mapped = r.u16("gpsi mapped set")?;
-        let verified = r.u128("gpsi verified edges")?;
-        let expanding = r.u8("gpsi expanding vertex")?;
-        Ok(Gpsi::from_raw_parts(mapping, black, mapped, verified, expanding))
+        Gpsi::decode(r.bytes(Gpsi::ENCODED_LEN, "gpsi")?)
+            .map_err(|e| SpillError::Malformed { what: e.as_str() })
     }
 }
 
@@ -549,7 +517,7 @@ fn decode_strategy(tag: u8, alpha: f64) -> Result<Strategy, CheckpointError> {
 /// Writes a `counters!` table as consecutive little-endian words, in
 /// declaration order. The payload carries no count: a table that grows or
 /// shrinks changes the layout and needs a new magic.
-fn put_counters<const N: usize>(p: &mut BytesMut, values: [u64; N]) {
+fn put_counters<const N: usize>(p: &mut Vec<u8>, values: [u64; N]) {
     for v in values {
         p.put_u64_le(v);
     }
@@ -575,10 +543,6 @@ impl Reader<'_> {
         Ok(self.take(1)?[0])
     }
 
-    fn u16(&mut self) -> Result<u16, CheckpointError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
     fn u32(&mut self) -> Result<u32, CheckpointError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
     }
@@ -594,10 +558,6 @@ impl Reader<'_> {
             *v = self.u64()?;
         }
         Ok(values)
-    }
-
-    fn u128(&mut self) -> Result<u128, CheckpointError> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().expect("16 bytes")))
     }
 
     fn f64(&mut self) -> Result<f64, CheckpointError> {
@@ -740,6 +700,38 @@ mod tests {
         // structurally invalid.
         let wild = CheckpointShard { partition: 7, ..shard };
         assert!(CheckpointShard::from_bytes(&wild.to_bytes()).is_err());
+    }
+
+    #[test]
+    fn a_black_bit_outside_mapped_is_rejected_in_every_format() {
+        // Each blob comes from the format's own writer, so its checksum
+        // holds and the Gpsi field is the only thing wrong with it.
+        let mut mapping = [crate::gpsi::UNMAPPED; MAX_GPSI_VERTICES];
+        mapping[0] = 7;
+        let bad = Gpsi::from_raw_parts(mapping, 0b10, 0b01, 0, 0);
+        let why = "gpsi black set exceeds mapped set";
+
+        let mut cp = sample();
+        cp.frontier[1].push((7, bad));
+        let err = Checkpoint::from_bytes(&cp.to_bytes()).unwrap_err();
+        assert!(err.message.contains(why), "{err}");
+
+        let shard = CheckpointShard {
+            guard: cp.guard,
+            partition: 1,
+            superstep: cp.superstep,
+            worker: cp.workers[1].clone(),
+            frontier: cp.frontier[1].clone(),
+        };
+        let err = CheckpointShard::from_bytes(&shard.to_bytes()).unwrap_err();
+        assert!(err.message.contains(why), "{err}");
+
+        let store = psgl_bsp::SpillStore::create(&psgl_bsp::SpillConfig::in_temp()).unwrap();
+        let segment = store.spill(&GpsiSpillCodec, &[vec![(7, bad)]]).unwrap();
+        assert_eq!(
+            store.readmit(&GpsiSpillCodec, segment, &mut Vec::new()),
+            Err(SpillError::Malformed { what: why })
+        );
     }
 
     #[test]

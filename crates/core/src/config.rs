@@ -47,12 +47,6 @@ pub struct PsglConfig {
     pub compiled_kernels: bool,
     /// RNG seed (random/roulette strategies, partitioner salt).
     pub seed: u64,
-    /// Disk spill tier for memory-bounded execution: when the engine's
-    /// live-chunk cap bites, cold frontier chunks are evicted to a
-    /// per-run temp directory instead of growing the pool in place, and
-    /// re-admitted at superstep boundaries. `None` (the default) keeps
-    /// the seed behavior: the pool grows past the cap in place.
-    pub spill: Option<psgl_bsp::SpillConfig>,
 }
 
 impl Default for PsglConfig {
@@ -70,7 +64,6 @@ impl Default for PsglConfig {
             max_supersteps: 64,
             compiled_kernels: true,
             seed: 42,
-            spill: None,
         }
     }
 }
@@ -114,12 +107,6 @@ impl PsglConfig {
     /// Builder-style compiled-kernel toggle.
     pub fn kernels(mut self, enabled: bool) -> Self {
         self.compiled_kernels = enabled;
-        self
-    }
-
-    /// Builder-style spill-tier configuration.
-    pub fn spill(mut self, config: psgl_bsp::SpillConfig) -> Self {
-        self.spill = Some(config);
         self
     }
 }

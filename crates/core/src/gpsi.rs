@@ -170,16 +170,49 @@ impl Gpsi {
         self.mapping[..n].to_vec()
     }
 
-    /// Decomposes the Gpsi into its raw fields
-    /// `(mapping, black, mapped, verified, expanding)` for checkpoint
-    /// serialization. [`Gpsi::from_raw_parts`] is the exact inverse.
-    pub fn to_raw_parts(&self) -> ([VertexId; MAX_GPSI_VERTICES], u16, u16, u128, PatternVertex) {
-        (self.mapping, self.black, self.mapped, self.verified, self.expanding)
+    /// Size of the one byte layout a Gpsi has outside memory — checkpoint
+    /// and shard frontiers, spill blobs, `PSGW` data frames: mapping
+    /// (12 × u32) + black u16 + mapped u16 + verified u128 + expanding u8,
+    /// little-endian.
+    pub const ENCODED_LEN: usize = MAX_GPSI_VERTICES * 4 + 2 + 2 + 16 + 1;
+
+    /// Appends exactly [`Gpsi::ENCODED_LEN`] bytes.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        for m in self.mapping {
+            out.extend_from_slice(&m.to_le_bytes());
+        }
+        out.extend_from_slice(&self.black.to_le_bytes());
+        out.extend_from_slice(&self.mapped.to_le_bytes());
+        out.extend_from_slice(&self.verified.to_le_bytes());
+        out.push(self.expanding);
     }
 
-    /// Rebuilds a Gpsi from [`Gpsi::to_raw_parts`] output. The fields are
-    /// taken as-is; checkpoint loading validates them against the pattern
-    /// before the Gpsi re-enters the engine.
+    /// Parses [`Gpsi::encode`]'s output. The bytes come from a file or a
+    /// socket, so the two field conditions the engine indexes by are
+    /// checked here, for every format: `expanding` is a pattern-vertex
+    /// slot and every BLACK vertex is mapped.
+    pub fn decode(bytes: &[u8]) -> Result<Gpsi, GpsiDecodeError> {
+        if bytes.len() != Gpsi::ENCODED_LEN {
+            return Err(GpsiDecodeError::Length);
+        }
+        let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("sized"));
+        let mapping = std::array::from_fn(|i| word(i * 4));
+        let at = MAX_GPSI_VERTICES * 4;
+        let black = u16::from_le_bytes(bytes[at..at + 2].try_into().expect("sized"));
+        let mapped = u16::from_le_bytes(bytes[at + 2..at + 4].try_into().expect("sized"));
+        let verified = u128::from_le_bytes(bytes[at + 4..at + 20].try_into().expect("sized"));
+        let expanding = bytes[at + 20];
+        if expanding as usize >= MAX_GPSI_VERTICES {
+            return Err(GpsiDecodeError::ExpandingOutOfRange);
+        }
+        if black & !mapped != 0 {
+            return Err(GpsiDecodeError::BlackNotMapped);
+        }
+        Ok(Gpsi { mapping, black, mapped, verified, expanding })
+    }
+
+    /// Builds a Gpsi from its raw fields, taken as-is (tests build
+    /// arbitrary — including invalid — tuples with it).
     pub fn from_raw_parts(
         mapping: [VertexId; MAX_GPSI_VERTICES],
         black: u16,
@@ -190,6 +223,37 @@ impl Gpsi {
         Gpsi { mapping, black, mapped, verified, expanding }
     }
 }
+
+/// Why [`Gpsi::decode`] rejected its input.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum GpsiDecodeError {
+    /// The slice is not [`Gpsi::ENCODED_LEN`] bytes long.
+    Length,
+    /// `expanding` is not below [`MAX_GPSI_VERTICES`].
+    ExpandingOutOfRange,
+    /// A BLACK bit is set for an unmapped pattern vertex.
+    BlackNotMapped,
+}
+
+impl GpsiDecodeError {
+    /// The reason as a static string (what `FrameError::BadPayload` and
+    /// `SpillError::Malformed` carry).
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            GpsiDecodeError::Length => "gpsi tuple has the wrong length",
+            GpsiDecodeError::ExpandingOutOfRange => "gpsi expanding vertex out of range",
+            GpsiDecodeError::BlackNotMapped => "gpsi black set exceeds mapped set",
+        }
+    }
+}
+
+impl std::fmt::Display for GpsiDecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl std::error::Error for GpsiDecodeError {}
 
 /// Precomputed pattern-edge numbering: `edge_id(u, v)` for constant-time
 /// verified-mask updates.
@@ -302,6 +366,21 @@ mod tests {
         // 12 mappings (48B) + masks + bookkeeping; must stay within two
         // cache lines to keep message exchange cheap.
         assert!(std::mem::size_of::<Gpsi>() <= 96, "{}", std::mem::size_of::<Gpsi>());
+    }
+
+    #[test]
+    fn decode_inverts_encode_and_checks_the_length() {
+        let mut g = Gpsi::initial(1, 5);
+        g.set_black(1);
+        g.assign(0, 9);
+        g.set_verified(3);
+        let mut bytes = Vec::new();
+        g.encode(&mut bytes);
+        assert_eq!(bytes.len(), Gpsi::ENCODED_LEN);
+        assert_eq!(Gpsi::decode(&bytes), Ok(g));
+        assert_eq!(Gpsi::decode(&bytes[1..]), Err(GpsiDecodeError::Length));
+        *bytes.last_mut().unwrap() = MAX_GPSI_VERTICES as u8;
+        assert_eq!(Gpsi::decode(&bytes), Err(GpsiDecodeError::ExpandingOutOfRange));
     }
 
     #[test]

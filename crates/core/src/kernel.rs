@@ -1522,14 +1522,15 @@ mod tests {
             let plabels = vec![0u16; pattern.num_vertices()];
             let count = |kernels: bool| {
                 let config = PsglConfig::default().kernels(kernels).collect(true);
-                let res = crate::runner::list_subgraphs_labeled(
+                let shared = PsglShared::prepare_labeled(
                     &g,
                     &pattern,
+                    &config,
                     labels.clone(),
                     plabels.clone(),
-                    &config,
                 )
                 .unwrap();
+                let res = crate::runner::list_subgraphs_prepared(&shared, &config).unwrap();
                 sorted(res.instances.unwrap())
             };
             assert_eq!(count(true), count(false), "{}", pattern.name());

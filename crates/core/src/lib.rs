@@ -56,15 +56,14 @@ pub use config::PsglConfig;
 pub use distribute::Strategy;
 pub use expand::ExpandScratch;
 pub use gpsi::EdgeIds;
-pub use gpsi::Gpsi;
+pub use gpsi::{Gpsi, GpsiDecodeError};
 pub use index::EdgeIndex;
 pub use plan::{KernelId, QueryPlan};
 pub use psgl_bsp::{CancelReason, CancelToken, SpillConfig, SpillError, SpillFaults};
 pub use runner::{
-    assemble_run_stats, count_per_vertex, list_subgraphs, list_subgraphs_labeled,
-    list_subgraphs_prepared, list_subgraphs_prepared_with, list_subgraphs_resumable,
-    list_subgraphs_seeded, list_subgraphs_slice, CancelledListing, ClusterControls, ListingEnd,
-    ListingResult, RunControls, RunnerHooks, ShardSink, SliceEnd,
+    assemble_run_stats, list_subgraphs, list_subgraphs_prepared, list_subgraphs_prepared_with, run,
+    CancelledListing, ClusterMember, Harvest, ListingEnd, ListingResult, RunRequest, RunnerHooks,
+    ShardSink, Start, Stop,
 };
 pub use shared::{PsglError, PsglShared};
 pub use stats::{ExpandStats, RunStats};

@@ -36,6 +36,9 @@ pub struct ListingResult {
     /// [`PsglConfig::collect_instances`]; sorted for deterministic
     /// comparison.
     pub instances: Option<Vec<Vec<VertexId>>>,
+    /// Instances each data vertex participates in, present iff the run's
+    /// harvest was [`Harvest::PerVertex`].
+    pub per_vertex: Option<Vec<u64>>,
     /// Run statistics (Gpsi counts, pruning breakdown, per-worker loads).
     pub stats: RunStats,
     /// The initial pattern vertex that was used.
@@ -44,8 +47,8 @@ pub struct ListingResult {
     pub selection_rule: SelectionRule,
 }
 
-/// What each worker keeps of the instances it finds.
-enum Harvest {
+/// What a worker holds of the instances it has found.
+enum Harvested {
     /// Count only (the paper's default output: occurrence numbers).
     CountOnly,
     /// Collect the vertex tuples ([`PsglConfig::collect_instances`]).
@@ -58,7 +61,7 @@ enum Harvest {
 pub struct WorkerState {
     distributor: Distributor,
     stats: ExpandStats,
-    harvest: Harvest,
+    harvest: Harvested,
     /// Reusable expansion-kernel buffers; retained across supersteps so
     /// steady-state expansion allocates nothing.
     scratch: ExpandScratch,
@@ -109,10 +112,10 @@ impl VertexProgram for PsglProgram<'_> {
             ),
             stats: ExpandStats::default(),
             harvest: match self.harvest_mode {
-                HarvestMode::CountOnly => Harvest::CountOnly,
-                HarvestMode::Instances => Harvest::Instances(Vec::new()),
+                HarvestMode::CountOnly => Harvested::CountOnly,
+                HarvestMode::Instances => Harvested::Instances(Vec::new()),
                 HarvestMode::PerVertex => {
-                    Harvest::PerVertex(vec![0; self.shared.graph.num_vertices()])
+                    Harvested::PerVertex(vec![0; self.shared.graph.num_vertices()])
                 }
             },
             scratch: ExpandScratch::new(),
@@ -174,9 +177,9 @@ impl VertexProgram for PsglProgram<'_> {
                 &self.limits,
                 out,
                 &mut |done| match harvest {
-                    Harvest::CountOnly => {}
-                    Harvest::Instances(buf) => buf.push(done.instance(np)),
-                    Harvest::PerVertex(counts) => {
+                    Harvested::CountOnly => {}
+                    Harvested::Instances(buf) => buf.push(done.instance(np)),
+                    Harvested::PerVertex(counts) => {
                         for &vd in done.mapping(np) {
                             counts[vd as usize] += 1;
                         }
@@ -209,25 +212,92 @@ impl VertexProgram for PsglProgram<'_> {
     }
 }
 
-/// Runs a full PSgL listing of `pattern` in `graph`.
-///
-/// Performs the offline preparation (ordering, automorphism breaking, edge
-/// index, initial-vertex selection) and then the BSP run. Use
-/// [`list_subgraphs_prepared`] to amortize preparation across several runs.
+/// Runs a full PSgL listing of `pattern` in `graph`: the offline
+/// preparation (ordering, automorphism breaking, edge index, initial-vertex
+/// selection), then [`run`] from the initialization phase to completion.
 pub fn list_subgraphs(
     graph: &psgl_graph::DataGraph,
     pattern: &Pattern,
     config: &PsglConfig,
 ) -> Result<ListingResult, PsglError> {
-    let shared = PsglShared::prepare(graph, pattern, config)?;
-    list_subgraphs_prepared(&shared, config)
+    list_subgraphs_prepared(&PsglShared::prepare(graph, pattern, config)?, config)
+}
+
+/// [`run`] with a default request against an already-prepared shared
+/// context, to completion.
+pub fn list_subgraphs_prepared(
+    shared: &PsglShared<'_>,
+    config: &PsglConfig,
+) -> Result<ListingResult, PsglError> {
+    run(shared, config, RunRequest::default()).map(ListingEnd::completed)
+}
+
+/// [`list_subgraphs_prepared`] under explicit [`RunnerHooks`].
+pub fn list_subgraphs_prepared_with(
+    shared: &PsglShared<'_>,
+    config: &PsglConfig,
+    hooks: &RunnerHooks<'_>,
+) -> Result<ListingResult, PsglError> {
+    let request = RunRequest { hooks: hooks.clone(), ..Default::default() };
+    run(shared, config, request).map(ListingEnd::completed)
+}
+
+/// One run of the vertex program, as [`run`] takes it. The parts are
+/// orthogonal — any start under any hooks, any stop rule and either
+/// harvest — and the default value of each is the plain production run:
+/// from the initialization phase, threaded executor, nothing stops it,
+/// in-process, count (or list, per [`PsglConfig::collect_instances`]).
+///
+/// A new run mode is a field here, not another function beside [`run`].
+#[derive(Default)]
+pub struct RunRequest<'a> {
+    /// Where to start.
+    pub start: Start,
+    /// How to execute.
+    pub hooks: RunnerHooks<'a>,
+    /// When to stop before completion.
+    pub stop: Stop<'a>,
+    /// Where it runs: `None` hosts every partition in this process.
+    pub cluster: Option<ClusterMember<'a>>,
+    /// What to keep of the instances found.
+    pub harvest: Harvest,
+}
+
+/// The frontier a run is entered from.
+#[derive(Default)]
+pub enum Start {
+    /// Superstep 0, the initialization phase: one Gpsi per data vertex
+    /// that passes the degree prune for the initial pattern vertex.
+    #[default]
+    Init,
+    /// A checkpoint captured by an earlier, stopped run. Its guard must
+    /// match this run's graph, pattern, and configuration exactly; the
+    /// run then continues *bit-identically* — distributor RNG streams,
+    /// workload views, expansion counters and the undelivered frontier are
+    /// all restored, so final counts, instances and deterministic metrics
+    /// equal an uninterrupted run's.
+    Checkpoint(Checkpoint),
+    /// An explicit seed frontier, entered at superstep 1 with fresh worker
+    /// states — the incremental-listing path of `psgl-delta`. Each seed is
+    /// a partially expanded [`Gpsi`] (typically two mapped vertices
+    /// binding one changed data edge, that pattern edge already verified),
+    /// routed to the partition owning its expanding vertex. Expansion from
+    /// a seed is exact, so the instances found are exactly the completions
+    /// of the seeds. The caller is responsible for seed validity: every
+    /// already-mapped pair satisfies the partial order and the expanding
+    /// vertex is mapped. No seeds, no instances.
+    Seeds(Vec<Gpsi>),
+    /// One [`CheckpointShard`] per hosted partition (any order), all from
+    /// the same barrier of this exact run — how a cluster member restarts
+    /// after a peer failure.
+    Shards(Vec<CheckpointShard>),
 }
 
 /// Hooks the deterministic simulation harness (`crates/sim`) uses to drive
 /// a listing run through a custom scheduler, vertex placement, and the
 /// engine's chaos knobs. The default value reproduces the production path
 /// bit-for-bit.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct RunnerHooks<'a> {
     /// Executor driving the BSP supersteps; `None` uses the production
     /// [`psgl_bsp::ThreadExecutor`].
@@ -243,9 +313,10 @@ pub struct RunnerHooks<'a> {
     /// Smaller chunks give eviction finer granularity;
     /// memory-bounded runs pair this with [`RunnerHooks::max_live_chunks`].
     pub chunk_capacity: Option<usize>,
-    /// Disk spill tier override; takes precedence over
-    /// [`PsglConfig::spill`] so the chaos harness can inject disk-pressure
-    /// faults per scenario.
+    /// Disk spill tier for memory-bounded execution: when the live-chunk
+    /// cap bites, cold frontier chunks are evicted to a per-run temp
+    /// directory instead of growing the pool in place, and re-admitted at
+    /// superstep boundaries. `None` keeps the pool growing past the cap.
     pub spill: Option<psgl_bsp::SpillConfig>,
     /// Structured-trace sink threaded into the engine (superstep events)
     /// and the runner (run lifecycle, spill-dir cleanup). `None` traces
@@ -254,75 +325,38 @@ pub struct RunnerHooks<'a> {
     pub tracer: Option<&'a psgl_obs::Tracer>,
 }
 
-/// Runs the BSP phase against an already-prepared shared context.
-pub fn list_subgraphs_prepared(
-    shared: &PsglShared<'_>,
-    config: &PsglConfig,
-) -> Result<ListingResult, PsglError> {
-    list_subgraphs_prepared_with(shared, config, &RunnerHooks::default())
-}
-
-/// [`list_subgraphs_prepared`] with explicit [`RunnerHooks`] — the entry
-/// point the simulation harness uses to run the *real* expansion pipeline
-/// under an adversarial, deterministic schedule.
-pub fn list_subgraphs_prepared_with(
-    shared: &PsglShared<'_>,
-    config: &PsglConfig,
-    hooks: &RunnerHooks<'_>,
-) -> Result<ListingResult, PsglError> {
-    let mode =
-        if config.collect_instances { HarvestMode::Instances } else { HarvestMode::CountOnly };
-    match run_engine(shared, config, mode, hooks, RunControls::default())? {
-        EngineEnd::Complete(result, worker_states) => {
-            Ok(attach_instances(result, worker_states, config))
-        }
-        // No cancel token, no checkpointing: nothing can cancel the run.
-        EngineEnd::Cancelled(_) => unreachable!("run without controls cannot be cancelled"),
-    }
-}
-
-/// Cancellation / checkpoint / resume inputs for
-/// [`list_subgraphs_resumable`]. The default reproduces
-/// [`list_subgraphs_prepared_with`] exactly.
-#[derive(Default)]
-pub struct RunControls<'a> {
+/// What ends a run before it completes. The default is nothing.
+#[derive(Clone, Copy, Default)]
+pub struct Stop<'a> {
     /// Cancellation token polled at every superstep barrier and every few
     /// message batches inside expansion.
     pub cancel: Option<&'a CancelToken>,
     /// Capture a [`Checkpoint`] when a soft cancel (deadline, superstep
-    /// deadline, or Gpsi budget) fires at a barrier.
+    /// deadline, or Gpsi budget) fires at a barrier. Ignored by a
+    /// [`ClusterMember`], whose checkpoints are coordinator-directed and
+    /// leave through the shard sink: no single member sees the whole run.
     pub checkpoint: bool,
-    /// Restart from a previously captured checkpoint instead of
-    /// superstep 0. The checkpoint's guard must match this run's graph,
-    /// pattern, and configuration exactly.
-    pub resume: Option<Checkpoint>,
-    /// Distributed-runtime hookup: run this engine instance as one member
-    /// of a cluster, hosting only a subset of the global partitions. See
-    /// [`ClusterControls`].
-    pub cluster: Option<ClusterControls<'a>>,
+    /// Yield at the barrier this many supersteps (at least one) past the
+    /// start, as [`ListingEnd::Preempted`] — the preemptive scheduler's
+    /// unit of work. [`run`] arms the token's preempt barrier and disarms
+    /// it before returning; the frontier is captured whatever
+    /// [`Stop::checkpoint`] says, which only decides whether *deadline and
+    /// budget* stops are soft (checkpointed) or hard.
+    pub slice: Option<u32>,
 }
 
-/// Hooks that turn one engine instance into a cluster member: a remote
-/// [`Exchange`] carries the message plane, an optional [`ShardSink`]
-/// streams superstep-boundary checkpoint shards out (to the coordinator),
-/// and `resume_shards` restarts the member from a previously captured
-/// shard set after a peer failure.
-///
-/// In cluster mode [`RunControls::checkpoint`] is ignored: checkpointing
-/// is coordinator-directed (via
-/// [`ExchangeDirective::CheckpointAndContinue`](psgl_bsp::ExchangeDirective))
-/// and flows through the shard sink, never through an in-engine
-/// [`Checkpoint`] capture, because no single member sees the whole run.
-pub struct ClusterControls<'a> {
+/// Turns the engine instance into one member of a cluster, hosting only
+/// the exchange's local partitions. A member starts from [`Start::Init`]
+/// or [`Start::Shards`]; a whole-run checkpoint or a seed frontier covers
+/// every partition, and the engine asserts it hosts them all.
+pub struct ClusterMember<'a> {
     /// The remote exchange: ships non-local outboxes to peers, runs the
     /// coordinator barrier, and reports the global in-flight count.
     pub exchange: &'a dyn Exchange<Gpsi>,
     /// Receives one [`CheckpointShard`] per local partition whenever the
-    /// coordinator directs a checkpoint.
+    /// coordinator directs a checkpoint
+    /// ([`ExchangeDirective::CheckpointAndContinue`](psgl_bsp::ExchangeDirective)).
     pub shard_sink: Option<&'a dyn ShardSink>,
-    /// Resume this member from a shard set (one shard per local partition,
-    /// any order) instead of superstep 0.
-    pub resume_shards: Option<Vec<CheckpointShard>>,
 }
 
 /// Receives superstep-boundary checkpoint shards from a cluster member —
@@ -330,6 +364,23 @@ pub struct ClusterControls<'a> {
 pub trait ShardSink: Sync {
     /// Consumes one barrier's shard set.
     fn capture(&self, shards: Vec<CheckpointShard>);
+}
+
+/// What a run keeps of the instances it finds.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub enum Harvest {
+    /// The count, plus the instance tuples iff
+    /// [`PsglConfig::collect_instances`] (the paper outputs occurrence
+    /// numbers by default).
+    #[default]
+    Listing,
+    /// The count, plus [`ListingResult::per_vertex`]: for every data
+    /// vertex, the number of instances it participates in — with the
+    /// triangle pattern, local triangle counts, the ingredient of
+    /// per-vertex clustering coefficients (Section 1's motivating
+    /// application). Positions in an instance are distinct, so the counts
+    /// sum to `instance_count * |Vp|`.
+    PerVertex,
 }
 
 /// A run ended early by its cancel token (or budget, with checkpointing).
@@ -344,55 +395,22 @@ pub struct CancelledListing {
     /// are partially included; on a checkpointed cancel they are exact.
     pub partial: ListingResult,
     /// The resume checkpoint — present only for soft cancels with
-    /// [`RunControls::checkpoint`] set.
+    /// [`Stop::checkpoint`] set.
     pub checkpoint: Option<Checkpoint>,
 }
 
-/// Outcome of a resumable listing run.
+/// How a [`run`] ended.
 //
 // The variants are deliberately asymmetric in size: this is a transient
 // return value consumed immediately by a match, never stored, and boxing
 // the common Complete arm would tax every uncancelled run.
 #[allow(clippy::large_enum_variant)]
 pub enum ListingEnd {
-    /// The run finished; results are exact.
+    /// The run finished; results are exact and final.
     Complete(ListingResult),
-    /// The run was cancelled; see [`CancelledListing`].
-    Cancelled(Box<CancelledListing>),
-}
-
-/// [`list_subgraphs_prepared_with`] plus cooperative cancellation,
-/// superstep-boundary checkpointing, and exact resume.
-///
-/// Resuming from a checkpoint continues the run *bit-identically*: the
-/// distributor RNG streams, workload views, expansion counters, and the
-/// undelivered frontier are all restored, so the final counts, instances,
-/// and deterministic metrics equal an uninterrupted run's.
-pub fn list_subgraphs_resumable(
-    shared: &PsglShared<'_>,
-    config: &PsglConfig,
-    hooks: &RunnerHooks<'_>,
-    controls: RunControls<'_>,
-) -> Result<ListingEnd, PsglError> {
-    let mode =
-        if config.collect_instances { HarvestMode::Instances } else { HarvestMode::CountOnly };
-    match run_engine(shared, config, mode, hooks, controls)? {
-        EngineEnd::Complete(result, worker_states) => {
-            Ok(ListingEnd::Complete(attach_instances(result, worker_states, config)))
-        }
-        EngineEnd::Cancelled(c) => Ok(ListingEnd::Cancelled(c)),
-    }
-}
-
-/// Outcome of one bounded slice of a resumable run — see
-/// [`list_subgraphs_slice`].
-#[allow(clippy::large_enum_variant)]
-pub enum SliceEnd {
-    /// The run finished inside the slice; results are exact and final.
-    Complete(ListingResult),
-    /// The slice budget expired at a barrier. Resume the next slice by
-    /// passing `checkpoint` back in; counts and instances continue
-    /// bit-identically to an uninterrupted run.
+    /// [`Stop::slice`] expired at a barrier. Pass `checkpoint` back as
+    /// [`Start::Checkpoint`] to run the next slice; counts and instances
+    /// continue bit-identically to an uninterrupted run.
     Preempted {
         /// The superstep the next slice resumes at.
         superstep: u32,
@@ -404,158 +422,40 @@ pub enum SliceEnd {
         /// out for streaming without disturbing counts.
         checkpoint: Box<Checkpoint>,
     },
-    /// Another trigger (explicit cancel, deadline, budget) beat the slice
-    /// barrier; see [`CancelledListing`].
+    /// Another trigger (explicit cancel, deadline, budget) ended the run;
+    /// see [`CancelledListing`].
     Cancelled(Box<CancelledListing>),
 }
 
-/// Runs at most `slice_supersteps` supersteps of a (possibly resumed)
-/// listing run, yielding at the next barrier with a resume checkpoint —
-/// the preemptive scheduler's unit of work.
-///
-/// Arms `cancel`'s preemption barrier at `resume superstep +
-/// slice_supersteps`, runs [`list_subgraphs_resumable`], and disarms the
-/// barrier before returning. The preempted frontier is captured
-/// regardless of `controls.checkpoint` semantics for deadlines: the
-/// `checkpoint` argument here only controls whether *deadline/budget*
-/// cancels are soft (checkpointed) or hard, exactly as in
-/// [`RunControls`]. Slicing never changes the run's results: resuming
-/// from the returned checkpoint continues bit-identically.
-pub fn list_subgraphs_slice(
-    shared: &PsglShared<'_>,
-    config: &PsglConfig,
-    hooks: &RunnerHooks<'_>,
-    cancel: &CancelToken,
-    checkpoint: bool,
-    resume: Option<Checkpoint>,
-    slice_supersteps: u32,
-) -> Result<SliceEnd, PsglError> {
-    let base = resume.as_ref().map_or(0, |cp| cp.superstep);
-    cancel.set_preempt_barrier(base.saturating_add(slice_supersteps.max(1)));
-    let controls = RunControls { cancel: Some(cancel), checkpoint, resume, cluster: None };
-    let end = list_subgraphs_resumable(shared, config, hooks, controls);
-    cancel.clear_preempt_barrier();
-    match end? {
-        ListingEnd::Complete(result) => Ok(SliceEnd::Complete(result)),
-        ListingEnd::Cancelled(c) if c.reason == CancelReason::Preempted => {
-            let c = *c;
-            let checkpoint = c.checkpoint.expect("a preempted run always captures its frontier");
-            Ok(SliceEnd::Preempted {
-                superstep: c.superstep,
-                partial: c.partial,
-                checkpoint: Box::new(checkpoint),
-            })
+impl ListingEnd {
+    /// The result of a run whose request had an empty [`Stop`]: nothing
+    /// could end it early.
+    pub fn completed(self) -> ListingResult {
+        match self {
+            ListingEnd::Complete(result) => result,
+            _ => unreachable!("a run with no stop rule cannot end early"),
         }
-        ListingEnd::Cancelled(c) => Ok(SliceEnd::Cancelled(c)),
     }
 }
 
-/// Moves collected instances out of the worker harvests into the result
-/// (sorted for deterministic comparison).
-fn attach_instances(
-    mut result: ListingResult,
-    worker_states: Vec<WorkerState>,
-    config: &PsglConfig,
-) -> ListingResult {
-    if config.collect_instances {
-        let mut buf = Vec::new();
-        for ws in worker_states {
-            if let Harvest::Instances(mut found) = ws.harvest {
-                buf.append(&mut found);
-            }
-        }
-        buf.sort_unstable();
-        result.instances = Some(buf);
-    }
-    result
-}
-
-/// Runs the BSP expansion phase over an explicit seed frontier instead of
-/// the initialization superstep — the incremental-listing path of
-/// `psgl-delta`.
-///
-/// Each seed is a partially expanded [`Gpsi`] (typically two mapped
-/// vertices binding one changed data edge, with that pattern edge already
-/// verified); the engine starts directly at superstep 1 with the seeds as
-/// the undelivered frontier, routed to the partition owning each seed's
-/// expanding vertex. Expansion from a seed is exact — identical pruning,
-/// ordering, and verification to a full run — so the instances found are
-/// exactly the completions of the given seeds.
-///
-/// The caller is responsible for seed validity: every already-mapped pair
-/// must satisfy the partial order and the seed's expanding vertex must be
-/// mapped. An empty seed set returns an empty, zero-superstep result.
-pub fn list_subgraphs_seeded(
-    shared: &PsglShared<'_>,
-    config: &PsglConfig,
-    hooks: &RunnerHooks<'_>,
-    seeds: Vec<Gpsi>,
-) -> Result<ListingResult, PsglError> {
-    let mode =
-        if config.collect_instances { HarvestMode::Instances } else { HarvestMode::CountOnly };
-    match run_engine_seeded(shared, config, mode, hooks, RunControls::default(), Some(seeds))? {
-        EngineEnd::Complete(result, worker_states) => {
-            Ok(attach_instances(result, worker_states, config))
-        }
-        EngineEnd::Cancelled(_) => unreachable!("run without controls cannot be cancelled"),
-    }
-}
-
-/// Lists all *label-consistent* instances of `pattern` in `graph`
-/// (Section 2's subgraph-matching generalization: each pattern vertex may
-/// only map to data vertices carrying the same label). With uniform labels
-/// this equals [`list_subgraphs`].
-pub fn list_subgraphs_labeled(
-    graph: &psgl_graph::DataGraph,
-    pattern: &Pattern,
-    data_labels: Vec<psgl_pattern::labeled::Label>,
-    pattern_labels: Vec<psgl_pattern::labeled::Label>,
-    config: &PsglConfig,
-) -> Result<ListingResult, PsglError> {
-    let shared = PsglShared::prepare_labeled(graph, pattern, config, data_labels, pattern_labels)?;
-    list_subgraphs_prepared(&shared, config)
-}
-
-/// Counts, for every data vertex, the number of subgraph instances it
-/// participates in — e.g. with the triangle pattern this yields local
-/// triangle counts, the ingredient of per-vertex clustering coefficients
-/// (Section 1's motivating application).
-///
-/// An instance containing vertex `v` in `k` positions contributes `k`
-/// (positions are distinct, so `k` is 0 or 1); the counts therefore sum to
-/// `instance_count * |Vp|`.
-pub fn count_per_vertex(
-    graph: &psgl_graph::DataGraph,
-    pattern: &Pattern,
-    config: &PsglConfig,
-) -> Result<(Vec<u64>, ListingResult), PsglError> {
-    let shared = PsglShared::prepare(graph, pattern, config)?;
-    let end = run_engine(
-        &shared,
-        config,
-        HarvestMode::PerVertex,
-        &RunnerHooks::default(),
-        RunControls::default(),
-    )?;
-    let EngineEnd::Complete(result, worker_states) = end else {
-        unreachable!("run without controls cannot be cancelled")
-    };
-    let mut totals = vec![0u64; graph.num_vertices()];
+/// Moves what the workers harvested into the result: instance tuples
+/// sorted for deterministic comparison, per-vertex counts summed.
+fn attach_harvest(result: &mut ListingResult, worker_states: Vec<WorkerState>) {
     for ws in worker_states {
-        if let Harvest::PerVertex(counts) = ws.harvest {
-            for (t, c) in totals.iter_mut().zip(counts) {
-                *t += c;
+        match ws.harvest {
+            Harvested::CountOnly => {}
+            Harvested::Instances(mut found) => {
+                result.instances.get_or_insert_with(Vec::new).append(&mut found);
             }
+            Harvested::PerVertex(counts) => match &mut result.per_vertex {
+                Some(totals) => totals.iter_mut().zip(counts).for_each(|(t, c)| *t += c),
+                None => result.per_vertex = Some(counts),
+            },
         }
     }
-    Ok((totals, result))
-}
-
-/// Internal outcome of the engine driver.
-#[allow(clippy::large_enum_variant)] // transient return value, see ListingEnd
-enum EngineEnd {
-    Complete(ListingResult, Vec<WorkerState>),
-    Cancelled(Box<CancelledListing>),
+    if let Some(instances) = &mut result.instances {
+        instances.sort_unstable();
+    }
 }
 
 #[cfg(test)]
@@ -593,9 +493,9 @@ fn snapshot_worker(ws: &WorkerState) -> WorkerCheckpoint {
         emitted_superstep: ws.emitted_superstep,
         failed: ws.failed,
         harvest: match &ws.harvest {
-            Harvest::CountOnly => HarvestCheckpoint::CountOnly,
-            Harvest::Instances(buf) => HarvestCheckpoint::Instances(buf.clone()),
-            Harvest::PerVertex(counts) => HarvestCheckpoint::PerVertex(counts.clone()),
+            Harvested::CountOnly => HarvestCheckpoint::CountOnly,
+            Harvested::Instances(buf) => HarvestCheckpoint::Instances(buf.clone()),
+            Harvested::PerVertex(counts) => HarvestCheckpoint::PerVertex(counts.clone()),
         },
     }
 }
@@ -608,9 +508,9 @@ impl WorkerState {
             distributor: Distributor::from_snapshot(strategy, wc.distributor),
             stats: wc.stats,
             harvest: match wc.harvest {
-                HarvestCheckpoint::CountOnly => Harvest::CountOnly,
-                HarvestCheckpoint::Instances(buf) => Harvest::Instances(buf),
-                HarvestCheckpoint::PerVertex(counts) => Harvest::PerVertex(counts),
+                HarvestCheckpoint::CountOnly => Harvested::CountOnly,
+                HarvestCheckpoint::Instances(buf) => Harvested::Instances(buf),
+                HarvestCheckpoint::PerVertex(counts) => Harvested::PerVertex(counts),
             },
             scratch: ExpandScratch::new(),
             out: Vec::new(),
@@ -769,38 +669,27 @@ fn assemble_listing(
     ListingResult {
         instance_count: expand.results,
         instances: None,
+        per_vertex: None,
         stats: assemble_run_stats(expand, metrics),
         init_vertex: shared.init_vertex,
         selection_rule: shared.selection_rule,
     }
 }
 
-/// Shared engine driver: runs the BSP phase and assembles the result
-/// skeleton; harvest-specific data is extracted by the callers from the
-/// returned worker states.
-fn run_engine(
+/// Runs the vertex program as `request` describes: the superstep loop
+/// entered from `request.start`, executed under `request.hooks`, until it
+/// completes or `request.stop` ends it — the one way into the BSP engine.
+pub fn run(
     shared: &PsglShared<'_>,
     config: &PsglConfig,
-    harvest_mode: HarvestMode,
-    hooks: &RunnerHooks<'_>,
-    controls: RunControls<'_>,
-) -> Result<EngineEnd, PsglError> {
-    run_engine_seeded(shared, config, harvest_mode, hooks, controls, None)
-}
-
-/// [`run_engine`] with an optional explicit seed frontier: the engine
-/// skips the initialization superstep and starts at superstep 1 with the
-/// seeds as the undelivered frontier (fresh worker states, seeds routed by
-/// the partition of each seed's expanding vertex). Mutually exclusive with
-/// resuming from a checkpoint.
-fn run_engine_seeded(
-    shared: &PsglShared<'_>,
-    config: &PsglConfig,
-    harvest_mode: HarvestMode,
-    hooks: &RunnerHooks<'_>,
-    controls: RunControls<'_>,
-    seeds: Option<Vec<Gpsi>>,
-) -> Result<EngineEnd, PsglError> {
+    request: RunRequest<'_>,
+) -> Result<ListingEnd, PsglError> {
+    let RunRequest { start, hooks, stop, cluster, harvest } = request;
+    let harvest_mode = match harvest {
+        Harvest::PerVertex => HarvestMode::PerVertex,
+        Harvest::Listing if config.collect_instances => HarvestMode::Instances,
+        Harvest::Listing => HarvestMode::CountOnly,
+    };
     let partitioner = hooks
         .partitioner
         .unwrap_or_else(|| HashPartitioner::with_salt(config.workers, hash_u64(config.seed)));
@@ -809,7 +698,7 @@ fn run_engine_seeded(
         config,
         limits: ExpandLimits { max_fanout: config.max_fanout },
         harvest_mode,
-        defer_budget: controls.checkpoint && config.gpsi_budget.is_some(),
+        defer_budget: stop.checkpoint && config.gpsi_budget.is_some(),
     };
     let mut bsp_config = BspConfig {
         max_supersteps: config.max_supersteps,
@@ -828,69 +717,67 @@ fn run_engine_seeded(
     // the graph.
     let guard_cell = std::cell::OnceCell::new();
     let guard = || *guard_cell.get_or_init(|| guard_of(shared, config, harvest_mode));
-    let RunControls { cancel, checkpoint, resume, cluster } = controls;
-    let (cluster_exchange, cluster_sink, resume_shards) = match cluster {
-        Some(cl) => (Some(cl.exchange), cl.shard_sink, cl.resume_shards),
-        None => (None, None, None),
+    // Global partition ids hosted here, in local slot order.
+    let locals = || match &cluster {
+        Some(member) => member.exchange.local_partitions(),
+        None => (0..config.workers).collect(),
     };
-    let resume = if let Some(seeds) = seeds {
-        debug_assert!(resume.is_none(), "seed frontier and checkpoint resume are exclusive");
-        let worker_states = (0..config.workers).map(|w| program.create_worker_state(w)).collect();
-        let mut frontier: Vec<Vec<(VertexId, Gpsi)>> = vec![Vec::new(); config.workers];
-        for g in seeds {
-            let dest = g.map(g.expanding()).expect("seed expanding vertex is mapped");
-            frontier[partitioner.owner(dest)].push((dest, g));
+    let resume = match start {
+        Start::Init => None,
+        Start::Checkpoint(cp) => {
+            cp.validate(&guard())?;
+            Some(restore_resume_point(config, cp))
         }
-        Some(ResumePoint {
-            superstep: 1,
-            frontier,
-            worker_states,
-            aggregate: (),
-            prior_supersteps: Vec::new(),
-            carried: CarriedCounters::default(),
-        })
-    } else if let Some(shards) = resume_shards {
-        let exchange = cluster_exchange.expect("resume_shards live inside ClusterControls");
-        Some(restore_from_shards(config, &guard(), shards, &exchange.local_partitions())?)
-    } else {
-        match resume {
-            Some(cp) => {
-                cp.validate(&guard())?;
-                Some(restore_resume_point(config, cp))
+        Start::Seeds(seeds) => {
+            let worker_states =
+                (0..config.workers).map(|w| program.create_worker_state(w)).collect();
+            let mut frontier: Vec<Vec<(VertexId, Gpsi)>> = vec![Vec::new(); config.workers];
+            for g in seeds {
+                let dest = g.map(g.expanding()).expect("seed expanding vertex is mapped");
+                frontier[partitioner.owner(dest)].push((dest, g));
             }
-            None => None,
+            Some(ResumePoint {
+                superstep: 1,
+                frontier,
+                worker_states,
+                aggregate: (),
+                prior_supersteps: Vec::new(),
+                carried: CarriedCounters::default(),
+            })
         }
+        Start::Shards(shards) => Some(restore_from_shards(config, &guard(), shards, &locals())?),
     };
-    let shard_sink = cluster_exchange.and_then(|exchange| {
-        cluster_sink.map(|sink| EngineShardSink {
-            sink,
-            guard: guard(),
-            partitions: exchange.local_partitions(),
-        })
+    let shard_sink = cluster.as_ref().and_then(|member| {
+        member.shard_sink.map(|sink| EngineShardSink { sink, guard: guard(), partitions: locals() })
     });
-    // The spill tier. Hooks override config so the chaos harness can
-    // inject disk-pressure faults per scenario; disabled under a cluster
-    // exchange, where the message plane owns inter-worker buffering. The
-    // store created here owns the per-run spill directory: dropping this
-    // frame — clean finish, cancel, preempt, `?` error, panic unwind —
-    // deletes every blob.
-    let spill_config = hooks.spill.as_ref().or(config.spill.as_ref());
-    let spill_store = match spill_config {
-        Some(sc) if cluster_exchange.is_none() => {
-            Some(SpillStore::create(sc).map_err(|error| {
-                PsglError::Engine(psgl_bsp::BspError::Spill { superstep: 0, error })
-            })?)
-        }
+    // The spill tier is disabled under a cluster exchange, where the
+    // message plane owns inter-worker buffering. The store created here
+    // owns the per-run spill directory: dropping this frame — clean
+    // finish, cancel, preempt, `?` error, panic unwind — deletes every
+    // blob.
+    let spill_store = match &hooks.spill {
+        Some(sc) if cluster.is_none() => Some(SpillStore::create(sc).map_err(|error| {
+            PsglError::Engine(psgl_bsp::BspError::Spill { superstep: 0, error })
+        })?),
         _ => None,
     };
     let spill_codec = GpsiSpillCodec;
+    // A slice is the cancel token's preempt barrier, armed for exactly
+    // this call; a sliced run that brought no token gets a private one.
+    let slice_token = stop.slice.filter(|_| stop.cancel.is_none()).map(|_| CancelToken::new());
+    let cancel = stop.cancel.or(slice_token.as_ref());
+    let armed = cancel.zip(stop.slice);
+    if let Some((token, supersteps)) = armed {
+        let base = resume.as_ref().map_or(0, |rp| rp.superstep);
+        token.set_preempt_barrier(base.saturating_add(supersteps.max(1)));
+    }
     let control = RunControl {
         cancel,
         // In-engine whole-run checkpoint capture needs every partition's
         // state; a cluster member checkpoints through the shard sink.
-        checkpoint: checkpoint && cluster_exchange.is_none(),
+        checkpoint: stop.checkpoint && cluster.is_none(),
         resume,
-        exchange: cluster_exchange,
+        exchange: cluster.as_ref().map(|member| member.exchange),
         sink: shard_sink.as_ref().map(|s| s as &dyn FrontierSink<Gpsi, WorkerState>),
         spill: spill_store.as_ref().map(|store| SpillControl { store, codec: &spill_codec }),
         tracer: hooks.tracer,
@@ -903,6 +790,9 @@ fn run_engine_seeded(
         executor,
         control,
     );
+    if let Some((token, _)) = armed {
+        token.clear_preempt_barrier();
+    }
     // The spill directory is about to be swept by the store's drop guard;
     // record what it held so a degraded run's disk traffic is attributable
     // after the fact. Seeded tracers omit the path (it embeds a per-run
@@ -939,8 +829,9 @@ fn run_engine_seeded(
                     });
                 }
             }
-            let listing = assemble_listing(shared, expand, &result.metrics);
-            Ok(EngineEnd::Complete(listing, result.worker_states))
+            let mut listing = assemble_listing(shared, expand, &result.metrics);
+            attach_harvest(&mut listing, result.worker_states);
+            Ok(ListingEnd::Complete(listing))
         }
         RunOutcome::Cancelled(c) => {
             let mut expand = ExpandStats::default();
@@ -948,16 +839,6 @@ fn run_engine_seeded(
                 expand.merge(&ws.stats);
             }
             let mut partial = assemble_listing(shared, expand, &c.metrics);
-            if config.collect_instances {
-                let mut buf = Vec::new();
-                for ws in &c.worker_states {
-                    if let Harvest::Instances(found) = &ws.harvest {
-                        buf.extend(found.iter().cloned());
-                    }
-                }
-                buf.sort_unstable();
-                partial.instances = Some(buf);
-            }
             let checkpoint = c.frontier.map(|frontier| Checkpoint {
                 guard: guard(),
                 superstep: c.superstep,
@@ -966,12 +847,20 @@ fn run_engine_seeded(
                 workers: c.worker_states.iter().map(snapshot_worker).collect(),
                 frontier,
             });
-            Ok(EngineEnd::Cancelled(Box::new(CancelledListing {
-                reason: c.reason,
-                superstep: c.superstep,
-                partial,
-                checkpoint,
-            })))
+            attach_harvest(&mut partial, c.worker_states);
+            Ok(match (c.reason, checkpoint) {
+                (CancelReason::Preempted, Some(checkpoint)) => ListingEnd::Preempted {
+                    superstep: c.superstep,
+                    partial,
+                    checkpoint: Box::new(checkpoint),
+                },
+                (reason, checkpoint) => ListingEnd::Cancelled(Box::new(CancelledListing {
+                    reason,
+                    superstep: c.superstep,
+                    partial,
+                    checkpoint,
+                })),
+            })
         }
     }
 }
@@ -986,6 +875,40 @@ mod tests {
 
     fn k4() -> DataGraph {
         DataGraph::from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]).unwrap()
+    }
+
+    fn list_subgraphs_labeled(
+        graph: &DataGraph,
+        pattern: &Pattern,
+        data_labels: Vec<psgl_pattern::labeled::Label>,
+        pattern_labels: Vec<psgl_pattern::labeled::Label>,
+        config: &PsglConfig,
+    ) -> Result<ListingResult, PsglError> {
+        let shared =
+            PsglShared::prepare_labeled(graph, pattern, config, data_labels, pattern_labels)?;
+        list_subgraphs_prepared(&shared, config)
+    }
+
+    /// Stops at `token`'s trigger, capturing a checkpoint if it is soft.
+    fn checkpointing(token: &CancelToken) -> RunRequest<'_> {
+        let stop = Stop { cancel: Some(token), checkpoint: true, slice: None };
+        RunRequest { stop, ..Default::default() }
+    }
+
+    fn resuming(cp: Checkpoint) -> RunRequest<'static> {
+        RunRequest { start: Start::Checkpoint(cp), ..Default::default() }
+    }
+
+    fn one_superstep_from(start: Start) -> RunRequest<'static> {
+        let stop = Stop { slice: Some(1), ..Default::default() };
+        RunRequest { start, stop, ..Default::default() }
+    }
+
+    fn count_per_vertex(graph: &DataGraph, pattern: &Pattern, workers: usize) -> ListingResult {
+        let config = PsglConfig::with_workers(workers);
+        let shared = PsglShared::prepare(graph, pattern, &config).unwrap();
+        let request = RunRequest { harvest: Harvest::PerVertex, ..Default::default() };
+        run(&shared, &config, request).unwrap().completed()
     }
 
     #[test]
@@ -1271,24 +1194,20 @@ mod tests {
     #[test]
     fn per_vertex_counts_sum_and_localize() {
         let g = k4();
-        let (counts, result) =
-            count_per_vertex(&g, &catalog::triangle(), &PsglConfig::with_workers(2)).unwrap();
+        let result = count_per_vertex(&g, &catalog::triangle(), 2);
         // K4: each vertex lies in C(3,2) = 3 triangles.
-        assert_eq!(counts, vec![3, 3, 3, 3]);
+        assert_eq!(result.per_vertex, Some(vec![3, 3, 3, 3]));
         assert_eq!(result.instance_count, 4);
-        assert_eq!(counts.iter().sum::<u64>(), result.instance_count * 3);
         // A path graph has no triangles anywhere.
         let p = DataGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
-        let (counts, _) =
-            count_per_vertex(&p, &catalog::triangle(), &PsglConfig::with_workers(2)).unwrap();
-        assert_eq!(counts, vec![0, 0, 0, 0]);
+        let result = count_per_vertex(&p, &catalog::triangle(), 2);
+        assert_eq!(result.per_vertex, Some(vec![0, 0, 0, 0]));
     }
 
     #[test]
     fn per_vertex_counts_match_collected_instances() {
         let g = erdos_renyi_gnm(70, 350, 19).unwrap();
-        let (counts, _) =
-            count_per_vertex(&g, &catalog::square(), &PsglConfig::with_workers(3)).unwrap();
+        let counts = count_per_vertex(&g, &catalog::square(), 3).per_vertex.unwrap();
         let collected =
             list_subgraphs(&g, &catalog::square(), &PsglConfig::with_workers(3).collect(true))
                 .unwrap()
@@ -1342,13 +1261,7 @@ mod tests {
         assert!(full.instance_count > 0, "reference run should find squares");
 
         let token = CancelToken::with_superstep_deadline(2);
-        let end = list_subgraphs_resumable(
-            &shared,
-            &config,
-            &RunnerHooks::default(),
-            RunControls { cancel: Some(&token), checkpoint: true, resume: None, cluster: None },
-        )
-        .unwrap();
+        let end = run(&shared, &config, checkpointing(&token)).unwrap();
         let ListingEnd::Cancelled(cancelled) = end else { panic!("run should hit the deadline") };
         assert_eq!(cancelled.reason, CancelReason::Deadline);
         assert_eq!(cancelled.superstep, 2);
@@ -1357,13 +1270,7 @@ mod tests {
 
         // Through the wire format and back — the service's resume-token path.
         let cp = Checkpoint::from_bytes(&cp.to_bytes()).unwrap();
-        let end = list_subgraphs_resumable(
-            &shared,
-            &config,
-            &RunnerHooks::default(),
-            RunControls { resume: Some(cp), ..RunControls::default() },
-        )
-        .unwrap();
+        let end = run(&shared, &config, resuming(cp)).unwrap();
         let ListingEnd::Complete(resumed) = end else { panic!("resumed run should complete") };
         assert_eq!(resumed.instance_count, full.instance_count);
         assert_eq!(resumed.instances, full.instances);
@@ -1382,18 +1289,16 @@ mod tests {
         let before = built();
         // No controls: nothing can capture or validate a checkpoint.
         list_subgraphs_prepared(&shared, &config).unwrap();
-        list_subgraphs_seeded(&shared, &config, &RunnerHooks::default(), Vec::new()).unwrap();
+        let seeded = RunRequest { start: Start::Seeds(Vec::new()), ..Default::default() };
+        run(&shared, &config, seeded).unwrap();
         assert_eq!(built(), before, "an uncontrolled run hashed the whole graph");
         // A checkpointed cancel captures with it, a resume validates with
         // it — once each.
         let token = CancelToken::with_superstep_deadline(2);
-        let controls = RunControls { cancel: Some(&token), checkpoint: true, ..Default::default() };
-        let end =
-            list_subgraphs_resumable(&shared, &config, &RunnerHooks::default(), controls).unwrap();
+        let end = run(&shared, &config, checkpointing(&token)).unwrap();
         let ListingEnd::Cancelled(cancelled) = end else { panic!("run should hit the deadline") };
         assert_eq!(built(), before + 1);
-        let controls = RunControls { resume: cancelled.checkpoint, ..Default::default() };
-        list_subgraphs_resumable(&shared, &config, &RunnerHooks::default(), controls).unwrap();
+        run(&shared, &config, resuming(cancelled.checkpoint.unwrap())).unwrap();
         assert_eq!(built(), before + 2);
     }
 
@@ -1407,31 +1312,21 @@ mod tests {
         let full = list_subgraphs_prepared(&shared, &config).unwrap();
         assert!(full.instance_count > 0, "reference run should find squares");
 
-        let token = CancelToken::new();
-        let mut resume = None;
+        let mut start = Start::Init;
         let mut preemptions = 0;
         let finished = loop {
-            let end = list_subgraphs_slice(
-                &shared,
-                &config,
-                &RunnerHooks::default(),
-                &token,
-                false,
-                resume.take(),
-                1,
-            )
-            .unwrap();
-            match end {
-                SliceEnd::Complete(result) => break result,
-                SliceEnd::Preempted { superstep, partial, checkpoint } => {
+            match run(&shared, &config, one_superstep_from(start)).unwrap() {
+                ListingEnd::Complete(result) => break result,
+                ListingEnd::Preempted { superstep, partial, checkpoint } => {
                     assert!(partial.instance_count <= full.instance_count);
                     assert_eq!(checkpoint.superstep, superstep);
                     preemptions += 1;
                     // Through the wire format and back, as the service's
                     // checkpoint store would do.
-                    resume = Some(Checkpoint::from_bytes(&checkpoint.to_bytes()).unwrap());
+                    start =
+                        Start::Checkpoint(Checkpoint::from_bytes(&checkpoint.to_bytes()).unwrap());
                 }
-                SliceEnd::Cancelled(c) => panic!("unexpected cancel: {:?}", c.reason),
+                ListingEnd::Cancelled(c) => panic!("unexpected cancel: {:?}", c.reason),
             }
             assert!(preemptions < 64, "sliced run must converge");
         };
@@ -1450,27 +1345,16 @@ mod tests {
         let shared = PsglShared::prepare(&g, &catalog::square(), &config).unwrap();
         let full = list_subgraphs_prepared(&shared, &config).unwrap();
 
-        let token = CancelToken::new();
-        let mut resume = None;
+        let mut start = Start::Init;
         let mut pages: Vec<Vec<psgl_graph::csr::VertexId>> = Vec::new();
         let finished = loop {
-            let end = list_subgraphs_slice(
-                &shared,
-                &config,
-                &RunnerHooks::default(),
-                &token,
-                false,
-                resume.take(),
-                1,
-            )
-            .unwrap();
-            match end {
-                SliceEnd::Complete(result) => break result,
-                SliceEnd::Preempted { mut checkpoint, .. } => {
+            match run(&shared, &config, one_superstep_from(start)).unwrap() {
+                ListingEnd::Complete(result) => break result,
+                ListingEnd::Preempted { mut checkpoint, .. } => {
                     pages.extend(checkpoint.drain_instances());
-                    resume = Some(*checkpoint);
+                    start = Start::Checkpoint(*checkpoint);
                 }
-                SliceEnd::Cancelled(c) => panic!("unexpected cancel: {:?}", c.reason),
+                ListingEnd::Cancelled(c) => panic!("unexpected cancel: {:?}", c.reason),
             }
         };
         // Draining between slices never disturbs the count; the pages
@@ -1492,13 +1376,7 @@ mod tests {
         let shared = PsglShared::prepare(&g, &catalog::triangle(), &config).unwrap();
         let token = CancelToken::new();
         token.cancel(CancelReason::Explicit);
-        let end = list_subgraphs_resumable(
-            &shared,
-            &config,
-            &RunnerHooks::default(),
-            RunControls { cancel: Some(&token), checkpoint: true, resume: None, cluster: None },
-        )
-        .unwrap();
+        let end = run(&shared, &config, checkpointing(&token)).unwrap();
         let ListingEnd::Cancelled(c) = end else { panic!("pre-cancelled run cannot complete") };
         assert_eq!(c.reason, CancelReason::Explicit);
         assert!(c.checkpoint.is_none(), "hard cancels capture no checkpoint");
@@ -1513,26 +1391,15 @@ mod tests {
         let full = list_subgraphs_prepared(&shared, &config).unwrap();
 
         let tight = PsglConfig { gpsi_budget: Some(10), ..PsglConfig::with_workers(2) };
-        let end = list_subgraphs_resumable(
-            &shared,
-            &tight,
-            &RunnerHooks::default(),
-            RunControls { checkpoint: true, ..RunControls::default() },
-        )
-        .unwrap();
+        let stop = Stop { checkpoint: true, ..Default::default() };
+        let end = run(&shared, &tight, RunRequest { stop, ..Default::default() }).unwrap();
         let ListingEnd::Cancelled(c) = end else { panic!("tight budget must fire") };
         assert_eq!(c.reason, CancelReason::Budget);
         let cp = c.checkpoint.expect("budget cancel with checkpointing is resumable");
 
         // The guard does not pin the budget: the same run resumes without
         // one and completes exactly.
-        let end = list_subgraphs_resumable(
-            &shared,
-            &config,
-            &RunnerHooks::default(),
-            RunControls { resume: Some(cp), ..RunControls::default() },
-        )
-        .unwrap();
+        let end = run(&shared, &config, resuming(cp)).unwrap();
         let ListingEnd::Complete(resumed) = end else { panic!("resumed run should complete") };
         assert_eq!(resumed.instance_count, full.instance_count);
     }
@@ -1544,24 +1411,13 @@ mod tests {
         let config = PsglConfig::with_workers(2).seed(1).kernels(false);
         let shared = PsglShared::prepare(&g, &catalog::square(), &config).unwrap();
         let token = CancelToken::with_superstep_deadline(2);
-        let end = list_subgraphs_resumable(
-            &shared,
-            &config,
-            &RunnerHooks::default(),
-            RunControls { cancel: Some(&token), checkpoint: true, resume: None, cluster: None },
-        )
-        .unwrap();
+        let end = run(&shared, &config, checkpointing(&token)).unwrap();
         let ListingEnd::Cancelled(c) = end else { panic!("run should hit the deadline") };
         let cp = c.checkpoint.unwrap();
 
         let other = PsglConfig::with_workers(2).seed(2);
         let other_shared = PsglShared::prepare(&g, &catalog::square(), &other).unwrap();
-        let err = match list_subgraphs_resumable(
-            &other_shared,
-            &other,
-            &RunnerHooks::default(),
-            RunControls { resume: Some(cp), ..RunControls::default() },
-        ) {
+        let err = match run(&other_shared, &other, resuming(cp)) {
             Err(e) => e,
             Ok(_) => panic!("guard mismatch must be rejected"),
         };

@@ -31,7 +31,7 @@
 
 use crate::overlay::EpochArtifacts;
 use psgl_core::{
-    list_subgraphs_seeded, Gpsi, PsglConfig, PsglError, PsglShared, QueryPlan, RunnerHooks,
+    run, Gpsi, PsglConfig, PsglError, PsglShared, QueryPlan, RunRequest, RunnerHooks, Start,
 };
 use psgl_graph::VertexId;
 use psgl_pattern::Pattern;
@@ -221,7 +221,9 @@ impl DeltaQuery {
         if seeds.is_empty() {
             return Ok(Vec::new());
         }
-        let result = list_subgraphs_seeded(&shared, &self.config, hooks, seeds)?;
+        let request =
+            RunRequest { start: Start::Seeds(seeds), hooks: hooks.clone(), ..Default::default() };
+        let result = run(&shared, &self.config, request)?.completed();
         let mut instances = result.instances.unwrap_or_default();
         // An instance with j changed edges arrives once per seed binding
         // one of them; the engine already sorts, so dedup is exact.

@@ -1,7 +1,7 @@
 //! Preemptive, deadline-aware weighted-fair scheduler.
 //!
 //! Queries are decomposed into *superstep slices* via the engine's
-//! checkpoint seam ([`list_subgraphs_slice`]): a worker runs at most
+//! checkpoint seam ([`psgl_core::Stop::slice`]): a worker runs at most
 //! `slice_supersteps` supersteps of a query, then the run yields at the
 //! barrier with a resume checkpoint and goes back to the run queue, so
 //! slices of many concurrent queries interleave over the shared pool and
@@ -39,8 +39,8 @@ use crate::error::ServiceError;
 use crate::protocol::{instances_line, QuerySpec};
 use crate::state::ServiceState;
 use psgl_core::{
-    list_subgraphs_resumable, list_subgraphs_slice, CancelReason, CancelToken, Checkpoint,
-    ListingEnd, PsglConfig, PsglError, PsglShared, RunControls, RunnerHooks, SliceEnd,
+    run, CancelReason, CancelToken, Checkpoint, ListingEnd, PsglConfig, PsglError, PsglShared,
+    RunRequest, RunnerHooks, Start, Stop,
 };
 use psgl_graph::VertexId;
 use psgl_obs::{SlowQueryEntry, Value as TraceValue};
@@ -166,6 +166,32 @@ struct Task {
     degraded: bool,
 }
 
+impl Task {
+    /// A freshly admitted query that has run nothing yet. `seq` and
+    /// `degraded` are the run queue's to set.
+    fn new(job: Job, deadline_key: Option<u64>) -> Task {
+        Task {
+            seq: 0,
+            query: Arc::new(job.query.clone()),
+            tenant: job.query.tenant.clone().unwrap_or_else(|| DEFAULT_TENANT.to_string()),
+            weight: job.query.weight.unwrap_or(1).max(1),
+            job,
+            deadline_key,
+            resume: None,
+            client_resumed: false,
+            resume_redeemed: false,
+            slices: 0,
+            preemptions: 0,
+            pages: 0,
+            streamed: 0,
+            last_superstep: 0,
+            partial_count: 0,
+            admitted_at: Instant::now(),
+            degraded: false,
+        }
+    }
+}
+
 #[derive(Default)]
 struct RunQueue {
     /// `(class, key, seq)` — BTreeSet iteration order is the dispatch
@@ -236,8 +262,12 @@ impl Scheduler {
     /// Admits a job, or rejects immediately when too many tasks are
     /// already waiting (backpressure) or the scheduler is shutting down.
     pub fn submit(&self, job: Job) -> Result<(), ServiceError> {
-        let tenant = job.query.tenant.clone().unwrap_or_else(|| DEFAULT_TENANT.to_string());
-        let weight = job.query.weight.unwrap_or(1).max(1);
+        let deadline_key = job
+            .query
+            .timeout_ms
+            .map(|ms| (self.shared.epoch.elapsed() + Duration::from_millis(ms)).as_micros() as u64);
+        let mut task = Task::new(job, deadline_key);
+        let (tenant, weight) = (task.tenant.clone(), task.weight);
         let mut q = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
         if q.shutdown {
             return Err(ServiceError::ShuttingDown);
@@ -258,31 +288,9 @@ impl Scheduler {
                 return Err(ServiceError::Overloaded { queue_cap: self.shared.queue_cap });
             }
         }
-        let seq = q.next_seq;
+        task.seq = q.next_seq;
         q.next_seq += 1;
-        let deadline_key = job
-            .query
-            .timeout_ms
-            .map(|ms| (self.shared.epoch.elapsed() + Duration::from_millis(ms)).as_micros() as u64);
-        let task = Task {
-            seq,
-            query: Arc::new(job.query.clone()),
-            job,
-            tenant: tenant.clone(),
-            weight,
-            deadline_key,
-            resume: None,
-            client_resumed: false,
-            resume_redeemed: false,
-            slices: 0,
-            preemptions: 0,
-            pages: 0,
-            streamed: 0,
-            last_superstep: 0,
-            partial_count: 0,
-            admitted_at: Instant::now(),
-            degraded,
-        };
+        task.degraded = degraded;
         let vtime = enqueue(&mut q, task);
         drop(q);
         self.shared.state.stats.queue_depth.add(1);
@@ -394,7 +402,7 @@ fn worker_loop(shared: &SchedShared) {
             continue;
         }
         shared.state.stats.running.add(1);
-        let step = run_slice(&shared.state, &mut task, shared.slice_supersteps);
+        let step = run_slice(&shared.state, &mut task, Some(shared.slice_supersteps));
         shared.state.stats.running.sub(1);
         match step {
             SliceStep::Yield => {
@@ -431,8 +439,9 @@ fn done(result: Result<QueryOutcome, ServiceError>) -> SliceStep {
     SliceStep::Done(result)
 }
 
-/// Runs one slice of `task` on the calling worker thread.
-fn run_slice(state: &ServiceState, task: &mut Task, slice_supersteps: u32) -> SliceStep {
+/// Runs one slice of `task` on the calling worker thread: at most `slice`
+/// supersteps, or to the end when `None`.
+fn run_slice(state: &ServiceState, task: &mut Task, slice: Option<u32>) -> SliceStep {
     let query = Arc::clone(&task.query);
     let Some(entry) = state.catalog.get(&query.graph) else {
         return done(Err(ServiceError::GraphNotFound(query.graph.clone())));
@@ -501,15 +510,16 @@ fn run_slice(state: &ServiceState, task: &mut Task, slice_supersteps: u32) -> Sl
     };
     let index = config.use_edge_index.then(|| Arc::clone(&entry.index));
     let shared = PsglShared::from_parts(&entry.graph, Arc::clone(&entry.ordered), index, &plan);
-    let end = list_subgraphs_slice(
-        &shared,
-        &config,
-        &run_hooks(state, task.degraded),
-        &task.job.token,
-        query.checkpoint,
-        task.resume.take().map(|b| *b),
-        slice_supersteps,
-    );
+    let request = RunRequest {
+        start: match task.resume.take() {
+            Some(cp) => Start::Checkpoint(*cp),
+            None => Start::Init,
+        },
+        hooks: run_hooks(state, task.degraded),
+        stop: Stop { cancel: Some(&task.job.token), checkpoint: query.checkpoint, slice },
+        ..Default::default()
+    };
+    let end = run(&shared, &config, request);
     task.slices += 1;
     state.stats.slices.inc();
     state.tenants.update(&task.tenant, |a| a.slices += 1);
@@ -536,7 +546,7 @@ fn run_slice(state: &ServiceState, task: &mut Task, slice_supersteps: u32) -> Sl
             }
             done(Err(ServiceError::from(e)))
         }
-        Ok(SliceEnd::Complete(result)) => {
+        Ok(ListingEnd::Complete(result)) => {
             state.stats.record_run(&result.stats);
             state.tenants.update(&task.tenant, |a| a.spill_bytes += result.stats.spill_bytes);
             let mut outcome = QueryOutcome {
@@ -580,7 +590,7 @@ fn run_slice(state: &ServiceState, task: &mut Task, slice_supersteps: u32) -> Sl
             }
             SliceStep::Done(Ok(outcome))
         }
-        Ok(SliceEnd::Preempted { superstep, partial, mut checkpoint }) => {
+        Ok(ListingEnd::Preempted { superstep, partial, mut checkpoint }) => {
             task.last_superstep = superstep;
             task.partial_count = partial.instance_count;
             task.preemptions += 1;
@@ -595,7 +605,7 @@ fn run_slice(state: &ServiceState, task: &mut Task, slice_supersteps: u32) -> Sl
             task.resume = Some(checkpoint);
             SliceStep::Yield
         }
-        Ok(SliceEnd::Cancelled(c)) => {
+        Ok(ListingEnd::Cancelled(c)) => {
             // Partial engine work still happened; keep the server-wide
             // counters honest before reporting the cancellation. (The
             // partial stats are cumulative across this task's slices, so
@@ -791,127 +801,25 @@ fn run_hooks(state: &ServiceState, degraded: bool) -> RunnerHooks<'_> {
     hooks
 }
 
-/// Resolves a query against the catalog and caches, running the engine
-/// in one unsliced shot. This is the non-preemptive path the sliced
-/// scheduler is built from; kept for embedders and tests that want a
-/// query answered on the calling thread.
+/// Answers a query on the calling thread: the scheduler's own slice
+/// path, one unbounded slice at a time, with no queue in front of it.
+/// For embedders and tests.
 pub fn execute_query(
     state: &ServiceState,
     query: &QuerySpec,
     collect: bool,
     token: &CancelToken,
 ) -> Result<QueryOutcome, ServiceError> {
-    let start = Instant::now();
-    let entry = state
-        .catalog
-        .get(&query.graph)
-        .ok_or_else(|| ServiceError::GraphNotFound(query.graph.clone()))?;
-    let resume_checkpoint = match &query.resume {
-        Some(tok) => {
-            let bytes = state.checkpoints.take(tok).ok_or_else(|| {
-                ServiceError::BadRequest(format!("unknown or expired resume token {tok:?}"))
-            })?;
-            let cp = Checkpoint::from_bytes(&bytes)
-                .map_err(|e| ServiceError::from(PsglError::from(e)))?;
-            Some(cp)
-        }
-        None => None,
-    };
-    let config = query_config(state, query, collect, false);
-    let key = ResultKey {
-        graph_hash: entry.content_hash,
-        pattern: canonical_pattern(&query.pattern),
-        config_fp: config_fingerprint(&config),
-    };
-    if !query.no_cache && resume_checkpoint.is_none() {
-        if let Some(cached) = state.results.get(&key) {
-            return Ok(QueryOutcome {
-                count: cached.count,
-                instances: cached.instances.clone(),
-                cache_hit: true,
-                plan_cache_hit: true,
-                gpsis_generated: cached.gpsis_generated,
-                pruned: cached.pruned,
-                supersteps: cached.supersteps,
-                init_vertex: cached.init_vertex,
-                selection_rule: cached.selection_rule.clone(),
-                wall_ms: start.elapsed().as_secs_f64() * 1e3,
-                resumed: false,
-                slices: 0,
-                preemptions: 0,
-                pages: 0,
-            });
+    // The outcome is returned, not sent; nothing reads the job's channel.
+    let (reply, _) = std::sync::mpsc::channel();
+    let job = Job { query: query.clone(), collect, token: token.clone(), reply, stream: None };
+    let mut task = Task::new(job, None);
+    loop {
+        // A slice yields here only to restart as a degraded spilling run.
+        if let SliceStep::Done(result) = run_slice(state, &mut task, None) {
+            return result;
         }
     }
-    let (plan, plan_cache_hit) = state
-        .plans
-        .get_or_prepare(entry.content_hash, &query.pattern, &config, &entry.histogram)
-        .map_err(ServiceError::from)?;
-    let index = config.use_edge_index.then(|| Arc::clone(&entry.index));
-    let shared = PsglShared::from_parts(&entry.graph, Arc::clone(&entry.ordered), index, &plan);
-    let resumed = resume_checkpoint.is_some();
-    let controls = RunControls {
-        cancel: Some(token),
-        checkpoint: query.checkpoint,
-        resume: resume_checkpoint,
-        cluster: None,
-    };
-    let end = list_subgraphs_resumable(&shared, &config, &run_hooks(state, false), controls)
-        .map_err(ServiceError::from)?;
-    let result = match end {
-        ListingEnd::Complete(result) => result,
-        ListingEnd::Cancelled(c) => {
-            state.stats.record_run(&c.partial.stats);
-            let resume_token = c.checkpoint.as_ref().map(|cp| state.checkpoints.put(cp.to_bytes()));
-            return Err(ServiceError::Cancelled {
-                reason: c.reason,
-                superstep: c.superstep,
-                partial_count: c.partial.instance_count,
-                resume_token,
-            });
-        }
-    };
-    state.stats.record_run(&result.stats);
-    state.slow_queries.maybe_record(SlowQueryEntry {
-        query_id: query.query_id.clone().unwrap_or_default(),
-        tenant: query.tenant.clone().unwrap_or_else(|| DEFAULT_TENANT.to_string()),
-        pattern: canonical_pattern(&query.pattern),
-        total_ms: start.elapsed().as_secs_f64() * 1e3,
-        timeline: result.stats.superstep_timeline(),
-    });
-    let outcome = QueryOutcome {
-        count: result.instance_count,
-        instances: result.instances.map(Arc::new),
-        cache_hit: false,
-        plan_cache_hit,
-        gpsis_generated: result.stats.expand.generated,
-        pruned: result.stats.expand.total_pruned(),
-        supersteps: result.stats.supersteps,
-        init_vertex: result.init_vertex,
-        selection_rule: format!("{:?}", result.selection_rule),
-        wall_ms: start.elapsed().as_secs_f64() * 1e3,
-        resumed,
-        slices: 1,
-        preemptions: 0,
-        pages: 0,
-    };
-    if !query.no_cache && !resumed {
-        state.results.insert(
-            key,
-            CachedQuery {
-                count: outcome.count,
-                instances: outcome.instances.clone(),
-                gpsis_generated: outcome.gpsis_generated,
-                pruned: outcome.pruned,
-                supersteps: outcome.supersteps,
-                init_vertex: outcome.init_vertex,
-                selection_rule: outcome.selection_rule.clone(),
-                pattern: query.pattern.clone(),
-                config: config.clone(),
-            },
-        );
-    }
-    Ok(outcome)
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! (scheduler reorderings, chunk-pool exhaustion, partition skew, exchange
 //! shuffles, suspend/resume, forced preemption, disk pressure).
 //! [`Scenario::run`] executes the scenario through
-//! `list_subgraphs_prepared_with` under the [`SimExecutor`] and checks
+//! [`psgl_core::run`] under the [`SimExecutor`] and checks
 //! every invariant plus oracle count parity. Failures carry the seed and
 //! the expanded configuration, so `Scenario::from_seed(seed).run()` is the
 //! whole reproduction recipe.
@@ -18,8 +18,8 @@ use crate::sched::{SimExecutor, SimRng};
 use psgl_core::runner::{ListingResult, RunnerHooks};
 use psgl_core::stats::RunStats;
 use psgl_core::{
-    list_subgraphs_prepared_with, list_subgraphs_resumable, list_subgraphs_slice, CancelToken,
-    Checkpoint, ListingEnd, PsglConfig, PsglShared, RunControls, SliceEnd, SpillConfig, Strategy,
+    list_subgraphs_prepared_with, run, CancelToken, Checkpoint, ListingEnd, PsglConfig, PsglShared,
+    RunRequest, SpillConfig, Start, Stop, Strategy,
 };
 use psgl_graph::generators::erdos_renyi_gnm;
 use psgl_graph::hash::hash_u64;
@@ -98,7 +98,7 @@ pub struct Scenario {
     /// uninterrupted run (`None` = fault not drawn).
     pub cancel_at_superstep: Option<u32>,
     /// Preemption fault: re-run the scenario through the preemptive
-    /// scheduler's slice seam ([`list_subgraphs_slice`]), forcing a
+    /// scheduler's slice seam ([`Stop::slice`]), forcing a
     /// suspend at every `n`-superstep boundary with a wire round-trip of
     /// each checkpoint, and require exact parity with the uninterrupted
     /// run (`None` = fault not drawn).
@@ -423,14 +423,16 @@ impl Scenario {
         let executor = SimExecutor::new(self.seed);
         let hooks = self.hooks(&executor, Some(tracer));
         let token = CancelToken::with_superstep_deadline(deadline);
-        let controls =
-            RunControls { cancel: Some(&token), checkpoint: true, resume: None, cluster: None };
-        let end = list_subgraphs_resumable(shared, config, &hooks, controls)
-            .map_err(|e| divergence(e.to_string()))?;
+        let stop = Stop { cancel: Some(&token), checkpoint: true, slice: None };
+        let request = RunRequest { hooks: hooks.clone(), stop, ..Default::default() };
+        let end = run(shared, config, request).map_err(|e| divergence(e.to_string()))?;
         let (final_result, resume_superstep) = match end {
             // Short runs can finish before the deadline; the fault then
             // degrades to a plain replay of the reference run.
             ListingEnd::Complete(r) => (r, None),
+            ListingEnd::Preempted { superstep, .. } => {
+                return Err(divergence(format!("unsliced run preempted at superstep {superstep}")))
+            }
             ListingEnd::Cancelled(c) => {
                 if c.partial.stats.chunks_outstanding != 0 {
                     return Err(divergence(format!(
@@ -446,19 +448,11 @@ impl Scenario {
                 })?;
                 let cp = Checkpoint::from_bytes(&cp.to_bytes())
                     .map_err(|e| divergence(format!("checkpoint wire round-trip: {e}")))?;
-                let controls = RunControls {
-                    cancel: None,
-                    checkpoint: false,
-                    resume: Some(cp),
-                    cluster: None,
-                };
-                match list_subgraphs_resumable(shared, config, &hooks, controls)
-                    .map_err(|e| divergence(e.to_string()))?
-                {
+                let request =
+                    RunRequest { start: Start::Checkpoint(cp), hooks, ..Default::default() };
+                match run(shared, config, request).map_err(|e| divergence(e.to_string()))? {
                     ListingEnd::Complete(r) => (r, Some(c.superstep)),
-                    ListingEnd::Cancelled(_) => {
-                        return Err(divergence("resumed run cancelled itself".to_string()))
-                    }
+                    _ => return Err(divergence("resumed run cancelled itself".to_string())),
                 }
             }
         };
@@ -488,8 +482,8 @@ impl Scenario {
     }
 
     /// The preemption fault: run the same scenario through the preemptive
-    /// scheduler's unit of work — [`list_subgraphs_slice`] with a
-    /// `preempt_every`-superstep budget — pushing every intermediate
+    /// scheduler's unit of work — a [`Stop::slice`] of `preempt_every`
+    /// supersteps — pushing every intermediate
     /// checkpoint through its wire encoding, and require exact parity
     /// with the uninterrupted `reference` run. As with
     /// [`Scenario::check_suspend_resume`], all slices share one
@@ -507,16 +501,14 @@ impl Scenario {
         let divergence = |msg: String| self.failure(vec![], Some(format!("preempt/resume: {msg}")));
         let executor = SimExecutor::new(self.seed);
         let hooks = self.hooks(&executor, Some(tracer));
-        let token = CancelToken::new();
-        let mut resume = None;
+        let mut start = Start::Init;
         let mut preemptions = 0u32;
         let final_result = loop {
-            let end =
-                list_subgraphs_slice(shared, config, &hooks, &token, false, resume.take(), every)
-                    .map_err(|e| divergence(e.to_string()))?;
-            match end {
-                SliceEnd::Complete(result) => break result,
-                SliceEnd::Preempted { superstep, partial, checkpoint } => {
+            let stop = Stop { slice: Some(every), ..Default::default() };
+            let request = RunRequest { start, hooks: hooks.clone(), stop, ..Default::default() };
+            match run(shared, config, request).map_err(|e| divergence(e.to_string()))? {
+                ListingEnd::Complete(result) => break result,
+                ListingEnd::Preempted { superstep, partial, checkpoint } => {
                     if partial.stats.chunks_outstanding != 0 {
                         return Err(divergence(format!(
                             "{} pooled chunks leaked across the preemption at superstep {superstep}",
@@ -525,7 +517,7 @@ impl Scenario {
                     }
                     let cp = Checkpoint::from_bytes(&checkpoint.to_bytes())
                         .map_err(|e| divergence(format!("checkpoint wire round-trip: {e}")))?;
-                    resume = Some(cp);
+                    start = Start::Checkpoint(cp);
                     preemptions += 1;
                     // Slices always advance by >= 1 superstep, so any real
                     // run preempts a bounded number of times.
@@ -533,7 +525,7 @@ impl Scenario {
                         return Err(divergence("runaway slicing never completed".to_string()));
                     }
                 }
-                SliceEnd::Cancelled(c) => {
+                ListingEnd::Cancelled(c) => {
                     return Err(divergence(format!(
                         "sliced run cancelled itself ({}) at superstep {}",
                         c.reason, c.superstep

@@ -4,10 +4,10 @@
 //! lists — no duplicates from replaying delivered work, no losses from
 //! dropping the undelivered frontier.
 
-use psgl_core::runner::{ListingResult, RunnerHooks};
+use psgl_core::runner::ListingResult;
 use psgl_core::{
-    list_subgraphs_resumable, CancelToken, Checkpoint, ListingEnd, PsglConfig, PsglShared,
-    RunControls, Strategy,
+    run, CancelToken, Checkpoint, ListingEnd, PsglConfig, PsglShared, RunRequest, Start, Stop,
+    Strategy,
 };
 use psgl_graph::generators::erdos_renyi_gnp;
 use psgl_sim::chaos::chaos_patterns;
@@ -55,22 +55,17 @@ fn random_graphs_cancelled_at_random_supersteps_resume_without_dups_or_losses() 
         let context = format!("trial {trial}: G({n}, {p:.3}) seed {graph_seed}, {} workers {workers}, cancel at {cancel_at}, kernels {kernels}", pattern.name());
 
         let shared = PsglShared::prepare(&graph, pattern, &config).expect("prepare");
-        let hooks = RunnerHooks::default();
-        let uninterrupted =
-            match list_subgraphs_resumable(&shared, &config, &hooks, RunControls::default())
-                .unwrap_or_else(|e| panic!("{context}: {e}"))
-            {
-                ListingEnd::Complete(r) => r,
-                ListingEnd::Cancelled(_) => unreachable!("no cancel source"),
-            };
+        let uninterrupted = run(&shared, &config, RunRequest::default())
+            .unwrap_or_else(|e| panic!("{context}: {e}"))
+            .completed();
 
         let token = CancelToken::with_superstep_deadline(cancel_at);
-        let controls =
-            RunControls { cancel: Some(&token), checkpoint: true, resume: None, cluster: None };
-        let resumed = match list_subgraphs_resumable(&shared, &config, &hooks, controls)
+        let stop = Stop { cancel: Some(&token), checkpoint: true, slice: None };
+        let resumed = match run(&shared, &config, RunRequest { stop, ..Default::default() })
             .unwrap_or_else(|e| panic!("{context}: {e}"))
         {
             ListingEnd::Complete(r) => r, // finished before the deadline
+            ListingEnd::Preempted { .. } => unreachable!("the run is not sliced"),
             ListingEnd::Cancelled(c) => {
                 suspended_trials += 1;
                 assert_eq!(c.superstep, cancel_at, "{context}: wrong resume superstep");
@@ -81,18 +76,10 @@ fn random_graphs_cancelled_at_random_supersteps_resume_without_dups_or_losses() 
                 let bytes = c.checkpoint.expect("soft cancel with checkpoint").to_bytes();
                 let checkpoint =
                     Checkpoint::from_bytes(&bytes).unwrap_or_else(|e| panic!("{context}: {e}"));
-                let controls = RunControls {
-                    cancel: None,
-                    checkpoint: false,
-                    resume: Some(checkpoint),
-                    cluster: None,
-                };
-                match list_subgraphs_resumable(&shared, &config, &hooks, controls)
+                let start = Start::Checkpoint(checkpoint);
+                run(&shared, &config, RunRequest { start, ..Default::default() })
                     .unwrap_or_else(|e| panic!("{context}: {e}"))
-                {
-                    ListingEnd::Complete(r) => r,
-                    ListingEnd::Cancelled(_) => unreachable!("resumed run has no cancel source"),
-                }
+                    .completed()
             }
         };
 

@@ -14,7 +14,7 @@
 //! cargo run --release --example labeled_matching
 //! ```
 
-use psgl::core::{list_subgraphs, list_subgraphs_labeled, PsglConfig};
+use psgl::core::{list_subgraphs, list_subgraphs_prepared, PsglConfig, PsglShared};
 use psgl::graph::{generators, DataGraph};
 use psgl::pattern::catalog;
 use rand::rngs::SmallRng;
@@ -58,8 +58,10 @@ fn main() {
         ("all-person 4-clique", catalog::four_clique(), vec![PERSON; 4]),
     ];
     for (name, pattern, pattern_labels) in motifs {
-        let result = list_subgraphs_labeled(&g, &pattern, labels.clone(), pattern_labels, &config)
-            .expect("labeled listing");
+        let shared =
+            PsglShared::prepare_labeled(&g, &pattern, &config, labels.clone(), pattern_labels)
+                .expect("label vectors match the graph and the pattern");
+        let result = list_subgraphs_prepared(&shared, &config).expect("labeled listing");
         println!(
             "{name:<44} {:>12} {:>14}",
             result.instance_count, result.stats.expand.pruned_label
@@ -68,15 +70,11 @@ fn main() {
     // Sanity check printed for the skeptical reader: uniform labels must
     // reproduce the unlabeled count exactly.
     let unlabeled = list_subgraphs(&g, &catalog::triangle(), &config).unwrap().instance_count;
-    let uniform = list_subgraphs_labeled(
-        &g,
-        &catalog::triangle(),
-        vec![0; g.num_vertices()],
-        vec![0; 3],
-        &config,
-    )
-    .unwrap()
-    .instance_count;
+    let triangle = catalog::triangle();
+    let shared =
+        PsglShared::prepare_labeled(&g, &triangle, &config, vec![0; g.num_vertices()], vec![0; 3])
+            .unwrap();
+    let uniform = list_subgraphs_prepared(&shared, &config).unwrap().instance_count;
     assert_eq!(unlabeled, uniform);
     println!("\nuniform-label run matches the unlabeled count ({unlabeled} triangles): ok");
 }

@@ -15,10 +15,7 @@
 
 use psgl::baselines::centralized;
 use psgl::cluster::{run_cluster, run_worker, ClusterConfig, GraphSpec, JobSpec, WorkerOptions};
-use psgl::core::{
-    count_per_vertex, list_subgraphs_prepared_with, PsglConfig, PsglShared, RunnerHooks,
-    SpillConfig,
-};
+use psgl::core::{run, Harvest, PsglConfig, PsglShared, RunRequest, RunnerHooks, SpillConfig};
 use psgl::graph::{algo, generators, io, DataGraph, DegreeStats};
 use psgl::pattern::{break_automorphisms, catalog};
 use psgl::service::{self, GraphFormat, Json, QueryDefaults, ServiceConfig};
@@ -205,12 +202,14 @@ fn cmd_count(args: &[String]) -> Result<(), String> {
         graph.num_edges(),
         config.workers
     );
-    if flags.contains_key("per-vertex") {
-        if spill.is_some() || chunk_capacity.is_some() {
-            return Err("--per-vertex does not take the memory-bounding knobs".into());
-        }
-        let (counts, result) =
-            count_per_vertex(&graph, &pattern, &config).map_err(|e| e.to_string())?;
+    let hooks = RunnerHooks { max_live_chunks, chunk_capacity, spill, ..RunnerHooks::default() };
+    let harvest =
+        if flags.contains_key("per-vertex") { Harvest::PerVertex } else { Harvest::Listing };
+    let shared = PsglShared::prepare(&graph, &pattern, &config).map_err(|e| e.to_string())?;
+    let result = run(&shared, &config, RunRequest { hooks, harvest, ..Default::default() })
+        .map_err(|e| e.to_string())?
+        .completed();
+    if let Some(counts) = &result.per_vertex {
         println!("instances: {}", result.instance_count);
         println!("vertex\tcount");
         for (v, c) in counts.iter().enumerate().filter(|(_, &c)| c > 0) {
@@ -218,10 +217,6 @@ fn cmd_count(args: &[String]) -> Result<(), String> {
         }
         return Ok(());
     }
-    let hooks = RunnerHooks { max_live_chunks, chunk_capacity, spill, ..RunnerHooks::default() };
-    let shared = PsglShared::prepare(&graph, &pattern, &config).map_err(|e| e.to_string())?;
-    let result =
-        list_subgraphs_prepared_with(&shared, &config, &hooks).map_err(|e| e.to_string())?;
     println!("instances          : {}", result.instance_count);
     println!("supersteps         : {}", result.stats.supersteps);
     println!("gpsis generated    : {}", result.stats.expand.generated);

@@ -86,6 +86,26 @@ fn count_works_on_fixture_via_shared_loader() {
 }
 
 #[test]
+fn per_vertex_counts_take_the_memory_bounding_knobs() {
+    let table = |extra: &[&str]| {
+        let out = psgl()
+            .args(["count", "--graph", "karate-club", "--format", "fixture"])
+            .args(["--pattern", "triangle", "--per-vertex"])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let plain = table(&[]);
+    assert!(plain.contains("instances: 45\nvertex\tcount\n0\t18\n"), "{plain}");
+    // One-tuple chunks under a two-chunk cap: the frontier goes through
+    // the disk and the tallies must not notice.
+    let spilled = table(&["--spill", "--chunk-capacity", "1", "--max-live-chunks", "2"]);
+    assert_eq!(spilled, plain);
+}
+
+#[test]
 fn serve_subcommand_serves_queries_end_to_end() {
     let mut child = psgl()
         .args(["serve", "--addr", "127.0.0.1:0", "--pool", "2"])

@@ -2,13 +2,11 @@
 //! that carries counters is a loop over that table. This test takes the
 //! counters of a real run through each derived format and back.
 
-use psgl::bsp::{
-    CancelToken, CarriedCounters, EngineMetrics, NetSuperstepMetrics, WorkerSuperstepMetrics,
-};
+use psgl::bsp::{CarriedCounters, EngineMetrics, NetSuperstepMetrics, WorkerSuperstepMetrics};
 use psgl::cluster::control::WorkerMsg;
-use psgl::core::runner::{list_subgraphs_slice, RunnerHooks, SliceEnd};
 use psgl::core::{
-    assemble_run_stats, Checkpoint, CheckpointShard, ExpandStats, PsglConfig, PsglShared,
+    assemble_run_stats, run, Checkpoint, CheckpointShard, ExpandStats, ListingEnd, PsglConfig,
+    PsglShared, RunRequest, Stop,
 };
 use psgl::graph::fixtures;
 use psgl::pattern::catalog;
@@ -94,13 +92,11 @@ fn a_real_runs_counters_survive_every_derived_format() {
     let graph = fixtures::karate_club();
     let config = PsglConfig::with_workers(2).collect(true).kernels(false);
     let shared = PsglShared::prepare(&graph, &catalog::triangle(), &config).unwrap();
-    let cancel = CancelToken::new();
-    let hooks = RunnerHooks::default();
-    let (partial, cp) =
-        match list_subgraphs_slice(&shared, &config, &hooks, &cancel, true, None, 2).unwrap() {
-            SliceEnd::Preempted { partial, checkpoint, .. } => (partial, *checkpoint),
-            _ => panic!("a level-by-level triangle listing takes more than two supersteps"),
-        };
+    let stop = Stop { checkpoint: true, slice: Some(2), ..Default::default() };
+    let (partial, cp) = match run(&shared, &config, RunRequest { stop, ..Default::default() }) {
+        Ok(ListingEnd::Preempted { partial, checkpoint, .. }) => (partial, *checkpoint),
+        _ => panic!("a level-by-level triangle listing takes more than two supersteps"),
+    };
     assert_eq!(cp.prior_supersteps.len(), 2);
     assert!(cp.workers.iter().all(|w| w.stats.expanded > 0), "the prefix did real work");
     let before = fingerprint_stats(&partial.stats);

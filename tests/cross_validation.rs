@@ -4,7 +4,7 @@
 //! centralized oracle.
 
 use psgl::baselines::{afrati, centralized, onehop, sgia};
-use psgl::core::{list_subgraphs, PsglConfig, Strategy};
+use psgl::core::{list_subgraphs, list_subgraphs_prepared, PsglConfig, PsglShared, Strategy};
 use psgl::graph::{generators, DataGraph};
 use psgl::pattern::catalog;
 
@@ -144,20 +144,15 @@ fn labeled_matching_agrees_with_filtered_oracle() {
     // Oracle cross-check for labels: enumerate unlabeled instances and
     // filter by the label assignment, accounting for label-preserving
     // automorphisms.
-    use psgl::core::list_subgraphs_labeled;
     let g = generators::erdos_renyi_gnm(60, 280, 33).unwrap();
     let labels: Vec<u16> = (0..g.num_vertices() as u32).map(|v| (v % 3) as u16).collect();
     let pattern = catalog::triangle();
     let pattern_labels = vec![0u16, 0, 1];
-    let got = list_subgraphs_labeled(
-        &g,
-        &pattern,
-        labels.clone(),
-        pattern_labels.clone(),
-        &PsglConfig::with_workers(2),
-    )
-    .unwrap()
-    .instance_count;
+    let config = PsglConfig::with_workers(2);
+    let shared =
+        PsglShared::prepare_labeled(&g, &pattern, &config, labels.clone(), pattern_labels.clone())
+            .unwrap();
+    let got = list_subgraphs_prepared(&shared, &config).unwrap().instance_count;
     // Count by brute force: for each triangle vertex set, count the
     // label-class assignments that match {0,0,1} as a multiset and the
     // edges (complete graph on 3, so only the multiset matters). A

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use psgl::baselines::centralized;
-use psgl::core::{list_subgraphs, EdgeIndex, PsglConfig};
+use psgl::core::{list_subgraphs, list_subgraphs_prepared, EdgeIndex, PsglConfig, PsglShared};
 use psgl::graph::{DataGraph, GraphBuilder, OrderedGraph};
 use psgl::pattern::automorphism::automorphisms;
 use psgl::pattern::{break_automorphisms, Pattern};
@@ -172,7 +172,6 @@ proptest! {
         p in arb_pattern(),
         label_classes in 1u16..4,
     ) {
-        use psgl::core::list_subgraphs_labeled;
         // Labels assigned round-robin; labeled instances are a subset of
         // the unlabeled ones up to automorphism factors, so with a single
         // label class counts are equal and with more classes they can only
@@ -181,15 +180,10 @@ proptest! {
             (0..g.num_vertices() as u32).map(|v| (v % u32::from(label_classes)) as u16).collect();
         let pattern_labels: Vec<u16> =
             (0..p.num_vertices() as u32).map(|v| (v % u32::from(label_classes)) as u16).collect();
-        let labeled = list_subgraphs_labeled(
-            &g,
-            &p,
-            data_labels,
-            pattern_labels,
-            &PsglConfig::with_workers(2),
-        )
-        .unwrap()
-        .instance_count;
+        let config = PsglConfig::with_workers(2);
+        let shared =
+            PsglShared::prepare_labeled(&g, &p, &config, data_labels, pattern_labels).unwrap();
+        let labeled = list_subgraphs_prepared(&shared, &config).unwrap().instance_count;
         let (embeddings, _) = centralized::count_embeddings_metered(&g, &p);
         prop_assert!(labeled <= embeddings, "labeled {labeled} > embeddings {embeddings}");
         if label_classes == 1 {

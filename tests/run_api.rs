@@ -1,0 +1,153 @@
+//! `psgl_core::run` is the one way into the engine; a sliced, resumed or
+//! seeded run is the same superstep loop entered from a different frontier
+//! and stopped at a different barrier. This test drives every start × stop
+//! combination that has a caller and requires the answer of the whole run.
+
+use psgl::core::{
+    list_subgraphs, list_subgraphs_prepared, list_subgraphs_prepared_with, run, CancelReason,
+    CancelToken, Checkpoint, CheckpointShard, Harvest, ListingEnd, ListingResult, PsglConfig,
+    PsglShared, RunRequest, RunnerHooks, Start, Stop,
+};
+use psgl::graph::generators::erdos_renyi_gnm;
+use psgl::pattern::catalog;
+use psgl::sim::fingerprint::fingerprint_run;
+
+fn one_superstep_from(start: Start) -> RunRequest<'static> {
+    let stop = Stop { slice: Some(1), ..Default::default() };
+    RunRequest { start, stop, ..Default::default() }
+}
+
+/// Start::Init, empty Stop — what the scheduler's `execute_query`, the CLI
+/// and the benchmark's wrappers run.
+fn whole(shared: &PsglShared<'_>, config: &PsglConfig) -> ListingResult {
+    run(shared, config, RunRequest::default()).unwrap().completed()
+}
+
+/// Start::Init then Start::Checkpoint under Stop::slice — the scheduler's
+/// worker loop, every checkpoint through its bytes as the chaos harness
+/// does.
+fn sliced(shared: &PsglShared<'_>, config: &PsglConfig) -> ListingResult {
+    let mut start = Start::Init;
+    for slices in 1.. {
+        match run(shared, config, one_superstep_from(start)).unwrap() {
+            ListingEnd::Complete(result) => {
+                assert!(slices > 2, "one-superstep slices must preempt repeatedly");
+                return result;
+            }
+            ListingEnd::Preempted { superstep, checkpoint, .. } => {
+                assert_eq!(superstep, slices, "a slice is exactly one superstep long");
+                start = Start::Checkpoint(Checkpoint::from_bytes(&checkpoint.to_bytes()).unwrap());
+            }
+            ListingEnd::Cancelled(c) => panic!("unexpected cancel: {:?}", c.reason),
+        }
+    }
+    unreachable!()
+}
+
+/// Stop::cancel + Stop::checkpoint, then Start::Checkpoint — a query with
+/// a deadline and `checkpoint: true`, and the resume token it leaves.
+fn resumed(shared: &PsglShared<'_>, config: &PsglConfig) -> ListingResult {
+    let token = CancelToken::with_superstep_deadline(2);
+    let stop = Stop { cancel: Some(&token), checkpoint: true, slice: None };
+    let ListingEnd::Cancelled(cancelled) =
+        run(shared, config, RunRequest { stop, ..Default::default() }).unwrap()
+    else {
+        panic!("the run outlives a two-superstep deadline")
+    };
+    assert_eq!((cancelled.reason, cancelled.superstep), (CancelReason::Deadline, 2));
+    let bytes = cancelled.checkpoint.expect("a soft cancel captures its frontier").to_bytes();
+    let start = Start::Checkpoint(Checkpoint::from_bytes(&bytes).unwrap());
+    run(shared, config, RunRequest { start, ..Default::default() }).unwrap().completed()
+}
+
+/// The checkpoint a one-superstep slice leaves: fresh worker states and
+/// the initialization phase's Gpsis, undelivered.
+fn after_initialization(shared: &PsglShared<'_>, config: &PsglConfig) -> Checkpoint {
+    match run(shared, config, one_superstep_from(Start::Init)).unwrap() {
+        ListingEnd::Preempted { superstep: 1, checkpoint, .. } => *checkpoint,
+        _ => panic!("the initialization superstep leaves a frontier"),
+    }
+}
+
+/// Start::Seeds — `psgl-delta`'s incremental runs. The seeds here are the
+/// whole superstep-1 frontier, so their completions are every instance.
+fn seeded(shared: &PsglShared<'_>, config: &PsglConfig) -> ListingResult {
+    let frontier = after_initialization(shared, config).frontier;
+    let seeds = frontier.into_iter().flatten().map(|(_, gpsi)| gpsi).collect();
+    let request = RunRequest { start: Start::Seeds(seeds), ..Default::default() };
+    run(shared, config, request).unwrap().completed()
+}
+
+/// Start::Shards — how a cluster worker restarts after a peer failure.
+/// With no `ClusterMember` every partition is local.
+fn sharded(shared: &PsglShared<'_>, config: &PsglConfig) -> ListingResult {
+    let cp = after_initialization(shared, config);
+    let shards = (cp.workers.into_iter().zip(cp.frontier).enumerate())
+        .map(|(partition, (worker, frontier))| CheckpointShard {
+            guard: cp.guard,
+            partition: partition as u32,
+            superstep: cp.superstep,
+            worker,
+            frontier,
+        })
+        .collect();
+    let request = RunRequest { start: Start::Shards(shards), ..Default::default() };
+    run(shared, config, request).unwrap().completed()
+}
+
+type Cell = (&'static str, fn(&PsglShared<'_>, &PsglConfig) -> ListingResult);
+
+const CELLS: [Cell; 4] =
+    [("sliced", sliced), ("resumed", resumed), ("seeded", seeded), ("sharded", sharded)];
+
+#[test]
+fn every_start_and_stop_gives_the_whole_runs_answer() {
+    let graph = erdos_renyi_gnm(120, 700, 21).unwrap();
+    for pattern in [catalog::triangle(), catalog::square()] {
+        // Level-by-level expansion keeps both patterns running past the
+        // barriers the sliced and resumed cells stop at.
+        let config = PsglConfig::with_workers(3).collect(true).kernels(false);
+        let shared = PsglShared::prepare(&graph, &pattern, &config).unwrap();
+        let reference = whole(&shared, &config);
+        assert!(reference.instance_count > 0, "{}: nothing to compare", pattern.name());
+        for (name, cell) in CELLS {
+            let context = format!("{} {name}", pattern.name());
+            let got = cell(&shared, &config);
+            assert_eq!(got.instance_count, reference.instance_count, "{context}");
+            assert_eq!(got.instances, reference.instances, "{context}");
+            assert_eq!(got.stats.chunks_outstanding, 0, "{context}");
+            // Seeded too: the initialization superstep it skips touches
+            // no expansion counter.
+            assert_eq!(got.stats.expand, reference.stats.expand, "{context}");
+        }
+
+        // Harvest::PerVertex (`psgl count --per-vertex`): no tuples, the
+        // same count and counters, and one tally per instance position.
+        let request = RunRequest { harvest: Harvest::PerVertex, ..Default::default() };
+        let tallied = run(&shared, &config, request).unwrap().completed();
+        assert_eq!(tallied.instance_count, reference.instance_count);
+        assert_eq!(tallied.stats.expand, reference.stats.expand);
+        assert!(tallied.instances.is_none());
+        let mut want = vec![0u64; graph.num_vertices()];
+        for v in reference.instances.iter().flatten().flatten() {
+            want[*v as usize] += 1;
+        }
+        assert_eq!(
+            want.iter().sum::<u64>(),
+            reference.instance_count * pattern.num_vertices() as u64
+        );
+        assert_eq!(tallied.per_vertex, Some(want));
+
+        // The three wrappers the benchmark names are `run` with a default
+        // request (plus hooks), unwrapped.
+        let want = fingerprint_run(&reference);
+        assert_eq!(fingerprint_run(&list_subgraphs(&graph, &pattern, &config).unwrap()), want);
+        assert_eq!(fingerprint_run(&list_subgraphs_prepared(&shared, &config).unwrap()), want);
+        let hooks = RunnerHooks { chunk_capacity: Some(32), ..Default::default() };
+        let request = RunRequest { hooks: hooks.clone(), ..Default::default() };
+        assert_eq!(
+            fingerprint_run(&list_subgraphs_prepared_with(&shared, &config, &hooks).unwrap()),
+            fingerprint_run(&run(&shared, &config, request).unwrap().completed()),
+        );
+    }
+}
