@@ -3,7 +3,7 @@
 //! A [`CancelToken`] is a cheap cloneable handle ([`Arc`] inside) created
 //! by whoever owns a run — the service scheduler, a test, the simulation
 //! harness — and threaded into the engine through
-//! [`RunControl`](crate::engine::RunControl). The engine polls it at every
+//! [`RunControl`](crate::RunControl). The engine polls it at every
 //! superstep barrier and every few message batches inside `compute`, so a
 //! cancelled run stops within one batch of work rather than one superstep.
 //!

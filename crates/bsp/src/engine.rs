@@ -1,4 +1,4 @@
-//! The BSP engine: supersteps, workers, message exchange.
+//! The BSP engine: the superstep loop and the per-worker task.
 //!
 //! Messages travel in fixed-capacity chunks recycled through a
 //! [`ChunkPool`] (see [`crate::chunk`]): senders fill pooled chunks, the
@@ -13,15 +13,25 @@
 //! per worker) or an executor with which tests and the simulation harness
 //! drive the same per-worker closures under a deterministic, adversarial
 //! schedule.
+//!
+//! The types on either side of the loop live in their own modules: what a
+//! program sees in [`crate::context`], what a caller passes and gets back
+//! in [`crate::control`], and the chunk-holding containers in
+//! [`crate::frontier`].
 
 use crate::cancel::{CancelReason, CancelToken};
-use crate::chunk::{push_chunked, Chunk, ChunkPool, PoolExhausted, DEFAULT_CHUNK_CAPACITY};
-use crate::exchange::{Exchange, ExchangeDirective, FrontierSink, WorkerOutbox};
-use crate::exec::{Executor, WorkerTask};
-use crate::metrics::{
-    CarriedCounters, EngineMetrics, NetSuperstepMetrics, SuperstepMetrics, WorkerSuperstepMetrics,
+use crate::chunk::{ChunkPool, DEFAULT_CHUNK_CAPACITY};
+use crate::context::{Context, VertexProgram};
+use crate::control::{
+    BspResult, CancelledRun, ControlledResult, RunControl, RunOutcome, SpillControl,
 };
-use crate::spill::{SpillCodec, SpillError, SpillSegment, SpillStore};
+use crate::exchange::{ExchangeDirective, WorkerOutbox};
+use crate::exec::{Executor, WorkerTask};
+use crate::frontier::{Frontier, InboxPart, OutStream};
+use crate::metrics::{
+    EngineMetrics, NetSuperstepMetrics, SuperstepMetrics, WorkerSuperstepMetrics,
+};
+use crate::spill::SpillError;
 use psgl_graph::partition::HashPartitioner;
 use psgl_graph::VertexId;
 use psgl_obs::Value as TraceValue;
@@ -42,10 +52,11 @@ pub struct BspConfig {
     /// pool traffic; smaller chunks give spill eviction finer granularity.
     pub chunk_capacity: usize,
     /// Cap on live message chunks; past it the pool reports the typed
-    /// [`PoolExhausted`] condition and
+    /// [`PoolExhausted`](crate::PoolExhausted) condition and
     /// senders degrade by growing their current chunk instead of
     /// allocating. Exhaustion events surface in
-    /// [`CarriedCounters::pool_exhausted`]. `None` = unbounded (default).
+    /// [`CarriedCounters::pool_exhausted`](crate::CarriedCounters::pool_exhausted).
+    /// `None` = unbounded (default).
     pub max_live_chunks: Option<u64>,
     /// Chaos knob: permute, per destination, the source-worker order in
     /// which the exchange assembles inboxes (seeded, deterministic).
@@ -90,9 +101,9 @@ pub enum BspError {
     /// [`BspConfig::max_supersteps`] was reached with messages still
     /// in flight.
     SuperstepLimitExceeded(u32),
-    /// A remote [`Exchange`] failed — a peer socket died, a frame failed
-    /// to decode, or the coordinator vanished. Every pooled chunk was
-    /// released before this was reported.
+    /// A remote [`Exchange`](crate::Exchange) failed — a peer socket died,
+    /// a frame failed to decode, or the coordinator vanished. Every pooled
+    /// chunk was released before this was reported.
     Exchange {
         /// Superstep whose exchange failed.
         superstep: u32,
@@ -151,385 +162,6 @@ impl std::fmt::Display for BspError {
 
 impl std::error::Error for BspError {}
 
-/// Spill-tier handles threaded through [`RunControl`]: the per-run
-/// [`SpillStore`] (which owns the temp directory and deletes it on drop)
-/// plus the message byte codec. Copyable so every worker closure can hold
-/// one; `None` anywhere spill appears means the tier is disabled and the
-/// engine degrades exactly as it did before the tier existed
-/// (grow-in-place).
-pub struct SpillControl<'c, M> {
-    /// The per-run spill store.
-    pub store: &'c SpillStore,
-    /// Message byte codec for spill blobs.
-    pub codec: &'c dyn SpillCodec<M>,
-}
-
-impl<M> Clone for SpillControl<'_, M> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<M> Copy for SpillControl<'_, M> {}
-
-/// One slot of a destination inbox: a resident pool chunk, or a spilled
-/// segment standing in for the chunks it displaced. Parts appear in
-/// delivery order; re-admission decodes a segment exactly where its
-/// chunks would have been drained, so results are bit-identical to a
-/// run that never spilled.
-enum InboxPart<M> {
-    /// A resident pooled chunk (zero-capacity = consumed placeholder).
-    Chunk(Chunk<M>),
-    /// An on-disk segment holding a run of evicted chunks.
-    Spilled(SpillSegment),
-}
-
-impl<M> Default for InboxPart<M> {
-    fn default() -> Self {
-        InboxPart::Chunk(Chunk::default())
-    }
-}
-
-/// Tuples a part will deliver (for in-flight accounting).
-fn part_tuples<M>(part: &InboxPart<M>) -> u64 {
-    match part {
-        InboxPart::Chunk(c) => c.len() as u64,
-        InboxPart::Spilled(s) => s.tuples,
-    }
-}
-
-/// Per-worker, per-superstep execution context handed to
-/// [`VertexProgram::compute`].
-pub struct Context<'a, M, A = ()> {
-    superstep: u32,
-    worker: usize,
-    partitioner: &'a HashPartitioner,
-    pool: &'a ChunkPool<M>,
-    /// Chunked outboxes for remote workers, indexed by destination.
-    remote: &'a mut [Vec<Chunk<M>>],
-    /// Same-worker fast path: chunks that skip the exchange entirely.
-    local: &'a mut Vec<Chunk<M>>,
-    /// Spill-tier handles (`None` = tier disabled, grow-in-place degradation).
-    spill: Option<SpillControl<'a, M>>,
-    /// Sender-side spill segments per remote destination (parallel to
-    /// `remote`); each segment holds a prefix of that (src → dest) stream.
-    spill_remote: &'a mut [Vec<SpillSegment>],
-    /// Sender-side spill segments for the local fast path.
-    spill_local: &'a mut Vec<SpillSegment>,
-    cost: u64,
-    messages_out: u64,
-    local_delivered: u64,
-    /// The merged aggregate of the *previous* superstep (Pregel semantics).
-    prev_aggregate: &'a A,
-    /// This worker's aggregate contribution for the current superstep.
-    local_aggregate: &'a mut A,
-}
-
-impl<'a, M, A> Context<'a, M, A> {
-    /// The global aggregate merged at the end of the previous superstep
-    /// (the `A::default()` value during superstep 0).
-    #[inline]
-    pub fn prev_aggregate(&self) -> &A {
-        self.prev_aggregate
-    }
-
-    /// Mutable access to this worker's aggregate contribution; the engine
-    /// merges all contributions at the superstep barrier with
-    /// [`VertexProgram::merge_aggregates`].
-    #[inline]
-    pub fn aggregate_mut(&mut self) -> &mut A {
-        self.local_aggregate
-    }
-    /// Current superstep (0 = initialization).
-    #[inline]
-    pub fn superstep(&self) -> u32 {
-        self.superstep
-    }
-
-    /// Id of the executing worker.
-    #[inline]
-    pub fn worker(&self) -> usize {
-        self.worker
-    }
-
-    /// Total number of workers.
-    #[inline]
-    pub fn num_workers(&self) -> usize {
-        self.partitioner.workers()
-    }
-
-    /// The vertex partitioner (vertex → owning worker).
-    #[inline]
-    pub fn partitioner(&self) -> &HashPartitioner {
-        self.partitioner
-    }
-
-    /// Sends `msg` to vertex `to`; it is delivered at the next superstep on
-    /// the worker owning `to`. Messages to this worker's own vertices take
-    /// the local fast path: they go straight into the worker's next inbox
-    /// without touching the exchange.
-    #[inline]
-    pub fn send(&mut self, to: VertexId, msg: M) {
-        self.messages_out += 1;
-        let dest = self.partitioner.owner(to);
-        if dest == self.worker {
-            self.local_delivered += 1;
-            push_or_spill(self.pool, self.spill, self.local, self.spill_local, to, msg);
-        } else {
-            push_or_spill(
-                self.pool,
-                self.spill,
-                &mut self.remote[dest],
-                &mut self.spill_remote[dest],
-                to,
-                msg,
-            );
-        }
-    }
-
-    /// Adds `units` to this worker's cost for the current superstep
-    /// (PSgL: the `load(Gpsi)` terms of Equation 2).
-    #[inline]
-    pub fn add_cost(&mut self, units: u64) {
-        self.cost += units;
-    }
-}
-
-/// Sender-side push with spill-tier degradation. Without a spill tier
-/// this is exactly [`push_chunked`]. With one, hitting the live-chunk cap
-/// no longer grows the current chunk: the destination's *entire* resident
-/// chunk list — a prefix of its (src → dest) stream, so delivery order is
-/// untouched — is encoded into one segment, its chunks are released back
-/// to the pool (freeing capacity for the whole run), and the send lands
-/// in a freshly acquired chunk. Write-side spill failures (ENOSPC, byte
-/// budget) fall back to the old grow-in-place path: slower and bigger,
-/// never wrong.
-#[inline]
-fn push_or_spill<M>(
-    pool: &ChunkPool<M>,
-    spill: Option<SpillControl<'_, M>>,
-    list: &mut Vec<Chunk<M>>,
-    segs: &mut Vec<SpillSegment>,
-    to: VertexId,
-    msg: M,
-) {
-    let Some(sp) = spill else {
-        push_chunked(pool, list, to, msg);
-        return;
-    };
-    match list.last_mut() {
-        Some(c) if c.len() < pool.capacity() => c.push((to, msg)),
-        Some(_) => match pool.try_acquire() {
-            Ok(mut next) => {
-                next.push((to, msg));
-                list.push(next);
-            }
-            Err(PoolExhausted) => match sp.store.spill(sp.codec, list) {
-                Ok(seg) => {
-                    segs.push(seg);
-                    for c in list.drain(..) {
-                        pool.release(c);
-                    }
-                    // The releases above refilled the free list, so this
-                    // acquire is served from it, under the cap.
-                    let mut c = pool.acquire();
-                    c.push((to, msg));
-                    list.push(c);
-                }
-                // Degradable write failure: grow the full chunk in place,
-                // exactly the pre-spill behavior.
-                Err(_) => list.last_mut().expect("list checked non-empty").push((to, msg)),
-            },
-        },
-        None => {
-            // A destination's first chunk is structural demand: served
-            // even over the cap (and metered).
-            let mut c = pool.acquire();
-            c.push((to, msg));
-            list.push(c);
-        }
-    }
-}
-
-/// A vertex-centric program in the Pregel style.
-///
-/// The engine calls [`VertexProgram::compute`] on every vertex in
-/// superstep 0 with no messages (PSgL's initialization phase) and on every
-/// vertex with pending messages in later supersteps. The run halts when no
-/// messages are in flight.
-pub trait VertexProgram: Sync {
-    /// Message type exchanged between vertices.
-    type Message: Send;
-    /// Mutable per-worker state (e.g. local result buffers, the
-    /// distribution strategy's local workload view).
-    type WorkerState: Send;
-    /// Global aggregate merged at each superstep barrier (Pregel
-    /// aggregators); use `()` when not needed.
-    type Aggregate: Send + Sync + Default;
-
-    /// Creates worker-local state before superstep 0.
-    fn create_worker_state(&self, worker: usize) -> Self::WorkerState;
-
-    /// Merges one worker's aggregate contribution into the accumulator.
-    /// The default implementation discards contributions (fits the `()`
-    /// aggregate).
-    fn merge_aggregates(&self, _into: &mut Self::Aggregate, _from: Self::Aggregate) {}
-
-    /// Processes `vertex` with its incoming `messages`.
-    ///
-    /// `messages` is an engine-owned batch buffer reused across calls: it
-    /// holds every message addressed to `vertex` this superstep, and the
-    /// program may freely `drain` or consume it — the engine clears it
-    /// before the next vertex either way.
-    fn compute(
-        &self,
-        ctx: &mut Context<'_, Self::Message, Self::Aggregate>,
-        state: &mut Self::WorkerState,
-        vertex: VertexId,
-        messages: &mut Vec<Self::Message>,
-    );
-}
-
-/// Result of a successful BSP run.
-#[derive(Debug)]
-pub struct BspResult<S, A = ()> {
-    /// Final worker states, indexed by worker id.
-    pub worker_states: Vec<S>,
-    /// The merged aggregate of the final superstep.
-    pub final_aggregate: A,
-    /// Execution metrics.
-    pub metrics: EngineMetrics,
-}
-
-/// A captured frontier plus everything needed to restart a run at a
-/// superstep boundary with bit-identical results: the undelivered
-/// messages (per destination worker, in exchange order), the worker
-/// states, the merged aggregate, and the metrics accumulated so far.
-///
-/// A `ResumePoint` is produced by [`CancelledRun::into_resume_point`]
-/// after a soft cancel and consumed by [`run_controlled`] via
-/// [`RunControl::resume`]. Serialization (for resume tokens that outlive
-/// the process) lives one layer up, where the message type is concrete.
-pub struct ResumePoint<M, S, A> {
-    /// Superstep at which the resumed run starts (the one that never ran).
-    pub superstep: u32,
-    /// Undelivered messages for each destination worker, in the exact
-    /// order the exchange delivered them.
-    pub frontier: Vec<Vec<(VertexId, M)>>,
-    /// Worker states as of the capture barrier, indexed by worker id.
-    pub worker_states: Vec<S>,
-    /// The merged aggregate of the last completed superstep.
-    pub aggregate: A,
-    /// Per-superstep metrics of the completed prefix; the resumed run
-    /// appends to these so the final curves cover the whole run.
-    pub prior_supersteps: Vec<SuperstepMetrics>,
-    /// Run-level counters of the prefix (pool exhaustion, spill traffic,
-    /// live-chunk peak), folded into the resumed run's totals.
-    pub carried: CarriedCounters,
-}
-
-/// A run ended early by its [`CancelToken`] (or by the message budget with
-/// checkpointing enabled).
-pub struct CancelledRun<M, S, A> {
-    /// Why the run stopped.
-    pub reason: CancelReason,
-    /// For a soft cancel: the superstep the run would resume at. For a
-    /// hard cancel: the superstep that was aborted mid-flight.
-    pub superstep: u32,
-    /// The undelivered frontier, present only for soft cancels with
-    /// [`RunControl::checkpoint`] enabled (hard cancels abort workers
-    /// mid-superstep, so no consistent frontier exists).
-    pub frontier: Option<Vec<Vec<(VertexId, M)>>>,
-    /// Worker states at cancellation — partial results (already-found
-    /// instances, counters) remain readable even without a checkpoint.
-    pub worker_states: Vec<S>,
-    /// The merged aggregate of the last completed superstep.
-    pub aggregate: A,
-    /// Metrics for the completed prefix; `chunks_outstanding` is zero —
-    /// the cancelled path returns every pooled chunk.
-    pub metrics: EngineMetrics,
-}
-
-impl<M, S, A> CancelledRun<M, S, A> {
-    /// Converts a checkpointed cancel into the [`ResumePoint`] that
-    /// restarts it; `None` when no frontier was captured (hard cancel).
-    pub fn into_resume_point(self) -> Option<ResumePoint<M, S, A>> {
-        let frontier = self.frontier?;
-        Some(ResumePoint {
-            superstep: self.superstep,
-            frontier,
-            worker_states: self.worker_states,
-            aggregate: self.aggregate,
-            carried: self.metrics.carried,
-            prior_supersteps: self.metrics.supersteps,
-        })
-    }
-}
-
-/// Outcome of a controlled run: completion, or a (possibly resumable)
-/// cancellation. Engine errors (panic, budget without checkpoint,
-/// superstep limit) still surface as [`BspError`].
-pub enum RunOutcome<M, S, A> {
-    /// The run delivered every message and halted normally.
-    Complete(BspResult<S, A>),
-    /// The run was cancelled; see [`CancelledRun`].
-    Cancelled(CancelledRun<M, S, A>),
-}
-
-/// Control inputs for [`run_controlled`]: cancellation, checkpoint
-/// capture, and resume. Under [`RunControl::default`] nothing can cancel
-/// the run: the outcome is [`RunOutcome::Complete`] or an error.
-pub struct RunControl<'c, M, S, A> {
-    /// Token polled at every superstep barrier and every few message
-    /// batches inside `compute`.
-    pub cancel: Option<&'c CancelToken>,
-    /// Capture the live frontier when a soft cancel fires at a barrier
-    /// (wall-clock deadline, superstep deadline, or message budget),
-    /// enabling exact resume. With this set, a wall-clock deadline lets
-    /// the in-flight superstep finish instead of aborting it.
-    pub checkpoint: bool,
-    /// Restart from a captured frontier instead of superstep 0.
-    pub resume: Option<ResumePoint<M, S, A>>,
-    /// Delivery seam override: route the superstep exchange through this
-    /// implementation (e.g. the cluster's TCP data plane plus a
-    /// coordinator-run barrier) instead of the built-in in-process
-    /// pointer move. Enables partial partition ownership — the engine
-    /// then hosts only [`Exchange::local_partitions`]. See
-    /// [`crate::exchange`] for the determinism contract.
-    pub exchange: Option<&'c dyn Exchange<M>>,
-    /// Receives superstep-boundary snapshots whenever the exchange
-    /// directs [`ExchangeDirective::CheckpointAndContinue`]; unused
-    /// without [`RunControl::exchange`].
-    pub sink: Option<&'c dyn FrontierSink<M, S>>,
-    /// Disk spill tier: with this set and `max_live_chunks` capped, a
-    /// sender hitting the cap evicts its destination's chunk list to a
-    /// per-run temp file instead of growing in place, and over-cap
-    /// frontiers are evicted at superstep boundaries and re-admitted when
-    /// their superstep runs. Ignored (spill disabled) under a remote
-    /// [`RunControl::exchange`], whose frontier already lives off-worker.
-    pub spill: Option<SpillControl<'c, M>>,
-    /// Structured-trace sink. Events fire at barrier granularity only
-    /// (one per superstep, plus rare degradations), so the hot expand
-    /// loop never sees a tracing branch. Payloads carry only
-    /// schedule-independent counters, keeping seeded event streams
-    /// deterministic under the sim executor.
-    pub tracer: Option<&'c psgl_obs::Tracer>,
-}
-
-impl<M, S, A> Default for RunControl<'_, M, S, A> {
-    fn default() -> Self {
-        RunControl {
-            cancel: None,
-            checkpoint: false,
-            resume: None,
-            exchange: None,
-            sink: None,
-            spill: None,
-            tracer: None,
-        }
-    }
-}
-
 /// Per-worker scratch retained across supersteps so the hot loop reuses
 /// buffers instead of reallocating them.
 struct WorkerScratch<M> {
@@ -541,22 +173,18 @@ struct WorkerScratch<M> {
     batch: Vec<M>,
 }
 
-impl<M> WorkerScratch<M> {
-    fn new() -> Self {
-        WorkerScratch { sort_buf: Vec::new(), batch: Vec::new() }
-    }
+/// How the superstep loop ended. Every way out of a run is one of these,
+/// handed to the single epilogue of [`run_controlled`].
+enum End<M> {
+    /// No messages left in flight.
+    Complete,
+    /// The token, the budget (with checkpointing) or the exchange's
+    /// directive stopped the run; `frontier` is the captured, flattened
+    /// frontier of a soft stop.
+    Cancelled { reason: CancelReason, superstep: u32, frontier: Option<Vec<Vec<(VertexId, M)>>> },
+    /// The run cannot continue.
+    Failed(BspError),
 }
-
-/// What [`run_controlled`] yields: a typed outcome (complete or
-/// cancelled) over the program's associated types, or an engine error.
-pub type ControlledResult<P> = Result<
-    RunOutcome<
-        <P as VertexProgram>::Message,
-        <P as VertexProgram>::WorkerState,
-        <P as VertexProgram>::Aggregate,
-    >,
-    BspError,
->;
 
 /// Runs `program` over vertices `0..num_vertices` partitioned by
 /// `partitioner`, until no messages remain in flight or `control` stops
@@ -566,11 +194,11 @@ pub type ControlledResult<P> = Result<
 /// (resident chunks and spilled segments, in delivery order), group it by
 /// vertex, and call `compute` once per vertex with all its messages. The
 /// engine is deterministic for deterministic programs: each inbox is
-/// assembled in source-worker order (the local fast path slotting in at
-/// the sender's own position) and grouped with a stable sort. Semantics
-/// are identical for every executor that upholds the contract in
-/// [`crate::exec`]; only schedule-dependent observables (per-worker wall
-/// time, which sends met a capped pool) may differ.
+/// assembled in source-worker order (see [`crate::frontier`]) and grouped
+/// with a stable sort. Semantics are identical for every executor that
+/// upholds the contract in [`crate::exec`]; only schedule-dependent
+/// observables (per-worker wall time, which sends met a capped pool) may
+/// differ.
 ///
 /// The token is polled at every superstep barrier and every few message
 /// batches inside `compute`. A *hard* cancel (explicit request,
@@ -578,16 +206,19 @@ pub type ControlledResult<P> = Result<
 /// workers mid-superstep and reports [`CancelledRun`] with no frontier; a
 /// *soft* cancel (deadline with checkpointing, superstep deadline, or
 /// message budget with checkpointing) acts only at a barrier, where the
-/// complete undelivered frontier is captured for exact resume. Every
-/// terminal path — completion, cancellation, or error — returns all
-/// pooled chunks first; the get/put balance assert covers them all.
+/// complete undelivered frontier is captured for exact resume.
+///
+/// There is one way out: the superstep loop yields how it ended, and the
+/// epilogue after it returns whatever the frontier and the outboxes still
+/// hold to the pool, finalizes the metrics and checks the pool's get/put
+/// balance — for completion, cancellation and error alike.
 pub fn run_controlled<P: VertexProgram>(
     num_vertices: usize,
     partitioner: &HashPartitioner,
     program: &P,
     config: &BspConfig,
     executor: &dyn Executor,
-    control: RunControl<'_, P::Message, P::WorkerState, P::Aggregate>,
+    control: RunControl<'_, P::Message, P::WorkerState>,
 ) -> ControlledResult<P> {
     let k = partitioner.workers();
     let start = Instant::now();
@@ -601,8 +232,7 @@ pub fn run_controlled<P: VertexProgram>(
     // The global partition ids this engine instance hosts. Without a
     // remote exchange every partition is local and `slot == partition`;
     // with one, `slot` indexes this process's arrays while partition ids
-    // stay global (the `Context` fast path and remote routing key off the
-    // global id).
+    // stay global (`Context::send` routes by the global id).
     let locals: Vec<usize> = match exchange {
         Some(x) => {
             assert_eq!(
@@ -621,7 +251,7 @@ pub fn run_controlled<P: VertexProgram>(
         None => (0..k).collect(),
     };
     let l = locals.len();
-    let (mut states, mut inboxes, mut superstep, mut merged_aggregate) = match resume {
+    let (mut states, mut frontier, mut superstep) = match resume {
         Some(rp) => {
             assert_eq!(
                 rp.worker_states.len(),
@@ -632,68 +262,57 @@ pub fn run_controlled<P: VertexProgram>(
             assert_eq!(rp.frontier.len(), l, "resume frontier must cover every local partition");
             metrics.supersteps = rp.prior_supersteps;
             metrics.carried = rp.carried;
-            // Re-chunk the flattened frontier in delivery order; each
-            // worker flattens and stably re-sorts its inbox anyway, so
-            // chunk boundaries need not match the original run's.
-            let inboxes: Vec<Vec<InboxPart<P::Message>>> = rp
-                .frontier
-                .into_iter()
-                .map(|tuples| {
-                    chunk_tuples(&pool, tuples).into_iter().map(InboxPart::Chunk).collect()
-                })
-                .collect();
-            (rp.worker_states, inboxes, rp.superstep, rp.aggregate)
+            (rp.worker_states, Frontier::from_tuples(&pool, rp.frontier), rp.superstep)
         }
         None => {
             let states: Vec<P::WorkerState> =
                 locals.iter().map(|&w| program.create_worker_state(w)).collect();
-            (states, (0..l).map(|_| Vec::new()).collect(), 0, P::Aggregate::default())
+            (states, Frontier::empty(l), 0)
         }
     };
     // Owned vertex lists for superstep 0, one per local partition slot.
     let owned: Vec<Vec<VertexId>> = partitioner.owned_vertices(num_vertices, &locals);
     let mut scratches: Vec<WorkerScratch<P::Message>> =
-        (0..l).map(|_| WorkerScratch::new()).collect();
-    // Spill-counter baselines for per-superstep deltas: the store may be
-    // shared across slices of one logical run, so deltas start from its
-    // current totals rather than zero.
-    let mut spill_stall_seen = spill.map_or(0, |sp| sp.store.stall_nanos());
-    let mut spill_chunks_seen = spill.map_or(0, |sp| sp.store.spilled_chunks());
-    let mut readmitted_seen = spill.map_or(0, |sp| sp.store.readmitted());
-    let mut write_failures_seen = spill.map_or(0, |sp| sp.store.write_failures());
-    loop {
+        (0..l).map(|_| WorkerScratch { sort_buf: Vec::new(), batch: Vec::new() }).collect();
+    // Spill-store totals — stall nanos, spilled chunks, re-admitted
+    // chunks, write failures — as of the last barrier, for per-superstep
+    // deltas. The store may be shared across slices of one logical run,
+    // so the baseline is its current totals rather than zero.
+    let spill_totals = || {
+        spill.map_or([0; 4], |SpillControl { store, .. }| {
+            [
+                store.stall_nanos(),
+                store.spilled_chunks(),
+                store.readmitted(),
+                store.write_failures(),
+            ]
+        })
+    };
+    let mut spill_seen = spill_totals();
+    // Every chunk-holding buffer a worker touches lives in an engine-owned
+    // slot rather than a closure local: its inbox (in `frontier`) and its
+    // outbox. An unwinding worker therefore cannot strand acquired chunks
+    // — whatever it held stays reachable for the epilogue. An outbox is
+    // `k` streams wide (global destinations) even under partial ownership.
+    let mut outboxes: Vec<WorkerOutbox<P::Message>> = Vec::new();
+    let end = loop {
         if superstep >= config.max_supersteps {
-            release_all(&pool, inboxes, spill);
-            debug_assert_balanced(&pool);
-            return Err(BspError::SuperstepLimitExceeded(superstep));
+            break End::Failed(BspError::SuperstepLimitExceeded(superstep));
         }
         // `None` after the superstep means the worker's task panicked; an
         // `Err` is a spilled segment it could not re-admit.
-        let mut worker_results: Vec<Option<WorkerResult<P>>> = (0..l).map(|_| None).collect();
-        // Every chunk-holding buffer a worker touches lives in an
-        // engine-owned slot rather than a closure local: its inbox and its
-        // outboxes. An unwinding worker therefore cannot strand acquired
-        // chunks — whatever it held stays reachable and `abort_cleanup`
-        // returns it to the pool. Remote outboxes stay `k` wide (global
-        // destinations) even under partial ownership.
-        let mut outboxes: Vec<WorkerOutbox<P::Message>> =
-            (0..l).map(|_| ((0..k).map(|_| Vec::new()).collect(), Vec::new())).collect();
-        // Sender-side spill segments, parallel to the outboxes: per-slot
-        // (per-remote-destination lists, local fast path list). Engine-
-        // owned for the same unwind-safety reason as the outboxes.
-        let mut spill_outs: Vec<(Vec<Vec<SpillSegment>>, Vec<SpillSegment>)> =
-            (0..l).map(|_| ((0..k).map(|_| Vec::new()).collect(), Vec::new())).collect();
-        let prev_aggregate = &merged_aggregate;
+        let mut worker_results: Vec<Option<Result<WorkerSuperstepMetrics, SpillError>>> =
+            (0..l).map(|_| None).collect();
+        outboxes = (0..l).map(|_| (0..k).map(|_| OutStream::default()).collect()).collect();
         let poll = CancelPoll { token: cancel, hard_deadline: !checkpoint };
         let mut tasks: Vec<WorkerTask<'_>> = Vec::with_capacity(l);
-        for ((((((slot, state), inbox), scratch), result_slot), outbox), spill_out) in states
+        for (((((slot, state), inbox), scratch), result_slot), outbox) in states
             .iter_mut()
             .enumerate()
-            .zip(inboxes.iter_mut())
+            .zip(frontier.inboxes.iter_mut())
             .zip(scratches.iter_mut())
             .zip(worker_results.iter_mut())
             .zip(outboxes.iter_mut())
-            .zip(spill_outs.iter_mut())
         {
             let worker = locals[slot];
             let owned = &owned[slot];
@@ -713,11 +332,9 @@ pub fn run_controlled<P: VertexProgram>(
                         pool,
                         inbox,
                         scratch,
-                        prev_aggregate,
                         outbox,
                         poll,
                         spill,
-                        spill_out,
                     )
                 }))
                 .ok();
@@ -727,107 +344,46 @@ pub fn run_controlled<P: VertexProgram>(
         executor.run_superstep(superstep, tasks);
         // Scanned in worker order so the first panicking worker is reported.
         if let Some(slot) = worker_results.iter().position(Option::is_none) {
-            abort_cleanup(&pool, &mut outboxes, &mut spill_outs, &mut inboxes, spill);
-            debug_assert_balanced(&pool);
-            return Err(BspError::WorkerPanicked { worker: locals[slot], superstep });
+            break End::Failed(BspError::WorkerPanicked { worker: locals[slot], superstep });
         }
         // A spilled segment that failed to re-admit is unrecoverable: the
-        // disk copy was the only copy. Abort cleanly with the typed error.
-        let worker_results: Result<Vec<_>, SpillError> =
+        // disk copy was the only copy.
+        let workers: Result<Vec<_>, SpillError> =
             worker_results.into_iter().map(|r| r.expect("no worker panicked")).collect();
-        let worker_results = match worker_results {
-            Ok(results) => results,
-            Err(error) => {
-                abort_cleanup(&pool, &mut outboxes, &mut spill_outs, &mut inboxes, spill);
-                debug_assert_balanced(&pool);
-                return Err(BspError::Spill { superstep, error });
-            }
+        let workers = match workers {
+            Ok(workers) => workers,
+            Err(error) => break End::Failed(BspError::Spill { superstep, error }),
         };
         // A hard cancel may have aborted workers mid-superstep: the
-        // superstep's partial output is discarded and every chunk —
-        // undrained inbox parts, outboxes — goes back to the pool before
-        // the outcome is reported.
+        // superstep's partial output and the undrained inbox parts are
+        // discarded.
         if let Some(reason) = hard_cancel_reason(cancel, checkpoint) {
-            abort_cleanup(&pool, &mut outboxes, &mut spill_outs, &mut inboxes, spill);
-            finalize_metrics(&mut metrics, &pool, spill, start);
-            return Ok(RunOutcome::Cancelled(CancelledRun {
-                reason,
-                superstep,
-                frontier: None,
-                worker_states: states,
-                aggregate: merged_aggregate,
-                metrics,
-            }));
+            break End::Cancelled { reason, superstep, frontier: None };
         }
-        // Collect metrics and merge aggregates at the barrier.
-        let mut step = SuperstepMetrics {
-            workers: Vec::with_capacity(l),
-            net: NetSuperstepMetrics::default(),
-            spill_stall_nanos: 0,
-        };
-        let mut next_aggregate = P::Aggregate::default();
-        for (wm, agg) in worker_results {
-            step.workers.push(wm);
-            program.merge_aggregates(&mut next_aggregate, agg);
-        }
-        merged_aggregate = next_aggregate;
-        let mut outs = outboxes;
-        for (slot, (remote, _)) in outs.iter().enumerate() {
-            debug_assert!(remote[locals[slot]].is_empty(), "self-sends take the local path");
-        }
-        // Rebuild inboxes. In-process (no exchange seam): chunks move by
-        // pointer; each destination receives sources in worker order, with
-        // a worker's locally-delivered chunks slotting in at its own
-        // source position — the same order a self-send through the
-        // exchange would have produced, keeping runs deterministic. The
-        // chaos knob `exchange_shuffle_seed` replaces the canonical source
-        // order with a seeded per-destination permutation. A remote
-        // exchange must uphold the same global source order (see
-        // `crate::exchange`) and additionally runs the coordinator
-        // barrier, whose directive can checkpoint or abort the run.
-        let (mut new_inboxes, in_flight) = match exchange {
+        let mut step =
+            SuperstepMetrics { workers, net: NetSuperstepMetrics::default(), spill_stall_nanos: 0 };
+        // The exchange turns this superstep's outboxes into the next
+        // frontier. In-process it is a pointer move; a remote exchange
+        // must uphold the same delivery order (see `crate::exchange`) and
+        // additionally runs the coordinator barrier, whose directive can
+        // checkpoint or abort the run.
+        let exchange_start = Instant::now();
+        let in_flight = match exchange {
             None => {
-                let exchange_start = Instant::now();
-                let mut spill_outs = spill_outs;
-                let mut new_inboxes: Vec<Vec<InboxPart<P::Message>>> =
-                    (0..k).map(|_| Vec::new()).collect();
-                for (dest, new_inbox) in new_inboxes.iter_mut().enumerate() {
-                    for src in source_order(k, superstep, dest, config.exchange_shuffle_seed) {
-                        let (segs, chunks) = if src == dest {
-                            (&mut spill_outs[src].1, &mut outs[src].1)
-                        } else {
-                            (&mut spill_outs[src].0[dest], &mut outs[src].0[dest])
-                        };
-                        // A sender-side segment always holds a *prefix* of
-                        // its (src → dest) stream: spilling drains the
-                        // whole resident list, so surviving chunks are
-                        // strictly newer than every segment.
-                        for seg in segs.drain(..) {
-                            new_inbox.push(InboxPart::Spilled(seg));
-                        }
-                        for c in chunks.drain(..) {
-                            new_inbox.push(InboxPart::Chunk(c));
-                        }
-                    }
-                }
-                let in_flight: u64 =
-                    new_inboxes.iter().flat_map(|b| b.iter()).map(part_tuples).sum();
+                frontier =
+                    Frontier::from_outboxes(&mut outboxes, superstep, config.exchange_shuffle_seed);
+                let in_flight = frontier.in_flight();
                 step.net.exchange_nanos = exchange_start.elapsed().as_nanos() as u64;
-                (new_inboxes, in_flight)
+                in_flight
             }
             Some(x) => {
-                debug_assert!(
-                    spill_outs.iter().all(|(r, l)| l.is_empty() && r.iter().all(Vec::is_empty)),
-                    "spill is disabled under a remote exchange"
-                );
-                let exchange_start = Instant::now();
+                let outs = std::mem::take(&mut outboxes);
                 let outcome = match x.exchange(superstep, &pool, outs, &step) {
                     Ok(outcome) => outcome,
+                    // The exchange released everything it was handed;
+                    // nothing else holds chunks at the barrier.
                     Err(e) => {
-                        // The exchange released everything it was handed;
-                        // nothing else holds chunks at the barrier.
-                        debug_assert_balanced(&pool);
-                        return Err(BspError::Exchange { superstep, message: e.message });
+                        break End::Failed(BspError::Exchange { superstep, message: e.message })
                     }
                 };
                 step.net = outcome.net;
@@ -836,49 +392,25 @@ pub fn run_controlled<P: VertexProgram>(
                 // measured barrier wait.
                 step.net.exchange_nanos = (exchange_start.elapsed().as_nanos() as u64)
                     .saturating_sub(step.net.barrier_wait_nanos);
-                match outcome.directive {
-                    ExchangeDirective::Abort(reason) => {
-                        release_all(&pool, wrap_resident(outcome.inboxes), spill);
-                        metrics.supersteps.push(step);
-                        finalize_metrics(&mut metrics, &pool, spill, start);
-                        return Ok(RunOutcome::Cancelled(CancelledRun {
-                            reason,
-                            superstep: superstep + 1,
-                            frontier: None,
-                            worker_states: states,
-                            aggregate: merged_aggregate,
-                            metrics,
-                        }));
-                    }
-                    ExchangeDirective::CheckpointAndContinue => {
-                        if let Some(sink) = sink {
-                            sink.capture(superstep + 1, &states, &outcome.inboxes);
-                        }
-                    }
-                    ExchangeDirective::Continue => {}
+                if let (ExchangeDirective::CheckpointAndContinue, Some(sink)) =
+                    (outcome.directive, sink)
+                {
+                    sink.capture(superstep + 1, &states, &outcome.inboxes);
                 }
-                (wrap_resident(outcome.inboxes), outcome.in_flight)
+                frontier = Frontier::from_resident(outcome.inboxes);
+                if let ExchangeDirective::Abort(reason) = outcome.directive {
+                    metrics.supersteps.push(step);
+                    break End::Cancelled { reason, superstep: superstep + 1, frontier: None };
+                }
+                outcome.in_flight
             }
         };
-        if let Some(sp) = spill {
-            let stall = sp.store.stall_nanos();
-            step.spill_stall_nanos = stall - spill_stall_seen;
-            spill_stall_seen = stall;
-        }
+        let spill_now = spill_totals();
+        let [stall, spilled, readmitted, write_failures] =
+            std::array::from_fn(|i| spill_now[i] - spill_seen[i]);
+        spill_seen = spill_now;
+        step.spill_stall_nanos = stall;
         if let Some(t) = tracer {
-            let (spilled, readmitted, write_failures) = match spill {
-                Some(sp) => {
-                    let (s, r, w) = (
-                        sp.store.spilled_chunks(),
-                        sp.store.readmitted(),
-                        sp.store.write_failures(),
-                    );
-                    let d = (s - spill_chunks_seen, r - readmitted_seen, w - write_failures_seen);
-                    (spill_chunks_seen, readmitted_seen, write_failures_seen) = (s, r, w);
-                    d
-                }
-                None => (0, 0, 0),
-            };
             t.event(
                 "superstep",
                 &[
@@ -902,30 +434,14 @@ pub fn run_controlled<P: VertexProgram>(
         metrics.supersteps.push(step);
         if let Some(budget) = config.message_budget {
             if in_flight > budget {
-                if checkpoint {
-                    // Budget expiry with checkpointing: the frontier that
-                    // broke the budget is exactly what a resumed run (with
-                    // a higher budget) needs delivered.
-                    let frontier = match flatten_frontier(&pool, new_inboxes, spill) {
-                        Ok(f) => f,
-                        Err(error) => {
-                            debug_assert_balanced(&pool);
-                            return Err(BspError::Spill { superstep, error });
-                        }
-                    };
-                    finalize_metrics(&mut metrics, &pool, spill, start);
-                    return Ok(RunOutcome::Cancelled(CancelledRun {
-                        reason: CancelReason::Budget,
-                        superstep: superstep + 1,
-                        frontier: Some(frontier),
-                        worker_states: states,
-                        aggregate: merged_aggregate,
-                        metrics,
-                    }));
-                }
-                release_all(&pool, new_inboxes, spill);
-                debug_assert_balanced(&pool);
-                return Err(BspError::MessageBudgetExceeded { superstep, in_flight, budget });
+                // Budget expiry with checkpointing: the frontier that
+                // broke the budget is exactly what a resumed run (with a
+                // higher budget) needs delivered.
+                break if checkpoint {
+                    capture(&mut frontier, &pool, spill, CancelReason::Budget, superstep)
+                } else {
+                    End::Failed(BspError::MessageBudgetExceeded { superstep, in_flight, budget })
+                };
             }
         }
         // Soft cancel: the deterministic superstep deadline, a
@@ -944,36 +460,18 @@ pub fn run_controlled<P: VertexProgram>(
                 let preempt_due =
                     !deadline_due && token.preempt_barrier().is_some_and(|sd| superstep + 1 >= sd);
                 if deadline_due || preempt_due {
-                    let frontier = if checkpoint || preempt_due {
-                        match flatten_frontier(&pool, new_inboxes, spill) {
-                            Ok(f) => Some(f),
-                            Err(error) => {
-                                debug_assert_balanced(&pool);
-                                return Err(BspError::Spill { superstep, error });
-                            }
-                        }
+                    let reason =
+                        if preempt_due { CancelReason::Preempted } else { CancelReason::Deadline };
+                    break if checkpoint || preempt_due {
+                        capture(&mut frontier, &pool, spill, reason, superstep)
                     } else {
-                        release_all(&pool, new_inboxes, spill);
-                        None
+                        End::Cancelled { reason, superstep: superstep + 1, frontier: None }
                     };
-                    finalize_metrics(&mut metrics, &pool, spill, start);
-                    return Ok(RunOutcome::Cancelled(CancelledRun {
-                        reason: if preempt_due {
-                            CancelReason::Preempted
-                        } else {
-                            CancelReason::Deadline
-                        },
-                        superstep: superstep + 1,
-                        frontier,
-                        worker_states: states,
-                        aggregate: merged_aggregate,
-                        metrics,
-                    }));
                 }
             }
         }
         if in_flight == 0 {
-            break;
+            break End::Complete;
         }
         // Barrier eviction: the freshly exchanged frontier is the coldest
         // data in the engine — nothing touches it until the next
@@ -982,23 +480,55 @@ pub fn run_controlled<P: VertexProgram>(
         // and release them. Re-admission happens in `run_worker`, in
         // delivery order, with zero pool acquisitions.
         if let (Some(sp), Some(cap)) = (spill, config.max_live_chunks) {
-            evict_frontier(&pool, sp, &mut new_inboxes, cap as i64);
+            frontier.evict(&pool, sp, cap as i64);
         }
-        inboxes = new_inboxes;
         superstep += 1;
+    };
+    // The one way out. Whatever the loop left behind — part-filled
+    // outboxes and undrained inbox parts after a panic, a failed
+    // re-admission or a hard cancel; a whole frontier nobody will deliver
+    // after a limit, a budget error or an uncheckpointed stop — goes back
+    // to the pool, and spilled segments lose their blobs, before anything
+    // is reported.
+    for stream in outboxes.iter_mut().flatten() {
+        stream.release(&pool, spill);
     }
+    frontier.release(&pool, spill);
     finalize_metrics(&mut metrics, &pool, spill, start);
-    // The debug-build assertion above, promoted: a clean completion with
-    // unreleased chunks is a leak, and chaos sweeps run in release mode.
+    // Every chunk acquired over the run must be back by now, however the
+    // run ended. Debug builds assert it; a *clean* completion with
+    // unreleased chunks is reported in release builds too, because chaos
+    // sweeps run there.
     let outstanding = pool.outstanding();
-    if outstanding != 0 {
-        return Err(BspError::ChunkLeak { outstanding });
+    debug_assert_eq!(outstanding, 0, "chunk pool get/put imbalance at engine shutdown (leak)");
+    match end {
+        End::Complete if outstanding != 0 => Err(BspError::ChunkLeak { outstanding }),
+        End::Complete => Ok(RunOutcome::Complete(BspResult { worker_states: states, metrics })),
+        End::Cancelled { reason, superstep, frontier } => Ok(RunOutcome::Cancelled(CancelledRun {
+            reason,
+            superstep,
+            frontier,
+            worker_states: states,
+            metrics,
+        })),
+        End::Failed(error) => Err(error),
     }
-    Ok(RunOutcome::Complete(BspResult {
-        worker_states: states,
-        final_aggregate: merged_aggregate,
-        metrics,
-    }))
+}
+
+/// A soft stop at the barrier after `superstep`: flattens the complete
+/// undelivered frontier into the resumable end, or fails the run when a
+/// spilled segment of it cannot be read back.
+fn capture<M>(
+    frontier: &mut Frontier<M>,
+    pool: &ChunkPool<M>,
+    spill: Option<SpillControl<'_, M>>,
+    reason: CancelReason,
+    superstep: u32,
+) -> End<M> {
+    match frontier.flatten(pool, spill) {
+        Ok(tuples) => End::Cancelled { reason, superstep: superstep + 1, frontier: Some(tuples) },
+        Err(error) => End::Failed(BspError::Spill { superstep, error }),
+    }
 }
 
 /// Worker-side cancellation poll: cheap enough to run every few message
@@ -1035,192 +565,9 @@ fn hard_cancel_reason(cancel: Option<&CancelToken>, checkpoint: bool) -> Option<
     None
 }
 
-/// Drains every chunk still held anywhere in the superstep's machinery
-/// back to the pool: outboxes and any inbox parts a worker never drained
-/// (panic, failed re-admission, hard cancel). Spill segments (inbox parts
-/// and sender-side side tables) are discarded — their blobs are deleted
-/// now when a store is at hand, and the store's directory guard sweeps
-/// anything this misses.
-fn abort_cleanup<M>(
-    pool: &ChunkPool<M>,
-    outboxes: &mut [WorkerOutbox<M>],
-    spill_outs: &mut [(Vec<Vec<SpillSegment>>, Vec<SpillSegment>)],
-    inboxes: &mut [Vec<InboxPart<M>>],
-    spill: Option<SpillControl<'_, M>>,
-) {
-    for (remote, local) in outboxes.iter_mut() {
-        for dest in remote.iter_mut() {
-            for c in dest.drain(..) {
-                pool.release(c);
-            }
-        }
-        for c in local.drain(..) {
-            pool.release(c);
-        }
-    }
-    for (remote, local) in spill_outs.iter_mut() {
-        for seg in remote.iter_mut().flat_map(|d| d.drain(..)).chain(local.drain(..)) {
-            discard_segment(seg, spill);
-        }
-    }
-    for inbox in inboxes.iter_mut() {
-        // Consumed entries are zero-capacity placeholders; `release`
-        // ignores those.
-        for part in inbox.drain(..) {
-            match part {
-                InboxPart::Chunk(c) => pool.release(c),
-                InboxPart::Spilled(seg) => discard_segment(seg, spill),
-            }
-        }
-    }
-}
-
-/// Deletes an unconsumed segment's blob when a store is available;
-/// otherwise the directory guard deletes it with the store.
-fn discard_segment<M>(seg: SpillSegment, spill: Option<SpillControl<'_, M>>) {
-    if let Some(sp) = spill {
-        sp.store.discard(seg);
-    }
-}
-
-/// Releases every chunk and discards every segment of a set of inboxes
-/// (abort paths).
-fn release_all<M>(
-    pool: &ChunkPool<M>,
-    boxes: Vec<Vec<InboxPart<M>>>,
-    spill: Option<SpillControl<'_, M>>,
-) {
-    for inbox in boxes {
-        for part in inbox {
-            match part {
-                InboxPart::Chunk(c) => pool.release(c),
-                InboxPart::Spilled(seg) => discard_segment(seg, spill),
-            }
-        }
-    }
-}
-
-/// Wraps exchange-delivered inboxes (always resident) as inbox parts.
-fn wrap_resident<M>(boxes: Vec<Vec<Chunk<M>>>) -> Vec<Vec<InboxPart<M>>> {
-    boxes.into_iter().map(|chunks| chunks.into_iter().map(InboxPart::Chunk).collect()).collect()
-}
-
-/// Flattens freshly-exchanged inboxes into per-destination tuple runs
-/// (delivery order preserved), releasing resident chunks and re-admitting
-/// spilled segments — the checkpointable frontier. On a re-admission
-/// failure every remaining chunk is still released (the pool stays
-/// balanced) and the typed error is reported after the sweep.
-fn flatten_frontier<M>(
-    pool: &ChunkPool<M>,
-    boxes: Vec<Vec<InboxPart<M>>>,
-    spill: Option<SpillControl<'_, M>>,
-) -> Result<Vec<Vec<(VertexId, M)>>, SpillError> {
-    let mut failed: Option<SpillError> = None;
-    let flat = boxes
-        .into_iter()
-        .map(|parts| {
-            let mut tuples = Vec::new();
-            for part in parts {
-                match part {
-                    InboxPart::Chunk(mut c) => {
-                        tuples.append(&mut c);
-                        pool.release(c);
-                    }
-                    // When already failing (or with no store) the segment
-                    // is just dropped; the directory guard deletes the blob.
-                    InboxPart::Spilled(seg) => {
-                        if let (true, Some(sp)) = (failed.is_none(), spill) {
-                            if let Err(e) = sp.store.readmit(sp.codec, seg, &mut tuples) {
-                                failed = Some(e);
-                            }
-                        }
-                    }
-                }
-            }
-            tuples
-        })
-        .collect();
-    match failed {
-        None => Ok(flat),
-        Some(e) => Err(e),
-    }
-}
-
-/// Superstep-boundary eviction: while the pool is over its live-chunk
-/// cap, encode contiguous runs of resident frontier chunks into spill
-/// segments — replaced in place, so delivery order is untouched — and
-/// release the chunks. Walks destinations and each destination's parts
-/// in delivery order (oldest first): at a barrier the whole frontier is
-/// equally cold, and oldest-first makes eviction deterministic and
-/// sequential on disk. A write failure stops eviction entirely: the
-/// frontier stays resident (degraded, never wrong).
-fn evict_frontier<M>(
-    pool: &ChunkPool<M>,
-    sp: SpillControl<'_, M>,
-    inboxes: &mut [Vec<InboxPart<M>>],
-    cap: i64,
-) {
-    for inbox in inboxes.iter_mut() {
-        let mut i = 0;
-        while i < inbox.len() {
-            if pool.outstanding() <= cap {
-                return;
-            }
-            if !matches!(&inbox[i], InboxPart::Chunk(c) if !c.is_empty()) {
-                i += 1;
-                continue;
-            }
-            // Collect the contiguous run of non-empty resident chunks
-            // starting at `i`; taken slots become zero-capacity
-            // placeholders that drain harmlessly later.
-            let mut run: Vec<Chunk<M>> = Vec::new();
-            let mut j = i;
-            while j < inbox.len() {
-                match &inbox[j] {
-                    InboxPart::Chunk(c) if !c.is_empty() => {
-                        let InboxPart::Chunk(c) = std::mem::take(&mut inbox[j]) else {
-                            unreachable!("matched a resident chunk above")
-                        };
-                        run.push(c);
-                        j += 1;
-                    }
-                    _ => break,
-                }
-            }
-            match sp.store.spill(sp.codec, &run) {
-                Ok(seg) => {
-                    for c in run {
-                        pool.release(c);
-                    }
-                    inbox[i] = InboxPart::Spilled(seg);
-                    i = j;
-                }
-                Err(_) => {
-                    // Degradable write failure: restore the run and keep
-                    // the whole frontier resident.
-                    for (off, c) in run.into_iter().enumerate() {
-                        inbox[i + off] = InboxPart::Chunk(c);
-                    }
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// Rebuilds inbox chunks from a flattened frontier on resume.
-fn chunk_tuples<M>(pool: &ChunkPool<M>, tuples: Vec<(VertexId, M)>) -> Vec<Chunk<M>> {
-    let mut chunks = Vec::new();
-    for (v, m) in tuples {
-        push_chunked(pool, &mut chunks, v, m);
-    }
-    chunks
-}
-
-/// Finalizes run-level metrics and asserts the pool's get/put balance —
-/// called exactly once, on *every* outcome that reports metrics (complete
-/// or cancelled). `metrics.carried` holds the resumed prefix's counters
-/// (zero on a fresh run); this slice's are added on top.
+/// Finalizes run-level metrics — called exactly once, by the epilogue.
+/// `metrics.carried` holds the resumed prefix's counters (zero on a fresh
+/// run); this slice's are added on top.
 fn finalize_metrics<M>(
     metrics: &mut EngineMetrics,
     pool: &ChunkPool<M>,
@@ -1240,53 +587,8 @@ fn finalize_metrics<M>(
         c.readmitted_chunks += sp.store.readmitted();
         c.spill_write_failures += sp.store.write_failures();
     }
-    debug_assert_balanced(pool);
     metrics.wall_time = start.elapsed();
 }
-
-/// Pool get/put balance: every chunk acquired over the run must have been
-/// released by the time the engine reports *any* terminal outcome —
-/// completion, cancellation, worker panic, budget abort, or the superstep
-/// limit.
-fn debug_assert_balanced<M>(pool: &ChunkPool<M>) {
-    debug_assert_eq!(
-        pool.outstanding(),
-        0,
-        "chunk pool get/put imbalance at engine shutdown (leak)"
-    );
-}
-
-/// The order in which destination `dest` consumes source workers during
-/// the exchange after `superstep`: canonical `0..k`, or — under the
-/// `exchange_shuffle_seed` chaos knob — a seeded Fisher–Yates permutation
-/// that differs per `(superstep, dest)` but is fully reproducible.
-fn source_order(k: usize, superstep: u32, dest: usize, shuffle: Option<u64>) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..k).collect();
-    if let Some(seed) = shuffle {
-        let mut s = seed ^ ((superstep as u64) << 32) ^ (dest as u64).wrapping_mul(0x9E37_79B9);
-        for i in (1..k).rev() {
-            s = splitmix64(s);
-            let j = (s % (i as u64 + 1)) as usize;
-            order.swap(i, j);
-        }
-    }
-    order
-}
-
-/// SplitMix64 step — a tiny, dependency-free PRNG for the exchange
-/// shuffle (statistical quality is irrelevant here; reproducibility is
-/// everything).
-fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// What one worker's superstep task yields: its metrics and aggregate
-/// contribution, or the spilled inbox segment it failed to re-admit.
-type WorkerResult<P> =
-    Result<(WorkerSuperstepMetrics, <P as VertexProgram>::Aggregate), SpillError>;
 
 /// Executes one worker for one superstep, filling the engine-owned
 /// `outbox` in place. Superstep 0 runs `compute` on every owned vertex;
@@ -1298,7 +600,7 @@ type WorkerResult<P> =
 /// The inbox is consumed in place (entries become zero-capacity
 /// placeholders) and drained chunks go straight back to the pool, so a
 /// panic or a failed re-admission anywhere in here leaves every
-/// still-acquired chunk reachable for [`abort_cleanup`].
+/// still-acquired chunk reachable for the engine's epilogue.
 #[allow(clippy::too_many_arguments)]
 fn run_worker<P: VertexProgram>(
     program: &P,
@@ -1311,32 +613,22 @@ fn run_worker<P: VertexProgram>(
     pool: &ChunkPool<P::Message>,
     inbox: &mut Vec<InboxPart<P::Message>>,
     scratch: &mut WorkerScratch<P::Message>,
-    prev_aggregate: &P::Aggregate,
     outbox: &mut WorkerOutbox<P::Message>,
     poll: CancelPoll<'_>,
     spill: Option<SpillControl<'_, P::Message>>,
-    spill_out: &mut (Vec<Vec<SpillSegment>>, Vec<SpillSegment>),
-) -> WorkerResult<P> {
+) -> Result<WorkerSuperstepMetrics, SpillError> {
     let started = Instant::now();
     let WorkerScratch { sort_buf, batch } = scratch;
-    let (remote, local) = outbox;
-    let (spill_remote, spill_local) = spill_out;
-    let mut local_aggregate = P::Aggregate::default();
     let mut ctx = Context {
         superstep,
         worker,
         partitioner,
         pool,
-        remote: &mut remote[..],
-        local,
+        outbox: &mut outbox[..],
         spill,
-        spill_remote: &mut spill_remote[..],
-        spill_local,
         cost: 0,
         messages_out: 0,
         local_delivered: 0,
-        prev_aggregate,
-        local_aggregate: &mut local_aggregate,
     };
     let mut active_vertices = 0u64;
     let mut messages_in = 0u64;
@@ -1381,7 +673,7 @@ fn run_worker<P: VertexProgram>(
         }
     }
     let tuple_bytes = std::mem::size_of::<(VertexId, P::Message)>() as u64;
-    let wm = WorkerSuperstepMetrics {
+    Ok(WorkerSuperstepMetrics {
         active_vertices,
         messages_in,
         messages_out: ctx.messages_out,
@@ -1389,8 +681,7 @@ fn run_worker<P: VertexProgram>(
         bytes_exchanged: (ctx.messages_out - ctx.local_delivered) * tuple_bytes,
         cost: ctx.cost,
         elapsed_nanos: started.elapsed().as_nanos() as u64,
-    };
-    Ok((wm, local_aggregate))
+    })
 }
 
 #[cfg(test)]
@@ -1402,13 +693,13 @@ mod tests {
     use psgl_graph::DataGraph;
 
     /// [`run_controlled`] with no controls, which nothing can cancel.
-    pub(super) fn run_with_executor<P: VertexProgram>(
+    fn run_with_executor<P: VertexProgram>(
         num_vertices: usize,
         partitioner: &HashPartitioner,
         program: &P,
         config: &BspConfig,
         executor: &dyn Executor,
-    ) -> Result<BspResult<P::WorkerState, P::Aggregate>, BspError> {
+    ) -> Result<BspResult<P::WorkerState>, BspError> {
         let control = RunControl::default();
         match run_controlled(num_vertices, partitioner, program, config, executor, control)? {
             RunOutcome::Complete(res) => Ok(res),
@@ -1416,12 +707,12 @@ mod tests {
         }
     }
 
-    pub(super) fn run<P: VertexProgram>(
+    fn run<P: VertexProgram>(
         num_vertices: usize,
         partitioner: &HashPartitioner,
         program: &P,
         config: &BspConfig,
-    ) -> Result<BspResult<P::WorkerState, P::Aggregate>, BspError> {
+    ) -> Result<BspResult<P::WorkerState>, BspError> {
         run_with_executor(num_vertices, partitioner, program, config, &ThreadExecutor)
     }
 
@@ -1435,7 +726,6 @@ mod tests {
     impl VertexProgram for MinLabel<'_> {
         type Message = VertexId;
         type WorkerState = ();
-        type Aggregate = ();
 
         fn create_worker_state(&self, _worker: usize) {}
 
@@ -1616,7 +906,6 @@ mod tests {
     impl VertexProgram for Flood {
         type Message = u8;
         type WorkerState = u64;
-        type Aggregate = ();
 
         fn create_worker_state(&self, _worker: usize) -> u64 {
             0
@@ -1638,28 +927,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn message_budget_triggers_simulated_oom() {
-        let prog = Flood { fanout: 10, n: 100 };
-        let p = HashPartitioner::new(4);
-        let config = BspConfig { message_budget: Some(500), ..Default::default() };
-        match run(100, &p, &prog, &config) {
-            Err(BspError::MessageBudgetExceeded { superstep: 0, in_flight: 1000, budget: 500 }) => {
-            }
-            other => panic!("expected budget error, got {other:?}"),
-        }
-        // A budget that fits succeeds and delivers all messages.
-        let config = BspConfig { message_budget: Some(1000), ..Default::default() };
-        let res = run(100, &p, &prog, &config).unwrap();
-        assert_eq!(res.worker_states.iter().sum::<u64>(), 1000);
-    }
-
     struct Panicker;
 
     impl VertexProgram for Panicker {
         type Message = ();
         type WorkerState = ();
-        type Aggregate = ();
 
         fn create_worker_state(&self, _w: usize) {}
 
@@ -1668,52 +940,6 @@ mod tests {
                 panic!("boom");
             }
         }
-    }
-
-    #[test]
-    fn worker_panic_is_contained() {
-        let p = HashPartitioner::new(3);
-        match run(20, &p, &Panicker, &BspConfig::default()) {
-            Err(BspError::WorkerPanicked { superstep: 0, worker }) => {
-                assert_eq!(worker, p.owner(13));
-            }
-            other => panic!("expected panic containment, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn worker_panic_is_contained_under_serial_executor() {
-        let p = HashPartitioner::new(3);
-        match run_with_executor(20, &p, &Panicker, &BspConfig::default(), &SerialExecutor) {
-            Err(BspError::WorkerPanicked { superstep: 0, worker }) => {
-                assert_eq!(worker, p.owner(13));
-            }
-            other => panic!("expected panic containment, got {other:?}"),
-        }
-    }
-
-    /// Endless ping-pong between vertices 0 and 1.
-    struct PingPong;
-
-    impl VertexProgram for PingPong {
-        type Message = ();
-        type WorkerState = ();
-        type Aggregate = ();
-
-        fn create_worker_state(&self, _w: usize) {}
-
-        fn compute(&self, ctx: &mut Context<'_, ()>, _s: &mut (), v: VertexId, _m: &mut Vec<()>) {
-            if v < 2 {
-                ctx.send(1 - v, ());
-            }
-        }
-    }
-
-    #[test]
-    fn superstep_limit_stops_runaway_programs() {
-        let p = HashPartitioner::new(2);
-        let config = BspConfig { max_supersteps: 5, ..Default::default() };
-        assert!(matches!(run(2, &p, &PingPong, &config), Err(BspError::SuperstepLimitExceeded(5))));
     }
 
     #[test]
@@ -1737,57 +963,9 @@ mod tests {
         p: &HashPartitioner,
         prog: &P,
         config: &BspConfig,
-        control: RunControl<'c, P::Message, P::WorkerState, P::Aggregate>,
-    ) -> RunOutcome<P::Message, P::WorkerState, P::Aggregate> {
+        control: RunControl<'c, P::Message, P::WorkerState>,
+    ) -> RunOutcome<P::Message, P::WorkerState> {
         run_controlled(n, p, prog, config, &ThreadExecutor, control).unwrap()
-    }
-
-    #[test]
-    fn explicit_cancel_aborts_with_a_balanced_pool() {
-        let g = erdos_renyi_gnm(150, 250, 5).unwrap();
-        let prog = MinLabel { graph: &g, labels: Mutex::new(g.vertices().collect()) };
-        let p = HashPartitioner::new(3);
-        let token = CancelToken::new();
-        token.cancel(CancelReason::Explicit);
-        let control = RunControl {
-            cancel: Some(&token),
-            checkpoint: false,
-            resume: None,
-            ..RunControl::default()
-        };
-        match controlled(g.num_vertices(), &p, &prog, &BspConfig::default(), control) {
-            RunOutcome::Cancelled(c) => {
-                assert_eq!(c.reason, CancelReason::Explicit);
-                assert_eq!(c.superstep, 0);
-                assert!(c.frontier.is_none(), "hard cancels capture no frontier");
-                assert_eq!(c.metrics.chunks_outstanding, 0);
-                assert_eq!(c.worker_states.len(), 3);
-            }
-            RunOutcome::Complete(_) => panic!("expected cancellation"),
-        }
-    }
-
-    #[test]
-    fn expired_deadline_without_checkpoint_cancels_hard() {
-        let edges: Vec<_> = (0..39u32).map(|v| (v, v + 1)).collect();
-        let g = DataGraph::from_edges(40, &edges).unwrap();
-        let prog = MinLabel { graph: &g, labels: Mutex::new(g.vertices().collect()) };
-        let p = HashPartitioner::new(3);
-        let token = CancelToken::with_timeout(std::time::Duration::from_secs(0));
-        let control = RunControl {
-            cancel: Some(&token),
-            checkpoint: false,
-            resume: None,
-            ..RunControl::default()
-        };
-        match controlled(g.num_vertices(), &p, &prog, &BspConfig::default(), control) {
-            RunOutcome::Cancelled(c) => {
-                assert_eq!(c.reason, CancelReason::Deadline);
-                assert!(c.frontier.is_none());
-                assert_eq!(c.metrics.chunks_outstanding, 0);
-            }
-            RunOutcome::Complete(_) => panic!("expected deadline cancellation"),
-        }
     }
 
     #[test]
@@ -1883,53 +1061,6 @@ mod tests {
         }
     }
 
-    /// Floods at superstep 0, then panics while processing messages in
-    /// superstep 1 — inboxes and outboxes are hot when the worker unwinds.
-    struct LatePanicker {
-        n: usize,
-    }
-
-    impl VertexProgram for LatePanicker {
-        type Message = u8;
-        type WorkerState = ();
-        type Aggregate = ();
-
-        fn create_worker_state(&self, _w: usize) {}
-
-        fn compute(&self, ctx: &mut Context<'_, u8>, _s: &mut (), v: VertexId, _m: &mut Vec<u8>) {
-            if ctx.superstep() == 0 {
-                for i in 1..=3usize {
-                    ctx.send(((v as usize + i) % self.n) as VertexId, 0);
-                }
-            } else if v == 7 {
-                panic!("boom mid-superstep");
-            } else {
-                // Keep outboxes non-empty at the moment of the panic.
-                ctx.send(((v as usize + 1) % self.n) as VertexId, 0);
-            }
-        }
-    }
-
-    #[test]
-    fn panic_mid_superstep_keeps_pool_balanced() {
-        // In debug builds (the test profile) the engine asserts get/put
-        // balance on the abort path, so reaching the Err at all proves no
-        // chunk was stranded by the unwinding worker.
-        let p = HashPartitioner::new(4);
-        let prog = LatePanicker { n: 64 };
-        match run(64, &p, &prog, &BspConfig::default()) {
-            Err(BspError::WorkerPanicked { superstep: 1, worker }) => {
-                assert_eq!(worker, p.owner(7));
-            }
-            other => panic!("expected contained panic, got {other:?}"),
-        }
-        // Same containment under the serial executor.
-        match run_with_executor(64, &p, &prog, &BspConfig::default(), &SerialExecutor) {
-            Err(BspError::WorkerPanicked { superstep: 1, .. }) => {}
-            other => panic!("expected contained panic, got {other:?}"),
-        }
-    }
-
     #[test]
     fn controlled_run_without_triggers_is_bit_identical() {
         let g = erdos_renyi_gnm(150, 250, 5).unwrap();
@@ -1950,22 +1081,9 @@ mod tests {
         assert_eq!(prog.labels.into_inner(), base);
     }
 
-    #[test]
-    fn source_order_is_identity_without_shuffle_and_a_permutation_with() {
-        assert_eq!(source_order(5, 3, 2, None), vec![0, 1, 2, 3, 4]);
-        for dest in 0..5 {
-            let order = source_order(5, 3, dest, Some(99));
-            let mut sorted = order.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, vec![0, 1, 2, 3, 4], "must be a permutation");
-            // Deterministic per (superstep, dest, seed).
-            assert_eq!(order, source_order(5, 3, dest, Some(99)));
-        }
-    }
-
     // ── spill tier ──────────────────────────────────────────────────────
 
-    use crate::spill::{SpillConfig, SpillFaults, SpillReader};
+    use crate::spill::{SpillCodec, SpillConfig, SpillFaults, SpillReader, SpillStore};
 
     struct VertexIdCodec;
 
@@ -2018,27 +1136,6 @@ mod tests {
     }
 
     #[test]
-    fn spill_read_fault_aborts_with_a_typed_error() {
-        let g = erdos_renyi_gnm(200, 300, 9).unwrap();
-        let config =
-            BspConfig { chunk_capacity: 4, max_live_chunks: Some(8), ..Default::default() };
-        let faults = SpillFaults { corrupt_read: true, ..SpillFaults::default() };
-        let store = SpillStore::create(&SpillConfig { faults, ..SpillConfig::in_temp() }).unwrap();
-        let prog = MinLabel { graph: &g, labels: Mutex::new(g.vertices().collect()) };
-        let p = HashPartitioner::new(3);
-        let control = RunControl {
-            spill: Some(SpillControl { store: &store, codec: &VertexIdCodec }),
-            ..RunControl::default()
-        };
-        match run_controlled(g.num_vertices(), &p, &prog, &config, &ThreadExecutor, control) {
-            Err(BspError::Spill { error: SpillError::Corrupt { .. }, .. }) => {}
-            Err(e) => panic!("wrong error for a corrupt read: {e}"),
-            Ok(_) => panic!("corrupt spill blobs must abort the run"),
-        }
-        assert_eq!(store.live_bytes(), 0, "the abort path discards every blob");
-    }
-
-    #[test]
     fn spill_write_failure_degrades_to_resident_execution() {
         let g = erdos_renyi_gnm(200, 300, 9).unwrap();
         let base = run_min_label(&g, 3);
@@ -2050,37 +1147,6 @@ mod tests {
         assert_eq!(labels, base, "a full disk degrades the run, never corrupts it");
         assert_eq!(m.carried.spill_chunks, 0, "no write ever succeeded");
         assert!(m.carried.pool_exhausted > 0, "the run still grew past the cap in place");
-    }
-
-    #[test]
-    fn deadline_without_checkpoint_discards_spilled_frontier() {
-        let edges: Vec<_> = (0..39u32).map(|v| (v, v + 1)).collect();
-        let g = DataGraph::from_edges(40, &edges).unwrap();
-        let config =
-            BspConfig { chunk_capacity: 2, max_live_chunks: Some(4), ..Default::default() };
-        let store = SpillStore::create(&SpillConfig::in_temp()).unwrap();
-        let dir = store.dir().to_path_buf();
-        let prog = MinLabel { graph: &g, labels: Mutex::new(g.vertices().collect()) };
-        let p = HashPartitioner::new(3);
-        let token = CancelToken::with_superstep_deadline(3);
-        let control = RunControl {
-            cancel: Some(&token),
-            checkpoint: false,
-            spill: Some(SpillControl { store: &store, codec: &VertexIdCodec }),
-            ..RunControl::default()
-        };
-        match controlled(g.num_vertices(), &p, &prog, &config, control) {
-            RunOutcome::Cancelled(c) => {
-                assert_eq!(c.reason, CancelReason::Deadline);
-                assert!(c.frontier.is_none(), "hard cancels capture no frontier");
-                assert!(c.metrics.carried.spill_chunks > 0, "the frontier was spilling when cut");
-                assert_eq!(c.metrics.chunks_outstanding, 0);
-            }
-            RunOutcome::Complete(_) => panic!("expected deadline cancellation"),
-        }
-        assert_eq!(store.live_bytes(), 0, "discarded segments delete their blobs");
-        drop(store);
-        assert!(!dir.exists(), "the spill directory dies with the store");
     }
 
     #[test]
@@ -2152,7 +1218,6 @@ mod tests {
         type Message = u32;
         /// `(superstep, messages sent in it)`.
         type WorkerState = (u32, u32);
-        type Aggregate = ();
 
         fn create_worker_state(&self, _w: usize) -> (u32, u32) {
             (0, 0)
@@ -2270,58 +1335,344 @@ mod tests {
             }
         }
     }
-}
 
-#[cfg(test)]
-mod aggregator_tests {
-    use super::tests::run;
-    use super::*;
+    // ── the one way out, across every terminal state ────────────────────
 
-    /// Sums active-vertex counts globally; vertices read the previous
-    /// superstep's total.
-    struct CountActive {
-        observed: parking_lot::Mutex<Vec<u64>>,
+    /// An in-process stand-in for a remote [`Exchange`] hosting every
+    /// partition: delivers in source order like the built-in exchange, and
+    /// can fail or abort the barrier after a chosen superstep. Either way
+    /// it releases what it was handed, as the exchange contract requires.
+    struct LoopExchange {
+        k: usize,
+        fail_after: Option<u32>,
+        abort_after: Option<u32>,
     }
 
-    impl VertexProgram for CountActive {
-        type Message = ();
-        type WorkerState = ();
-        type Aggregate = u64;
-
-        fn create_worker_state(&self, _w: usize) {}
-
-        fn merge_aggregates(&self, into: &mut u64, from: u64) {
-            *into += from;
+    impl<M: Send> crate::Exchange<M> for LoopExchange {
+        fn num_partitions(&self) -> usize {
+            self.k
         }
 
-        fn compute(
+        fn local_partitions(&self) -> Vec<usize> {
+            (0..self.k).collect()
+        }
+
+        fn exchange(
             &self,
-            ctx: &mut Context<'_, (), u64>,
-            _s: &mut (),
-            v: VertexId,
-            _m: &mut Vec<()>,
-        ) {
-            if v == 0 {
-                self.observed.lock().push(*ctx.prev_aggregate());
+            superstep: u32,
+            pool: &ChunkPool<M>,
+            mut outs: Vec<WorkerOutbox<M>>,
+            _step: &SuperstepMetrics,
+        ) -> Result<crate::ExchangeOutcome<M>, crate::ExchangeError> {
+            let mut inboxes: Vec<Vec<crate::Chunk<M>>> = (0..self.k).map(|_| Vec::new()).collect();
+            for (dest, inbox) in inboxes.iter_mut().enumerate() {
+                for out in outs.iter_mut() {
+                    inbox.append(&mut out[dest].chunks);
+                }
             }
-            *ctx.aggregate_mut() += 1;
-            // Two message-driven rounds: all vertices ping vertex 0 once.
-            if ctx.superstep() == 0 {
-                ctx.send(0, ());
+            let stop = self.fail_after == Some(superstep) || self.abort_after == Some(superstep);
+            if stop {
+                inboxes.drain(..).flatten().for_each(|c| pool.release(c));
+            }
+            if self.fail_after == Some(superstep) {
+                return Err(crate::ExchangeError { superstep, message: "peer died".into() });
+            }
+            Ok(crate::ExchangeOutcome {
+                in_flight: inboxes.iter().flatten().map(|c| c.len() as u64).sum(),
+                inboxes,
+                net: NetSuperstepMetrics::default(),
+                directive: if stop {
+                    ExchangeDirective::Abort(CancelReason::Disconnected)
+                } else {
+                    ExchangeDirective::Continue
+                },
+            })
+        }
+    }
+
+    /// What the row's [`Probe`] does at superstep 1, vertex 41.
+    #[derive(Clone, Copy)]
+    enum Fire {
+        Nothing,
+        Panic,
+        Cancel,
+    }
+
+    /// How a row's run must end.
+    enum Want {
+        Complete,
+        /// `(reason, superstep, tuples in the captured frontier)`.
+        Cancelled(CancelReason, u32, Option<u64>),
+        Failed(fn(&BspError) -> bool),
+    }
+
+    /// One terminal state of [`run_controlled`].
+    struct Row {
+        name: &'static str,
+        max_supersteps: u32,
+        message_budget: Option<u64>,
+        fire: Fire,
+        token: Option<CancelToken>,
+        checkpoint: bool,
+        /// `Some`: the row needs the spill tier, under these faults.
+        faults: Option<SpillFaults>,
+        /// `Some`: the row runs over this exchange (which disables spill).
+        exchange: Option<LoopExchange>,
+        want: Want,
+    }
+
+    impl Default for Row {
+        fn default() -> Self {
+            Row {
+                name: "",
+                max_supersteps: 64,
+                message_budget: None,
+                fire: Fire::Nothing,
+                token: None,
+                checkpoint: false,
+                faults: None,
+                exchange: None,
+                want: Want::Complete,
             }
         }
     }
 
+    /// Every vertex of the 64-vertex [`Probe`] sends three messages in each
+    /// of supersteps 0..=2, so 192 are in flight at each of those barriers.
+    fn terminal_rows() -> Vec<Row> {
+        let preempt_at = |superstep| {
+            let token = CancelToken::new();
+            token.set_preempt_barrier(superstep);
+            Some(token)
+        };
+        let cancelled = {
+            let token = CancelToken::new();
+            token.cancel(CancelReason::Disconnected);
+            Some(token)
+        };
+        let expired = || Some(CancelToken::with_timeout(std::time::Duration::ZERO));
+        let corrupt = Some(SpillFaults { corrupt_read: true, ..SpillFaults::default() });
+        let exchange =
+            |fail_after, abort_after| Some(LoopExchange { k: 4, fail_after, abort_after });
+        use CancelReason::*;
+        vec![
+            Row {
+                name: "clean completion, budget exactly met",
+                message_budget: Some(192),
+                ..Row::default()
+            },
+            Row {
+                name: "clean completion over an exchange",
+                exchange: exchange(None, None),
+                ..Row::default()
+            },
+            Row {
+                name: "superstep limit",
+                max_supersteps: 2,
+                want: Want::Failed(|e| matches!(e, BspError::SuperstepLimitExceeded(2))),
+                ..Row::default()
+            },
+            Row {
+                name: "worker panic",
+                fire: Fire::Panic,
+                want: Want::Failed(|e| {
+                    matches!(e, BspError::WorkerPanicked { superstep: 1, worker }
+                        if *worker == HashPartitioner::new(4).owner(41))
+                }),
+                ..Row::default()
+            },
+            Row {
+                name: "re-admission failure",
+                faults: corrupt,
+                want: Want::Failed(|e| {
+                    matches!(e, BspError::Spill { superstep: 1, error: SpillError::Corrupt { .. } })
+                }),
+                ..Row::default()
+            },
+            Row {
+                name: "exchange error",
+                exchange: exchange(Some(1), None),
+                want: Want::Failed(
+                    |e| matches!(e, BspError::Exchange { superstep: 1, message } if message == "peer died"),
+                ),
+                ..Row::default()
+            },
+            Row {
+                name: "exchange abort",
+                exchange: exchange(None, Some(1)),
+                want: Want::Cancelled(Disconnected, 2, None),
+                ..Row::default()
+            },
+            Row {
+                name: "hard cancel mid-superstep",
+                fire: Fire::Cancel,
+                token: Some(CancelToken::new()),
+                want: Want::Cancelled(Explicit, 1, None),
+                ..Row::default()
+            },
+            Row {
+                name: "hard cancel before the run",
+                token: cancelled,
+                checkpoint: true,
+                want: Want::Cancelled(Disconnected, 0, None),
+                ..Row::default()
+            },
+            Row {
+                name: "wall-clock deadline without checkpoint",
+                token: expired(),
+                want: Want::Cancelled(Deadline, 0, None),
+                ..Row::default()
+            },
+            Row {
+                name: "wall-clock deadline with checkpoint",
+                token: expired(),
+                checkpoint: true,
+                want: Want::Cancelled(Deadline, 1, Some(192)),
+                ..Row::default()
+            },
+            Row {
+                name: "budget without checkpoint",
+                message_budget: Some(191),
+                want: Want::Failed(|e| {
+                    matches!(
+                        e,
+                        BspError::MessageBudgetExceeded {
+                            superstep: 0,
+                            in_flight: 192,
+                            budget: 191
+                        }
+                    )
+                }),
+                ..Row::default()
+            },
+            Row {
+                name: "budget with checkpoint",
+                message_budget: Some(191),
+                checkpoint: true,
+                want: Want::Cancelled(Budget, 1, Some(192)),
+                ..Row::default()
+            },
+            Row {
+                name: "superstep deadline without checkpoint",
+                token: Some(CancelToken::with_superstep_deadline(2)),
+                want: Want::Cancelled(Deadline, 2, None),
+                ..Row::default()
+            },
+            Row {
+                name: "superstep deadline with checkpoint",
+                token: Some(CancelToken::with_superstep_deadline(2)),
+                checkpoint: true,
+                want: Want::Cancelled(Deadline, 2, Some(192)),
+                ..Row::default()
+            },
+            Row {
+                name: "preempt without checkpoint",
+                token: preempt_at(2),
+                want: Want::Cancelled(Preempted, 2, Some(192)),
+                ..Row::default()
+            },
+            Row {
+                name: "preempt with checkpoint",
+                token: preempt_at(2),
+                checkpoint: true,
+                want: Want::Cancelled(Preempted, 2, Some(192)),
+                ..Row::default()
+            },
+            Row {
+                name: "flatten failure",
+                token: preempt_at(1),
+                faults: corrupt,
+                want: Want::Failed(|e| {
+                    matches!(e, BspError::Spill { superstep: 0, error: SpillError::Corrupt { .. } })
+                }),
+                ..Row::default()
+            },
+        ]
+    }
+
+    /// Every way [`run_controlled`] can end, resident and spilled, under
+    /// both executors: the expected end, no chunk outstanding, and nothing
+    /// left in the spill directory. An `Ok` end reports the pool balance in
+    /// its metrics; for an `Err` end the epilogue's own balance assertion
+    /// (active in this profile) is the check — the pool dies with the run.
     #[test]
-    fn aggregates_merge_across_workers_with_pregel_semantics() {
-        let n = 20;
-        let prog = CountActive { observed: parking_lot::Mutex::new(Vec::new()) };
-        let p = psgl_graph::partition::HashPartitioner::new(4);
-        let result = run(n, &p, &prog, &BspConfig::default()).unwrap();
-        // Superstep 0: all 20 vertices active; superstep 1: only vertex 0.
-        assert_eq!(result.final_aggregate, 1);
-        // Vertex 0 saw the default (0) in superstep 0 and the merged 20 in
-        // superstep 1.
-        assert_eq!(*prog.observed.lock(), vec![0, 20]);
+    fn every_terminal_state_leaves_the_pool_balanced_and_the_spill_dir_empty() {
+        let (n, p) = (64, HashPartitioner::new(4));
+        let executors: [(&str, &dyn Executor); 2] =
+            [("threads", &ThreadExecutor), ("serial", &SerialExecutor)];
+        for (exec_name, executor) in executors {
+            for spilling in [false, true] {
+                for row in terminal_rows() {
+                    if (row.faults.is_some() && !spilling) || (row.exchange.is_some() && spilling) {
+                        continue;
+                    }
+                    let case = format!("{}, {exec_name}, spill {spilling}", row.name);
+                    let config = BspConfig {
+                        max_supersteps: row.max_supersteps,
+                        message_budget: row.message_budget,
+                        chunk_capacity: 3,
+                        max_live_chunks: spilling.then_some(4),
+                        ..Default::default()
+                    };
+                    let faults = row.faults.unwrap_or_default();
+                    let store =
+                        SpillStore::create(&SpillConfig { faults, ..SpillConfig::in_temp() })
+                            .unwrap();
+                    let control = RunControl {
+                        cancel: row.token.as_ref(),
+                        checkpoint: row.checkpoint,
+                        exchange: row.exchange.as_ref().map(|x| x as &dyn crate::Exchange<u32>),
+                        spill: spilling
+                            .then_some(SpillControl { store: &store, codec: &VertexIdCodec }),
+                        ..RunControl::default()
+                    };
+                    let trip = match (row.fire, &row.token) {
+                        (Fire::Nothing, _) => Trip::Nothing,
+                        (Fire::Panic, _) => Trip::Panic,
+                        (Fire::Cancel, token) => Trip::Cancel(token.as_ref().expect("row token")),
+                    };
+                    let prog = Probe { n, calls: Mutex::new(Default::default()), trip };
+                    let metrics = match (
+                        run_controlled(n, &p, &prog, &config, executor, control),
+                        row.want,
+                    ) {
+                        (Ok(RunOutcome::Complete(r)), Want::Complete) => Some(r.metrics),
+                        (
+                            Ok(RunOutcome::Cancelled(c)),
+                            Want::Cancelled(reason, superstep, tuples),
+                        ) => {
+                            assert_eq!((c.reason, c.superstep), (reason, superstep), "{case}");
+                            let captured =
+                                c.frontier.map(|f| f.iter().map(|t| t.len() as u64).sum::<u64>());
+                            assert_eq!(captured, tuples, "{case}: captured frontier");
+                            assert_eq!(c.worker_states.len(), 4, "{case}");
+                            Some(c.metrics)
+                        }
+                        (Err(e), Want::Failed(expected)) => {
+                            assert!(expected(&e), "{case}: wrong error {e}");
+                            None
+                        }
+                        (Ok(RunOutcome::Complete(_)), _) => panic!("{case}: ran to completion"),
+                        (Ok(RunOutcome::Cancelled(c)), _) => {
+                            panic!("{case}: cancelled ({}) at superstep {}", c.reason, c.superstep)
+                        }
+                        (Err(e), _) => panic!("{case}: failed with {e}"),
+                    };
+                    if let Some(m) = metrics {
+                        assert_eq!(m.chunks_outstanding, 0, "{case}");
+                        // Rows that end at superstep 0 stop before the cap bites.
+                        if spilling && m.superstep_count() > 1 {
+                            assert!(m.carried.spill_chunks > 0, "{case}: cap never bit");
+                        }
+                    }
+                    assert_eq!(store.live_bytes(), 0, "{case}: blobs outlived the run");
+                    let left = std::fs::read_dir(store.dir()).unwrap().count();
+                    assert_eq!(left, 0, "{case}: files left in the spill directory");
+                    let dir = store.dir().to_path_buf();
+                    drop(store);
+                    assert!(!dir.exists(), "{case}: the spill directory dies with the store");
+                }
+            }
+        }
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! The in-process engine's exchange is a pointer move — chunks hop from
 //! sender outboxes to receiver inboxes in a deterministic source order
-//! (see `engine.rs`). A distributed runtime needs the same moment in the
+//! (see [`crate::frontier`]). A distributed runtime needs the same moment in the
 //! superstep to do real work: serialize remote chunks onto sockets, wait
 //! at a coordinator-run barrier, learn the *global* in-flight count, and
 //! obey coordinator directives (checkpoint, abort). [`Exchange`] is that
@@ -13,7 +13,7 @@
 //! engine hosts only the partitions in [`Exchange::local_partitions`],
 //! while [`Context::send`](crate::Context::send) keeps routing by the
 //! *global* partitioner — messages for non-local partitions land in
-//! remote outboxes that the exchange ships elsewhere.
+//! the streams of those partitions, which the exchange ships elsewhere.
 //!
 //! Determinism contract: an implementation must assemble each local
 //! inbox in **global source-partition order** (the same order the
@@ -24,12 +24,14 @@
 
 use crate::cancel::CancelReason;
 use crate::chunk::{Chunk, ChunkPool};
+use crate::frontier::OutStream;
 use crate::metrics::{NetSuperstepMetrics, SuperstepMetrics};
 
-/// One worker's sent messages awaiting exchange: per-destination remote
-/// outboxes (indexed by *global* partition id) plus the locally-delivered
-/// fast-path chunks (messages the worker sent to its own vertices).
-pub type WorkerOutbox<M> = (Vec<Vec<Chunk<M>>>, Vec<Chunk<M>>);
+/// One worker's sent messages awaiting exchange: one [`OutStream`] per
+/// destination, indexed by *global* partition id. The stream at the
+/// worker's own id holds the messages it sent to its own vertices — the
+/// local fast path, which an exchange delivers without shipping.
+pub type WorkerOutbox<M> = Vec<OutStream<M>>;
 
 /// What the run should do after an exchange, as decided by whoever runs
 /// the barrier (the coordinator, for a remote exchange).

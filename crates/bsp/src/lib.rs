@@ -28,22 +28,25 @@
 
 pub mod cancel;
 pub mod chunk;
+pub mod context;
+pub mod control;
 pub mod engine;
 pub mod exchange;
 pub mod exec;
+pub mod frontier;
 pub mod metrics;
 pub mod spill;
 
 pub use cancel::{CancelReason, CancelToken};
 pub use chunk::{push_chunked, Chunk, ChunkPool, PoolExhausted, DEFAULT_CHUNK_CAPACITY};
-pub use engine::{
-    run_controlled, BspConfig, BspError, BspResult, CancelledRun, Context, ResumePoint, RunControl,
-    RunOutcome, SpillControl, VertexProgram,
-};
+pub use context::{Context, VertexProgram};
+pub use control::{BspResult, CancelledRun, ResumePoint, RunControl, RunOutcome, SpillControl};
+pub use engine::{run_controlled, BspConfig, BspError};
 pub use exchange::{
     Exchange, ExchangeDirective, ExchangeError, ExchangeOutcome, FrontierSink, WorkerOutbox,
 };
 pub use exec::{Executor, SerialExecutor, TaskFn, ThreadExecutor, WorkerTask};
+pub use frontier::OutStream;
 pub use metrics::{
     CarriedCounters, EngineMetrics, NetSuperstepMetrics, SuperstepMetrics, WorkerSuperstepMetrics,
 };

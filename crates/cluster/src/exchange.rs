@@ -257,14 +257,8 @@ impl TcpExchange {
     /// before returning).
     fn release_held(
         pool: &ChunkPool<Gpsi>,
-        self_chunks: &mut [Vec<Chunk<Gpsi>>],
         local_routes: &mut HashMap<(u32, u32), Vec<Chunk<Gpsi>>>,
     ) {
-        for chunks in self_chunks.iter_mut() {
-            for chunk in chunks.drain(..) {
-                pool.release(chunk);
-            }
-        }
         for (_, chunks) in local_routes.drain() {
             for chunk in chunks {
                 pool.release(chunk);
@@ -338,15 +332,8 @@ impl Exchange<Gpsi> for TcpExchange {
             // Chaos: release everything (the exchange-error contract)
             // and fail; the worker harness turns this into a silent
             // process death for the coordinator to detect.
-            for (remote, local) in outs {
-                for chunks in remote {
-                    for chunk in chunks {
-                        pool.release(chunk);
-                    }
-                }
-                for chunk in local {
-                    pool.release(chunk);
-                }
+            for chunk in outs.into_iter().flatten().flat_map(|stream| stream.chunks) {
+                pool.release(chunk);
             }
             return Err(ExchangeError {
                 superstep,
@@ -355,17 +342,17 @@ impl Exchange<Gpsi> for TcpExchange {
         }
 
         let mut net = NetSuperstepMetrics::default();
-        // Split outboxes into self-delivered chunks, locally-routed
-        // chunks (both partitions hosted here), and per-peer wire
+        // Split outboxes into locally-routed chunks (both partitions
+        // hosted here — a partition's stream to itself, at
+        // `outs[slot][partition]`, is one of them) and per-peer wire
         // buffers. Wire chunks are serialized and released immediately.
-        let mut self_chunks: Vec<Vec<Chunk<Gpsi>>> = Vec::with_capacity(l);
         let mut local_routes: HashMap<(u32, u32), Vec<Chunk<Gpsi>>> = HashMap::new();
         let mut wire_bufs: HashMap<u32, Vec<u8>> =
             self.peer_procs.iter().map(|&p| (p, Vec::new())).collect();
-        for (slot, (remote, local)) in outs.into_iter().enumerate() {
+        for (slot, streams) in outs.into_iter().enumerate() {
             let src = self.locals[slot] as u32;
-            self_chunks.push(local);
-            for (dst, chunks) in remote.into_iter().enumerate() {
+            for (dst, stream) in streams.into_iter().enumerate() {
+                let chunks = stream.chunks;
                 if chunks.is_empty() {
                     continue;
                 }
@@ -419,7 +406,7 @@ impl Exchange<Gpsi> for TcpExchange {
             }
         }
         if let Some(message) = fail {
-            Self::release_held(pool, &mut self_chunks, &mut local_routes);
+            Self::release_held(pool, &mut local_routes);
             return Err(ExchangeError { superstep, message });
         }
 
@@ -428,7 +415,7 @@ impl Exchange<Gpsi> for TcpExchange {
         net.barrier_wait_nanos = wait_start.elapsed().as_nanos() as u64;
         match outcome {
             BarrierOutcome::Abort(reason) => {
-                Self::release_held(pool, &mut self_chunks, &mut local_routes);
+                Self::release_held(pool, &mut local_routes);
                 self.net_history.lock().expect("net history lock poisoned").push((superstep, net));
                 Ok(ExchangeOutcome {
                     inboxes: (0..l).map(|_| Vec::new()).collect(),
@@ -438,7 +425,7 @@ impl Exchange<Gpsi> for TcpExchange {
                 })
             }
             BarrierOutcome::PeerFailed(proc) => {
-                Self::release_held(pool, &mut self_chunks, &mut local_routes);
+                Self::release_held(pool, &mut local_routes);
                 Err(ExchangeError {
                     superstep,
                     message: format!("data connection from proc {proc} died"),
@@ -453,13 +440,11 @@ impl Exchange<Gpsi> for TcpExchange {
                 // at the destination's own source position, exactly as
                 // the in-process exchange does.
                 let mut inboxes: Vec<Vec<Chunk<Gpsi>>> = Vec::with_capacity(l);
-                for (slot, &dst) in self.locals.iter().enumerate() {
+                for &dst in &self.locals {
                     let dst = dst as u32;
                     let mut inbox: Vec<Chunk<Gpsi>> = Vec::new();
                     for src in 0..self.num_partitions as u32 {
-                        if src == dst {
-                            inbox.append(&mut self_chunks[slot]);
-                        } else if self.owners[src as usize] == self.my_proc {
+                        if self.owners[src as usize] == self.my_proc {
                             if let Some(mut chunks) = local_routes.remove(&(src, dst)) {
                                 inbox.append(&mut chunks);
                             }

@@ -137,11 +137,6 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Total undelivered messages across all workers.
-    pub fn frontier_len(&self) -> u64 {
-        self.frontier.iter().map(|f| f.len() as u64).sum()
-    }
-
     /// Moves every harvested instance out of the worker snapshots,
     /// sorted — the streaming scheduler's per-slice page. The resumed
     /// run starts with empty harvests, so draining after each slice

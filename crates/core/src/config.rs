@@ -35,12 +35,10 @@ pub struct PsglConfig {
     /// some nodes", Section 7.6). The engine additionally enforces
     /// `workers x budget` globally at the superstep barrier.
     pub gpsi_budget: Option<u64>,
-    /// Abort when a single expansion fans out beyond this many Gpsis.
-    pub max_fanout: Option<u64>,
     /// Superstep safety limit.
     pub max_supersteps: u32,
     /// Dispatch pattern-specialized expansion kernels (connectivity-map
-    /// closing, two-hop wedge joins) selected at plan time. Disabling
+    /// closing, two-hop wedge joins), selected per expansion. Disabling
     /// forces the generic odometer everywhere and reproduces the paper's
     /// expand-then-verify superstep structure exactly; the listed instance
     /// multiset is identical either way.
@@ -60,7 +58,6 @@ impl Default for PsglConfig {
             index_bits_per_edge: 10,
             collect_instances: false,
             gpsi_budget: None,
-            max_fanout: None,
             max_supersteps: 64,
             compiled_kernels: true,
             seed: 42,

@@ -40,24 +40,6 @@ use psgl_graph::partition::HashPartitioner;
 use psgl_graph::VertexId;
 use psgl_pattern::PatternVertex;
 
-/// Hard cap on the candidate-combination fan-out of a single expansion;
-/// used together with the engine-level message budget to fail fast instead
-/// of exhausting memory (the paper's OOM rows).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ExpandLimits {
-    /// Maximum Gpsis a single expansion may emit (`None` = unbounded).
-    pub max_fanout: Option<u64>,
-}
-
-/// Outcome of expanding one Gpsi.
-#[derive(Debug, PartialEq, Eq)]
-pub enum ExpandOutcome {
-    /// Expansion finished (possibly emitting results / new Gpsis).
-    Done,
-    /// The per-expansion fan-out limit tripped (simulated OOM).
-    FanoutExceeded,
-}
-
 /// Maximum WHITE slots a compiled kernel can track in the connectivity
 /// map: bits 0–1 of each `cmap` byte hold per-slot scan marks, bits 2–7
 /// hold odometer binding marks for slots 0–5. Expansions with more WHITE
@@ -162,9 +144,9 @@ impl ExpandScratch {
 ///
 /// New incomplete Gpsis are pushed to `out` (with their next expanding
 /// vertex already chosen by `distributor`); complete instances are passed
-/// to `emit`. Returns the outcome and adds the expansion's cost in
-/// Equation 2 units to `stats`. `scratch` provides the kernel's working
-/// memory; reuse it across calls to keep the hot path allocation-free.
+/// to `emit`. Adds the expansion's cost in Equation 2 units to `stats`.
+/// `scratch` provides the kernel's working memory; reuse it across calls
+/// to keep the hot path allocation-free.
 #[allow(clippy::too_many_arguments)]
 pub fn expand_gpsi(
     shared: &PsglShared<'_>,
@@ -172,11 +154,10 @@ pub fn expand_gpsi(
     scratch: &mut ExpandScratch,
     distributor: &mut Distributor,
     partitioner: &HashPartitioner,
-    limits: &ExpandLimits,
     out: &mut Vec<Gpsi>,
     emit: &mut dyn FnMut(&Gpsi),
     stats: &mut ExpandStats,
-) -> ExpandOutcome {
+) {
     let p = &shared.pattern;
     let np = p.num_vertices();
     let vp = gpsi.expanding();
@@ -218,7 +199,7 @@ pub fn expand_gpsi(
         if !sorted_ok {
             stats.died_gray_check += 1;
             stats.cost += cost;
-            return ExpandOutcome::Done;
+            return;
         }
         for i in 0..scratch.gray_edges.len() {
             gpsi.set_verified(scratch.gray_edges[i].1);
@@ -232,6 +213,9 @@ pub fn expand_gpsi(
     // vertex reachable by a wedge join. The remaining edges are then all
     // exactly checkable against shared adjacency, so complete instances
     // are emitted immediately and no verification superstep ever runs.
+    // The rule below is the whole dispatch: which shape applies depends on
+    // what this partial instance has mapped, so nothing beyond
+    // `compiled_kernels` is decided at plan time.
     if shared.compiled_kernels {
         let all = (1u32 << np) - 1;
         let unmapped = all & !u32::from(gpsi.mapped_mask());
@@ -241,7 +225,7 @@ pub fn expand_gpsi(
         if nw <= CMAP_MAX_SLOTS && (extras == 1 || (extras == 0 && nw > 0)) {
             let extra = (extras == 1).then(|| extra_mask.trailing_zeros() as PatternVertex);
             return crate::kernel::expand_specialized(
-                shared, gpsi, vp, vd, extra, scratch, limits, emit, stats, cost,
+                shared, gpsi, vp, vd, extra, scratch, emit, stats, cost,
             );
         }
     }
@@ -265,63 +249,7 @@ pub fn expand_gpsi(
     cand_bounds.clear();
 
     // --- Algorithm 5: candidate sets for WHITE neighbors ----------------
-    // Hoist per-WHITE-vertex facts (degree threshold, partial-order rank
-    // window, connectivity targets, edge id) so the inner candidate scan
-    // touches no pattern-side structure.
-    for meta in white_meta.iter_mut() {
-        let wv = meta.wv;
-        meta.min_degree = p.degree(wv);
-        meta.lo_rank = 0;
-        meta.hi_rank = u32::MAX;
-        meta.edge_vp = shared.edge_ids.get(vp, wv).unwrap();
-        // Pruning rule 1b against every mapped vertex collapses to a rank
-        // window: `requires_less(wv, up)` demands rank(cd) < rank(ud) and
-        // `requires_less(up, wv)` demands rank(cd) > rank(ud); ranks are a
-        // permutation, so the strict comparisons translate exactly.
-        for up in p_mapped_vertices(&gpsi, np) {
-            let ud = gpsi.map(up).unwrap();
-            let rank_ud = shared.ordered.rank(ud);
-            if shared.order.requires_less(wv, up) {
-                meta.hi_rank = meta.hi_rank.min(rank_ud);
-            }
-            if shared.order.requires_less(up, wv) {
-                meta.lo_rank = meta.lo_rank.max(rank_ud.saturating_add(1));
-            }
-        }
-        // Pruning rule 2 targets: mapped pattern neighbors of wv other
-        // than v_p, in pattern-neighbor order so index-probe accounting
-        // matches the per-candidate loop this replaces.
-        meta.conn_start = conn_data.len();
-        for v3 in p.neighbors(wv) {
-            if v3 != vp && gpsi.is_mapped(v3) {
-                conn_data.push(gpsi.map(v3).unwrap());
-            }
-        }
-        meta.conn_end = conn_data.len();
-    }
-    // New-vs-new pair relations, hoisted once per expansion: bit `i` of
-    // slot `d`'s masks encodes how `d`'s candidate must relate to earlier
-    // slot `i`'s, so the odometer's inner loop is mask tests plus cached
-    // rank compares.
-    for d in 1..white_meta.len() {
-        let wv_d = white_meta[d].wv;
-        let (mut lt, mut gt, mut em) = (0u16, 0u16, 0u16);
-        for (i, earlier) in white_meta[..d].iter().enumerate() {
-            let wv_i = earlier.wv;
-            if shared.order.requires_less(wv_d, wv_i) {
-                lt |= 1 << i;
-            }
-            if shared.order.requires_less(wv_i, wv_d) {
-                gt |= 1 << i;
-            }
-            if p.has_edge(wv_d, wv_i) {
-                em |= 1 << i;
-            }
-        }
-        white_meta[d].lt_mask = lt;
-        white_meta[d].gt_mask = gt;
-        white_meta[d].edge_mask = em;
-    }
+    prepare_white_slots(shared, &gpsi, vp, white_meta, conn_data);
 
     // Slot-independent prefilter: one pass over `N(v_d)` drops
     // already-used data vertices (injectivity is the same for every WHITE
@@ -380,7 +308,7 @@ pub fn expand_gpsi(
         if cand_data.len() == start {
             stats.died_no_candidates += 1;
             stats.cost += cost;
-            return ExpandOutcome::Done;
+            return;
         }
         cand_bounds.push(cand_data.len());
     }
@@ -389,7 +317,6 @@ pub fn expand_gpsi(
     let examined_before = stats.combinations_examined;
     let nw = white_meta.len();
     let mut generated: u64 = 0;
-    let mut exceeded = false;
     if nw == 0 {
         // Verification-only expansion: the base Gpsi itself is the single
         // combination.
@@ -415,7 +342,7 @@ pub fn expand_gpsi(
         cursors.resize(nw, 0);
         cursors[0] = cand_bounds[0];
         let mut depth = 0usize;
-        'odometer: loop {
+        loop {
             if cursors[depth] == cand_bounds[depth + 1] {
                 // This slot's candidates are exhausted: backtrack.
                 if depth == 0 {
@@ -485,12 +412,6 @@ pub fn expand_gpsi(
                     stats,
                 );
                 generated += 1;
-                if let Some(max) = limits.max_fanout {
-                    if generated > max {
-                        exceeded = true;
-                        break 'odometer;
-                    }
-                }
                 cursors[depth] += 1;
             } else {
                 depth += 1;
@@ -499,13 +420,77 @@ pub fn expand_gpsi(
         }
     }
     cost += stats.combinations_examined - examined_before; // enumeration work
-    if exceeded {
-        stats.cost += cost;
-        ExpandOutcome::FanoutExceeded
-    } else {
-        cost += generated; // c_e per generated Gpsi
-        stats.cost += cost;
-        ExpandOutcome::Done
+    cost += generated; // c_e per generated Gpsi
+    stats.cost += cost;
+}
+
+/// Algorithm 5's per-WHITE-slot preparation, shared by the generic
+/// odometer and the closing kernels: hoists every fact the candidate scan
+/// and the odometer need (degree threshold, partial-order rank window,
+/// connectivity targets, edge id, new-vs-new pair masks) so their inner
+/// loops touch no pattern-side structure. `white_meta` holds the WHITE
+/// neighbors of `vp` with only `wv` set; `conn_data` must be empty.
+pub(crate) fn prepare_white_slots(
+    shared: &PsglShared<'_>,
+    gpsi: &Gpsi,
+    vp: PatternVertex,
+    white_meta: &mut [WhiteMeta],
+    conn_data: &mut Vec<VertexId>,
+) {
+    let p = &shared.pattern;
+    let np = p.num_vertices();
+    for meta in white_meta.iter_mut() {
+        let wv = meta.wv;
+        meta.min_degree = p.degree(wv);
+        meta.lo_rank = 0;
+        meta.hi_rank = u32::MAX;
+        meta.edge_vp = shared.edge_ids.get(vp, wv).unwrap();
+        // Pruning rule 1b against every mapped vertex collapses to a rank
+        // window: `requires_less(wv, up)` demands rank(cd) < rank(ud) and
+        // `requires_less(up, wv)` demands rank(cd) > rank(ud); ranks are a
+        // permutation, so the strict comparisons translate exactly.
+        for up in (0..np as PatternVertex).filter(|&v| gpsi.is_mapped(v)) {
+            let ud = gpsi.map(up).unwrap();
+            let rank_ud = shared.ordered.rank(ud);
+            if shared.order.requires_less(wv, up) {
+                meta.hi_rank = meta.hi_rank.min(rank_ud);
+            }
+            if shared.order.requires_less(up, wv) {
+                meta.lo_rank = meta.lo_rank.max(rank_ud.saturating_add(1));
+            }
+        }
+        // Pruning rule 2 targets: mapped pattern neighbors of wv other
+        // than v_p, in pattern-neighbor order so index-probe accounting
+        // matches the per-candidate loop this replaces.
+        meta.conn_start = conn_data.len();
+        for v3 in p.neighbors(wv) {
+            if v3 != vp && gpsi.is_mapped(v3) {
+                conn_data.push(gpsi.map(v3).unwrap());
+            }
+        }
+        meta.conn_end = conn_data.len();
+    }
+    // New-vs-new pair relations: bit `i` of slot `d`'s masks encodes how
+    // `d`'s candidate must relate to earlier slot `i`'s, so the odometer's
+    // inner loop is mask tests plus cached rank compares.
+    for d in 1..white_meta.len() {
+        let wv_d = white_meta[d].wv;
+        let (mut lt, mut gt, mut em) = (0u16, 0u16, 0u16);
+        for (i, earlier) in white_meta[..d].iter().enumerate() {
+            let wv_i = earlier.wv;
+            if shared.order.requires_less(wv_d, wv_i) {
+                lt |= 1 << i;
+            }
+            if shared.order.requires_less(wv_i, wv_d) {
+                gt |= 1 << i;
+            }
+            if p.has_edge(wv_d, wv_i) {
+                em |= 1 << i;
+            }
+        }
+        white_meta[d].lt_mask = lt;
+        white_meta[d].gt_mask = gt;
+        white_meta[d].edge_mask = em;
     }
 }
 
@@ -536,11 +521,6 @@ fn sorted_contains_all_keys(haystack: &[VertexId], needles: &[(VertexId, u8)]) -
             })
         }
     }
-}
-
-/// Vertices currently mapped in `gpsi`.
-fn p_mapped_vertices(gpsi: &Gpsi, np: usize) -> impl Iterator<Item = PatternVertex> + '_ {
-    (0..np as PatternVertex).filter(move |&v| gpsi.is_mapped(v))
 }
 
 /// Builds one new Gpsi from a full candidate combination, emits it if
@@ -631,18 +611,16 @@ mod tests {
             .collect();
         while let Some(gpsi) = queue.pop() {
             let mut out = Vec::new();
-            let outcome = expand_gpsi(
+            expand_gpsi(
                 &shared,
                 gpsi,
                 &mut scratch,
                 &mut distributor,
                 &partitioner,
-                &ExpandLimits::default(),
                 &mut out,
                 &mut |done| results.push(done.instance(pattern.num_vertices())),
                 &mut stats,
             );
-            assert_eq!(outcome, ExpandOutcome::Done);
             queue.extend(out);
         }
         results
@@ -722,37 +700,6 @@ mod tests {
     }
 
     #[test]
-    fn fanout_limit_trips() {
-        // A star with 30 leaves: expanding a 2-white-neighbor pattern at
-        // the hub generates C(30,2)-ish combinations.
-        let edges: Vec<(u32, u32)> = (1..=30).map(|i| (0, i)).collect();
-        let g = DataGraph::from_edges(31, &edges).unwrap();
-        let pattern = catalog::path(3); // middle vertex has two WHITE slots
-        let config = PsglConfig::default();
-        let shared = PsglShared::prepare(&g, &pattern, &config).unwrap();
-        let partitioner = HashPartitioner::new(1);
-        let mut distributor = Distributor::new(Strategy::Random, 1, 7);
-        let mut scratch = ExpandScratch::new();
-        let mut stats = ExpandStats::default();
-        // Start at the path's middle vertex mapped to the hub.
-        let middle = pattern.vertices().find(|&v| pattern.degree(v) == 2).unwrap();
-        let gpsi = Gpsi::initial(middle, 0);
-        let mut out = Vec::new();
-        let outcome = expand_gpsi(
-            &shared,
-            gpsi,
-            &mut scratch,
-            &mut distributor,
-            &partitioner,
-            &ExpandLimits { max_fanout: Some(10) },
-            &mut out,
-            &mut |_| {},
-            &mut stats,
-        );
-        assert_eq!(outcome, ExpandOutcome::FanoutExceeded);
-    }
-
-    #[test]
     fn stats_track_pruning() {
         let g = k4();
         let pattern = catalog::triangle();
@@ -769,7 +716,6 @@ mod tests {
             &mut scratch,
             &mut distributor,
             &partitioner,
-            &ExpandLimits::default(),
             &mut out,
             &mut |_| {},
             &mut stats,

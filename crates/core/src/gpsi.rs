@@ -150,12 +150,6 @@ impl Gpsi {
         (self.verified >> edge_id) & 1 == 1
     }
 
-    /// Bitmask of verified pattern edges.
-    #[inline]
-    pub fn verified_mask(&self) -> u128 {
-        self.verified
-    }
-
     /// A Gpsi is a *subgraph instance* (complete) when every pattern vertex
     /// is mapped and every pattern edge verified.
     #[inline]

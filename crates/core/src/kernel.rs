@@ -12,9 +12,7 @@
 //! instances and sends nothing.
 //!
 //! Two shapes of closing expansion exist (selected per partial instance by
-//! [`crate::plan::KernelId::select`], with the plan's
-//! [`crate::plan::QueryPlan::initial_kernel`] as the plan-time
-//! classification of the first hop):
+//! the dispatch rule in [`crate::expand::expand_gpsi`]):
 //!
 //! - **Close** — every unmapped pattern vertex is a WHITE neighbor of the
 //!   expanding vertex `v_p`. Candidates come from `N(v_d)` as usual;
@@ -50,7 +48,7 @@
 //! dominates on skewed degree distributions. A triangle therefore binds
 //! one slot and joins the other, marking nothing into the cmap at all.
 
-use crate::expand::{ExpandLimits, ExpandOutcome, ExpandScratch, WhiteMeta, CMAP_MAX_SLOTS};
+use crate::expand::{prepare_white_slots, ExpandScratch, WhiteMeta, CMAP_MAX_SLOTS};
 use crate::gpsi::Gpsi;
 use crate::shared::PsglShared;
 use crate::stats::ExpandStats;
@@ -138,11 +136,10 @@ pub(crate) fn expand_specialized(
     vd: VertexId,
     extra: Option<PatternVertex>,
     scratch: &mut ExpandScratch,
-    limits: &ExpandLimits,
     emit: &mut dyn FnMut(&Gpsi),
     stats: &mut ExpandStats,
     mut cost: u64,
-) -> ExpandOutcome {
+) {
     let p = &shared.pattern;
     let np = p.num_vertices();
     match extra {
@@ -166,7 +163,7 @@ pub(crate) fn expand_specialized(
         if !adjacent(shared, gpsi.map(a).unwrap(), gpsi.map(b).unwrap()) {
             stats.died_gray_check += 1;
             stats.cost += cost;
-            return ExpandOutcome::Done;
+            return;
         }
         gpsi.set_verified(eid);
     }
@@ -200,51 +197,10 @@ pub(crate) fn expand_specialized(
     cand_rank.clear();
     let nw = white_meta.len();
 
-    // Hoist per-WHITE-slot facts exactly as the generic kernel does: the
-    // rank windows and masks implement the same pruning rules; only the
-    // connectivity checks switch from bloom probes to exact adjacency.
-    for meta in white_meta.iter_mut() {
-        let wv = meta.wv;
-        meta.min_degree = p.degree(wv);
-        meta.lo_rank = 0;
-        meta.hi_rank = u32::MAX;
-        for up in (0..np as PatternVertex).filter(|&v| gpsi.is_mapped(v)) {
-            let ud = gpsi.map(up).unwrap();
-            let rank_ud = shared.ordered.rank(ud);
-            if shared.order.requires_less(wv, up) {
-                meta.hi_rank = meta.hi_rank.min(rank_ud);
-            }
-            if shared.order.requires_less(up, wv) {
-                meta.lo_rank = meta.lo_rank.max(rank_ud.saturating_add(1));
-            }
-        }
-        meta.conn_start = conn_data.len();
-        for v3 in p.neighbors(wv) {
-            if v3 != vp && gpsi.is_mapped(v3) {
-                conn_data.push(gpsi.map(v3).unwrap());
-            }
-        }
-        meta.conn_end = conn_data.len();
-    }
-    for d in 1..nw {
-        let wv_d = white_meta[d].wv;
-        let (mut lt, mut gt, mut em) = (0u16, 0u16, 0u16);
-        for (i, earlier) in white_meta[..d].iter().enumerate() {
-            let wv_i = earlier.wv;
-            if shared.order.requires_less(wv_d, wv_i) {
-                lt |= 1 << i;
-            }
-            if shared.order.requires_less(wv_i, wv_d) {
-                gt |= 1 << i;
-            }
-            if p.has_edge(wv_d, wv_i) {
-                em |= 1 << i;
-            }
-        }
-        white_meta[d].lt_mask = lt;
-        white_meta[d].gt_mask = gt;
-        white_meta[d].edge_mask = em;
-    }
+    // The same per-WHITE-slot facts as the generic path: the rank windows
+    // and masks implement the same pruning rules; only the connectivity
+    // checks switch from bloom probes to exact adjacency.
+    prepare_white_slots(shared, &gpsi, vp, white_meta, conn_data);
 
     // Two-hop vertex facts: static rank window and wedge targets from the
     // pre-bound mapping, slot masks for the dynamic part.
@@ -420,7 +376,7 @@ pub(crate) fn expand_specialized(
         if cand_data.len() == start {
             stats.died_no_candidates += 1;
             stats.cost += cost;
-            return ExpandOutcome::Done;
+            return;
         }
         ranges[si] = (start, cand_data.len());
     }
@@ -477,7 +433,6 @@ pub(crate) fn expand_specialized(
     let all_mask = shared.edge_ids.all_mask();
     let examined_before = stats.combinations_examined;
     let mut generated: u64 = 0;
-    let mut exceeded = false;
 
     chosen.clear();
     chosen.resize(nw, 0);
@@ -488,7 +443,7 @@ pub(crate) fn expand_specialized(
         // Nothing for the odometer: a lone WHITE slot (joined against the
         // empty prefix) or a verification-style expansion with only the
         // two-hop vertex left.
-        exceeded = close_combination(
+        close_combination(
             shared,
             &gpsi,
             white_meta,
@@ -503,7 +458,6 @@ pub(crate) fn expand_specialized(
             w_static,
             w_targets,
             all_mask,
-            limits.max_fanout,
             &mut generated,
             &mut cost,
             emit,
@@ -515,7 +469,7 @@ pub(crate) fn expand_specialized(
         // slot. The general machinery re-derives the rank window, join
         // seed, and arena slices per prefix through an outlined call;
         // here every invariant is hoisted out of the prefix loop.
-        exceeded = close_pair(
+        close_pair(
             shared,
             &gpsi,
             &white_meta[0],
@@ -526,7 +480,6 @@ pub(crate) fn expand_specialized(
             fin_range,
             cmap,
             all_mask,
-            limits.max_fanout,
             &mut generated,
             &mut cost,
             emit,
@@ -537,7 +490,7 @@ pub(crate) fn expand_specialized(
         cursors.resize(od, 0);
         cursors[0] = ranges[0].0;
         let mut depth = 0usize;
-        'odometer: loop {
+        loop {
             if cursors[depth] == ranges[depth].1 {
                 if depth == 0 {
                     break;
@@ -605,7 +558,7 @@ pub(crate) fn expand_specialized(
             chosen[depth] = cd;
             chosen_rank[depth] = rank_cd;
             if depth + 1 == od {
-                if close_combination(
+                close_combination(
                     shared,
                     &gpsi,
                     white_meta,
@@ -620,15 +573,11 @@ pub(crate) fn expand_specialized(
                     w_static,
                     w_targets,
                     all_mask,
-                    limits.max_fanout,
                     &mut generated,
                     &mut cost,
                     emit,
                     stats,
-                ) {
-                    exceeded = true;
-                    break 'odometer;
-                }
+                );
                 cursors[depth] += 1;
             } else {
                 if need_mark[depth] {
@@ -653,31 +602,11 @@ pub(crate) fn expand_specialized(
                 cursors[depth] = ranges[depth].0;
             }
         }
-        // Normal exits unwind marks via the backtrack path; a fan-out trip
-        // breaks out mid-descent and must clear them here so the cmap is
-        // all-zero for the next expansion.
-        if exceeded {
-            for d in 0..od {
-                if slot_marked[d] {
-                    for &x in mark_list(shared, mark_side[d], chosen[d]) {
-                        cmap[x as usize] &= !slot_bit(d);
-                    }
-                    slot_marked[d] = false;
-                }
-                slot_gallop[d] = false;
-            }
-        }
     }
 
     cost += stats.combinations_examined - examined_before;
-    if exceeded {
-        stats.cost += cost;
-        ExpandOutcome::FanoutExceeded
-    } else {
-        cost += generated;
-        stats.cost += cost;
-        ExpandOutcome::Done
-    }
+    cost += generated;
+    stats.cost += cost;
 }
 
 /// One candidate's slot-specific arena checks: degree bound, label class,
@@ -730,20 +659,18 @@ fn arena_filter(
     cand_rank.push(rank_cd);
 }
 
-/// Emits one closed instance: binds the final slot, stamps every pattern
-/// edge verified, and reports whether the fan-out limit tripped.
-#[allow(clippy::too_many_arguments)]
+/// Emits one closed instance: binds the final slot and stamps every
+/// pattern edge verified.
 #[inline(always)]
 fn emit_closed(
     g: &Gpsi,
     fin_wv: PatternVertex,
     x: VertexId,
     all_mask: u128,
-    max_fanout: Option<u64>,
     generated: &mut u64,
     emit: &mut dyn FnMut(&Gpsi),
     stats: &mut ExpandStats,
-) -> bool {
+) {
     let mut gg = *g;
     gg.assign(fin_wv, x);
     gg.set_all_verified(all_mask);
@@ -751,7 +678,6 @@ fn emit_closed(
     stats.results += 1;
     *generated += 1;
     emit(&gg);
-    matches!(max_fanout, Some(max) if *generated > max)
 }
 
 /// The two-WHITE Close join (`od == 1`, no two-hop vertex): for each
@@ -764,8 +690,6 @@ fn emit_closed(
 /// O(1) map probe per neighbor. High-degree bindings still walk the
 /// arena and gallop, window-and-injectivity first. All rank-window
 /// masks and arena slices are hoisted out of the per-prefix loop.
-/// Returns true when the fan-out limit tripped (cmap marks are cleared
-/// on every exit path).
 #[allow(clippy::too_many_arguments)]
 fn close_pair(
     shared: &PsglShared<'_>,
@@ -778,12 +702,11 @@ fn close_pair(
     fin_range: (usize, usize),
     cmap: &mut [u8],
     all_mask: u128,
-    max_fanout: Option<u64>,
     generated: &mut u64,
     cost: &mut u64,
     emit: &mut dyn FnMut(&Gpsi),
     stats: &mut ExpandStats,
-) -> bool {
+) {
     let arena = &cand_data[fin_range.0..fin_range.1];
     let ranks = &cand_rank[fin_range.0..fin_range.1];
     let window_lt = fin.lt_mask & 1 == 1;
@@ -796,86 +719,51 @@ fn close_pair(
         }
         stats.intersect_probe += 1;
     }
-    let exceeded = 'run: {
-        for i0 in r0.0..r0.1 {
-            let c0 = cand_data[i0];
-            let rank_c0 = cand_rank[i0];
-            stats.combinations_examined += 1;
-            let mut g = *base;
-            g.assign(m0.wv, c0);
-            let lo = if window_gt { rank_c0.saturating_add(1) } else { 0 };
-            let hi = if window_lt { rank_c0 } else { u32::MAX };
-            if joined {
-                // The dynamic window against `c0` is one-sided, so the
-                // matching oriented half of `N(c0)` already enforces it —
-                // no per-element rank check on the walk below.
-                let tn = if window_gt {
-                    shared.ordered.forward(c0)
-                } else if window_lt {
-                    shared.ordered.backward(c0)
-                } else {
-                    shared.graph.neighbors(c0)
-                };
-                if tn.len() < PROBE_RATIO * arena.len() {
-                    // Walk the binding's oriented adjacency sequentially;
-                    // arena membership is one probe of the per-expansion
-                    // marks, and arena membership plus orientation imply
-                    // the whole window.
-                    *cost += tn.len() as u64;
-                    for &x in tn {
-                        stats.cmap_probes += 1;
-                        if cmap[x as usize] & fin_bit == 0 {
-                            continue;
-                        }
-                        stats.cmap_hits += 1;
-                        stats.combinations_examined += 1;
-                        if x == c0 {
-                            stats.pruned_injectivity += 1;
-                            continue;
-                        }
-                        if emit_closed(&g, fin.wv, x, all_mask, max_fanout, generated, emit, stats)
-                        {
-                            break 'run true;
-                        }
+    for i0 in r0.0..r0.1 {
+        let c0 = cand_data[i0];
+        let rank_c0 = cand_rank[i0];
+        stats.combinations_examined += 1;
+        let mut g = *base;
+        g.assign(m0.wv, c0);
+        let lo = if window_gt { rank_c0.saturating_add(1) } else { 0 };
+        let hi = if window_lt { rank_c0 } else { u32::MAX };
+        if joined {
+            // The dynamic window against `c0` is one-sided, so the
+            // matching oriented half of `N(c0)` already enforces it —
+            // no per-element rank check on the walk below.
+            let tn = if window_gt {
+                shared.ordered.forward(c0)
+            } else if window_lt {
+                shared.ordered.backward(c0)
+            } else {
+                shared.graph.neighbors(c0)
+            };
+            if tn.len() < PROBE_RATIO * arena.len() {
+                // Walk the binding's oriented adjacency sequentially;
+                // arena membership is one probe of the per-expansion
+                // marks, and arena membership plus orientation imply
+                // the whole window.
+                *cost += tn.len() as u64;
+                for &x in tn {
+                    stats.cmap_probes += 1;
+                    if cmap[x as usize] & fin_bit == 0 {
+                        continue;
                     }
-                } else {
-                    // Hub binding: walk the (shorter) arena, pruning on
-                    // the window and injectivity before the gallop into
-                    // `N(c0)`, with the cursor monotone across candidates.
-                    stats.intersect_gallop += 1;
-                    *cost += arena.len() as u64;
-                    let mut from = 0usize;
-                    for (idx, &x) in arena.iter().enumerate() {
-                        stats.combinations_examined += 1;
-                        let rank_x = ranks[idx];
-                        if rank_x < lo || rank_x >= hi {
-                            stats.pruned_order += 1;
-                            continue;
-                        }
-                        if x == c0 {
-                            stats.pruned_injectivity += 1;
-                            continue;
-                        }
-                        let j = from + gallop_lower_bound(&tn[from..], x);
-                        if j >= tn.len() {
-                            break;
-                        }
-                        from = j;
-                        if tn[j] != x {
-                            stats.pruned_connectivity += 1;
-                            continue;
-                        }
-                        from = j + 1;
-                        if emit_closed(&g, fin.wv, x, all_mask, max_fanout, generated, emit, stats)
-                        {
-                            break 'run true;
-                        }
+                    stats.cmap_hits += 1;
+                    stats.combinations_examined += 1;
+                    if x == c0 {
+                        stats.pruned_injectivity += 1;
+                        continue;
                     }
+                    emit_closed(&g, fin.wv, x, all_mask, generated, emit, stats);
                 }
             } else {
-                // No white-white edge (two-leaf stars): every arena member
-                // in the window closes an instance.
+                // Hub binding: walk the (shorter) arena, pruning on
+                // the window and injectivity before the gallop into
+                // `N(c0)`, with the cursor monotone across candidates.
+                stats.intersect_gallop += 1;
                 *cost += arena.len() as u64;
+                let mut from = 0usize;
                 for (idx, &x) in arena.iter().enumerate() {
                     stats.combinations_examined += 1;
                     let rank_x = ranks[idx];
@@ -887,27 +775,49 @@ fn close_pair(
                         stats.pruned_injectivity += 1;
                         continue;
                     }
-                    if emit_closed(&g, fin.wv, x, all_mask, max_fanout, generated, emit, stats) {
-                        break 'run true;
+                    let j = from + gallop_lower_bound(&tn[from..], x);
+                    if j >= tn.len() {
+                        break;
                     }
+                    from = j;
+                    if tn[j] != x {
+                        stats.pruned_connectivity += 1;
+                        continue;
+                    }
+                    from = j + 1;
+                    emit_closed(&g, fin.wv, x, all_mask, generated, emit, stats);
                 }
             }
+        } else {
+            // No white-white edge (two-leaf stars): every arena member
+            // in the window closes an instance.
+            *cost += arena.len() as u64;
+            for (idx, &x) in arena.iter().enumerate() {
+                stats.combinations_examined += 1;
+                let rank_x = ranks[idx];
+                if rank_x < lo || rank_x >= hi {
+                    stats.pruned_order += 1;
+                    continue;
+                }
+                if x == c0 {
+                    stats.pruned_injectivity += 1;
+                    continue;
+                }
+                emit_closed(&g, fin.wv, x, all_mask, generated, emit, stats);
+            }
         }
-        false
-    };
+    }
     if joined {
         for &x in arena {
             cmap[x as usize] &= !fin_bit;
         }
     }
-    exceeded
 }
 
 /// Finishes one odometer prefix (slots `0..nw-1`): merge-joins the final
 /// WHITE slot's candidates against its lowest-degree bound neighbor, then
 /// emits the closed instance (Close) or wedge-joins the two-hop vertex
-/// and emits one instance per survivor (TwoHop). Returns true when the
-/// fan-out limit tripped.
+/// and emits one instance per survivor (TwoHop).
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn close_combination(
@@ -925,18 +835,17 @@ fn close_combination(
     w_static: &[VertexId],
     w_targets: &mut Vec<VertexId>,
     all_mask: u128,
-    max_fanout: Option<u64>,
     generated: &mut u64,
     cost: &mut u64,
     emit: &mut dyn FnMut(&Gpsi),
     stats: &mut ExpandStats,
-) -> bool {
+) {
     let nw = white_meta.len();
     let mut g = *base;
     if nw == 0 {
         // Verification-style expansion with only the two-hop vertex left.
         let wx = w_extra.expect("kernel dispatch sends nw == 0 only with a two-hop vertex");
-        return join_two_hop(
+        join_two_hop(
             shared,
             &g,
             wx,
@@ -945,12 +854,12 @@ fn close_combination(
             w_static,
             w_targets,
             all_mask,
-            max_fanout,
             generated,
             cost,
             emit,
             stats,
         );
+        return;
     }
     let od = nw - 1;
     for (meta, &cd) in white_meta[..od].iter().zip(chosen[..od].iter()) {
@@ -1041,7 +950,7 @@ fn close_combination(
                 ) {
                     continue;
                 }
-                if finish_candidate(
+                finish_candidate(
                     shared,
                     &g,
                     fin.wv,
@@ -1054,14 +963,11 @@ fn close_combination(
                     w_static,
                     w_targets,
                     all_mask,
-                    max_fanout,
                     generated,
                     cost,
                     emit,
                     stats,
-                ) {
-                    return true;
-                }
+                );
             }
         } else {
             // Arena is the short side: walk it, pruning on the rank window
@@ -1095,7 +1001,7 @@ fn close_combination(
                 if !final_edges_ok(shared, chosen, od, em, t_slot, slot_marked, cmap, x, stats) {
                     continue;
                 }
-                if finish_candidate(
+                finish_candidate(
                     shared,
                     &g,
                     fin.wv,
@@ -1108,14 +1014,11 @@ fn close_combination(
                     w_static,
                     w_targets,
                     all_mask,
-                    max_fanout,
                     generated,
                     cost,
                     emit,
                     stats,
-                ) {
-                    return true;
-                }
+                );
             }
         }
     } else {
@@ -1139,7 +1042,7 @@ fn close_combination(
             ) {
                 continue;
             }
-            if finish_candidate(
+            finish_candidate(
                 shared,
                 &g,
                 fin.wv,
@@ -1152,17 +1055,13 @@ fn close_combination(
                 w_static,
                 w_targets,
                 all_mask,
-                max_fanout,
                 generated,
                 cost,
                 emit,
                 stats,
-            ) {
-                return true;
-            }
+            );
         }
     }
-    false
 }
 
 /// Final-slot candidate checks beyond arena membership: the dynamic rank
@@ -1233,8 +1132,7 @@ fn final_edges_ok(
 }
 
 /// Binds the final WHITE slot and either emits the closed instance
-/// (Close) or runs the two-hop wedge join (TwoHop). Returns true when the
-/// fan-out limit tripped.
+/// (Close) or runs the two-hop wedge join (TwoHop).
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn finish_candidate(
@@ -1250,12 +1148,11 @@ fn finish_candidate(
     w_static: &[VertexId],
     w_targets: &mut Vec<VertexId>,
     all_mask: u128,
-    max_fanout: Option<u64>,
     generated: &mut u64,
     cost: &mut u64,
     emit: &mut dyn FnMut(&Gpsi),
     stats: &mut ExpandStats,
-) -> bool {
+) {
     let mut gg = *g;
     gg.assign(fin_wv, x);
     match w_extra {
@@ -1269,7 +1166,6 @@ fn finish_candidate(
             stats.results += 1;
             *generated += 1;
             emit(&gg);
-            matches!(max_fanout, Some(max) if *generated > max)
         }
         Some(wx) => {
             chosen[od] = x;
@@ -1283,7 +1179,6 @@ fn finish_candidate(
                 w_static,
                 w_targets,
                 all_mask,
-                max_fanout,
                 generated,
                 cost,
                 emit,
@@ -1294,8 +1189,7 @@ fn finish_candidate(
 }
 
 /// Wedge-joins the two-hop vertex's candidates over a fully bound WHITE
-/// combination and emits one instance per survivor. Returns true when the
-/// fan-out limit tripped.
+/// combination and emits one instance per survivor.
 #[allow(clippy::too_many_arguments)]
 fn join_two_hop(
     shared: &PsglShared<'_>,
@@ -1306,12 +1200,11 @@ fn join_two_hop(
     w_static: &[VertexId],
     w_targets: &mut Vec<VertexId>,
     all_mask: u128,
-    max_fanout: Option<u64>,
     generated: &mut u64,
     cost: &mut u64,
     emit: &mut dyn FnMut(&Gpsi),
     stats: &mut ExpandStats,
-) -> bool {
+) {
     let np = shared.pattern.num_vertices();
     // Fold the chosen WHITE ranks into w's static rank window.
     let (mut lo, mut hi) = (wx.lo, wx.hi);
@@ -1380,11 +1273,7 @@ fn join_two_hop(
         stats.results += 1;
         *generated += 1;
         emit(&gg);
-        if matches!(max_fanout, Some(max) if *generated > max) {
-            return true;
-        }
     }
-    false
 }
 
 #[cfg(test)]
@@ -1423,7 +1312,6 @@ mod tests {
                 &mut scratch,
                 &mut distributor,
                 &partitioner,
-                &ExpandLimits::default(),
                 &mut out,
                 &mut |done| results.push(done.instance(pattern.num_vertices())),
                 &mut stats,
@@ -1478,40 +1366,6 @@ mod tests {
             let (_, _, scratch) = list_all(&g, &pattern, &PsglConfig::default());
             assert!(scratch.cmap.iter().all(|&b| b == 0), "{}", pattern.name());
         }
-    }
-
-    #[test]
-    fn kernels_respect_fanout_limits() {
-        // Star hub with 30 leaves; triangle listing from the hub would
-        // examine many pairs, none close — use a clique so Close fires.
-        let g = erdos_renyi_gnm(40, 380, 2).unwrap();
-        let config = PsglConfig::default();
-        let shared = PsglShared::prepare(&g, &catalog::triangle(), &config).unwrap();
-        let partitioner = HashPartitioner::new(1);
-        let mut distributor = Distributor::new(Strategy::Random, 1, 7);
-        let mut scratch = ExpandScratch::new();
-        let mut stats = ExpandStats::default();
-        let mut tripped = false;
-        for v in g.vertices() {
-            let mut out = Vec::new();
-            let outcome = expand_gpsi(
-                &shared,
-                Gpsi::initial(shared.init_vertex, v),
-                &mut scratch,
-                &mut distributor,
-                &partitioner,
-                &ExpandLimits { max_fanout: Some(1) },
-                &mut out,
-                &mut |_| {},
-                &mut stats,
-            );
-            if outcome == ExpandOutcome::FanoutExceeded {
-                tripped = true;
-                break;
-            }
-        }
-        assert!(tripped, "dense graph must exceed a fan-out of 1");
-        assert!(scratch.cmap.iter().all(|&b| b == 0), "marks cleared after the trip");
     }
 
     #[test]

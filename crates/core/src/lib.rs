@@ -58,7 +58,7 @@ pub use expand::ExpandScratch;
 pub use gpsi::EdgeIds;
 pub use gpsi::{Gpsi, GpsiDecodeError};
 pub use index::EdgeIndex;
-pub use plan::{KernelId, QueryPlan};
+pub use plan::QueryPlan;
 pub use psgl_bsp::{CancelReason, CancelToken, SpillConfig, SpillError, SpillFaults};
 pub use runner::{
     assemble_run_stats, list_subgraphs, list_subgraphs_prepared, list_subgraphs_prepared_with, run,

@@ -22,57 +22,7 @@ use crate::gpsi::{EdgeIds, MAX_GPSI_VERTICES};
 use crate::init_vertex::{select_initial_vertex, SelectionRule};
 use crate::shared::PsglError;
 use crate::PsglConfig;
-use psgl_pattern::{break_automorphisms, PartialOrderSet, Pattern, PatternShape, PatternVertex};
-
-/// Compiled expansion kernels the plan can select. The id stored in the
-/// plan is the kernel expected for the *initial* expansion; every later
-/// expansion re-derives its kernel from the partial instance at hand with
-/// the same (cheap) rule, so mixed flows — a generic first hop followed by
-/// a closing second hop — dispatch correctly without any plan lookup.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum KernelId {
-    /// The generic odometer (Algorithms 2 + 5), bit-identical to the
-    /// pre-kernel engine.
-    #[default]
-    Generic,
-    /// Connectivity-map closing: every unmapped pattern vertex is a WHITE
-    /// neighbor of the expanding vertex, so the expansion verifies all
-    /// remaining edges exactly (cmap / adjacency intersection) and emits
-    /// complete instances with no verification supersteps.
-    Close,
-    /// Two-hop closing: one unmapped vertex is *not* adjacent to the
-    /// expanding vertex; its candidates come from a wedge join
-    /// (intersection of its bound neighbors' adjacencies) once the WHITE
-    /// slots are bound. Covers rectangles and tailed shapes.
-    TwoHop,
-}
-
-impl KernelId {
-    /// Kernel for an expansion with `whites` WHITE neighbors of the
-    /// expanding vertex and `extra` unmapped non-neighbors, given that
-    /// compiled kernels are enabled. `Close`/`TwoHop` additionally require
-    /// the WHITE slot count to fit the connectivity map's per-slot mark
-    /// bits ([`crate::expand::CMAP_MAX_SLOTS`]).
-    pub fn select(whites: usize, extra: usize, max_slots: usize) -> KernelId {
-        if whites > max_slots {
-            return KernelId::Generic;
-        }
-        match extra {
-            0 if whites > 0 => KernelId::Close,
-            1 => KernelId::TwoHop,
-            _ => KernelId::Generic,
-        }
-    }
-
-    /// Short stable name for benchmarks and the service `stats` verb.
-    pub fn name(&self) -> &'static str {
-        match self {
-            KernelId::Generic => "generic",
-            KernelId::Close => "close",
-            KernelId::TwoHop => "twohop",
-        }
-    }
-}
+use psgl_pattern::{break_automorphisms, PartialOrderSet, Pattern, PatternVertex};
 
 /// The pattern-side preparation for one `(pattern, config)` combination,
 /// reusable across every run against graphs with the same degree
@@ -91,14 +41,11 @@ pub struct QueryPlan {
     pub init_vertex: PatternVertex,
     /// How the initial vertex was chosen.
     pub selection_rule: SelectionRule,
-    /// Shape classification driving kernel specialization.
-    pub shape: PatternShape,
     /// Whether compiled kernels are enabled for runs under this plan
-    /// (`PsglConfig::compiled_kernels` at preparation time).
+    /// (`PsglConfig::compiled_kernels` at preparation time). Which kernel,
+    /// if any, an expansion gets is decided per partial instance by
+    /// [`expand_gpsi`](crate::expand::expand_gpsi).
     pub compiled_kernels: bool,
-    /// Kernel selected for the initial expansion from `init_vertex`
-    /// ([`KernelId::Generic`] when kernels are disabled).
-    pub initial_kernel: KernelId,
 }
 
 impl QueryPlan {
@@ -129,23 +76,13 @@ impl QueryPlan {
             }
             None => select_initial_vertex(pattern, &order, degree_histogram),
         };
-        let shape = PatternShape::classify(pattern);
-        let initial_kernel = if config.compiled_kernels {
-            let whites = pattern.degree(init_vertex) as usize;
-            let extra = pattern.num_vertices() - 1 - whites;
-            KernelId::select(whites, extra, crate::expand::CMAP_MAX_SLOTS)
-        } else {
-            KernelId::Generic
-        };
         Ok(QueryPlan {
             pattern: pattern.clone(),
             order,
             edge_ids,
             init_vertex,
             selection_rule,
-            shape,
             compiled_kernels: config.compiled_kernels,
-            initial_kernel,
         })
     }
 }
@@ -187,40 +124,10 @@ mod tests {
     }
 
     #[test]
-    fn plan_selects_kernels_by_shape() {
-        use psgl_pattern::PatternShape;
-        let hist = vec![0u64; 8];
-        let at = |p: &psgl_pattern::Pattern, init: u8| {
-            let config = PsglConfig::default().init_vertex(init);
-            QueryPlan::prepare(p, &config, &hist).unwrap()
-        };
-        // Triangle / clique from any vertex: every other vertex is a
-        // neighbor, so the initial expansion closes.
-        let t = at(&catalog::triangle(), 0);
-        assert_eq!(t.shape, PatternShape::Triangle);
-        assert_eq!(t.initial_kernel, KernelId::Close);
-        assert_eq!(at(&catalog::four_clique(), 2).initial_kernel, KernelId::Close);
-        // Square: the opposite corner is two hops away.
-        let s = at(&catalog::square(), 0);
-        assert_eq!(s.shape, PatternShape::Rectangle);
-        assert_eq!(s.initial_kernel, KernelId::TwoHop);
-        // Tailed triangle from the degree-3 hub closes; from a rim vertex
-        // the tail is the one two-hop extra.
-        assert_eq!(at(&catalog::tailed_triangle(), 1).initial_kernel, KernelId::Close);
-        assert_eq!(at(&catalog::tailed_triangle(), 0).initial_kernel, KernelId::TwoHop);
-        // House from a degree-2 corner leaves two extras: generic.
-        assert_eq!(at(&catalog::house(), 0).initial_kernel, KernelId::Generic);
-        assert_eq!(at(&catalog::house(), 0).shape, PatternShape::Generic);
-        // Star center closes in one expansion.
-        assert_eq!(at(&catalog::star(4), 0).initial_kernel, KernelId::Close);
-    }
-
-    #[test]
     fn kernels_disabled_plans_generic() {
         let hist = vec![0u64; 8];
         let config = PsglConfig::default().kernels(false).init_vertex(0);
         let plan = QueryPlan::prepare(&catalog::triangle(), &config, &hist).unwrap();
         assert!(!plan.compiled_kernels);
-        assert_eq!(plan.initial_kernel, KernelId::Generic);
     }
 }

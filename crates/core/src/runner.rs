@@ -13,7 +13,7 @@ use crate::checkpoint::{
 };
 use crate::config::PsglConfig;
 use crate::distribute::{Distributor, Strategy};
-use crate::expand::{expand_gpsi, ExpandLimits, ExpandOutcome, ExpandScratch};
+use crate::expand::{expand_gpsi, ExpandScratch};
 use crate::gpsi::Gpsi;
 use crate::init_vertex::SelectionRule;
 use crate::shared::{PsglError, PsglShared};
@@ -74,8 +74,9 @@ pub struct WorkerState {
     emitted_this_superstep: u64,
     /// Superstep `emitted_this_superstep` refers to.
     emitted_superstep: u32,
-    /// Set when a fan-out limit trips; the worker drains remaining
-    /// messages without expanding (simulated OOM abort).
+    /// Set when this worker alone outgrows [`PsglConfig::gpsi_budget`];
+    /// it drains its remaining messages without expanding (simulated OOM
+    /// abort).
     failed: bool,
 }
 
@@ -89,7 +90,6 @@ enum HarvestMode {
 struct PsglProgram<'a> {
     shared: &'a PsglShared<'a>,
     config: &'a PsglConfig,
-    limits: ExpandLimits,
     harvest_mode: HarvestMode,
     /// With checkpointing enabled the per-worker early budget abort is
     /// deferred to the engine's barrier check, which captures the whole
@@ -101,7 +101,6 @@ struct PsglProgram<'a> {
 impl VertexProgram for PsglProgram<'_> {
     type Message = Gpsi;
     type WorkerState = WorkerState;
-    type Aggregate = ();
 
     fn create_worker_state(&self, worker: usize) -> WorkerState {
         WorkerState {
@@ -164,17 +163,16 @@ impl VertexProgram for PsglProgram<'_> {
         } = state;
         let np = self.shared.pattern.num_vertices();
         for gpsi in messages.drain(..) {
-            // A FanoutExceeded early-return below can leave stale Gpsis
-            // behind; clearing here keeps the reused buffer safe.
+            // The budget early-return below can leave stale Gpsis behind;
+            // clearing here keeps the reused buffer safe.
             out.clear();
             let before = stats.cost;
-            let outcome = expand_gpsi(
+            expand_gpsi(
                 self.shared,
                 gpsi,
                 scratch,
                 distributor,
                 ctx.partitioner(),
-                &self.limits,
                 out,
                 &mut |done| match harvest {
                     Harvested::CountOnly => {}
@@ -188,10 +186,6 @@ impl VertexProgram for PsglProgram<'_> {
                 stats,
             );
             ctx.add_cost(stats.cost - before);
-            if outcome == ExpandOutcome::FanoutExceeded {
-                *failed = true;
-                return;
-            }
             *emitted_this_superstep += out.len() as u64;
             if let Some(budget) = self.config.gpsi_budget {
                 // One worker's single-superstep output alone exceeding the
@@ -522,14 +516,13 @@ impl WorkerState {
 }
 
 /// Rebuilds the engine's resume point from a validated checkpoint.
-fn restore_resume_point(config: &PsglConfig, cp: Checkpoint) -> ResumePoint<Gpsi, WorkerState, ()> {
+fn restore_resume_point(config: &PsglConfig, cp: Checkpoint) -> ResumePoint<Gpsi, WorkerState> {
     let worker_states =
         cp.workers.into_iter().map(|wc| WorkerState::restore(config.strategy, wc)).collect();
     ResumePoint {
         superstep: cp.superstep,
         frontier: cp.frontier,
         worker_states,
-        aggregate: (),
         prior_supersteps: cp.prior_supersteps,
         carried: cp.carried,
     }
@@ -571,7 +564,7 @@ fn restore_from_shards(
     guard: &CheckpointGuard,
     shards: Vec<CheckpointShard>,
     locals: &[usize],
-) -> Result<ResumePoint<Gpsi, WorkerState, ()>, PsglError> {
+) -> Result<ResumePoint<Gpsi, WorkerState>, PsglError> {
     let bad = |m: String| PsglError::Checkpoint(CheckpointError { message: m });
     if shards.len() != locals.len() {
         return Err(bad(format!(
@@ -611,7 +604,6 @@ fn restore_from_shards(
         superstep,
         frontier,
         worker_states,
-        aggregate: (),
         // The coordinator owns the global superstep history; a member's
         // metrics restart at the resume superstep.
         prior_supersteps: Vec::new(),
@@ -696,7 +688,6 @@ pub fn run(
     let program = PsglProgram {
         shared,
         config,
-        limits: ExpandLimits { max_fanout: config.max_fanout },
         harvest_mode,
         defer_budget: stop.checkpoint && config.gpsi_budget.is_some(),
     };
@@ -740,7 +731,6 @@ pub fn run(
                 superstep: 1,
                 frontier,
                 worker_states,
-                aggregate: (),
                 prior_supersteps: Vec::new(),
                 carried: CarriedCounters::default(),
             })
@@ -825,7 +815,7 @@ pub fn run(
                 if ws.failed {
                     return Err(PsglError::OutOfMemory {
                         in_flight: expand.generated,
-                        budget: config.max_fanout.unwrap_or(0),
+                        budget: config.gpsi_budget.unwrap_or(0),
                     });
                 }
             }
@@ -1033,17 +1023,15 @@ mod tests {
             Err(PsglError::OutOfMemory { in_flight, budget: 10 }) => assert!(in_flight > 10),
             other => panic!("expected OOM, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn fanout_limit_reports_simulated_oom() {
-        let edges: Vec<(u32, u32)> = (1..=40).map(|i| (0, i)).collect();
-        let g = DataGraph::from_edges(41, &edges).unwrap();
-        let c = PsglConfig { max_fanout: Some(5), ..PsglConfig::with_workers(2) };
-        assert!(matches!(
-            list_subgraphs(&g, &catalog::star(2), &c),
-            Err(PsglError::OutOfMemory { .. })
-        ));
+        // The per-worker trip: a budget the 500 initial Gpsis fit under, so
+        // the barrier check passes, and a lone worker that outgrows it
+        // while expanding. It stops sending at the budget, so the barrier
+        // never sees the excess — the run drains and reports the trip.
+        let c = PsglConfig { gpsi_budget: Some(500), ..PsglConfig::with_workers(1).kernels(false) };
+        match list_subgraphs(&g, &catalog::square(), &c) {
+            Err(PsglError::OutOfMemory { in_flight, budget: 500 }) => assert!(in_flight > 500),
+            other => panic!("expected the per-worker OOM, got {other:?}"),
+        }
     }
 
     #[test]

@@ -117,13 +117,9 @@ pub struct PsglShared<'g> {
     /// Vertex labels for labeled matching: `(data_labels, pattern_labels)`.
     /// `None` = the paper's unlabeled listing.
     pub labels: Option<(Vec<Label>, Vec<Label>)>,
-    /// Pattern-shape classification from the plan (reporting + dispatch).
-    pub shape: psgl_pattern::PatternShape,
     /// Whether expansions may dispatch to compiled kernels
-    /// ([`crate::plan::KernelId`]); `false` forces the generic odometer.
+    /// (`kernel.rs`); `false` forces the generic odometer.
     pub compiled_kernels: bool,
-    /// Kernel the plan selected for the initial expansion.
-    pub initial_kernel: crate::plan::KernelId,
 }
 
 impl<'g> PsglShared<'g> {
@@ -164,9 +160,7 @@ impl<'g> PsglShared<'g> {
             init_vertex: plan.init_vertex,
             selection_rule: plan.selection_rule,
             labels: None,
-            shape: plan.shape,
             compiled_kernels: plan.compiled_kernels,
-            initial_kernel: plan.initial_kernel,
         }
     }
 

@@ -57,11 +57,16 @@ pub fn from_bytes(mut data: &[u8]) -> Result<DataGraph, GraphError> {
     data.advance(8);
     let n = data.get_u64_le();
     let m2 = data.get_u64_le();
-    let need = (n as usize + 1)
-        .checked_mul(8)
-        .and_then(|x| x.checked_add(m2 as usize * 4 + 8))
+    // The header is untrusted: size the payload it claims in checked
+    // 64-bit arithmetic and hold it against the bytes actually present
+    // before anything is allocated or read. Past this check `n + 1` and
+    // `m2` are bounded by `data.len()`, so they fit a `usize`.
+    let need = n
+        .checked_add(1)
+        .and_then(|offsets| offsets.checked_mul(8))
+        .and_then(|offsets| m2.checked_mul(4)?.checked_add(8)?.checked_add(offsets))
         .ok_or_else(|| fail("size overflow"))?;
-    if data.remaining() != need {
+    if data.remaining() as u64 != need {
         return Err(fail("truncated or oversized payload"));
     }
     let mut hasher = FxHasher::default();
@@ -145,6 +150,17 @@ mod tests {
         assert!(from_bytes(&bad).is_err());
         // Empty input.
         assert!(from_bytes(&[]).is_err());
+        // Hostile headers: sizes that overflow, or that no file this small
+        // could hold, are errors — not panics, not allocations.
+        let header = |n: u64, m2: u64, payload: usize| {
+            let mut h = MAGIC.to_vec();
+            h.extend_from_slice(&n.to_le_bytes());
+            h.extend_from_slice(&m2.to_le_bytes());
+            h.resize(h.len() + payload, 0);
+            h
+        };
+        assert!(from_bytes(&header(u64::MAX, 0, 8)).is_err());
+        assert!(from_bytes(&header(0, 1 << 62, 16)).is_err());
     }
 
     #[test]

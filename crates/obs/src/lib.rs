@@ -4,8 +4,7 @@
 //!
 //! * [`metrics`] — a typed counter/gauge/histogram registry. Handles are
 //!   registered once per name and are lock-free on the hot path (plain
-//!   atomic cells; [`metrics::ShardedCounter`] pads per-worker cells and
-//!   merges them on read). A [`metrics::Registry::snapshot`] is the single
+//!   atomic cells). A [`metrics::Registry::snapshot`] is the single
 //!   source for every stats surface.
 //! * [`trace`] — cheap structured events. A [`Tracer`] stamps each event
 //!   with a sequence number and a timestamp from either a wall clock or a
@@ -31,7 +30,7 @@ pub mod trace;
 pub use expo::{render_json, render_prometheus};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricSnapshot, MetricValue, Registry,
-    RegistrySnapshot, ShardedCounter,
+    RegistrySnapshot,
 };
 pub use recorder::FlightRecorder;
 pub use slowlog::{SlowQueryEntry, SlowQueryLog, SuperstepTiming};

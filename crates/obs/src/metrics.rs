@@ -1,6 +1,6 @@
 //! Typed metrics registry.
 //!
-//! Handles ([`Counter`], [`Gauge`], [`Histogram`], [`ShardedCounter`]) are
+//! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are
 //! registered once per (name, labels) pair and cloned freely; every clone
 //! shares the same atomic cell, so the hot path is a single relaxed atomic
 //! RMW with no locking. The registry's own lock is taken only at
@@ -122,43 +122,11 @@ pub struct HistogramSnapshot {
     pub count: u64,
 }
 
-/// One cache line per shard so concurrent workers never contend.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct PaddedCell(AtomicU64);
-
-/// Counter striped across per-worker cells, merged on read. Writers pick a
-/// shard (worker index) and touch only their own cache line.
-#[derive(Clone, Debug)]
-pub struct ShardedCounter(Arc<Vec<PaddedCell>>);
-
-impl ShardedCounter {
-    pub fn new(shards: usize) -> Self {
-        let n = shards.max(1);
-        Self(Arc::new((0..n).map(|_| PaddedCell::default()).collect()))
-    }
-
-    #[inline]
-    pub fn add(&self, shard: usize, n: u64) {
-        let cells = &self.0;
-        cells[shard % cells.len()].0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn get(&self) -> u64 {
-        self.0.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
-    }
-
-    pub fn shards(&self) -> usize {
-        self.0.len()
-    }
-}
-
 #[derive(Clone, Debug)]
 enum Metric {
     Counter(Counter),
     Gauge(Gauge),
     Histogram(Histogram),
-    Sharded(ShardedCounter),
 }
 
 #[derive(Debug)]
@@ -207,13 +175,6 @@ impl Registry {
         }
     }
 
-    pub fn sharded_counter(&self, name: &str, help: &str, shards: usize) -> ShardedCounter {
-        match self.register(name, help, &[], || Metric::Sharded(ShardedCounter::new(shards))) {
-            Metric::Sharded(s) => s,
-            other => panic!("metric {name} already registered as {}", kind_name(&other)),
-        }
-    }
-
     fn register(
         &self,
         name: &str,
@@ -250,7 +211,6 @@ impl Registry {
                         Metric::Counter(c) => MetricValue::Counter(c.get()),
                         Metric::Gauge(g) => MetricValue::Gauge(g.get()),
                         Metric::Histogram(h) => MetricValue::Histogram(h.snapshot()),
-                        Metric::Sharded(s) => MetricValue::Counter(s.get()),
                     },
                 })
                 .collect(),
@@ -263,7 +223,6 @@ fn kind_name(m: &Metric) -> &'static str {
         Metric::Counter(_) => "counter",
         Metric::Gauge(_) => "gauge",
         Metric::Histogram(_) => "histogram",
-        Metric::Sharded(_) => "sharded counter",
     }
 }
 
@@ -365,15 +324,5 @@ mod tests {
         assert_eq!(s.counts, vec![2, 2, 0, 1]);
         assert_eq!(s.count, 5);
         assert_eq!(s.sum, 1 + 10 + 11 + 99 + 5000);
-    }
-
-    #[test]
-    fn sharded_counter_merges_per_worker_cells() {
-        let c = ShardedCounter::new(4);
-        for w in 0..8 {
-            c.add(w, (w + 1) as u64);
-        }
-        assert_eq!(c.get(), (1..=8).sum::<u64>());
-        assert_eq!(c.shards(), 4);
     }
 }

@@ -30,8 +30,6 @@ pub mod isomorphism;
 pub mod labeled;
 pub mod mvc;
 pub mod parse;
-pub mod shape;
 
 pub use breaking::{break_automorphisms, PartialOrderSet};
 pub use graph::{Pattern, PatternError, PatternVertex, MAX_PATTERN_VERTICES};
-pub use shape::PatternShape;

@@ -121,7 +121,6 @@ pub fn config_fingerprint(config: &PsglConfig) -> u64 {
     h.write_u64(config.index_bits_per_edge as u64);
     h.write_u8(u8::from(config.collect_instances));
     h.write_u64(config.gpsi_budget.map_or(u64::MAX, |b| b));
-    h.write_u64(config.max_fanout.map_or(u64::MAX, |b| b));
     h.write_u64(u64::from(config.max_supersteps));
     h.write_u64(config.seed);
     h.finish()

@@ -3,6 +3,7 @@
 //! and stopped at a different barrier. This test drives every start × stop
 //! combination that has a caller and requires the answer of the whole run.
 
+use psgl::bsp::SpillConfig;
 use psgl::core::{
     list_subgraphs, list_subgraphs_prepared, list_subgraphs_prepared_with, run, CancelReason,
     CancelToken, Checkpoint, CheckpointShard, Harvest, ListingEnd, ListingResult, PsglConfig,
@@ -13,8 +14,12 @@ use psgl::pattern::catalog;
 use psgl::sim::fingerprint::fingerprint_run;
 
 fn one_superstep_from(start: Start) -> RunRequest<'static> {
+    one_superstep_under(RunnerHooks::default(), start)
+}
+
+fn one_superstep_under(hooks: RunnerHooks<'static>, start: Start) -> RunRequest<'static> {
     let stop = Stop { slice: Some(1), ..Default::default() };
-    RunRequest { start, stop, ..Default::default() }
+    RunRequest { start, hooks, stop, ..Default::default() }
 }
 
 /// Start::Init, empty Stop — what the scheduler's `execute_query`, the CLI
@@ -27,9 +32,34 @@ fn whole(shared: &PsglShared<'_>, config: &PsglConfig) -> ListingResult {
 /// worker loop, every checkpoint through its bytes as the chaos harness
 /// does.
 fn sliced(shared: &PsglShared<'_>, config: &PsglConfig) -> ListingResult {
+    sliced_under(&RunnerHooks::default(), shared, config)
+}
+
+/// The same loop under a live-chunk cap with the spill tier — the
+/// scheduler's degraded mode. Every barrier is then a preemption of a
+/// frontier that is partly on disk: capture reads it back, and the next
+/// slice (with a spill directory of its own) evicts it again.
+fn sliced_and_spilled(shared: &PsglShared<'_>, config: &PsglConfig) -> ListingResult {
+    let hooks = RunnerHooks {
+        chunk_capacity: Some(16),
+        max_live_chunks: Some(8),
+        spill: Some(SpillConfig::in_temp()),
+        ..Default::default()
+    };
+    let result = sliced_under(&hooks, shared, config);
+    assert!(result.stats.spill_chunks > 0, "the cap never bit");
+    assert_eq!(result.stats.readmitted_chunks, result.stats.spill_chunks);
+    result
+}
+
+fn sliced_under(
+    hooks: &RunnerHooks<'static>,
+    shared: &PsglShared<'_>,
+    config: &PsglConfig,
+) -> ListingResult {
     let mut start = Start::Init;
     for slices in 1.. {
-        match run(shared, config, one_superstep_from(start)).unwrap() {
+        match run(shared, config, one_superstep_under(hooks.clone(), start)).unwrap() {
             ListingEnd::Complete(result) => {
                 assert!(slices > 2, "one-superstep slices must preempt repeatedly");
                 return result;
@@ -97,8 +127,13 @@ fn sharded(shared: &PsglShared<'_>, config: &PsglConfig) -> ListingResult {
 
 type Cell = (&'static str, fn(&PsglShared<'_>, &PsglConfig) -> ListingResult);
 
-const CELLS: [Cell; 4] =
-    [("sliced", sliced), ("resumed", resumed), ("seeded", seeded), ("sharded", sharded)];
+const CELLS: [Cell; 5] = [
+    ("sliced", sliced),
+    ("sliced and spilled", sliced_and_spilled),
+    ("resumed", resumed),
+    ("seeded", seeded),
+    ("sharded", sharded),
+];
 
 #[test]
 fn every_start_and_stop_gives_the_whole_runs_answer() {
