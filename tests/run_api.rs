@@ -7,7 +7,7 @@ use psgl::bsp::SpillConfig;
 use psgl::core::{
     list_subgraphs, list_subgraphs_prepared, list_subgraphs_prepared_with, run, CancelReason,
     CancelToken, Checkpoint, CheckpointShard, Harvest, ListingEnd, ListingResult, PsglConfig,
-    PsglShared, RunRequest, RunnerHooks, Start, Stop,
+    PsglShared, RunRequest, RunnerHooks, Start, Stop, Strategy,
 };
 use psgl::graph::generators::erdos_renyi_gnm;
 use psgl::pattern::catalog;
@@ -184,5 +184,26 @@ fn every_start_and_stop_gives_the_whole_runs_answer() {
             fingerprint_run(&list_subgraphs_prepared_with(&shared, &config, &hooks).unwrap()),
             fingerprint_run(&run(&shared, &config, request).unwrap().completed()),
         );
+    }
+}
+
+/// Golden pin on the order of `compute` calls. The random and roulette
+/// distributors draw from a seeded RNG at every distribution choice, so
+/// which worker each Gpsi lands on — and with it every per-worker cost,
+/// message curve and the collected instance order — depends on the order
+/// in which a worker's inbox reaches `compute`: ascending vertex, delivery
+/// order within a vertex. A regroup that changes that order moves these.
+#[test]
+fn compute_call_order_is_pinned() {
+    let graph = erdos_renyi_gnm(120, 700, 21).unwrap();
+    let pattern = catalog::square();
+    for (strategy, want) in [
+        (Strategy::Random, 0xF0D1_75E8_C489_93E7u64),
+        (Strategy::RouletteWheel, 0x3C12_ABBE_EDCE_074D),
+    ] {
+        let config = PsglConfig::with_workers(2).strategy(strategy).collect(true).kernels(false);
+        let shared = PsglShared::prepare(&graph, &pattern, &config).unwrap();
+        let got = fingerprint_run(&whole(&shared, &config));
+        assert_eq!(got, want, "{strategy:?}: {got:#018X}");
     }
 }
