@@ -100,6 +100,11 @@ impl<M> ChunkPool<M> {
         self.capacity
     }
 
+    /// Whether the pool has a live-chunk cap.
+    pub(crate) fn is_capped(&self) -> bool {
+        self.max_live.is_some()
+    }
+
     /// Hands out an empty chunk, recycling a released one when possible;
     /// reports [`PoolExhausted`] instead of allocating past the cap.
     pub fn try_acquire(&self) -> Result<Chunk<M>, PoolExhausted> {

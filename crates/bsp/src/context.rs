@@ -6,6 +6,7 @@ use crate::control::SpillControl;
 use crate::frontier::OutStream;
 use psgl_graph::partition::HashPartitioner;
 use psgl_graph::VertexId;
+use std::time::Instant;
 
 /// Per-worker, per-superstep execution context handed to
 /// [`VertexProgram::compute`].
@@ -24,6 +25,10 @@ pub struct Context<'a, M> {
     pub(crate) cost: u64,
     pub(crate) messages_out: u64,
     pub(crate) local_delivered: u64,
+    /// Nanoseconds this worker spent inside the spill store: its sends'
+    /// spill writes and its inbox's re-admission reads. The store counts
+    /// them as stall, so the worker leaves them out of its elapsed time.
+    pub(crate) spill_nanos: u64,
 }
 
 impl<M> Context<'_, M> {
@@ -61,7 +66,8 @@ impl<M> Context<'_, M> {
         if dest == self.worker {
             self.local_delivered += 1;
         }
-        push_or_spill(self.pool, self.spill, &mut self.outbox[dest], to, msg);
+        let stream = &mut self.outbox[dest];
+        push_or_spill(self.pool, self.spill, stream, &mut self.spill_nanos, to, msg);
     }
 
     /// Adds `units` to this worker's cost for the current superstep
@@ -80,12 +86,13 @@ impl<M> Context<'_, M> {
 /// to the pool (freeing capacity for the whole run), and the send lands
 /// in a freshly acquired chunk. Write-side spill failures (ENOSPC, byte
 /// budget) fall back to the old grow-in-place path: slower and bigger,
-/// never wrong.
+/// never wrong. Time spent in the spill write is added to `spill_nanos`.
 #[inline]
 fn push_or_spill<M>(
     pool: &ChunkPool<M>,
     spill: Option<SpillControl<'_, M>>,
     stream: &mut OutStream<M>,
+    spill_nanos: &mut u64,
     to: VertexId,
     msg: M,
 ) {
@@ -101,7 +108,7 @@ fn push_or_spill<M>(
                 next.push((to, msg));
                 list.push(next);
             }
-            Err(PoolExhausted) => match sp.store.spill(sp.codec, list) {
+            Err(PoolExhausted) => match timed(spill_nanos, || sp.store.spill(sp.codec, list)) {
                 Ok(seg) => {
                     stream.spilled.push(seg);
                     for c in list.drain(..) {
@@ -128,6 +135,15 @@ fn push_or_spill<M>(
     }
 }
 
+/// Runs `f`, adding its wall time to `nanos`. Workers time their own spill
+/// writes and re-admission reads with it.
+pub(crate) fn timed<T>(nanos: &mut u64, f: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let out = f();
+    *nanos += start.elapsed().as_nanos() as u64;
+    out
+}
+
 /// A vertex-centric program in the Pregel style.
 ///
 /// The engine calls [`VertexProgram::compute`] on every vertex in
@@ -135,8 +151,11 @@ fn push_or_spill<M>(
 /// vertex with pending messages in later supersteps. The run halts when no
 /// messages are in flight.
 pub trait VertexProgram: Sync {
-    /// Message type exchanged between vertices.
-    type Message: Send;
+    /// Message type exchanged between vertices. `Copy`, because a worker
+    /// reads its inbox in place: it regroups an index of the messages, not
+    /// the messages, and copies each one straight from the chunk it was
+    /// delivered in into the batch of its vertex.
+    type Message: Copy + Send;
     /// Mutable per-worker state (e.g. local result buffers, the
     /// distribution strategy's local workload view).
     type WorkerState: Send;

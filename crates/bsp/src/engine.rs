@@ -2,10 +2,13 @@
 //!
 //! Messages travel in fixed-capacity chunks recycled through a
 //! [`ChunkPool`] (see [`crate::chunk`]): senders fill pooled chunks, the
-//! exchange moves them by pointer, and each receiver drains its inbox into
-//! a retained sort buffer, groups it by vertex and computes straight from
-//! that buffer. Steady-state supersteps therefore allocate nothing on the
-//! message path.
+//! exchange moves them by pointer, and each receiver reads its inbox in
+//! place. It sorts a retained 12-byte `(vertex, part, slot)` index of its
+//! messages, not the messages, and copies each vertex's messages from the
+//! chunks they were delivered in into that vertex's batch. Only spilled
+//! segments, and every chunk of a run under a live-chunk cap, are copied
+//! into a retained gather buffer first. Steady-state supersteps therefore
+//! allocate nothing on the message path.
 //!
 //! Scheduling is pluggable through the [`Executor`] seam (see
 //! [`crate::exec`]): [`run_controlled`] takes the production
@@ -21,7 +24,7 @@
 
 use crate::cancel::{CancelReason, CancelToken};
 use crate::chunk::{ChunkPool, DEFAULT_CHUNK_CAPACITY};
-use crate::context::{Context, VertexProgram};
+use crate::context::{timed, Context, VertexProgram};
 use crate::control::{
     BspResult, CancelledRun, ControlledResult, RunControl, RunOutcome, SpillControl,
 };
@@ -165,10 +168,17 @@ impl std::error::Error for BspError {}
 /// Per-worker scratch retained across supersteps so the hot loop reuses
 /// buffers instead of reallocating them.
 struct WorkerScratch<M> {
-    /// Gather buffer: inbox parts are drained here in delivery order and
-    /// stably sorted by destination vertex; `compute` reads each vertex's
-    /// run of messages straight out of it.
-    sort_buf: Vec<(VertexId, M)>,
+    /// The regroup index: one `(vertex, part, slot)` key per inbox
+    /// message, where `part` is the message's inbox part and `slot` its
+    /// position in that part's chunk, or in `gather`. Keys are unique, so
+    /// an unstable sort yields ascending vertices with delivery order kept
+    /// within each vertex.
+    index: Vec<(VertexId, u32, u32)>,
+    /// Messages that are not read where they were delivered: decoded
+    /// spill segments and, under a live-chunk cap, every resident chunk,
+    /// copied here so the chunk goes back to the pool before `compute`
+    /// sends.
+    gather: Vec<(VertexId, M)>,
     /// Per-vertex message batch handed to `compute`.
     batch: Vec<M>,
 }
@@ -190,15 +200,15 @@ enum End<M> {
 /// `partitioner`, until no messages remain in flight or `control` stops
 /// the run — the crate's one entry point.
 ///
-/// Each superstep is one task per worker on `executor`: drain the inbox
+/// Each superstep is one task per worker on `executor`: index the inbox
 /// (resident chunks and spilled segments, in delivery order), group it by
 /// vertex, and call `compute` once per vertex with all its messages. The
 /// engine is deterministic for deterministic programs: each inbox is
 /// assembled in source-worker order (see [`crate::frontier`]) and grouped
-/// with a stable sort. Semantics are identical for every executor that
-/// upholds the contract in [`crate::exec`]; only schedule-dependent
-/// observables (per-worker wall time, which sends met a capped pool) may
-/// differ.
+/// by vertex with delivery order kept within a vertex. Semantics are
+/// identical for every executor that upholds the contract in
+/// [`crate::exec`]; only schedule-dependent observables (per-worker wall
+/// time, which sends met a capped pool) may differ.
 ///
 /// The token is polled at every superstep barrier and every few message
 /// batches inside `compute`. A *hard* cancel (explicit request,
@@ -272,8 +282,9 @@ pub fn run_controlled<P: VertexProgram>(
     };
     // Owned vertex lists for superstep 0, one per local partition slot.
     let owned: Vec<Vec<VertexId>> = partitioner.owned_vertices(num_vertices, &locals);
-    let mut scratches: Vec<WorkerScratch<P::Message>> =
-        (0..l).map(|_| WorkerScratch { sort_buf: Vec::new(), batch: Vec::new() }).collect();
+    let mut scratches: Vec<WorkerScratch<P::Message>> = (0..l)
+        .map(|_| WorkerScratch { index: Vec::new(), gather: Vec::new(), batch: Vec::new() })
+        .collect();
     // Spill-store totals — stall nanos, spilled chunks, re-admitted
     // chunks, write failures — as of the last barrier, for per-superstep
     // deltas. The store may be shared across slices of one logical run,
@@ -355,7 +366,7 @@ pub fn run_controlled<P: VertexProgram>(
             Err(error) => break End::Failed(BspError::Spill { superstep, error }),
         };
         // A hard cancel may have aborted workers mid-superstep: the
-        // superstep's partial output and the undrained inbox parts are
+        // superstep's partial output and the unreleased inbox parts are
         // discarded.
         if let Some(reason) = hard_cancel_reason(cancel, checkpoint) {
             break End::Cancelled { reason, superstep, frontier: None };
@@ -475,7 +486,7 @@ pub fn run_controlled<P: VertexProgram>(
         }
         // Barrier eviction: the freshly exchanged frontier is the coldest
         // data in the engine — nothing touches it until the next
-        // superstep's workers drain it — so while the pool sits over its
+        // superstep's workers read it — so while the pool sits over its
         // live-chunk cap, encode runs of resident frontier chunks to disk
         // and release them. Re-admission happens in `run_worker`, in
         // delivery order, with zero pool acquisitions.
@@ -485,7 +496,7 @@ pub fn run_controlled<P: VertexProgram>(
         superstep += 1;
     };
     // The one way out. Whatever the loop left behind — part-filled
-    // outboxes and undrained inbox parts after a panic, a failed
+    // outboxes and unreleased inbox parts after a panic, a failed
     // re-admission or a hard cancel; a whole frontier nobody will deliver
     // after a limit, a budget error or an uncheckpointed stop — goes back
     // to the pool, and spilled segments lose their blobs, before anything
@@ -592,15 +603,25 @@ fn finalize_metrics<M>(
 
 /// Executes one worker for one superstep, filling the engine-owned
 /// `outbox` in place. Superstep 0 runs `compute` on every owned vertex;
-/// later supersteps drain `inbox` (resident chunks and spilled segments,
-/// in delivery order) into the retained sort buffer, stably sort it by
-/// destination vertex, and call `compute` once per vertex with its run of
-/// messages. Polls for a hard cancel every 32 `compute` calls.
+/// later supersteps index `inbox` (resident chunks and spilled segments,
+/// in delivery order) with one `(vertex, part, slot)` key per message,
+/// sort the keys, and call `compute` once per vertex with its messages,
+/// each copied into the batch from where it sits. Polls for a hard cancel
+/// every 32 `compute` calls.
 ///
-/// The inbox is consumed in place (entries become zero-capacity
-/// placeholders) and drained chunks go straight back to the pool, so a
-/// panic or a failed re-admission anywhere in here leaves every
-/// still-acquired chunk reachable for the engine's epilogue.
+/// Resident chunks are read in place and stay in `inbox` until the last
+/// `compute` call returns; only then do they go back to the pool. Spilled
+/// segments are decoded into the gather buffer (a taken part becomes a
+/// zero-capacity placeholder). Under a live-chunk cap every resident
+/// chunk is copied into the gather buffer too and released before
+/// `compute` runs: an inbox held under a cap starves the outbox, which
+/// then spills or grows in place. Either way a panic or a failed
+/// re-admission anywhere in here leaves every still-acquired chunk
+/// reachable for the engine's epilogue.
+///
+/// Time spent inside the spill store — the sends' spill writes and the
+/// inbox's re-admission reads — is the store's stall, reported per
+/// superstep as `spill_stall_nanos`, and is left out of `elapsed_nanos`.
 #[allow(clippy::too_many_arguments)]
 fn run_worker<P: VertexProgram>(
     program: &P,
@@ -618,7 +639,7 @@ fn run_worker<P: VertexProgram>(
     spill: Option<SpillControl<'_, P::Message>>,
 ) -> Result<WorkerSuperstepMetrics, SpillError> {
     let started = Instant::now();
-    let WorkerScratch { sort_buf, batch } = scratch;
+    let WorkerScratch { index, gather, batch } = scratch;
     let mut ctx = Context {
         superstep,
         worker,
@@ -629,6 +650,7 @@ fn run_worker<P: VertexProgram>(
         cost: 0,
         messages_out: 0,
         local_delivered: 0,
+        spill_nanos: 0,
     };
     let mut active_vertices = 0u64;
     let mut messages_in = 0u64;
@@ -642,34 +664,58 @@ fn run_worker<P: VertexProgram>(
             program.compute(&mut ctx, state, v, batch);
         }
     } else if !poll.should_abort() {
-        sort_buf.clear();
-        for part in inbox.iter_mut() {
-            match std::mem::take(part) {
-                InboxPart::Chunk(mut c) => {
-                    sort_buf.append(&mut c);
-                    pool.release(c);
+        let in_place = !pool.is_capped();
+        let total = inbox.iter().map(InboxPart::tuples).sum::<u64>();
+        assert!(
+            total <= u64::from(u32::MAX) && inbox.len() <= u32::MAX as usize,
+            "an inbox of {total} messages in {} parts overflows the regroup index",
+            inbox.len()
+        );
+        index.clear();
+        index.reserve(total as usize);
+        gather.clear();
+        for (p, part) in (0u32..).zip(inbox.iter_mut()) {
+            match part {
+                InboxPart::Chunk(c) if in_place => {
+                    index.extend(c.iter().zip(0..).map(|(&(v, _), slot)| (v, p, slot)));
                 }
-                InboxPart::Spilled(seg) => {
-                    let sp = spill.expect("spilled inbox part without a spill store");
-                    sp.store.readmit(sp.codec, seg, sort_buf)?;
+                _ => {
+                    let base = gather.len();
+                    match std::mem::take(part) {
+                        InboxPart::Chunk(mut c) => {
+                            gather.append(&mut c);
+                            pool.release(c);
+                        }
+                        InboxPart::Spilled(seg) => {
+                            let sp = spill.expect("spilled inbox part without a spill store");
+                            timed(&mut ctx.spill_nanos, || {
+                                sp.store.readmit(sp.codec, seg, gather)
+                            })?;
+                        }
+                    }
+                    let gathered = gather[base..].iter().zip(base as u32..);
+                    index.extend(gathered.map(|(&(v, _), slot)| (v, p, slot)));
                 }
             }
         }
-        inbox.clear();
-        sort_buf.sort_by_key(|(v, _)| *v);
-        messages_in = sort_buf.len() as u64;
-        let mut it = sort_buf.drain(..).peekable();
-        while let Some((v, first)) = it.next() {
+        index.sort_unstable();
+        messages_in = index.len() as u64;
+        for run in index.chunk_by(|a, b| a.0 == b.0) {
             if active_vertices & 31 == 31 && poll.should_abort() {
                 break;
             }
             batch.clear();
-            batch.push(first);
-            while it.peek().is_some_and(|(u, _)| *u == v) {
-                batch.push(it.next().expect("peeked").1);
-            }
+            batch.extend(run.iter().map(|&(_, p, slot)| match &inbox[p as usize] {
+                // A part still holding its chunk is read in place; a taken
+                // part's messages were gathered.
+                InboxPart::Chunk(c) if !c.is_empty() => c[slot as usize].1,
+                _ => gather[slot as usize].1,
+            }));
             active_vertices += 1;
-            program.compute(&mut ctx, state, v, batch);
+            program.compute(&mut ctx, state, run[0].0, batch);
+        }
+        for part in inbox.drain(..) {
+            part.release(pool, spill);
         }
     }
     let tuple_bytes = std::mem::size_of::<(VertexId, P::Message)>() as u64;
@@ -680,7 +726,7 @@ fn run_worker<P: VertexProgram>(
         local_delivered: ctx.local_delivered,
         bytes_exchanged: (ctx.messages_out - ctx.local_delivered) * tuple_bytes,
         cost: ctx.cost,
-        elapsed_nanos: started.elapsed().as_nanos() as u64,
+        elapsed_nanos: (started.elapsed().as_nanos() as u64).saturating_sub(ctx.spill_nanos),
     })
 }
 
@@ -1149,6 +1195,43 @@ mod tests {
         assert!(m.carried.pool_exhausted > 0, "the run still grew past the cap in place");
     }
 
+    struct ByteCodec;
+
+    impl SpillCodec<u8> for ByteCodec {
+        fn encode(&self, msg: &u8, out: &mut Vec<u8>) {
+            out.push(*msg);
+        }
+        fn decode(&self, r: &mut SpillReader<'_>) -> Result<u8, SpillError> {
+            r.u8("flood message")
+        }
+    }
+
+    /// Spill writes made inside a worker's sends — slowed here by an
+    /// injected sleep per chunk — are stall: counted once, in
+    /// `spill_stall_nanos`, and left out of the worker's `elapsed_nanos`.
+    #[test]
+    fn worker_time_excludes_spill_stall() {
+        let faults = SpillFaults { slow_write_per_chunk_us: 1_000, ..SpillFaults::default() };
+        let store = SpillStore::create(&SpillConfig { faults, ..SpillConfig::in_temp() }).unwrap();
+        let config =
+            BspConfig { chunk_capacity: 4, max_live_chunks: Some(4), ..Default::default() };
+        let control = RunControl {
+            spill: Some(SpillControl { store: &store, codec: &ByteCodec }),
+            ..RunControl::default()
+        };
+        let p = HashPartitioner::new(2);
+        let m = match controlled(40, &p, &Flood { fanout: 8, n: 40 }, &config, control) {
+            RunOutcome::Complete(r) => r.metrics,
+            RunOutcome::Cancelled(_) => panic!("nothing cancels this run"),
+        };
+        // Superstep 0's stall is its sends' spill writes alone: the
+        // barrier's eviction after it lands in superstep 1's.
+        let stall = m.spill_stall_per_superstep()[0];
+        let worker = m.compute_nanos_per_superstep()[0];
+        assert!(stall >= 10_000_000, "the sends must spill: {stall} ns of stall");
+        assert!(worker < stall / 2, "{worker} ns of worker time include the {stall} ns stall");
+    }
+
     #[test]
     fn checkpoint_resume_with_spill_matches_uninterrupted() {
         let edges: Vec<_> = (0..39u32).map(|v| (v, v + 1)).collect();
@@ -1208,7 +1291,16 @@ mod tests {
     struct Probe<'a> {
         n: usize,
         calls: Mutex<ProbeCalls>,
+        /// `(superstep, worker, vertex)` of every `compute` call, in the
+        /// order each worker made them.
+        order: Mutex<Vec<(u32, usize, VertexId)>>,
         trip: Trip<'a>,
+    }
+
+    impl<'a> Probe<'a> {
+        fn new(n: usize, trip: Trip<'a>) -> Self {
+            Probe { n, calls: Mutex::new(Default::default()), order: Mutex::new(Vec::new()), trip }
+        }
     }
 
     /// `(superstep, vertex)` → the batch of every `compute` call made for it.
@@ -1232,6 +1324,7 @@ mod tests {
         ) {
             let s = ctx.superstep();
             self.calls.lock().entry((s, v)).or_default().push(msgs.clone());
+            self.order.lock().push((s, ctx.worker(), v));
             if state.0 != s {
                 *state = (s, 0);
             }
@@ -1252,15 +1345,76 @@ mod tests {
         }
     }
 
+    /// How a row of the configuration table shapes each worker's inbox.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Shape {
+        /// Resident chunks of at most `chunk_capacity` tuples, read in place.
+        Resident,
+        /// A live-chunk cap without a spill tier: senders grow full chunks
+        /// in place, so messages sit at slots past `chunk_capacity`.
+        Capped,
+        /// The exchange assembles each inbox in a seeded source order.
+        Shuffled,
+        /// A tight cap with the spill tier: nearly every chunk goes to disk.
+        Spilled,
+        /// A looser cap with the spill tier: each source's stream arrives
+        /// as its spilled prefix then its resident chunks, so an inbox
+        /// holds spilled segments between resident chunks.
+        Mixed,
+    }
+
+    impl Shape {
+        const ALL: [Shape; 5] =
+            [Shape::Resident, Shape::Capped, Shape::Shuffled, Shape::Spilled, Shape::Mixed];
+
+        fn config(self, chunk_capacity: usize) -> BspConfig {
+            let max_live_chunks = match self {
+                Shape::Capped | Shape::Spilled => Some(4),
+                Shape::Mixed => Some(16),
+                Shape::Resident | Shape::Shuffled => None,
+            };
+            let exchange_shuffle_seed = (self == Shape::Shuffled).then_some(7);
+            BspConfig {
+                chunk_capacity,
+                max_live_chunks,
+                exchange_shuffle_seed,
+                ..Default::default()
+            }
+        }
+
+        fn spills(self) -> bool {
+            matches!(self, Shape::Spilled | Shape::Mixed)
+        }
+    }
+
+    /// A shuffled exchange reorders sources, never one source's sends:
+    /// every vertex still gets one call with the reference's messages, and
+    /// each source's messages keep their send order. Some batch must differ
+    /// from the canonical order, or the row tested nothing.
+    fn assert_shuffled_delivery(calls: &ProbeCalls, reference: &ProbeCalls, case: &str) {
+        assert_eq!(calls.len(), reference.len(), "{case}");
+        let mut reordered = 0;
+        for (key, batches) in calls {
+            assert_eq!(batches.len(), 1, "{case} {key:?}: one compute call");
+            let (batch, want) = (&batches[0], &reference[key][0]);
+            let mut sorted = batch.clone();
+            sorted.sort_unstable();
+            assert_eq!(&sorted, want, "{case} {key:?}: the same messages");
+            for source in 0..4 {
+                let sent: Vec<u32> = batch.iter().copied().filter(|m| m >> 24 == source).collect();
+                assert!(sent.windows(2).all(|w| w[0] < w[1]), "{case} {key:?}: source {source}");
+            }
+            reordered += usize::from(batch != want);
+        }
+        assert!(reordered > 0, "{case}: the shuffle never changed a batch");
+    }
+
     #[test]
     fn one_compute_call_per_vertex_across_chunking_executors_and_spill() {
         const N: usize = 64;
         let (n, p) = (N, HashPartitioner::new(4));
-        fn probe(trip: Trip<'_>) -> Probe<'_> {
-            Probe { n: N, calls: Mutex::new(Default::default()), trip }
-        }
         let reference = {
-            let prog = probe(Trip::Nothing);
+            let prog = Probe::new(N, Trip::Nothing);
             run(n, &p, &prog, &BspConfig::default()).unwrap();
             prog.calls.into_inner()
         };
@@ -1276,39 +1430,55 @@ mod tests {
             [("threads", &ThreadExecutor), ("serial", &SerialExecutor)];
         for chunk_capacity in [1, 3, DEFAULT_CHUNK_CAPACITY] {
             for (exec_name, executor) in executors {
-                for spilling in [false, true] {
-                    let case = format!("capacity {chunk_capacity}, {exec_name}, spill {spilling}");
-                    let config = BspConfig {
-                        chunk_capacity,
-                        max_live_chunks: spilling.then_some(4),
-                        ..Default::default()
-                    };
+                for shape in Shape::ALL {
+                    let case = format!("capacity {chunk_capacity}, {exec_name}, {shape:?}");
+                    let config = shape.config(chunk_capacity);
                     let store = SpillStore::create(&SpillConfig::in_temp()).unwrap();
                     let control = |cancel| RunControl {
                         cancel,
-                        spill: spilling
+                        spill: shape
+                            .spills()
                             .then_some(SpillControl { store: &store, codec: &VertexIdCodec }),
                         ..RunControl::default()
                     };
 
-                    let prog = probe(Trip::Nothing);
+                    let prog = Probe::new(N, Trip::Nothing);
                     match run_controlled(n, &p, &prog, &config, executor, control(None)).unwrap() {
                         RunOutcome::Complete(r) => {
+                            let carried = &r.metrics.carried;
                             assert_eq!(r.metrics.chunks_outstanding, 0, "{case}");
-                            if spilling && chunk_capacity <= 3 {
-                                assert!(
-                                    r.metrics.carried.spill_chunks > 0,
-                                    "{case}: cap never bit"
-                                );
+                            if chunk_capacity <= 3 {
+                                if shape == Shape::Capped {
+                                    assert!(carried.pool_exhausted > 0, "{case}: nothing grew");
+                                }
+                                if shape.spills() {
+                                    assert!(carried.spill_chunks > 0, "{case}: cap never bit");
+                                }
                             }
                         }
                         RunOutcome::Cancelled(_) => panic!("{case}: nothing cancels this run"),
                     }
-                    assert_eq!(prog.calls.into_inner(), reference, "{case}");
+                    // Within each (superstep, worker), `compute` sees its
+                    // vertices strictly ascending.
+                    let mut per_worker = std::collections::BTreeMap::<_, Vec<VertexId>>::new();
+                    for (s, w, v) in prog.order.into_inner() {
+                        per_worker.entry((s, w)).or_default().push(v);
+                    }
+                    for ((s, w), vertices) in &per_worker {
+                        let ascending = vertices.windows(2).all(|x| x[0] < x[1]);
+                        assert!(ascending, "{case}: superstep {s}, worker {w}: {vertices:?}");
+                    }
+                    let calls = prog.calls.into_inner();
+                    if shape == Shape::Shuffled {
+                        assert_shuffled_delivery(&calls, &reference, &case);
+                    } else {
+                        assert_eq!(calls, reference, "{case}");
+                    }
 
-                    // A panic with inboxes drained and outboxes part-filled
-                    // (debug builds assert the pool balance on this path).
-                    let prog = probe(Trip::Panic);
+                    // A panic with inboxes still held and outboxes
+                    // part-filled (debug builds assert the pool balance on
+                    // this path).
+                    let prog = Probe::new(N, Trip::Panic);
                     match run_controlled(n, &p, &prog, &config, executor, control(None)) {
                         Err(BspError::WorkerPanicked { superstep: 1, worker }) => {
                             assert_eq!(worker, p.owner(41), "{case}");
@@ -1319,7 +1489,7 @@ mod tests {
                     assert_eq!(store.live_bytes(), 0, "{case}: blobs outlived the panic");
 
                     let token = CancelToken::new();
-                    let prog = probe(Trip::Cancel(&token));
+                    let prog = Probe::new(N, Trip::Cancel(&token));
                     match run_controlled(n, &p, &prog, &config, executor, control(Some(&token)))
                         .unwrap()
                     {
@@ -1333,6 +1503,76 @@ mod tests {
                     assert_eq!(store.live_bytes(), 0, "{case}: blobs outlived the cancel");
                 }
             }
+        }
+    }
+
+    /// A hand-built inbox with spilled segments between resident chunks,
+    /// one of them grown past the chunk capacity, through `run_worker`
+    /// over an uncapped pool (chunks read in place, segments gathered) and
+    /// a capped one (everything gathered): ascending vertices, delivery
+    /// order within each, and every chunk and blob returned by the end.
+    #[test]
+    fn a_mixed_inbox_is_read_in_delivery_order() {
+        // Message `m` is the m-th tuple delivered.
+        let parts: [&[(VertexId, u32)]; 4] = [
+            &[(5, 0), (2, 1), (5, 2)],
+            &[(2, 3), (9, 4)],
+            &[(9, 5), (5, 6), (0, 7), (2, 8)],
+            &[(0, 9), (5, 10)],
+        ];
+        let want = [(0, vec![7, 9]), (2, vec![1, 3, 8]), (5, vec![0, 2, 6, 10]), (9, vec![4, 5])];
+        let store = SpillStore::create(&SpillConfig::in_temp()).unwrap();
+        let spill = SpillControl { store: &store, codec: &VertexIdCodec };
+        for max_live in [None, Some(4)] {
+            let pool = ChunkPool::with_limit(2, max_live);
+            let mut inbox: Vec<InboxPart<u32>> = (parts.iter().enumerate())
+                .map(|(i, tuples)| {
+                    let mut chunk = pool.acquire();
+                    chunk.extend_from_slice(tuples);
+                    if i % 2 == 0 {
+                        return InboxPart::Chunk(chunk);
+                    }
+                    let seg = store.spill(&VertexIdCodec, std::slice::from_ref(&chunk)).unwrap();
+                    pool.release(chunk);
+                    InboxPart::Spilled(seg)
+                })
+                .collect();
+            // Superstep 3: the probe records its calls and sends nothing.
+            let prog = Probe::new(16, Trip::Nothing);
+            let mut scratch =
+                WorkerScratch { index: Vec::new(), gather: Vec::new(), batch: Vec::new() };
+            let mut outbox: WorkerOutbox<u32> = vec![OutStream::default()];
+            let poll = CancelPoll { token: None, hard_deadline: false };
+            let p = HashPartitioner::new(1);
+            let m = run_worker(
+                &prog,
+                &mut (0, 0),
+                0,
+                3,
+                &p,
+                &[],
+                &pool,
+                &mut inbox,
+                &mut scratch,
+                &mut outbox,
+                poll,
+                Some(spill),
+            )
+            .unwrap();
+            assert_eq!((m.messages_in, m.active_vertices), (11, 4), "cap {max_live:?}");
+            let order: Vec<_> = prog.order.into_inner().into_iter().map(|(_, _, v)| v).collect();
+            assert_eq!(order, [0, 2, 5, 9], "cap {max_live:?}: ascending vertices");
+            let calls = prog.calls.into_inner();
+            for (v, batch) in &want {
+                assert_eq!(
+                    calls[&(3, *v)],
+                    std::slice::from_ref(batch),
+                    "cap {max_live:?}: vertex {v}"
+                );
+            }
+            assert!(inbox.is_empty(), "cap {max_live:?}: the inbox is consumed");
+            assert_eq!(pool.outstanding(), 0, "cap {max_live:?}: every chunk went back");
+            assert_eq!(store.live_bytes(), 0, "cap {max_live:?}: every segment was read");
         }
     }
 
@@ -1631,7 +1871,7 @@ mod tests {
                         (Fire::Panic, _) => Trip::Panic,
                         (Fire::Cancel, token) => Trip::Cancel(token.as_ref().expect("row token")),
                     };
-                    let prog = Probe { n, calls: Mutex::new(Default::default()), trip };
+                    let prog = Probe::new(n, trip);
                     let metrics = match (
                         run_controlled(n, &p, &prog, &config, executor, control),
                         row.want,

@@ -2,7 +2,7 @@
 //! order.
 //!
 //! [`run_controlled`](crate::engine::run_controlled) packages each superstep as one
-//! [`WorkerTask`] per worker — a single closure that drains the worker's
+//! [`WorkerTask`] per worker — a single closure that reads the worker's
 //! inbox, groups it by vertex and runs the vertex program over every batch
 //! — and hands the set to an [`Executor`]. Production uses
 //! [`ThreadExecutor`] (one scoped OS thread per worker, or the calling
@@ -32,7 +32,7 @@ pub type TaskFn<'a> = Box<dyn FnOnce() + Send + 'a>;
 pub struct WorkerTask<'a> {
     /// Worker id (index into the engine's worker arrays).
     pub worker: usize,
-    /// Drains the inbox and runs the vertex program over it.
+    /// Regroups the inbox and runs the vertex program over it.
     pub run: TaskFn<'a>,
 }
 

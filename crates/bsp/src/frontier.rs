@@ -58,9 +58,10 @@ fn discard_segment<M>(seg: SpillSegment, spill: Option<SpillControl<'_, M>>) {
 
 /// One slot of a destination inbox: a resident pool chunk, or a spilled
 /// segment standing in for the chunks it displaced. Parts appear in
-/// delivery order; re-admission decodes a segment exactly where its
-/// chunks would have been drained, so results are bit-identical to a
-/// run that never spilled.
+/// delivery order, and a worker's regroup index orders messages by their
+/// part's position, so a segment's tuples are delivered exactly where its
+/// chunks' would have been: results are bit-identical to a run that never
+/// spilled.
 pub(crate) enum InboxPart<M> {
     /// A resident pooled chunk (zero-capacity = consumed placeholder).
     Chunk(Chunk<M>),
@@ -71,6 +72,25 @@ pub(crate) enum InboxPart<M> {
 impl<M> Default for InboxPart<M> {
     fn default() -> Self {
         InboxPart::Chunk(Chunk::default())
+    }
+}
+
+impl<M> InboxPart<M> {
+    /// Tuples this part delivers.
+    pub(crate) fn tuples(&self) -> u64 {
+        match self {
+            InboxPart::Chunk(c) => c.len() as u64,
+            InboxPart::Spilled(s) => s.tuples,
+        }
+    }
+
+    /// Returns a chunk to the pool (a placeholder is ignored there) or
+    /// deletes a segment's blob.
+    pub(crate) fn release(self, pool: &ChunkPool<M>, spill: Option<SpillControl<'_, M>>) {
+        match self {
+            InboxPart::Chunk(c) => pool.release(c),
+            InboxPart::Spilled(seg) => discard_segment(seg, spill),
+        }
     }
 }
 
@@ -93,8 +113,9 @@ impl<M> Frontier<M> {
     }
 
     /// Re-chunks a flattened frontier (a resume point's) in delivery
-    /// order. Each worker flattens and stably re-sorts its inbox anyway,
-    /// so chunk boundaries need not match the original run's.
+    /// order. Each worker regroups its inbox by vertex and delivery
+    /// position, never by chunk, so chunk boundaries need not match the
+    /// original run's.
     pub(crate) fn from_tuples(pool: &ChunkPool<M>, boxes: Vec<Vec<(VertexId, M)>>) -> Self {
         Self::from_resident(
             boxes
@@ -132,11 +153,7 @@ impl<M> Frontier<M> {
 
     /// Tuples the frontier will deliver.
     pub(crate) fn in_flight(&self) -> u64 {
-        let tuples = |part: &InboxPart<M>| match part {
-            InboxPart::Chunk(c) => c.len() as u64,
-            InboxPart::Spilled(s) => s.tuples,
-        };
-        self.inboxes.iter().flatten().map(tuples).sum()
+        self.inboxes.iter().flatten().map(InboxPart::tuples).sum()
     }
 
     /// Empties the frontier into per-destination tuple runs (delivery
@@ -242,10 +259,7 @@ impl<M> Frontier<M> {
     /// zero-capacity placeholders, which the pool ignores.
     pub(crate) fn release(&mut self, pool: &ChunkPool<M>, spill: Option<SpillControl<'_, M>>) {
         for part in self.inboxes.iter_mut().flat_map(|inbox| inbox.drain(..)) {
-            match part {
-                InboxPart::Chunk(c) => pool.release(c),
-                InboxPart::Spilled(seg) => discard_segment(seg, spill),
-            }
+            part.release(pool, spill);
         }
     }
 }

@@ -23,7 +23,8 @@ psgl_obs::counters! {
             (locally-delivered messages excluded).",
         cost: "User-reported cost units (PSgL: Equation 2's `load(Gpsi)` sums).",
         elapsed_nanos: "Wall-clock nanoseconds the worker spent regrouping its inbox and \
-            computing.",
+            computing, less its time inside the spill store (its sends' spill writes and its \
+            inbox's re-admission reads), which `SuperstepMetrics::spill_stall_nanos` counts.",
     }
 }
 
@@ -53,8 +54,10 @@ pub struct SuperstepMetrics {
     /// Network counters for this superstep's exchange (all zero in
     /// process-local runs).
     pub net: NetSuperstepMetrics,
-    /// Nanoseconds the spill tier stalled this superstep (eviction writes
-    /// plus boundary re-admission reads); 0 without a spill tier.
+    /// Nanoseconds the spill tier stalled this superstep (the workers'
+    /// spill writes and re-admission reads, plus the previous barrier's
+    /// eviction writes); 0 without a spill tier. The only place that time
+    /// is counted: worker `elapsed_nanos` leaves it out.
     pub spill_stall_nanos: u64,
 }
 

@@ -6,7 +6,7 @@
 //! framed blobs (`"PSGLSPL1" | payload | FxHash checksum`, the same
 //! discipline as the checkpoint shards) inside a per-run temp directory,
 //! their pool chunks are released for reuse, and the spilled tuples are
-//! re-admitted — decoded straight into the receiving worker's sort buffer,
+//! re-admitted — decoded straight into the receiving worker's gather buffer,
 //! acquiring no pool chunk — at the next superstep boundary. Delivery
 //! order is preserved exactly (a segment always holds a *prefix* of its
 //! destination's per-source stream), so spilling never changes results.
@@ -364,7 +364,7 @@ impl SpillStore {
 
     /// Reads `seg` back, verifies the frame, decodes every tuple into
     /// `out` (preserving order), and deletes the blob. Acquires no pool
-    /// chunk — re-admission lands in the worker's sort buffer.
+    /// chunk — re-admission lands in the worker's gather buffer.
     pub fn readmit<M>(
         &self,
         codec: &dyn SpillCodec<M>,

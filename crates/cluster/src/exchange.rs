@@ -20,8 +20,8 @@
 //! pool chunks — so a crashing peer can never strand pooled chunks on
 //! the receive side. They are re-chunked with
 //! [`psgl_bsp::push_chunked`] during assembly; chunk boundaries are
-//! irrelevant to determinism because unit regrouping flattens and
-//! stably re-sorts every inbox anyway.
+//! irrelevant to determinism because a worker regroups its inbox by
+//! vertex and delivery position, never by chunk.
 //!
 //! ## Barrier
 //!
