@@ -65,7 +65,7 @@ static GLOBAL: PeakAlloc = PeakAlloc;
 /// test's allocations.
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
-/// A message as large as a `Gpsi`: a `(VertexId, Msg)` tuple is 96 bytes.
+/// A message larger than a `Gpsi`: a `(VertexId, Msg)` tuple is 96 bytes.
 type Msg = [u64; 11];
 
 /// Superstep 0: every vertex sends one message. Superstep 1: every

@@ -295,7 +295,7 @@ mod tests {
         mapping[0] = seed;
         mapping[1] = seed.wrapping_mul(7) ^ 3;
         mapping[2] = seed.wrapping_add(100);
-        Gpsi::from_raw_parts(mapping, 0b011, 0b111, (seed as u128) << 32 | 0b101, 2)
+        Gpsi::from_raw_parts(mapping, 0b011, 0b111, 2)
     }
 
     #[test]

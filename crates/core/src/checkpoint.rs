@@ -17,7 +17,7 @@
 //! so corruption fails loudly, never silently.
 //!
 //! ```text
-//! magic "PSGLCKP2" | payload | checksum: u64 (FxHash of the payload)
+//! magic "PSGLCKP3" | payload | checksum: u64 (FxHash of the payload)
 //! ```
 
 use crate::distribute::{DistributorSnapshot, Strategy};
@@ -32,8 +32,8 @@ use psgl_graph::hash::FxHasher;
 use psgl_graph::VertexId;
 use std::hash::Hasher;
 
-const MAGIC: &[u8; 8] = b"PSGLCKP2";
-const SHARD_MAGIC: &[u8; 8] = b"PSGLSHD1";
+const MAGIC: &[u8; 8] = b"PSGLCKP3";
+const SHARD_MAGIC: &[u8; 8] = b"PSGLSHD2";
 
 /// A checkpoint failed to decode or does not match the run it is being
 /// resumed against.
@@ -214,7 +214,7 @@ impl Checkpoint {
     /// Deserializes the binary format; rejects corruption (checksum),
     /// truncation, and structurally invalid payloads.
     pub fn from_bytes(data: &[u8]) -> Result<Checkpoint, CheckpointError> {
-        let payload = unseal(MAGIC, "PSGLCKP2 checkpoint", data)?;
+        let payload = unseal(MAGIC, "PSGLCKP3 checkpoint", data)?;
         let mut r = Reader { data: payload };
         let guard = read_guard(&mut r)?;
         let workers = guard.workers;
@@ -264,7 +264,7 @@ impl Checkpoint {
 /// Same binary discipline as [`Checkpoint`]:
 ///
 /// ```text
-/// magic "PSGLSHD1" | payload | checksum: u64 (FxHash of the payload)
+/// magic "PSGLSHD2" | payload | checksum: u64 (FxHash of the payload)
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct CheckpointShard {
@@ -295,7 +295,7 @@ impl CheckpointShard {
     /// Deserializes the binary format; rejects corruption, truncation, and
     /// structurally invalid payloads.
     pub fn from_bytes(data: &[u8]) -> Result<CheckpointShard, CheckpointError> {
-        let payload = unseal(SHARD_MAGIC, "PSGLSHD1 checkpoint shard", data)?;
+        let payload = unseal(SHARD_MAGIC, "PSGLSHD2 checkpoint shard", data)?;
         let mut r = Reader { data: payload };
         let guard = read_guard(&mut r)?;
         let partition = r.u32()?;
@@ -627,8 +627,8 @@ mod tests {
         let mut cp = sample();
         cp.workers[0].stats = ExpandStats::from_array(std::array::from_fn(|i| 101 + i as u64));
         let bytes = cp.to_bytes();
-        assert_eq!(&bytes[..8], b"PSGLCKP2");
-        assert_eq!((bytes.len(), checksum_word(&bytes)), (913, 0x149E2D155993FA7A));
+        assert_eq!(&bytes[..8], b"PSGLCKP3");
+        assert_eq!((bytes.len(), checksum_word(&bytes)), (881, 0xCC4A1500BAE74B70));
 
         let shard = CheckpointShard {
             guard: cp.guard,
@@ -638,8 +638,8 @@ mod tests {
             frontier: cp.frontier[0].clone(),
         };
         let bytes = shard.to_bytes();
-        assert_eq!(&bytes[..8], b"PSGLSHD1");
-        assert_eq!((bytes.len(), checksum_word(&bytes)), (468, 0x63C831CCF81CC2C8));
+        assert_eq!(&bytes[..8], b"PSGLSHD2");
+        assert_eq!((bytes.len(), checksum_word(&bytes)), (436, 0xC9CF1609DD7B41B2));
     }
 
     #[test]
@@ -703,7 +703,7 @@ mod tests {
         // holds and the Gpsi field is the only thing wrong with it.
         let mut mapping = [crate::gpsi::UNMAPPED; MAX_GPSI_VERTICES];
         mapping[0] = 7;
-        let bad = Gpsi::from_raw_parts(mapping, 0b10, 0b01, 0, 0);
+        let bad = Gpsi::from_raw_parts(mapping, 0b10, 0b01, 0);
         let why = "gpsi black set exceeds mapped set";
 
         let mut cp = sample();

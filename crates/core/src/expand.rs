@@ -6,18 +6,20 @@
 //! 1. `v_p` turns BLACK; every pattern edge incident to `v_p` is now
 //!    verified *exactly* against `N(v_d)` — GRAY neighbors by membership
 //!    test (Algorithm 2), WHITE neighbors by drawing their candidates from
-//!    `N(v_d)` (Algorithm 5).
+//!    `N(v_d)` (Algorithm 5). Nothing records this beyond the BLACK bit: an
+//!    edge with a BLACK end is verified (see [`crate::gpsi`]).
 //! 2. Candidates for each WHITE neighbor are pruned by degree, by the
 //!    partial order from automorphism breaking, by injectivity, and — via
 //!    the light-weight edge index — by connectivity to the other GRAY
 //!    neighbors (pruning rules of Section 5.2.3).
 //! 3. New Gpsis are the valid combinations of candidates. Edges checked
-//!    only through the (inexact) index stay *unverified*; a later
-//!    verification-only expansion of an endpoint re-checks them exactly, so
-//!    bloom false positives can never produce a wrong result.
-//! 4. Complete Gpsis (all vertices mapped, all edges verified) are emitted;
-//!    the rest are handed to the distribution strategy, which picks the
-//!    next expanding vertex and thereby the destination worker.
+//!    only through the (inexact) index join two GRAY vertices and so stay
+//!    *unverified*; a later verification-only expansion of an endpoint
+//!    re-checks them exactly, so bloom false positives can never produce a
+//!    wrong result.
+//! 4. Complete Gpsis (all vertices mapped, every edge with a BLACK end)
+//!    are emitted; the rest are handed to the distribution strategy, which
+//!    picks the next expanding vertex and thereby the destination worker.
 //!
 //! ## Hot-path discipline
 //!
@@ -35,7 +37,7 @@ use crate::distribute::{Distributor, GrayCandidate};
 use crate::gpsi::Gpsi;
 use crate::shared::PsglShared;
 use crate::stats::ExpandStats;
-use psgl_graph::algo::gallop_lower_bound;
+use psgl_graph::algo::sorted_contains_all;
 use psgl_graph::partition::HashPartitioner;
 use psgl_graph::VertexId;
 use psgl_pattern::PatternVertex;
@@ -63,8 +65,6 @@ pub(crate) struct WhiteMeta {
     pub(crate) conn_start: usize,
     /// End of the connectivity-target slice.
     pub(crate) conn_end: usize,
-    /// Pattern edge id of `(v_p, wv)` — exact by construction.
-    pub(crate) edge_vp: u8,
     /// Bit `i` set iff the partial order requires this slot's candidate to
     /// rank *below* earlier WHITE slot `i`'s (new-vs-new rule 1b, hoisted
     /// out of the odometer's inner pair loop).
@@ -82,9 +82,9 @@ pub(crate) struct WhiteMeta {
 /// steady-state expansion performs zero heap allocations.
 #[derive(Default)]
 pub struct ExpandScratch {
-    /// `(mapped data vertex, pattern edge id)` pairs awaiting GRAY
-    /// verification, sorted by data vertex for the subset check.
-    pub(crate) gray_edges: Vec<(VertexId, u8)>,
+    /// Data vertices of `v_p`'s GRAY pattern neighbors, awaiting the
+    /// exact edge check, sorted for the subset check.
+    pub(crate) gray_edges: Vec<VertexId>,
     /// Per-WHITE-vertex hoisted facts.
     pub(crate) white_meta: Vec<WhiteMeta>,
     /// Connectivity-target arena sliced by `WhiteMeta::conn_*`.
@@ -175,34 +175,28 @@ pub fn expand_gpsi(
     scratch.white_meta.clear();
 
     // --- Algorithm 2: process v_p's pattern neighbors -------------------
+    // An edge to a BLACK neighbor was verified when that neighbor expanded.
     for v2 in p.neighbors(vp) {
-        if gpsi.is_black(v2) {
-            // Edge verified when v2 was expanded (BLACK invariant).
-            debug_assert!(gpsi.is_verified(shared.edge_ids.get(vp, v2).unwrap()));
-        } else if gpsi.is_mapped(v2) {
-            // GRAY: queue for the batched exact membership test; the edge
-            // id is looked up once here and reused on success.
-            scratch.gray_edges.push((gpsi.map(v2).unwrap(), shared.edge_ids.get(vp, v2).unwrap()));
-        } else {
+        if !gpsi.is_mapped(v2) {
             scratch.white_meta.push(WhiteMeta { wv: v2, ..WhiteMeta::default() });
+        } else if !gpsi.is_black(v2) {
+            // GRAY: queue for the batched exact membership test.
+            scratch.gray_edges.push(gpsi.map(v2).unwrap());
         }
     }
     if !scratch.gray_edges.is_empty() {
         // One galloping subset sweep over the sorted adjacency replaces a
         // binary search per GRAY edge. Mapped data vertices are distinct
         // (injectivity), so the sorted targets are duplicate-free as
-        // `sorted_contains_all` requires.
+        // `sorted_contains_all` requires. Passing verifies the edges: v_p
+        // is already BLACK.
         if scratch.gray_edges.len() > 1 {
-            scratch.gray_edges.sort_unstable_by_key(|&(vd2, _)| vd2);
+            scratch.gray_edges.sort_unstable();
         }
-        let sorted_ok = sorted_contains_all_keys(neighbors_vd, &scratch.gray_edges);
-        if !sorted_ok {
+        if !adjacency_contains_all(neighbors_vd, &scratch.gray_edges) {
             stats.died_gray_check += 1;
             stats.cost += cost;
             return;
-        }
-        for i in 0..scratch.gray_edges.len() {
-            gpsi.set_verified(scratch.gray_edges[i].1);
         }
     }
 
@@ -427,8 +421,8 @@ pub fn expand_gpsi(
 /// Algorithm 5's per-WHITE-slot preparation, shared by the generic
 /// odometer and the closing kernels: hoists every fact the candidate scan
 /// and the odometer need (degree threshold, partial-order rank window,
-/// connectivity targets, edge id, new-vs-new pair masks) so their inner
-/// loops touch no pattern-side structure. `white_meta` holds the WHITE
+/// connectivity targets, new-vs-new pair masks) so their inner loops
+/// touch no pattern-side structure. `white_meta` holds the WHITE
 /// neighbors of `vp` with only `wv` set; `conn_data` must be empty.
 pub(crate) fn prepare_white_slots(
     shared: &PsglShared<'_>,
@@ -444,7 +438,6 @@ pub(crate) fn prepare_white_slots(
         meta.min_degree = p.degree(wv);
         meta.lo_rank = 0;
         meta.hi_rank = u32::MAX;
-        meta.edge_vp = shared.edge_ids.get(vp, wv).unwrap();
         // Pruning rule 1b against every mapped vertex collapses to a rank
         // window: `requires_less(wv, up)` demands rank(cd) < rank(ud) and
         // `requires_less(up, wv)` demands rank(cd) > rank(ud); ranks are a
@@ -494,32 +487,17 @@ pub(crate) fn prepare_white_slots(
     }
 }
 
-/// `sorted_contains_all` over the first tuple element: true iff every
-/// `(key, _)` in `needles` (sorted, duplicate-free) appears in `haystack`.
-fn sorted_contains_all_keys(haystack: &[VertexId], needles: &[(VertexId, u8)]) -> bool {
+/// [`sorted_contains_all`] with a short-list path: true iff every element
+/// of `needles` (sorted, duplicate-free) appears in `haystack`.
+fn adjacency_contains_all(haystack: &[VertexId], needles: &[VertexId]) -> bool {
     match needles.len() {
-        0 => true,
-        1 => {
-            let i = gallop_lower_bound(haystack, needles[0].0);
-            i < haystack.len() && haystack[i] == needles[0].0
-        }
         // Short adjacency lists (the common case on small fixtures): a
         // sequential two-pointer merge beats galloping's setup cost.
-        _ if haystack.len() <= 64 => {
+        2.. if haystack.len() <= 64 => {
             let mut rest = haystack.iter();
-            needles.iter().all(|&(key, _)| rest.any(|&h| h == key))
+            needles.iter().all(|&key| rest.any(|&h| h == key))
         }
-        _ => {
-            let mut rest = haystack;
-            needles.iter().all(|&(key, _)| {
-                let i = gallop_lower_bound(rest, key);
-                let hit = i < rest.len() && rest[i] == key;
-                if hit {
-                    rest = &rest[i + 1..];
-                }
-                hit
-            })
-        }
+        _ => sorted_contains_all(haystack, needles),
     }
 }
 
@@ -541,14 +519,13 @@ fn finalize_combination(
     let p = &shared.pattern;
     let np = p.num_vertices();
     let mut g = *base;
+    // The edge (v_p, wv) is exact: the candidate came from N(v_d), and v_p
+    // is BLACK.
     for (meta, &cd) in white_meta.iter().zip(chosen) {
         g.assign(meta.wv, cd);
-        // The edge (v_p, wv) is exact: the candidate came from N(v_d); its
-        // id was hoisted when the WHITE slot was prepared.
-        g.set_verified(meta.edge_vp);
     }
     stats.generated += 1;
-    if g.is_complete(p, shared.edge_ids.all_mask()) {
+    if g.is_complete(p) {
         stats.results += 1;
         emit(&g);
         return;
@@ -565,7 +542,7 @@ fn finalize_combination(
             if !g.is_mapped(nv) {
                 white_neighbors += 1;
                 useful = true;
-            } else if !g.is_verified(shared.edge_ids.get(gv, nv).unwrap()) {
+            } else if !g.is_edge_verified(gv, nv) {
                 useful = true;
             }
         }

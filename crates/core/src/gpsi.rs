@@ -1,13 +1,22 @@
 //! Partial subgraph instances (`Gpsi`, Section 3).
 //!
 //! A `Gpsi` records the current mapping between pattern vertices and data
-//! vertices, the expansion progress (which pattern vertices are BLACK /
-//! GRAY / WHITE — Section 4.3) and which pattern edges have been verified
-//! *exactly* against the data graph. It is the unit of work and the unit of
+//! vertices and the expansion progress (which pattern vertices are BLACK /
+//! GRAY / WHITE — Section 4.3). It is the unit of work and the unit of
 //! communication of the whole framework, so it is a fixed-size `Copy` type:
 //! millions of Gpsis flow through the engine per run and per-message heap
 //! allocations would dominate the runtime (see the perf-book guidance on
 //! allocation-free hot paths).
+//!
+//! Which pattern edges have been verified *exactly* against the data graph
+//! is derived, not stored: **an edge is verified iff one of its endpoints
+//! is BLACK.** Expanding a vertex checks every pattern edge incident to it
+//! against its adjacency list (Algorithms 2 and 5) or kills the Gpsi, and
+//! an edge checked only through the bloom index joins two GRAY vertices.
+//! A Gpsi is therefore complete when every vertex is mapped and no pattern
+//! edge joins two non-BLACK vertices. The compiled kernels check every
+//! remaining edge exactly before they emit, so an instance they emit is
+//! complete by construction; harvest reads only its mapping.
 
 use psgl_graph::VertexId;
 use psgl_pattern::{Pattern, PatternVertex};
@@ -33,9 +42,6 @@ pub struct Gpsi {
     black: u16,
     /// Bit `vp` set iff `vp` is mapped (BLACK or GRAY).
     mapped: u16,
-    /// Bit `e` set iff pattern edge id `e` has been verified exactly
-    /// against the data graph (up to 66 edges for 12 vertices).
-    verified: u128,
     /// The GRAY vertex chosen by the distribution strategy as the next one
     /// to expand.
     expanding: PatternVertex,
@@ -48,7 +54,7 @@ impl Gpsi {
         debug_assert!((init_vertex as usize) < MAX_GPSI_VERTICES);
         let mut mapping = [UNMAPPED; MAX_GPSI_VERTICES];
         mapping[init_vertex as usize] = vd;
-        Gpsi { mapping, black: 0, mapped: 1 << init_vertex, verified: 0, expanding: init_vertex }
+        Gpsi { mapping, black: 0, mapped: 1 << init_vertex, expanding: init_vertex }
     }
 
     /// Data vertex mapped to `vp`, or `None` if `vp` is WHITE.
@@ -130,32 +136,31 @@ impl Gpsi {
         self.mapping[..n].contains(&vd)
     }
 
-    /// Marks pattern edge `edge_id` as exactly verified.
+    /// Whether the pattern edge `{a, b}` has been verified exactly: one of
+    /// its endpoints is BLACK (see the module doc).
     #[inline]
-    pub fn set_verified(&mut self, edge_id: u8) {
-        self.verified |= 1u128 << edge_id;
-    }
-
-    /// Marks every pattern edge in `mask` as exactly verified at once —
-    /// compiled kernels verify all remaining edges against real adjacency
-    /// before emitting, so the whole mask flips in one store.
-    #[inline]
-    pub fn set_all_verified(&mut self, mask: u128) {
-        self.verified |= mask;
-    }
-
-    /// Whether pattern edge `edge_id` is verified.
-    #[inline]
-    pub fn is_verified(&self, edge_id: u8) -> bool {
-        (self.verified >> edge_id) & 1 == 1
+    pub fn is_edge_verified(&self, a: PatternVertex, b: PatternVertex) -> bool {
+        ((self.black >> a) | (self.black >> b)) & 1 == 1
     }
 
     /// A Gpsi is a *subgraph instance* (complete) when every pattern vertex
-    /// is mapped and every pattern edge verified.
+    /// is mapped and every pattern edge verified, i.e. no pattern edge
+    /// joins two non-BLACK vertices.
     #[inline]
-    pub fn is_complete(&self, p: &Pattern, all_edges_mask: u128) -> bool {
+    pub fn is_complete(&self, p: &Pattern) -> bool {
         let all_vertices = (1u16 << p.num_vertices()) - 1;
-        self.mapped == all_vertices && self.verified & all_edges_mask == all_edges_mask
+        if self.mapped != all_vertices {
+            return false;
+        }
+        let open = u32::from(all_vertices & !self.black);
+        let mut rest = open;
+        while rest != 0 {
+            if p.neighbor_mask(rest.trailing_zeros() as PatternVertex) & open != 0 {
+                return false;
+            }
+            rest &= rest - 1;
+        }
+        true
     }
 
     /// The mapped instance as `(pattern vertex order) -> data vertex`,
@@ -166,9 +171,8 @@ impl Gpsi {
 
     /// Size of the one byte layout a Gpsi has outside memory — checkpoint
     /// and shard frontiers, spill blobs, `PSGW` data frames: mapping
-    /// (12 × u32) + black u16 + mapped u16 + verified u128 + expanding u8,
-    /// little-endian.
-    pub const ENCODED_LEN: usize = MAX_GPSI_VERTICES * 4 + 2 + 2 + 16 + 1;
+    /// (12 × u32) + black u16 + mapped u16 + expanding u8, little-endian.
+    pub const ENCODED_LEN: usize = MAX_GPSI_VERTICES * 4 + 2 + 2 + 1;
 
     /// Appends exactly [`Gpsi::ENCODED_LEN`] bytes.
     pub fn encode(&self, out: &mut Vec<u8>) {
@@ -177,7 +181,6 @@ impl Gpsi {
         }
         out.extend_from_slice(&self.black.to_le_bytes());
         out.extend_from_slice(&self.mapped.to_le_bytes());
-        out.extend_from_slice(&self.verified.to_le_bytes());
         out.push(self.expanding);
     }
 
@@ -194,15 +197,14 @@ impl Gpsi {
         let at = MAX_GPSI_VERTICES * 4;
         let black = u16::from_le_bytes(bytes[at..at + 2].try_into().expect("sized"));
         let mapped = u16::from_le_bytes(bytes[at + 2..at + 4].try_into().expect("sized"));
-        let verified = u128::from_le_bytes(bytes[at + 4..at + 20].try_into().expect("sized"));
-        let expanding = bytes[at + 20];
+        let expanding = bytes[at + 4];
         if expanding as usize >= MAX_GPSI_VERTICES {
             return Err(GpsiDecodeError::ExpandingOutOfRange);
         }
         if black & !mapped != 0 {
             return Err(GpsiDecodeError::BlackNotMapped);
         }
-        Ok(Gpsi { mapping, black, mapped, verified, expanding })
+        Ok(Gpsi { mapping, black, mapped, expanding })
     }
 
     /// Builds a Gpsi from its raw fields, taken as-is (tests build
@@ -211,10 +213,9 @@ impl Gpsi {
         mapping: [VertexId; MAX_GPSI_VERTICES],
         black: u16,
         mapped: u16,
-        verified: u128,
         expanding: PatternVertex,
     ) -> Gpsi {
-        Gpsi { mapping, black, mapped, verified, expanding }
+        Gpsi { mapping, black, mapped, expanding }
     }
 }
 
@@ -249,54 +250,6 @@ impl std::fmt::Display for GpsiDecodeError {
 
 impl std::error::Error for GpsiDecodeError {}
 
-/// Precomputed pattern-edge numbering: `edge_id(u, v)` for constant-time
-/// verified-mask updates.
-#[derive(Clone, Debug)]
-pub struct EdgeIds {
-    /// `table[u][v]` = edge id, or `u8::MAX` when `{u,v}` is not an edge.
-    table: [[u8; MAX_GPSI_VERTICES]; MAX_GPSI_VERTICES],
-    /// Number of pattern edges.
-    count: u8,
-}
-
-impl EdgeIds {
-    /// Numbers the edges of `p` in `edges()` order.
-    pub fn new(p: &Pattern) -> EdgeIds {
-        assert!(p.num_vertices() <= MAX_GPSI_VERTICES);
-        let mut table = [[u8::MAX; MAX_GPSI_VERTICES]; MAX_GPSI_VERTICES];
-        let mut count = 0u8;
-        for (u, v) in p.edges() {
-            table[u as usize][v as usize] = count;
-            table[v as usize][u as usize] = count;
-            count += 1;
-        }
-        EdgeIds { table, count }
-    }
-
-    /// Edge id of `{u, v}`, if it is a pattern edge.
-    #[inline]
-    pub fn get(&self, u: PatternVertex, v: PatternVertex) -> Option<u8> {
-        let id = self.table[u as usize][v as usize];
-        (id != u8::MAX).then_some(id)
-    }
-
-    /// Number of pattern edges.
-    #[inline]
-    pub fn count(&self) -> u8 {
-        self.count
-    }
-
-    /// Mask with one bit per pattern edge.
-    #[inline]
-    pub fn all_mask(&self) -> u128 {
-        if self.count == 0 {
-            0
-        } else {
-            (1u128 << self.count) - 1
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,18 +270,17 @@ mod tests {
     #[test]
     fn assign_and_expand_lifecycle() {
         let p = catalog::triangle();
-        let ids = EdgeIds::new(&p);
         let mut g = Gpsi::initial(0, 5);
         g.set_black(0);
         g.assign(1, 9);
         g.assign(2, 3);
-        g.set_verified(ids.get(0, 1).unwrap());
-        g.set_verified(ids.get(0, 2).unwrap());
-        assert!(!g.is_complete(&p, ids.all_mask()), "edge 1-2 unverified");
-        g.set_verified(ids.get(1, 2).unwrap());
-        assert!(g.is_complete(&p, ids.all_mask()));
+        assert!(g.is_edge_verified(0, 1) && g.is_edge_verified(2, 0));
+        assert!(!g.is_edge_verified(1, 2), "edge 1-2 joins two GRAY vertices");
+        assert!(!g.is_complete(&p));
+        g.set_black(1);
+        assert!(g.is_complete(&p));
         assert_eq!(g.instance(3), vec![5, 9, 3]);
-        assert_eq!(g.gray_mask(), 0b110);
+        assert_eq!(g.gray_mask(), 0b100);
     }
 
     #[test]
@@ -340,26 +292,63 @@ mod tests {
         assert!(!g.uses_data_vertex(7, 3));
     }
 
+    /// The in-memory layout every inbox slot, outbox chunk and spill
+    /// segment is sized by, and the byte layout of every derived format.
     #[test]
-    fn edge_ids_cover_all_edges_once() {
-        let p = catalog::house();
-        let ids = EdgeIds::new(&p);
-        assert_eq!(ids.count(), 6);
-        assert_eq!(ids.all_mask(), 0b11_1111);
-        let mut seen = std::collections::HashSet::new();
-        for (u, v) in p.edges() {
-            let id = ids.get(u, v).unwrap();
-            assert_eq!(ids.get(v, u), Some(id), "symmetric lookup");
-            assert!(seen.insert(id), "distinct ids");
-        }
-        assert_eq!(ids.get(0, 1), None, "non-edge has no id");
+    fn gpsi_layout_is_pinned() {
+        assert_eq!(std::mem::size_of::<Gpsi>(), 56);
+        assert_eq!(std::mem::align_of::<Gpsi>(), 4);
+        assert_eq!(std::mem::size_of::<(VertexId, Gpsi)>(), 60);
+        assert_eq!(Gpsi::ENCODED_LEN, 53);
     }
 
+    /// `is_complete` and `is_edge_verified` against the literal rule, for
+    /// every `black ⊆ mapped` state of each catalog pattern: complete iff
+    /// every vertex is mapped and every edge has a BLACK end.
     #[test]
-    fn gpsi_is_small_enough_to_copy() {
-        // 12 mappings (48B) + masks + bookkeeping; must stay within two
-        // cache lines to keep message exchange cheap.
-        assert!(std::mem::size_of::<Gpsi>() <= 96, "{}", std::mem::size_of::<Gpsi>());
+    fn derived_predicates_follow_the_black_set() {
+        let mut patterns = catalog::paper_patterns();
+        patterns.extend([
+            catalog::path(2),
+            catalog::star(4),
+            catalog::clique(5),
+            catalog::cycle(6),
+        ]);
+        for p in &patterns {
+            let n = p.num_vertices();
+            let all = (1u16 << n) - 1;
+            for mapped in 0..=all {
+                let mapping = std::array::from_fn(|v| {
+                    if (mapped >> v) & 1 == 1 {
+                        10 + v as VertexId
+                    } else {
+                        UNMAPPED
+                    }
+                });
+                // Every subset of `mapped`, by the usual submask walk.
+                let mut black = mapped;
+                loop {
+                    let g = Gpsi::from_raw_parts(mapping, black, mapped, 0);
+                    let is_black = |v: PatternVertex| (black >> v) & 1 == 1;
+                    for (a, b) in p.edges() {
+                        let want = is_black(a) || is_black(b);
+                        assert_eq!(g.is_edge_verified(a, b), want, "{} {a}-{b}", p.name());
+                        assert_eq!(g.is_edge_verified(b, a), want, "{} {b}-{a}", p.name());
+                    }
+                    let want = mapped == all && p.edges().all(|(a, b)| is_black(a) || is_black(b));
+                    assert_eq!(
+                        g.is_complete(p),
+                        want,
+                        "{} black {black:#b} mapped {mapped:#b}",
+                        p.name()
+                    );
+                    if black == 0 {
+                        break;
+                    }
+                    black = (black - 1) & mapped;
+                }
+            }
+        }
     }
 
     #[test]
@@ -367,7 +356,6 @@ mod tests {
         let mut g = Gpsi::initial(1, 5);
         g.set_black(1);
         g.assign(0, 9);
-        g.set_verified(3);
         let mut bytes = Vec::new();
         g.encode(&mut bytes);
         assert_eq!(bytes.len(), Gpsi::ENCODED_LEN);

@@ -131,7 +131,7 @@ struct WExtra {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn expand_specialized(
     shared: &PsglShared<'_>,
-    mut gpsi: Gpsi,
+    gpsi: Gpsi,
     vp: PatternVertex,
     vd: VertexId,
     extra: Option<PatternVertex>,
@@ -148,15 +148,11 @@ pub(crate) fn expand_specialized(
     }
 
     // Mixed generic → kernel flows can carry unverified mapped-mapped
-    // edges (bloom-checked when their second endpoint bound). The data
-    // graph is shared, so they are exactly checkable here — a false
-    // positive dies now instead of after another superstep.
+    // edges (bloom-checked when their second endpoint bound, so both ends
+    // are GRAY). The data graph is shared, so they are exactly checkable
+    // here — a false positive dies now instead of after another superstep.
     for (a, b) in p.edges() {
-        if !(gpsi.is_mapped(a) && gpsi.is_mapped(b)) {
-            continue;
-        }
-        let eid = shared.edge_ids.get(a, b).unwrap();
-        if gpsi.is_verified(eid) {
+        if !(gpsi.is_mapped(a) && gpsi.is_mapped(b)) || gpsi.is_edge_verified(a, b) {
             continue;
         }
         stats.intersect_gallop += 1;
@@ -165,7 +161,6 @@ pub(crate) fn expand_specialized(
             stats.cost += cost;
             return;
         }
-        gpsi.set_verified(eid);
     }
 
     if scratch.cmap.len() < shared.graph.num_vertices() {
@@ -430,7 +425,6 @@ pub(crate) fn expand_specialized(
         };
     }
 
-    let all_mask = shared.edge_ids.all_mask();
     let examined_before = stats.combinations_examined;
     let mut generated: u64 = 0;
 
@@ -457,7 +451,6 @@ pub(crate) fn expand_specialized(
             w_extra.as_ref(),
             w_static,
             w_targets,
-            all_mask,
             &mut generated,
             &mut cost,
             emit,
@@ -479,7 +472,6 @@ pub(crate) fn expand_specialized(
             ranges[0],
             fin_range,
             cmap,
-            all_mask,
             &mut generated,
             &mut cost,
             emit,
@@ -572,7 +564,6 @@ pub(crate) fn expand_specialized(
                     w_extra.as_ref(),
                     w_static,
                     w_targets,
-                    all_mask,
                     &mut generated,
                     &mut cost,
                     emit,
@@ -659,21 +650,20 @@ fn arena_filter(
     cand_rank.push(rank_cd);
 }
 
-/// Emits one closed instance: binds the final slot and stamps every
-/// pattern edge verified.
+/// Emits one closed instance: binds the final slot. Every pattern edge was
+/// checked exactly before the call, so the instance is complete although
+/// its last vertices are not BLACK.
 #[inline(always)]
 fn emit_closed(
     g: &Gpsi,
     fin_wv: PatternVertex,
     x: VertexId,
-    all_mask: u128,
     generated: &mut u64,
     emit: &mut dyn FnMut(&Gpsi),
     stats: &mut ExpandStats,
 ) {
     let mut gg = *g;
     gg.assign(fin_wv, x);
-    gg.set_all_verified(all_mask);
     stats.generated += 1;
     stats.results += 1;
     *generated += 1;
@@ -701,7 +691,6 @@ fn close_pair(
     r0: (usize, usize),
     fin_range: (usize, usize),
     cmap: &mut [u8],
-    all_mask: u128,
     generated: &mut u64,
     cost: &mut u64,
     emit: &mut dyn FnMut(&Gpsi),
@@ -755,7 +744,7 @@ fn close_pair(
                         stats.pruned_injectivity += 1;
                         continue;
                     }
-                    emit_closed(&g, fin.wv, x, all_mask, generated, emit, stats);
+                    emit_closed(&g, fin.wv, x, generated, emit, stats);
                 }
             } else {
                 // Hub binding: walk the (shorter) arena, pruning on
@@ -785,7 +774,7 @@ fn close_pair(
                         continue;
                     }
                     from = j + 1;
-                    emit_closed(&g, fin.wv, x, all_mask, generated, emit, stats);
+                    emit_closed(&g, fin.wv, x, generated, emit, stats);
                 }
             }
         } else {
@@ -803,7 +792,7 @@ fn close_pair(
                     stats.pruned_injectivity += 1;
                     continue;
                 }
-                emit_closed(&g, fin.wv, x, all_mask, generated, emit, stats);
+                emit_closed(&g, fin.wv, x, generated, emit, stats);
             }
         }
     }
@@ -834,7 +823,6 @@ fn close_combination(
     w_extra: Option<&WExtra>,
     w_static: &[VertexId],
     w_targets: &mut Vec<VertexId>,
-    all_mask: u128,
     generated: &mut u64,
     cost: &mut u64,
     emit: &mut dyn FnMut(&Gpsi),
@@ -853,7 +841,6 @@ fn close_combination(
             chosen_rank,
             w_static,
             w_targets,
-            all_mask,
             generated,
             cost,
             emit,
@@ -962,7 +949,6 @@ fn close_combination(
                     w_extra,
                     w_static,
                     w_targets,
-                    all_mask,
                     generated,
                     cost,
                     emit,
@@ -1013,7 +999,6 @@ fn close_combination(
                     w_extra,
                     w_static,
                     w_targets,
-                    all_mask,
                     generated,
                     cost,
                     emit,
@@ -1054,7 +1039,6 @@ fn close_combination(
                 w_extra,
                 w_static,
                 w_targets,
-                all_mask,
                 generated,
                 cost,
                 emit,
@@ -1147,7 +1131,6 @@ fn finish_candidate(
     w_extra: Option<&WExtra>,
     w_static: &[VertexId],
     w_targets: &mut Vec<VertexId>,
-    all_mask: u128,
     generated: &mut u64,
     cost: &mut u64,
     emit: &mut dyn FnMut(&Gpsi),
@@ -1161,7 +1144,6 @@ fn finish_candidate(
             // (v_p, white) edges by candidate construction, white-white by
             // join/mark/gallop, everything else before the odometer
             // started.
-            gg.set_all_verified(all_mask);
             stats.generated += 1;
             stats.results += 1;
             *generated += 1;
@@ -1178,7 +1160,6 @@ fn finish_candidate(
                 chosen_rank,
                 w_static,
                 w_targets,
-                all_mask,
                 generated,
                 cost,
                 emit,
@@ -1199,7 +1180,6 @@ fn join_two_hop(
     chosen_rank: &[u32],
     w_static: &[VertexId],
     w_targets: &mut Vec<VertexId>,
-    all_mask: u128,
     generated: &mut u64,
     cost: &mut u64,
     emit: &mut dyn FnMut(&Gpsi),
@@ -1268,7 +1248,6 @@ fn join_two_hop(
         }
         let mut gg = *g;
         gg.assign(wx.w, x);
-        gg.set_all_verified(all_mask);
         stats.generated += 1;
         stats.results += 1;
         *generated += 1;

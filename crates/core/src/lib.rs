@@ -55,7 +55,6 @@ pub use checkpoint::{
 pub use config::PsglConfig;
 pub use distribute::Strategy;
 pub use expand::ExpandScratch;
-pub use gpsi::EdgeIds;
 pub use gpsi::{Gpsi, GpsiDecodeError};
 pub use index::EdgeIndex;
 pub use plan::QueryPlan;

@@ -7,9 +7,8 @@
 //!   [`EdgeIndex`](crate::EdgeIndex) — depend only on the data graph and
 //!   are expensive (linear in `|E|`, the paper quotes a 2 GB index for
 //!   Twitter);
-//! - **pattern-side decisions** — automorphism breaking (Section 5.2.1),
-//!   pattern-edge numbering, and initial-vertex selection (Section 5.2.2)
-//!   — depend on `(pattern, config, degree histogram)` and are cheap but
+//! - **pattern-side decisions** — automorphism breaking (Section 5.2.1)
+//!   and initial-vertex selection (Section 5.2.2) — depend on `(pattern, config, degree histogram)` and are cheap but
 //!   repeated for every query.
 //!
 //! A long-running server wants to compute both once and reuse them across
@@ -18,7 +17,7 @@
 //! run context from a plan plus pre-built graph artifacts without
 //! re-doing either side.
 
-use crate::gpsi::{EdgeIds, MAX_GPSI_VERTICES};
+use crate::gpsi::MAX_GPSI_VERTICES;
 use crate::init_vertex::{select_initial_vertex, SelectionRule};
 use crate::shared::PsglError;
 use crate::PsglConfig;
@@ -35,8 +34,6 @@ pub struct QueryPlan {
     /// Partial order from automorphism breaking (Section 5.2.1); empty
     /// when breaking is disabled.
     pub order: PartialOrderSet,
-    /// Pattern-edge numbering for verified-edge masks.
-    pub edge_ids: EdgeIds,
     /// Selected initial pattern vertex (Section 5.2.2).
     pub init_vertex: PatternVertex,
     /// How the initial vertex was chosen.
@@ -49,10 +46,10 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// Prepares a plan: breaks automorphisms (per `config`), numbers the
-    /// pattern edges, and selects the initial vertex against
-    /// `degree_histogram` (`histogram[d]` = number of data vertices of
-    /// degree `d`; see [`psgl_graph::DegreeStats`]).
+    /// Prepares a plan: breaks automorphisms (per `config`) and selects
+    /// the initial vertex against `degree_histogram` (`histogram[d]` =
+    /// number of data vertices of degree `d`; see
+    /// [`psgl_graph::DegreeStats`]).
     pub fn prepare(
         pattern: &Pattern,
         config: &PsglConfig,
@@ -66,7 +63,6 @@ impl QueryPlan {
         } else {
             PartialOrderSet::new(pattern.num_vertices())
         };
-        let edge_ids = EdgeIds::new(pattern);
         let (init_vertex, selection_rule) = match config.init_vertex {
             Some(v) => {
                 if v as usize >= pattern.num_vertices() {
@@ -79,7 +75,6 @@ impl QueryPlan {
         Ok(QueryPlan {
             pattern: pattern.clone(),
             order,
-            edge_ids,
             init_vertex,
             selection_rule,
             compiled_kernels: config.compiled_kernels,

@@ -273,9 +273,10 @@ pub enum Start {
     Checkpoint(Checkpoint),
     /// An explicit seed frontier, entered at superstep 1 with fresh worker
     /// states — the incremental-listing path of `psgl-delta`. Each seed is
-    /// a partially expanded [`Gpsi`] (typically two mapped vertices
-    /// binding one changed data edge, that pattern edge already verified),
-    /// routed to the partition owning its expanding vertex. Expansion from
+    /// a partially expanded [`Gpsi`] (typically two GRAY vertices binding
+    /// one changed data edge), routed to the partition owning its expanding
+    /// vertex. The seed edge is not verified yet — neither end is BLACK —
+    /// so the first expansion checks it exactly. Expansion from
     /// a seed is exact, so the instances found are exactly the completions
     /// of the seeds. The caller is responsible for seed validity: every
     /// already-mapped pair satisfies the partial order and the expanding

@@ -7,7 +7,7 @@
 //! 48 GB node), static, and computed once before the run; each worker keeps
 //! a reference.
 
-use crate::gpsi::{EdgeIds, MAX_GPSI_VERTICES};
+use crate::gpsi::MAX_GPSI_VERTICES;
 use crate::index::EdgeIndex;
 use crate::init_vertex::SelectionRule;
 use crate::plan::QueryPlan;
@@ -105,8 +105,6 @@ pub struct PsglShared<'g> {
     pub pattern: Pattern,
     /// Partial order set from automorphism breaking (Section 5.2.1).
     pub order: PartialOrderSet,
-    /// Pattern-edge numbering for verified-edge masks.
-    pub edge_ids: EdgeIds,
     /// The light-weight edge index, if enabled (Section 5.2.3). Shared
     /// like [`Self::ordered`].
     pub index: Option<Arc<EdgeIndex>>,
@@ -155,7 +153,6 @@ impl<'g> PsglShared<'g> {
             ordered,
             pattern: plan.pattern.clone(),
             order: plan.order.clone(),
-            edge_ids: plan.edge_ids.clone(),
             index,
             init_vertex: plan.init_vertex,
             selection_rule: plan.selection_rule,
@@ -232,7 +229,6 @@ mod tests {
         assert_eq!(shared.init_vertex, 0);
         assert_eq!(shared.selection_rule, SelectionRule::DeterministicLowestRank);
         assert!(shared.index.is_some());
-        assert_eq!(shared.edge_ids.count(), 3);
     }
 
     #[test]

@@ -67,6 +67,39 @@ fn psgl_count_invariant_to_every_knob() {
     }
 }
 
+/// An edge between two WHITE pattern vertices is checked only through the
+/// bloom index when they bind, so both ends are GRAY and the edge stays
+/// unverified until one of them expands. Under a leaky bloom (one bit per
+/// edge) or no index at all, counting such an edge as verified would count
+/// non-instances; every cell must still match the oracle, and the level-by-
+/// level cells must show the false positives dying at the exact GRAY check.
+#[test]
+fn bloom_only_edges_are_verified_before_an_instance_counts() {
+    let g = generators::erdos_renyi_gnm(150, 900, 5).unwrap();
+    let patterns =
+        [catalog::triangle(), catalog::four_clique(), catalog::house(), catalog::tailed_triangle()];
+    for pattern in patterns {
+        let expected = centralized::count(&g, &pattern);
+        for leaky_index in [false, true] {
+            for kernels in [false, true] {
+                for workers in [1, 3] {
+                    let mut config =
+                        PsglConfig::with_workers(workers).edge_index(leaky_index).kernels(kernels);
+                    config.index_bits_per_edge = 1;
+                    let result = list_subgraphs(&g, &pattern, &config).unwrap();
+                    let cell = format!(
+                        "{pattern} leaky_index={leaky_index} kernels={kernels} workers={workers}"
+                    );
+                    assert_eq!(result.instance_count, expected, "{cell}");
+                    if leaky_index && !kernels {
+                        assert!(result.stats.expand.died_gray_check > 0, "{cell}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn every_initial_vertex_gives_the_same_count() {
     let g = generators::chung_lu(120, 5.0, 2.0, 4).unwrap();
