@@ -2,8 +2,8 @@
 //! the [`Context`] its `compute` sends messages through.
 
 use crate::chunk::{push_chunked, ChunkPool, PoolExhausted};
-use crate::control::SpillControl;
 use crate::frontier::OutStream;
+use crate::spill::SpillStore;
 use psgl_graph::partition::HashPartitioner;
 use psgl_graph::VertexId;
 use std::time::Instant;
@@ -20,8 +20,9 @@ pub struct Context<'a, M> {
     /// in-process exchange moves it like any other stream, a remote one
     /// never puts it on a wire.
     pub(crate) outbox: &'a mut [OutStream<M>],
-    /// Spill-tier handles (`None` = tier disabled, grow-in-place degradation).
-    pub(crate) spill: Option<SpillControl<'a, M>>,
+    /// The run's spill store (`None` = tier disabled, grow-in-place
+    /// degradation).
+    pub(crate) spill: Option<&'a SpillStore>,
     pub(crate) cost: u64,
     pub(crate) messages_out: u64,
     pub(crate) local_delivered: u64,
@@ -31,7 +32,7 @@ pub struct Context<'a, M> {
     pub(crate) spill_nanos: u64,
 }
 
-impl<M> Context<'_, M> {
+impl<M: Encode> Context<'_, M> {
     /// Current superstep (0 = initialization).
     #[inline]
     pub fn superstep(&self) -> u32 {
@@ -88,16 +89,16 @@ impl<M> Context<'_, M> {
 /// budget) fall back to the old grow-in-place path: slower and bigger,
 /// never wrong. Time spent in the spill write is added to `spill_nanos`.
 #[inline]
-fn push_or_spill<M>(
+fn push_or_spill<M: Encode>(
     pool: &ChunkPool<M>,
-    spill: Option<SpillControl<'_, M>>,
+    spill: Option<&SpillStore>,
     stream: &mut OutStream<M>,
     spill_nanos: &mut u64,
     to: VertexId,
     msg: M,
 ) {
     let list = &mut stream.chunks;
-    let Some(sp) = spill else {
+    let Some(store) = spill else {
         push_chunked(pool, list, to, msg);
         return;
     };
@@ -108,7 +109,7 @@ fn push_or_spill<M>(
                 next.push((to, msg));
                 list.push(next);
             }
-            Err(PoolExhausted) => match timed(spill_nanos, || sp.store.spill(sp.codec, list)) {
+            Err(PoolExhausted) => match timed(spill_nanos, || store.spill(list)) {
                 Ok(seg) => {
                     stream.spilled.push(seg);
                     for c in list.drain(..) {
@@ -144,6 +145,22 @@ pub(crate) fn timed<T>(nanos: &mut u64, f: impl FnOnce() -> T) -> T {
     out
 }
 
+/// How a message leaves memory: one fixed-width byte layout, the same in
+/// every format that carries messages — spill segments, checkpoints and
+/// cluster frames.
+pub trait Encode: Sized {
+    /// Size of one encoded message in bytes.
+    const ENCODED_LEN: usize;
+
+    /// Appends exactly [`Encode::ENCODED_LEN`] bytes.
+    fn encode(&self, out: &mut Vec<u8>);
+
+    /// Parses exactly [`Encode::ENCODED_LEN`] bytes. They come from a file
+    /// or a socket, so a message the program could not have sent is an
+    /// error naming what is wrong with it, never a panic.
+    fn decode(bytes: &[u8]) -> Result<Self, &'static str>;
+}
+
 /// A vertex-centric program in the Pregel style.
 ///
 /// The engine calls [`VertexProgram::compute`] on every vertex in
@@ -154,8 +171,9 @@ pub trait VertexProgram: Sync {
     /// Message type exchanged between vertices. `Copy`, because a worker
     /// reads its inbox in place: it regroups an index of the messages, not
     /// the messages, and copies each one straight from the chunk it was
-    /// delivered in into the batch of its vertex.
-    type Message: Copy + Send;
+    /// delivered in into the batch of its vertex. [`Encode`], because the
+    /// spill tier writes messages to disk.
+    type Message: Copy + Send + Encode;
     /// Mutable per-worker state (e.g. local result buffers, the
     /// distribution strategy's local workload view).
     type WorkerState: Send;

@@ -8,29 +8,8 @@ use crate::context::VertexProgram;
 use crate::engine::BspError;
 use crate::exchange::{Exchange, FrontierSink};
 use crate::metrics::{CarriedCounters, EngineMetrics, SuperstepMetrics};
-use crate::spill::{SpillCodec, SpillStore};
+use crate::spill::SpillStore;
 use psgl_graph::VertexId;
-
-/// Spill-tier handles threaded through [`RunControl`]: the per-run
-/// [`SpillStore`] (which owns the temp directory and deletes it on drop)
-/// plus the message byte codec. Copyable so every worker closure can hold
-/// one; `None` anywhere spill appears means the tier is disabled and the
-/// engine degrades exactly as it did before the tier existed
-/// (grow-in-place).
-pub struct SpillControl<'c, M> {
-    /// The per-run spill store.
-    pub store: &'c SpillStore,
-    /// Message byte codec for spill blobs.
-    pub codec: &'c dyn SpillCodec<M>,
-}
-
-impl<M> Clone for SpillControl<'_, M> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<M> Copy for SpillControl<'_, M> {}
 
 /// Result of a successful BSP run.
 #[derive(Debug)]
@@ -145,13 +124,16 @@ pub struct RunControl<'c, M, S> {
     /// [`ExchangeDirective::CheckpointAndContinue`](crate::ExchangeDirective);
     /// unused without [`RunControl::exchange`].
     pub sink: Option<&'c dyn FrontierSink<M, S>>,
-    /// Disk spill tier: with this set and `max_live_chunks` capped, a
-    /// sender hitting the cap evicts its destination's chunk list to a
-    /// per-run temp file instead of growing in place, and over-cap
+    /// Disk spill tier: with this store set and `max_live_chunks` capped,
+    /// a sender hitting the cap evicts its destination's chunk list to a
+    /// per-run temp file (encoded by the message's
+    /// [`Encode`](crate::Encode)) instead of growing in place, and over-cap
     /// frontiers are evicted at superstep boundaries and re-admitted when
-    /// their superstep runs. Ignored (spill disabled) under a remote
+    /// their superstep runs. The store owns the temp directory and deletes
+    /// it on drop; `None` disables the tier, and the engine degrades by
+    /// growing chunks in place. Ignored (spill disabled) under a remote
     /// [`RunControl::exchange`], whose frontier already lives off-worker.
-    pub spill: Option<SpillControl<'c, M>>,
+    pub spill: Option<&'c SpillStore>,
     /// Structured-trace sink. Events fire at barrier granularity only
     /// (one per superstep, plus rare degradations), so the hot expand
     /// loop never sees a tracing branch. Payloads carry only

@@ -24,17 +24,15 @@
 
 use crate::cancel::{CancelReason, CancelToken};
 use crate::chunk::{ChunkPool, DEFAULT_CHUNK_CAPACITY};
-use crate::context::{timed, Context, VertexProgram};
-use crate::control::{
-    BspResult, CancelledRun, ControlledResult, RunControl, RunOutcome, SpillControl,
-};
+use crate::context::{timed, Context, Encode, VertexProgram};
+use crate::control::{BspResult, CancelledRun, ControlledResult, RunControl, RunOutcome};
 use crate::exchange::{ExchangeDirective, WorkerOutbox};
 use crate::exec::{Executor, WorkerTask};
 use crate::frontier::{Frontier, InboxPart, OutStream};
 use crate::metrics::{
     EngineMetrics, NetSuperstepMetrics, SuperstepMetrics, WorkerSuperstepMetrics,
 };
-use crate::spill::SpillError;
+use crate::spill::{SpillError, SpillStore};
 use psgl_graph::partition::HashPartitioner;
 use psgl_graph::VertexId;
 use psgl_obs::Value as TraceValue;
@@ -290,7 +288,7 @@ pub fn run_controlled<P: VertexProgram>(
     // deltas. The store may be shared across slices of one logical run,
     // so the baseline is its current totals rather than zero.
     let spill_totals = || {
-        spill.map_or([0; 4], |SpillControl { store, .. }| {
+        spill.map_or([0; 4], |store| {
             [
                 store.stall_nanos(),
                 store.spilled_chunks(),
@@ -490,8 +488,8 @@ pub fn run_controlled<P: VertexProgram>(
         // live-chunk cap, encode runs of resident frontier chunks to disk
         // and release them. Re-admission happens in `run_worker`, in
         // delivery order, with zero pool acquisitions.
-        if let (Some(sp), Some(cap)) = (spill, config.max_live_chunks) {
-            frontier.evict(&pool, sp, cap as i64);
+        if let (Some(store), Some(cap)) = (spill, config.max_live_chunks) {
+            frontier.evict(&pool, store, cap as i64);
         }
         superstep += 1;
     };
@@ -529,10 +527,10 @@ pub fn run_controlled<P: VertexProgram>(
 /// A soft stop at the barrier after `superstep`: flattens the complete
 /// undelivered frontier into the resumable end, or fails the run when a
 /// spilled segment of it cannot be read back.
-fn capture<M>(
+fn capture<M: Encode>(
     frontier: &mut Frontier<M>,
     pool: &ChunkPool<M>,
-    spill: Option<SpillControl<'_, M>>,
+    spill: Option<&SpillStore>,
     reason: CancelReason,
     superstep: u32,
 ) -> End<M> {
@@ -582,7 +580,7 @@ fn hard_cancel_reason(cancel: Option<&CancelToken>, checkpoint: bool) -> Option<
 fn finalize_metrics<M>(
     metrics: &mut EngineMetrics,
     pool: &ChunkPool<M>,
-    spill: Option<SpillControl<'_, M>>,
+    spill: Option<&SpillStore>,
     start: Instant,
 ) {
     metrics.chunk_allocations = pool.fresh_allocations();
@@ -591,12 +589,12 @@ fn finalize_metrics<M>(
     let c = &mut metrics.carried;
     c.pool_exhausted += pool.exhausted_events();
     c.chunks_live_peak = c.chunks_live_peak.max(pool.peak_outstanding().max(0) as u64);
-    if let Some(sp) = spill {
-        c.spill_chunks += sp.store.spilled_chunks();
-        c.spill_bytes += sp.store.spilled_bytes();
-        c.spill_stall_nanos += sp.store.stall_nanos();
-        c.readmitted_chunks += sp.store.readmitted();
-        c.spill_write_failures += sp.store.write_failures();
+    if let Some(store) = spill {
+        c.spill_chunks += store.spilled_chunks();
+        c.spill_bytes += store.spilled_bytes();
+        c.spill_stall_nanos += store.stall_nanos();
+        c.readmitted_chunks += store.readmitted();
+        c.spill_write_failures += store.write_failures();
     }
     metrics.wall_time = start.elapsed();
 }
@@ -636,7 +634,7 @@ fn run_worker<P: VertexProgram>(
     scratch: &mut WorkerScratch<P::Message>,
     outbox: &mut WorkerOutbox<P::Message>,
     poll: CancelPoll<'_>,
-    spill: Option<SpillControl<'_, P::Message>>,
+    spill: Option<&SpillStore>,
 ) -> Result<WorkerSuperstepMetrics, SpillError> {
     let started = Instant::now();
     let WorkerScratch { index, gather, batch } = scratch;
@@ -687,10 +685,8 @@ fn run_worker<P: VertexProgram>(
                             pool.release(c);
                         }
                         InboxPart::Spilled(seg) => {
-                            let sp = spill.expect("spilled inbox part without a spill store");
-                            timed(&mut ctx.spill_nanos, || {
-                                sp.store.readmit(sp.codec, seg, gather)
-                            })?;
+                            let store = spill.expect("spilled inbox part without a spill store");
+                            timed(&mut ctx.spill_nanos, || store.readmit(seg, gather))?;
                         }
                     }
                     let gathered = gather[base..].iter().zip(base as u32..);
@@ -760,6 +756,35 @@ mod tests {
         config: &BspConfig,
     ) -> Result<BspResult<P::WorkerState>, BspError> {
         run_with_executor(num_vertices, partitioner, program, config, &ThreadExecutor)
+    }
+
+    // The test programs' messages, as the spill tier writes them.
+    impl Encode for VertexId {
+        const ENCODED_LEN: usize = 4;
+        fn encode(&self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&self.to_le_bytes());
+        }
+        fn decode(bytes: &[u8]) -> Result<Self, &'static str> {
+            Ok(u32::from_le_bytes(bytes.try_into().map_err(|_| "vertex id length")?))
+        }
+    }
+
+    impl Encode for u8 {
+        const ENCODED_LEN: usize = 1;
+        fn encode(&self, out: &mut Vec<u8>) {
+            out.push(*self);
+        }
+        fn decode(bytes: &[u8]) -> Result<Self, &'static str> {
+            Ok(bytes[0])
+        }
+    }
+
+    impl Encode for () {
+        const ENCODED_LEN: usize = 0;
+        fn encode(&self, _out: &mut Vec<u8>) {}
+        fn decode(_bytes: &[u8]) -> Result<Self, &'static str> {
+            Ok(())
+        }
     }
 
     /// Min-label propagation: every vertex learns the smallest vertex id in
@@ -1129,18 +1154,7 @@ mod tests {
 
     // ── spill tier ──────────────────────────────────────────────────────
 
-    use crate::spill::{SpillCodec, SpillConfig, SpillFaults, SpillReader, SpillStore};
-
-    struct VertexIdCodec;
-
-    impl SpillCodec<VertexId> for VertexIdCodec {
-        fn encode(&self, msg: &VertexId, out: &mut Vec<u8>) {
-            out.extend_from_slice(&msg.to_le_bytes());
-        }
-        fn decode(&self, r: &mut SpillReader<'_>) -> Result<VertexId, SpillError> {
-            r.u32("min-label message")
-        }
-    }
+    use crate::spill::{SpillConfig, SpillFaults};
 
     fn run_min_label_spilling(
         g: &DataGraph,
@@ -1150,10 +1164,7 @@ mod tests {
     ) -> (Vec<VertexId>, EngineMetrics) {
         let prog = MinLabel { graph: g, labels: Mutex::new(g.vertices().collect()) };
         let p = HashPartitioner::new(workers);
-        let control = RunControl {
-            spill: Some(SpillControl { store, codec: &VertexIdCodec }),
-            ..RunControl::default()
-        };
+        let control = RunControl { spill: Some(store), ..RunControl::default() };
         let res =
             match run_controlled(g.num_vertices(), &p, &prog, config, &ThreadExecutor, control)
                 .unwrap()
@@ -1195,17 +1206,6 @@ mod tests {
         assert!(m.carried.pool_exhausted > 0, "the run still grew past the cap in place");
     }
 
-    struct ByteCodec;
-
-    impl SpillCodec<u8> for ByteCodec {
-        fn encode(&self, msg: &u8, out: &mut Vec<u8>) {
-            out.push(*msg);
-        }
-        fn decode(&self, r: &mut SpillReader<'_>) -> Result<u8, SpillError> {
-            r.u8("flood message")
-        }
-    }
-
     /// Spill writes made inside a worker's sends — slowed here by an
     /// injected sleep per chunk — are stall: counted once, in
     /// `spill_stall_nanos`, and left out of the worker's `elapsed_nanos`.
@@ -1215,10 +1215,7 @@ mod tests {
         let store = SpillStore::create(&SpillConfig { faults, ..SpillConfig::in_temp() }).unwrap();
         let config =
             BspConfig { chunk_capacity: 4, max_live_chunks: Some(4), ..Default::default() };
-        let control = RunControl {
-            spill: Some(SpillControl { store: &store, codec: &ByteCodec }),
-            ..RunControl::default()
-        };
+        let control = RunControl { spill: Some(&store), ..RunControl::default() };
         let p = HashPartitioner::new(2);
         let m = match controlled(40, &p, &Flood { fanout: 8, n: 40 }, &config, control) {
             RunOutcome::Complete(r) => r.metrics,
@@ -1246,7 +1243,7 @@ mod tests {
         let control = RunControl {
             cancel: Some(&token),
             checkpoint: true,
-            spill: Some(SpillControl { store: &store, codec: &VertexIdCodec }),
+            spill: Some(&store),
             ..RunControl::default()
         };
         let cancelled = match controlled(g.num_vertices(), &p, &prog, &config, control) {
@@ -1257,11 +1254,8 @@ mod tests {
         assert!(spilled_before_cut > 0, "the frontier was spilling when cut");
         assert_eq!(store.live_bytes(), 0, "checkpoint capture re-admits every segment");
         let resume = cancelled.into_resume_point().expect("checkpointed cancel resumes");
-        let control = RunControl {
-            resume: Some(resume),
-            spill: Some(SpillControl { store: &store, codec: &VertexIdCodec }),
-            ..RunControl::default()
-        };
+        let control =
+            RunControl { resume: Some(resume), spill: Some(&store), ..RunControl::default() };
         match controlled(g.num_vertices(), &p, &prog, &config, control) {
             RunOutcome::Complete(r) => {
                 assert_eq!(r.metrics.chunks_outstanding, 0);
@@ -1436,9 +1430,7 @@ mod tests {
                     let store = SpillStore::create(&SpillConfig::in_temp()).unwrap();
                     let control = |cancel| RunControl {
                         cancel,
-                        spill: shape
-                            .spills()
-                            .then_some(SpillControl { store: &store, codec: &VertexIdCodec }),
+                        spill: shape.spills().then_some(&store),
                         ..RunControl::default()
                     };
 
@@ -1522,7 +1514,6 @@ mod tests {
         ];
         let want = [(0, vec![7, 9]), (2, vec![1, 3, 8]), (5, vec![0, 2, 6, 10]), (9, vec![4, 5])];
         let store = SpillStore::create(&SpillConfig::in_temp()).unwrap();
-        let spill = SpillControl { store: &store, codec: &VertexIdCodec };
         for max_live in [None, Some(4)] {
             let pool = ChunkPool::with_limit(2, max_live);
             let mut inbox: Vec<InboxPart<u32>> = (parts.iter().enumerate())
@@ -1532,7 +1523,7 @@ mod tests {
                     if i % 2 == 0 {
                         return InboxPart::Chunk(chunk);
                     }
-                    let seg = store.spill(&VertexIdCodec, std::slice::from_ref(&chunk)).unwrap();
+                    let seg = store.spill(std::slice::from_ref(&chunk)).unwrap();
                     pool.release(chunk);
                     InboxPart::Spilled(seg)
                 })
@@ -1556,7 +1547,7 @@ mod tests {
                 &mut scratch,
                 &mut outbox,
                 poll,
-                Some(spill),
+                Some(&store),
             )
             .unwrap();
             assert_eq!((m.messages_in, m.active_vertices), (11, 4), "cap {max_live:?}");
@@ -1862,8 +1853,7 @@ mod tests {
                         cancel: row.token.as_ref(),
                         checkpoint: row.checkpoint,
                         exchange: row.exchange.as_ref().map(|x| x as &dyn crate::Exchange<u32>),
-                        spill: spilling
-                            .then_some(SpillControl { store: &store, codec: &VertexIdCodec }),
+                        spill: spilling.then_some(&store),
                         ..RunControl::default()
                     };
                     let trip = match (row.fire, &row.token) {

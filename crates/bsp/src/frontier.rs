@@ -11,9 +11,9 @@
 //! canonical source order with a seeded per-destination permutation.
 
 use crate::chunk::{push_chunked, Chunk, ChunkPool};
-use crate::control::SpillControl;
+use crate::context::Encode;
 use crate::exchange::WorkerOutbox;
-use crate::spill::{SpillError, SpillSegment};
+use crate::spill::{SpillError, SpillSegment, SpillStore};
 use psgl_graph::VertexId;
 
 /// One (source → destination) stream of a worker's outbox: what the
@@ -38,7 +38,7 @@ impl<M> Default for OutStream<M> {
 impl<M> OutStream<M> {
     /// Returns every resident chunk to the pool and deletes every
     /// segment's blob.
-    pub(crate) fn release(&mut self, pool: &ChunkPool<M>, spill: Option<SpillControl<'_, M>>) {
+    pub(crate) fn release(&mut self, pool: &ChunkPool<M>, spill: Option<&SpillStore>) {
         for c in self.chunks.drain(..) {
             pool.release(c);
         }
@@ -50,9 +50,9 @@ impl<M> OutStream<M> {
 
 /// Deletes an unconsumed segment's blob when a store is available;
 /// otherwise the directory guard deletes it with the store.
-fn discard_segment<M>(seg: SpillSegment, spill: Option<SpillControl<'_, M>>) {
-    if let Some(sp) = spill {
-        sp.store.discard(seg);
+fn discard_segment(seg: SpillSegment, spill: Option<&SpillStore>) {
+    if let Some(store) = spill {
+        store.discard(seg);
     }
 }
 
@@ -86,7 +86,7 @@ impl<M> InboxPart<M> {
 
     /// Returns a chunk to the pool (a placeholder is ignored there) or
     /// deletes a segment's blob.
-    pub(crate) fn release(self, pool: &ChunkPool<M>, spill: Option<SpillControl<'_, M>>) {
+    pub(crate) fn release(self, pool: &ChunkPool<M>, spill: Option<&SpillStore>) {
         match self {
             InboxPart::Chunk(c) => pool.release(c),
             InboxPart::Spilled(seg) => discard_segment(seg, spill),
@@ -164,8 +164,11 @@ impl<M> Frontier<M> {
     pub(crate) fn flatten(
         &mut self,
         pool: &ChunkPool<M>,
-        spill: Option<SpillControl<'_, M>>,
-    ) -> Result<Vec<Vec<(VertexId, M)>>, SpillError> {
+        spill: Option<&SpillStore>,
+    ) -> Result<Vec<Vec<(VertexId, M)>>, SpillError>
+    where
+        M: Encode,
+    {
         let mut failed: Option<SpillError> = None;
         let flat = std::mem::take(&mut self.inboxes)
             .into_iter()
@@ -179,8 +182,8 @@ impl<M> Frontier<M> {
                         }
                         // Once failing, the rest of the sweep only cleans up.
                         InboxPart::Spilled(seg) => match spill {
-                            Some(sp) if failed.is_none() => {
-                                if let Err(e) = sp.store.readmit(sp.codec, seg, &mut tuples) {
+                            Some(store) if failed.is_none() => {
+                                if let Err(e) = store.readmit(seg, &mut tuples) {
                                     failed = Some(e);
                                 }
                             }
@@ -205,7 +208,10 @@ impl<M> Frontier<M> {
     /// equally cold, and oldest-first makes eviction deterministic and
     /// sequential on disk. A write failure stops eviction entirely: the
     /// frontier stays resident (degraded, never wrong).
-    pub(crate) fn evict(&mut self, pool: &ChunkPool<M>, sp: SpillControl<'_, M>, cap: i64) {
+    pub(crate) fn evict(&mut self, pool: &ChunkPool<M>, store: &SpillStore, cap: i64)
+    where
+        M: Encode,
+    {
         for inbox in self.inboxes.iter_mut() {
             let mut i = 0;
             while i < inbox.len() {
@@ -233,7 +239,7 @@ impl<M> Frontier<M> {
                         _ => break,
                     }
                 }
-                match sp.store.spill(sp.codec, &run) {
+                match store.spill(&run) {
                     Ok(seg) => {
                         for c in run {
                             pool.release(c);
@@ -257,7 +263,7 @@ impl<M> Frontier<M> {
     /// Returns every chunk still in the frontier to the pool and deletes
     /// every segment's blob. Parts a worker already consumed are
     /// zero-capacity placeholders, which the pool ignores.
-    pub(crate) fn release(&mut self, pool: &ChunkPool<M>, spill: Option<SpillControl<'_, M>>) {
+    pub(crate) fn release(&mut self, pool: &ChunkPool<M>, spill: Option<&SpillStore>) {
         for part in self.inboxes.iter_mut().flat_map(|inbox| inbox.drain(..)) {
             part.release(pool, spill);
         }

@@ -39,8 +39,8 @@ pub mod spill;
 
 pub use cancel::{CancelReason, CancelToken};
 pub use chunk::{push_chunked, Chunk, ChunkPool, PoolExhausted, DEFAULT_CHUNK_CAPACITY};
-pub use context::{Context, VertexProgram};
-pub use control::{BspResult, CancelledRun, ResumePoint, RunControl, RunOutcome, SpillControl};
+pub use context::{Context, Encode, VertexProgram};
+pub use control::{BspResult, CancelledRun, ResumePoint, RunControl, RunOutcome};
 pub use engine::{run_controlled, BspConfig, BspError};
 pub use exchange::{
     Exchange, ExchangeDirective, ExchangeError, ExchangeOutcome, FrontierSink, WorkerOutbox,
@@ -50,7 +50,4 @@ pub use frontier::OutStream;
 pub use metrics::{
     CarriedCounters, EngineMetrics, NetSuperstepMetrics, SuperstepMetrics, WorkerSuperstepMetrics,
 };
-pub use spill::{
-    SpillCodec, SpillConfig, SpillError, SpillFaults, SpillReader, SpillSegment, SpillStore,
-    SPILL_MAGIC,
-};
+pub use spill::{SpillConfig, SpillError, SpillFaults, SpillSegment, SpillStore, SPILL_MAGIC};

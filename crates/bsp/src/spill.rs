@@ -3,8 +3,9 @@
 //! When the chunk pool hits its live-chunk cap, the engine used to degrade
 //! by growing chunks in place — bounded allocation count, unbounded bytes.
 //! A [`SpillStore`] replaces that: cold frontier chunks are encoded into
-//! framed blobs (`"PSGLSPL1" | payload | FxHash checksum`, the same
-//! discipline as the checkpoint shards) inside a per-run temp directory,
+//! sealed blobs (`"PSGLSPL1" | payload | FxHash checksum`, the
+//! [`psgl_graph::blob`] envelope the checkpoints share) inside a per-run
+//! temp directory, each message as its [`Encode`] layout,
 //! their pool chunks are released for reuse, and the spilled tuples are
 //! re-admitted — decoded straight into the receiving worker's gather buffer,
 //! acquiring no pool chunk — at the next superstep boundary. Delivery
@@ -26,10 +27,10 @@
 //! cancel, preempt, panic-unwind through the owner — deletes the run's
 //! spill files.
 
+use crate::context::Encode;
 use parking_lot::Mutex;
-use psgl_graph::hash::FxHasher;
+use psgl_graph::blob::{self, Reader, Truncated, UnsealError};
 use psgl_graph::VertexId;
-use std::hash::Hasher;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -70,8 +71,8 @@ pub enum SpillError {
         /// Tuples the blob actually decoded to.
         got: u64,
     },
-    /// The blob passed its checksum but a tuple in it fails the message
-    /// codec's validation — written by something other than this engine.
+    /// The blob passed its checksum but a tuple in it fails the message's
+    /// [`Encode::decode`] — written by something other than this engine.
     Malformed {
         /// What the codec rejected.
         what: &'static str,
@@ -118,68 +119,9 @@ impl SpillError {
     }
 }
 
-/// Message serialization for spill blobs. The engine is generic over its
-/// message type, so the embedder supplies the byte layout; `psgl-core`
-/// implements this for `Gpsi` with the checkpoint tuple layout.
-pub trait SpillCodec<M>: Sync {
-    /// Appends `msg`'s encoding to `out`.
-    fn encode(&self, msg: &M, out: &mut Vec<u8>);
-    /// Decodes one message from `r`, consuming exactly what
-    /// [`SpillCodec::encode`] wrote.
-    fn decode(&self, r: &mut SpillReader<'_>) -> Result<M, SpillError>;
-}
-
-/// Bounds-checked little-endian cursor over a spill payload. Every read
-/// past the end is a typed [`SpillError::Truncated`], never a panic.
-pub struct SpillReader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> SpillReader<'a> {
-    /// Wraps `data` with the cursor at the start.
-    pub fn new(data: &'a [u8]) -> Self {
-        SpillReader { data, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    /// Takes the next `n` raw bytes.
-    pub fn bytes(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], SpillError> {
-        if self.remaining() < n {
-            return Err(SpillError::Truncated { what });
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self, what: &'static str) -> Result<u8, SpillError> {
-        Ok(self.bytes(1, what)?[0])
-    }
-
-    /// Reads a little-endian `u16`.
-    pub fn u16(&mut self, what: &'static str) -> Result<u16, SpillError> {
-        Ok(u16::from_le_bytes(self.bytes(2, what)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self, what: &'static str) -> Result<u32, SpillError> {
-        Ok(u32::from_le_bytes(self.bytes(4, what)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self, what: &'static str) -> Result<u64, SpillError> {
-        Ok(u64::from_le_bytes(self.bytes(8, what)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian `u128`.
-    pub fn u128(&mut self, what: &'static str) -> Result<u128, SpillError> {
-        Ok(u128::from_le_bytes(self.bytes(16, what)?.try_into().unwrap()))
+impl From<Truncated> for SpillError {
+    fn from(t: Truncated) -> Self {
+        SpillError::Truncated { what: t.what }
     }
 }
 
@@ -300,13 +242,9 @@ impl SpillStore {
     /// and writes it. On success the caller releases the chunks back to
     /// the pool; on failure (budget, injected ENOSPC, real I/O error) the
     /// caller keeps them resident — the tuples were not consumed.
-    pub fn spill<M>(
-        &self,
-        codec: &dyn SpillCodec<M>,
-        chunks: &[Chunkish<M>],
-    ) -> Result<SpillSegment, SpillError> {
+    pub fn spill<M: Encode>(&self, chunks: &[Chunkish<M>]) -> Result<SpillSegment, SpillError> {
         let start = Instant::now();
-        let result = self.spill_inner(codec, chunks);
+        let result = self.spill_inner(chunks);
         self.stall_nanos.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         if result.is_err() {
             self.write_failures.fetch_add(1, Ordering::Relaxed);
@@ -314,21 +252,17 @@ impl SpillStore {
         result
     }
 
-    fn spill_inner<M>(
-        &self,
-        codec: &dyn SpillCodec<M>,
-        chunks: &[Chunkish<M>],
-    ) -> Result<SpillSegment, SpillError> {
+    fn spill_inner<M: Encode>(&self, chunks: &[Chunkish<M>]) -> Result<SpillSegment, SpillError> {
         let tuples: u64 = chunks.iter().map(|c| c.len() as u64).sum();
-        let mut payload = Vec::with_capacity(16 + chunks.len() * 64);
+        let mut payload = Vec::with_capacity(8 + tuples as usize * (4 + M::ENCODED_LEN));
         payload.extend_from_slice(&tuples.to_le_bytes());
         for chunk in chunks {
             for (to, msg) in chunk.iter() {
                 payload.extend_from_slice(&to.to_le_bytes());
-                codec.encode(msg, &mut payload);
+                msg.encode(&mut payload);
             }
         }
-        let frame = seal(&payload);
+        let frame = blob::seal(SPILL_MAGIC, &payload);
         let frame_len = frame.len() as u64;
         if let Some(cap) = self.max_spill_bytes {
             let live = self.live_bytes.load(Ordering::Relaxed);
@@ -365,14 +299,13 @@ impl SpillStore {
     /// Reads `seg` back, verifies the frame, decodes every tuple into
     /// `out` (preserving order), and deletes the blob. Acquires no pool
     /// chunk — re-admission lands in the worker's gather buffer.
-    pub fn readmit<M>(
+    pub fn readmit<M: Encode>(
         &self,
-        codec: &dyn SpillCodec<M>,
         seg: SpillSegment,
         out: &mut Vec<(VertexId, M)>,
     ) -> Result<(), SpillError> {
         let start = Instant::now();
-        let result = self.readmit_inner(codec, &seg, out);
+        let result = self.readmit_inner(&seg, out);
         self.stall_nanos.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         // The blob is consumed either way: on success the tuples moved to
         // `out`; on failure the run aborts and the directory guard will
@@ -390,9 +323,8 @@ impl SpillStore {
         result
     }
 
-    fn readmit_inner<M>(
+    fn readmit_inner<M: Encode>(
         &self,
-        codec: &dyn SpillCodec<M>,
         seg: &SpillSegment,
         out: &mut Vec<(VertexId, M)>,
     ) -> Result<(), SpillError> {
@@ -409,8 +341,7 @@ impl SpillStore {
             let mid = SPILL_MAGIC.len() + (frame.len() - SPILL_MAGIC.len() - 8) / 2;
             frame[mid] ^= 0x40;
         }
-        let payload = unseal(&frame)?;
-        let mut r = SpillReader::new(payload);
+        let mut r = Reader::new(open(&frame)?);
         let count = r.u64("tuple count")?;
         if count != seg.tuples {
             return Err(SpillError::CountMismatch { expected: seg.tuples, got: count });
@@ -418,10 +349,10 @@ impl SpillStore {
         out.reserve(count as usize);
         for _ in 0..count {
             let to = r.u32("tuple vertex")?;
-            let msg = codec.decode(&mut r)?;
+            let msg = decode_message(&mut r)?;
             out.push((to, msg));
         }
-        if r.remaining() != 0 {
+        if !r.is_empty() {
             return Err(SpillError::CountMismatch {
                 expected: seg.tuples,
                 got: seg.tuples + 1, // trailing garbage: more data than the manifest
@@ -488,35 +419,18 @@ impl Drop for SpillStore {
 /// keeps the signature readable without re-exporting `Chunk` here.)
 pub type Chunkish<M> = crate::chunk::Chunk<M>;
 
-/// Frames `payload` as `magic | payload | FxHash(payload)` — the same
-/// seal discipline as the checkpoint formats.
-fn seal(payload: &[u8]) -> Vec<u8> {
-    let mut hasher = FxHasher::default();
-    hasher.write(payload);
-    let mut framed = Vec::with_capacity(SPILL_MAGIC.len() + payload.len() + 8);
-    framed.extend_from_slice(SPILL_MAGIC);
-    framed.extend_from_slice(payload);
-    framed.extend_from_slice(&hasher.finish().to_le_bytes());
-    framed
+/// Checks a spill blob's envelope and returns its payload.
+fn open(frame: &[u8]) -> Result<&[u8], SpillError> {
+    blob::unseal(SPILL_MAGIC, frame).map_err(|e| match e {
+        UnsealError::TooShort => SpillError::Truncated { what: "frame header/checksum" },
+        UnsealError::BadMagic => SpillError::NotASpillBlob,
+        UnsealError::Checksum { expected, got } => SpillError::Corrupt { expected, got },
+    })
 }
 
-/// Validates magic + trailing checksum, returning the payload slice.
-fn unseal(data: &[u8]) -> Result<&[u8], SpillError> {
-    if data.len() < SPILL_MAGIC.len() + 8 {
-        return Err(SpillError::Truncated { what: "frame header/checksum" });
-    }
-    if &data[..SPILL_MAGIC.len()] != SPILL_MAGIC {
-        return Err(SpillError::NotASpillBlob);
-    }
-    let (payload, tail) = data[SPILL_MAGIC.len()..].split_at(data.len() - SPILL_MAGIC.len() - 8);
-    let expected = u64::from_le_bytes(tail.try_into().unwrap());
-    let mut hasher = FxHasher::default();
-    hasher.write(payload);
-    let got = hasher.finish();
-    if got != expected {
-        return Err(SpillError::Corrupt { expected, got });
-    }
-    Ok(payload)
+/// Decodes the next message of a spill payload.
+fn decode_message<M: Encode>(r: &mut Reader<'_>) -> Result<M, SpillError> {
+    M::decode(r.take(M::ENCODED_LEN, "message")?).map_err(|what| SpillError::Malformed { what })
 }
 
 #[cfg(test)]
@@ -524,14 +438,14 @@ mod tests {
     use super::*;
     use proptest::{prop_assert, prop_assert_eq, proptest};
 
-    /// Test codec: fixed-width u64 messages.
-    struct U64Codec;
-    impl SpillCodec<u64> for U64Codec {
-        fn encode(&self, msg: &u64, out: &mut Vec<u8>) {
-            out.extend_from_slice(&msg.to_le_bytes());
+    /// Test message: fixed-width u64s.
+    impl Encode for u64 {
+        const ENCODED_LEN: usize = 8;
+        fn encode(&self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&self.to_le_bytes());
         }
-        fn decode(&self, r: &mut SpillReader<'_>) -> Result<u64, SpillError> {
-            r.u64("u64 message")
+        fn decode(bytes: &[u8]) -> Result<u64, &'static str> {
+            Ok(u64::from_le_bytes(bytes.try_into().map_err(|_| "u64 message length")?))
         }
     }
 
@@ -548,12 +462,12 @@ mod tests {
         let store = store();
         let a = chunk_of(&[(3, 30), (1, 10), (2, 20)]);
         let b = chunk_of(&[(9, 90)]);
-        let seg = store.spill(&U64Codec, &[a, b]).unwrap();
+        let seg = store.spill(&[a, b]).unwrap();
         assert_eq!((seg.chunks, seg.tuples), (2, 4));
         let path = seg.path.clone();
         assert!(path.exists());
-        let mut out = Vec::new();
-        store.readmit(&U64Codec, seg, &mut out).unwrap();
+        let mut out: Vec<(VertexId, u64)> = Vec::new();
+        store.readmit(seg, &mut out).unwrap();
         assert_eq!(out, vec![(3, 30), (1, 10), (2, 20), (9, 90)]);
         assert!(!path.exists(), "re-admission consumes the blob");
         assert_eq!(store.spilled_chunks(), 2);
@@ -566,16 +480,16 @@ mod tests {
     fn zero_length_and_full_chunks_round_trip_exactly() {
         let store = store();
         // Zero-length chunk: legal (an empty destination stream).
-        let seg = store.spill(&U64Codec, &[chunk_of(&[])]).unwrap();
-        let mut out = Vec::new();
-        store.readmit(&U64Codec, seg, &mut out).unwrap();
+        let seg = store.spill(&[chunk_of(&[])]).unwrap();
+        let mut out: Vec<(VertexId, u64)> = Vec::new();
+        store.readmit(seg, &mut out).unwrap();
         assert!(out.is_empty());
         // A nominally full 512-tuple chunk.
         let full: Vec<(VertexId, u64)> = (0..512u64).map(|i| (i as VertexId, i * 7)).collect();
-        let seg = store.spill(&U64Codec, std::slice::from_ref(&full)).unwrap();
+        let seg = store.spill(std::slice::from_ref(&full)).unwrap();
         assert_eq!(seg.tuples, 512);
-        let mut out = Vec::new();
-        store.readmit(&U64Codec, seg, &mut out).unwrap();
+        let mut out: Vec<(VertexId, u64)> = Vec::new();
+        store.readmit(seg, &mut out).unwrap();
         assert_eq!(out, full);
     }
 
@@ -583,23 +497,25 @@ mod tests {
     fn every_truncation_point_yields_a_typed_error() {
         let store = store();
         let tuples: Vec<(VertexId, u64)> = (0..17).map(|i| (i, u64::from(i) << 32)).collect();
-        let seg = store.spill(&U64Codec, &[tuples]).unwrap();
+        let seg = store.spill(&[tuples]).unwrap();
         let frame = std::fs::read(&seg.path).unwrap();
         // Truncate at every possible length: each must fail with a typed
         // error (never a panic, never a silent short result).
         for len in 0..frame.len() {
-            let err = match unseal(&frame[..len]) {
+            let err = match open(&frame[..len]) {
                 Err(e) => e,
                 Ok(payload) => {
                     // The checksum guards the tail, so any in-payload cut
                     // that still unseals is astronomically unlikely; decode
                     // must then catch the truncation.
-                    let mut r = SpillReader::new(payload);
+                    let mut r = Reader::new(payload);
                     let mut bad = None;
                     if let Ok(count) = r.u64("tuple count") {
                         for _ in 0..count {
-                            if let Err(e) =
-                                r.u32("tuple vertex").and_then(|_| U64Codec.decode(&mut r))
+                            if let Err(e) = r
+                                .u32("tuple vertex")
+                                .map_err(SpillError::from)
+                                .and_then(|_| decode_message::<u64>(&mut r))
                             {
                                 bad = Some(e);
                                 break;
@@ -625,12 +541,12 @@ mod tests {
     #[test]
     fn every_corruption_point_yields_a_typed_error() {
         let store = store();
-        let seg = store.spill(&U64Codec, &[chunk_of(&[(1, 2), (3, 4)])]).unwrap();
+        let seg = store.spill(&[chunk_of(&[(1, 2), (3, 4)])]).unwrap();
         let frame = std::fs::read(&seg.path).unwrap();
         for i in 0..frame.len() {
             let mut bad = frame.clone();
             bad[i] ^= 0xA5;
-            let err = unseal(&bad).expect_err("single-byte corruption must be caught");
+            let err = open(&bad).expect_err("single-byte corruption must be caught");
             assert!(
                 matches!(err, SpillError::Corrupt { .. } | SpillError::NotASpillBlob),
                 "corruption at {i} gave {err:?}"
@@ -644,14 +560,14 @@ mod tests {
         let config = SpillConfig { max_spill_bytes: Some(64), ..SpillConfig::in_temp() };
         let store = SpillStore::create(&config).unwrap();
         let big: Vec<(VertexId, u64)> = (0..100).map(|i| (i, 0)).collect();
-        match store.spill(&U64Codec, &[big]) {
+        match store.spill(&[big]) {
             Err(SpillError::Exhausted { cap: 64, .. }) => {}
             other => panic!("expected Exhausted, got {other:?}"),
         }
         assert_eq!(store.exhausted_events(), 1);
         assert_eq!(store.live_bytes(), 0, "refused writes leave nothing on disk");
         // A small write still fits under the budget.
-        assert!(store.spill(&U64Codec, &[chunk_of(&[(1, 1)])]).is_ok());
+        assert!(store.spill(&[chunk_of(&[(1, 1)])]).is_ok());
     }
 
     #[test]
@@ -661,7 +577,7 @@ mod tests {
             ..SpillConfig::in_temp()
         };
         let store = SpillStore::create(&config).unwrap();
-        let err = store.spill(&U64Codec, &[chunk_of(&[(1, 1)])]).unwrap_err();
+        let err = store.spill(&[chunk_of(&[(1, 1)])]).unwrap_err();
         assert!(matches!(err, SpillError::Io(_)), "{err:?}");
         assert!(err.is_degradable());
         assert!(err.to_string().contains("no space left"));
@@ -675,9 +591,9 @@ mod tests {
         ] {
             let store =
                 SpillStore::create(&SpillConfig { faults, ..SpillConfig::in_temp() }).unwrap();
-            let seg = store.spill(&U64Codec, &[chunk_of(&[(1, 1), (2, 2)])]).unwrap();
-            let mut out = Vec::new();
-            let err = store.readmit(&U64Codec, seg, &mut out).unwrap_err();
+            let seg = store.spill(&[chunk_of(&[(1, 1), (2, 2)])]).unwrap();
+            let mut out: Vec<(VertexId, u64)> = Vec::new();
+            let err = store.readmit(seg, &mut out).unwrap_err();
             assert!(!err.is_degradable(), "read faults must abort: {err:?}");
             if want_corrupt {
                 assert!(matches!(err, SpillError::Corrupt { .. }), "{err:?}");
@@ -691,7 +607,7 @@ mod tests {
     fn drop_removes_the_spill_directory() {
         let store = store();
         let dir = store.dir().to_path_buf();
-        let _seg = store.spill(&U64Codec, &[chunk_of(&[(1, 1)])]).unwrap();
+        let _seg = store.spill(&[chunk_of(&[(1, 1)])]).unwrap();
         assert!(dir.exists());
         drop(store);
         assert!(!dir.exists(), "Drop must delete the per-run directory");
@@ -707,16 +623,16 @@ mod tests {
             flip in proptest::any::<u16>(),
         ) {
             let store = store();
-            let seg = store.spill(&U64Codec, std::slice::from_ref(&tuples)).unwrap();
+            let seg = store.spill(std::slice::from_ref(&tuples)).unwrap();
             let frame = std::fs::read(&seg.path).unwrap();
             let mut out = Vec::new();
-            store.readmit(&U64Codec, seg, &mut out).unwrap();
+            store.readmit(seg, &mut out).unwrap();
             prop_assert_eq!(&out, &tuples);
             // Re-seal and corrupt one pseudo-random byte.
             let i = flip as usize % frame.len();
             let mut bad = frame.clone();
             bad[i] ^= 0x81;
-            prop_assert!(unseal(&bad).is_err());
+            prop_assert!(open(&bad).is_err());
         }
     }
 }

@@ -9,7 +9,7 @@
 //! worker tasks allocated on top of what was already live.
 
 use psgl_bsp::{
-    run_controlled, BspConfig, Context, EngineMetrics, Executor, RunControl, RunOutcome,
+    run_controlled, BspConfig, Context, Encode, EngineMetrics, Executor, RunControl, RunOutcome,
     SerialExecutor, VertexProgram, WorkerTask,
 };
 use psgl_graph::partition::HashPartitioner;
@@ -66,7 +66,19 @@ static GLOBAL: PeakAlloc = PeakAlloc;
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 /// A message larger than a `Gpsi`: a `(VertexId, Msg)` tuple is 96 bytes.
-type Msg = [u64; 11];
+#[derive(Clone, Copy)]
+struct Msg([u64; 11]);
+
+impl Encode for Msg {
+    const ENCODED_LEN: usize = 88;
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.iter().for_each(|w| out.extend_from_slice(&w.to_le_bytes()));
+    }
+    fn decode(bytes: &[u8]) -> Result<Msg, &'static str> {
+        let word = |i: usize| u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap());
+        Ok(Msg(std::array::from_fn(word)))
+    }
+}
 
 /// Superstep 0: every vertex sends one message. Superstep 1: every
 /// message received is relayed twice. Superstep 2 receives two messages a
@@ -88,7 +100,7 @@ impl VertexProgram for Relay {
             _ => 0,
         };
         for i in 0..sends {
-            ctx.send(((v as usize * 7 + i + 1) % self.n) as VertexId, [u64::from(v); 11]);
+            ctx.send(((v as usize * 7 + i + 1) % self.n) as VertexId, Msg([u64::from(v); 11]));
         }
     }
 }

@@ -233,7 +233,7 @@ pub enum WorkerMsg {
         superstep: u32,
         /// Global partition id.
         partition: u32,
-        /// `CheckpointShard::to_bytes` output.
+        /// The shard's `Checkpoint::to_bytes` output (one part).
         bytes: Vec<u8>,
     },
     /// The run completed on this worker.
@@ -281,7 +281,8 @@ pub enum CoordMsg {
         /// Alive procs and their data-plane addresses.
         peers: Vec<(u32, String)>,
         /// Resume shards for this worker's partitions (empty on a fresh
-        /// start), one `CheckpointShard::to_bytes` blob per partition.
+        /// start), one single-part `Checkpoint::to_bytes` blob per
+        /// partition.
         resume: Vec<Vec<u8>>,
     },
     /// Barrier release: every worker reported `superstep`.

@@ -19,11 +19,11 @@
 //! The checksum is verified *before* any field is interpreted, so a
 //! corrupt frame is rejected as [`FrameError::ChecksumMismatch`] rather
 //! than producing garbage tuples. All multi-byte fields are
-//! little-endian; a [`Gpsi`] travels as [`Gpsi::encode`] writes it,
+//! little-endian; a message travels as its [`Encode`] impl writes it,
 //! exactly as in the checkpoint and spill formats.
 
 use bytes::BufMut;
-use psgl_core::Gpsi;
+use psgl_bsp::Encode;
 use psgl_graph::hash::FxHasher;
 use psgl_graph::VertexId;
 use std::hash::Hasher;
@@ -141,43 +141,9 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// A message type that can ride in a [`FrameKind::Data`] payload.
-pub trait WireMessage: Copy {
-    /// Exact serialized size in bytes.
-    const WIRE_BYTES: usize;
-    /// Appends exactly [`Self::WIRE_BYTES`] bytes.
-    fn put(&self, buf: &mut Vec<u8>);
-    /// Parses from exactly [`Self::WIRE_BYTES`] bytes.
-    fn get(bytes: &[u8]) -> Result<Self, FrameError>;
-}
-
-impl WireMessage for u64 {
-    const WIRE_BYTES: usize = 8;
-
-    fn put(&self, buf: &mut Vec<u8>) {
-        buf.put_u64_le(*self);
-    }
-
-    fn get(bytes: &[u8]) -> Result<u64, FrameError> {
-        Ok(u64::from_le_bytes(bytes.try_into().expect("sized by caller")))
-    }
-}
-
-impl WireMessage for Gpsi {
-    const WIRE_BYTES: usize = Gpsi::ENCODED_LEN;
-
-    fn put(&self, buf: &mut Vec<u8>) {
-        self.encode(buf);
-    }
-
-    fn get(bytes: &[u8]) -> Result<Gpsi, FrameError> {
-        Gpsi::decode(bytes).map_err(|e| FrameError::BadPayload(e.as_str()))
-    }
-}
-
 /// Encodes a frame to its full wire form (length prefix included).
-pub fn encode<M: WireMessage>(frame: &Frame<M>) -> Vec<u8> {
-    let tuple_bytes = 4 + M::WIRE_BYTES;
+pub fn encode<M: Encode>(frame: &Frame<M>) -> Vec<u8> {
+    let tuple_bytes = 4 + M::ENCODED_LEN;
     let body_len = HEADER_BYTES + frame.tuples.len() * tuple_bytes + CHECKSUM_BYTES;
     debug_assert!(body_len <= MAX_FRAME_BYTES as usize, "frame body exceeds the wire cap");
     let mut buf = Vec::with_capacity(4 + body_len);
@@ -190,7 +156,7 @@ pub fn encode<M: WireMessage>(frame: &Frame<M>) -> Vec<u8> {
     buf.put_u32_le(frame.tuples.len() as u32);
     for (v, m) in &frame.tuples {
         buf.put_u32_le(*v);
-        m.put(&mut buf);
+        m.encode(&mut buf);
     }
     let mut hasher = FxHasher::default();
     hasher.write(&buf[4..]);
@@ -201,7 +167,7 @@ pub fn encode<M: WireMessage>(frame: &Frame<M>) -> Vec<u8> {
 
 /// Decodes one frame from the front of `buf`, returning it and the
 /// number of bytes consumed.
-pub fn decode<M: WireMessage>(buf: &[u8]) -> Result<(Frame<M>, usize), FrameError> {
+pub fn decode<M: Encode>(buf: &[u8]) -> Result<(Frame<M>, usize), FrameError> {
     if buf.len() < 4 {
         return Err(FrameError::Truncated);
     }
@@ -219,7 +185,7 @@ pub fn decode<M: WireMessage>(buf: &[u8]) -> Result<(Frame<M>, usize), FrameErro
 
 /// Decodes a frame body (everything after the length prefix). The
 /// checksum is verified before any field is parsed.
-pub fn decode_body<M: WireMessage>(body: &[u8]) -> Result<Frame<M>, FrameError> {
+pub fn decode_body<M: Encode>(body: &[u8]) -> Result<Frame<M>, FrameError> {
     if body.len() < HEADER_BYTES + CHECKSUM_BYTES {
         return Err(FrameError::Truncated);
     }
@@ -238,7 +204,7 @@ pub fn decode_body<M: WireMessage>(body: &[u8]) -> Result<Frame<M>, FrameError> 
     let dst = u32::from_le_bytes(covered[13..17].try_into().expect("sized"));
     let count = u32::from_le_bytes(covered[17..21].try_into().expect("sized")) as usize;
     let payload = &covered[HEADER_BYTES..];
-    let tuple_bytes = 4 + M::WIRE_BYTES;
+    let tuple_bytes = 4 + M::ENCODED_LEN;
     if payload.len() != count * tuple_bytes {
         return Err(FrameError::BadPayload("payload size disagrees with tuple count"));
     }
@@ -246,7 +212,7 @@ pub fn decode_body<M: WireMessage>(body: &[u8]) -> Result<Frame<M>, FrameError> 
     for i in 0..count {
         let at = i * tuple_bytes;
         let v = u32::from_le_bytes(payload[at..at + 4].try_into().expect("sized"));
-        let m = M::get(&payload[at + 4..at + tuple_bytes])?;
+        let m = M::decode(&payload[at + 4..at + tuple_bytes]).map_err(FrameError::BadPayload)?;
         tuples.push((v, m));
     }
     Ok(Frame { kind, superstep, src, dst, tuples })
@@ -256,7 +222,7 @@ pub fn decode_body<M: WireMessage>(body: &[u8]) -> Result<Frame<M>, FrameError> 
 /// (length prefix included) for receive-side byte accounting.
 /// `Ok(None)` means clean EOF at a frame boundary; EOF mid-frame is
 /// [`FrameError::Truncated`].
-pub fn read_frame<M: WireMessage>(
+pub fn read_frame<M: Encode>(
     reader: &mut impl Read,
 ) -> Result<Option<(Frame<M>, u64)>, FrameError> {
     let mut prefix = [0u8; 4];
@@ -289,6 +255,21 @@ pub fn read_frame<M: WireMessage>(
 mod tests {
     use super::*;
     use psgl_core::gpsi::{MAX_GPSI_VERTICES, UNMAPPED};
+    use psgl_core::Gpsi;
+
+    /// A plain test message.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    struct Word(u64);
+
+    impl Encode for Word {
+        const ENCODED_LEN: usize = 8;
+        fn encode(&self, out: &mut Vec<u8>) {
+            out.put_u64_le(self.0);
+        }
+        fn decode(bytes: &[u8]) -> Result<Word, &'static str> {
+            Ok(Word(u64::from_le_bytes(bytes.try_into().map_err(|_| "word length")?)))
+        }
+    }
 
     fn sample_gpsi(seed: u32) -> Gpsi {
         let mut mapping = [UNMAPPED; MAX_GPSI_VERTICES];
@@ -355,8 +336,14 @@ mod tests {
 
     #[test]
     fn streaming_read_matches_decode() {
-        let frames: Vec<Frame<u64>> = vec![
-            Frame { kind: FrameKind::Data, superstep: 0, src: 0, dst: 1, tuples: vec![(1, 2)] },
+        let frames: Vec<Frame<Word>> = vec![
+            Frame {
+                kind: FrameKind::Data,
+                superstep: 0,
+                src: 0,
+                dst: 1,
+                tuples: vec![(1, Word(2))],
+            },
             Frame::signal(FrameKind::EndOfStep, 0, 0),
         ];
         let mut stream = Vec::new();
@@ -365,10 +352,10 @@ mod tests {
         }
         let mut cursor = &stream[..];
         for f in &frames {
-            let (got, size) = read_frame::<u64>(&mut cursor).unwrap().unwrap();
+            let (got, size) = read_frame::<Word>(&mut cursor).unwrap().unwrap();
             assert_eq!(&got, f);
             assert_eq!(size as usize, encode(f).len());
         }
-        assert!(read_frame::<u64>(&mut cursor).unwrap().is_none());
+        assert!(read_frame::<Word>(&mut cursor).unwrap().is_none());
     }
 }

@@ -18,8 +18,9 @@
 //!   control messages;
 //! - **recovery** ([`coordinator`]): heartbeat lapses mark a worker
 //!   dead; the coordinator aborts the attempt, rolls survivors back to
-//!   the newest complete superstep-boundary checkpoint (shards streamed
-//!   to the coordinator via [`control::WorkerMsg::Shard`]), reassigns
+//!   the newest complete superstep-boundary checkpoint (one single-part
+//!   checkpoint per partition, streamed to the coordinator via
+//!   [`control::WorkerMsg::Shard`]), reassigns
 //!   the dead worker's partitions, and re-runs — deterministically
 //!   reproducing the exact results of an uninterrupted run;
 //! - **entry points** ([`worker::run_worker`],
@@ -45,8 +46,7 @@ pub use control::{CoordMsg, GraphSpec, JobSpec, StartOrder, WorkerMsg};
 pub use coordinator::{run_cluster, ClusterConfig, ClusterError, ClusterOutcome};
 pub use exchange::TcpExchange;
 pub use frame::{
-    decode, encode, read_frame, Frame, FrameError, FrameKind, WireMessage, FRAME_MAGIC,
-    MAX_FRAME_BYTES,
+    decode, encode, read_frame, Frame, FrameError, FrameKind, FRAME_MAGIC, MAX_FRAME_BYTES,
 };
 pub use local::{run_local, LocalClusterConfig};
 pub use membership::Membership;

@@ -15,8 +15,9 @@
 //!
 //! A worker survives recovery: when the coordinator aborts an attempt
 //! and sends a new `start` with reassigned partitions and resume
-//! shards, the main loop simply runs again. The engine restores the
-//! shards through [`Start::Shards`], which rebuilds
+//! shards, the main loop simply runs again. The shards are single-part
+//! checkpoints; the worker joins them into one [`Checkpoint`] and the
+//! engine restores it through [`Start::Checkpoint`], which rebuilds
 //! distributor RNG streams and expansion counters exactly, so the
 //! re-run is bit-identical to an uninterrupted one.
 
@@ -24,7 +25,7 @@ use crate::control::{CoordMsg, GraphSpec, StartOrder, WorkerMsg};
 use crate::exchange::{parse_cancel_reason, ControlHandle, InboundRegistry, TcpExchange};
 use crate::frame::{encode, read_frame, Frame, FrameKind};
 use psgl_core::{
-    run, CheckpointShard, ClusterMember, Gpsi, ListingEnd, PsglShared, RunRequest, ShardSink, Start,
+    run, Checkpoint, ClusterMember, Gpsi, ListingEnd, PsglShared, RunRequest, ShardSink, Start,
 };
 use psgl_graph::DataGraph;
 use psgl_service::wire::{read_json, MAX_LINE_BYTES};
@@ -213,9 +214,11 @@ fn run_attempt(
     let start = if order.resume.is_empty() {
         Start::Init
     } else {
-        match order.resume.iter().map(|b| CheckpointShard::from_bytes(b)).collect() {
-            Ok(shards) => Start::Shards(shards),
-            Err(e) => return report(format!("bad resume shard: {e}")),
+        let shards: Result<Vec<_>, _> =
+            order.resume.iter().map(|b| Checkpoint::from_bytes(b)).collect();
+        match shards.and_then(Checkpoint::join) {
+            Ok(cp) => Start::Checkpoint(cp),
+            Err(e) => return report(format!("bad resume shards: {e}")),
         }
     };
     let member = ClusterMember {
@@ -258,12 +261,12 @@ struct WireShardSink {
 }
 
 impl ShardSink for WireShardSink {
-    fn capture(&self, shards: Vec<CheckpointShard>) {
+    fn capture(&self, shards: Vec<Checkpoint>) {
         for shard in shards {
             let msg = WorkerMsg::Shard {
                 attempt: self.attempt,
                 superstep: shard.superstep,
-                partition: shard.partition,
+                partition: shard.parts[0].partition,
                 bytes: shard.to_bytes(),
             };
             // A failed send surfaces soon enough as a dead control

@@ -135,6 +135,10 @@ fn killed_worker_recovers_to_identical_results() {
     let reassigned_ev = &tracer.events()[reassigned];
     assert_eq!(reassigned_ev.field_u64("attempt"), Some(1));
     assert_eq!(reassigned_ev.field_u64("partitions"), Some(PARTITIONS as u64));
+    // The survivors restart from the shards of the barrier before the
+    // death, not from scratch: each joins its partitions' one-part
+    // checkpoints and restores them.
+    assert_eq!(reassigned_ev.field_u64("resume_superstep"), Some(1));
 }
 
 /// The coordinator's control port doubles as a metrics endpoint: a

@@ -1,23 +1,37 @@
-//! Superstep-boundary checkpoints: serialize a cancelled run's live
+//! Superstep-boundary checkpoints: serialize a stopped run's live
 //! frontier and worker state for exact resume.
 //!
 //! A checkpoint captures everything the engine's
 //! [`ResumePoint`](psgl_bsp::ResumePoint) needs that is not re-derivable
-//! from the run inputs: the undelivered Gpsi frontier (per destination
-//! worker, in delivery order), each worker's distributor state (strategy
-//! RNG stream position + workload view), expansion counters, harvested
-//! instances, and the per-superstep metrics of the completed prefix. A
-//! *guard* header pins the run inputs (graph content hash, worker count,
+//! from the run inputs, one *part* per partition: the partition's
+//! undelivered Gpsi frontier (in delivery order) and its worker's
+//! distributor state (strategy RNG stream position + workload view),
+//! expansion counters and harvest. Beside the parts it holds the run-level
+//! prefix: the per-superstep metrics and carried counters of the completed
+//! supersteps.
+//!
+//! A whole-run capture (a preempted slice, a checkpointed deadline or
+//! budget stop) has a part for every partition. A cluster member streams a
+//! checkpoint with a single part — a *shard* — for each partition it hosts
+//! at every coordinator-directed barrier, with no prefix: the coordinator
+//! owns the global superstep history. A restarted member [joins](Checkpoint::join)
+//! the shards of the partitions it now hosts into one checkpoint, and the
+//! run restores from it like from any other: its parts must be exactly the
+//! partitions the run hosts.
+//!
+//! A *guard* header pins the run inputs (graph content hash, worker count,
 //! seed, strategy, pattern, initial vertex, harvest mode) so a checkpoint
 //! can only be resumed against the exact run it was captured from —
 //! resuming against anything else would silently produce wrong counts.
 //!
-//! The binary format follows `crates/graph/src/binary.rs`: magic, u32/u64
-//! little-endian fields, and a trailing FxHash checksum over the payload
-//! so corruption fails loudly, never silently.
+//! The envelope is the [`psgl_graph::blob`] seal, and the payload a
+//! sequence of little-endian fields, so corruption fails loudly, never
+//! silently:
 //!
 //! ```text
-//! magic "PSGLCKP3" | payload | checksum: u64 (FxHash of the payload)
+//! magic "PSGLCKP4" | payload | checksum: u64 (FxHash of the payload)
+//! payload = guard | superstep | carried | prior supersteps
+//!         | part count: u32 | per part: partition u32, worker, frontier
 //! ```
 
 use crate::distribute::{DistributorSnapshot, Strategy};
@@ -25,15 +39,14 @@ use crate::gpsi::{Gpsi, MAX_GPSI_VERTICES};
 use crate::stats::ExpandStats;
 use bytes::BufMut;
 use psgl_bsp::{
-    CarriedCounters, NetSuperstepMetrics, SpillCodec, SpillError, SpillReader, SuperstepMetrics,
-    WorkerSuperstepMetrics,
+    CarriedCounters, Encode, NetSuperstepMetrics, SuperstepMetrics, WorkerSuperstepMetrics,
 };
+use psgl_graph::blob::{self, Reader, Truncated, UnsealError};
 use psgl_graph::hash::FxHasher;
 use psgl_graph::VertexId;
 use std::hash::Hasher;
 
-const MAGIC: &[u8; 8] = b"PSGLCKP3";
-const SHARD_MAGIC: &[u8; 8] = b"PSGLSHD2";
+const MAGIC: &[u8; 8] = b"PSGLCKP4";
 
 /// A checkpoint failed to decode or does not match the run it is being
 /// resumed against.
@@ -44,7 +57,7 @@ pub struct CheckpointError {
 }
 
 impl CheckpointError {
-    fn new(message: impl Into<String>) -> Self {
+    pub(crate) fn new(message: impl Into<String>) -> Self {
         CheckpointError { message: message.into() }
     }
 }
@@ -57,15 +70,34 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// What each worker's harvest held at the capture barrier.
+impl From<Truncated> for CheckpointError {
+    fn from(t: Truncated) -> Self {
+        CheckpointError::new(format!("truncated checkpoint reading {}", t.what))
+    }
+}
+
+/// What a worker holds of the instances it has found — in a running
+/// worker and in its checkpoint alike.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum HarvestCheckpoint {
+pub enum Harvested {
     /// Counting only; the count lives in [`ExpandStats::results`].
     CountOnly,
     /// Collected instance tuples found so far.
     Instances(Vec<Vec<VertexId>>),
     /// Per-data-vertex participation counts so far.
     PerVertex(Vec<u64>),
+}
+
+impl Harvested {
+    /// The guard's harvest-mode byte: 0 = count only, 1 = instances,
+    /// 2 = per-vertex.
+    pub fn mode(&self) -> u8 {
+        match self {
+            Harvested::CountOnly => 0,
+            Harvested::Instances(_) => 1,
+            Harvested::PerVertex(_) => 2,
+        }
+    }
 }
 
 /// One worker's mutable state at the capture barrier.
@@ -82,7 +114,18 @@ pub struct WorkerCheckpoint {
     /// Whether a fan-out limit had tripped (drain mode).
     pub failed: bool,
     /// Instances/counts harvested so far.
-    pub harvest: HarvestCheckpoint,
+    pub harvest: Harvested,
+}
+
+/// One partition's share of a checkpoint.
+#[derive(Clone, Debug, PartialEq)]
+pub struct PartCheckpoint {
+    /// Global partition id.
+    pub partition: u32,
+    /// The partition's worker state at the capture barrier.
+    pub worker: WorkerCheckpoint,
+    /// Undelivered messages bound for this partition, in delivery order.
+    pub frontier: Vec<(VertexId, Gpsi)>,
 }
 
 /// Pins the run inputs a checkpoint was captured from. All fields must
@@ -102,7 +145,7 @@ pub struct CheckpointGuard {
     pub pattern_hash: u64,
     /// The selected initial pattern vertex.
     pub init_vertex: u8,
-    /// Harvest mode: 0 = count only, 1 = instances, 2 = per-vertex.
+    /// Harvest mode, [`Harvested::mode`].
     pub harvest_mode: u8,
 }
 
@@ -117,7 +160,7 @@ pub fn pattern_hash(pattern: &psgl_pattern::Pattern) -> u64 {
     h.finish()
 }
 
-/// A complete superstep-boundary checkpoint of a cancelled run.
+/// A superstep-boundary checkpoint: the whole run's, or one partition's.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Checkpoint {
     /// Run-input guard; checked by [`Checkpoint::validate`].
@@ -126,27 +169,25 @@ pub struct Checkpoint {
     pub superstep: u32,
     /// Run-level counters of the completed prefix (pool exhaustion,
     /// spill traffic, live-chunk peak), folded into the resumed run's
-    /// totals.
+    /// totals. Zero in a shard.
     pub carried: CarriedCounters,
-    /// Per-superstep metrics of the completed prefix.
+    /// Per-superstep metrics of the completed prefix. Empty in a shard.
     pub prior_supersteps: Vec<SuperstepMetrics>,
-    /// Per-worker state, indexed by worker id.
-    pub workers: Vec<WorkerCheckpoint>,
-    /// Undelivered messages per destination worker, in delivery order.
-    pub frontier: Vec<Vec<(VertexId, Gpsi)>>,
+    /// One part per captured partition, ascending by partition.
+    pub parts: Vec<PartCheckpoint>,
 }
 
 impl Checkpoint {
-    /// Moves every harvested instance out of the worker snapshots,
-    /// sorted — the streaming scheduler's per-slice page. The resumed
-    /// run starts with empty harvests, so draining after each slice
-    /// partitions the full instance multiset across pages; cumulative
-    /// counts are untouched (they live in [`ExpandStats::results`]).
-    /// Returns an empty vec for count-only and per-vertex harvests.
+    /// Moves every harvested instance out of the parts, sorted — the
+    /// streaming scheduler's per-slice page. The resumed run starts with
+    /// empty harvests, so draining after each slice partitions the full
+    /// instance multiset across pages; cumulative counts are untouched
+    /// (they live in [`ExpandStats::results`]). Returns an empty vec for
+    /// count-only and per-vertex harvests.
     pub fn drain_instances(&mut self) -> Vec<Vec<VertexId>> {
         let mut out = Vec::new();
-        for w in &mut self.workers {
-            if let HarvestCheckpoint::Instances(buf) = &mut w.harvest {
+        for part in &mut self.parts {
+            if let Harvested::Instances(buf) = &mut part.worker.harvest {
                 out.append(buf);
             }
         }
@@ -181,10 +222,39 @@ impl Checkpoint {
         if g.harvest_mode != expected.harvest_mode {
             return Err(CheckpointError::new("harvest mode mismatch"));
         }
-        if self.workers.len() != g.workers as usize || self.frontier.len() != g.workers as usize {
-            return Err(CheckpointError::new("worker-state / frontier arity mismatch"));
-        }
         Ok(())
+    }
+
+    /// Joins checkpoints captured at one barrier of one run — a restarted
+    /// cluster member's shards — into a single checkpoint whose parts
+    /// ascend by partition. Mixed guards, mixed supersteps and two parts
+    /// for one partition are rejected. The run-level prefix is the first
+    /// checkpoint's; a shard carries none.
+    pub fn join(
+        checkpoints: impl IntoIterator<Item = Checkpoint>,
+    ) -> Result<Checkpoint, CheckpointError> {
+        let mut rest = checkpoints.into_iter();
+        let mut joined = rest.next().ok_or_else(|| CheckpointError::new("nothing to join"))?;
+        for cp in rest {
+            if cp.guard != joined.guard {
+                return Err(CheckpointError::new("joined checkpoints come from different runs"));
+            }
+            if cp.superstep != joined.superstep {
+                return Err(CheckpointError::new(format!(
+                    "joined checkpoints span supersteps {} and {}",
+                    joined.superstep, cp.superstep
+                )));
+            }
+            joined.parts.extend(cp.parts);
+        }
+        joined.parts.sort_unstable_by_key(|part| part.partition);
+        if let Some(w) = joined.parts.windows(2).find(|w| w[0].partition == w[1].partition) {
+            return Err(CheckpointError::new(format!(
+                "two parts for partition {}",
+                w[0].partition
+            )));
+        }
+        Ok(joined)
     }
 
     /// Serializes the checkpoint into the binary format.
@@ -202,141 +272,75 @@ impl Checkpoint {
             put_counters(&mut p, s.net.to_array());
             p.put_u64_le(s.spill_stall_nanos);
         }
-        for w in &self.workers {
-            put_worker(&mut p, w);
+        p.put_u32_le(self.parts.len() as u32);
+        for part in &self.parts {
+            p.put_u32_le(part.partition);
+            put_worker(&mut p, &part.worker);
+            p.put_u64_le(part.frontier.len() as u64);
+            for (v, gpsi) in &part.frontier {
+                p.put_u32_le(*v);
+                gpsi.encode(&mut p);
+            }
         }
-        for dest in &self.frontier {
-            put_frontier_dest(&mut p, dest);
-        }
-        seal(MAGIC, &p)
+        blob::seal(MAGIC, &p)
     }
 
     /// Deserializes the binary format; rejects corruption (checksum),
-    /// truncation, and structurally invalid payloads.
+    /// truncation, and structurally invalid payloads — among them parts
+    /// that are not distinct partitions of the run, in ascending order.
     pub fn from_bytes(data: &[u8]) -> Result<Checkpoint, CheckpointError> {
-        let payload = unseal(MAGIC, "PSGLCKP3 checkpoint", data)?;
-        let mut r = Reader { data: payload };
+        let payload = blob::unseal(MAGIC, data).map_err(|e| match e {
+            UnsealError::TooShort | UnsealError::BadMagic => {
+                CheckpointError::new("not a PSGLCKP4 checkpoint")
+            }
+            UnsealError::Checksum { .. } => CheckpointError::new("checksum mismatch"),
+        })?;
+        let mut r = Reader::new(payload);
         let guard = read_guard(&mut r)?;
-        let workers = guard.workers;
-        let harvest_mode = guard.harvest_mode;
-        let superstep = r.u32()?;
-        let carried = CarriedCounters::from_array(r.counters()?);
-        let n_supersteps = r.u32()? as usize;
+        let superstep = r.u32("superstep")?;
+        let carried = CarriedCounters::from_array(read_counters(&mut r, "carried counters")?);
+        let n_supersteps = r.u32("superstep count")?;
         let mut prior_supersteps = Vec::new();
         for _ in 0..n_supersteps {
-            let n_workers = r.u32()? as usize;
-            let mut ws = Vec::new();
+            let n_workers = r.u32("superstep worker count")?;
+            let mut workers = Vec::new();
             for _ in 0..n_workers {
-                ws.push(WorkerSuperstepMetrics::from_array(r.counters()?));
+                let metrics = read_counters(&mut r, "worker superstep metrics")?;
+                workers.push(WorkerSuperstepMetrics::from_array(metrics));
             }
-            let net = NetSuperstepMetrics::from_array(r.counters()?);
-            let spill_stall_nanos = r.u64()?;
-            prior_supersteps.push(SuperstepMetrics { workers: ws, net, spill_stall_nanos });
+            let net = NetSuperstepMetrics::from_array(read_counters(&mut r, "net metrics")?);
+            let spill_stall_nanos = r.u64("spill stall")?;
+            prior_supersteps.push(SuperstepMetrics { workers, net, spill_stall_nanos });
         }
-        let mut worker_states = Vec::new();
-        for _ in 0..workers {
-            worker_states.push(read_worker(&mut r, harvest_mode)?);
+        let n_parts = r.u32("part count")?;
+        let mut parts: Vec<PartCheckpoint> = Vec::new();
+        for _ in 0..n_parts {
+            let partition = r.u32("partition")?;
+            if partition >= guard.workers {
+                return Err(CheckpointError::new(format!(
+                    "part for partition {partition} of a {}-partition run",
+                    guard.workers
+                )));
+            }
+            if parts.last().is_some_and(|last| last.partition >= partition) {
+                return Err(CheckpointError::new("parts are not ascending distinct partitions"));
+            }
+            let worker = read_worker(&mut r, guard.harvest_mode)?;
+            let n = r.u64("frontier length")?;
+            let mut frontier = Vec::new();
+            for _ in 0..n {
+                let v = r.u32("frontier vertex")?;
+                let gpsi = Gpsi::decode(r.take(Gpsi::ENCODED_LEN, "frontier gpsi")?)
+                    .map_err(|e| CheckpointError::new(format!("frontier: {e}")))?;
+                frontier.push((v, gpsi));
+            }
+            parts.push(PartCheckpoint { partition, worker, frontier });
         }
-        let mut frontier = Vec::new();
-        for _ in 0..workers {
-            frontier.push(read_frontier_dest(&mut r)?);
+        if !r.is_empty() {
+            return Err(CheckpointError::new("trailing bytes after the last part"));
         }
-        if !r.data.is_empty() {
-            return Err(CheckpointError::new("trailing bytes after frontier"));
-        }
-        Ok(Checkpoint {
-            guard,
-            superstep,
-            carried,
-            prior_supersteps,
-            workers: worker_states,
-            frontier,
-        })
+        Ok(Checkpoint { guard, superstep, carried, prior_supersteps, parts })
     }
-}
-
-/// One partition's slice of a superstep-boundary checkpoint, as streamed
-/// from a cluster worker to the coordinator. The coordinator collects one
-/// shard per partition per checkpointed superstep; on a worker failure it
-/// hands the surviving (and reassigned) partitions their shards back and
-/// the run resumes from the last complete shard set.
-///
-/// Same binary discipline as [`Checkpoint`]:
-///
-/// ```text
-/// magic "PSGLSHD2" | payload | checksum: u64 (FxHash of the payload)
-/// ```
-#[derive(Clone, Debug, PartialEq)]
-pub struct CheckpointShard {
-    /// Run-input guard — identical across all shards of one run.
-    pub guard: CheckpointGuard,
-    /// Global partition id this shard belongs to.
-    pub partition: u32,
-    /// The superstep a resume from this shard starts at.
-    pub superstep: u32,
-    /// The partition's worker state at the capture barrier.
-    pub worker: WorkerCheckpoint,
-    /// Undelivered messages bound for this partition, in delivery order.
-    pub frontier: Vec<(VertexId, Gpsi)>,
-}
-
-impl CheckpointShard {
-    /// Serializes the shard into the binary format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut p = Vec::new();
-        put_guard(&mut p, &self.guard);
-        p.put_u32_le(self.partition);
-        p.put_u32_le(self.superstep);
-        put_worker(&mut p, &self.worker);
-        put_frontier_dest(&mut p, &self.frontier);
-        seal(SHARD_MAGIC, &p)
-    }
-
-    /// Deserializes the binary format; rejects corruption, truncation, and
-    /// structurally invalid payloads.
-    pub fn from_bytes(data: &[u8]) -> Result<CheckpointShard, CheckpointError> {
-        let payload = unseal(SHARD_MAGIC, "PSGLSHD2 checkpoint shard", data)?;
-        let mut r = Reader { data: payload };
-        let guard = read_guard(&mut r)?;
-        let partition = r.u32()?;
-        if partition >= guard.workers {
-            return Err(CheckpointError::new("shard partition out of range"));
-        }
-        let superstep = r.u32()?;
-        let worker = read_worker(&mut r, guard.harvest_mode)?;
-        let frontier = read_frontier_dest(&mut r)?;
-        if !r.data.is_empty() {
-            return Err(CheckpointError::new("trailing bytes after frontier"));
-        }
-        Ok(CheckpointShard { guard, partition, superstep, worker, frontier })
-    }
-}
-
-/// Frames `payload` with a magic and a trailing FxHash checksum.
-fn seal(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
-    let mut hasher = FxHasher::default();
-    hasher.write(payload);
-    let mut out = Vec::with_capacity(8 + payload.len() + 8);
-    out.extend_from_slice(magic);
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&hasher.finish().to_le_bytes());
-    out
-}
-
-/// Checks magic + checksum and returns the inner payload.
-fn unseal<'a>(magic: &[u8; 8], what: &str, data: &'a [u8]) -> Result<&'a [u8], CheckpointError> {
-    if data.len() < 8 + 8 || &data[..8] != magic {
-        return Err(CheckpointError::new(format!("not a {what}")));
-    }
-    let payload = &data[8..data.len() - 8];
-    let mut expect = [0u8; 8];
-    expect.copy_from_slice(&data[data.len() - 8..]);
-    let mut hasher = FxHasher::default();
-    hasher.write(payload);
-    if hasher.finish() != u64::from_le_bytes(expect) {
-        return Err(CheckpointError::new("checksum mismatch"));
-    }
-    Ok(payload)
 }
 
 fn put_guard(p: &mut Vec<u8>, g: &CheckpointGuard) {
@@ -352,16 +356,16 @@ fn put_guard(p: &mut Vec<u8>, g: &CheckpointGuard) {
 }
 
 fn read_guard(r: &mut Reader<'_>) -> Result<CheckpointGuard, CheckpointError> {
-    let graph_hash = r.u64()?;
-    let workers = r.u32()?;
+    let graph_hash = r.u64("graph hash")?;
+    let workers = r.u32("worker count")?;
     if workers == 0 || workers > 1 << 20 {
         return Err(CheckpointError::new("implausible worker count"));
     }
-    let seed = r.u64()?;
-    let strategy = decode_strategy(r.u8()?, r.f64()?)?;
-    let pattern_hash = r.u64()?;
-    let init_vertex = r.u8()?;
-    let harvest_mode = r.u8()?;
+    let seed = r.u64("seed")?;
+    let strategy = decode_strategy(r.u8("strategy")?, r.f64("strategy alpha")?)?;
+    let pattern_hash = r.u64("pattern hash")?;
+    let init_vertex = r.u8("initial vertex")?;
+    let harvest_mode = r.u8("harvest mode")?;
     if harvest_mode > 2 {
         return Err(CheckpointError::new("unknown harvest mode"));
     }
@@ -389,8 +393,8 @@ fn put_worker(p: &mut Vec<u8>, w: &WorkerCheckpoint) {
     p.put_u32_le(w.emitted_superstep);
     p.put_u8(u8::from(w.failed));
     match &w.harvest {
-        HarvestCheckpoint::CountOnly => {}
-        HarvestCheckpoint::Instances(buf) => {
+        Harvested::CountOnly => {}
+        Harvested::Instances(buf) => {
             p.put_u64_le(buf.len() as u64);
             for inst in buf {
                 p.put_u8(inst.len() as u8);
@@ -399,7 +403,7 @@ fn put_worker(p: &mut Vec<u8>, w: &WorkerCheckpoint) {
                 }
             }
         }
-        HarvestCheckpoint::PerVertex(counts) => {
+        Harvested::PerVertex(counts) => {
             p.put_u64_le(counts.len() as u64);
             for &c in counts {
                 p.put_u64_le(c);
@@ -409,41 +413,44 @@ fn put_worker(p: &mut Vec<u8>, w: &WorkerCheckpoint) {
 }
 
 fn read_worker(r: &mut Reader<'_>, harvest_mode: u8) -> Result<WorkerCheckpoint, CheckpointError> {
-    let rng_state = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-    let n_load = r.u32()? as usize;
+    let mut rng_state = [0u64; 4];
+    for s in &mut rng_state {
+        *s = r.u64("rng state")?;
+    }
+    let n_load = r.u32("workload length")?;
     let mut workload = Vec::new();
     for _ in 0..n_load {
-        workload.push(r.f64()?);
+        workload.push(r.f64("workload")?);
     }
-    let stats = ExpandStats::from_array(r.counters()?);
-    let emitted_this_superstep = r.u64()?;
-    let emitted_superstep = r.u32()?;
-    let failed = r.u8()? != 0;
+    let stats = ExpandStats::from_array(read_counters(r, "expansion counters")?);
+    let emitted_this_superstep = r.u64("emitted count")?;
+    let emitted_superstep = r.u32("emitted superstep")?;
+    let failed = r.u8("failed flag")? != 0;
     let harvest = match harvest_mode {
-        0 => HarvestCheckpoint::CountOnly,
+        0 => Harvested::CountOnly,
         1 => {
-            let n = r.u64()? as usize;
+            let n = r.u64("instance count")?;
             let mut buf = Vec::new();
             for _ in 0..n {
-                let len = r.u8()? as usize;
+                let len = r.u8("instance length")? as usize;
                 if len > MAX_GPSI_VERTICES {
                     return Err(CheckpointError::new("oversized instance tuple"));
                 }
                 let mut inst = Vec::with_capacity(len);
                 for _ in 0..len {
-                    inst.push(r.u32()?);
+                    inst.push(r.u32("instance vertex")?);
                 }
                 buf.push(inst);
             }
-            HarvestCheckpoint::Instances(buf)
+            Harvested::Instances(buf)
         }
         _ => {
-            let n = r.u64()? as usize;
+            let n = r.u64("per-vertex length")?;
             let mut counts = Vec::new();
             for _ in 0..n {
-                counts.push(r.u64()?);
+                counts.push(r.u64("per-vertex count")?);
             }
-            HarvestCheckpoint::PerVertex(counts)
+            Harvested::PerVertex(counts)
         }
     };
     Ok(WorkerCheckpoint {
@@ -454,42 +461,6 @@ fn read_worker(r: &mut Reader<'_>, harvest_mode: u8) -> Result<WorkerCheckpoint,
         failed,
         harvest,
     })
-}
-
-fn put_frontier_dest(p: &mut Vec<u8>, dest: &[(VertexId, Gpsi)]) {
-    p.put_u64_le(dest.len() as u64);
-    for (v, gpsi) in dest {
-        p.put_u32_le(*v);
-        gpsi.encode(p);
-    }
-}
-
-fn read_frontier_dest(r: &mut Reader<'_>) -> Result<Vec<(VertexId, Gpsi)>, CheckpointError> {
-    let n = r.u64()? as usize;
-    let mut dest = Vec::new();
-    for _ in 0..n {
-        let v = r.u32()?;
-        let gpsi = Gpsi::decode(r.take(Gpsi::ENCODED_LEN)?)
-            .map_err(|e| CheckpointError::new(format!("frontier: {e}")))?;
-        dest.push((v, gpsi));
-    }
-    Ok(dest)
-}
-
-/// [`SpillCodec`] for [`Gpsi`] messages — the engine's disk spill tier
-/// evicts frontier chunks as [`Gpsi::encode`] tuples; the destination
-/// vertex and the checksum are the spill blob's own framing.
-pub struct GpsiSpillCodec;
-
-impl SpillCodec<Gpsi> for GpsiSpillCodec {
-    fn encode(&self, msg: &Gpsi, out: &mut Vec<u8>) {
-        msg.encode(out);
-    }
-
-    fn decode(&self, r: &mut SpillReader<'_>) -> Result<Gpsi, SpillError> {
-        Gpsi::decode(r.bytes(Gpsi::ENCODED_LEN, "gpsi")?)
-            .map_err(|e| SpillError::Malformed { what: e.as_str() })
-    }
 }
 
 fn encode_strategy(s: Strategy) -> (u8, f64) {
@@ -518,46 +489,16 @@ fn put_counters<const N: usize>(p: &mut Vec<u8>, values: [u64; N]) {
     }
 }
 
-/// Bounds-checked little-endian cursor; every read can fail instead of
-/// panicking on truncated input.
-struct Reader<'a> {
-    data: &'a [u8],
-}
-
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], CheckpointError> {
-        if self.data.len() < n {
-            return Err(CheckpointError::new("truncated checkpoint"));
-        }
-        let (head, rest) = self.data.split_at(n);
-        self.data = rest;
-        Ok(head)
+/// Inverse of [`put_counters`]; `N` is the receiving table's `LEN`.
+fn read_counters<const N: usize>(
+    r: &mut Reader<'_>,
+    what: &'static str,
+) -> Result<[u64; N], Truncated> {
+    let mut values = [0u64; N];
+    for v in &mut values {
+        *v = r.u64(what)?;
     }
-
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    /// Inverse of [`put_counters`]; `N` is the receiving table's `LEN`.
-    fn counters<const N: usize>(&mut self) -> Result<[u64; N], CheckpointError> {
-        let mut values = [0u64; N];
-        for v in &mut values {
-            *v = self.u64()?;
-        }
-        Ok(values)
-    }
-
-    fn f64(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
+    Ok(values)
 }
 
 #[cfg(test)]
@@ -588,28 +529,54 @@ mod tests {
                 net: NetSuperstepMetrics::from_array([6, 5, 4096, 3072, 777, 888]),
                 spill_stall_nanos: 321,
             }],
-            workers: vec![
-                WorkerCheckpoint {
-                    distributor: DistributorSnapshot {
-                        rng_state: [1, 2, 3, 4],
-                        workload: vec![0.5, 1.25],
+            parts: vec![
+                PartCheckpoint {
+                    partition: 0,
+                    worker: WorkerCheckpoint {
+                        distributor: DistributorSnapshot {
+                            rng_state: [1, 2, 3, 4],
+                            workload: vec![0.5, 1.25],
+                        },
+                        stats: ExpandStats {
+                            expanded: 7,
+                            results: 2,
+                            cost: 31,
+                            ..Default::default()
+                        },
+                        emitted_this_superstep: 4,
+                        emitted_superstep: 2,
+                        failed: false,
+                        harvest: Harvested::Instances(vec![vec![0, 1, 2], vec![4, 5, 6]]),
                     },
-                    stats: ExpandStats { expanded: 7, results: 2, cost: 31, ..Default::default() },
-                    emitted_this_superstep: 4,
-                    emitted_superstep: 2,
-                    failed: false,
-                    harvest: HarvestCheckpoint::Instances(vec![vec![0, 1, 2], vec![4, 5, 6]]),
+                    frontier: vec![(7, g), (3, Gpsi::initial(1, 3))],
                 },
-                WorkerCheckpoint {
-                    distributor: DistributorSnapshot { rng_state: [5, 6, 7, 8], workload: vec![] },
-                    stats: ExpandStats::default(),
-                    emitted_this_superstep: 0,
-                    emitted_superstep: 0,
-                    failed: true,
-                    harvest: HarvestCheckpoint::Instances(vec![]),
+                PartCheckpoint {
+                    partition: 1,
+                    worker: WorkerCheckpoint {
+                        distributor: DistributorSnapshot {
+                            rng_state: [5, 6, 7, 8],
+                            workload: vec![],
+                        },
+                        stats: ExpandStats::default(),
+                        emitted_this_superstep: 0,
+                        emitted_superstep: 0,
+                        failed: true,
+                        harvest: Harvested::Instances(vec![]),
+                    },
+                    frontier: vec![],
                 },
             ],
-            frontier: vec![vec![(7, g), (3, Gpsi::initial(1, 3))], vec![]],
+        }
+    }
+
+    /// Part `i` of `cp` as a cluster member's shard sink captures it: one
+    /// part, no run-level prefix.
+    fn shard(cp: &Checkpoint, i: usize) -> Checkpoint {
+        Checkpoint {
+            carried: CarriedCounters::default(),
+            prior_supersteps: Vec::new(),
+            parts: vec![cp.parts[i].clone()],
+            ..cp.clone()
         }
     }
 
@@ -618,83 +585,76 @@ mod tests {
         u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap())
     }
 
-    /// Golden pin of both binary formats: the payload is a fixed sequence
-    /// of little-endian words in field-declaration order, so any change
-    /// to a counter table's order or length moves the length or the
-    /// checksum recorded here (and then needs a magic bump).
+    /// Golden pin of the binary format, whole-run and one-part: the payload
+    /// is a fixed sequence of little-endian words in field-declaration
+    /// order, so any change to a counter table's order or length moves the
+    /// length or the checksum recorded here (and then needs a magic bump).
     #[test]
     fn checkpoint_and_shard_bytes_are_pinned() {
         let mut cp = sample();
-        cp.workers[0].stats = ExpandStats::from_array(std::array::from_fn(|i| 101 + i as u64));
+        cp.parts[0].worker.stats = ExpandStats::from_array(std::array::from_fn(|i| 101 + i as u64));
         let bytes = cp.to_bytes();
-        assert_eq!(&bytes[..8], b"PSGLCKP3");
-        assert_eq!((bytes.len(), checksum_word(&bytes)), (881, 0xCC4A1500BAE74B70));
+        assert_eq!(&bytes[..8], b"PSGLCKP4");
+        assert_eq!((bytes.len(), checksum_word(&bytes)), (893, 0x3EA4A83874040B7F));
 
-        let shard = CheckpointShard {
-            guard: cp.guard,
-            partition: 1,
-            superstep: cp.superstep,
-            worker: cp.workers[0].clone(),
-            frontier: cp.frontier[0].clone(),
-        };
-        let bytes = shard.to_bytes();
-        assert_eq!(&bytes[..8], b"PSGLSHD2");
-        assert_eq!((bytes.len(), checksum_word(&bytes)), (436, 0xC9CF1609DD7B41B2));
+        let bytes = shard(&cp, 0).to_bytes();
+        assert_eq!(&bytes[..8], b"PSGLCKP4");
+        assert_eq!((bytes.len(), checksum_word(&bytes)), (500, 0x8B9B0C1730A1E198));
     }
 
+    /// A whole-run checkpoint and each one-part checkpoint survive their
+    /// bytes, and one-part checkpoints join back into the whole run's parts.
+    /// Decoding rejects a part outside the run's partitions; joining
+    /// rejects two parts for one partition, mixed supersteps and mixed
+    /// guards.
     #[test]
     fn roundtrip_preserves_everything() {
         let cp = sample();
-        let bytes = cp.to_bytes();
-        let back = Checkpoint::from_bytes(&bytes).unwrap();
-        assert_eq!(back, cp);
+        assert_eq!(Checkpoint::from_bytes(&cp.to_bytes()).unwrap(), cp);
+        let shards: Vec<Checkpoint> = (0..2).map(|i| shard(&cp, i)).collect();
+        for one in &shards {
+            assert_eq!(&Checkpoint::from_bytes(&one.to_bytes()).unwrap(), one);
+        }
+        let joined = Checkpoint::join(shards.iter().rev().cloned()).unwrap();
+        assert_eq!(joined.parts, cp.parts, "joined parts ascend by partition");
+        assert_eq!((joined.superstep, joined.guard), (cp.superstep, cp.guard));
+
+        let mut wild = shard(&cp, 1);
+        wild.parts[0].partition = 7;
+        let err = Checkpoint::from_bytes(&wild.to_bytes()).unwrap_err();
+        assert!(err.message.contains("partition 7"), "{err}");
+
+        let err = Checkpoint::join([shards[1].clone(), shards[1].clone()]).unwrap_err();
+        assert!(err.message.contains("two parts for partition 1"), "{err}");
+        let mut later = shards[1].clone();
+        later.superstep += 1;
+        let err = Checkpoint::join([shards[0].clone(), later]).unwrap_err();
+        assert!(err.message.contains("supersteps 3 and 4"), "{err}");
+        let mut other_run = shards[1].clone();
+        other_run.guard.seed ^= 1;
+        let err = Checkpoint::join([shards[0].clone(), other_run]).unwrap_err();
+        assert!(err.message.contains("different runs"), "{err}");
+        assert!(Checkpoint::join([]).is_err());
     }
 
     #[test]
     fn drain_instances_moves_sorts_and_empties_harvests() {
         let mut cp = sample();
-        cp.workers[1].harvest = HarvestCheckpoint::Instances(vec![vec![1, 2, 3]]);
+        cp.parts[1].worker.harvest = Harvested::Instances(vec![vec![1, 2, 3]]);
         let drained = cp.drain_instances();
         assert_eq!(drained, vec![vec![0, 1, 2], vec![1, 2, 3], vec![4, 5, 6]]);
-        for w in &cp.workers {
-            assert_eq!(w.harvest, HarvestCheckpoint::Instances(vec![]));
+        for part in &cp.parts {
+            assert_eq!(part.worker.harvest, Harvested::Instances(vec![]));
         }
         // Counts live in the stats, untouched by the drain.
-        assert_eq!(cp.workers[0].stats.results, 2);
+        assert_eq!(cp.parts[0].worker.stats.results, 2);
         assert!(cp.drain_instances().is_empty(), "second drain finds nothing");
 
         let mut count_only = sample();
-        count_only.workers[0].harvest = HarvestCheckpoint::CountOnly;
-        count_only.workers[1].harvest = HarvestCheckpoint::PerVertex(vec![3, 1]);
+        count_only.parts[0].worker.harvest = Harvested::CountOnly;
+        count_only.parts[1].worker.harvest = Harvested::PerVertex(vec![3, 1]);
         assert!(count_only.drain_instances().is_empty());
-        assert_eq!(count_only.workers[1].harvest, HarvestCheckpoint::PerVertex(vec![3, 1]));
-    }
-
-    #[test]
-    fn shard_roundtrip_and_rejection() {
-        let cp = sample();
-        let shard = CheckpointShard {
-            guard: cp.guard,
-            partition: 1,
-            superstep: cp.superstep,
-            worker: cp.workers[1].clone(),
-            frontier: cp.frontier[0].clone(),
-        };
-        let bytes = shard.to_bytes();
-        assert_eq!(CheckpointShard::from_bytes(&bytes).unwrap(), shard);
-        // Corruption, truncation, and the wrong magic are all rejected.
-        let mut bad = bytes.clone();
-        bad[bytes.len() / 2] ^= 0xFF;
-        assert!(CheckpointShard::from_bytes(&bad).is_err());
-        assert!(CheckpointShard::from_bytes(&bytes[..bytes.len() - 2]).is_err());
-        assert!(
-            CheckpointShard::from_bytes(&cp.to_bytes()).is_err(),
-            "full checkpoint is not a shard"
-        );
-        // A shard claiming a partition outside the run's worker count is
-        // structurally invalid.
-        let wild = CheckpointShard { partition: 7, ..shard };
-        assert!(CheckpointShard::from_bytes(&wild.to_bytes()).is_err());
+        assert_eq!(count_only.parts[1].worker.harvest, Harvested::PerVertex(vec![3, 1]));
     }
 
     #[test]
@@ -707,25 +667,19 @@ mod tests {
         let why = "gpsi black set exceeds mapped set";
 
         let mut cp = sample();
-        cp.frontier[1].push((7, bad));
+        cp.parts[1].frontier.push((7, bad));
         let err = Checkpoint::from_bytes(&cp.to_bytes()).unwrap_err();
         assert!(err.message.contains(why), "{err}");
 
-        let shard = CheckpointShard {
-            guard: cp.guard,
-            partition: 1,
-            superstep: cp.superstep,
-            worker: cp.workers[1].clone(),
-            frontier: cp.frontier[1].clone(),
-        };
-        let err = CheckpointShard::from_bytes(&shard.to_bytes()).unwrap_err();
+        let err = Checkpoint::from_bytes(&shard(&cp, 1).to_bytes()).unwrap_err();
         assert!(err.message.contains(why), "{err}");
 
         let store = psgl_bsp::SpillStore::create(&psgl_bsp::SpillConfig::in_temp()).unwrap();
-        let segment = store.spill(&GpsiSpillCodec, &[vec![(7, bad)]]).unwrap();
+        let segment = store.spill(&[vec![(7, bad)]]).unwrap();
+        let mut out: Vec<(VertexId, Gpsi)> = Vec::new();
         assert_eq!(
-            store.readmit(&GpsiSpillCodec, segment, &mut Vec::new()),
-            Err(SpillError::Malformed { what: why })
+            store.readmit(segment, &mut out),
+            Err(psgl_bsp::SpillError::Malformed { what: why })
         );
     }
 

@@ -18,6 +18,7 @@
 //! remaining edge exactly before they emit, so an instance they emit is
 //! complete by construction; harvest reads only its mapping.
 
+use psgl_bsp::Encode;
 use psgl_graph::VertexId;
 use psgl_pattern::{Pattern, PatternVertex};
 
@@ -169,44 +170,6 @@ impl Gpsi {
         self.mapping[..n].to_vec()
     }
 
-    /// Size of the one byte layout a Gpsi has outside memory — checkpoint
-    /// and shard frontiers, spill blobs, `PSGW` data frames: mapping
-    /// (12 × u32) + black u16 + mapped u16 + expanding u8, little-endian.
-    pub const ENCODED_LEN: usize = MAX_GPSI_VERTICES * 4 + 2 + 2 + 1;
-
-    /// Appends exactly [`Gpsi::ENCODED_LEN`] bytes.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        for m in self.mapping {
-            out.extend_from_slice(&m.to_le_bytes());
-        }
-        out.extend_from_slice(&self.black.to_le_bytes());
-        out.extend_from_slice(&self.mapped.to_le_bytes());
-        out.push(self.expanding);
-    }
-
-    /// Parses [`Gpsi::encode`]'s output. The bytes come from a file or a
-    /// socket, so the two field conditions the engine indexes by are
-    /// checked here, for every format: `expanding` is a pattern-vertex
-    /// slot and every BLACK vertex is mapped.
-    pub fn decode(bytes: &[u8]) -> Result<Gpsi, GpsiDecodeError> {
-        if bytes.len() != Gpsi::ENCODED_LEN {
-            return Err(GpsiDecodeError::Length);
-        }
-        let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("sized"));
-        let mapping = std::array::from_fn(|i| word(i * 4));
-        let at = MAX_GPSI_VERTICES * 4;
-        let black = u16::from_le_bytes(bytes[at..at + 2].try_into().expect("sized"));
-        let mapped = u16::from_le_bytes(bytes[at + 2..at + 4].try_into().expect("sized"));
-        let expanding = bytes[at + 4];
-        if expanding as usize >= MAX_GPSI_VERTICES {
-            return Err(GpsiDecodeError::ExpandingOutOfRange);
-        }
-        if black & !mapped != 0 {
-            return Err(GpsiDecodeError::BlackNotMapped);
-        }
-        Ok(Gpsi { mapping, black, mapped, expanding })
-    }
-
     /// Builds a Gpsi from its raw fields, taken as-is (tests build
     /// arbitrary — including invalid — tuples with it).
     pub fn from_raw_parts(
@@ -219,36 +182,43 @@ impl Gpsi {
     }
 }
 
-/// Why [`Gpsi::decode`] rejected its input.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GpsiDecodeError {
-    /// The slice is not [`Gpsi::ENCODED_LEN`] bytes long.
-    Length,
-    /// `expanding` is not below [`MAX_GPSI_VERTICES`].
-    ExpandingOutOfRange,
-    /// A BLACK bit is set for an unmapped pattern vertex.
-    BlackNotMapped,
-}
+/// The one byte layout a Gpsi has outside memory — checkpoint frontiers,
+/// spill blobs, `PSGW` data frames: mapping (12 × u32) + black u16 +
+/// mapped u16 + expanding u8, little-endian.
+impl Encode for Gpsi {
+    const ENCODED_LEN: usize = MAX_GPSI_VERTICES * 4 + 2 + 2 + 1;
 
-impl GpsiDecodeError {
-    /// The reason as a static string (what `FrameError::BadPayload` and
-    /// `SpillError::Malformed` carry).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            GpsiDecodeError::Length => "gpsi tuple has the wrong length",
-            GpsiDecodeError::ExpandingOutOfRange => "gpsi expanding vertex out of range",
-            GpsiDecodeError::BlackNotMapped => "gpsi black set exceeds mapped set",
+    fn encode(&self, out: &mut Vec<u8>) {
+        for m in self.mapping {
+            out.extend_from_slice(&m.to_le_bytes());
         }
+        out.extend_from_slice(&self.black.to_le_bytes());
+        out.extend_from_slice(&self.mapped.to_le_bytes());
+        out.push(self.expanding);
+    }
+
+    /// Checks the two field conditions the engine indexes by, for every
+    /// format: `expanding` is a pattern-vertex slot and every BLACK vertex
+    /// is mapped.
+    fn decode(bytes: &[u8]) -> Result<Gpsi, &'static str> {
+        if bytes.len() != Gpsi::ENCODED_LEN {
+            return Err("gpsi tuple has the wrong length");
+        }
+        let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("sized"));
+        let mapping = std::array::from_fn(|i| word(i * 4));
+        let at = MAX_GPSI_VERTICES * 4;
+        let black = u16::from_le_bytes(bytes[at..at + 2].try_into().expect("sized"));
+        let mapped = u16::from_le_bytes(bytes[at + 2..at + 4].try_into().expect("sized"));
+        let expanding = bytes[at + 4];
+        if expanding as usize >= MAX_GPSI_VERTICES {
+            return Err("gpsi expanding vertex out of range");
+        }
+        if black & !mapped != 0 {
+            return Err("gpsi black set exceeds mapped set");
+        }
+        Ok(Gpsi { mapping, black, mapped, expanding })
     }
 }
-
-impl std::fmt::Display for GpsiDecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::error::Error for GpsiDecodeError {}
 
 #[cfg(test)]
 mod tests {
@@ -360,9 +330,9 @@ mod tests {
         g.encode(&mut bytes);
         assert_eq!(bytes.len(), Gpsi::ENCODED_LEN);
         assert_eq!(Gpsi::decode(&bytes), Ok(g));
-        assert_eq!(Gpsi::decode(&bytes[1..]), Err(GpsiDecodeError::Length));
+        assert_eq!(Gpsi::decode(&bytes[1..]), Err("gpsi tuple has the wrong length"));
         *bytes.last_mut().unwrap() = MAX_GPSI_VERTICES as u8;
-        assert_eq!(Gpsi::decode(&bytes), Err(GpsiDecodeError::ExpandingOutOfRange));
+        assert_eq!(Gpsi::decode(&bytes), Err("gpsi expanding vertex out of range"));
     }
 
     #[test]

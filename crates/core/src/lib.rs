@@ -49,13 +49,11 @@ pub mod runner;
 pub mod shared;
 pub mod stats;
 
-pub use checkpoint::{
-    Checkpoint, CheckpointError, CheckpointGuard, CheckpointShard, GpsiSpillCodec,
-};
+pub use checkpoint::{Checkpoint, CheckpointError, CheckpointGuard, Harvested, PartCheckpoint};
 pub use config::PsglConfig;
 pub use distribute::Strategy;
 pub use expand::ExpandScratch;
-pub use gpsi::{Gpsi, GpsiDecodeError};
+pub use gpsi::Gpsi;
 pub use index::EdgeIndex;
 pub use plan::QueryPlan;
 pub use psgl_bsp::{CancelReason, CancelToken, SpillConfig, SpillError, SpillFaults};

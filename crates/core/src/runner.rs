@@ -8,8 +8,8 @@
 //! arrived as messages.
 
 use crate::checkpoint::{
-    pattern_hash, Checkpoint, CheckpointError, CheckpointGuard, CheckpointShard, GpsiSpillCodec,
-    HarvestCheckpoint, WorkerCheckpoint,
+    pattern_hash, Checkpoint, CheckpointError, CheckpointGuard, Harvested, PartCheckpoint,
+    WorkerCheckpoint,
 };
 use crate::config::PsglConfig;
 use crate::distribute::{Distributor, Strategy};
@@ -20,7 +20,7 @@ use crate::shared::{PsglError, PsglShared};
 use crate::stats::{ExpandStats, RunStats};
 use psgl_bsp::{
     BspConfig, CancelReason, CancelToken, CarriedCounters, Chunk, Context, EngineMetrics, Exchange,
-    FrontierSink, ResumePoint, RunControl, RunOutcome, SpillControl, SpillStore, VertexProgram,
+    FrontierSink, ResumePoint, RunControl, RunOutcome, SpillStore, VertexProgram,
 };
 use psgl_graph::hash::hash_u64;
 use psgl_graph::partition::HashPartitioner;
@@ -47,20 +47,13 @@ pub struct ListingResult {
     pub selection_rule: SelectionRule,
 }
 
-/// What a worker holds of the instances it has found.
-enum Harvested {
-    /// Count only (the paper's default output: occurrence numbers).
-    CountOnly,
-    /// Collect the vertex tuples ([`PsglConfig::collect_instances`]).
-    Instances(Vec<Vec<VertexId>>),
-    /// Per-data-vertex participation counts (local motif counts).
-    PerVertex(Vec<u64>),
-}
-
 /// Per-worker mutable state.
 pub struct WorkerState {
     distributor: Distributor,
     stats: ExpandStats,
+    /// What this worker keeps of the instances it finds: nothing but the
+    /// count (the paper's default output), the tuples
+    /// ([`PsglConfig::collect_instances`]), or per-data-vertex counts.
     harvest: Harvested,
     /// Reusable expansion-kernel buffers; retained across supersteps so
     /// steady-state expansion allocates nothing.
@@ -80,17 +73,12 @@ pub struct WorkerState {
     failed: bool,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum HarvestMode {
-    CountOnly,
-    Instances,
-    PerVertex,
-}
-
 struct PsglProgram<'a> {
     shared: &'a PsglShared<'a>,
     config: &'a PsglConfig,
-    harvest_mode: HarvestMode,
+    /// The empty harvest every worker starts from (per-vertex counts are
+    /// sized when a worker is created).
+    harvest: Harvested,
     /// With checkpointing enabled the per-worker early budget abort is
     /// deferred to the engine's barrier check, which captures the whole
     /// over-budget frontier as a resumable [`Checkpoint`] instead of
@@ -110,12 +98,11 @@ impl VertexProgram for PsglProgram<'_> {
                 hash_u64(self.config.seed ^ (worker as u64).wrapping_mul(0x9e37)),
             ),
             stats: ExpandStats::default(),
-            harvest: match self.harvest_mode {
-                HarvestMode::CountOnly => Harvested::CountOnly,
-                HarvestMode::Instances => Harvested::Instances(Vec::new()),
-                HarvestMode::PerVertex => {
+            harvest: match &self.harvest {
+                Harvested::PerVertex(_) => {
                     Harvested::PerVertex(vec![0; self.shared.graph.num_vertices()])
                 }
+                empty => empty.clone(),
             },
             scratch: ExpandScratch::new(),
             out: Vec::new(),
@@ -282,10 +269,6 @@ pub enum Start {
     /// already-mapped pair satisfies the partial order and the expanding
     /// vertex is mapped. No seeds, no instances.
     Seeds(Vec<Gpsi>),
-    /// One [`CheckpointShard`] per hosted partition (any order), all from
-    /// the same barrier of this exact run — how a cluster member restarts
-    /// after a peer failure.
-    Shards(Vec<CheckpointShard>),
 }
 
 /// Hooks the deterministic simulation harness (`crates/sim`) uses to drive
@@ -341,24 +324,27 @@ pub struct Stop<'a> {
 }
 
 /// Turns the engine instance into one member of a cluster, hosting only
-/// the exchange's local partitions. A member starts from [`Start::Init`]
-/// or [`Start::Shards`]; a whole-run checkpoint or a seed frontier covers
-/// every partition, and the engine asserts it hosts them all.
+/// the exchange's local partitions. A member starts from [`Start::Init`],
+/// or from a [`Start::Checkpoint`] whose parts are exactly its local
+/// partitions — the joined shards of a restart after a peer failure. A
+/// seed frontier covers every partition, and the engine asserts it hosts
+/// them all.
 pub struct ClusterMember<'a> {
     /// The remote exchange: ships non-local outboxes to peers, runs the
     /// coordinator barrier, and reports the global in-flight count.
     pub exchange: &'a dyn Exchange<Gpsi>,
-    /// Receives one [`CheckpointShard`] per local partition whenever the
-    /// coordinator directs a checkpoint
+    /// Receives one single-part [`Checkpoint`] per local partition whenever
+    /// the coordinator directs a checkpoint
     /// ([`ExchangeDirective::CheckpointAndContinue`](psgl_bsp::ExchangeDirective)).
     pub shard_sink: Option<&'a dyn ShardSink>,
 }
 
 /// Receives superstep-boundary checkpoint shards from a cluster member —
-/// one per local partition, captured at the same barrier.
+/// one single-part [`Checkpoint`] per local partition, with no run-level
+/// prefix, all captured at the same barrier.
 pub trait ShardSink: Sync {
     /// Consumes one barrier's shard set.
-    fn capture(&self, shards: Vec<CheckpointShard>);
+    fn capture(&self, shards: Vec<Checkpoint>);
 }
 
 /// What a run keeps of the instances it finds.
@@ -461,7 +447,7 @@ thread_local! {
 
 /// The checkpoint guard pinning this run's inputs. Hashes the whole data
 /// graph (`O(|V| + |E|)`), so it is built only where it is consumed.
-fn guard_of(shared: &PsglShared<'_>, config: &PsglConfig, mode: HarvestMode) -> CheckpointGuard {
+fn guard_of(shared: &PsglShared<'_>, config: &PsglConfig, harvest: &Harvested) -> CheckpointGuard {
     #[cfg(test)]
     GUARDS_BUILT.with(|n| n.set(n.get() + 1));
     CheckpointGuard {
@@ -471,11 +457,7 @@ fn guard_of(shared: &PsglShared<'_>, config: &PsglConfig, mode: HarvestMode) -> 
         strategy: config.strategy,
         pattern_hash: pattern_hash(&shared.pattern),
         init_vertex: shared.init_vertex,
-        harvest_mode: match mode {
-            HarvestMode::CountOnly => 0,
-            HarvestMode::Instances => 1,
-            HarvestMode::PerVertex => 2,
-        },
+        harvest_mode: harvest.mode(),
     }
 }
 
@@ -487,11 +469,7 @@ fn snapshot_worker(ws: &WorkerState) -> WorkerCheckpoint {
         emitted_this_superstep: ws.emitted_this_superstep,
         emitted_superstep: ws.emitted_superstep,
         failed: ws.failed,
-        harvest: match &ws.harvest {
-            Harvested::CountOnly => HarvestCheckpoint::CountOnly,
-            Harvested::Instances(buf) => HarvestCheckpoint::Instances(buf.clone()),
-            Harvested::PerVertex(counts) => HarvestCheckpoint::PerVertex(counts.clone()),
-        },
+        harvest: ws.harvest.clone(),
     }
 }
 
@@ -502,11 +480,7 @@ impl WorkerState {
         WorkerState {
             distributor: Distributor::from_snapshot(strategy, wc.distributor),
             stats: wc.stats,
-            harvest: match wc.harvest {
-                HarvestCheckpoint::CountOnly => Harvested::CountOnly,
-                HarvestCheckpoint::Instances(buf) => Harvested::Instances(buf),
-                HarvestCheckpoint::PerVertex(counts) => Harvested::PerVertex(counts),
-            },
+            harvest: wc.harvest,
             scratch: ExpandScratch::new(),
             out: Vec::new(),
             emitted_this_superstep: wc.emitted_this_superstep,
@@ -516,22 +490,40 @@ impl WorkerState {
     }
 }
 
-/// Rebuilds the engine's resume point from a validated checkpoint.
-fn restore_resume_point(config: &PsglConfig, cp: Checkpoint) -> ResumePoint<Gpsi, WorkerState> {
-    let worker_states =
-        cp.workers.into_iter().map(|wc| WorkerState::restore(config.strategy, wc)).collect();
-    ResumePoint {
+/// Rebuilds the engine's resume point from a checkpoint whose guard
+/// matches this run. Its parts must be exactly the partitions hosted here,
+/// `locals` (ascending): every partition of an in-process run, or a
+/// cluster member's local partitions.
+fn restore(
+    config: &PsglConfig,
+    cp: Checkpoint,
+    locals: &[usize],
+) -> Result<ResumePoint<Gpsi, WorkerState>, PsglError> {
+    if !cp.parts.iter().map(|part| part.partition as usize).eq(locals.iter().copied()) {
+        let parts: Vec<u32> = cp.parts.iter().map(|part| part.partition).collect();
+        return Err(PsglError::Checkpoint(CheckpointError::new(format!(
+            "checkpoint parts {parts:?} are not the hosted partitions {locals:?}"
+        ))));
+    }
+    let (worker_states, frontier) = cp
+        .parts
+        .into_iter()
+        .map(|part| (WorkerState::restore(config.strategy, part.worker), part.frontier))
+        .unzip();
+    Ok(ResumePoint {
         superstep: cp.superstep,
-        frontier: cp.frontier,
+        frontier,
         worker_states,
         prior_supersteps: cp.prior_supersteps,
         carried: cp.carried,
-    }
+    })
 }
 
 /// Adapts the engine's [`FrontierSink`] callback (local states + inboxes
-/// at a checkpoint barrier) into per-partition [`CheckpointShard`]s for
-/// the cluster's [`ShardSink`].
+/// at a checkpoint barrier) into one single-part [`Checkpoint`] per local
+/// partition for the cluster's [`ShardSink`]. A shard carries no run-level
+/// prefix: the coordinator owns the global superstep history, and a
+/// member's metrics restart at the resume superstep.
 struct EngineShardSink<'a> {
     sink: &'a dyn ShardSink,
     guard: CheckpointGuard,
@@ -545,71 +537,20 @@ impl FrontierSink<Gpsi, WorkerState> for EngineShardSink<'_> {
             .partitions
             .iter()
             .zip(states.iter().zip(frontier))
-            .map(|(&partition, (ws, inbox))| CheckpointShard {
+            .map(|(&partition, (ws, inbox))| Checkpoint {
                 guard: self.guard,
-                partition: partition as u32,
                 superstep,
-                worker: snapshot_worker(ws),
-                frontier: inbox.iter().flat_map(|c| c.iter().copied()).collect(),
+                carried: CarriedCounters::default(),
+                prior_supersteps: Vec::new(),
+                parts: vec![PartCheckpoint {
+                    partition: partition as u32,
+                    worker: snapshot_worker(ws),
+                    frontier: inbox.iter().flat_map(|c| c.iter().copied()).collect(),
+                }],
             })
             .collect();
         self.sink.capture(shards);
     }
-}
-
-/// Rebuilds a cluster member's resume point from its shard set: one shard
-/// per hosted partition, all captured at the same superstep barrier and
-/// guarded against this exact run.
-fn restore_from_shards(
-    config: &PsglConfig,
-    guard: &CheckpointGuard,
-    shards: Vec<CheckpointShard>,
-    locals: &[usize],
-) -> Result<ResumePoint<Gpsi, WorkerState>, PsglError> {
-    let bad = |m: String| PsglError::Checkpoint(CheckpointError { message: m });
-    if shards.len() != locals.len() {
-        return Err(bad(format!(
-            "{} resume shards for {} local partitions",
-            shards.len(),
-            locals.len()
-        )));
-    }
-    let mut by_partition: Vec<Option<CheckpointShard>> = Vec::new();
-    by_partition.resize_with(guard.workers as usize, || None);
-    let superstep = shards.first().map_or(0, |s| s.superstep);
-    for shard in shards {
-        if shard.guard != *guard {
-            return Err(bad("resume shard was captured from a different run".into()));
-        }
-        if shard.superstep != superstep {
-            return Err(bad(format!(
-                "resume shards span supersteps {superstep} and {}",
-                shard.superstep
-            )));
-        }
-        let slot = shard.partition as usize;
-        if by_partition[slot].replace(shard).is_some() {
-            return Err(bad(format!("duplicate resume shard for partition {slot}")));
-        }
-    }
-    let mut worker_states = Vec::with_capacity(locals.len());
-    let mut frontier = Vec::with_capacity(locals.len());
-    for &p in locals {
-        let Some(shard) = by_partition[p].take() else {
-            return Err(bad(format!("missing resume shard for partition {p}")));
-        };
-        worker_states.push(WorkerState::restore(config.strategy, shard.worker));
-        frontier.push(shard.frontier);
-    }
-    Ok(ResumePoint {
-        superstep,
-        frontier,
-        worker_states,
-        // The coordinator owns the global superstep history; a member's
-        // metrics restart at the resume superstep.
-        prior_supersteps: Vec::new(),
-        carried: CarriedCounters::default(),
-    })
 }
 
 /// Assembles [`RunStats`] from merged expansion counters and engine
@@ -678,10 +619,10 @@ pub fn run(
     request: RunRequest<'_>,
 ) -> Result<ListingEnd, PsglError> {
     let RunRequest { start, hooks, stop, cluster, harvest } = request;
-    let harvest_mode = match harvest {
-        Harvest::PerVertex => HarvestMode::PerVertex,
-        Harvest::Listing if config.collect_instances => HarvestMode::Instances,
-        Harvest::Listing => HarvestMode::CountOnly,
+    let harvest = match harvest {
+        Harvest::PerVertex => Harvested::PerVertex(Vec::new()),
+        Harvest::Listing if config.collect_instances => Harvested::Instances(Vec::new()),
+        Harvest::Listing => Harvested::CountOnly,
     };
     let partitioner = hooks
         .partitioner
@@ -689,7 +630,7 @@ pub fn run(
     let program = PsglProgram {
         shared,
         config,
-        harvest_mode,
+        harvest,
         defer_budget: stop.checkpoint && config.gpsi_budget.is_some(),
     };
     let mut bsp_config = BspConfig {
@@ -708,7 +649,7 @@ pub fn run(
     // capture — and at most once; a run with none of them never hashes
     // the graph.
     let guard_cell = std::cell::OnceCell::new();
-    let guard = || *guard_cell.get_or_init(|| guard_of(shared, config, harvest_mode));
+    let guard = || *guard_cell.get_or_init(|| guard_of(shared, config, &program.harvest));
     // Global partition ids hosted here, in local slot order.
     let locals = || match &cluster {
         Some(member) => member.exchange.local_partitions(),
@@ -718,7 +659,7 @@ pub fn run(
         Start::Init => None,
         Start::Checkpoint(cp) => {
             cp.validate(&guard())?;
-            Some(restore_resume_point(config, cp))
+            Some(restore(config, cp, &locals())?)
         }
         Start::Seeds(seeds) => {
             let worker_states =
@@ -736,7 +677,6 @@ pub fn run(
                 carried: CarriedCounters::default(),
             })
         }
-        Start::Shards(shards) => Some(restore_from_shards(config, &guard(), shards, &locals())?),
     };
     let shard_sink = cluster.as_ref().and_then(|member| {
         member.shard_sink.map(|sink| EngineShardSink { sink, guard: guard(), partitions: locals() })
@@ -752,7 +692,6 @@ pub fn run(
         })?),
         _ => None,
     };
-    let spill_codec = GpsiSpillCodec;
     // A slice is the cancel token's preempt barrier, armed for exactly
     // this call; a sliced run that brought no token gets a private one.
     let slice_token = stop.slice.filter(|_| stop.cancel.is_none()).map(|_| CancelToken::new());
@@ -770,7 +709,7 @@ pub fn run(
         resume,
         exchange: cluster.as_ref().map(|member| member.exchange),
         sink: shard_sink.as_ref().map(|s| s as &dyn FrontierSink<Gpsi, WorkerState>),
-        spill: spill_store.as_ref().map(|store| SpillControl { store, codec: &spill_codec }),
+        spill: spill_store.as_ref(),
         tracer: hooks.tracer,
     };
     let outcome = psgl_bsp::run_controlled(
@@ -835,8 +774,13 @@ pub fn run(
                 superstep: c.superstep,
                 carried: c.metrics.carried,
                 prior_supersteps: c.metrics.supersteps,
-                workers: c.worker_states.iter().map(snapshot_worker).collect(),
-                frontier,
+                parts: (locals().into_iter().zip(c.worker_states.iter().zip(frontier)))
+                    .map(|(partition, (ws, frontier))| PartCheckpoint {
+                        partition: partition as u32,
+                        worker: snapshot_worker(ws),
+                        frontier,
+                    })
+                    .collect(),
             });
             attach_harvest(&mut partial, c.worker_states);
             Ok(match (c.reason, checkpoint) {
@@ -1391,6 +1335,35 @@ mod tests {
         let end = run(&shared, &config, resuming(cp)).unwrap();
         let ListingEnd::Complete(resumed) = end else { panic!("resumed run should complete") };
         assert_eq!(resumed.instance_count, full.instance_count);
+    }
+
+    /// A checkpoint's parts must be exactly the hosted partitions: one
+    /// missing or one too many is a typed error, through `run` as well as
+    /// `restore`, never an engine assert.
+    #[test]
+    fn restore_requires_exactly_the_hosted_partitions() {
+        let g = erdos_renyi_gnm(120, 700, 21).unwrap();
+        let config = PsglConfig::with_workers(3).collect(true).kernels(false);
+        let shared = PsglShared::prepare(&g, &catalog::square(), &config).unwrap();
+        let ListingEnd::Preempted { checkpoint, .. } =
+            run(&shared, &config, one_superstep_from(Start::Init)).unwrap()
+        else {
+            panic!("the initialization superstep leaves a frontier")
+        };
+        assert!(restore(&config, (*checkpoint).clone(), &[0, 1, 2]).is_ok());
+        // An extra part: partition 1 is not hosted.
+        let err = restore(&config, (*checkpoint).clone(), &[0, 2]).err().expect("extra part");
+        assert!(matches!(&err, PsglError::Checkpoint(e) if e.message.contains("[0, 1, 2]")));
+        // A missing part.
+        let mut missing = *checkpoint;
+        missing.parts.remove(1);
+        let err = restore(&config, missing.clone(), &[0, 1, 2]).err().expect("missing part");
+        assert!(matches!(&err, PsglError::Checkpoint(e) if e.message.contains("[0, 2]")));
+        match run(&shared, &config, resuming(missing)) {
+            Err(PsglError::Checkpoint(_)) => {}
+            Err(e) => panic!("wrong error {e}"),
+            Ok(_) => panic!("a checkpoint without partition 1 resumed"),
+        }
     }
 
     #[test]

@@ -21,10 +21,13 @@
 //!   spread the data graph over workers,
 //! - [`stats`] — degree statistics, including the power-law exponent
 //!   estimate used to characterize skew,
-//! - [`hash`] — a fast FxHash-style hasher for integer-keyed maps.
+//! - [`hash`] — a fast FxHash-style hasher for integer-keyed maps,
+//! - [`blob`] — the checksummed envelope and bounds-checked reader the
+//!   engine's spill segments and checkpoints share.
 
 pub mod algo;
 pub mod binary;
+pub mod blob;
 pub mod builder;
 pub mod csr;
 pub mod error;

@@ -9,35 +9,31 @@
 
 use crate::csr::{DataGraph, VertexId};
 
-/// Total vertex order derived from `(degree, id)`, with per-vertex `nb`/`ns`
-/// counts precomputed and the adjacency split into its *oriented* halves:
-/// `forward(v)` holds the neighbors of larger rank, `backward(v)` those of
-/// smaller rank, both id-sorted. A rank window that is one-sided against a
-/// known endpoint can walk the matching half instead of the full list and
-/// skip the per-element rank comparison — on a skewed graph that is half
-/// the intersection volume of every windowed join.
+/// Total vertex order derived from `(degree, id)`, with the adjacency split
+/// into its *oriented* halves: `forward(v)` holds the neighbors of larger
+/// rank, `backward(v)` those of smaller rank, both id-sorted. The halves'
+/// lengths are the `ns`/`nb` counts. A rank window that is one-sided
+/// against a known endpoint can walk the matching half instead of the full
+/// list and skip the per-element rank comparison — on a skewed graph that
+/// is half the intersection volume of every windowed join.
 #[derive(Clone, Debug)]
 pub struct OrderedGraph {
     /// `rank[v]` = position of `v` in ascending `(degree, id)` order;
     /// ranks are a permutation of `0..n`.
     rank: Vec<u32>,
-    /// Number of neighbors with smaller rank ("neighbors before").
-    nb: Vec<u32>,
-    /// Number of neighbors with larger rank ("neighbors after").
-    ns: Vec<u32>,
     /// CSR offsets into `fwd`; `fwd_off[v]..fwd_off[v + 1]` is `forward(v)`.
     fwd_off: Vec<u64>,
-    /// Higher-rank neighbors, id-sorted per vertex (`ns[v]` entries each).
+    /// Higher-rank neighbors, id-sorted per vertex (`ns(v)` entries each).
     fwd: Vec<VertexId>,
     /// CSR offsets into `bwd`; `bwd_off[v]..bwd_off[v + 1]` is `backward(v)`.
     bwd_off: Vec<u64>,
-    /// Smaller-rank neighbors, id-sorted per vertex (`nb[v]` entries each).
+    /// Smaller-rank neighbors, id-sorted per vertex (`nb(v)` entries each).
     bwd: Vec<VertexId>,
 }
 
 impl OrderedGraph {
-    /// Computes ranks, the `nb`/`ns` split and the oriented adjacency
-    /// halves for `g` in `O(n log n + m)`.
+    /// Computes ranks and the oriented adjacency halves (whose lengths are
+    /// the `nb`/`ns` split) for `g` in `O(n log n + m)`.
     pub fn new(g: &DataGraph) -> Self {
         let n = g.num_vertices();
         let mut by_rank: Vec<VertexId> = (0..n as VertexId).collect();
@@ -49,8 +45,8 @@ impl OrderedGraph {
         Self::from_rank(rank, g)
     }
 
-    /// Rebuilds the `nb`/`ns` split and the oriented halves against `g`
-    /// while keeping this graph's rank permutation verbatim.
+    /// Rebuilds the oriented halves (and with them the `nb`/`ns` split)
+    /// against `g` while keeping this graph's rank permutation verbatim.
     ///
     /// Dynamic-graph epochs pin the total order at base construction
     /// (re-deriving it from mutated degrees would move canonical instance
@@ -67,27 +63,27 @@ impl OrderedGraph {
         Self::from_rank(self.rank.clone(), g)
     }
 
-    /// Derives `nb`/`ns` and the oriented CSR halves of `g` under a fixed
-    /// rank permutation in `O(n + m)`.
+    /// Derives the oriented CSR halves of `g` under a fixed rank
+    /// permutation in `O(n + m)`: each vertex's `ns`/`nb` counts go
+    /// straight into the offset arrays, which a prefix sum then turns into
+    /// offsets.
     fn from_rank(rank: Vec<u32>, g: &DataGraph) -> Self {
         let n = g.num_vertices();
-        let mut nb = vec![0u32; n];
-        let mut ns = vec![0u32; n];
+        let mut fwd_off = vec![0u64; n + 1];
+        let mut bwd_off = vec![0u64; n + 1];
         for v in g.vertices() {
             let rv = rank[v as usize];
             for &u in g.neighbors(v) {
                 if rank[u as usize] < rv {
-                    nb[v as usize] += 1;
+                    bwd_off[v as usize + 1] += 1;
                 } else {
-                    ns[v as usize] += 1;
+                    fwd_off[v as usize + 1] += 1;
                 }
             }
         }
-        let mut fwd_off = vec![0u64; n + 1];
-        let mut bwd_off = vec![0u64; n + 1];
         for v in 0..n {
-            fwd_off[v + 1] = fwd_off[v] + u64::from(ns[v]);
-            bwd_off[v + 1] = bwd_off[v] + u64::from(nb[v]);
+            fwd_off[v + 1] += fwd_off[v];
+            bwd_off[v + 1] += bwd_off[v];
         }
         let mut fwd = vec![0 as VertexId; fwd_off[n] as usize];
         let mut bwd = vec![0 as VertexId; bwd_off[n] as usize];
@@ -107,7 +103,7 @@ impl OrderedGraph {
                 }
             }
         }
-        OrderedGraph { rank, nb, ns, fwd_off, fwd, bwd_off, bwd }
+        OrderedGraph { rank, fwd_off, fwd, bwd_off, bwd }
     }
 
     /// Neighbors of `v` with larger rank, id-sorted.
@@ -137,13 +133,13 @@ impl OrderedGraph {
     /// Number of neighbors of `v` with smaller rank.
     #[inline]
     pub fn nb(&self, v: VertexId) -> u32 {
-        self.nb[v as usize]
+        (self.bwd_off[v as usize + 1] - self.bwd_off[v as usize]) as u32
     }
 
     /// Number of neighbors of `v` with larger rank.
     #[inline]
     pub fn ns(&self, v: VertexId) -> u32 {
-        self.ns[v as usize]
+        (self.fwd_off[v as usize + 1] - self.fwd_off[v as usize]) as u32
     }
 
     /// Number of vertices.

@@ -248,6 +248,12 @@ fn edge_list(obj: &Json, key: &str) -> Result<Vec<(VertexId, VertexId)>, Service
         .collect()
 }
 
+/// The most workers one query may ask for. Every worker of a run keeps a
+/// distributor with one load slot per worker and the executor runs a
+/// thread per worker each superstep, so a run's state grows with the
+/// square of this; at 1024 the distributors of one run hold 8 MiB.
+const MAX_QUERY_WORKERS: u64 = 1024;
+
 fn parse_query(obj: &Json) -> Result<QuerySpec, ServiceError> {
     let graph = str_field(obj, "graph")?;
     let pattern_spec = str_field(obj, "pattern")?;
@@ -276,7 +282,12 @@ fn parse_query(obj: &Json) -> Result<QuerySpec, ServiceError> {
         graph,
         pattern_spec,
         pattern,
-        workers: opt_u64(obj, "workers")?.map(|w| w as usize),
+        workers: match opt_u64(obj, "workers")? {
+            Some(w) if w > MAX_QUERY_WORKERS => {
+                return Err(bad(format!("workers {w} exceeds the cap of {MAX_QUERY_WORKERS}")))
+            }
+            w => w.map(|w| w as usize),
+        },
         strategy,
         init_vertex,
         seed: opt_u64(obj, "seed")?,
@@ -562,6 +573,8 @@ mod tests {
             (r#"{"verb":"count","graph":"g","pattern":"triangle","init_vertex":0}"#, "1-based"),
             (r#"{"verb":"count","graph":"g","pattern":"triangle","init_vertex":4}"#, "range"),
             (r#"{"verb":"count","graph":"g","pattern":"triangle","workers":-1}"#, "workers"),
+            (r#"{"verb":"count","graph":"g","pattern":"triangle","workers":1025}"#, "workers"),
+            (r#"{"verb":"list","graph":"g","pattern":"triangle","workers":100000}"#, "cap"),
             (r#"{"verb":"load","name":"g","path":"x","format":"parquet"}"#, "format"),
             ("not json", "JSON"),
         ] {

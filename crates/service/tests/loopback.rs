@@ -323,6 +323,24 @@ fn loopback_tight_budget_rejects_each_time_but_never_poisons_the_connection() {
     handle.shutdown();
 }
 
+#[test]
+fn loopback_oversized_worker_count_is_a_bad_request_and_the_connection_keeps_serving() {
+    // One request line asking for 100 000 workers would allocate a
+    // 100 000-slot distributor per worker: it must be refused at parse
+    // time, before anything is admitted.
+    let handle = serve(test_config()).expect("bind loopback");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    client.load("karate", "karate-club", "fixture").unwrap();
+    for workers in [100_000u64, 1025] {
+        let err = client.request(&count_request(&[("workers", Json::from(workers))])).unwrap_err();
+        assert_eq!(err.code(), Some("bad_request"), "{workers}: {err}");
+        assert!(err.to_string().contains("1024"), "{workers}: {err}");
+    }
+    let ok = client.request(&count_request(&[("workers", Json::from(4u64))])).unwrap();
+    assert_eq!(u64_field(&ok, "count"), 45);
+    handle.shutdown();
+}
+
 /// Writes a dense pseudo-random edge list (LCG-generated, deterministic)
 /// to a temp file and loads it as `name`. Counting squares on it occupies
 /// a worker long enough to observe cancellation races deterministically.

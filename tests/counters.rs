@@ -5,8 +5,8 @@
 use psgl::bsp::{CarriedCounters, EngineMetrics, NetSuperstepMetrics, WorkerSuperstepMetrics};
 use psgl::cluster::control::WorkerMsg;
 use psgl::core::{
-    assemble_run_stats, run, Checkpoint, CheckpointShard, ExpandStats, ListingEnd, PsglConfig,
-    PsglShared, RunRequest, Stop,
+    assemble_run_stats, run, Checkpoint, ExpandStats, ListingEnd, PsglConfig, PsglShared,
+    RunRequest, Stop,
 };
 use psgl::graph::fixtures;
 use psgl::pattern::catalog;
@@ -98,21 +98,20 @@ fn a_real_runs_counters_survive_every_derived_format() {
         _ => panic!("a level-by-level triangle listing takes more than two supersteps"),
     };
     assert_eq!(cp.prior_supersteps.len(), 2);
-    assert!(cp.workers.iter().all(|w| w.stats.expanded > 0), "the prefix did real work");
+    assert!(cp.parts.iter().all(|p| p.worker.stats.expanded > 0), "the prefix did real work");
     let before = fingerprint_stats(&partial.stats);
 
-    // Checkpoint and shard bytes.
+    // Checkpoint bytes, whole and one part (a cluster shard) at a time.
     let decoded = Checkpoint::from_bytes(&cp.to_bytes()).unwrap();
     assert_eq!(decoded, cp);
-    for (partition, worker) in cp.workers.iter().enumerate() {
-        let shard = CheckpointShard {
-            guard: cp.guard,
-            partition: partition as u32,
-            superstep: cp.superstep,
-            worker: worker.clone(),
-            frontier: cp.frontier[partition].clone(),
+    for part in &cp.parts {
+        let shard = Checkpoint {
+            carried: Default::default(),
+            prior_supersteps: Vec::new(),
+            parts: vec![part.clone()],
+            ..cp.clone()
         };
-        assert_eq!(CheckpointShard::from_bytes(&shard.to_bytes()).unwrap(), shard);
+        assert_eq!(Checkpoint::from_bytes(&shard.to_bytes()).unwrap(), shard);
     }
 
     // Cluster control lines: one `barrier` per superstep, one `done`.
@@ -129,8 +128,8 @@ fn a_real_runs_counters_survive_every_derived_format() {
         supersteps.push(psgl::bsp::SuperstepMetrics { workers: metrics, ..step.clone() });
     }
     let mut expand = ExpandStats::default();
-    for worker in &cp.workers {
-        expand.merge(&worker.stats);
+    for part in &cp.parts {
+        expand.merge(&part.worker.stats);
     }
     let done = WorkerMsg::Done {
         attempt: 0,

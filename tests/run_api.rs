@@ -6,8 +6,8 @@
 use psgl::bsp::SpillConfig;
 use psgl::core::{
     list_subgraphs, list_subgraphs_prepared, list_subgraphs_prepared_with, run, CancelReason,
-    CancelToken, Checkpoint, CheckpointShard, Harvest, ListingEnd, ListingResult, PsglConfig,
-    PsglShared, RunRequest, RunnerHooks, Start, Stop, Strategy,
+    CancelToken, Checkpoint, Harvest, ListingEnd, ListingResult, PsglConfig, PsglShared,
+    RunRequest, RunnerHooks, Start, Stop, Strategy,
 };
 use psgl::graph::generators::erdos_renyi_gnm;
 use psgl::pattern::catalog;
@@ -102,27 +102,28 @@ fn after_initialization(shared: &PsglShared<'_>, config: &PsglConfig) -> Checkpo
 /// Start::Seeds — `psgl-delta`'s incremental runs. The seeds here are the
 /// whole superstep-1 frontier, so their completions are every instance.
 fn seeded(shared: &PsglShared<'_>, config: &PsglConfig) -> ListingResult {
-    let frontier = after_initialization(shared, config).frontier;
-    let seeds = frontier.into_iter().flatten().map(|(_, gpsi)| gpsi).collect();
+    let parts = after_initialization(shared, config).parts;
+    let seeds = parts.into_iter().flat_map(|part| part.frontier).map(|(_, gpsi)| gpsi).collect();
     let request = RunRequest { start: Start::Seeds(seeds), ..Default::default() };
     run(shared, config, request).unwrap().completed()
 }
 
-/// Start::Shards — how a cluster worker restarts after a peer failure.
-/// With no `ClusterMember` every partition is local.
+/// Start::Checkpoint from joined one-part checkpoints, each through its
+/// bytes — how a cluster worker restarts after a peer failure. With no
+/// `ClusterMember` every partition is local.
 fn sharded(shared: &PsglShared<'_>, config: &PsglConfig) -> ListingResult {
     let cp = after_initialization(shared, config);
-    let shards = (cp.workers.into_iter().zip(cp.frontier).enumerate())
-        .map(|(partition, (worker, frontier))| CheckpointShard {
-            guard: cp.guard,
-            partition: partition as u32,
-            superstep: cp.superstep,
-            worker,
-            frontier,
-        })
-        .collect();
-    let request = RunRequest { start: Start::Shards(shards), ..Default::default() };
-    run(shared, config, request).unwrap().completed()
+    let shards = cp.parts.iter().rev().map(|part| {
+        let shard = Checkpoint {
+            carried: Default::default(),
+            prior_supersteps: Vec::new(),
+            parts: vec![part.clone()],
+            ..cp.clone()
+        };
+        Checkpoint::from_bytes(&shard.to_bytes()).unwrap()
+    });
+    let start = Start::Checkpoint(Checkpoint::join(shards).unwrap());
+    run(shared, config, RunRequest { start, ..Default::default() }).unwrap().completed()
 }
 
 type Cell = (&'static str, fn(&PsglShared<'_>, &PsglConfig) -> ListingResult);
