@@ -98,6 +98,23 @@ impl Harvested {
             Harvested::PerVertex(_) => 2,
         }
     }
+
+    /// Keeps one complete instance of an `np`-vertex pattern. The
+    /// expansion kernels count an instance in
+    /// [`ExpandStats::results`] before they build its Gpsi, and under
+    /// [`Harvested::CountOnly`] they never build it at all.
+    #[inline]
+    pub fn keep(&mut self, g: &Gpsi, np: usize) {
+        match self {
+            Harvested::CountOnly => {}
+            Harvested::Instances(buf) => buf.push(g.instance(np)),
+            Harvested::PerVertex(counts) => {
+                for &vd in g.mapping(np) {
+                    counts[vd as usize] += 1;
+                }
+            }
+        }
+    }
 }
 
 /// One worker's mutable state at the capture barrier.

@@ -18,8 +18,9 @@
 //!    re-checks them exactly, so bloom false positives can never produce a
 //!    wrong result.
 //! 4. Complete Gpsis (all vertices mapped, every edge with a BLACK end)
-//!    are emitted; the rest are handed to the distribution strategy, which
-//!    picks the next expanding vertex and thereby the destination worker.
+//!    are counted and harvested; the rest are handed to the distribution
+//!    strategy, which picks the next expanding vertex and thereby the
+//!    destination worker.
 //!
 //! ## Hot-path discipline
 //!
@@ -33,6 +34,7 @@
 //! an odometer over the scratch buffers instead of a recursive
 //! cross-product.
 
+use crate::checkpoint::Harvested;
 use crate::distribute::{Distributor, GrayCandidate};
 use crate::gpsi::Gpsi;
 use crate::shared::PsglShared;
@@ -143,8 +145,10 @@ impl ExpandScratch {
 /// Expands `gpsi` on the worker owning `map(gpsi.expanding())`.
 ///
 /// New incomplete Gpsis are pushed to `out` (with their next expanding
-/// vertex already chosen by `distributor`); complete instances are passed
-/// to `emit`. Adds the expansion's cost in Equation 2 units to `stats`.
+/// vertex already chosen by `distributor`); complete instances are counted
+/// in `stats.results` and kept by `harvest` (under
+/// [`Harvested::CountOnly`] the closing kernels never build them). Adds
+/// the expansion's cost in Equation 2 units to `stats`.
 /// `scratch` provides the kernel's working memory; reuse it across calls
 /// to keep the hot path allocation-free.
 #[allow(clippy::too_many_arguments)]
@@ -155,7 +159,7 @@ pub fn expand_gpsi(
     distributor: &mut Distributor,
     partitioner: &HashPartitioner,
     out: &mut Vec<Gpsi>,
-    emit: &mut dyn FnMut(&Gpsi),
+    harvest: &mut Harvested,
     stats: &mut ExpandStats,
 ) {
     let p = &shared.pattern;
@@ -206,7 +210,8 @@ pub fn expand_gpsi(
     // neighbor of v_p (candidates come from N(v_d)) or the single two-hop
     // vertex reachable by a wedge join. The remaining edges are then all
     // exactly checkable against shared adjacency, so complete instances
-    // are emitted immediately and no verification superstep ever runs.
+    // are counted (and harvested) immediately and no verification
+    // superstep ever runs.
     // The rule below is the whole dispatch: which shape applies depends on
     // what this partial instance has mapped, so nothing beyond
     // `compiled_kernels` is decided at plan time.
@@ -219,7 +224,7 @@ pub fn expand_gpsi(
         if nw <= CMAP_MAX_SLOTS && (extras == 1 || (extras == 0 && nw > 0)) {
             let extra = (extras == 1).then(|| extra_mask.trailing_zeros() as PatternVertex);
             return crate::kernel::expand_specialized(
-                shared, gpsi, vp, vd, extra, scratch, emit, stats, cost,
+                shared, gpsi, vp, vd, extra, scratch, harvest, stats, cost,
             );
         }
     }
@@ -323,7 +328,7 @@ pub fn expand_gpsi(
             distributor,
             partitioner,
             out,
-            emit,
+            harvest,
             stats,
         );
         generated = 1;
@@ -402,7 +407,7 @@ pub fn expand_gpsi(
                     distributor,
                     partitioner,
                     out,
-                    emit,
+                    harvest,
                     stats,
                 );
                 generated += 1;
@@ -501,8 +506,9 @@ fn adjacency_contains_all(haystack: &[VertexId], needles: &[VertexId]) -> bool {
     }
 }
 
-/// Builds one new Gpsi from a full candidate combination, emits it if
-/// complete, otherwise routes it through the distribution strategy.
+/// Builds one new Gpsi from a full candidate combination, counts and
+/// harvests it if complete, otherwise routes it through the distribution
+/// strategy.
 #[allow(clippy::too_many_arguments)]
 fn finalize_combination(
     shared: &PsglShared<'_>,
@@ -513,7 +519,7 @@ fn finalize_combination(
     distributor: &mut Distributor,
     partitioner: &HashPartitioner,
     out: &mut Vec<Gpsi>,
-    emit: &mut dyn FnMut(&Gpsi),
+    harvest: &mut Harvested,
     stats: &mut ExpandStats,
 ) {
     let p = &shared.pattern;
@@ -527,7 +533,7 @@ fn finalize_combination(
     stats.generated += 1;
     if g.is_complete(p) {
         stats.results += 1;
-        emit(&g);
+        harvest.keep(&g, np);
         return;
     }
     // Useful GRAYs: those with WHITE neighbors or unverified incident edges.
@@ -562,6 +568,45 @@ fn finalize_combination(
     out.push(g);
 }
 
+/// Unit-test driver: expands every Gpsi of a single-worker listing of
+/// `pattern` in `g` to completion and returns the instances it harvested
+/// (the BSP runner is the real driver), the counters, and the scratch, so
+/// tests can inspect what the kernels left behind.
+#[cfg(test)]
+pub(crate) fn list_all(
+    g: &psgl_graph::DataGraph,
+    pattern: &psgl_pattern::Pattern,
+    config: &crate::PsglConfig,
+) -> (Vec<Vec<VertexId>>, ExpandStats, ExpandScratch) {
+    let shared = PsglShared::prepare(g, pattern, config).unwrap();
+    let partitioner = HashPartitioner::new(1);
+    let mut distributor = Distributor::new(crate::distribute::Strategy::Random, 1, 7);
+    let mut scratch = ExpandScratch::new();
+    let mut stats = ExpandStats::default();
+    let mut harvest = Harvested::Instances(Vec::new());
+    let mut queue: Vec<Gpsi> = g
+        .vertices()
+        .filter(|&v| g.degree(v) >= pattern.degree(shared.init_vertex))
+        .map(|v| Gpsi::initial(shared.init_vertex, v))
+        .collect();
+    let mut out = Vec::new();
+    while let Some(gpsi) = queue.pop() {
+        expand_gpsi(
+            &shared,
+            gpsi,
+            &mut scratch,
+            &mut distributor,
+            &partitioner,
+            &mut out,
+            &mut harvest,
+            &mut stats,
+        );
+        queue.append(&mut out);
+    }
+    let Harvested::Instances(found) = harvest else { unreachable!() };
+    (found, stats, scratch)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,37 +615,8 @@ mod tests {
     use psgl_graph::DataGraph;
     use psgl_pattern::catalog;
 
-    /// Fully expands all Gpsis breadth-first on a single logical worker and
-    /// returns the listed instances (driver used by unit tests only; the
-    /// real driver is the BSP runner).
-    fn list_all(g: &DataGraph, pattern: &psgl_pattern::Pattern) -> Vec<Vec<VertexId>> {
-        let config = PsglConfig::default();
-        let shared = PsglShared::prepare(g, pattern, &config).unwrap();
-        let partitioner = HashPartitioner::new(1);
-        let mut distributor = Distributor::new(Strategy::Random, 1, 7);
-        let mut scratch = ExpandScratch::new();
-        let mut stats = ExpandStats::default();
-        let mut results = Vec::new();
-        let mut queue: Vec<Gpsi> = g
-            .vertices()
-            .filter(|&v| g.degree(v) >= pattern.degree(shared.init_vertex))
-            .map(|v| Gpsi::initial(shared.init_vertex, v))
-            .collect();
-        while let Some(gpsi) = queue.pop() {
-            let mut out = Vec::new();
-            expand_gpsi(
-                &shared,
-                gpsi,
-                &mut scratch,
-                &mut distributor,
-                &partitioner,
-                &mut out,
-                &mut |done| results.push(done.instance(pattern.num_vertices())),
-                &mut stats,
-            );
-            queue.extend(out);
-        }
-        results
+    fn instances(g: &DataGraph, pattern: &psgl_pattern::Pattern) -> Vec<Vec<VertexId>> {
+        list_all(g, pattern, &PsglConfig::default()).0
     }
 
     /// K4 data graph: every 3-subset is a triangle (4 triangles), one
@@ -611,7 +627,7 @@ mod tests {
 
     #[test]
     fn triangles_in_k4() {
-        let res = list_all(&k4(), &catalog::triangle());
+        let res = instances(&k4(), &catalog::triangle());
         assert_eq!(res.len(), 4);
         // Every instance must be a real triangle with distinct vertices.
         for inst in &res {
@@ -640,14 +656,14 @@ mod tests {
 
     #[test]
     fn squares_and_cliques_in_k4() {
-        assert_eq!(list_all(&k4(), &catalog::square()).len(), 3);
-        assert_eq!(list_all(&k4(), &catalog::four_clique()).len(), 1);
+        assert_eq!(instances(&k4(), &catalog::square()).len(), 3);
+        assert_eq!(instances(&k4(), &catalog::four_clique()).len(), 1);
     }
 
     #[test]
     fn single_edge_pattern_lists_each_edge_once() {
         let g = DataGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]).unwrap();
-        let res = list_all(&g, &catalog::path(2));
+        let res = instances(&g, &catalog::path(2));
         assert_eq!(res.len(), 5);
     }
 
@@ -655,14 +671,14 @@ mod tests {
     fn paths_in_triangle() {
         // Path of 3 vertices in a triangle: 3 (one per middle vertex).
         let g = DataGraph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]).unwrap();
-        assert_eq!(list_all(&g, &catalog::path(3)).len(), 3);
+        assert_eq!(instances(&g, &catalog::path(3)).len(), 3);
     }
 
     #[test]
     fn no_results_on_sparse_graph() {
         let g = DataGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
-        assert!(list_all(&g, &catalog::triangle()).is_empty());
-        assert!(list_all(&g, &catalog::square()).is_empty());
+        assert!(instances(&g, &catalog::triangle()).is_empty());
+        assert!(instances(&g, &catalog::square()).is_empty());
     }
 
     #[test]
@@ -672,7 +688,7 @@ mod tests {
         // square (0,1),(1,2),(2,3),(3,0), apex (4,1),(4,2).
         let g =
             DataGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 0), (4, 1), (4, 2)]).unwrap();
-        let res = list_all(&g, &catalog::house());
+        let res = instances(&g, &catalog::house());
         assert_eq!(res.len(), 1, "exactly one house: {res:?}");
     }
 
@@ -694,7 +710,7 @@ mod tests {
             &mut distributor,
             &partitioner,
             &mut out,
-            &mut |_| {},
+            &mut Harvested::CountOnly,
             &mut stats,
         );
         assert_eq!(stats.expanded, 1);
@@ -713,10 +729,10 @@ mod tests {
         let patterns = [catalog::triangle(), catalog::square(), catalog::house()];
         for g in &graphs {
             for pat in &patterns {
-                let fresh = list_all(g, pat).len();
-                // list_all itself reuses its scratch across the whole BFS;
+                let fresh = instances(g, pat).len();
+                // The driver reuses its scratch across the whole listing;
                 // run it twice to cover warm-buffer reuse too.
-                assert_eq!(list_all(g, pat).len(), fresh, "{pat:?}");
+                assert_eq!(instances(g, pat).len(), fresh, "{pat:?}");
             }
         }
     }

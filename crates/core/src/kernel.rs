@@ -8,8 +8,17 @@
 //! surviving instance. The kernels here exploit the fact that the data
 //! graph is shared by every in-process (and cluster) worker: when an
 //! expansion can map **all** remaining pattern vertices, every remaining
-//! edge is exactly checkable right here, so the kernel emits finished
-//! instances and sends nothing.
+//! edge is exactly checkable right here, so the kernel finishes instances
+//! in place and sends nothing.
+//!
+//! Counting is not listing: a finished instance is counted in
+//! [`ExpandStats::results`] first, and is built as a Gpsi only when the
+//! worker's [`Harvested`] keeps tuples or per-vertex tallies. Under
+//! [`Harvested::CountOnly`] (the paper's default output) the Close join
+//! and the TwoHop wedge join bump two counters per survivor and never
+//! copy or bind the tuple. Only the TwoHop kernel's *prefix* (every WHITE
+//! slot bound, the two-hop vertex not yet) is always built, because the
+//! wedge join reads it for injectivity.
 //!
 //! Two shapes of closing expansion exist (selected per partial instance by
 //! the dispatch rule in [`crate::expand::expand_gpsi`]):
@@ -48,6 +57,7 @@
 //! dominates on skewed degree distributions. A triangle therefore binds
 //! one slot and joins the other, marking nothing into the cmap at all.
 
+use crate::checkpoint::Harvested;
 use crate::expand::{prepare_white_slots, ExpandScratch, WhiteMeta, CMAP_MAX_SLOTS};
 use crate::gpsi::Gpsi;
 use crate::shared::PsglShared;
@@ -126,8 +136,8 @@ struct WExtra {
 /// dispatcher in `expand_gpsi`): `v_p` is BLACK with its GRAY edges
 /// verified, `scratch.white_meta` holds all unmapped neighbors of `v_p`
 /// (≤ [`crate::expand::CMAP_MAX_SLOTS`]), and `extra` is the single
-/// unmapped non-neighbor if one exists. Emits complete instances only;
-/// never pushes outgoing Gpsis.
+/// unmapped non-neighbor if one exists. Emits complete instances only
+/// (counted in `stats`, kept by `harvest`); never pushes outgoing Gpsis.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn expand_specialized(
     shared: &PsglShared<'_>,
@@ -136,7 +146,7 @@ pub(crate) fn expand_specialized(
     vd: VertexId,
     extra: Option<PatternVertex>,
     scratch: &mut ExpandScratch,
-    emit: &mut dyn FnMut(&Gpsi),
+    harvest: &mut Harvested,
     stats: &mut ExpandStats,
     mut cost: u64,
 ) {
@@ -453,7 +463,7 @@ pub(crate) fn expand_specialized(
             w_targets,
             &mut generated,
             &mut cost,
-            emit,
+            harvest,
             stats,
         );
     } else if od == 1 && w_extra.is_none() {
@@ -474,7 +484,7 @@ pub(crate) fn expand_specialized(
             cmap,
             &mut generated,
             &mut cost,
-            emit,
+            harvest,
             stats,
         );
     } else {
@@ -566,7 +576,7 @@ pub(crate) fn expand_specialized(
                     w_targets,
                     &mut generated,
                     &mut cost,
-                    emit,
+                    harvest,
                     stats,
                 );
                 cursors[depth] += 1;
@@ -650,24 +660,30 @@ fn arena_filter(
     cand_rank.push(rank_cd);
 }
 
-/// Emits one closed instance: binds the final slot. Every pattern edge was
-/// checked exactly before the call, so the instance is complete although
-/// its last vertices are not BLACK.
+/// Emits one closed instance: `g` with its last vertex `fin_wv` bound to
+/// `x`. Every pattern edge was checked exactly before the call, so the
+/// instance is complete although its last vertices are not BLACK. It is
+/// counted first; only a harvest that keeps tuples or per-vertex tallies
+/// pays for building it.
 #[inline(always)]
 fn emit_closed(
     g: &Gpsi,
     fin_wv: PatternVertex,
     x: VertexId,
+    np: usize,
     generated: &mut u64,
-    emit: &mut dyn FnMut(&Gpsi),
+    harvest: &mut Harvested,
     stats: &mut ExpandStats,
 ) {
-    let mut gg = *g;
-    gg.assign(fin_wv, x);
     stats.generated += 1;
     stats.results += 1;
     *generated += 1;
-    emit(&gg);
+    if let Harvested::CountOnly = harvest {
+        return;
+    }
+    let mut gg = *g;
+    gg.assign(fin_wv, x);
+    harvest.keep(&gg, np);
 }
 
 /// The two-WHITE Close join (`od == 1`, no two-hop vertex): for each
@@ -693,7 +709,7 @@ fn close_pair(
     cmap: &mut [u8],
     generated: &mut u64,
     cost: &mut u64,
-    emit: &mut dyn FnMut(&Gpsi),
+    harvest: &mut Harvested,
     stats: &mut ExpandStats,
 ) {
     let arena = &cand_data[fin_range.0..fin_range.1];
@@ -702,6 +718,7 @@ fn close_pair(
     let window_gt = fin.gt_mask & 1 == 1;
     let joined = fin.edge_mask & 1 == 1;
     let fin_bit = slot_bit(1);
+    let np = shared.pattern.num_vertices();
     if joined {
         for &x in arena {
             cmap[x as usize] |= fin_bit;
@@ -744,7 +761,7 @@ fn close_pair(
                         stats.pruned_injectivity += 1;
                         continue;
                     }
-                    emit_closed(&g, fin.wv, x, generated, emit, stats);
+                    emit_closed(&g, fin.wv, x, np, generated, harvest, stats);
                 }
             } else {
                 // Hub binding: walk the (shorter) arena, pruning on
@@ -774,7 +791,7 @@ fn close_pair(
                         continue;
                     }
                     from = j + 1;
-                    emit_closed(&g, fin.wv, x, generated, emit, stats);
+                    emit_closed(&g, fin.wv, x, np, generated, harvest, stats);
                 }
             }
         } else {
@@ -792,7 +809,7 @@ fn close_pair(
                     stats.pruned_injectivity += 1;
                     continue;
                 }
-                emit_closed(&g, fin.wv, x, generated, emit, stats);
+                emit_closed(&g, fin.wv, x, np, generated, harvest, stats);
             }
         }
     }
@@ -825,7 +842,7 @@ fn close_combination(
     w_targets: &mut Vec<VertexId>,
     generated: &mut u64,
     cost: &mut u64,
-    emit: &mut dyn FnMut(&Gpsi),
+    harvest: &mut Harvested,
     stats: &mut ExpandStats,
 ) {
     let nw = white_meta.len();
@@ -843,7 +860,7 @@ fn close_combination(
             w_targets,
             generated,
             cost,
-            emit,
+            harvest,
             stats,
         );
         return;
@@ -951,7 +968,7 @@ fn close_combination(
                     w_targets,
                     generated,
                     cost,
-                    emit,
+                    harvest,
                     stats,
                 );
             }
@@ -1001,7 +1018,7 @@ fn close_combination(
                     w_targets,
                     generated,
                     cost,
-                    emit,
+                    harvest,
                     stats,
                 );
             }
@@ -1041,7 +1058,7 @@ fn close_combination(
                 w_targets,
                 generated,
                 cost,
-                emit,
+                harvest,
                 stats,
             );
         }
@@ -1116,9 +1133,11 @@ fn final_edges_ok(
 }
 
 /// Binds the final WHITE slot and either emits the closed instance
-/// (Close) or runs the two-hop wedge join (TwoHop).
+/// (Close) or runs the two-hop wedge join (TwoHop). Called once per
+/// final-slot survivor, so it must not stay an out-of-line call with
+/// fifteen arguments: `inline(always)` keeps it in the join loops.
 #[allow(clippy::too_many_arguments)]
-#[inline]
+#[inline(always)]
 fn finish_candidate(
     shared: &PsglShared<'_>,
     g: &Gpsi,
@@ -1133,23 +1152,23 @@ fn finish_candidate(
     w_targets: &mut Vec<VertexId>,
     generated: &mut u64,
     cost: &mut u64,
-    emit: &mut dyn FnMut(&Gpsi),
+    harvest: &mut Harvested,
     stats: &mut ExpandStats,
 ) {
-    let mut gg = *g;
-    gg.assign(fin_wv, x);
     match w_extra {
         None => {
             // Close: every pattern edge has been exactly checked — the
             // (v_p, white) edges by candidate construction, white-white by
             // join/mark/gallop, everything else before the odometer
             // started.
-            stats.generated += 1;
-            stats.results += 1;
-            *generated += 1;
-            emit(&gg);
+            let np = shared.pattern.num_vertices();
+            emit_closed(g, fin_wv, x, np, generated, harvest, stats);
         }
         Some(wx) => {
+            // The wedge join reads the bound combination (injectivity),
+            // so TwoHop builds it whatever the harvest.
+            let mut gg = *g;
+            gg.assign(fin_wv, x);
             chosen[od] = x;
             chosen_rank[od] = rank_x;
             join_two_hop(
@@ -1162,7 +1181,7 @@ fn finish_candidate(
                 w_targets,
                 generated,
                 cost,
-                emit,
+                harvest,
                 stats,
             )
         }
@@ -1182,7 +1201,7 @@ fn join_two_hop(
     w_targets: &mut Vec<VertexId>,
     generated: &mut u64,
     cost: &mut u64,
-    emit: &mut dyn FnMut(&Gpsi),
+    harvest: &mut Harvested,
     stats: &mut ExpandStats,
 ) {
     let np = shared.pattern.num_vertices();
@@ -1246,59 +1265,17 @@ fn join_two_hop(
                 continue 'wcand;
             }
         }
-        let mut gg = *g;
-        gg.assign(wx.w, x);
-        stats.generated += 1;
-        stats.results += 1;
-        *generated += 1;
-        emit(&gg);
+        emit_closed(g, wx.w, x, np, generated, harvest, stats);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distribute::{Distributor, Strategy};
-    use crate::expand::expand_gpsi;
+    use crate::expand::list_all;
     use crate::{PsglConfig, PsglShared};
     use psgl_graph::generators::erdos_renyi_gnm;
-    use psgl_graph::partition::HashPartitioner;
-    use psgl_graph::DataGraph;
     use psgl_pattern::catalog;
-
-    /// Breadth-first single-worker driver (mirrors the one in `expand`).
-    fn list_all(
-        g: &DataGraph,
-        pattern: &psgl_pattern::Pattern,
-        config: &PsglConfig,
-    ) -> (Vec<Vec<VertexId>>, ExpandStats, ExpandScratch) {
-        let shared = PsglShared::prepare(g, pattern, config).unwrap();
-        let partitioner = HashPartitioner::new(1);
-        let mut distributor = Distributor::new(Strategy::Random, 1, 7);
-        let mut scratch = ExpandScratch::new();
-        let mut stats = ExpandStats::default();
-        let mut results = Vec::new();
-        let mut queue: Vec<Gpsi> = g
-            .vertices()
-            .filter(|&v| g.degree(v) >= pattern.degree(shared.init_vertex))
-            .map(|v| Gpsi::initial(shared.init_vertex, v))
-            .collect();
-        while let Some(gpsi) = queue.pop() {
-            let mut out = Vec::new();
-            expand_gpsi(
-                &shared,
-                gpsi,
-                &mut scratch,
-                &mut distributor,
-                &partitioner,
-                &mut out,
-                &mut |done| results.push(done.instance(pattern.num_vertices())),
-                &mut stats,
-            );
-            queue.extend(out);
-        }
-        (results, stats, scratch)
-    }
 
     fn sorted(mut v: Vec<Vec<VertexId>>) -> Vec<Vec<VertexId>> {
         v.sort();
@@ -1311,6 +1288,7 @@ mod tests {
         for pattern in catalog::paper_patterns() {
             let (on, stats_on, _) = list_all(&g, &pattern, &PsglConfig::default());
             let (off, stats_off, _) = list_all(&g, &pattern, &PsglConfig::default().kernels(false));
+            assert_eq!(on.len() as u64, stats_on.results, "{}", pattern.name());
             assert_eq!(sorted(on), sorted(off), "{}", pattern.name());
             assert_eq!(stats_on.results, stats_off.results, "{}", pattern.name());
             assert!(

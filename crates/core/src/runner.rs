@@ -148,7 +148,6 @@ impl VertexProgram for PsglProgram<'_> {
             failed,
             ..
         } = state;
-        let np = self.shared.pattern.num_vertices();
         for gpsi in messages.drain(..) {
             // The budget early-return below can leave stale Gpsis behind;
             // clearing here keeps the reused buffer safe.
@@ -161,15 +160,7 @@ impl VertexProgram for PsglProgram<'_> {
                 distributor,
                 ctx.partitioner(),
                 out,
-                &mut |done| match harvest {
-                    Harvested::CountOnly => {}
-                    Harvested::Instances(buf) => buf.push(done.instance(np)),
-                    Harvested::PerVertex(counts) => {
-                        for &vd in done.mapping(np) {
-                            counts[vd as usize] += 1;
-                        }
-                    }
-                },
+                harvest,
                 stats,
             );
             ctx.add_cost(stats.cost - before);

@@ -11,7 +11,7 @@
 use psgl_core::distribute::{Distributor, Strategy};
 use psgl_core::expand::{expand_gpsi, ExpandScratch};
 use psgl_core::stats::ExpandStats;
-use psgl_core::{Gpsi, PsglConfig, PsglShared};
+use psgl_core::{Gpsi, Harvested, PsglConfig, PsglShared};
 use psgl_graph::generators::erdos_renyi_gnm;
 use psgl_graph::partition::HashPartitioner;
 use psgl_pattern::catalog;
@@ -41,8 +41,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Drives a complete single-worker listing through the kernel, reusing the
-/// caller's scratch, queue and outbox buffers. Returns the instance count.
+/// Drives a complete single-worker, count-only listing through the
+/// kernel, reusing the caller's scratch, queue and outbox buffers. Returns
+/// the counters; the instance count is `results`, because under
+/// [`Harvested::CountOnly`] a closed instance is counted and never built.
 fn drive(
     shared: &PsglShared<'_>,
     partitioner: &HashPartitioner,
@@ -50,12 +52,11 @@ fn drive(
     scratch: &mut ExpandScratch,
     queue: &mut Vec<Gpsi>,
     out: &mut Vec<Gpsi>,
-) -> u64 {
+) -> ExpandStats {
     let g = shared.graph;
     let pattern = &shared.pattern;
     let init = shared.init_vertex;
     let mut stats = ExpandStats::default();
-    let mut found = 0u64;
     queue.clear();
     for v in g.vertices() {
         if g.degree(v) >= pattern.degree(init) {
@@ -71,21 +72,30 @@ fn drive(
             distributor,
             partitioner,
             out,
-            &mut |_| found += 1,
+            &mut Harvested::CountOnly,
             &mut stats,
         );
         queue.append(out);
     }
-    found
+    stats
 }
 
 #[test]
 fn steady_state_expansion_allocates_nothing() {
-    // Dense-ish ER graph so both patterns actually produce instances.
+    // Dense-ish ER graph so every pattern actually produces instances.
+    // Triangle and 4-clique close through the Close kernel's joined final
+    // slot, tailed-triangle through its unjoined one (the tail has no
+    // WHITE neighbor); square and path(4) through the TwoHop wedge join.
     let g = erdos_renyi_gnm(120, 1500, 7).unwrap();
     let config = PsglConfig::default();
     let partitioner = HashPartitioner::new(1);
-    for pattern in [catalog::triangle(), catalog::four_clique()] {
+    for (pattern, twohop) in [
+        (catalog::triangle(), false),
+        (catalog::four_clique(), false),
+        (catalog::square(), true),
+        (catalog::tailed_triangle(), false),
+        (catalog::path(4), true),
+    ] {
         let shared = PsglShared::prepare(&g, &pattern, &config).unwrap();
         let mut scratch = ExpandScratch::new();
         let mut queue: Vec<Gpsi> = Vec::new();
@@ -94,7 +104,9 @@ fn steady_state_expansion_allocates_nothing() {
         let mut distributor = Distributor::new(Strategy::Random, 1, 99);
         let warm =
             drive(&shared, &partitioner, &mut distributor, &mut scratch, &mut queue, &mut out);
-        assert!(warm > 0, "{pattern:?}: fixture graph should contain instances");
+        assert!(warm.results > 0, "{pattern:?}: fixture graph should contain instances");
+        let fired = if twohop { warm.kernel_twohop } else { warm.kernel_close };
+        assert!(fired > 0, "{pattern:?}: the closing kernel this case covers never ran");
         // Fresh same-seeded distributor (created *outside* the measured
         // region — its workload Vec allocates) replays the identical
         // expansion sequence.
@@ -103,7 +115,7 @@ fn steady_state_expansion_allocates_nothing() {
         let again =
             drive(&shared, &partitioner, &mut distributor, &mut scratch, &mut queue, &mut out);
         let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        assert_eq!(again, warm, "{pattern:?}: replay must list the same instances");
+        assert_eq!(again, warm, "{pattern:?}: replay must expand the same way");
         assert_eq!(delta, 0, "{pattern:?}: steady-state run hit the allocator {delta} times");
     }
 }

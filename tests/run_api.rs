@@ -9,7 +9,7 @@ use psgl::core::{
     CancelToken, Checkpoint, Harvest, ListingEnd, ListingResult, PsglConfig, PsglShared,
     RunRequest, RunnerHooks, Start, Stop, Strategy,
 };
-use psgl::graph::generators::erdos_renyi_gnm;
+use psgl::graph::generators::{chung_lu, erdos_renyi_gnm};
 use psgl::pattern::catalog;
 use psgl::sim::fingerprint::fingerprint_run;
 
@@ -185,6 +185,54 @@ fn every_start_and_stop_gives_the_whole_runs_answer() {
             fingerprint_run(&list_subgraphs_prepared_with(&shared, &config, &hooks).unwrap()),
             fingerprint_run(&run(&shared, &config, request).unwrap().completed()),
         );
+    }
+}
+
+/// Counting is not listing: a count-only run skips building the closed
+/// instances and nothing else. On a hub-heavy graph these patterns reach
+/// every place an instance is finished — the Close pair join (marked,
+/// unmarked and hub-galloped), its unjoined final slot, the TwoHop wedge
+/// join and, with kernels off, the generic odometer — and each harvest
+/// mode must agree with the others on every counter.
+#[test]
+fn every_harvest_mode_counts_the_same_instances() {
+    let graph = chung_lu(600, 6.0, 1.8, 1).unwrap();
+    let patterns = [
+        catalog::triangle(),
+        catalog::path(3),
+        catalog::four_clique(),
+        catalog::tailed_triangle(),
+        catalog::square(),
+        catalog::path(4),
+        catalog::house(),
+    ];
+    for pattern in patterns {
+        let np = pattern.num_vertices() as u64;
+        for kernels in [true, false] {
+            let context = format!("{} kernels={kernels}", pattern.name());
+            let config = PsglConfig::with_workers(2).kernels(kernels);
+            let shared = PsglShared::prepare(&graph, &pattern, &config).unwrap();
+            let counted = whole(&shared, &config);
+            assert!(counted.instance_count > 0, "{context}: nothing to compare");
+            assert!(counted.instances.is_none() && counted.per_vertex.is_none(), "{context}");
+
+            let listed = whole(&shared, &config.clone().collect(true));
+            let request = RunRequest { harvest: Harvest::PerVertex, ..Default::default() };
+            let tallied = run(&shared, &config, request).unwrap().completed();
+            for (mode, got) in [("collect", &listed), ("per-vertex", &tallied)] {
+                assert_eq!(got.instance_count, counted.instance_count, "{context} {mode}");
+                assert_eq!(got.stats.expand, counted.stats.expand, "{context} {mode}");
+            }
+            let instances = listed.instances.expect("collect(true) keeps the tuples");
+            assert_eq!(instances.len() as u64, counted.instance_count, "{context}");
+            let tallies = tallied.per_vertex.expect("Harvest::PerVertex keeps the tallies");
+            assert_eq!(tallies.iter().sum::<u64>(), counted.instance_count * np, "{context}");
+            let mut want = vec![0u64; graph.num_vertices()];
+            for v in instances.iter().flatten() {
+                want[*v as usize] += 1;
+            }
+            assert_eq!(tallies, want, "{context}");
+        }
     }
 }
 
