@@ -266,7 +266,7 @@ pub fn count_triangles(g: &DataGraph) -> u64 {
     let mut forward: Vec<Vec<VertexId>> = vec![Vec::new(); n];
     let mut count = 0u64;
     let mut smaller: Vec<VertexId> = Vec::new();
-    for &v in &order.vertices_by_rank() {
+    for &v in order.vertices_by_rank() {
         // Lower-ranked neighbors must be processed in ascending rank order:
         // a triangle x < u < v is found at edge (u, v) only if x already
         // entered forward[v] via the earlier edge (x, v).

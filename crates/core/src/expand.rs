@@ -95,8 +95,12 @@ pub struct ExpandScratch {
     /// every neighbor of `v_d` that survives injectivity, so the per-slot
     /// scans below it are compare-only over scratch-resident data.
     pub(crate) base_cands: Vec<(VertexId, u32, u32)>,
+    /// The closing kernels' version of `base_cands`, in rank space:
+    /// `(rank, degree)` per surviving neighbor of `v_d`.
+    pub(crate) base_ranks: Vec<(u32, u32)>,
     /// Candidate arena: `cand_data[cand_bounds[i]..cand_bounds[i+1]]` holds
-    /// the valid data vertices for WHITE slot `i`.
+    /// the valid data vertices for WHITE slot `i` (their ranks, in the
+    /// closing kernels).
     pub(crate) cand_data: Vec<VertexId>,
     /// Rank of each arena candidate, cached when the scan loads it anyway,
     /// so the odometer's order checks compare two scratch-resident `u32`s
@@ -104,7 +108,8 @@ pub struct ExpandScratch {
     pub(crate) cand_rank: Vec<u32>,
     /// Candidate-arena bounds (`white_meta.len() + 1` entries).
     pub(crate) cand_bounds: Vec<usize>,
-    /// Odometer: currently selected data vertex per WHITE slot.
+    /// Odometer: currently selected data vertex per WHITE slot (its rank,
+    /// in the closing kernels).
     pub(crate) chosen: Vec<VertexId>,
     /// Odometer: rank of the selected data vertex per WHITE slot.
     pub(crate) chosen_rank: Vec<u32>,
@@ -112,11 +117,12 @@ pub struct ExpandScratch {
     pub(crate) cursors: Vec<usize>,
     /// GRAY candidates handed to the distribution strategy.
     pub(crate) grays: Vec<GrayCandidate>,
-    /// Connectivity map: one byte per data vertex, all-zero between
-    /// expansions. Bits 0–1 carry per-slot scan marks (conn-target
-    /// adjacency), bits 2–7 carry odometer binding marks for WHITE slots
-    /// 0–5. Sized to the data graph on the first compiled-kernel dispatch
-    /// (pre-steady-state; retained afterwards).
+    /// Connectivity map of the closing kernels: one byte per data vertex,
+    /// indexed by rank, all-zero between expansions. Bits 0–1 carry
+    /// per-slot scan marks (conn-target adjacency), bits 2–7 carry
+    /// odometer binding marks for WHITE slots 0–5. Sized to the data graph
+    /// on the first compiled-kernel dispatch (pre-steady-state; retained
+    /// afterwards).
     pub(crate) cmap: Vec<u8>,
     /// Per-slot flag: some deeper slot has a white-white pattern edge to
     /// this one, so its binding must publish adjacency (mark or gallop).
@@ -126,13 +132,20 @@ pub struct ExpandScratch {
     pub(crate) slot_gallop: Vec<bool>,
     /// Per-slot flag: the current binding holds cmap marks to clear.
     pub(crate) slot_marked: Vec<bool>,
-    /// Wedge targets of the two-hop vertex that were mapped before the
-    /// expansion started (static across the odometer).
-    pub(crate) w_static: Vec<VertexId>,
-    /// Wedge targets of the two-hop vertex for one full combination.
-    pub(crate) w_targets: Vec<VertexId>,
-    /// Per-slot conn targets routed down the gallop path.
-    pub(crate) conn_gallop: Vec<VertexId>,
+    /// Ranks of the two-hop vertex's wedge targets that were mapped
+    /// before the expansion started (static across the odometer).
+    pub(crate) w_static: Vec<u32>,
+    /// Ranks of the two-hop vertex's wedge targets for one full
+    /// combination.
+    pub(crate) w_targets: Vec<u32>,
+    /// Ranks of the per-slot conn targets routed down the gallop path.
+    pub(crate) conn_gallop: Vec<u32>,
+    /// Ranks that closed an instance in one closing-join loop (or, in a
+    /// TwoHop expansion, final-slot bindings that passed), queued for the
+    /// keep path when the harvest keeps instances; empty under count-only.
+    pub(crate) kept: Vec<u32>,
+    /// The same queue for the two-hop vertex's survivors of one wedge join.
+    pub(crate) w_kept: Vec<u32>,
 }
 
 impl ExpandScratch {
@@ -224,7 +237,7 @@ pub fn expand_gpsi(
         if nw <= CMAP_MAX_SLOTS && (extras == 1 || (extras == 0 && nw > 0)) {
             let extra = (extras == 1).then(|| extra_mask.trailing_zeros() as PatternVertex);
             return crate::kernel::expand_specialized(
-                shared, gpsi, vp, vd, extra, scratch, harvest, stats, cost,
+                shared, gpsi, vp, extra, scratch, harvest, stats, cost,
             );
         }
     }

@@ -11,14 +11,33 @@
 //! edge is exactly checkable right here, so the kernel finishes instances
 //! in place and sends nothing.
 //!
+//! ## Rank is the id
+//!
+//! The kernels work in the rank space of [`OrderedGraph`]: a vertex is
+//! named by its rank, and its adjacency list holds neighbour ranks in
+//! ascending order. Once per expansion, `v_d`, the Gpsi's mapped vertices
+//! and the slots' connectivity targets are translated to ranks; from then
+//! on the candidate arenas, `chosen`, the cmap and every adjacency test
+//! use ranks only. A candidate is its own rank, so an automorphism-breaking
+//! window is a comparison against the element itself, or a sub-slice of a
+//! sorted list. Ranks become ids again only where an instance is kept
+//! (`keep_closed`), and for label lookups, which are indexed by id.
+//!
+//! A listing still keeps each expansion's tuples in id order, as the
+//! id-space kernels did, so that the run's final sort stays a linear
+//! check: under [`Harvested::Instances`] the odometer walks id-sorted
+//! copies of its arenas, and each closing loop's survivors are sorted by
+//! id before they are kept (a one-target wedge join walks the data
+//! graph's id-sorted list instead, see [`join_two_hop`]).
+//!
 //! Counting is not listing: a finished instance is counted in
 //! [`ExpandStats::results`] first, and is built as a Gpsi only when the
 //! worker's [`Harvested`] keeps tuples or per-vertex tallies. Under
-//! [`Harvested::CountOnly`] (the paper's default output) the Close join
-//! and the TwoHop wedge join bump two counters per survivor and never
-//! copy or bind the tuple. Only the TwoHop kernel's *prefix* (every WHITE
-//! slot bound, the two-hop vertex not yet) is always built, because the
-//! wedge join reads it for injectivity.
+//! [`Harvested::CountOnly`] (the paper's default output) the kernels bump
+//! two counters per survivor and never build a Gpsi. A TwoHop join whose
+//! two-hop vertex has one pattern neighbour does not even visit its
+//! survivors: it counts them as its rank window's slice length minus the
+//! mapped vertices inside the slice (see [`join_two_hop`]).
 //!
 //! Two shapes of closing expansion exist (selected per partial instance by
 //! the dispatch rule in [`crate::expand::expand_gpsi`]):
@@ -26,8 +45,8 @@
 //! - **Close** — every unmapped pattern vertex is a WHITE neighbor of the
 //!   expanding vertex `v_p`. Candidates come from `N(v_d)` as usual;
 //!   white-white pattern edges are checked exactly through the per-worker
-//!   connectivity map (`cmap`, one byte per data vertex) instead of the
-//!   bloom filter. Covers triangles, k-cliques, stars and the star+edge
+//!   connectivity map (`cmap`, one byte per rank) instead of the bloom
+//!   filter. Covers triangles, k-cliques, stars and the star+edge
 //!   hub expansion.
 //! - **TwoHop** — one unmapped vertex `w` is *not* adjacent to `v_p`. For
 //!   each full WHITE combination, `w`'s candidates are the intersection of
@@ -38,9 +57,10 @@
 //! ## The connectivity map
 //!
 //! `cmap` lives in [`ExpandScratch`] (sized once, lazily, to the data
-//! graph — steady state performs zero allocations) and is maintained
-//! incrementally: binding WHITE slot `i` marks bit `2 + i` on the
-//! binding's neighbors, backtracking clears it by walking the same list.
+//! graph — steady state performs zero allocations), is indexed by rank,
+//! and is maintained incrementally: binding WHITE slot `i` marks bit
+//! `2 + i` on the binding's neighbors, backtracking clears it by walking
+//! the same list.
 //! The map is all-zero between expansions by construction. Adjacency
 //! checks are degree-adaptive at every call site: short lists are marked
 //! and probed in O(1) per candidate (`intersect_probe`), long lists are
@@ -59,11 +79,11 @@
 
 use crate::checkpoint::Harvested;
 use crate::expand::{prepare_white_slots, ExpandScratch, WhiteMeta, CMAP_MAX_SLOTS};
-use crate::gpsi::Gpsi;
+use crate::gpsi::{Gpsi, MAX_GPSI_VERTICES, UNMAPPED};
 use crate::shared::PsglShared;
 use crate::stats::ExpandStats;
 use psgl_graph::algo::gallop_lower_bound;
-use psgl_graph::VertexId;
+use psgl_graph::{OrderedGraph, VertexId};
 use psgl_pattern::PatternVertex;
 
 /// Mark an adjacency list into the cmap when it is at most this many times
@@ -77,41 +97,49 @@ fn slot_bit(i: usize) -> u8 {
     1u8 << (2 + i)
 }
 
-/// Which half of a binding's adjacency a slot's marks must cover: the
-/// whole list, or just the oriented half when every later probe site is
-/// rank-ordered the same way around the slot.
+/// Which part of a binding's adjacency a slot's marks must cover: the
+/// whole list, or just the lower/higher-rank side when every later probe
+/// site is rank-ordered the same way around the slot.
 #[derive(Clone, Copy, PartialEq)]
 enum MarkSide {
     Full,
-    Forward,
-    Backward,
+    Higher,
+    Lower,
 }
 
-/// The adjacency list a slot publishes (and retracts) marks over.
+/// The rank list a slot publishes (and retracts) marks over.
 #[inline]
-fn mark_list<'s>(shared: &'s PsglShared<'_>, side: MarkSide, v: VertexId) -> &'s [VertexId] {
+fn mark_list(ordered: &OrderedGraph, side: MarkSide, r: u32) -> &[u32] {
     match side {
-        MarkSide::Full => shared.graph.neighbors(v),
-        MarkSide::Forward => shared.ordered.forward(v),
-        MarkSide::Backward => shared.ordered.backward(v),
+        MarkSide::Full => ordered.neighbors_of_rank(r),
+        MarkSide::Higher => ordered.higher_of_rank(r),
+        MarkSide::Lower => ordered.lower_of_rank(r),
     }
 }
 
-/// Membership test in a sorted adjacency slice.
+/// Membership test in a sorted rank list.
 #[inline]
-fn contains(sorted: &[VertexId], x: VertexId) -> bool {
+fn contains(sorted: &[u32], x: u32) -> bool {
     let i = gallop_lower_bound(sorted, x);
     i < sorted.len() && sorted[i] == x
 }
 
-/// Exact edge test, searching the shorter adjacency list.
+/// Exact edge test between two ranks, searching the shorter list.
 #[inline]
-fn adjacent(shared: &PsglShared<'_>, a: VertexId, b: VertexId) -> bool {
-    if shared.graph.degree(a) <= shared.graph.degree(b) {
-        contains(shared.graph.neighbors(a), b)
+fn adjacent(ordered: &OrderedGraph, a: u32, b: u32) -> bool {
+    if ordered.degree_of_rank(a) <= ordered.degree_of_rank(b) {
+        contains(ordered.neighbors_of_rank(a), b)
     } else {
-        contains(shared.graph.neighbors(b), a)
+        contains(ordered.neighbors_of_rank(b), a)
     }
+}
+
+/// Whether the vertex of rank `r` may map to pattern vertex `wv`. Labels
+/// are indexed by id, so a labelled run crosses back for the lookup; an
+/// unlabelled run never does.
+#[inline]
+fn label_ok(shared: &PsglShared<'_>, wv: PatternVertex, r: u32) -> bool {
+    shared.labels.is_none() || shared.label_ok(wv, shared.ordered.vertex(r))
 }
 
 /// Hoisted facts about the two-hop vertex `w` (None for a pure Close).
@@ -143,7 +171,6 @@ pub(crate) fn expand_specialized(
     shared: &PsglShared<'_>,
     gpsi: Gpsi,
     vp: PatternVertex,
-    vd: VertexId,
     extra: Option<PatternVertex>,
     scratch: &mut ExpandScratch,
     harvest: &mut Harvested,
@@ -152,10 +179,22 @@ pub(crate) fn expand_specialized(
 ) {
     let p = &shared.pattern;
     let np = p.num_vertices();
+    let ordered = &*shared.ordered;
     match extra {
         None => stats.kernel_close += 1,
         Some(_) => stats.kernel_twohop += 1,
     }
+
+    // The translation boundary: the partial instance's ids become ranks
+    // once, here. `UNMAPPED` stays the unmapped marker; it is no rank.
+    let ranks = ordered.ranks();
+    let mut mapped_ranks = [UNMAPPED; MAX_GPSI_VERTICES];
+    for (r, &d) in mapped_ranks.iter_mut().zip(gpsi.mapping(np)) {
+        if d != UNMAPPED {
+            *r = ranks[d as usize];
+        }
+    }
+    let mapped = &mapped_ranks[..np];
 
     // Mixed generic → kernel flows can carry unverified mapped-mapped
     // edges (bloom-checked when their second endpoint bound, so both ends
@@ -166,27 +205,26 @@ pub(crate) fn expand_specialized(
             continue;
         }
         stats.intersect_gallop += 1;
-        if !adjacent(shared, gpsi.map(a).unwrap(), gpsi.map(b).unwrap()) {
+        if !adjacent(ordered, mapped[a as usize], mapped[b as usize]) {
             stats.died_gray_check += 1;
             stats.cost += cost;
             return;
         }
     }
 
-    if scratch.cmap.len() < shared.graph.num_vertices() {
-        scratch.cmap.resize(shared.graph.num_vertices(), 0);
+    if scratch.cmap.len() < ordered.len() {
+        scratch.cmap.resize(ordered.len(), 0);
     }
 
-    let neighbors_vd = shared.graph.neighbors(vd);
-    let deg_vd = u64::from(shared.graph.degree(vd));
+    let rvd = mapped[vp as usize];
+    let neighbors_vd = ordered.neighbors_of_rank(rvd);
+    let deg_vd = neighbors_vd.len() as u64;
     let ExpandScratch {
         white_meta,
         conn_data,
-        base_cands,
+        base_ranks,
         cand_data,
-        cand_rank,
         chosen,
-        chosen_rank,
         cursors,
         cmap,
         need_mark,
@@ -195,17 +233,22 @@ pub(crate) fn expand_specialized(
         w_static,
         w_targets,
         conn_gallop,
+        kept,
+        w_kept,
         ..
     } = scratch;
     conn_data.clear();
     cand_data.clear();
-    cand_rank.clear();
     let nw = white_meta.len();
 
     // The same per-WHITE-slot facts as the generic path: the rank windows
     // and masks implement the same pruning rules; only the connectivity
-    // checks switch from bloom probes to exact adjacency.
+    // checks switch from bloom probes to exact adjacency. The slots'
+    // connectivity targets cross into rank space with the prefix.
     prepare_white_slots(shared, &gpsi, vp, white_meta, conn_data);
+    for t in conn_data.iter_mut() {
+        *t = ranks[*t as usize];
+    }
 
     // Two-hop vertex facts: static rank window and wedge targets from the
     // pre-bound mapping, slot masks for the dynamic part.
@@ -213,7 +256,7 @@ pub(crate) fn expand_specialized(
     let w_extra = extra.map(|w| {
         let (mut lo, mut hi) = (0u32, u32::MAX);
         for up in (0..np as PatternVertex).filter(|&v| gpsi.is_mapped(v)) {
-            let rank_ud = shared.ordered.rank(gpsi.map(up).unwrap());
+            let rank_ud = mapped[up as usize];
             if shared.order.requires_less(w, up) {
                 hi = hi.min(rank_ud);
             }
@@ -223,7 +266,7 @@ pub(crate) fn expand_specialized(
         }
         for v3 in p.neighbors(w) {
             if gpsi.is_mapped(v3) {
-                w_static.push(gpsi.map(v3).unwrap());
+                w_static.push(mapped[v3 as usize]);
             }
         }
         let (mut edge_slots, mut lt_slots, mut gt_slots) = (0u16, 0u16, 0u16);
@@ -276,11 +319,11 @@ pub(crate) fn expand_specialized(
             distinct += 1;
         }
     }
-    // base_cands only exists to amortize the slot-independent lookups
+    // base_ranks only exists to amortize the slot-independent lookups
     // across *multiple* distinct scans; with one distinct slot (triangles,
     // k-cliques, stars) it would never be read back.
     let keep_base = distinct > 1;
-    base_cands.clear();
+    base_ranks.clear();
     let mut used: u64 = 0;
     let mut base_built = false;
     for si in 0..nw {
@@ -292,14 +335,14 @@ pub(crate) fn expand_specialized(
         cost += deg_vd;
         let targets = &conn_data[meta.conn_start..meta.conn_end];
         conn_gallop.clear();
-        let mut probe_targets = [0 as VertexId; 2];
+        let mut probe_targets = [0u32; 2];
         let mut probe_cnt = 0usize;
         let mut probe_mask = 0u8;
         for &t in targets {
-            let deg_t = shared.graph.degree(t) as usize;
+            let deg_t = ordered.degree_of_rank(t) as usize;
             if probe_cnt < 2 && deg_t <= PROBE_RATIO * (deg_vd as usize).max(1) {
                 let bit = 1u8 << probe_cnt;
-                for &x in shared.graph.neighbors(t) {
+                for &x in ordered.neighbors_of_rank(t) {
                     cmap[x as usize] |= bit;
                 }
                 probe_targets[probe_cnt] = t;
@@ -313,59 +356,53 @@ pub(crate) fn expand_specialized(
         let start = cand_data.len();
         if base_built {
             stats.pruned_injectivity += used;
-            for &(cd, deg_cd, rank_cd) in base_cands.iter() {
+            for &(cd, deg_cd) in base_ranks.iter() {
                 arena_filter(
                     shared,
                     meta,
                     cd,
                     deg_cd,
-                    rank_cd,
                     probe_mask,
                     cmap,
                     conn_gallop,
                     cand_data,
-                    cand_rank,
                     stats,
                 );
             }
         } else {
             // With a single distinct slot the scan serves only this window;
-            // a window one-sided against `v_d`'s own rank lives entirely in
-            // the matching oriented half of `N(v_d)` — half the volume of a
+            // a window one-sided against `v_d`'s own rank lives entirely on
+            // the matching side of `N(v_d)`'s split — half the volume of a
             // skewed adjacency and no wasted filter calls on the far side.
             // A shared base scan (keep_base) must cover every slot's
             // window, so it stays on the full list.
-            let rank_vd = shared.ordered.rank(vd);
-            let scan: &[VertexId] = if keep_base {
+            let scan: &[u32] = if keep_base {
                 neighbors_vd
-            } else if meta.lo_rank > rank_vd {
-                shared.ordered.forward(vd)
-            } else if meta.hi_rank <= rank_vd {
-                shared.ordered.backward(vd)
+            } else if meta.lo_rank > rvd {
+                ordered.higher_of_rank(rvd)
+            } else if meta.hi_rank <= rvd {
+                ordered.lower_of_rank(rvd)
             } else {
                 neighbors_vd
             };
             for &cd in scan {
-                if gpsi.uses_data_vertex(cd, np) {
+                if mapped.contains(&cd) {
                     used += 1;
                     continue;
                 }
-                let deg_cd = shared.graph.degree(cd);
-                let rank_cd = shared.ordered.rank(cd);
+                let deg_cd = ordered.degree_of_rank(cd);
                 if keep_base {
-                    base_cands.push((cd, deg_cd, rank_cd));
+                    base_ranks.push((cd, deg_cd));
                 }
                 arena_filter(
                     shared,
                     meta,
                     cd,
                     deg_cd,
-                    rank_cd,
                     probe_mask,
                     cmap,
                     conn_gallop,
                     cand_data,
-                    cand_rank,
                     stats,
                 );
             }
@@ -374,7 +411,7 @@ pub(crate) fn expand_specialized(
         }
         for (j, &t) in probe_targets[..probe_cnt].iter().enumerate() {
             let bit = 1u8 << j;
-            for &x in shared.graph.neighbors(t) {
+            for &x in ordered.neighbors_of_rank(t) {
                 cmap[x as usize] &= !bit;
             }
         }
@@ -406,13 +443,13 @@ pub(crate) fn expand_specialized(
             }
         }
     }
-    // Oriented marking: every probe of slot i's marks comes from a later
+    // One-sided marking: every probe of slot i's marks comes from a later
     // slot's candidate that already passed its rank check against slot i
     // (the odometer orders lt/gt before em per earlier slot; the final
     // slot's window is folded before its edges are checked). When all
     // those later slots are rank-ordered the same way around slot i, only
-    // the matching oriented half of the binding's adjacency can ever be
-    // probed — publish and retract walk that half alone.
+    // that side of the binding's split list can ever be probed — publish
+    // and retract walk that side alone.
     let mut mark_side = [MarkSide::Full; CMAP_MAX_SLOTS];
     for i in 0..od {
         if !need_mark[i] {
@@ -427,12 +464,32 @@ pub(crate) fn expand_specialized(
             }
         }
         mark_side[i] = if all_gt {
-            MarkSide::Forward
+            MarkSide::Higher
         } else if all_lt {
-            MarkSide::Backward
+            MarkSide::Lower
         } else {
             MarkSide::Full
         };
+    }
+
+    // A listing keeps each expansion's tuples in id order, the order the
+    // run's final sort wants; out of it, that sort cost more than the
+    // listing. The joins meet candidates in rank order, so under
+    // `Instances` the odometer walks id-sorted copies of its arenas, and
+    // each closing loop's survivors are queued and sorted by id
+    // (`sort_by_id`, or an id-order walk in a one-target wedge join).
+    // Counting pays for none of it.
+    if let Harvested::Instances(_) = harvest {
+        for si in 0..od {
+            if alias[si] != usize::MAX {
+                ranges[si] = ranges[alias[si]];
+                continue;
+            }
+            let start = cand_data.len();
+            cand_data.extend_from_within(ranges[si].0..ranges[si].1);
+            cand_data[start..].sort_unstable_by_key(|&r| ordered.vertex(r));
+            ranges[si] = (start, cand_data.len());
+        }
     }
 
     let examined_before = stats.combinations_examined;
@@ -440,8 +497,6 @@ pub(crate) fn expand_specialized(
 
     chosen.clear();
     chosen.resize(nw, 0);
-    chosen_rank.clear();
-    chosen_rank.resize(nw, 0);
     let fin_range = if nw == 0 { (0, 0) } else { ranges[nw - 1] };
     if od == 0 {
         // Nothing for the odometer: a lone WHITE slot (joined against the
@@ -450,17 +505,18 @@ pub(crate) fn expand_specialized(
         close_combination(
             shared,
             &gpsi,
+            mapped,
             white_meta,
             cand_data,
-            cand_rank,
             fin_range,
             chosen,
-            chosen_rank,
             slot_marked,
             cmap,
             w_extra.as_ref(),
             w_static,
             w_targets,
+            kept,
+            w_kept,
             &mut generated,
             &mut cost,
             harvest,
@@ -475,13 +531,12 @@ pub(crate) fn expand_specialized(
         close_pair(
             shared,
             &gpsi,
-            &white_meta[0],
-            &white_meta[1],
+            white_meta,
             cand_data,
-            cand_rank,
             ranges[0],
             fin_range,
             cmap,
+            kept,
             &mut generated,
             &mut cost,
             harvest,
@@ -499,10 +554,10 @@ pub(crate) fn expand_specialized(
                 }
                 depth -= 1;
                 // Retract the binding being advanced past: clear its cmap
-                // marks (walking the same adjacency that set them) and its
+                // marks (walking the same list that set them) and its
                 // gallop-mode flag.
                 if slot_marked[depth] {
-                    for &x in mark_list(shared, mark_side[depth], chosen[depth]) {
+                    for &x in mark_list(ordered, mark_side[depth], chosen[depth]) {
                         cmap[x as usize] &= !slot_bit(depth);
                     }
                     slot_marked[depth] = false;
@@ -512,7 +567,6 @@ pub(crate) fn expand_specialized(
                 continue;
             }
             let cd = cand_data[cursors[depth]];
-            let rank_cd = cand_rank[cursors[depth]];
             stats.combinations_examined += 1;
             let passes = 'check: {
                 if chosen[..depth].contains(&cd) {
@@ -522,12 +576,12 @@ pub(crate) fn expand_specialized(
                 let meta = &white_meta[depth];
                 let (lt, gt, em) = (meta.lt_mask, meta.gt_mask, meta.edge_mask);
                 for i in 0..depth {
-                    let prev_rank = chosen_rank[i];
-                    if (lt >> i) & 1 == 1 && rank_cd >= prev_rank {
+                    let prev = chosen[i];
+                    if (lt >> i) & 1 == 1 && cd >= prev {
                         stats.pruned_order += 1;
                         break 'check false;
                     }
-                    if (gt >> i) & 1 == 1 && prev_rank >= rank_cd {
+                    if (gt >> i) & 1 == 1 && prev >= cd {
                         stats.pruned_order += 1;
                         break 'check false;
                     }
@@ -537,7 +591,7 @@ pub(crate) fn expand_specialized(
                         // superstep the bloom answer would require).
                         if slot_gallop[i] {
                             stats.intersect_gallop += 1;
-                            if !adjacent(shared, chosen[i], cd) {
+                            if !adjacent(ordered, prev, cd) {
                                 stats.pruned_connectivity += 1;
                                 break 'check false;
                             }
@@ -558,22 +612,22 @@ pub(crate) fn expand_specialized(
                 continue;
             }
             chosen[depth] = cd;
-            chosen_rank[depth] = rank_cd;
             if depth + 1 == od {
                 close_combination(
                     shared,
                     &gpsi,
+                    mapped,
                     white_meta,
                     cand_data,
-                    cand_rank,
                     fin_range,
                     chosen,
-                    chosen_rank,
                     slot_marked,
                     cmap,
                     w_extra.as_ref(),
                     w_static,
                     w_targets,
+                    kept,
+                    w_kept,
                     &mut generated,
                     &mut cost,
                     harvest,
@@ -582,12 +636,12 @@ pub(crate) fn expand_specialized(
                 cursors[depth] += 1;
             } else {
                 if need_mark[depth] {
-                    let nb = mark_list(shared, mark_side[depth], cd);
+                    let nb = mark_list(ordered, mark_side[depth], cd);
                     // Degree-adaptive publish: marking walks the binding's
-                    // (oriented) adjacency twice (set + clear) but makes
-                    // every deeper check O(1); galloping pays O(log deg)
-                    // per deeper candidate. The deeper odometer arenas
-                    // bound the number of probes the mark can serve.
+                    // (one-sided) list twice (set + clear) but makes every
+                    // deeper check O(1); galloping pays O(log deg) per
+                    // deeper candidate. The deeper odometer arenas bound
+                    // the number of probes the mark can serve.
                     let deeper: usize = ranges[depth + 1..od].iter().map(|&(lo, hi)| hi - lo).sum();
                     if nb.len() <= PROBE_RATIO * deeper.max(16) {
                         for &x in nb {
@@ -619,25 +673,23 @@ pub(crate) fn expand_specialized(
 fn arena_filter(
     shared: &PsglShared<'_>,
     meta: &WhiteMeta,
-    cd: VertexId,
+    cd: u32,
     deg_cd: u32,
-    rank_cd: u32,
     probe_mask: u8,
     cmap: &[u8],
-    conn_gallop: &[VertexId],
-    cand_data: &mut Vec<VertexId>,
-    cand_rank: &mut Vec<u32>,
+    conn_gallop: &[u32],
+    cand_data: &mut Vec<u32>,
     stats: &mut ExpandStats,
 ) {
     if deg_cd < meta.min_degree {
         stats.pruned_degree += 1;
         return;
     }
-    if !shared.label_ok(meta.wv, cd) {
+    if !label_ok(shared, meta.wv, cd) {
         stats.pruned_label += 1;
         return;
     }
-    if rank_cd < meta.lo_rank || rank_cd >= meta.hi_rank {
+    if cd < meta.lo_rank || cd >= meta.hi_rank {
         stats.pruned_order += 1;
         return;
     }
@@ -651,39 +703,73 @@ fn arena_filter(
     }
     for &t in conn_gallop {
         stats.intersect_gallop += 1;
-        if !contains(shared.graph.neighbors(t), cd) {
+        if !contains(shared.ordered.neighbors_of_rank(t), cd) {
             stats.pruned_connectivity += 1;
             return;
         }
     }
     cand_data.push(cd);
-    cand_rank.push(rank_cd);
 }
 
-/// Emits one closed instance: `g` with its last vertex `fin_wv` bound to
-/// `x`. Every pattern edge was checked exactly before the call, so the
-/// instance is complete although its last vertices are not BLACK. It is
-/// counted first; only a harvest that keeps tuples or per-vertex tallies
-/// pays for building it.
+/// Counts one closed instance whose last vertex binds to rank `x`. Every
+/// pattern edge was checked exactly before the call, so the instance is
+/// complete although its last vertices are not BLACK. It is counted first;
+/// only a harvest that keeps tuples or per-vertex tallies queues `x` in
+/// `kept`, and pays for building the instance when its join loop hands
+/// the queue to [`keep_closed`].
 #[inline(always)]
 fn emit_closed(
-    g: &Gpsi,
-    fin_wv: PatternVertex,
-    x: VertexId,
-    np: usize,
+    x: u32,
+    kept: &mut Vec<u32>,
     generated: &mut u64,
-    harvest: &mut Harvested,
+    harvest: &Harvested,
     stats: &mut ExpandStats,
 ) {
     stats.generated += 1;
     stats.results += 1;
     *generated += 1;
-    if let Harvested::CountOnly = harvest {
-        return;
+    if !matches!(harvest, Harvested::CountOnly) {
+        kept.push(x);
     }
-    let mut gg = *g;
-    gg.assign(fin_wv, x);
-    harvest.keep(&gg, np);
+}
+
+/// Puts the ranks a closing loop queued in id order when the harvest
+/// lists tuples.
+#[inline]
+fn sort_by_id(ordered: &OrderedGraph, kept: &mut [u32], harvest: &Harvested) {
+    if let Harvested::Instances(_) = harvest {
+        kept.sort_unstable_by_key(|&r| ordered.vertex(r));
+    }
+}
+
+/// The keep path of [`emit_closed`]: keeps `base` with WHITE slots `slots`
+/// bound to the ranks in `bound` and its last vertex `last` bound to each
+/// queued rank in turn, in queue order, then empties the queue. The only
+/// place a closed instance crosses back from ranks to ids, and the only
+/// place its Gpsi is built. Out of line so the count-only join loops stay
+/// small.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn keep_closed(
+    ordered: &OrderedGraph,
+    base: &Gpsi,
+    slots: &[WhiteMeta],
+    bound: &[u32],
+    last: PatternVertex,
+    kept: &mut Vec<u32>,
+    np: usize,
+    harvest: &mut Harvested,
+) {
+    let mut prefix = *base;
+    for (meta, &r) in slots.iter().zip(bound) {
+        prefix.assign(meta.wv, ordered.vertex(r));
+    }
+    for &x in kept.iter() {
+        let mut g = prefix;
+        g.assign(last, ordered.vertex(x));
+        harvest.keep(&g, np);
+    }
+    kept.clear();
 }
 
 /// The two-WHITE Close join (`od == 1`, no two-hop vertex): for each
@@ -700,20 +786,20 @@ fn emit_closed(
 fn close_pair(
     shared: &PsglShared<'_>,
     base: &Gpsi,
-    m0: &WhiteMeta,
-    fin: &WhiteMeta,
-    cand_data: &[VertexId],
-    cand_rank: &[u32],
+    white_meta: &[WhiteMeta],
+    cand_data: &[u32],
     r0: (usize, usize),
     fin_range: (usize, usize),
     cmap: &mut [u8],
+    kept: &mut Vec<u32>,
     generated: &mut u64,
     cost: &mut u64,
     harvest: &mut Harvested,
     stats: &mut ExpandStats,
 ) {
+    let ordered = &*shared.ordered;
+    let (m0, fin) = (&white_meta[..1], &white_meta[1]);
     let arena = &cand_data[fin_range.0..fin_range.1];
-    let ranks = &cand_rank[fin_range.0..fin_range.1];
     let window_lt = fin.lt_mask & 1 == 1;
     let window_gt = fin.gt_mask & 1 == 1;
     let joined = fin.edge_mask & 1 == 1;
@@ -726,29 +812,27 @@ fn close_pair(
         stats.intersect_probe += 1;
     }
     for i0 in r0.0..r0.1 {
-        let c0 = cand_data[i0];
-        let rank_c0 = cand_rank[i0];
+        // Slot 0's binding, as the one-element prefix `keep_closed` binds.
+        let prefix = &cand_data[i0..=i0];
+        let c0 = prefix[0];
         stats.combinations_examined += 1;
-        let mut g = *base;
-        g.assign(m0.wv, c0);
-        let lo = if window_gt { rank_c0.saturating_add(1) } else { 0 };
-        let hi = if window_lt { rank_c0 } else { u32::MAX };
+        let lo = if window_gt { c0.saturating_add(1) } else { 0 };
+        let hi = if window_lt { c0 } else { u32::MAX };
         if joined {
             // The dynamic window against `c0` is one-sided, so the
-            // matching oriented half of `N(c0)` already enforces it —
-            // no per-element rank check on the walk below.
+            // matching side of `N(c0)`'s split already enforces it — no
+            // per-element rank check on the walk below.
             let tn = if window_gt {
-                shared.ordered.forward(c0)
+                ordered.higher_of_rank(c0)
             } else if window_lt {
-                shared.ordered.backward(c0)
+                ordered.lower_of_rank(c0)
             } else {
-                shared.graph.neighbors(c0)
+                ordered.neighbors_of_rank(c0)
             };
             if tn.len() < PROBE_RATIO * arena.len() {
-                // Walk the binding's oriented adjacency sequentially;
-                // arena membership is one probe of the per-expansion
-                // marks, and arena membership plus orientation imply
-                // the whole window.
+                // Walk the binding's one-sided list sequentially; arena
+                // membership is one probe of the per-expansion marks, and
+                // arena membership plus the side imply the whole window.
                 *cost += tn.len() as u64;
                 for &x in tn {
                     stats.cmap_probes += 1;
@@ -761,7 +845,7 @@ fn close_pair(
                         stats.pruned_injectivity += 1;
                         continue;
                     }
-                    emit_closed(&g, fin.wv, x, np, generated, harvest, stats);
+                    emit_closed(x, kept, generated, harvest, stats);
                 }
             } else {
                 // Hub binding: walk the (shorter) arena, pruning on
@@ -770,10 +854,9 @@ fn close_pair(
                 stats.intersect_gallop += 1;
                 *cost += arena.len() as u64;
                 let mut from = 0usize;
-                for (idx, &x) in arena.iter().enumerate() {
+                for &x in arena {
                     stats.combinations_examined += 1;
-                    let rank_x = ranks[idx];
-                    if rank_x < lo || rank_x >= hi {
+                    if x < lo || x >= hi {
                         stats.pruned_order += 1;
                         continue;
                     }
@@ -791,17 +874,16 @@ fn close_pair(
                         continue;
                     }
                     from = j + 1;
-                    emit_closed(&g, fin.wv, x, np, generated, harvest, stats);
+                    emit_closed(x, kept, generated, harvest, stats);
                 }
             }
         } else {
             // No white-white edge (two-leaf stars): every arena member
             // in the window closes an instance.
             *cost += arena.len() as u64;
-            for (idx, &x) in arena.iter().enumerate() {
+            for &x in arena {
                 stats.combinations_examined += 1;
-                let rank_x = ranks[idx];
-                if rank_x < lo || rank_x >= hi {
+                if x < lo || x >= hi {
                     stats.pruned_order += 1;
                     continue;
                 }
@@ -809,8 +891,12 @@ fn close_pair(
                     stats.pruned_injectivity += 1;
                     continue;
                 }
-                emit_closed(&g, fin.wv, x, np, generated, harvest, stats);
+                emit_closed(x, kept, generated, harvest, stats);
             }
+        }
+        if !kept.is_empty() {
+            sort_by_id(ordered, kept, harvest);
+            keep_closed(ordered, base, m0, prefix, fin.wv, kept, np, harvest);
         }
     }
     if joined {
@@ -829,51 +915,40 @@ fn close_pair(
 fn close_combination(
     shared: &PsglShared<'_>,
     base: &Gpsi,
+    mapped: &[u32],
     white_meta: &[WhiteMeta],
-    cand_data: &[VertexId],
-    cand_rank: &[u32],
+    cand_data: &[u32],
     fin_range: (usize, usize),
-    chosen: &mut [VertexId],
-    chosen_rank: &mut [u32],
+    chosen: &mut [u32],
     slot_marked: &[bool],
     cmap: &[u8],
     w_extra: Option<&WExtra>,
-    w_static: &[VertexId],
-    w_targets: &mut Vec<VertexId>,
+    w_static: &[u32],
+    w_targets: &mut Vec<u32>,
+    kept: &mut Vec<u32>,
+    w_kept: &mut Vec<u32>,
     generated: &mut u64,
     cost: &mut u64,
     harvest: &mut Harvested,
     stats: &mut ExpandStats,
 ) {
+    let ordered = &*shared.ordered;
     let nw = white_meta.len();
-    let mut g = *base;
     if nw == 0 {
         // Verification-style expansion with only the two-hop vertex left.
         let wx = w_extra.expect("kernel dispatch sends nw == 0 only with a two-hop vertex");
         join_two_hop(
-            shared,
-            &g,
-            wx,
-            chosen,
-            chosen_rank,
-            w_static,
-            w_targets,
-            generated,
-            cost,
-            harvest,
-            stats,
+            shared, base, mapped, white_meta, wx, chosen, w_static, w_targets, w_kept, generated,
+            cost, harvest, stats,
         );
         return;
     }
     let od = nw - 1;
-    for (meta, &cd) in white_meta[..od].iter().zip(chosen[..od].iter()) {
-        g.assign(meta.wv, cd);
-    }
     let fin = &white_meta[od];
     // Dynamic rank window against the odometer prefix; the static part
     // (pre-bound mapping) was already applied when the arena was built.
     let (mut lo, mut hi) = (0u32, u32::MAX);
-    for (i, &cr) in chosen_rank[..od].iter().enumerate() {
+    for (i, &cr) in chosen[..od].iter().enumerate() {
         if (fin.lt_mask >> i) & 1 == 1 {
             hi = hi.min(cr);
         }
@@ -883,25 +958,24 @@ fn close_combination(
     }
     let em = fin.edge_mask;
     let arena = &cand_data[fin_range.0..fin_range.1];
-    let ranks = &cand_rank[fin_range.0..fin_range.1];
     // Merge-join seed: the bound WHITE with the fewest candidates the
     // final slot must connect to (the arena already encodes the edge to
     // v_d and every pre-bound constraint). A one-sided rank constraint
-    // against a bound slot shrinks its effective list to the matching
-    // oriented half, so the seed is chosen by *oriented* length.
+    // against a bound slot shrinks its effective list to that side of its
+    // split, so the seed is chosen by *one-sided* length.
     let mut t_slot = usize::MAX;
-    let mut t_deg = u32::MAX;
+    let mut t_list: &[u32] = &[];
     for (i, &cd) in chosen[..od].iter().enumerate() {
         if (em >> i) & 1 == 1 {
-            let d = if (fin.gt_mask >> i) & 1 == 1 {
-                shared.ordered.ns(cd)
+            let list = if (fin.gt_mask >> i) & 1 == 1 {
+                ordered.higher_of_rank(cd)
             } else if (fin.lt_mask >> i) & 1 == 1 {
-                shared.ordered.nb(cd)
+                ordered.lower_of_rank(cd)
             } else {
-                shared.graph.degree(cd)
+                ordered.neighbors_of_rank(cd)
             };
-            if d < t_deg {
-                t_deg = d;
+            if t_slot == usize::MAX || list.len() < t_list.len() {
+                t_list = list;
                 t_slot = i;
             }
         }
@@ -912,20 +986,13 @@ fn close_combination(
         // longer — output-sensitive (touches only near-members, never
         // every (prefix, candidate) pair) and forward-only, unlike a
         // from-scratch adjacency gallop per candidate. The walked/galloped
-        // list is the seed's oriented half whenever the final slot's rank
-        // constraint against the seed is one-sided: membership then
+        // list is one side of the seed's split whenever the final slot's
+        // rank constraint against the seed is one-sided: membership then
         // implies that side of the window for free.
         stats.intersect_gallop += 1;
-        let tc = chosen[t_slot];
-        let tn = if (fin.gt_mask >> t_slot) & 1 == 1 {
-            shared.ordered.forward(tc)
-        } else if (fin.lt_mask >> t_slot) & 1 == 1 {
-            shared.ordered.backward(tc)
-        } else {
-            shared.graph.neighbors(tc)
-        };
-        if (t_deg as usize) < arena.len() {
-            *cost += u64::from(t_deg);
+        let tn = t_list;
+        if tn.len() < arena.len() {
+            *cost += tn.len() as u64;
             let mut from = 0usize;
             for &x in tn {
                 let idx = from + gallop_lower_bound(&arena[from..], x);
@@ -939,7 +1006,7 @@ fn close_combination(
                 from = idx + 1;
                 stats.combinations_examined += 1;
                 if !final_slot_ok(
-                    shared,
+                    ordered,
                     chosen,
                     od,
                     em,
@@ -947,7 +1014,6 @@ fn close_combination(
                     slot_marked,
                     cmap,
                     x,
-                    ranks[idx],
                     lo,
                     hi,
                     stats,
@@ -955,21 +1021,8 @@ fn close_combination(
                     continue;
                 }
                 finish_candidate(
-                    shared,
-                    &g,
-                    fin.wv,
-                    x,
-                    ranks[idx],
-                    chosen,
-                    chosen_rank,
-                    od,
-                    w_extra,
-                    w_static,
-                    w_targets,
-                    generated,
-                    cost,
-                    harvest,
-                    stats,
+                    shared, base, mapped, white_meta, x, chosen, w_extra, w_static, w_targets,
+                    kept, w_kept, generated, cost, harvest, stats,
                 );
             }
         } else {
@@ -980,10 +1033,9 @@ fn close_combination(
             // pattern — with the cursor again monotone across candidates.
             *cost += arena.len() as u64;
             let mut from = 0usize;
-            for (idx, &x) in arena.iter().enumerate() {
+            for &x in arena {
                 stats.combinations_examined += 1;
-                let rank_x = ranks[idx];
-                if rank_x < lo || rank_x >= hi {
+                if x < lo || x >= hi {
                     stats.pruned_order += 1;
                     continue;
                 }
@@ -1001,35 +1053,22 @@ fn close_combination(
                     continue;
                 }
                 from = j + 1;
-                if !final_edges_ok(shared, chosen, od, em, t_slot, slot_marked, cmap, x, stats) {
+                if !final_edges_ok(ordered, chosen, od, em, t_slot, slot_marked, cmap, x, stats) {
                     continue;
                 }
                 finish_candidate(
-                    shared,
-                    &g,
-                    fin.wv,
-                    x,
-                    rank_x,
-                    chosen,
-                    chosen_rank,
-                    od,
-                    w_extra,
-                    w_static,
-                    w_targets,
-                    generated,
-                    cost,
-                    harvest,
-                    stats,
+                    shared, base, mapped, white_meta, x, chosen, w_extra, w_static, w_targets,
+                    kept, w_kept, generated, cost, harvest, stats,
                 );
             }
         }
     } else {
         // The final slot has no bound WHITE neighbor (stars, rectangles):
         // every arena member is a candidate.
-        for (idx, &x) in arena.iter().enumerate() {
+        for &x in arena {
             stats.combinations_examined += 1;
             if !final_slot_ok(
-                shared,
+                ordered,
                 chosen,
                 od,
                 em,
@@ -1037,7 +1076,6 @@ fn close_combination(
                 slot_marked,
                 cmap,
                 x,
-                ranks[idx],
                 lo,
                 hi,
                 stats,
@@ -1045,22 +1083,31 @@ fn close_combination(
                 continue;
             }
             finish_candidate(
-                shared,
-                &g,
-                fin.wv,
-                x,
-                ranks[idx],
-                chosen,
-                chosen_rank,
-                od,
-                w_extra,
-                w_static,
-                w_targets,
-                generated,
-                cost,
-                harvest,
-                stats,
+                shared, base, mapped, white_meta, x, chosen, w_extra, w_static, w_targets, kept,
+                w_kept, generated, cost, harvest, stats,
             );
+        }
+    }
+    if kept.is_empty() {
+        return;
+    }
+    sort_by_id(ordered, kept, harvest);
+    match w_extra {
+        None => {
+            let np = shared.pattern.num_vertices();
+            keep_closed(ordered, base, &white_meta[..od], &chosen[..od], fin.wv, kept, np, harvest);
+        }
+        Some(wx) => {
+            // The final-slot bindings a keeping harvest queued, wedge-joined
+            // now, in id order under `Instances`.
+            for &x in kept.iter() {
+                chosen[od] = x;
+                join_two_hop(
+                    shared, base, mapped, white_meta, wx, chosen, w_static, w_targets, w_kept,
+                    generated, cost, harvest, stats,
+                );
+            }
+            kept.clear();
         }
     }
 }
@@ -1072,20 +1119,19 @@ fn close_combination(
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn final_slot_ok(
-    shared: &PsglShared<'_>,
-    chosen: &[VertexId],
+    ordered: &OrderedGraph,
+    chosen: &[u32],
     od: usize,
     em: u16,
     skip: usize,
     slot_marked: &[bool],
     cmap: &[u8],
-    x: VertexId,
-    rank_x: u32,
+    x: u32,
     lo: u32,
     hi: u32,
     stats: &mut ExpandStats,
 ) -> bool {
-    if rank_x < lo || rank_x >= hi {
+    if x < lo || x >= hi {
         stats.pruned_order += 1;
         return false;
     }
@@ -1093,7 +1139,7 @@ fn final_slot_ok(
         stats.pruned_injectivity += 1;
         return false;
     }
-    final_edges_ok(shared, chosen, od, em, skip, slot_marked, cmap, x, stats)
+    final_edges_ok(ordered, chosen, od, em, skip, slot_marked, cmap, x, stats)
 }
 
 /// The final slot's white-white edges beyond the join seed: mark-probed
@@ -1101,14 +1147,14 @@ fn final_slot_ok(
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn final_edges_ok(
-    shared: &PsglShared<'_>,
-    chosen: &[VertexId],
+    ordered: &OrderedGraph,
+    chosen: &[u32],
     od: usize,
     em: u16,
     skip: usize,
     slot_marked: &[bool],
     cmap: &[u8],
-    x: VertexId,
+    x: u32,
     stats: &mut ExpandStats,
 ) -> bool {
     for i in 0..od {
@@ -1122,7 +1168,7 @@ fn final_edges_ok(
                 stats.cmap_hits += 1;
             } else {
                 stats.intersect_gallop += 1;
-                if !adjacent(shared, chosen[i], x) {
+                if !adjacent(ordered, chosen[i], x) {
                     stats.pruned_connectivity += 1;
                     return false;
                 }
@@ -1132,82 +1178,80 @@ fn final_edges_ok(
     true
 }
 
-/// Binds the final WHITE slot and either emits the closed instance
-/// (Close) or runs the two-hop wedge join (TwoHop). Called once per
-/// final-slot survivor, so it must not stay an out-of-line call with
-/// fifteen arguments: `inline(always)` keeps it in the join loops.
+/// Binds the final WHITE slot to rank `x` and either emits the closed
+/// instance (Close) or runs the two-hop wedge join (TwoHop). Under a
+/// keeping harvest a TwoHop binding is queued in `kept` instead, and
+/// [`close_combination`] joins the queue in id order when its loop ends.
+/// Called once per final-slot survivor, so it must not stay an
+/// out-of-line call with a dozen arguments: `inline(always)` keeps it in
+/// the join loops.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn finish_candidate(
     shared: &PsglShared<'_>,
-    g: &Gpsi,
-    fin_wv: PatternVertex,
-    x: VertexId,
-    rank_x: u32,
-    chosen: &mut [VertexId],
-    chosen_rank: &mut [u32],
-    od: usize,
+    base: &Gpsi,
+    mapped: &[u32],
+    white_meta: &[WhiteMeta],
+    x: u32,
+    chosen: &mut [u32],
     w_extra: Option<&WExtra>,
-    w_static: &[VertexId],
-    w_targets: &mut Vec<VertexId>,
+    w_static: &[u32],
+    w_targets: &mut Vec<u32>,
+    kept: &mut Vec<u32>,
+    w_kept: &mut Vec<u32>,
     generated: &mut u64,
     cost: &mut u64,
     harvest: &mut Harvested,
     stats: &mut ExpandStats,
 ) {
     match w_extra {
-        None => {
-            // Close: every pattern edge has been exactly checked — the
-            // (v_p, white) edges by candidate construction, white-white by
-            // join/mark/gallop, everything else before the odometer
-            // started.
-            let np = shared.pattern.num_vertices();
-            emit_closed(g, fin_wv, x, np, generated, harvest, stats);
-        }
+        // Close: every pattern edge has been exactly checked — the
+        // (v_p, white) edges by candidate construction, white-white by
+        // join/mark/gallop, everything else before the odometer started.
+        None => emit_closed(x, kept, generated, harvest, stats),
+        Some(_) if !matches!(harvest, Harvested::CountOnly) => kept.push(x),
         Some(wx) => {
-            // The wedge join reads the bound combination (injectivity),
-            // so TwoHop builds it whatever the harvest.
-            let mut gg = *g;
-            gg.assign(fin_wv, x);
-            chosen[od] = x;
-            chosen_rank[od] = rank_x;
+            chosen[white_meta.len() - 1] = x;
             join_two_hop(
-                shared,
-                &gg,
-                wx,
-                chosen,
-                chosen_rank,
-                w_static,
-                w_targets,
-                generated,
-                cost,
-                harvest,
-                stats,
+                shared, base, mapped, white_meta, wx, chosen, w_static, w_targets, w_kept,
+                generated, cost, harvest, stats,
             )
         }
     }
 }
 
 /// Wedge-joins the two-hop vertex's candidates over a fully bound WHITE
-/// combination and emits one instance per survivor.
+/// combination (`chosen`, one rank per slot of `white_meta`) and emits
+/// one instance per survivor.
+///
+/// The candidates are `N(bt)` for the lowest-degree wedge target `bt`,
+/// and `w`'s rank window is a sub-slice of it. When `w` has a single
+/// pattern neighbour and the run has no labels, the degree bound is
+/// vacuous (every member of `N(bt)` has degree ≥ 1) and the window and
+/// injectivity are the only checks left, so the survivors are the slice
+/// minus the mapped vertices in it: a count-only harvest takes that
+/// difference without visiting an element, and bumps every counter by
+/// exactly what the per-element walk would bump.
 #[allow(clippy::too_many_arguments)]
 fn join_two_hop(
     shared: &PsglShared<'_>,
-    g: &Gpsi,
+    base: &Gpsi,
+    mapped: &[u32],
+    white_meta: &[WhiteMeta],
     wx: &WExtra,
-    chosen: &[VertexId],
-    chosen_rank: &[u32],
-    w_static: &[VertexId],
-    w_targets: &mut Vec<VertexId>,
+    chosen: &[u32],
+    w_static: &[u32],
+    w_targets: &mut Vec<u32>,
+    kept: &mut Vec<u32>,
     generated: &mut u64,
     cost: &mut u64,
     harvest: &mut Harvested,
     stats: &mut ExpandStats,
 ) {
-    let np = shared.pattern.num_vertices();
+    let ordered = &*shared.ordered;
     // Fold the chosen WHITE ranks into w's static rank window.
     let (mut lo, mut hi) = (wx.lo, wx.hi);
-    for (i, &rank) in chosen_rank.iter().enumerate() {
+    for (i, &rank) in chosen.iter().enumerate() {
         if (wx.lt_slots >> i) & 1 == 1 {
             hi = hi.min(rank);
         }
@@ -1228,30 +1272,63 @@ fn join_two_hop(
     let mut base_i = 0usize;
     let mut base_deg = u32::MAX;
     for (i, &t) in w_targets.iter().enumerate() {
-        let d = shared.graph.degree(t);
+        let d = ordered.degree_of_rank(t);
         if d < base_deg {
             base_deg = d;
             base_i = i;
         }
     }
     let bt = w_targets[base_i];
+    let nbt = ordered.neighbors_of_rank(bt);
     *cost += u64::from(base_deg);
-    'wcand: for &x in shared.graph.neighbors(bt) {
+
+    if w_targets.len() == 1 && shared.labels.is_none() && matches!(harvest, Harvested::CountOnly) {
+        debug_assert_eq!(wx.min_degree, 1);
+        let from = nbt.partition_point(|&x| x < lo);
+        let to = nbt.partition_point(|&x| x < hi).max(from);
+        let window = &nbt[from..to];
+        let inside = mapped
+            .iter()
+            .chain(chosen)
+            .filter(|&&m| (lo..hi).contains(&m) && contains(window, m))
+            .count();
+        let closed = (window.len() - inside) as u64;
+        stats.combinations_examined += nbt.len() as u64;
+        stats.pruned_order += (nbt.len() - window.len()) as u64;
+        stats.pruned_injectivity += inside as u64;
+        stats.generated += closed;
+        stats.results += closed;
+        *generated += closed;
+        return;
+    }
+
+    // A listing keeps the survivors in id order. With one wedge target
+    // every member of the window survives, so it walks `N(bt)` in id
+    // order through the data graph's list; with several, few survive the
+    // gallops, so it walks ranks and sorts the survivors.
+    let by_id: &[VertexId] = match harvest {
+        Harvested::Instances(_) if w_targets.len() == 1 => {
+            shared.graph.neighbors(ordered.vertex(bt))
+        }
+        _ => &[],
+    };
+    let ranks = ordered.ranks();
+    'wcand: for (pos, &r) in nbt.iter().enumerate() {
+        let x = if by_id.is_empty() { r } else { ranks[by_id[pos] as usize] };
         stats.combinations_examined += 1;
-        if shared.graph.degree(x) < wx.min_degree {
+        if ordered.degree_of_rank(x) < wx.min_degree {
             stats.pruned_degree += 1;
             continue;
         }
-        if !shared.label_ok(wx.w, x) {
+        if !label_ok(shared, wx.w, x) {
             stats.pruned_label += 1;
             continue;
         }
-        let rx = shared.ordered.rank(x);
-        if rx < lo || rx >= hi {
+        if x < lo || x >= hi {
             stats.pruned_order += 1;
             continue;
         }
-        if g.uses_data_vertex(x, np) {
+        if mapped.contains(&x) || chosen.contains(&x) {
             stats.pruned_injectivity += 1;
             continue;
         }
@@ -1260,21 +1337,28 @@ fn join_two_hop(
                 continue;
             }
             stats.intersect_gallop += 1;
-            if !adjacent(shared, t, x) {
+            if !adjacent(ordered, t, x) {
                 stats.pruned_connectivity += 1;
                 continue 'wcand;
             }
         }
-        emit_closed(g, wx.w, x, np, generated, harvest, stats);
+        emit_closed(x, kept, generated, harvest, stats);
+    }
+    if !kept.is_empty() {
+        if by_id.is_empty() {
+            sort_by_id(ordered, kept, harvest);
+        }
+        let np = shared.pattern.num_vertices();
+        keep_closed(ordered, base, white_meta, chosen, wx.w, kept, np, harvest);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::expand::list_all;
     use crate::{PsglConfig, PsglShared};
     use psgl_graph::generators::erdos_renyi_gnm;
+    use psgl_graph::VertexId;
     use psgl_pattern::catalog;
 
     fn sorted(mut v: Vec<Vec<VertexId>>) -> Vec<Vec<VertexId>> {
@@ -1296,6 +1380,44 @@ mod tests {
                 "{}: kernels must not expand more",
                 pattern.name()
             );
+        }
+    }
+
+    #[test]
+    fn each_expansion_keeps_its_tuples_in_id_order() {
+        // One closing expansion of its initial Gpsi finishes each of these
+        // patterns, so a run of tuples sharing the initial vertex's image
+        // is one expansion's harvest. The kernels meet candidates in rank
+        // order, yet each run must be sorted by id in binding order (the
+        // WHITE slots in pattern-neighbour order, then the two-hop
+        // vertex), the order an id-ordered walk keeps them in.
+        let g = erdos_renyi_gnm(90, 1000, 13).unwrap();
+        for pattern in [
+            catalog::triangle(),
+            catalog::four_clique(),
+            catalog::tailed_triangle(),
+            catalog::square(),
+            catalog::path(4),
+            catalog::star(3),
+        ] {
+            let config = PsglConfig::default();
+            let init = PsglShared::prepare(&g, &pattern, &config).unwrap().init_vertex;
+            let whites: Vec<usize> = pattern.neighbors(init).map(usize::from).collect();
+            let rest =
+                (0..pattern.num_vertices()).filter(|&v| v != init as usize && !whites.contains(&v));
+            let binding: Vec<usize> = whites.iter().copied().chain(rest).collect();
+            let (tuples, stats, _) = list_all(&g, &pattern, &config);
+            assert_eq!(
+                stats.expanded,
+                stats.kernel_close + stats.kernel_twohop,
+                "{}",
+                pattern.name()
+            );
+            assert!(tuples.len() > 100, "{}", pattern.name());
+            let key = |t: &Vec<VertexId>| binding.iter().map(|&v| t[v]).collect::<Vec<_>>();
+            for run in tuples.chunk_by(|a, b| a[init as usize] == b[init as usize]) {
+                assert!(run.windows(2).all(|w| key(&w[0]) < key(&w[1])), "{}", pattern.name());
+            }
         }
     }
 

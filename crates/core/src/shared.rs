@@ -142,12 +142,23 @@ impl<'g> PsglShared<'g> {
     /// [`QueryPlan`] — the server path, where the ordered graph / edge
     /// index live in a catalog and plans in a per-graph plan cache, so
     /// none of the offline work of [`Self::prepare`] is repeated.
+    ///
+    /// The closing kernels read adjacency from `ordered` alone, so it must
+    /// have been built (or [`OrderedGraph::reorient`]ed) for `graph`; an
+    /// ordered graph of another graph panics here when its vertex count or
+    /// adjacency length differs.
     pub fn from_parts(
         graph: &'g DataGraph,
         ordered: Arc<OrderedGraph>,
         index: Option<Arc<EdgeIndex>>,
         plan: &QueryPlan,
     ) -> PsglShared<'g> {
+        assert_eq!(
+            (ordered.len(), ordered.adjacency_len() as u64),
+            (graph.num_vertices(), 2 * graph.num_edges()),
+            "ordered graph built for another graph: (vertices, adjacency length) of the \
+             ordered graph vs the data graph"
+        );
         PsglShared {
             graph,
             ordered,
@@ -253,6 +264,17 @@ mod tests {
             PsglShared::prepare(&g, &p, &PsglConfig::default()),
             Err(PsglError::PatternTooLarge(13))
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "ordered graph built for another graph")]
+    fn from_parts_rejects_an_ordered_graph_of_another_graph() {
+        let g = erdos_renyi_gnm(50, 100, 2).unwrap();
+        let other = erdos_renyi_gnm(50, 120, 2).unwrap();
+        let config = PsglConfig::default();
+        let histogram = DegreeStats::of_graph(&g).histogram;
+        let plan = QueryPlan::prepare(&catalog::triangle(), &config, &histogram).unwrap();
+        PsglShared::from_parts(&g, Arc::new(OrderedGraph::new(&other)), None, &plan);
     }
 
     #[test]

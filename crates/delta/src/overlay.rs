@@ -18,10 +18,10 @@
 //!    instances that never touched a changed edge, breaking
 //!    `post = pre − dying + born` as a multiset identity. Degree drift
 //!    costs a little pruning precision, never correctness. The ordered
-//!    view's *oriented adjacency halves* are a different story: they are
-//!    adjacency, not order, so each epoch re-derives them against its own
-//!    snapshot under the pinned ranks ([`OrderedGraph::reorient`]) — the
-//!    compiled kernels walk them as real neighbor lists.
+//!    view's *rank-space adjacency* is a different story: it is adjacency,
+//!    not order, so each epoch re-derives it against its own snapshot
+//!    under the pinned ranks ([`OrderedGraph::reorient`]) — the compiled
+//!    kernels walk it as the real neighbor lists.
 //! 2. **Grow-only bloom.** Inserted edges are added to a clone of the
 //!    previous epoch's [`EdgeIndex`]; deleted edges deliberately stay in
 //!    the filter (a stale bit is a false positive, caught by the exact
@@ -77,8 +77,8 @@ pub struct EpochArtifacts {
     pub epoch: u64,
     /// The materialized CSR snapshot of this epoch.
     pub graph: Arc<DataGraph>,
-    /// The ordered view: ranks pinned across epochs, oriented adjacency
-    /// halves re-derived per epoch (see module docs).
+    /// The ordered view: ranks pinned across epochs, rank-space adjacency
+    /// re-derived per epoch (see module docs).
     pub ordered: Arc<OrderedGraph>,
     /// The bloom edge index, incrementally grown since the last compaction.
     pub index: Arc<EdgeIndex>,
@@ -228,8 +228,8 @@ impl DeltaGraph {
             }
         }
 
-        // Ranks stay pinned; the oriented adjacency halves must track the
-        // new snapshot (see module docs).
+        // Ranks stay pinned; the rank-space adjacency must track the new
+        // snapshot (see module docs).
         let ordered = Arc::new(self.current.ordered.reorient(&next));
         self.current =
             EpochArtifacts { epoch: self.current.epoch + 1, graph: next, ordered, index };
@@ -337,17 +337,22 @@ mod tests {
                     art.ordered.rank(v),
                     "rank permutation must stay pinned across epochs"
                 );
-                // The oriented halves are adjacency: they must partition
-                // the *current* neighbor list, not the base epoch's.
-                let mut oriented: Vec<VertexId> =
-                    art.ordered.backward(v).iter().chain(art.ordered.forward(v)).copied().collect();
-                oriented.sort_unstable();
+                // The rank-space lists are adjacency: they must hold the
+                // *current* neighbor list in pinned ranks, split at the
+                // current lower-rank count.
+                let r = art.ordered.rank(v);
+                let mut want: Vec<u32> =
+                    art.graph.neighbors(v).iter().map(|&u| art.ordered.rank(u)).collect();
+                want.sort_unstable();
                 assert_eq!(
-                    oriented,
-                    art.graph.neighbors(v).to_vec(),
-                    "oriented halves stale at epoch {} for vertex {v}",
+                    art.ordered.neighbors_of_rank(r),
+                    want,
+                    "rank-space list stale at epoch {} for vertex {v}",
                     art.epoch
                 );
+                let below = want.iter().filter(|&&x| x < r).count();
+                assert_eq!(art.ordered.lower_of_rank(r), &want[..below]);
+                assert_eq!(art.ordered.higher_of_rank(r), &want[below..]);
             }
         }
         dg.compact();

@@ -6,122 +6,119 @@
 //! Property 1: the `nb` distribution is more skewed than the original degree
 //! distribution while `ns` is more balanced — the fact Theorem 5's
 //! initial-vertex rule exploits.
+//!
+//! Every automorphism-breaking constraint (Section 5.2.1) is a comparison
+//! of ranks, so [`OrderedGraph`] also keeps the adjacency in *rank space*:
+//! vertex `v` appears as `rank(v)`, and each list holds neighbour ranks in
+//! ascending order. A rank window is then a sub-slice, and the `nb`/`ns`
+//! halves are the two sides of one split point.
 
 use crate::csr::{DataGraph, VertexId};
 
-/// Total vertex order derived from `(degree, id)`, with the adjacency split
-/// into its *oriented* halves: `forward(v)` holds the neighbors of larger
-/// rank, `backward(v)` those of smaller rank, both id-sorted. The halves'
-/// lengths are the `ns`/`nb` counts. A rank window that is one-sided
-/// against a known endpoint can walk the matching half instead of the full
-/// list and skip the per-element rank comparison — on a skewed graph that
-/// is half the intersection volume of every windowed join.
+/// Total vertex order derived from `(degree, id)`, with the adjacency
+/// stored a second time in *rank space*: there a vertex is named by its
+/// rank, and `neighbors_of_rank(r)` holds its neighbours' ranks in
+/// ascending order. Because the list is sorted by rank, it splits at one
+/// point into the lower-rank neighbours (`lower_of_rank`, `nb` of them)
+/// and the higher-rank ones (`higher_of_rank`, `ns`), and any rank window
+/// `[lo, hi)` is a sub-slice found by two binary searches. The closing
+/// kernels (`psgl-core`'s `kernel.rs`) work in this space; everything that
+/// leaves them (Gpsis, messages, placement) keeps original ids, crossing
+/// back through [`Self::vertex`].
+///
+/// The rank-space accessors are named `*_of_rank` and take a rank; the
+/// id-space ones (`rank`, `less`, `nb`, `ns`) take a vertex id.
 #[derive(Clone, Debug)]
 pub struct OrderedGraph {
     /// `rank[v]` = position of `v` in ascending `(degree, id)` order;
     /// ranks are a permutation of `0..n`.
     rank: Vec<u32>,
-    /// CSR offsets into `fwd`; `fwd_off[v]..fwd_off[v + 1]` is `forward(v)`.
-    fwd_off: Vec<u64>,
-    /// Higher-rank neighbors, id-sorted per vertex (`ns(v)` entries each).
-    fwd: Vec<VertexId>,
-    /// CSR offsets into `bwd`; `bwd_off[v]..bwd_off[v + 1]` is `backward(v)`.
-    bwd_off: Vec<u64>,
-    /// Smaller-rank neighbors, id-sorted per vertex (`nb(v)` entries each).
-    bwd: Vec<VertexId>,
+    /// `by_rank[r]` = the vertex of rank `r` (the inverse of `rank`).
+    by_rank: Vec<VertexId>,
+    /// CSR offsets over ranks: `offsets[r]..offsets[r + 1]` indexes
+    /// `adjacency` for the vertex of rank `r`.
+    offsets: Vec<u64>,
+    /// Neighbour ranks, ascending per list.
+    adjacency: Vec<u32>,
+    /// `split[r]` = how many of rank `r`'s neighbours rank below it: the
+    /// list's first `split[r]` entries are `lower_of_rank(r)`.
+    split: Vec<u32>,
 }
 
 impl OrderedGraph {
-    /// Computes ranks and the oriented adjacency halves (whose lengths are
-    /// the `nb`/`ns` split) for `g` in `O(n log n + m)`.
+    /// Computes ranks and the rank-space adjacency for `g` in
+    /// `O(n log n + m)`.
     pub fn new(g: &DataGraph) -> Self {
         let n = g.num_vertices();
         let mut by_rank: Vec<VertexId> = (0..n as VertexId).collect();
         by_rank.sort_unstable_by_key(|&v| (g.degree(v), v));
-        let mut rank = vec![0u32; n];
-        for (r, &v) in by_rank.iter().enumerate() {
-            rank[v as usize] = r as u32;
-        }
-        Self::from_rank(rank, g)
+        Self::from_by_rank(by_rank, g)
     }
 
-    /// Rebuilds the oriented halves (and with them the `nb`/`ns` split)
+    /// Rebuilds the rank-space adjacency (and with it the `nb`/`ns` split)
     /// against `g` while keeping this graph's rank permutation verbatim.
     ///
     /// Dynamic-graph epochs pin the total order at base construction
     /// (re-deriving it from mutated degrees would move canonical instance
-    /// representatives and break incremental parity), but the oriented
-    /// halves are *adjacency*, not order — they must always reflect the
-    /// graph actually being listed. `g` must have the same vertex count
-    /// the ranks were derived for.
+    /// representatives and break incremental parity), but the adjacency
+    /// must always reflect the graph actually being listed. After this,
+    /// degree is no longer monotone in rank. `g` must have the same vertex
+    /// count the ranks were derived for.
     pub fn reorient(&self, g: &DataGraph) -> Self {
         assert_eq!(
             self.rank.len(),
             g.num_vertices(),
             "reorient requires the vertex set the ranks were built for"
         );
-        Self::from_rank(self.rank.clone(), g)
+        Self::from_by_rank(self.by_rank.clone(), g)
     }
 
-    /// Derives the oriented CSR halves of `g` under a fixed rank
-    /// permutation in `O(n + m)`: each vertex's `ns`/`nb` counts go
-    /// straight into the offset arrays, which a prefix sum then turns into
-    /// offsets.
-    fn from_rank(rank: Vec<u32>, g: &DataGraph) -> Self {
+    /// Builds the rank-space CSR of `g` under a fixed order in `O(n + m)`
+    /// with one scatter: ranks are visited in ascending order and each is
+    /// appended to its neighbours' lists, so every list comes out sorted
+    /// without a sort. When rank `r` is reached, exactly its lower-rank
+    /// neighbours have been appended to its own list, which is its split.
+    fn from_by_rank(by_rank: Vec<VertexId>, g: &DataGraph) -> Self {
         let n = g.num_vertices();
-        let mut fwd_off = vec![0u64; n + 1];
-        let mut bwd_off = vec![0u64; n + 1];
-        for v in g.vertices() {
-            let rv = rank[v as usize];
+        let mut rank = vec![0u32; n];
+        for (r, &v) in by_rank.iter().enumerate() {
+            rank[v as usize] = r as u32;
+        }
+        let mut offsets = vec![0u64; n + 1];
+        for (r, &v) in by_rank.iter().enumerate() {
+            offsets[r + 1] = offsets[r] + u64::from(g.degree(v));
+        }
+        let mut adjacency = vec![0u32; offsets[n] as usize];
+        let mut cursor = offsets[..n].to_vec();
+        let mut split = vec![0u32; n];
+        for (r, &v) in by_rank.iter().enumerate() {
+            split[r] = (cursor[r] - offsets[r]) as u32;
             for &u in g.neighbors(v) {
-                if rank[u as usize] < rv {
-                    bwd_off[v as usize + 1] += 1;
-                } else {
-                    fwd_off[v as usize + 1] += 1;
-                }
+                let ru = rank[u as usize] as usize;
+                adjacency[cursor[ru] as usize] = r as u32;
+                cursor[ru] += 1;
             }
         }
-        for v in 0..n {
-            fwd_off[v + 1] += fwd_off[v];
-            bwd_off[v + 1] += bwd_off[v];
-        }
-        let mut fwd = vec![0 as VertexId; fwd_off[n] as usize];
-        let mut bwd = vec![0 as VertexId; bwd_off[n] as usize];
-        let mut fcur = fwd_off.clone();
-        let mut bcur = bwd_off.clone();
-        for v in g.vertices() {
-            let rv = rank[v as usize];
-            // `neighbors(v)` is id-sorted, so each filtered half stays
-            // id-sorted without any extra sort.
-            for &u in g.neighbors(v) {
-                if rank[u as usize] < rv {
-                    bwd[bcur[v as usize] as usize] = u;
-                    bcur[v as usize] += 1;
-                } else {
-                    fwd[fcur[v as usize] as usize] = u;
-                    fcur[v as usize] += 1;
-                }
-            }
-        }
-        OrderedGraph { rank, fwd_off, fwd, bwd_off, bwd }
-    }
-
-    /// Neighbors of `v` with larger rank, id-sorted.
-    #[inline]
-    pub fn forward(&self, v: VertexId) -> &[VertexId] {
-        &self.fwd[self.fwd_off[v as usize] as usize..self.fwd_off[v as usize + 1] as usize]
-    }
-
-    /// Neighbors of `v` with smaller rank, id-sorted.
-    #[inline]
-    pub fn backward(&self, v: VertexId) -> &[VertexId] {
-        &self.bwd[self.bwd_off[v as usize] as usize..self.bwd_off[v as usize + 1] as usize]
+        OrderedGraph { rank, by_rank, offsets, adjacency, split }
     }
 
     /// Rank of `v` (0 = smallest degree).
     #[inline]
     pub fn rank(&self, v: VertexId) -> u32 {
         self.rank[v as usize]
+    }
+
+    /// The id → rank array (`ranks()[v] == rank(v)`): where a batch of
+    /// ids crosses into rank space.
+    #[inline]
+    pub fn ranks(&self) -> &[u32] {
+        &self.rank
+    }
+
+    /// The vertex of rank `r`: where rank space crosses back to ids.
+    #[inline]
+    pub fn vertex(&self, r: u32) -> VertexId {
+        self.by_rank[r as usize]
     }
 
     /// Whether `u < v` in the total order.
@@ -133,13 +130,49 @@ impl OrderedGraph {
     /// Number of neighbors of `v` with smaller rank.
     #[inline]
     pub fn nb(&self, v: VertexId) -> u32 {
-        (self.bwd_off[v as usize + 1] - self.bwd_off[v as usize]) as u32
+        self.split[self.rank[v as usize] as usize]
     }
 
     /// Number of neighbors of `v` with larger rank.
     #[inline]
     pub fn ns(&self, v: VertexId) -> u32 {
-        (self.fwd_off[v as usize + 1] - self.fwd_off[v as usize]) as u32
+        let r = self.rank[v as usize];
+        self.degree_of_rank(r) - self.split[r as usize]
+    }
+
+    /// Ranks of the neighbours of the vertex of rank `r`, ascending.
+    #[inline]
+    pub fn neighbors_of_rank(&self, r: u32) -> &[u32] {
+        &self.adjacency[self.offsets[r as usize] as usize..self.offsets[r as usize + 1] as usize]
+    }
+
+    /// The neighbours of rank `r` that rank below it (`nb` of them),
+    /// ascending.
+    #[inline]
+    pub fn lower_of_rank(&self, r: u32) -> &[u32] {
+        let start = self.offsets[r as usize] as usize;
+        &self.adjacency[start..start + self.split[r as usize] as usize]
+    }
+
+    /// The neighbours of rank `r` that rank above it (`ns` of them),
+    /// ascending.
+    #[inline]
+    pub fn higher_of_rank(&self, r: u32) -> &[u32] {
+        let start = self.offsets[r as usize] as usize + self.split[r as usize] as usize;
+        &self.adjacency[start..self.offsets[r as usize + 1] as usize]
+    }
+
+    /// Degree of the vertex of rank `r`.
+    #[inline]
+    pub fn degree_of_rank(&self, r: u32) -> u32 {
+        (self.offsets[r as usize + 1] - self.offsets[r as usize]) as u32
+    }
+
+    /// Total length of the rank-space adjacency: twice the edge count of
+    /// the graph it was built for.
+    #[inline]
+    pub fn adjacency_len(&self) -> usize {
+        self.adjacency.len()
     }
 
     /// Number of vertices.
@@ -153,13 +186,9 @@ impl OrderedGraph {
         self.rank.is_empty()
     }
 
-    /// Vertices in ascending rank order.
-    pub fn vertices_by_rank(&self) -> Vec<VertexId> {
-        let mut by_rank = vec![0 as VertexId; self.rank.len()];
-        for (v, &r) in self.rank.iter().enumerate() {
-            by_rank[r as usize] = v as VertexId;
-        }
-        by_rank
+    /// Vertices in ascending rank order (the rank → id array).
+    pub fn vertices_by_rank(&self) -> &[VertexId] {
+        &self.by_rank
     }
 }
 
@@ -218,10 +247,45 @@ mod tests {
         let g = star();
         let o = OrderedGraph::new(&g);
         let by_rank = o.vertices_by_rank();
-        assert_eq!(by_rank, vec![1, 2, 3, 4, 0]);
+        assert_eq!(by_rank, [1, 2, 3, 4, 0]);
         for (r, &v) in by_rank.iter().enumerate() {
             assert_eq!(o.rank(v) as usize, r);
         }
+    }
+
+    #[test]
+    fn rank_space_lists_are_ascending_ranks_split_at_nb() {
+        // Path 0-1-2-3 plus chord 1-3: degrees 1, 3, 2, 2, so the ranks
+        // are 0→0, 2→1, 3→2, 1→3.
+        let g = DataGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (1, 3)]).unwrap();
+        let o = OrderedGraph::new(&g);
+        assert_eq!(o.vertices_by_rank(), [0, 2, 3, 1]);
+        assert_eq!(o.neighbors_of_rank(3), [0, 1, 2]);
+        assert_eq!(o.lower_of_rank(3), [0, 1, 2]);
+        assert!(o.higher_of_rank(3).is_empty());
+        assert_eq!(o.neighbors_of_rank(1), [2, 3]);
+        assert_eq!(o.lower_of_rank(1), [] as [u32; 0]);
+        assert_eq!(o.higher_of_rank(1), [2, 3]);
+        assert_eq!(o.degree_of_rank(1), g.degree(2));
+        assert_eq!(o.adjacency_len() as u64, 2 * g.num_edges());
+        for r in 0..4 {
+            assert_eq!(o.rank(o.vertex(r)), r);
+            assert_eq!(o.ranks()[o.vertex(r) as usize], r);
+        }
+    }
+
+    #[test]
+    fn reorient_keeps_ranks_and_follows_the_new_adjacency() {
+        let g0 = star();
+        let g1 = DataGraph::from_edges(5, &[(1, 2), (2, 3), (3, 4)]).unwrap();
+        let o = OrderedGraph::new(&g0).reorient(&g1);
+        assert_eq!(o.vertices_by_rank(), [1, 2, 3, 4, 0]);
+        // The old hub (rank 4) is isolated now; vertex 2 (rank 1) has
+        // neighbours 1 (rank 0) and 3 (rank 2).
+        assert!(o.neighbors_of_rank(4).is_empty());
+        assert_eq!(o.lower_of_rank(1), [0]);
+        assert_eq!(o.higher_of_rank(1), [2]);
+        assert_eq!((o.nb(2), o.ns(2)), (1, 1));
     }
 
     #[test]

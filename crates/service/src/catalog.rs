@@ -184,7 +184,7 @@ impl GraphCatalog {
 
     /// Applies one edge batch to `name`, advancing it one epoch. The new
     /// entry keeps its parent's pinned rank permutation (until the overlay
-    /// compacts; the ordered view's oriented adjacency tracks each epoch's
+    /// compacts; the ordered view's rank-space adjacency tracks each epoch's
     /// snapshot) and records the parent's content hash, forming the
     /// version chain the server uses to patch caches and notify
     /// subscribers.

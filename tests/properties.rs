@@ -44,6 +44,30 @@ fn arb_pattern() -> impl Strategy<Value = Pattern> {
     )
 }
 
+/// `o` holds `g`'s adjacency in rank space: rank → id inverts `rank`,
+/// every list is strictly ascending and equals the ranks of the vertex's
+/// neighbours, and it splits at `nb` into lower and higher ranks.
+fn check_rank_space(o: &OrderedGraph, g: &DataGraph) {
+    prop_assert_eq!(o.len(), g.num_vertices());
+    prop_assert_eq!(o.adjacency_len() as u64, 2 * g.num_edges());
+    for r in 0..o.len() as u32 {
+        let v = o.vertex(r);
+        prop_assert_eq!(o.rank(v), r);
+        prop_assert_eq!(o.ranks()[v as usize], r);
+        prop_assert_eq!(o.vertices_by_rank()[r as usize], v);
+        let list = o.neighbors_of_rank(r);
+        prop_assert!(list.windows(2).all(|w| w[0] < w[1]));
+        let mut want: Vec<u32> = g.neighbors(v).iter().map(|&u| o.rank(u)).collect();
+        want.sort_unstable();
+        prop_assert_eq!(list, &want[..]);
+        prop_assert_eq!(o.degree_of_rank(r), g.degree(v));
+        let below = g.neighbors(v).iter().filter(|&&u| o.less(u, v)).count() as u32;
+        prop_assert_eq!(o.nb(v), below);
+        prop_assert_eq!(o.lower_of_rank(r), &list[..below as usize]);
+        prop_assert_eq!(o.higher_of_rank(r), &list[below as usize..]);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -60,7 +84,10 @@ proptest! {
     }
 
     #[test]
-    fn ordering_invariants(g in arb_graph()) {
+    fn ordering_invariants(
+        g in arb_graph(),
+        toggles in proptest::collection::vec((0u32..24, 0u32..24), 0..24),
+    ) {
         let o = OrderedGraph::new(&g);
         // Ranks are a permutation.
         let mut ranks: Vec<u32> = g.vertices().map(|v| o.rank(v)).collect();
@@ -79,6 +106,29 @@ proptest! {
                 prop_assert!(o.less(u, v));
             }
         }
+        check_rank_space(&o, &g);
+
+        // Ranks pinned on `g`, adjacency of a mutated graph (a delta
+        // epoch): the rank-space lists follow the new graph.
+        let n = g.num_vertices() as u32;
+        let mut edges: std::collections::BTreeSet<(u32, u32)> = g.edges().collect();
+        for (u, v) in toggles {
+            let (u, v) = (u % n, v % n);
+            let e = (u.min(v), u.max(v));
+            if u != v && !edges.remove(&e) {
+                edges.insert(e);
+            }
+        }
+        let mut b = GraphBuilder::new();
+        for &(u, v) in &edges {
+            b.add_edge(u, v);
+        }
+        let g2 = b.build_with_num_vertices(g.num_vertices()).unwrap();
+        let o2 = o.reorient(&g2);
+        for v in g.vertices() {
+            prop_assert_eq!(o2.rank(v), o.rank(v));
+        }
+        check_rank_space(&o2, &g2);
     }
 
     #[test]

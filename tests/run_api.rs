@@ -3,15 +3,19 @@
 //! and stopped at a different barrier. This test drives every start × stop
 //! combination that has a caller and requires the answer of the whole run.
 
+use psgl::baselines::centralized;
 use psgl::bsp::SpillConfig;
 use psgl::core::{
     list_subgraphs, list_subgraphs_prepared, list_subgraphs_prepared_with, run, CancelReason,
-    CancelToken, Checkpoint, Harvest, ListingEnd, ListingResult, PsglConfig, PsglShared,
-    RunRequest, RunnerHooks, Start, Stop, Strategy,
+    CancelToken, Checkpoint, EdgeIndex, Harvest, ListingEnd, ListingResult, PsglConfig, PsglShared,
+    QueryPlan, RunRequest, RunnerHooks, Start, Stop, Strategy,
 };
 use psgl::graph::generators::{chung_lu, erdos_renyi_gnm};
-use psgl::pattern::catalog;
+use psgl::graph::{DataGraph, DegreeStats, OrderedGraph};
+use psgl::pattern::labeled::automorphisms_labeled;
+use psgl::pattern::{catalog, Pattern};
 use psgl::sim::fingerprint::fingerprint_run;
+use std::sync::Arc;
 
 fn one_superstep_from(start: Start) -> RunRequest<'static> {
     one_superstep_under(RunnerHooks::default(), start)
@@ -233,6 +237,75 @@ fn every_harvest_mode_counts_the_same_instances() {
             }
             assert_eq!(tallies, want, "{context}");
         }
+    }
+}
+
+/// Runs `shared` count-only, with `collect(true)` and with
+/// `Harvest::PerVertex`, and requires one count (`want`), one set of
+/// expansion counters, and a closing kernel that actually ran.
+fn harvest_modes_agree(shared: &PsglShared<'_>, config: &PsglConfig, want: u64, context: &str) {
+    let counted = whole(shared, config);
+    assert_eq!(counted.instance_count, want, "{context}: the oracle disagrees");
+    let expand = &counted.stats.expand;
+    assert!(expand.kernel_close + expand.kernel_twohop > 0, "{context}: no kernel ran");
+    let listed = whole(shared, &config.clone().collect(true));
+    let request = RunRequest { harvest: Harvest::PerVertex, ..Default::default() };
+    let tallied = run(shared, config, request).unwrap().completed();
+    for (mode, got) in [("collect", &listed), ("per-vertex", &tallied)] {
+        assert_eq!(got.instance_count, want, "{context} {mode}");
+        assert_eq!(&got.stats.expand, expand, "{context} {mode}");
+    }
+    assert_eq!(listed.instances.map(|i| i.len() as u64), Some(want), "{context}");
+}
+
+/// Instances of `pattern` whose vertices carry the pattern's labels: the
+/// oracle's label-respecting embeddings over the label-preserving
+/// automorphisms.
+fn labelled_oracle(graph: &DataGraph, pattern: &Pattern, labels: &[u16], plabels: &[u16]) -> u64 {
+    let (mut steps, mut embeddings) = (0u64, 0u64);
+    centralized::for_each_embedding(graph, pattern, &mut steps, &mut |m| {
+        if m.iter().zip(plabels).all(|(&vd, &l)| labels[vd as usize] == l) {
+            embeddings += 1;
+        }
+    });
+    embeddings / automorphisms_labeled(pattern, plabels).len() as u64
+}
+
+/// The closing kernels work in rank space and cut a rank window out of a
+/// sorted list. Two setups break the assumptions that would make a
+/// shortcut there look safe. Ranks pinned on another graph (a
+/// `DeltaGraph` epoch's `reorient`) make degree non-monotone in rank, so
+/// a degree bound folded into the window would drop instances. Labels
+/// make the wedge join check each candidate, so it may not count a slice.
+/// In both, every harvest mode must agree on every counter, and the count
+/// must be the oracle's.
+#[test]
+fn kernels_agree_when_ranks_do_not_follow_degree_and_with_labels() {
+    let graph = chung_lu(300, 6.0, 1.8, 3).unwrap();
+    let ordered =
+        Arc::new(OrderedGraph::new(&chung_lu(300, 6.0, 1.8, 4).unwrap()).reorient(&graph));
+    assert!(
+        graph.edges().any(|(u, v)| graph.degree(u) < graph.degree(v) && ordered.less(v, u)),
+        "the pinned ranks still follow degree"
+    );
+    let labels: Vec<u16> = graph.vertices().map(|v| (v % 2) as u16).collect();
+    let histogram = DegreeStats::of_graph(&graph).histogram;
+    let config = PsglConfig::with_workers(2);
+    let patterns =
+        [catalog::path(4), catalog::tailed_triangle(), catalog::square(), catalog::four_clique()];
+    for pattern in patterns {
+        let plan = QueryPlan::prepare(&pattern, &config, &histogram).unwrap();
+        let index = Arc::new(EdgeIndex::build(&graph, config.index_bits_per_edge));
+        let pinned = PsglShared::from_parts(&graph, Arc::clone(&ordered), Some(index), &plan);
+        let want = centralized::count(&graph, &pattern);
+        harvest_modes_agree(&pinned, &config, want, &format!("{} pinned ranks", pattern.name()));
+
+        let plabels: Vec<u16> = (0..pattern.num_vertices()).map(|v| (v % 2) as u16).collect();
+        let labelled =
+            PsglShared::prepare_labeled(&graph, &pattern, &config, labels.clone(), plabels.clone())
+                .unwrap();
+        let want = labelled_oracle(&graph, &pattern, &labels, &plabels);
+        harvest_modes_agree(&labelled, &config, want, &format!("{} labelled", pattern.name()));
     }
 }
 
