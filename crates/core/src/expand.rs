@@ -44,11 +44,12 @@ use psgl_graph::partition::HashPartitioner;
 use psgl_graph::VertexId;
 use psgl_pattern::PatternVertex;
 
-/// Maximum WHITE slots a compiled kernel can track in the connectivity
-/// map: bits 0–1 of each `cmap` byte hold per-slot scan marks, bits 2–7
-/// hold odometer binding marks for slots 0–5. Expansions with more WHITE
-/// slots fall back to the generic odometer.
-pub const CMAP_MAX_SLOTS: usize = 6;
+/// Most WHITE slots a closing kernel binds. The word-mask odometer keeps
+/// fixed per-level tables of this many slots on the stack. Six is the
+/// bound the connectivity map's per-slot binding bits once set; it is kept
+/// so that dispatch, and with it every counter of a run, does not move.
+/// Expansions with more WHITE slots fall back to the generic odometer.
+pub const KERNEL_MAX_SLOTS: usize = 6;
 
 /// Per-WHITE-vertex facts hoisted out of the `N(v_d)` candidate scan.
 #[derive(Clone, Copy, Default)]
@@ -118,20 +119,23 @@ pub struct ExpandScratch {
     /// GRAY candidates handed to the distribution strategy.
     pub(crate) grays: Vec<GrayCandidate>,
     /// Connectivity map of the closing kernels: one byte per data vertex,
-    /// indexed by rank, all-zero between expansions. Bits 0–1 carry
-    /// per-slot scan marks (conn-target adjacency), bits 2–7 carry
-    /// odometer binding marks for WHITE slots 0–5. Sized to the data graph
-    /// on the first compiled-kernel dispatch (pre-steady-state; retained
-    /// afterwards).
+    /// indexed by rank, all-zero between expansions. Bits 0–1 mark a
+    /// connectivity target's adjacency while a slot's arena is built; bit
+    /// 2 marks the final arena of a two-WHITE Close for its expansion.
+    /// Sized to the data graph on the first compiled-kernel dispatch
+    /// (pre-steady-state; retained afterwards).
     pub(crate) cmap: Vec<u8>,
-    /// Per-slot flag: some deeper slot has a white-white pattern edge to
-    /// this one, so its binding must publish adjacency (mark or gallop).
-    pub(crate) need_mark: Vec<bool>,
-    /// Per-slot flag: the current binding skipped cmap marking (adjacency
-    /// list too long); deeper slots gallop into it instead of probing.
-    pub(crate) slot_gallop: Vec<bool>,
-    /// Per-slot flag: the current binding holds cmap marks to clear.
-    pub(crate) slot_marked: Vec<bool>,
+    /// A closing expansion's candidate universe: the rank-sorted union of
+    /// its distinct slot arenas, the positions its word masks range over.
+    pub(crate) universe: Vec<u32>,
+    /// The universe's positions an odometer slot can take, sorted by the
+    /// id of their vertex: the order a listing walks each level in.
+    pub(crate) by_id: Vec<u32>,
+    /// The word-mask odometer's masks: per level, one mask over the
+    /// universe per WHITE slot.
+    pub(crate) masks: Vec<u64>,
+    /// One binding's adjacency row over the universe.
+    pub(crate) row: Vec<u64>,
     /// Ranks of the two-hop vertex's wedge targets that were mapped
     /// before the expansion started (static across the odometer).
     pub(crate) w_static: Vec<u32>,
@@ -234,7 +238,7 @@ pub fn expand_gpsi(
         let extra_mask = unmapped & !p.neighbor_mask(vp);
         let nw = scratch.white_meta.len();
         let extras = extra_mask.count_ones();
-        if nw <= CMAP_MAX_SLOTS && (extras == 1 || (extras == 0 && nw > 0)) {
+        if nw <= KERNEL_MAX_SLOTS && (extras == 1 || (extras == 0 && nw > 0)) {
             let extra = (extras == 1).then(|| extra_mask.trailing_zeros() as PatternVertex);
             return crate::kernel::expand_specialized(
                 shared, gpsi, vp, extra, scratch, harvest, stats, cost,

@@ -1,5 +1,4 @@
-//! Compiled expansion kernels: connectivity-map closing and two-hop wedge
-//! joins.
+//! Compiled expansion kernels: word-mask closing and two-hop wedge joins.
 //!
 //! The generic odometer ([`crate::expand::expand_gpsi`]) checks every
 //! pattern edge it cannot see locally through the inexact bloom index and
@@ -25,29 +24,32 @@
 //!
 //! A listing still keeps each expansion's tuples in id order, as the
 //! id-space kernels did, so that the run's final sort stays a linear
-//! check: under [`Harvested::Instances`] the odometer walks id-sorted
-//! copies of its arenas, and each closing loop's survivors are sorted by
-//! id before they are kept (a one-target wedge join walks the data
-//! graph's id-sorted list instead, see [`join_two_hop`]).
+//! check: under [`Harvested::Instances`] each odometer level walks an
+//! id-sorted permutation of its candidates (the two-WHITE Close, an
+//! id-sorted copy of its first slot's arena), and each closing loop's
+//! survivors are sorted by id before they are kept (a one-target wedge
+//! join walks the data graph's id-sorted list instead, see
+//! [`join_two_hop`]).
 //!
 //! Counting is not listing: a finished instance is counted in
 //! [`ExpandStats::results`] first, and is built as a Gpsi only when the
 //! worker's [`Harvested`] keeps tuples or per-vertex tallies. Under
 //! [`Harvested::CountOnly`] (the paper's default output) the kernels bump
-//! two counters per survivor and never build a Gpsi. A TwoHop join whose
-//! two-hop vertex has one pattern neighbour does not even visit its
-//! survivors: it counts them as its rank window's slice length minus the
-//! mapped vertices inside the slice (see [`join_two_hop`]).
+//! two counters per survivor and never build a Gpsi. A Close whose final
+//! slot has no pattern edge to the last binding counts its survivors as a
+//! popcount of the final mask, and a TwoHop join whose two-hop vertex has
+//! one pattern neighbour counts them as its rank window's slice length
+//! minus the mapped vertices inside the slice (see [`join_two_hop`]):
+//! neither visits a survivor.
 //!
 //! Two shapes of closing expansion exist (selected per partial instance by
 //! the dispatch rule in [`crate::expand::expand_gpsi`]):
 //!
 //! - **Close** — every unmapped pattern vertex is a WHITE neighbor of the
 //!   expanding vertex `v_p`. Candidates come from `N(v_d)` as usual;
-//!   white-white pattern edges are checked exactly through the per-worker
-//!   connectivity map (`cmap`, one byte per rank) instead of the bloom
-//!   filter. Covers triangles, k-cliques, stars and the star+edge
-//!   hub expansion.
+//!   white-white pattern edges are checked exactly against the shared
+//!   adjacency instead of the bloom filter. Covers triangles, k-cliques,
+//!   stars and the star+edge hub expansion.
 //! - **TwoHop** — one unmapped vertex `w` is *not* adjacent to `v_p`. For
 //!   each full WHITE combination, `w`'s candidates are the intersection of
 //!   its (now all mapped) pattern neighbors' adjacency lists — a wedge
@@ -58,27 +60,43 @@
 //!
 //! `cmap` lives in [`ExpandScratch`] (sized once, lazily, to the data
 //! graph — steady state performs zero allocations), is indexed by rank,
-//! and is maintained incrementally: binding WHITE slot `i` marks bit
-//! `2 + i` on the binding's neighbors, backtracking clears it by walking
-//! the same list.
-//! The map is all-zero between expansions by construction. Adjacency
-//! checks are degree-adaptive at every call site: short lists are marked
-//! and probed in O(1) per candidate (`intersect_probe`), long lists are
-//! galloped into per candidate (`intersect_gallop`), the cutoff being a
-//! small multiple of the number of probes the mark would serve.
+//! and is all-zero between expansions by construction: every mark is
+//! cleared by walking the list that set it. Bits 0–1 mark a connectivity
+//! target's adjacency while a slot's arena is built, and [`close_pair`]
+//! marks its final arena in [`ARENA_BIT`] for the whole expansion.
+//! Adjacency checks are degree-adaptive at both sites: short lists are
+//! marked and probed in O(1) per candidate (`intersect_probe`), long lists
+//! are galloped into per candidate (`intersect_gallop`), the cutoff being
+//! a small multiple of the number of probes the mark would serve.
 //!
-//! The odometer only drives the first `nw - 1` WHITE slots. The *last*
-//! slot is closed by an output-sensitive merge-join: its candidate arena
-//! is intersected with the adjacency list of the lowest-degree bound
-//! WHITE it must connect to, walking the shorter side and galloping the
-//! longer. This replaces the `O(|arena_i| * |arena_j|)` pair scan the
-//! naive odometer would do on its innermost two slots — the difference
-//! between probing every pair and touching only (near-)survivors, which
-//! dominates on skewed degree distributions. A triangle therefore binds
-//! one slot and joins the other, marking nothing into the cmap at all.
+//! ## The word-mask odometer
+//!
+//! Every closing expansion but the two-WHITE Close binds its WHITE slots
+//! through 64-bit masks over its candidate *universe* `U`: the rank-sorted
+//! union of the distinct slot arenas (a clique's `U` is its one arena). A
+//! position in `U` follows rank, so an order constraint against a bound
+//! slot is "the bits above (or below) its position". Level 0 holds each
+//! slot's arena as a mask. Binding a slot at position `i` *folds* into
+//! every later slot's mask: the order side cuts its range, its bit `i` is
+//! cleared (injectivity), and a slot with a pattern edge to the binding
+//! ANDs the binding's *row* `N(c) ∩ U`. A row is built once per binding,
+//! by a merge that walks the shorter list and gallops a monotone cursor
+//! through the longer, over one side of `c`'s split when every slot it
+//! serves is ordered to that side. A fold that empties a later slot kills
+//! the prefix, and each deeper level visits only its survivors, so the
+//! odometer's work follows its output instead of the product of its
+//! arenas.
+//!
+//! The final slot builds no row and is not folded against the last
+//! binding `c`. When it has a pattern edge to `c`, the merge of `c`'s
+//! (one-sided) list against `U`, inside the final slot's range, tests one
+//! mask bit per hit; otherwise the final mask's bits inside the range are
+//! the survivors. A triangle (the two-WHITE Close) binds one slot and
+//! joins the other in [`close_pair`], which marks its final arena once
+//! and walks each binding's list against the marks.
 
 use crate::checkpoint::Harvested;
-use crate::expand::{prepare_white_slots, ExpandScratch, WhiteMeta, CMAP_MAX_SLOTS};
+use crate::expand::{prepare_white_slots, ExpandScratch, WhiteMeta, KERNEL_MAX_SLOTS};
 use crate::gpsi::{Gpsi, MAX_GPSI_VERTICES, UNMAPPED};
 use crate::shared::PsglShared;
 use crate::stats::ExpandStats;
@@ -91,31 +109,10 @@ use psgl_pattern::PatternVertex;
 /// galloping per candidate is cheaper than walking the list twice.
 const PROBE_RATIO: usize = 4;
 
-/// Bit of `cmap` carrying WHITE slot `i`'s odometer binding mark.
-#[inline]
-fn slot_bit(i: usize) -> u8 {
-    1u8 << (2 + i)
-}
-
-/// Which part of a binding's adjacency a slot's marks must cover: the
-/// whole list, or just the lower/higher-rank side when every later probe
-/// site is rank-ordered the same way around the slot.
-#[derive(Clone, Copy, PartialEq)]
-enum MarkSide {
-    Full,
-    Higher,
-    Lower,
-}
-
-/// The rank list a slot publishes (and retracts) marks over.
-#[inline]
-fn mark_list(ordered: &OrderedGraph, side: MarkSide, r: u32) -> &[u32] {
-    match side {
-        MarkSide::Full => ordered.neighbors_of_rank(r),
-        MarkSide::Higher => ordered.higher_of_rank(r),
-        MarkSide::Lower => ordered.lower_of_rank(r),
-    }
-}
+/// Bit of `cmap` with which [`close_pair`] marks its final arena for the
+/// whole expansion (bits 0–1 are the arena builder's, and are clear by
+/// then).
+const ARENA_BIT: u8 = 1 << 2;
 
 /// Membership test in a sorted rank list.
 #[inline]
@@ -163,7 +160,7 @@ struct WExtra {
 /// Expands `gpsi` with a closing kernel. Preconditions (checked by the
 /// dispatcher in `expand_gpsi`): `v_p` is BLACK with its GRAY edges
 /// verified, `scratch.white_meta` holds all unmapped neighbors of `v_p`
-/// (≤ [`crate::expand::CMAP_MAX_SLOTS`]), and `extra` is the single
+/// (≤ [`crate::expand::KERNEL_MAX_SLOTS`]), and `extra` is the single
 /// unmapped non-neighbor if one exists. Emits complete instances only
 /// (counted in `stats`, kept by `harvest`); never pushes outgoing Gpsis.
 #[allow(clippy::too_many_arguments)]
@@ -225,11 +222,11 @@ pub(crate) fn expand_specialized(
         base_ranks,
         cand_data,
         chosen,
-        cursors,
         cmap,
-        need_mark,
-        slot_gallop,
-        slot_marked,
+        universe,
+        by_id,
+        masks,
+        row,
         w_static,
         w_targets,
         conn_gallop,
@@ -294,8 +291,8 @@ pub(crate) fn expand_specialized(
     // mapped wedge targets stays exact: short target adjacencies are
     // marked into cmap bits 0-1 and probed in O(1); long ones are
     // galloped into per candidate.
-    let mut ranges = [(0usize, 0usize); CMAP_MAX_SLOTS];
-    let mut alias = [usize::MAX; CMAP_MAX_SLOTS];
+    let mut ranges = [(0usize, 0usize); KERNEL_MAX_SLOTS];
+    let mut alias = [usize::MAX; KERNEL_MAX_SLOTS];
     let mut distinct = 0usize;
     for si in 0..nw {
         let meta = &white_meta[si];
@@ -423,118 +420,45 @@ pub(crate) fn expand_specialized(
         ranges[si] = (start, cand_data.len());
     }
 
-    // The odometer drives slots 0..od; the last slot (od) is merge-joined
-    // by close_combination. Only *odometer-internal* edges force a slot to
-    // publish marks — the final slot's edge to its join seed is handled by
-    // the intersection, and any further final-slot edges probe marks
-    // opportunistically (falling back to galloping when absent).
-    let od = nw.saturating_sub(1);
-    need_mark.clear();
-    need_mark.resize(nw, false);
-    slot_gallop.clear();
-    slot_gallop.resize(nw, false);
-    slot_marked.clear();
-    slot_marked.resize(nw, false);
-    for d in 1..od {
-        let em = white_meta[d].edge_mask;
-        for (i, flag) in need_mark[..d].iter_mut().enumerate() {
-            if (em >> i) & 1 == 1 {
-                *flag = true;
-            }
-        }
-    }
-    // One-sided marking: every probe of slot i's marks comes from a later
-    // slot's candidate that already passed its rank check against slot i
-    // (the odometer orders lt/gt before em per earlier slot; the final
-    // slot's window is folded before its edges are checked). When all
-    // those later slots are rank-ordered the same way around slot i, only
-    // that side of the binding's split list can ever be probed — publish
-    // and retract walk that side alone.
-    let mut mark_side = [MarkSide::Full; CMAP_MAX_SLOTS];
-    for i in 0..od {
-        if !need_mark[i] {
-            continue;
-        }
-        let mut all_gt = true;
-        let mut all_lt = true;
-        for meta in &white_meta[i + 1..nw] {
-            if (meta.edge_mask >> i) & 1 == 1 {
-                all_gt &= (meta.gt_mask >> i) & 1 == 1;
-                all_lt &= (meta.lt_mask >> i) & 1 == 1;
-            }
-        }
-        mark_side[i] = if all_gt {
-            MarkSide::Higher
-        } else if all_lt {
-            MarkSide::Lower
-        } else {
-            MarkSide::Full
-        };
-    }
-
-    // A listing keeps each expansion's tuples in id order, the order the
-    // run's final sort wants; out of it, that sort cost more than the
-    // listing. The joins meet candidates in rank order, so under
-    // `Instances` the odometer walks id-sorted copies of its arenas, and
-    // each closing loop's survivors are queued and sorted by id
-    // (`sort_by_id`, or an id-order walk in a one-target wedge join).
-    // Counting pays for none of it.
-    if let Harvested::Instances(_) = harvest {
-        for si in 0..od {
-            if alias[si] != usize::MAX {
-                ranges[si] = ranges[alias[si]];
-                continue;
-            }
-            let start = cand_data.len();
-            cand_data.extend_from_within(ranges[si].0..ranges[si].1);
-            cand_data[start..].sort_unstable_by_key(|&r| ordered.vertex(r));
-            ranges[si] = (start, cand_data.len());
-        }
-    }
-
     let examined_before = stats.combinations_examined;
     let mut generated: u64 = 0;
-
     chosen.clear();
     chosen.resize(nw, 0);
-    let fin_range = if nw == 0 { (0, 0) } else { ranges[nw - 1] };
-    if od == 0 {
-        // Nothing for the odometer: a lone WHITE slot (joined against the
-        // empty prefix) or a verification-style expansion with only the
-        // two-hop vertex left.
-        close_combination(
+    if nw == 0 {
+        // A verification-style expansion with only the two-hop vertex left.
+        let wx =
+            w_extra.as_ref().expect("kernel dispatch sends nw == 0 only with a two-hop vertex");
+        join_two_hop(
             shared,
             &gpsi,
             mapped,
             white_meta,
-            cand_data,
-            fin_range,
+            wx,
             chosen,
-            slot_marked,
-            cmap,
-            w_extra.as_ref(),
             w_static,
             w_targets,
-            kept,
             w_kept,
             &mut generated,
             &mut cost,
             harvest,
             stats,
         );
-    } else if od == 1 && w_extra.is_none() {
-        // Pair-close fast path (triangles, paths of length two, any
-        // two-WHITE Close shape): one odometer slot plus the joined final
-        // slot. The general machinery re-derives the rank window, join
-        // seed, and arena slices per prefix through an outlined call;
-        // here every invariant is hoisted out of the prefix loop.
+    } else if nw == 2 && w_extra.is_none() {
+        // The two-WHITE Close (triangles, paths of length two): one binding
+        // and a join per binding, with nothing for masks to fold.
+        if let Harvested::Instances(_) = harvest {
+            let (start, end) = ranges[0];
+            ranges[0] = (cand_data.len(), cand_data.len() + end - start);
+            cand_data.extend_from_within(start..end);
+            cand_data[ranges[0].0..].sort_unstable_by_key(|&r| ordered.vertex(r));
+        }
         close_pair(
             shared,
             &gpsi,
             white_meta,
             cand_data,
             ranges[0],
-            fin_range,
+            ranges[1],
             cmap,
             kept,
             &mut generated,
@@ -543,118 +467,147 @@ pub(crate) fn expand_specialized(
             stats,
         );
     } else {
-        cursors.clear();
-        cursors.resize(od, 0);
-        cursors[0] = ranges[0].0;
-        let mut depth = 0usize;
-        loop {
-            if cursors[depth] == ranges[depth].1 {
-                if depth == 0 {
-                    break;
-                }
-                depth -= 1;
-                // Retract the binding being advanced past: clear its cmap
-                // marks (walking the same list that set them) and its
-                // gallop-mode flag.
-                if slot_marked[depth] {
-                    for &x in mark_list(ordered, mark_side[depth], chosen[depth]) {
-                        cmap[x as usize] &= !slot_bit(depth);
-                    }
-                    slot_marked[depth] = false;
-                }
-                slot_gallop[depth] = false;
-                cursors[depth] += 1;
-                continue;
-            }
-            let cd = cand_data[cursors[depth]];
-            stats.combinations_examined += 1;
-            let passes = 'check: {
-                if chosen[..depth].contains(&cd) {
-                    stats.pruned_injectivity += 1;
-                    break 'check false;
-                }
-                let meta = &white_meta[depth];
-                let (lt, gt, em) = (meta.lt_mask, meta.gt_mask, meta.edge_mask);
-                for i in 0..depth {
-                    let prev = chosen[i];
-                    if (lt >> i) & 1 == 1 && cd >= prev {
-                        stats.pruned_order += 1;
-                        break 'check false;
-                    }
-                    if (gt >> i) & 1 == 1 && prev >= cd {
-                        stats.pruned_order += 1;
-                        break 'check false;
-                    }
-                    if (em >> i) & 1 == 1 {
-                        // Exact white-white edge, replacing the generic
-                        // kernel's bloom probe (and the verification
-                        // superstep the bloom answer would require).
-                        if slot_gallop[i] {
-                            stats.intersect_gallop += 1;
-                            if !adjacent(ordered, prev, cd) {
-                                stats.pruned_connectivity += 1;
-                                break 'check false;
-                            }
-                        } else {
-                            stats.cmap_probes += 1;
-                            if cmap[cd as usize] & slot_bit(i) == 0 {
-                                stats.pruned_connectivity += 1;
-                                break 'check false;
-                            }
-                            stats.cmap_hits += 1;
-                        }
-                    }
-                }
-                true
-            };
-            if !passes {
-                cursors[depth] += 1;
-                continue;
-            }
-            chosen[depth] = cd;
-            if depth + 1 == od {
-                close_combination(
-                    shared,
-                    &gpsi,
-                    mapped,
-                    white_meta,
-                    cand_data,
-                    fin_range,
-                    chosen,
-                    slot_marked,
-                    cmap,
-                    w_extra.as_ref(),
-                    w_static,
-                    w_targets,
-                    kept,
-                    w_kept,
-                    &mut generated,
-                    &mut cost,
-                    harvest,
-                    stats,
-                );
-                cursors[depth] += 1;
+        // The word-mask odometer binds slots 0..od; the final slot od is
+        // closed against each full prefix. Level d of `masks` holds slots
+        // d..=od over the universe, `range[d][s]` the positions slot s may
+        // still take at level d (words outside it are never read).
+        let od = nw - 1;
+        merge_arenas(cand_data, &ranges[..nw], universe);
+        let words = universe.len().div_ceil(64);
+        let stride = nw * words;
+        masks.clear();
+        masks.resize(od.max(1) * stride, 0);
+        row.resize(words, 0);
+        let mut range = [[(0usize, 0usize); KERNEL_MAX_SLOTS]; KERNEL_MAX_SLOTS];
+        for si in 0..nw {
+            let at = si * words;
+            range[0][si] = if alias[si] == usize::MAX {
+                let (s, e) = ranges[si];
+                set_arena(universe, &cand_data[s..e], &mut masks[at..at + words])
             } else {
-                if need_mark[depth] {
-                    let nb = mark_list(ordered, mark_side[depth], cd);
-                    // Degree-adaptive publish: marking walks the binding's
-                    // (one-sided) list twice (set + clear) but makes every
-                    // deeper check O(1); galloping pays O(log deg) per
-                    // deeper candidate. The deeper odometer arenas bound
-                    // the number of probes the mark can serve.
-                    let deeper: usize = ranges[depth + 1..od].iter().map(|&(lo, hi)| hi - lo).sum();
-                    if nb.len() <= PROBE_RATIO * deeper.max(16) {
-                        for &x in nb {
-                            cmap[x as usize] |= slot_bit(depth);
-                        }
-                        slot_marked[depth] = true;
-                        stats.intersect_probe += 1;
-                    } else {
-                        slot_gallop[depth] = true;
+                let from = alias[si] * words;
+                masks.copy_within(from..from + words, at);
+                range[0][alias[si]]
+            };
+        }
+
+        // The pair facts between a later slot s and a binding slot d, and
+        // which bindings need a row: one with a pattern edge from a later
+        // slot, unless that slot is the final one joined against the last
+        // binding's list. A row covers one side of the binding's split
+        // when every slot it serves is ordered to that side.
+        let side = |s: usize, d: usize| match white_meta[s] {
+            WhiteMeta { gt_mask, .. } if (gt_mask >> d) & 1 == 1 => Side::Above,
+            WhiteMeta { lt_mask, .. } if (lt_mask >> d) & 1 == 1 => Side::Below,
+            _ => Side::Any,
+        };
+        let edge = |s: usize, d: usize| (white_meta[s].edge_mask >> d) & 1 == 1;
+        let mut row_side = [None; KERNEL_MAX_SLOTS];
+        for (d, rs) in row_side.iter_mut().enumerate().take(od.saturating_sub(1)) {
+            for s in (d + 1..=od).filter(|&s| edge(s, d)) {
+                *rs = Some(match *rs {
+                    Some(seen) if seen != side(s, d) => Side::Any,
+                    _ => side(s, d),
+                });
+            }
+        }
+
+        // A listing walks each odometer level in id order (see the module
+        // doc): `by_id` holds the positions an odometer slot can take, by
+        // id. The final slot's survivors are sorted by id instead.
+        let in_id_order = matches!(harvest, Harvested::Instances(_));
+        if in_id_order {
+            by_id.clear();
+            let bound = |at: &u32| (0..od).any(|s| bit(&masks[s * words..], *at as usize));
+            by_id.extend((0..universe.len() as u32).filter(bound));
+            by_id.sort_unstable_by_key(|&at| ordered.vertex(universe[at as usize]));
+        }
+        let mut fin = Final {
+            shared,
+            base: &gpsi,
+            mapped,
+            white_meta,
+            w_extra: w_extra.as_ref(),
+            w_static,
+            universe,
+            chosen,
+            w_targets,
+            kept,
+            w_kept,
+            generated: &mut generated,
+            cost: &mut cost,
+            harvest,
+            stats,
+        };
+        if od == 0 {
+            // A lone WHITE slot: its arena is the final mask.
+            fin.close(&masks[..words], range[0][0], None, usize::MAX);
+        } else {
+            // `next[d]` is where level d resumes: a position in rank order,
+            // an index into `by_id` in id order.
+            let mut next = [0usize; KERNEL_MAX_SLOTS];
+            let mut depth = 0usize;
+            loop {
+                let (lo, hi) = range[depth][depth];
+                let own = &masks[(depth * nw + depth) * words..][..words];
+                let i = if in_id_order {
+                    let set =
+                        |&at: &u32| (lo..hi).contains(&(at as usize)) && bit(own, at as usize);
+                    let k = by_id[next[depth]..]
+                        .iter()
+                        .position(set)
+                        .map_or(by_id.len(), |k| next[depth] + k);
+                    next[depth] = k + 1;
+                    by_id.get(k).map_or(hi, |&at| at as usize)
+                } else {
+                    let i = next_bit(own, next[depth].max(lo), hi);
+                    next[depth] = i + 1;
+                    i
+                };
+                if i >= hi {
+                    if depth == 0 {
+                        break;
                     }
+                    depth -= 1;
+                    continue;
                 }
-                depth += 1;
-                cursors[depth] = ranges[depth].0;
+                let c = fin.universe[i];
+                fin.chosen[depth] = c;
+                fin.stats.combinations_examined += 1;
+                if depth + 1 == od {
+                    let s = side(od, depth);
+                    let join = edge(od, depth).then(|| s.list(ordered, c));
+                    let own = &masks[(depth * nw + od) * words..][..words];
+                    fin.close(own, s.cut(range[depth][od], i), join, i);
+                    continue;
+                }
+                // Fold the binding into every later slot of level depth + 1.
+                let mut cut = [(0usize, 0usize); KERNEL_MAX_SLOTS];
+                for s in depth + 1..=od {
+                    cut[s] = side(s, depth).cut(range[depth][s], i);
+                }
+                if cut[depth + 1..=od].iter().any(|&(lo, hi)| lo >= hi) {
+                    continue;
+                }
+                if let Some(rs) = row_side[depth] {
+                    let served = (depth + 1..=od).filter(|&s| edge(s, depth)).map(|s| cut[s]);
+                    let span =
+                        served.fold((usize::MAX, 0), |(a, b), (lo, hi)| (a.min(lo), b.max(hi)));
+                    fin.stats.intersect_gallop += 1;
+                    build_row(rs.list(ordered, c), fin.universe, span, row);
+                }
+                let (done, below) = masks.split_at_mut((depth + 1) * stride);
+                let alive = (depth + 1..=od).all(|s| {
+                    let src = &done[depth * stride + s * words..][..words];
+                    let dst = &mut below[s * words..][..words];
+                    let with = edge(s, depth).then_some(&row[..]);
+                    range[depth + 1][s] = fold(src, range[depth][s], side(s, depth), i, with, dst);
+                    range[depth + 1][s].0 < range[depth + 1][s].1
+                });
+                if alive {
+                    depth += 1;
+                    next[depth] = 0;
+                }
             }
         }
     }
@@ -662,6 +615,324 @@ pub(crate) fn expand_specialized(
     cost += stats.combinations_examined - examined_before;
     cost += generated;
     stats.cost += cost;
+}
+
+/// Where a later WHITE slot sits, in rank order, relative to an earlier
+/// one: above it, below it, or either side (no order constraint).
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Side {
+    Any,
+    Above,
+    Below,
+}
+
+impl Side {
+    /// The part of rank `c`'s adjacency a slot on this side can meet.
+    #[inline]
+    fn list(self, ordered: &OrderedGraph, c: u32) -> &[u32] {
+        match self {
+            Side::Any => ordered.neighbors_of_rank(c),
+            Side::Above => ordered.higher_of_rank(c),
+            Side::Below => ordered.lower_of_rank(c),
+        }
+    }
+
+    /// A position range `[lo, hi)` cut to this side of a binding at
+    /// position `at`. Empty when `lo >= hi`.
+    #[inline]
+    fn cut(self, (lo, hi): (usize, usize), at: usize) -> (usize, usize) {
+        match self {
+            Side::Any => (lo, hi),
+            Side::Above => (lo.max(at + 1), hi),
+            Side::Below => (lo, hi.min(at)),
+        }
+    }
+}
+
+/// Merges the slot arenas (`cand_data` ranges, each rank-sorted) into
+/// their sorted union, the expansion's candidate universe. Aliased slots
+/// share a range, and one distinct arena is its own universe.
+fn merge_arenas(cand_data: &[u32], arenas: &[(usize, usize)], universe: &mut Vec<u32>) {
+    universe.clear();
+    if arenas.iter().all(|&a| a == arenas[0]) {
+        universe.extend_from_slice(&cand_data[arenas[0].0..arenas[0].1]);
+        return;
+    }
+    let mut heads = [0usize; KERNEL_MAX_SLOTS];
+    for (h, &(s, _)) in heads.iter_mut().zip(arenas) {
+        *h = s;
+    }
+    loop {
+        let mut min = None;
+        for (&h, &(_, e)) in heads.iter().zip(arenas) {
+            if h < e && min.is_none_or(|m| cand_data[h] < m) {
+                min = Some(cand_data[h]);
+            }
+        }
+        let Some(x) = min else { return };
+        universe.push(x);
+        for (h, &(_, e)) in heads.iter_mut().zip(arenas) {
+            if *h < e && cand_data[*h] == x {
+                *h += 1;
+            }
+        }
+    }
+}
+
+/// Sets the bit of each arena member's position in `universe` (a sorted
+/// superset of the sorted `arena`). Returns the positions the arena spans.
+fn set_arena(universe: &[u32], arena: &[u32], words: &mut [u64]) -> (usize, usize) {
+    let mut at = 0usize;
+    let mut first = usize::MAX;
+    for &x in arena {
+        at += gallop_lower_bound(&universe[at..], x);
+        debug_assert_eq!(universe[at], x, "an arena lies inside its universe");
+        words[at / 64] |= 1 << (at % 64);
+        first = first.min(at);
+        at += 1;
+    }
+    (first, at)
+}
+
+/// Whether position `at` is set.
+#[inline(always)]
+fn bit(words: &[u64], at: usize) -> bool {
+    (words[at / 64] >> (at % 64)) & 1 == 1
+}
+
+/// The bits of word `w` whose positions lie in `[lo, hi)`, for a word the
+/// range touches (`lo / 64 <= w < hi.div_ceil(64)`).
+#[inline(always)]
+fn window(w: usize, lo: usize, hi: usize) -> u64 {
+    let (first, end) = (w * 64, w * 64 + 64);
+    let low = if lo > first { !0u64 << (lo - first) } else { !0 };
+    let high = if hi < end { (1u64 << (hi - first)) - 1 } else { !0 };
+    low & high
+}
+
+/// The first set position in `[from, to)`, or `to` when there is none.
+#[inline(always)]
+fn next_bit(words: &[u64], from: usize, to: usize) -> usize {
+    for (w, &word) in words.iter().enumerate().take(to.div_ceil(64)).skip(from / 64) {
+        let v = word & window(w, from, to);
+        if v != 0 {
+            return w * 64 + v.trailing_zeros() as usize;
+        }
+    }
+    to
+}
+
+/// The number of set positions in `[lo, hi)`.
+fn count_bits(words: &[u64], (lo, hi): (usize, usize)) -> u64 {
+    (lo / 64..hi.div_ceil(64)).map(|w| u64::from((words[w] & window(w, lo, hi)).count_ones())).sum()
+}
+
+/// Calls `hit(j)`, ascending, for each position `j` in `[lo, hi)` whose
+/// rank is in the sorted list `list`: walks the shorter of `list` and
+/// `universe[lo..hi]` and gallops a monotone cursor through the longer.
+#[inline]
+fn merge_positions(
+    list: &[u32],
+    universe: &[u32],
+    (lo, hi): (usize, usize),
+    mut hit: impl FnMut(usize),
+) {
+    if lo >= hi {
+        return;
+    }
+    let span = &universe[lo..hi];
+    let first = gallop_lower_bound(list, span[0]);
+    let list = &list[first..first + list[first..].partition_point(|&x| x <= span[span.len() - 1])];
+    let mut from = 0usize;
+    if list.len() <= span.len() {
+        for &x in list {
+            from += gallop_lower_bound(&span[from..], x);
+            if from == span.len() {
+                break;
+            }
+            if span[from] == x {
+                hit(lo + from);
+                from += 1;
+            }
+        }
+    } else {
+        for (j, &x) in span.iter().enumerate() {
+            from += gallop_lower_bound(&list[from..], x);
+            if from == list.len() {
+                break;
+            }
+            if list[from] == x {
+                hit(lo + j);
+                from += 1;
+            }
+        }
+    }
+}
+
+/// A binding's row: sets the bit of every position in `span` whose rank is
+/// in the sorted `list` (the binding's, possibly one-sided, adjacency),
+/// after clearing the words `span` covers. Other words are left as they
+/// are; a fold reads only words inside the range it was cut to.
+fn build_row(list: &[u32], universe: &[u32], span: (usize, usize), row: &mut [u64]) {
+    if span.0 >= span.1 {
+        return;
+    }
+    row[span.0 / 64..span.1.div_ceil(64)].fill(0);
+    merge_positions(list, universe, span, |j| row[j / 64] |= 1 << (j % 64));
+}
+
+/// Folds a binding at position `at` into a later slot's mask: the slot's
+/// range `range` (over `src`) is cut to `side` of `at`, `row` (the
+/// binding's adjacency row, when the slot has a pattern edge to it) is
+/// ANDed in, and bit `at` is cleared. Writes the words of the new range
+/// into `dst` and returns it, tightened to its first and last set bit;
+/// empty (`lo >= hi`) when nothing survives.
+#[inline]
+fn fold(
+    src: &[u64],
+    range: (usize, usize),
+    side: Side,
+    at: usize,
+    row: Option<&[u64]>,
+    dst: &mut [u64],
+) -> (usize, usize) {
+    let (lo, hi) = side.cut(range, at);
+    let (mut a, mut b) = (usize::MAX, 0);
+    for w in lo / 64..hi.div_ceil(64) {
+        let mut v = src[w] & row.map_or(!0, |row| row[w]) & window(w, lo, hi);
+        if w == at / 64 {
+            v &= !(1u64 << (at % 64));
+        }
+        dst[w] = v;
+        if v != 0 {
+            a = a.min(w);
+            b = w;
+        }
+    }
+    if a == usize::MAX {
+        return (0, 0);
+    }
+    (a * 64 + dst[a].trailing_zeros() as usize, b * 64 + 64 - dst[b].leading_zeros() as usize)
+}
+
+/// What closing a prefix needs from its expansion: the base Gpsi and its
+/// mapped ranks, the WHITE slots, the two-hop vertex's facts, the
+/// universe, and the buffers and tallies a closed instance feeds.
+struct Final<'e, 's> {
+    shared: &'e PsglShared<'s>,
+    base: &'e Gpsi,
+    mapped: &'e [u32],
+    white_meta: &'e [WhiteMeta],
+    w_extra: Option<&'e WExtra>,
+    w_static: &'e [u32],
+    universe: &'e [u32],
+    chosen: &'e mut [u32],
+    w_targets: &'e mut Vec<u32>,
+    kept: &'e mut Vec<u32>,
+    w_kept: &'e mut Vec<u32>,
+    generated: &'e mut u64,
+    cost: &'e mut u64,
+    harvest: &'e mut Harvested,
+    stats: &'e mut ExpandStats,
+}
+
+impl Final<'_, '_> {
+    /// Closes one odometer prefix (every slot but the final one bound):
+    /// the final slot's survivors are the set positions of `fin` inside
+    /// `range`, and also in `join` (the last binding's one-sided list) when
+    /// the final slot has a pattern edge to it; position `skip` (the last
+    /// binding, which `fin` was not folded against) is excluded. A Close
+    /// counts each survivor as a closed instance; a TwoHop queues them and
+    /// wedge-joins each.
+    #[inline(always)]
+    fn close(&mut self, fin: &[u64], range: (usize, usize), join: Option<&[u32]>, skip: usize) {
+        let Final {
+            shared,
+            base,
+            mapped,
+            white_meta,
+            w_extra,
+            w_static,
+            universe,
+            ref mut chosen,
+            ref mut w_targets,
+            ref mut kept,
+            ref mut w_kept,
+            ref mut generated,
+            ref mut cost,
+            ref mut harvest,
+            ref mut stats,
+        } = *self;
+        let od = white_meta.len() - 1;
+        let queue = w_extra.is_some() || !matches!(harvest, Harvested::CountOnly);
+        let mut n = 0u64;
+        match join {
+            Some(list) => {
+                stats.intersect_gallop += 1;
+                merge_positions(list, universe, range, |j| {
+                    if bit(fin, j) {
+                        n += 1;
+                        if queue {
+                            kept.push(universe[j]);
+                        }
+                    }
+                });
+            }
+            // A count-only Close: a popcount, never a visit.
+            None if !queue => {
+                let own = (range.0..range.1).contains(&skip) && bit(fin, skip);
+                n = count_bits(fin, range) - u64::from(own);
+            }
+            None => {
+                let mut j = next_bit(fin, range.0, range.1);
+                while j < range.1 {
+                    if j != skip {
+                        n += 1;
+                        kept.push(universe[j]);
+                    }
+                    j = next_bit(fin, j + 1, range.1);
+                }
+            }
+        }
+        stats.combinations_examined += n;
+        let ordered = &*shared.ordered;
+        sort_by_id(ordered, kept, harvest);
+        match w_extra {
+            // Close: every pattern edge has been exactly checked — the
+            // (v_p, white) edges by candidate construction, white-white by
+            // the rows and the final join, the rest before the odometer.
+            None => {
+                stats.generated += n;
+                stats.results += n;
+                **generated += n;
+                if !kept.is_empty() {
+                    let (np, last) = (shared.pattern.num_vertices(), white_meta[od].wv);
+                    keep_closed(
+                        ordered,
+                        base,
+                        &white_meta[..od],
+                        &chosen[..od],
+                        last,
+                        kept,
+                        np,
+                        harvest,
+                    );
+                }
+            }
+            // TwoHop: the queued final-slot bindings, wedge-joined in id
+            // order under `Instances`.
+            Some(wx) => {
+                for &x in kept.iter() {
+                    chosen[od] = x;
+                    join_two_hop(
+                        shared, base, mapped, white_meta, wx, chosen, w_static, w_targets, w_kept,
+                        generated, cost, harvest, stats,
+                    );
+                }
+                kept.clear();
+            }
+        }
+    }
 }
 
 /// One candidate's slot-specific arena checks: degree bound, label class,
@@ -772,16 +1043,17 @@ fn keep_closed(
     kept.clear();
 }
 
-/// The two-WHITE Close join (`od == 1`, no two-hop vertex): for each
-/// binding of slot 0, merge-join the final slot's arena against it and
-/// emit every closed instance. Triangles spend almost the whole expansion
-/// here, so the join is tuned beyond [`close_combination`]: the arena is
-/// marked into the cmap **once per expansion** (the final slot's bit is
-/// free — it never binds through the odometer), turning the common
-/// low-degree-binding case into a sequential walk of `N(c0)` with one
-/// O(1) map probe per neighbor. High-degree bindings still walk the
-/// arena and gallop, window-and-injectivity first. All rank-window
-/// masks and arena slices are hoisted out of the per-prefix loop.
+/// The two-WHITE Close join (no two-hop vertex): for each binding of slot
+/// 0, merge-join the final slot's arena against it and emit every closed
+/// instance. Triangles spend almost the whole expansion here, so the join
+/// skips the masks: the arena is marked into the cmap **once per
+/// expansion** ([`ARENA_BIT`]), turning the common low-degree-binding case
+/// into a sequential walk of `N(c0)` with one O(1) map probe per neighbor.
+/// High-degree bindings still walk the arena and gallop,
+/// window-and-injectivity first. All rank-window masks and arena slices
+/// are hoisted out of the per-prefix loop. Under `Instances` slot 0 is
+/// walked through an id-sorted copy of its arena, so the bindings come in
+/// id order.
 #[allow(clippy::too_many_arguments)]
 fn close_pair(
     shared: &PsglShared<'_>,
@@ -803,11 +1075,10 @@ fn close_pair(
     let window_lt = fin.lt_mask & 1 == 1;
     let window_gt = fin.gt_mask & 1 == 1;
     let joined = fin.edge_mask & 1 == 1;
-    let fin_bit = slot_bit(1);
     let np = shared.pattern.num_vertices();
     if joined {
         for &x in arena {
-            cmap[x as usize] |= fin_bit;
+            cmap[x as usize] |= ARENA_BIT;
         }
         stats.intersect_probe += 1;
     }
@@ -836,7 +1107,7 @@ fn close_pair(
                 *cost += tn.len() as u64;
                 for &x in tn {
                     stats.cmap_probes += 1;
-                    if cmap[x as usize] & fin_bit == 0 {
+                    if cmap[x as usize] & ARENA_BIT == 0 {
                         continue;
                     }
                     stats.cmap_hits += 1;
@@ -901,321 +1172,7 @@ fn close_pair(
     }
     if joined {
         for &x in arena {
-            cmap[x as usize] &= !fin_bit;
-        }
-    }
-}
-
-/// Finishes one odometer prefix (slots `0..nw-1`): merge-joins the final
-/// WHITE slot's candidates against its lowest-degree bound neighbor, then
-/// emits the closed instance (Close) or wedge-joins the two-hop vertex
-/// and emits one instance per survivor (TwoHop).
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn close_combination(
-    shared: &PsglShared<'_>,
-    base: &Gpsi,
-    mapped: &[u32],
-    white_meta: &[WhiteMeta],
-    cand_data: &[u32],
-    fin_range: (usize, usize),
-    chosen: &mut [u32],
-    slot_marked: &[bool],
-    cmap: &[u8],
-    w_extra: Option<&WExtra>,
-    w_static: &[u32],
-    w_targets: &mut Vec<u32>,
-    kept: &mut Vec<u32>,
-    w_kept: &mut Vec<u32>,
-    generated: &mut u64,
-    cost: &mut u64,
-    harvest: &mut Harvested,
-    stats: &mut ExpandStats,
-) {
-    let ordered = &*shared.ordered;
-    let nw = white_meta.len();
-    if nw == 0 {
-        // Verification-style expansion with only the two-hop vertex left.
-        let wx = w_extra.expect("kernel dispatch sends nw == 0 only with a two-hop vertex");
-        join_two_hop(
-            shared, base, mapped, white_meta, wx, chosen, w_static, w_targets, w_kept, generated,
-            cost, harvest, stats,
-        );
-        return;
-    }
-    let od = nw - 1;
-    let fin = &white_meta[od];
-    // Dynamic rank window against the odometer prefix; the static part
-    // (pre-bound mapping) was already applied when the arena was built.
-    let (mut lo, mut hi) = (0u32, u32::MAX);
-    for (i, &cr) in chosen[..od].iter().enumerate() {
-        if (fin.lt_mask >> i) & 1 == 1 {
-            hi = hi.min(cr);
-        }
-        if (fin.gt_mask >> i) & 1 == 1 {
-            lo = lo.max(cr.saturating_add(1));
-        }
-    }
-    let em = fin.edge_mask;
-    let arena = &cand_data[fin_range.0..fin_range.1];
-    // Merge-join seed: the bound WHITE with the fewest candidates the
-    // final slot must connect to (the arena already encodes the edge to
-    // v_d and every pre-bound constraint). A one-sided rank constraint
-    // against a bound slot shrinks its effective list to that side of its
-    // split, so the seed is chosen by *one-sided* length.
-    let mut t_slot = usize::MAX;
-    let mut t_list: &[u32] = &[];
-    for (i, &cd) in chosen[..od].iter().enumerate() {
-        if (em >> i) & 1 == 1 {
-            let list = if (fin.gt_mask >> i) & 1 == 1 {
-                ordered.higher_of_rank(cd)
-            } else if (fin.lt_mask >> i) & 1 == 1 {
-                ordered.lower_of_rank(cd)
-            } else {
-                ordered.neighbors_of_rank(cd)
-            };
-            if t_slot == usize::MAX || list.len() < t_list.len() {
-                t_list = list;
-                t_slot = i;
-            }
-        }
-    }
-    if t_slot != usize::MAX {
-        // Both sides of the join are sorted, so intersect by walking the
-        // shorter list and galloping a *monotone* cursor through the
-        // longer — output-sensitive (touches only near-members, never
-        // every (prefix, candidate) pair) and forward-only, unlike a
-        // from-scratch adjacency gallop per candidate. The walked/galloped
-        // list is one side of the seed's split whenever the final slot's
-        // rank constraint against the seed is one-sided: membership then
-        // implies that side of the window for free.
-        stats.intersect_gallop += 1;
-        let tn = t_list;
-        if tn.len() < arena.len() {
-            *cost += tn.len() as u64;
-            let mut from = 0usize;
-            for &x in tn {
-                let idx = from + gallop_lower_bound(&arena[from..], x);
-                if idx >= arena.len() {
-                    break;
-                }
-                from = idx;
-                if arena[idx] != x {
-                    continue;
-                }
-                from = idx + 1;
-                stats.combinations_examined += 1;
-                if !final_slot_ok(
-                    ordered,
-                    chosen,
-                    od,
-                    em,
-                    t_slot,
-                    slot_marked,
-                    cmap,
-                    x,
-                    lo,
-                    hi,
-                    stats,
-                ) {
-                    continue;
-                }
-                finish_candidate(
-                    shared, base, mapped, white_meta, x, chosen, w_extra, w_static, w_targets,
-                    kept, w_kept, generated, cost, harvest, stats,
-                );
-            }
-        } else {
-            // Arena is the short side: walk it, pruning on the rank window
-            // and injectivity *first* (both read memory already in hand)
-            // so only plausible candidates pay the gallop into `N(t)` —
-            // the window alone kills half the pairs of a symmetric
-            // pattern — with the cursor again monotone across candidates.
-            *cost += arena.len() as u64;
-            let mut from = 0usize;
-            for &x in arena {
-                stats.combinations_examined += 1;
-                if x < lo || x >= hi {
-                    stats.pruned_order += 1;
-                    continue;
-                }
-                if chosen[..od].contains(&x) {
-                    stats.pruned_injectivity += 1;
-                    continue;
-                }
-                let j = from + gallop_lower_bound(&tn[from..], x);
-                if j >= tn.len() {
-                    break;
-                }
-                from = j;
-                if tn[j] != x {
-                    stats.pruned_connectivity += 1;
-                    continue;
-                }
-                from = j + 1;
-                if !final_edges_ok(ordered, chosen, od, em, t_slot, slot_marked, cmap, x, stats) {
-                    continue;
-                }
-                finish_candidate(
-                    shared, base, mapped, white_meta, x, chosen, w_extra, w_static, w_targets,
-                    kept, w_kept, generated, cost, harvest, stats,
-                );
-            }
-        }
-    } else {
-        // The final slot has no bound WHITE neighbor (stars, rectangles):
-        // every arena member is a candidate.
-        for &x in arena {
-            stats.combinations_examined += 1;
-            if !final_slot_ok(
-                ordered,
-                chosen,
-                od,
-                em,
-                usize::MAX,
-                slot_marked,
-                cmap,
-                x,
-                lo,
-                hi,
-                stats,
-            ) {
-                continue;
-            }
-            finish_candidate(
-                shared, base, mapped, white_meta, x, chosen, w_extra, w_static, w_targets, kept,
-                w_kept, generated, cost, harvest, stats,
-            );
-        }
-    }
-    if kept.is_empty() {
-        return;
-    }
-    sort_by_id(ordered, kept, harvest);
-    match w_extra {
-        None => {
-            let np = shared.pattern.num_vertices();
-            keep_closed(ordered, base, &white_meta[..od], &chosen[..od], fin.wv, kept, np, harvest);
-        }
-        Some(wx) => {
-            // The final-slot bindings a keeping harvest queued, wedge-joined
-            // now, in id order under `Instances`.
-            for &x in kept.iter() {
-                chosen[od] = x;
-                join_two_hop(
-                    shared, base, mapped, white_meta, wx, chosen, w_static, w_targets, w_kept,
-                    generated, cost, harvest, stats,
-                );
-            }
-            kept.clear();
-        }
-    }
-}
-
-/// Final-slot candidate checks beyond arena membership: the dynamic rank
-/// window, injectivity against the odometer prefix, and any white-white
-/// edges other than the join seed (mark-probed when the binding published
-/// marks for the odometer, galloped otherwise).
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn final_slot_ok(
-    ordered: &OrderedGraph,
-    chosen: &[u32],
-    od: usize,
-    em: u16,
-    skip: usize,
-    slot_marked: &[bool],
-    cmap: &[u8],
-    x: u32,
-    lo: u32,
-    hi: u32,
-    stats: &mut ExpandStats,
-) -> bool {
-    if x < lo || x >= hi {
-        stats.pruned_order += 1;
-        return false;
-    }
-    if chosen[..od].contains(&x) {
-        stats.pruned_injectivity += 1;
-        return false;
-    }
-    final_edges_ok(ordered, chosen, od, em, skip, slot_marked, cmap, x, stats)
-}
-
-/// The final slot's white-white edges beyond the join seed: mark-probed
-/// when the binding published marks for the odometer, galloped otherwise.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn final_edges_ok(
-    ordered: &OrderedGraph,
-    chosen: &[u32],
-    od: usize,
-    em: u16,
-    skip: usize,
-    slot_marked: &[bool],
-    cmap: &[u8],
-    x: u32,
-    stats: &mut ExpandStats,
-) -> bool {
-    for i in 0..od {
-        if (em >> i) & 1 == 1 && i != skip {
-            if slot_marked[i] {
-                stats.cmap_probes += 1;
-                if cmap[x as usize] & slot_bit(i) == 0 {
-                    stats.pruned_connectivity += 1;
-                    return false;
-                }
-                stats.cmap_hits += 1;
-            } else {
-                stats.intersect_gallop += 1;
-                if !adjacent(ordered, chosen[i], x) {
-                    stats.pruned_connectivity += 1;
-                    return false;
-                }
-            }
-        }
-    }
-    true
-}
-
-/// Binds the final WHITE slot to rank `x` and either emits the closed
-/// instance (Close) or runs the two-hop wedge join (TwoHop). Under a
-/// keeping harvest a TwoHop binding is queued in `kept` instead, and
-/// [`close_combination`] joins the queue in id order when its loop ends.
-/// Called once per final-slot survivor, so it must not stay an
-/// out-of-line call with a dozen arguments: `inline(always)` keeps it in
-/// the join loops.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn finish_candidate(
-    shared: &PsglShared<'_>,
-    base: &Gpsi,
-    mapped: &[u32],
-    white_meta: &[WhiteMeta],
-    x: u32,
-    chosen: &mut [u32],
-    w_extra: Option<&WExtra>,
-    w_static: &[u32],
-    w_targets: &mut Vec<u32>,
-    kept: &mut Vec<u32>,
-    w_kept: &mut Vec<u32>,
-    generated: &mut u64,
-    cost: &mut u64,
-    harvest: &mut Harvested,
-    stats: &mut ExpandStats,
-) {
-    match w_extra {
-        // Close: every pattern edge has been exactly checked — the
-        // (v_p, white) edges by candidate construction, white-white by
-        // join/mark/gallop, everything else before the odometer started.
-        None => emit_closed(x, kept, generated, harvest, stats),
-        Some(_) if !matches!(harvest, Harvested::CountOnly) => kept.push(x),
-        Some(wx) => {
-            chosen[white_meta.len() - 1] = x;
-            join_two_hop(
-                shared, base, mapped, white_meta, wx, chosen, w_static, w_targets, w_kept,
-                generated, cost, harvest, stats,
-            )
+            cmap[x as usize] &= !ARENA_BIT;
         }
     }
 }
@@ -1355,6 +1312,9 @@ fn join_two_hop(
 
 #[cfg(test)]
 mod tests {
+    use super::{
+        bit, build_row, count_bits, fold, merge_arenas, merge_positions, next_bit, set_arena, Side,
+    };
     use crate::expand::list_all;
     use crate::{PsglConfig, PsglShared};
     use psgl_graph::generators::erdos_renyi_gnm;
@@ -1364,6 +1324,111 @@ mod tests {
     fn sorted(mut v: Vec<Vec<VertexId>>) -> Vec<Vec<VertexId>> {
         v.sort();
         v
+    }
+
+    /// The positions set in `words` inside `[lo, hi)`, one bit at a time.
+    fn set_positions(words: &[u64], (lo, hi): (usize, usize)) -> Vec<usize> {
+        (lo..hi).filter(|&j| bit(words, j)).collect()
+    }
+
+    /// The range `fold` should return for the expected survivors: their
+    /// first and one past their last, or empty.
+    fn span_of(want: &[usize]) -> (usize, usize) {
+        match (want.first(), want.last()) {
+            (Some(&a), Some(&b)) => (a, b + 1),
+            _ => (0, 0),
+        }
+    }
+
+    #[test]
+    fn mask_fold_cuts_and_clears_across_words() {
+        // A four-word universe, 200 positions: the last word is partial.
+        let n = 200usize;
+        let words = n.div_ceil(64);
+        let full = vec![!0u64; words];
+        let thirds: Vec<u64> = (0..words)
+            .map(|w| (0..64).filter(|b| (w * 64 + b) % 3 == 0).fold(0, |m, b| m | 1 << b))
+            .collect();
+        for at in [0, 63, 64, 127, n - 1] {
+            for side in [Side::Any, Side::Above, Side::Below] {
+                for (lo, hi) in [(0, n), (1, n - 1), (60, 130)] {
+                    for row in [None, Some(&thirds[..])] {
+                        let mut dst = vec![0xdead_beef_u64; words];
+                        let got = fold(&full, (lo, hi), side, at, row, &mut dst);
+                        let want: Vec<usize> = (lo..hi)
+                            .filter(|&j| match side {
+                                Side::Any => j != at,
+                                Side::Above => j > at,
+                                Side::Below => j < at,
+                            })
+                            .filter(|&j| row.is_none() || j % 3 == 0)
+                            .collect();
+                        let context =
+                            format!("at {at}, {side:?}, [{lo}, {hi}), row {}", row.is_some());
+                        assert_eq!(got, span_of(&want), "{context}");
+                        assert_eq!(set_positions(&dst, got), want, "{context}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mask_bits_are_found_across_empty_words() {
+        // Set bits in words 0, 3 and 4; words 1 and 2 are empty.
+        let set = [0usize, 3, 63, 200, 255, 256, 300];
+        let mut words = vec![0u64; 5];
+        for &j in &set {
+            words[j / 64] |= 1 << (j % 64);
+        }
+        let mut walked = Vec::new();
+        let mut j = next_bit(&words, 0, 320);
+        while j < 320 {
+            walked.push(j);
+            j = next_bit(&words, j + 1, 320);
+        }
+        assert_eq!(walked, set);
+        assert_eq!(next_bit(&words, 64, 320), 200, "two empty words skipped");
+        assert_eq!(next_bit(&words, 64, 200), 200, "nothing before the end");
+        assert_eq!(next_bit(&words, 201, 255), 255, "a set bit at the end is outside");
+        assert_eq!(next_bit(&words, 5, 5), 5);
+        for (lo, hi) in [(0, 320), (1, 256), (63, 64), (64, 200), (64, 201), (4, 4)] {
+            let want = set.iter().filter(|&&j| (lo..hi).contains(&j)).count() as u64;
+            assert_eq!(count_bits(&words, (lo, hi)), want, "[{lo}, {hi})");
+        }
+    }
+
+    #[test]
+    fn mask_rows_match_the_naive_intersection() {
+        // 200 positions holding the even ranks below 400.
+        let universe: Vec<u32> = (0..200).map(|j| 2 * j).collect();
+        let short = vec![6u32, 7, 126, 128, 129, 254, 398, 401];
+        let long: Vec<u32> = (0..1200).filter(|x| x % 3 == 0).collect();
+        for list in [&short, &long] {
+            for span in [(0, 200), (63, 129), (64, 65), (1, 199), (100, 100)] {
+                let want: Vec<usize> =
+                    (span.0..span.1).filter(|&j| list.contains(&universe[j])).collect();
+                let mut hits = Vec::new();
+                merge_positions(list, &universe, span, |j| hits.push(j));
+                assert_eq!(hits, want, "list of {}, span {span:?}", list.len());
+                let mut row = vec![!0u64; 4];
+                build_row(list, &universe, span, &mut row);
+                assert_eq!(set_positions(&row, span), want, "row, list of {}", list.len());
+            }
+        }
+    }
+
+    #[test]
+    fn mask_universe_is_the_union_of_the_arenas() {
+        let cand_data = [1u32, 5, 9, 70, 2, 5, 10, 70, 71];
+        let mut universe = Vec::new();
+        merge_arenas(&cand_data, &[(0, 4), (4, 9), (0, 4)], &mut universe);
+        assert_eq!(universe, [1, 2, 5, 9, 10, 70, 71]);
+        let mut words = vec![0u64; 1];
+        assert_eq!(set_arena(&universe, &cand_data[4..9], &mut words), (1, 7));
+        assert_eq!(set_positions(&words, (0, 7)), [1, 2, 4, 5, 6]);
+        merge_arenas(&cand_data, &[(4, 9), (4, 9)], &mut universe);
+        assert_eq!(universe, cand_data[4..9]);
     }
 
     #[test]
@@ -1390,23 +1455,27 @@ mod tests {
         // is one expansion's harvest. The kernels meet candidates in rank
         // order, yet each run must be sorted by id in binding order (the
         // WHITE slots in pattern-neighbour order, then the two-hop
-        // vertex), the order an id-ordered walk keeps them in.
+        // vertex), the order an id-ordered walk keeps them in. A 5-clique
+        // binds three odometer levels; it needs a denser graph to have
+        // instances to order.
         let g = erdos_renyi_gnm(90, 1000, 13).unwrap();
-        for pattern in [
-            catalog::triangle(),
-            catalog::four_clique(),
-            catalog::tailed_triangle(),
-            catalog::square(),
-            catalog::path(4),
-            catalog::star(3),
+        let dense = erdos_renyi_gnm(90, 1600, 13).unwrap();
+        for (pattern, g) in [
+            (catalog::triangle(), &g),
+            (catalog::four_clique(), &g),
+            (catalog::tailed_triangle(), &g),
+            (catalog::square(), &g),
+            (catalog::path(4), &g),
+            (catalog::star(3), &g),
+            (catalog::clique(5), &dense),
         ] {
             let config = PsglConfig::default();
-            let init = PsglShared::prepare(&g, &pattern, &config).unwrap().init_vertex;
+            let init = PsglShared::prepare(g, &pattern, &config).unwrap().init_vertex;
             let whites: Vec<usize> = pattern.neighbors(init).map(usize::from).collect();
             let rest =
                 (0..pattern.num_vertices()).filter(|&v| v != init as usize && !whites.contains(&v));
             let binding: Vec<usize> = whites.iter().copied().chain(rest).collect();
-            let (tuples, stats, _) = list_all(&g, &pattern, &config);
+            let (tuples, stats, _) = list_all(g, &pattern, &config);
             assert_eq!(
                 stats.expanded,
                 stats.kernel_close + stats.kernel_twohop,

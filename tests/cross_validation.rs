@@ -234,3 +234,58 @@ fn collected_instances_match_oracle_listing() {
         assert_eq!(mine.len(), oracle.len(), "{pattern}");
     }
 }
+
+/// The closing kernels bind WHITE slots through 64-bit masks over an
+/// expansion's candidate universe. The other test graphs are too small for
+/// a universe to pass 64 ranks, so here a planted hub has 132 lower-rank
+/// neighbours: a universe of three words when the hub expands first and
+/// its candidates must rank below it. The
+/// spokes form 33 disjoint 4-cliques of spread-out ids, so each 5-clique
+/// through the hub spans several words, over sparse random spoke edges
+/// that spread the spokes' ranks. Every initial vertex of every shape must
+/// give the oracle's count, and a listing that many distinct tuples.
+#[test]
+fn kernel_masks_cross_word_boundaries_around_a_hub() {
+    let spokes = 132u32;
+    let mix = |mut x: u64| {
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 31)
+    };
+    let quarter = spokes / 4;
+    let planted = |a: u32, b: u32| (a - 1) % quarter == (b - 1) % quarter;
+    let mut edges: Vec<(u32, u32)> = (1..=spokes).map(|v| (0, v)).collect();
+    for a in 1..=spokes {
+        for b in a + 1..=spokes {
+            if planted(a, b) || mix(u64::from(a) << 32 | u64::from(b)) % 100 < 4 {
+                edges.push((a, b));
+            }
+        }
+    }
+    let g = DataGraph::from_edges(spokes as usize + 1, &edges).unwrap();
+    let ordered = psgl::graph::OrderedGraph::new(&g);
+    assert!(ordered.nb(0) >= 130, "the hub's universe must span three words");
+    for pattern in [
+        catalog::four_clique(),
+        catalog::clique(5),
+        catalog::star(3),
+        catalog::house(),
+        catalog::tailed_triangle(),
+        catalog::square(),
+    ] {
+        let expected = centralized::count(&g, &pattern);
+        assert!(expected > 0, "{pattern}: nothing to compare");
+        for v in pattern.vertices() {
+            let config = PsglConfig::with_workers(2).init_vertex(v);
+            let got = list_subgraphs(&g, &pattern, &config).unwrap().instance_count;
+            assert_eq!(got, expected, "{pattern} from v{}", v + 1);
+            let mut listed = list_subgraphs(&g, &pattern, &config.collect(true))
+                .unwrap()
+                .instances
+                .expect("collect(true) keeps the tuples");
+            listed.sort_unstable();
+            listed.dedup();
+            assert_eq!(listed.len() as u64, expected, "{pattern} from v{}: distinct tuples", v + 1);
+        }
+    }
+}
