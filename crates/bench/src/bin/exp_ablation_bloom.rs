@@ -8,7 +8,7 @@
 //! which is why the paper calls 2 GB for Twitter "light-weight".
 
 use psgl_bench::datasets;
-use psgl_bench::report::{banner, sci, timed, Table};
+use psgl_bench::report::{banner, extension_note, sci, timed, Table, EXTENSION};
 use psgl_core::{list_subgraphs_prepared, EdgeIndex, PsglConfig, PsglShared};
 use psgl_pattern::catalog;
 
@@ -27,8 +27,9 @@ fn main() {
         ("wall ms", 9),
     ]);
     let workers = 8;
+    let paper = PsglConfig::with_workers(workers).kernels(false);
     // Baseline: no index at all.
-    let config = PsglConfig::with_workers(workers).edge_index(false);
+    let config = paper.clone().edge_index(false);
     let shared = PsglShared::prepare(&ds.graph, &pattern, &config).expect("prepare");
     let (r, ms) = timed(|| list_subgraphs_prepared(&shared, &config).expect("listing"));
     let reference = r.instance_count;
@@ -41,7 +42,7 @@ fn main() {
         format!("{ms:.0}"),
     ]);
     for bits in [2usize, 4, 8, 12, 16, 24] {
-        let config = PsglConfig { index_bits_per_edge: bits, ..PsglConfig::with_workers(workers) };
+        let config = PsglConfig { index_bits_per_edge: bits, ..paper.clone() };
         let shared = PsglShared::prepare(&ds.graph, &pattern, &config).expect("prepare");
         let fpr = EdgeIndex::build(&ds.graph, bits).measured_fpr(&ds.graph, 50_000, 1);
         let mem = shared.index.as_ref().unwrap().memory_bytes() / 1024;
@@ -56,7 +57,20 @@ fn main() {
             format!("{ms:.0}"),
         ]);
     }
+    let config = PsglConfig::with_workers(workers);
+    let shared = PsglShared::prepare(&ds.graph, &pattern, &config).expect("prepare");
+    let (r, ms) = timed(|| list_subgraphs_prepared(&shared, &config).expect("listing"));
+    assert_eq!(r.instance_count, reference, "the kernels must not change results");
+    table.row(&[
+        format!("{}{EXTENSION}", config.index_bits_per_edge),
+        "-".into(),
+        (shared.index.as_ref().unwrap().memory_bytes() / 1024).to_string(),
+        sci(r.stats.expand.generated),
+        sci(r.stats.expand.cost),
+        format!("{ms:.0}"),
+    ]);
     println!(
         "\nshape: Gpsi volume collapses once the index exists; diminishing returns past ~10 bits."
     );
+    extension_note();
 }

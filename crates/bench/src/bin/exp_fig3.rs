@@ -11,7 +11,7 @@
 //! - on PG4 all five strategies are close (verification has constant cost).
 
 use psgl_bench::datasets;
-use psgl_bench::report::{banner, timed, Table};
+use psgl_bench::report::{banner, extension_note, timed, Table, EXTENSION};
 use psgl_core::{list_subgraphs_prepared, PsglConfig, PsglShared, Strategy};
 use psgl_pattern::catalog;
 
@@ -44,14 +44,11 @@ fn main() {
             ("wall ms", 10),
             ("instances", 12),
         ]);
-        let base = PsglConfig::with_workers(workers);
-        let shared = PsglShared::prepare(&ds.graph, &pattern, &base).expect("prepare");
-        let mut best: Option<(String, u64)> = None;
-        let mut worst: Option<(String, u64)> = None;
-        for (name, strategy) in Strategy::paper_variants() {
-            let config = base.clone().strategy(strategy);
-            let (result, ms) =
-                timed(|| list_subgraphs_prepared(&shared, &config).expect("listing"));
+        let prepare = |config: &PsglConfig| {
+            PsglShared::prepare(&ds.graph, &pattern, config).expect("prepare")
+        };
+        let row = |name: &str, shared: &PsglShared, config: &PsglConfig| {
+            let (result, ms) = timed(|| list_subgraphs_prepared(shared, config).expect("listing"));
             let makespan = result.stats.simulated_makespan;
             table.row(&[
                 name.to_string(),
@@ -60,6 +57,14 @@ fn main() {
                 format!("{ms:.0}"),
                 result.instance_count.to_string(),
             ]);
+            makespan
+        };
+        let paper = PsglConfig::with_workers(workers).kernels(false);
+        let shared = prepare(&paper);
+        let mut best: Option<(String, u64)> = None;
+        let mut worst: Option<(String, u64)> = None;
+        for (name, strategy) in Strategy::paper_variants() {
+            let makespan = row(name, &shared, &paper.clone().strategy(strategy));
             if best.as_ref().is_none_or(|(_, b)| makespan < *b) {
                 best = Some((name.to_string(), makespan));
             }
@@ -67,6 +72,8 @@ fn main() {
                 worst = Some((name.to_string(), makespan));
             }
         }
+        let extension = PsglConfig::with_workers(workers);
+        row(EXTENSION, &prepare(&extension), &extension);
         let (bn, bm) = best.unwrap();
         let (wn, wm) = worst.unwrap();
         println!(
@@ -75,4 +82,6 @@ fn main() {
             100.0 * (wm - bm) as f64 / wm as f64
         );
     }
+    println!();
+    extension_note();
 }

@@ -7,7 +7,7 @@
 //! different stragglers (high-degree vs overloaded low-degree vertices).
 
 use psgl_bench::datasets;
-use psgl_bench::report::{banner, Table};
+use psgl_bench::report::{banner, extension_note, Table, EXTENSION};
 use psgl_core::{list_subgraphs_prepared, PsglConfig, PsglShared, Strategy};
 use psgl_pattern::catalog;
 
@@ -23,12 +23,12 @@ fn main() {
         ds.graph.num_vertices(),
         ds.graph.num_edges()
     );
-    let base = PsglConfig::with_workers(workers);
-    let shared = PsglShared::prepare(&ds.graph, &pattern, &base).expect("prepare");
+    let paper = PsglConfig::with_workers(workers).kernels(false);
+    let shared = PsglShared::prepare(&ds.graph, &pattern, &paper).expect("prepare");
     let variants = Strategy::paper_variants();
     let mut columns: Vec<(&str, Vec<u64>)> = Vec::new();
     for (name, strategy) in variants {
-        let config = base.clone().strategy(strategy);
+        let config = paper.clone().strategy(strategy);
         let result = list_subgraphs_prepared(&shared, &config).expect("listing");
         columns.push((name, result.stats.per_worker_cost));
     }
@@ -48,6 +48,10 @@ fn main() {
         table.row(&row);
     }
     println!();
+    let extension = PsglConfig::with_workers(workers);
+    let shared = PsglShared::prepare(&ds.graph, &pattern, &extension).expect("prepare");
+    let result = list_subgraphs_prepared(&shared, &extension).expect("listing");
+    columns.push((EXTENSION, result.stats.per_worker_cost));
     let t2 = Table::new(&[("strategy", 10), ("max worker", 12), ("mean", 12), ("max/mean", 10)]);
     for (name, costs) in &columns {
         let max = *costs.iter().max().unwrap();
@@ -63,4 +67,5 @@ fn main() {
         "\nshape: (WA,0.5) should minimize the slowest worker while staying balanced \
          (paper Figure 5)."
     );
+    extension_note();
 }

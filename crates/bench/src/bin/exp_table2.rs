@@ -13,7 +13,7 @@
 //! exist; the clique run without the index blows past the memory budget.
 
 use psgl_bench::datasets::{self, Dataset};
-use psgl_bench::report::{banner, sci, Table};
+use psgl_bench::report::{banner, extension_note, sci, Table, EXTENSION};
 use psgl_core::{list_subgraphs_prepared, PsglConfig, PsglError, PsglShared};
 use psgl_pattern::{catalog, Pattern, PatternVertex};
 
@@ -24,10 +24,11 @@ fn gpsi_count(
     use_index: bool,
     budget: Option<u64>,
     workers: usize,
+    kernels: bool,
 ) -> Option<u64> {
     let config = PsglConfig {
         gpsi_budget: budget,
-        ..PsglConfig::with_workers(workers).init_vertex(init).edge_index(use_index)
+        ..PsglConfig::with_workers(workers).init_vertex(init).edge_index(use_index).kernels(kernels)
     };
     let shared = PsglShared::prepare(&ds.graph, pattern, &config).expect("prepare");
     match list_subgraphs_prepared(&shared, &config) {
@@ -53,31 +54,36 @@ fn main() {
     ];
     let table = Table::new(&[
         ("graph", 13),
-        ("pattern", 18),
+        ("pattern", 26),
         ("Gpsi# w/ index", 15),
         ("Gpsi# w/o index", 16),
         ("pruning ratio", 14),
     ]);
     for (ds, pattern, init, budget) in cases {
-        let with = gpsi_count(ds, &pattern, init, true, None, workers)
-            .expect("indexed run fits in memory");
-        let without = gpsi_count(ds, &pattern, init, false, budget, workers);
-        let (wo_str, ratio) = match without {
-            Some(wo) => {
-                (sci(wo), format!("{:.2}%", 100.0 * (wo.saturating_sub(with)) as f64 / wo as f64))
-            }
-            None => ("OOM".to_string(), "unknown".to_string()),
-        };
-        table.row(&[
-            ds.name.to_string(),
-            format!("{}(v{})", pattern, init + 1),
-            sci(with),
-            wo_str,
-            ratio,
-        ]);
+        for kernels in [false, true] {
+            let with = gpsi_count(ds, &pattern, init, true, None, workers, kernels)
+                .expect("indexed run fits in memory");
+            let without = gpsi_count(ds, &pattern, init, false, budget, workers, kernels);
+            let (wo_str, ratio) = match without {
+                Some(wo) => (
+                    sci(wo),
+                    format!("{:.2}%", 100.0 * (wo.saturating_sub(with)) as f64 / wo as f64),
+                ),
+                None => ("OOM".to_string(), "unknown".to_string()),
+            };
+            let extension = if kernels { EXTENSION } else { "" };
+            table.row(&[
+                ds.name.to_string(),
+                format!("{}(v{}){extension}", pattern, init + 1),
+                sci(with),
+                wo_str,
+                ratio,
+            ]);
+        }
     }
     println!(
         "\nshape: substantial pruning on patterns with cross edges; the no-index clique run OOMs \
          (paper Table 2: 58-93% pruning, PG4 w/o index OOM)."
     );
+    extension_note();
 }

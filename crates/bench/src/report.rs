@@ -7,12 +7,28 @@
 
 use std::time::Instant;
 
-/// Prints the standard experiment banner.
+/// Row label of the one run per case that an experiment makes with the
+/// closing kernels on (DESIGN.md §12). The kernels are this
+/// reproduction's extension, not the paper's Algorithm 1: every paper row
+/// runs with `kernels(false)`, and no `shape:` line reads this row.
+pub const EXTENSION: &str = "+kernels";
+
+/// Prints the standard experiment banner, with the machine's core count.
 pub fn banner(artifact: &str, description: &str, scale: f64) {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("================================================================");
     println!("{artifact}: {description}");
     println!("(synthetic stand-in datasets, PSGL_SCALE={scale}; see DESIGN.md §3)");
+    println!("(machine: {cores} cores)");
     println!("================================================================");
+}
+
+/// The line that explains an experiment's [`EXTENSION`] row.
+pub fn extension_note() {
+    println!(
+        "({EXTENSION}: the closing kernels, an extension beyond the paper, with the default \
+         strategy (WA,0.5); the other rows run the paper's Algorithm 1 with kernels off)"
+    );
 }
 
 /// A fixed-width table printer.

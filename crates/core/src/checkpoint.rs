@@ -128,7 +128,9 @@ pub struct WorkerCheckpoint {
     pub emitted_this_superstep: u64,
     /// Superstep `emitted_this_superstep` refers to.
     pub emitted_superstep: u32,
-    /// Whether a fan-out limit had tripped (drain mode).
+    /// Whether this worker's output alone had outgrown the Gpsi budget
+    /// (`PsglConfig::gpsi_budget`), so that it drains its remaining messages
+    /// without expanding them (the simulated OOM abort).
     pub failed: bool,
     /// Instances/counts harvested so far.
     pub harvest: Harvested,

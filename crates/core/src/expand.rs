@@ -96,9 +96,6 @@ pub struct ExpandScratch {
     /// every neighbor of `v_d` that survives injectivity, so the per-slot
     /// scans below it are compare-only over scratch-resident data.
     pub(crate) base_cands: Vec<(VertexId, u32, u32)>,
-    /// The closing kernels' version of `base_cands`, in rank space:
-    /// `(rank, degree)` per surviving neighbor of `v_d`.
-    pub(crate) base_ranks: Vec<(u32, u32)>,
     /// Candidate arena: `cand_data[cand_bounds[i]..cand_bounds[i+1]]` holds
     /// the valid data vertices for WHITE slot `i` (their ranks, in the
     /// closing kernels).
@@ -118,11 +115,10 @@ pub struct ExpandScratch {
     pub(crate) cursors: Vec<usize>,
     /// GRAY candidates handed to the distribution strategy.
     pub(crate) grays: Vec<GrayCandidate>,
-    /// Connectivity map of the closing kernels: one byte per data vertex,
-    /// indexed by rank, all-zero between expansions. Bits 0–1 mark a
-    /// connectivity target's adjacency while a slot's arena is built; bit
-    /// 2 marks the final arena of a two-WHITE Close for its expansion.
-    /// Sized to the data graph on the first compiled-kernel dispatch
+    /// Connectivity map of the closing kernels: one mark per data vertex,
+    /// indexed by rank, all-zero between expansions. Only the two-WHITE
+    /// Close (`close_pair`) sets it, marking its final arena for its
+    /// expansion. Sized to the data graph by the first such expansion
     /// (pre-steady-state; retained afterwards).
     pub(crate) cmap: Vec<u8>,
     /// A closing expansion's candidate universe: the rank-sorted union of
@@ -142,8 +138,6 @@ pub struct ExpandScratch {
     /// Ranks of the two-hop vertex's wedge targets for one full
     /// combination.
     pub(crate) w_targets: Vec<u32>,
-    /// Ranks of the per-slot conn targets routed down the gallop path.
-    pub(crate) conn_gallop: Vec<u32>,
     /// Ranks that closed an instance in one closing-join loop (or, in a
     /// TwoHop expansion, final-slot bindings that passed), queued for the
     /// keep path when the harvest keeps instances; empty under count-only.

@@ -56,18 +56,26 @@
 //!   join seeded from the lowest-degree endpoint. Covers rectangles and
 //!   the rim expansion of tailed shapes.
 //!
-//! ## The connectivity map
+//! ## One intersection primitive
 //!
-//! `cmap` lives in [`ExpandScratch`] (sized once, lazily, to the data
-//! graph — steady state performs zero allocations), is indexed by rank,
-//! and is all-zero between expansions by construction: every mark is
-//! cleared by walking the list that set it. Bits 0–1 mark a connectivity
-//! target's adjacency while a slot's arena is built, and [`close_pair`]
-//! marks its final arena in [`ARENA_BIT`] for the whole expansion.
-//! Adjacency checks are degree-adaptive at both sites: short lists are
-//! marked and probed in O(1) per candidate (`intersect_probe`), long lists
-//! are galloped into per candidate (`intersect_gallop`), the cutoff being
-//! a small multiple of the number of probes the mark would serve.
+//! PSgL keeps a WHITE candidate only if it is adjacent to the slot's
+//! mapped pattern neighbours (pruning rule 2). Every list here is
+//! rank-sorted, so the kernels decide that rule, and every other
+//! adjacency test, by intersecting sorted lists through cursors that
+//! only gallop forward. [`seek`] is that step: a slot's arena scan
+//! ascends through its side of `N(v_d)` with one cursor per connectivity
+//! target ([`arena_filter`]), and a wedge join with several targets
+//! walks its seed list in rank order with one cursor per other target
+//! ([`join_two_hop`]). The odometer's rows and final joins
+//! ([`merge_positions`]) and `close_pair`'s hub walk run the same step
+//! inline on their one cursor.
+//!
+//! The one exception is [`close_pair`], the triangle join: it marks its
+//! final arena in `cmap` (one byte per rank, in [`ExpandScratch`], sized
+//! to the data graph on first use) for the whole expansion, and probes one byte
+//! per neighbour of a short binding list (`cmap_probes`); a hub binding
+//! walks the arena and seeks into its list instead. The marks are cleared
+//! by walking the arena again, so the map is all-zero between expansions.
 //!
 //! ## The word-mask odometer
 //!
@@ -104,30 +112,29 @@ use psgl_graph::algo::gallop_lower_bound;
 use psgl_graph::{OrderedGraph, VertexId};
 use psgl_pattern::PatternVertex;
 
-/// Mark an adjacency list into the cmap when it is at most this many times
-/// longer than the candidate set it will be probed against; beyond that,
-/// galloping per candidate is cheaper than walking the list twice.
+/// [`close_pair`] walks a binding's list against its marked final arena
+/// when the list is shorter than this many times the arena; beyond that,
+/// walking the arena and galloping into the list is cheaper.
 const PROBE_RATIO: usize = 4;
 
-/// Bit of `cmap` with which [`close_pair`] marks its final arena for the
-/// whole expansion (bits 0–1 are the arena builder's, and are clear by
-/// then).
-const ARENA_BIT: u8 = 1 << 2;
-
-/// Membership test in a sorted rank list.
-#[inline]
-fn contains(sorted: &[u32], x: u32) -> bool {
-    let i = gallop_lower_bound(sorted, x);
-    i < sorted.len() && sorted[i] == x
+/// The one intersection step: gallops the cursor `at` forward through the
+/// sorted `list` to the first element `>= x`, and reports whether that
+/// element is `x`. Tests of ascending `x` share a cursor, so a run of them
+/// is one forward pass over `list`.
+#[inline(always)]
+fn seek(list: &[u32], at: &mut usize, x: u32) -> bool {
+    *at += gallop_lower_bound(&list[*at..], x);
+    list.get(*at) == Some(&x)
 }
 
-/// Exact edge test between two ranks, searching the shorter list.
+/// Exact edge test between two ranks: one seek from the front of the
+/// shorter list.
 #[inline]
 fn adjacent(ordered: &OrderedGraph, a: u32, b: u32) -> bool {
     if ordered.degree_of_rank(a) <= ordered.degree_of_rank(b) {
-        contains(ordered.neighbors_of_rank(a), b)
+        seek(ordered.neighbors_of_rank(a), &mut 0, b)
     } else {
-        contains(ordered.neighbors_of_rank(b), a)
+        seek(ordered.neighbors_of_rank(b), &mut 0, a)
     }
 }
 
@@ -209,17 +216,11 @@ pub(crate) fn expand_specialized(
         }
     }
 
-    if scratch.cmap.len() < ordered.len() {
-        scratch.cmap.resize(ordered.len(), 0);
-    }
-
     let rvd = mapped[vp as usize];
-    let neighbors_vd = ordered.neighbors_of_rank(rvd);
-    let deg_vd = neighbors_vd.len() as u64;
+    let deg_vd = u64::from(ordered.degree_of_rank(rvd));
     let ExpandScratch {
         white_meta,
         conn_data,
-        base_ranks,
         cand_data,
         chosen,
         cmap,
@@ -229,7 +230,6 @@ pub(crate) fn expand_specialized(
         row,
         w_static,
         w_targets,
-        conn_gallop,
         kept,
         w_kept,
         ..
@@ -281,21 +281,16 @@ pub(crate) fn expand_specialized(
         WExtra { w, min_degree: p.degree(w), lo, hi, edge_slots, lt_slots, gt_slots }
     });
 
-    // Per-slot candidate arenas, with two fusions over the generic path:
-    // slots whose pruning facts are identical (same degree bound, rank
-    // window, label class and wedge targets — every WHITE slot of a
-    // clique) *alias* one arena instead of rescanning `N(v_d)`, and the
-    // first distinct slot's scan doubles as the slot-independent
-    // prefilter. A triangle or k-clique expansion therefore builds its
-    // single shared arena in one pass over `N(v_d)`. Connectivity to
-    // mapped wedge targets stays exact: short target adjacencies are
-    // marked into cmap bits 0-1 and probed in O(1); long ones are
-    // galloped into per candidate.
+    // Per-slot candidate arenas. Slots whose pruning facts are identical
+    // (same degree bound, rank window, label class and connectivity targets
+    // — every WHITE slot of a clique) *alias* one arena instead of
+    // rescanning `N(v_d)`; each distinct slot scans its own side of it once
+    // (see [`arena_filter`]).
     let mut ranges = [(0usize, 0usize); KERNEL_MAX_SLOTS];
     let mut alias = [usize::MAX; KERNEL_MAX_SLOTS];
-    let mut distinct = 0usize;
     for si in 0..nw {
         let meta = &white_meta[si];
+        let targets = &conn_data[meta.conn_start..meta.conn_end];
         alias[si] = (0..si)
             .find(|&j| {
                 alias[j] == usize::MAX && {
@@ -303,8 +298,7 @@ pub(crate) fn expand_specialized(
                     prev.min_degree == meta.min_degree
                         && prev.lo_rank == meta.lo_rank
                         && prev.hi_rank == meta.hi_rank
-                        && conn_data[prev.conn_start..prev.conn_end]
-                            == conn_data[meta.conn_start..meta.conn_end]
+                        && conn_data[prev.conn_start..prev.conn_end] == *targets
                         && match &shared.labels {
                             None => true,
                             Some((_, pl)) => pl[prev.wv as usize] == pl[meta.wv as usize],
@@ -312,106 +306,13 @@ pub(crate) fn expand_specialized(
                 }
             })
             .unwrap_or(usize::MAX);
-        if alias[si] == usize::MAX {
-            distinct += 1;
-        }
-    }
-    // base_ranks only exists to amortize the slot-independent lookups
-    // across *multiple* distinct scans; with one distinct slot (triangles,
-    // k-cliques, stars) it would never be read back.
-    let keep_base = distinct > 1;
-    base_ranks.clear();
-    let mut used: u64 = 0;
-    let mut base_built = false;
-    for si in 0..nw {
-        let meta = &white_meta[si];
         if alias[si] != usize::MAX {
             ranges[si] = ranges[alias[si]];
             continue;
         }
         cost += deg_vd;
-        let targets = &conn_data[meta.conn_start..meta.conn_end];
-        conn_gallop.clear();
-        let mut probe_targets = [0u32; 2];
-        let mut probe_cnt = 0usize;
-        let mut probe_mask = 0u8;
-        for &t in targets {
-            let deg_t = ordered.degree_of_rank(t) as usize;
-            if probe_cnt < 2 && deg_t <= PROBE_RATIO * (deg_vd as usize).max(1) {
-                let bit = 1u8 << probe_cnt;
-                for &x in ordered.neighbors_of_rank(t) {
-                    cmap[x as usize] |= bit;
-                }
-                probe_targets[probe_cnt] = t;
-                probe_cnt += 1;
-                probe_mask |= bit;
-                stats.intersect_probe += 1;
-            } else {
-                conn_gallop.push(t);
-            }
-        }
         let start = cand_data.len();
-        if base_built {
-            stats.pruned_injectivity += used;
-            for &(cd, deg_cd) in base_ranks.iter() {
-                arena_filter(
-                    shared,
-                    meta,
-                    cd,
-                    deg_cd,
-                    probe_mask,
-                    cmap,
-                    conn_gallop,
-                    cand_data,
-                    stats,
-                );
-            }
-        } else {
-            // With a single distinct slot the scan serves only this window;
-            // a window one-sided against `v_d`'s own rank lives entirely on
-            // the matching side of `N(v_d)`'s split — half the volume of a
-            // skewed adjacency and no wasted filter calls on the far side.
-            // A shared base scan (keep_base) must cover every slot's
-            // window, so it stays on the full list.
-            let scan: &[u32] = if keep_base {
-                neighbors_vd
-            } else if meta.lo_rank > rvd {
-                ordered.higher_of_rank(rvd)
-            } else if meta.hi_rank <= rvd {
-                ordered.lower_of_rank(rvd)
-            } else {
-                neighbors_vd
-            };
-            for &cd in scan {
-                if mapped.contains(&cd) {
-                    used += 1;
-                    continue;
-                }
-                let deg_cd = ordered.degree_of_rank(cd);
-                if keep_base {
-                    base_ranks.push((cd, deg_cd));
-                }
-                arena_filter(
-                    shared,
-                    meta,
-                    cd,
-                    deg_cd,
-                    probe_mask,
-                    cmap,
-                    conn_gallop,
-                    cand_data,
-                    stats,
-                );
-            }
-            stats.pruned_injectivity += used;
-            base_built = true;
-        }
-        for (j, &t) in probe_targets[..probe_cnt].iter().enumerate() {
-            let bit = 1u8 << j;
-            for &x in ordered.neighbors_of_rank(t) {
-                cmap[x as usize] &= !bit;
-            }
-        }
+        arena_filter(shared, meta, rvd, mapped, targets, cand_data, stats);
         if cand_data.len() == start {
             stats.died_no_candidates += 1;
             stats.cost += cost;
@@ -446,6 +347,9 @@ pub(crate) fn expand_specialized(
     } else if nw == 2 && w_extra.is_none() {
         // The two-WHITE Close (triangles, paths of length two): one binding
         // and a join per binding, with nothing for masks to fold.
+        if cmap.len() < ordered.len() {
+            cmap.resize(ordered.len(), 0);
+        }
         if let Harvested::Instances(_) = harvest {
             let (start, end) = ranges[0];
             ranges[0] = (cand_data.len(), cand_data.len() + end - start);
@@ -935,51 +839,58 @@ impl Final<'_, '_> {
     }
 }
 
-/// One candidate's slot-specific arena checks: degree bound, label class,
-/// static rank window, and exact connectivity to the slot's pre-mapped
-/// wedge targets (mark-probed or galloped). Pushes survivors into the
-/// arena.
-#[allow(clippy::too_many_arguments)]
-#[inline]
+/// Builds one WHITE slot's candidate arena. Scans the side of `N(v_d)`
+/// (`v_d` of rank `rvd`) that the slot's rank window lies on, or all of
+/// it, and pushes each candidate that passes injectivity, the degree
+/// bound, the label class, the window and exact connectivity to every
+/// target. Each target's list has a cursor that only moves forward, since
+/// the scan ascends.
+#[inline(always)]
 fn arena_filter(
     shared: &PsglShared<'_>,
     meta: &WhiteMeta,
-    cd: u32,
-    deg_cd: u32,
-    probe_mask: u8,
-    cmap: &[u8],
-    conn_gallop: &[u32],
+    rvd: u32,
+    mapped: &[u32],
+    targets: &[u32],
     cand_data: &mut Vec<u32>,
     stats: &mut ExpandStats,
 ) {
-    if deg_cd < meta.min_degree {
-        stats.pruned_degree += 1;
-        return;
-    }
-    if !label_ok(shared, meta.wv, cd) {
-        stats.pruned_label += 1;
-        return;
-    }
-    if cd < meta.lo_rank || cd >= meta.hi_rank {
-        stats.pruned_order += 1;
-        return;
-    }
-    if probe_mask != 0 {
-        stats.cmap_probes += 1;
-        if cmap[cd as usize] & probe_mask != probe_mask {
-            stats.pruned_connectivity += 1;
-            return;
+    let ordered = &*shared.ordered;
+    let scan = if meta.lo_rank > rvd {
+        ordered.higher_of_rank(rvd)
+    } else if meta.hi_rank <= rvd {
+        ordered.lower_of_rank(rvd)
+    } else {
+        ordered.neighbors_of_rank(rvd)
+    };
+    debug_assert!(targets.len() <= MAX_GPSI_VERTICES, "a slot's targets are mapped vertices");
+    let mut at = [0usize; MAX_GPSI_VERTICES];
+    'cand: for &cd in scan {
+        if mapped.contains(&cd) {
+            stats.pruned_injectivity += 1;
+            continue;
         }
-        stats.cmap_hits += 1;
-    }
-    for &t in conn_gallop {
-        stats.intersect_gallop += 1;
-        if !contains(shared.ordered.neighbors_of_rank(t), cd) {
-            stats.pruned_connectivity += 1;
-            return;
+        if ordered.degree_of_rank(cd) < meta.min_degree {
+            stats.pruned_degree += 1;
+            continue;
         }
+        if !label_ok(shared, meta.wv, cd) {
+            stats.pruned_label += 1;
+            continue;
+        }
+        if cd < meta.lo_rank || cd >= meta.hi_rank {
+            stats.pruned_order += 1;
+            continue;
+        }
+        for (&t, at) in targets.iter().zip(&mut at) {
+            stats.intersect_gallop += 1;
+            if !seek(ordered.neighbors_of_rank(t), at, cd) {
+                stats.pruned_connectivity += 1;
+                continue 'cand;
+            }
+        }
+        cand_data.push(cd);
     }
-    cand_data.push(cd);
 }
 
 /// Counts one closed instance whose last vertex binds to rank `x`. Every
@@ -1047,7 +958,7 @@ fn keep_closed(
 /// 0, merge-join the final slot's arena against it and emit every closed
 /// instance. Triangles spend almost the whole expansion here, so the join
 /// skips the masks: the arena is marked into the cmap **once per
-/// expansion** ([`ARENA_BIT`]), turning the common low-degree-binding case
+/// expansion**, turning the common low-degree-binding case
 /// into a sequential walk of `N(c0)` with one O(1) map probe per neighbor.
 /// High-degree bindings still walk the arena and gallop,
 /// window-and-injectivity first. All rank-window masks and arena slices
@@ -1078,7 +989,7 @@ fn close_pair(
     let np = shared.pattern.num_vertices();
     if joined {
         for &x in arena {
-            cmap[x as usize] |= ARENA_BIT;
+            cmap[x as usize] = 1;
         }
         stats.intersect_probe += 1;
     }
@@ -1107,7 +1018,7 @@ fn close_pair(
                 *cost += tn.len() as u64;
                 for &x in tn {
                     stats.cmap_probes += 1;
-                    if cmap[x as usize] & ARENA_BIT == 0 {
+                    if cmap[x as usize] == 0 {
                         continue;
                     }
                     stats.cmap_hits += 1;
@@ -1172,7 +1083,7 @@ fn close_pair(
     }
     if joined {
         for &x in arena {
-            cmap[x as usize] &= !ARENA_BIT;
+            cmap[x as usize] = 0;
         }
     }
 }
@@ -1247,7 +1158,7 @@ fn join_two_hop(
         let inside = mapped
             .iter()
             .chain(chosen)
-            .filter(|&&m| (lo..hi).contains(&m) && contains(window, m))
+            .filter(|&&m| (lo..hi).contains(&m) && seek(window, &mut 0, m))
             .count();
         let closed = (window.len() - inside) as u64;
         stats.combinations_examined += nbt.len() as u64;
@@ -1262,7 +1173,8 @@ fn join_two_hop(
     // A listing keeps the survivors in id order. With one wedge target
     // every member of the window survives, so it walks `N(bt)` in id
     // order through the data graph's list; with several, few survive the
-    // gallops, so it walks ranks and sorts the survivors.
+    // intersection, so it walks ranks, which lets each other target keep a
+    // forward-only cursor, and sorts the survivors.
     let by_id: &[VertexId] = match harvest {
         Harvested::Instances(_) if w_targets.len() == 1 => {
             shared.graph.neighbors(ordered.vertex(bt))
@@ -1270,6 +1182,8 @@ fn join_two_hop(
         _ => &[],
     };
     let ranks = ordered.ranks();
+    debug_assert!(w_targets.len() <= MAX_GPSI_VERTICES, "wedge targets are mapped vertices");
+    let mut at = [0usize; MAX_GPSI_VERTICES];
     'wcand: for (pos, &r) in nbt.iter().enumerate() {
         let x = if by_id.is_empty() { r } else { ranks[by_id[pos] as usize] };
         stats.combinations_examined += 1;
@@ -1289,12 +1203,12 @@ fn join_two_hop(
             stats.pruned_injectivity += 1;
             continue;
         }
-        for (i, &t) in w_targets.iter().enumerate() {
+        for (i, (&t, at)) in w_targets.iter().zip(&mut at).enumerate() {
             if i == base_i {
                 continue;
             }
             stats.intersect_gallop += 1;
-            if !adjacent(ordered, t, x) {
+            if !seek(ordered.neighbors_of_rank(t), at, x) {
                 stats.pruned_connectivity += 1;
                 continue 'wcand;
             }
@@ -1313,7 +1227,8 @@ fn join_two_hop(
 #[cfg(test)]
 mod tests {
     use super::{
-        bit, build_row, count_bits, fold, merge_arenas, merge_positions, next_bit, set_arena, Side,
+        bit, build_row, count_bits, fold, merge_arenas, merge_positions, next_bit, seek, set_arena,
+        Side,
     };
     use crate::expand::list_all;
     use crate::{PsglConfig, PsglShared};
@@ -1416,6 +1331,21 @@ mod tests {
                 assert_eq!(set_positions(&row, span), want, "row, list of {}", list.len());
             }
         }
+    }
+
+    #[test]
+    fn seek_answers_ascending_membership_with_one_forward_cursor() {
+        let list: Vec<u32> = (0..300).map(|x| 3 * x + 1).collect();
+        for step in [1u32, 2, 7, 100] {
+            let mut at = 0usize;
+            for x in (0..1000).step_by(step as usize) {
+                let before = at;
+                assert_eq!(seek(&list, &mut at, x), list.contains(&x), "x {x}, step {step}");
+                assert!(at >= before, "the cursor only moves forward");
+                assert_eq!(at, list.partition_point(|&y| y < x), "x {x}, step {step}");
+            }
+        }
+        assert!(!seek(&[], &mut 0, 5));
     }
 
     #[test]

@@ -25,13 +25,13 @@ psgl_obs::counters! {
             of Equation 2.",
         index_probes: "Edge-index probes issued.",
         cost: "Accumulated cost in Equation 2 units.",
-        kernel_close: "Expansions handled by the connectivity-map closing kernel.",
+        kernel_close: "Expansions handled by the Close closing kernel.",
         kernel_twohop: "Expansions handled by the two-hop (wedge-join) closing kernel.",
-        cmap_probes: "Connectivity-map lookups performed by compiled kernels.",
+        cmap_probes: "Connectivity-map lookups of the two-WHITE Close (`close_pair`).",
         cmap_hits: "Of `cmap_probes`, lookups that found the required connectivity.",
-        intersect_gallop: "Exact adjacency checks taken down the galloping-merge path.",
-        intersect_probe: "Adjacency intersections taken down the cmap mark-and-probe path \
-            (one per marked adjacency list).",
+        intersect_gallop: "Exact adjacency tests and merges taken by forward-galloping cursors \
+            (one per target tested, per row or join merged, per hub binding).",
+        intersect_probe: "Final arenas the two-WHITE Close marked into the connectivity map.",
     }
 }
 

@@ -3,6 +3,8 @@
 //! on/off), the Afrati multiway join, SGIA-MR, the one-hop engine, and the
 //! centralized oracle.
 
+mod common;
+
 use psgl::baselines::{afrati, centralized, onehop, sgia};
 use psgl::core::{list_subgraphs, list_subgraphs_prepared, PsglConfig, PsglShared, Strategy};
 use psgl::graph::{generators, DataGraph};
@@ -246,23 +248,7 @@ fn collected_instances_match_oracle_listing() {
 /// give the oracle's count, and a listing that many distinct tuples.
 #[test]
 fn kernel_masks_cross_word_boundaries_around_a_hub() {
-    let spokes = 132u32;
-    let mix = |mut x: u64| {
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^ (x >> 31)
-    };
-    let quarter = spokes / 4;
-    let planted = |a: u32, b: u32| (a - 1) % quarter == (b - 1) % quarter;
-    let mut edges: Vec<(u32, u32)> = (1..=spokes).map(|v| (0, v)).collect();
-    for a in 1..=spokes {
-        for b in a + 1..=spokes {
-            if planted(a, b) || mix(u64::from(a) << 32 | u64::from(b)) % 100 < 4 {
-                edges.push((a, b));
-            }
-        }
-    }
-    let g = DataGraph::from_edges(spokes as usize + 1, &edges).unwrap();
+    let g = common::planted_hub(132);
     let ordered = psgl::graph::OrderedGraph::new(&g);
     assert!(ordered.nb(0) >= 130, "the hub's universe must span three words");
     for pattern in [
