@@ -14,8 +14,8 @@ use psgl_pattern::catalog;
 
 fn main() {
     let scale = datasets::scale_from_env();
-    banner("Ablation", "automorphism breaking on/off", scale);
     let ds = datasets::uspatent(scale);
+    banner("Ablation", "automorphism breaking on/off", scale, [&ds]);
     println!(
         "{} ({} vertices, {} edges)\n",
         ds.name,

@@ -14,8 +14,8 @@ use psgl_pattern::catalog;
 
 fn main() {
     let scale = datasets::scale_from_env();
-    banner("Ablation", "edge-index precision sweep (bits per edge)", scale);
     let ds = datasets::livejournal(scale);
+    banner("Ablation", "edge-index precision sweep (bits per edge)", scale, [&ds]);
     let pattern = catalog::square();
     println!("{} ({} edges), {}\n", ds.name, ds.graph.num_edges(), pattern);
     let table = Table::new(&[

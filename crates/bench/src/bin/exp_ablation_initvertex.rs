@@ -15,7 +15,8 @@ use psgl_pattern::catalog;
 
 fn main() {
     let scale = datasets::scale_from_env() * 0.35;
-    banner("Ablation", "cost-model initial-vertex choice vs measured optimum", scale);
+    let stand_ins = [datasets::webgoogle(scale), datasets::randgraph(scale)];
+    banner("Ablation", "cost-model initial-vertex choice vs measured optimum", scale, &stand_ins);
     let workers = 8;
     let table = Table::new(&[
         ("case", 32),
@@ -24,7 +25,7 @@ fn main() {
         ("true best", 10),
         ("auto/best", 10),
     ]);
-    for ds in [datasets::webgoogle(scale), datasets::randgraph(scale)] {
+    for ds in &stand_ins {
         for pattern in catalog::paper_patterns() {
             // Measured cost for every initial vertex (budgeted: terrible
             // choices are cut off and treated as +inf).

@@ -115,6 +115,7 @@ fn main() -> ExitCode {
         "BENCH_delta",
         "incremental listing vs scratch recompute on a dynamic Chung-Lu graph",
         scale,
+        [],
     );
     // Size batches off the realized edge count so churn is provably ≤1%;
     // the same seed makes this probe graph identical to the fixture base.

@@ -17,11 +17,6 @@ use psgl_pattern::catalog;
 
 fn main() {
     let scale = datasets::scale_from_env();
-    banner(
-        "Figure 3",
-        "runtime of distribution strategies (PG2 on WebGoogle/WikiTalk/UsPatent, PG4 on LiveJournal)",
-        scale,
-    );
     let workers = 8;
     let cases = [
         (datasets::webgoogle(scale), catalog::square()),
@@ -29,6 +24,12 @@ fn main() {
         (datasets::uspatent(scale), catalog::square()),
         (datasets::livejournal(scale), catalog::four_clique()),
     ];
+    banner(
+        "Figure 3",
+        "runtime of distribution strategies (PG2 on WebGoogle/WikiTalk/UsPatent, PG4 on LiveJournal)",
+        scale,
+        cases.iter().map(|(ds, _)| ds),
+    );
     for (ds, pattern) in cases {
         println!(
             "\n--- {} on {} ({} vertices, {} edges, {workers} workers) ---",

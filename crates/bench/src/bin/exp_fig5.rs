@@ -13,9 +13,9 @@ use psgl_pattern::catalog;
 
 fn main() {
     let scale = datasets::scale_from_env();
-    banner("Figure 5", "per-worker cost for PG2 on WikiTalk, all strategies", scale);
-    let workers = 13; // the paper uses 52; scaled with the dataset
     let ds = datasets::wikitalk(scale);
+    banner("Figure 5", "per-worker cost for PG2 on WikiTalk, all strategies", scale, [&ds]);
+    let workers = 13; // the paper uses 52; scaled with the dataset
     let pattern = catalog::square();
     println!(
         "{} ({} vertices, {} edges), {workers} workers\n",

@@ -60,12 +60,17 @@ fn run_case(ds: &Dataset, pattern: &Pattern, workers: usize) {
 
 fn main() {
     let scale = datasets::scale_from_env();
-    banner("Figure 6", "runtime ratio of each initial pattern vertex vs the best", scale);
-    let workers = 8;
     let lj = datasets::livejournal(scale);
     let wiki = datasets::wikitalk(scale);
     let web = datasets::webgoogle(scale);
     let rand = datasets::randgraph(scale);
+    banner(
+        "Figure 6",
+        "runtime ratio of each initial pattern vertex vs the best",
+        scale,
+        [&lj, &wiki, &web, &rand],
+    );
+    let workers = 8;
     // 6(a) LiveJournal: PG1 and PG4. 6(b) WikiTalk: PG2 and PG4.
     // 6(c) WebGoogle: PG1 and PG4. 6(d) RandGraph: PG1 and PG2.
     run_case(&lj, &catalog::triangle(), workers);

@@ -101,7 +101,6 @@ fn run_case(ds: &Dataset, pattern: &Pattern, workers: usize, table: &Table) {
 
 fn main() {
     let scale = datasets::scale_from_env() * 0.25;
-    banner("Figure 7", "runtime ratio among PSgL, Afrati and SGIA-MR (PG1-PG4)", scale);
     let workers = 8;
     let graphs = [
         datasets::livejournal(scale),
@@ -109,6 +108,7 @@ fn main() {
         datasets::webgoogle(scale),
         datasets::uspatent(scale),
     ];
+    banner("Figure 7", "runtime ratio among PSgL, Afrati and SGIA-MR (PG1-PG4)", scale, &graphs);
     let patterns = [
         catalog::triangle(),
         catalog::square(),

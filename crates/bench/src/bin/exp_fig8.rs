@@ -13,8 +13,8 @@ use psgl_pattern::catalog;
 
 fn main() {
     let scale = datasets::scale_from_env();
-    banner("Figure 8", "PG2 on WikiTalk, workers 10..80 vs ideal linear scaling", scale);
     let ds = datasets::wikitalk(scale);
+    banner("Figure 8", "PG2 on WikiTalk, workers 10..80 vs ideal linear scaling", scale, [&ds]);
     let pattern = catalog::square();
     println!(
         "{} ({} vertices, {} edges)\n",

@@ -67,6 +67,7 @@ fn main() {
         "BENCH_service",
         "service throughput: concurrent count queries over loopback TCP",
         scale,
+        [],
     );
 
     let n_clients: usize = 8;

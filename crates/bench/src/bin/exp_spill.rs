@@ -43,6 +43,7 @@ fn main() {
         "BENCH_spill",
         "memory-bounded execution: capped + spilling runs vs uncapped",
         scale,
+        [],
     );
 
     // ---- Phase 1: engine, uncapped vs capped-to-25%-of-peak ----

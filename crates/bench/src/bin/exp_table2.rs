@@ -40,10 +40,10 @@ fn gpsi_count(
 
 fn main() {
     let scale = datasets::scale_from_env();
-    banner("Table 2", "pruning ratio of the light-weight edge index", scale);
-    let workers = 8;
     let lj = datasets::livejournal(scale);
     let us = datasets::uspatent(scale);
+    banner("Table 2", "pruning ratio of the light-weight edge index", scale, [&lj, &us]);
+    let workers = 8;
     // The paper's OOM row: the 4-clique without the index on LiveJournal.
     // Budget chosen relative to the indexed run so the blow-up trips it.
     let cases: [(&Dataset, Pattern, PatternVertex, Option<u64>); 4] = [

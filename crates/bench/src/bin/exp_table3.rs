@@ -43,7 +43,13 @@ fn run_case(ds: &Dataset, workers: usize, table: &Table) {
 
 fn main() {
     let scale = datasets::scale_from_env();
-    banner("Table 3", "triangle listing on the large graphs (Twitter~, Wikipedia~)", scale);
+    let stand_ins = [datasets::twitter(scale), datasets::wikipedia(scale)];
+    banner(
+        "Table 3",
+        "triangle listing on the large graphs (Twitter~, Wikipedia~)",
+        scale,
+        &stand_ins,
+    );
     let workers = 8;
     let table = Table::new(&[
         ("graph", 12),
@@ -53,8 +59,8 @@ fn main() {
         ("Centrl ms", 10),
         ("PSgL ms", 9),
     ]);
-    for ds in [datasets::twitter(scale), datasets::wikipedia(scale)] {
-        run_case(&ds, workers, &table);
+    for ds in &stand_ins {
+        run_case(ds, workers, &table);
     }
     println!(
         "\ncolumn mapping: OneHop ~ PowerGraph, Centrl ~ GraphChi. shape: PSgL well ahead of \

@@ -30,7 +30,6 @@ struct Case {
 
 fn main() {
     let scale = datasets::scale_from_env();
-    banner("Table 4", "general pattern listing comparison (fixed orders, OOM rows)", scale);
     let workers = 8;
     // Budgets model real node memory, not tuned thresholds: the one-hop
     // engine may hold 50M intermediate embeddings (~2 GB), PSgL 6M Gpsis
@@ -75,6 +74,12 @@ fn main() {
             order_name: "1->3->4->2->5",
         },
     ];
+    banner(
+        "Table 4",
+        "general pattern listing comparison (fixed orders, OOM rows)",
+        scale,
+        cases.iter().map(|case| &case.ds),
+    );
     let table = Table::new(&[
         ("case", 34),
         ("order", 18),

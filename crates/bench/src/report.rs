@@ -5,6 +5,7 @@
 //! (c) a `shape:` line summarizing what to compare against the paper
 //! (`EXPERIMENTS.md` records both sides).
 
+use crate::datasets::Dataset;
 use std::time::Instant;
 
 /// Row label of the one run per case that an experiment makes with the
@@ -13,12 +14,33 @@ use std::time::Instant;
 /// runs with `kernels(false)`, and no `shape:` line reads this row.
 pub const EXTENSION: &str = "+kernels";
 
-/// Prints the standard experiment banner, with the machine's core count.
-pub fn banner(artifact: &str, description: &str, scale: f64) {
+/// Prints the standard experiment banner, with the machine's core count
+/// and one line per distinct stand-in dataset giving its size and
+/// [`content_hash`](psgl_graph::DataGraph::content_hash), so a generator
+/// change shows as a diff in the recorded output rather than as drift.
+pub fn banner<'a>(
+    artifact: &str,
+    description: &str,
+    scale: f64,
+    stand_ins: impl IntoIterator<Item = &'a Dataset>,
+) {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("================================================================");
     println!("{artifact}: {description}");
     println!("(synthetic stand-in datasets, PSGL_SCALE={scale}; see DESIGN.md §3)");
+    let mut seen = Vec::new();
+    for ds in stand_ins {
+        let hash = ds.graph.content_hash();
+        if !seen.contains(&(ds.name, hash)) {
+            seen.push((ds.name, hash));
+            println!(
+                "(stand-in {}: {} vertices, {} edges, content hash {hash:016x})",
+                ds.name,
+                ds.graph.num_vertices(),
+                ds.graph.num_edges()
+            );
+        }
+    }
     println!("(machine: {cores} cores)");
     println!("================================================================");
 }

@@ -35,7 +35,7 @@ use psgl_core::{
 };
 use psgl_graph::VertexId;
 use psgl_pattern::Pattern;
-use std::collections::BTreeSet;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// The signed result of one mutation batch for one query: instances that
@@ -66,12 +66,40 @@ impl InstanceDelta {
     /// update — `patch(pre_instances) == post_instances` when the list and
     /// the delta were produced under the same pinned ordering.
     pub fn patch(&self, instances: &mut Vec<Vec<VertexId>>) {
-        if !self.removed.is_empty() {
-            let dead: BTreeSet<&Vec<VertexId>> = self.removed.iter().collect();
-            instances.retain(|i| !dead.contains(i));
+        let view = std::mem::take(instances);
+        *instances = self.merge(view.into_iter().map(Cow::Owned));
+    }
+
+    /// [`patch`](Self::patch) of a shared list: the patched copy, built
+    /// in the same pass that reads `instances`.
+    pub fn patched(&self, instances: &[Vec<VertexId>]) -> Vec<Vec<VertexId>> {
+        self.merge(instances.iter().map(Cow::Borrowed))
+    }
+
+    /// One linear merge of three sorted lists: every element of `view`
+    /// not in `removed` (all copies of it), and every element of `added`.
+    fn merge<'a>(
+        &self,
+        view: impl ExactSizeIterator<Item = Cow<'a, Vec<VertexId>>>,
+    ) -> Vec<Vec<VertexId>> {
+        debug_assert!(self.added.is_sorted() && self.removed.is_sorted());
+        let mut out = Vec::with_capacity(view.len() + self.added.len());
+        let mut dead = self.removed.iter().peekable();
+        let mut born = self.added.iter().peekable();
+        for inst in view {
+            let i: &Vec<VertexId> = &inst;
+            while dead.next_if(|&d| d < i).is_some() {}
+            if dead.peek() == Some(&i) {
+                continue;
+            }
+            while let Some(a) = born.next_if(|&a| a <= i) {
+                out.push(a.clone());
+            }
+            out.push(inst.into_owned());
         }
-        instances.extend(self.added.iter().cloned());
-        instances.sort_unstable();
+        out.extend(born.cloned());
+        debug_assert!(out.is_sorted(), "patched a view that was not sorted");
+        out
     }
 }
 

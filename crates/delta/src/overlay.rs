@@ -6,7 +6,12 @@
 //! top: a *base* CSR plus sorted insert/delete overlay sets, advanced one
 //! epoch per applied batch. Every epoch materializes an [`EpochArtifacts`]
 //! snapshot (graph + ordered view + bloom index) that queries borrow like
-//! any other `DataGraph`, so the expansion kernel runs unmodified.
+//! any other `DataGraph`, so the expansion kernel runs unmodified. The
+//! snapshot is the previous one patched, not rebuilt: the batch's effective
+//! delta is merged into each touched adjacency list and every other list is
+//! copied whole ([`DataGraph::with_batch`]), one sequential pass over the
+//! CSR that yields the same bytes as building the new edge set from
+//! scratch.
 //!
 //! Three maintenance rules keep incremental listing exact and cheap:
 //!
@@ -34,7 +39,7 @@
 //!    the pinned ordering) to drop state that a rebuilt order invalidates.
 
 use psgl_core::EdgeIndex;
-use psgl_graph::generators::{apply_edge_batch, EdgeBatch};
+use psgl_graph::generators::EdgeBatch;
 use psgl_graph::{DataGraph, GraphError, OrderedGraph, VertexId};
 use psgl_obs::Value as TraceValue;
 use std::collections::BTreeSet;
@@ -189,20 +194,8 @@ impl DeltaGraph {
                 )));
             }
         }
-        let norm = |&(u, v): &(VertexId, VertexId)| if u <= v { (u, v) } else { (v, u) };
-        let inserted: BTreeSet<(VertexId, VertexId)> =
-            batch.insert.iter().map(norm).filter(|&(u, v)| u != v && !g.has_edge(u, v)).collect();
-        let deleted: Vec<(VertexId, VertexId)> = batch
-            .delete
-            .iter()
-            .map(norm)
-            .filter(|e| g.has_edge(e.0, e.1) && !inserted.contains(e))
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        let inserted: Vec<(VertexId, VertexId)> = inserted.into_iter().collect();
-        let effective = EdgeBatch { insert: inserted.clone(), delete: deleted.clone() };
-        let next = Arc::new(apply_edge_batch(g, &effective)?);
+        let EdgeBatch { insert: inserted, delete: deleted } = batch.effective(g)?;
+        let next = Arc::new(g.with_batch(&inserted, &deleted)?);
 
         // Grow-only bloom maintenance: clone the previous filter and add
         // the new edges; deletions leave stale bits (see module docs).

@@ -52,20 +52,17 @@ impl DataGraph {
                 )));
             }
             let run = &adjacency[offsets[v] as usize..offsets[v + 1] as usize];
-            for w in run.windows(2) {
-                if w[0] >= w[1] {
-                    return Err(GraphError::InvalidParameter(format!(
-                        "adjacency of vertex {v} not strictly increasing"
-                    )));
-                }
+            // Branch-free folds, so the scans vectorize.
+            if run.windows(2).fold(false, |bad, w| bad | (w[0] >= w[1])) {
+                return Err(GraphError::InvalidParameter(format!(
+                    "adjacency of vertex {v} not strictly increasing"
+                )));
             }
-            if run.iter().any(|&u| u as usize >= n) {
-                return Err(GraphError::VertexOutOfRange {
-                    vertex: u64::from(*run.iter().find(|&&u| u as usize >= n).unwrap()),
-                    bound: n as u64,
-                });
+            // The run is strictly increasing, so its last entry is its largest.
+            if let Some(&u) = run.last().filter(|&&u| u as usize >= n) {
+                return Err(GraphError::VertexOutOfRange { vertex: u64::from(u), bound: n as u64 });
             }
-            if run.binary_search(&(v as VertexId)).is_ok() {
+            if run.iter().fold(false, |bad, &u| bad | (u as usize == v)) {
                 return Err(GraphError::InvalidParameter(format!("self-loop at vertex {v}")));
             }
         }
@@ -84,6 +81,96 @@ impl DataGraph {
             builder.add_edge(u, v);
         }
         builder.build_with_num_vertices(n)
+    }
+
+    /// Patches this CSR with an effective edge delta: the graph with every
+    /// `inserted` edge added and every `deleted` edge removed, over the same
+    /// vertex set. Each insert must be absent from `self` and each delete
+    /// present, with no edge listed twice (see [`EdgeBatch::effective`]);
+    /// endpoint order within a pair does not matter. A violation is an
+    /// error, never a wrong graph.
+    ///
+    /// The batch is expanded into one change per edge end and sorted
+    /// (`O(b log b)`); the vertices are then walked once in id order, each
+    /// touched list merged with its changes and the untouched lists between
+    /// two touched vertices copied whole, so the rest is one sequential
+    /// `O(n + m)` copy (and the validation of [`DataGraph::from_csr`],
+    /// another linear pass). The result is the canonical CSR of the new
+    /// edge set, byte-identical to [`DataGraph::from_edges`] of it.
+    ///
+    /// [`EdgeBatch::effective`]: crate::generators::EdgeBatch::effective
+    pub fn with_batch(
+        &self,
+        inserted: &[(VertexId, VertexId)],
+        deleted: &[(VertexId, VertexId)],
+    ) -> Result<DataGraph, GraphError> {
+        let n = self.num_vertices();
+        // (vertex, neighbour, is_insert), one per edge end.
+        let mut changes: Vec<(VertexId, VertexId, bool)> =
+            Vec::with_capacity(2 * (inserted.len() + deleted.len()));
+        for (list, insert) in [(inserted, true), (deleted, false)] {
+            for &(u, v) in list {
+                if let Some(&x) = [u, v].iter().find(|&&x| x as usize >= n) {
+                    return Err(GraphError::VertexOutOfRange {
+                        vertex: u64::from(x),
+                        bound: n as u64,
+                    });
+                }
+                changes.push((u, v, insert));
+                changes.push((v, u, insert));
+            }
+        }
+        changes.sort_unstable();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut adjacency = Vec::with_capacity(self.adjacency.len() + 2 * inserted.len());
+        offsets.push(0);
+        // Lists `..copied` are in the output; the untouched ones between
+        // two touched vertices go over in one copy.
+        let mut copied = 0;
+        for touched in changes.chunk_by(|a, b| a.0 == b.0) {
+            let v = touched[0].0;
+            self.copy_lists(copied..v as usize, &mut offsets, &mut adjacency);
+            let old = self.neighbors(v);
+            let mut at = 0;
+            for &(_, w, insert) in touched {
+                let below = at + old[at..].partition_point(|&x| x < w);
+                adjacency.extend_from_slice(&old[at..below]);
+                at = below;
+                if insert {
+                    adjacency.push(w);
+                } else if old.get(at) == Some(&w) {
+                    at += 1;
+                } else {
+                    return Err(GraphError::InvalidParameter(format!(
+                        "deleted edge {v}-{w} is not in the graph"
+                    )));
+                }
+            }
+            adjacency.extend_from_slice(&old[at..]);
+            offsets.push(adjacency.len() as u64);
+            copied = v as usize + 1;
+        }
+        self.copy_lists(copied..n, &mut offsets, &mut adjacency);
+        // An insert already present, or one listed twice, leaves a repeated
+        // neighbour, and a self-loop leaves a vertex in its own list: the
+        // validation rejects both.
+        DataGraph::from_csr(offsets, adjacency)
+    }
+
+    /// Appends the lists of `vertices` unchanged, each offset shifted by
+    /// where the first of them lands in `adjacency`.
+    fn copy_lists(
+        &self,
+        vertices: std::ops::Range<usize>,
+        offsets: &mut Vec<u64>,
+        adjacency: &mut Vec<VertexId>,
+    ) {
+        let (from, to) = (self.offsets[vertices.start], self.offsets[vertices.end]);
+        let shift = (adjacency.len() as u64).wrapping_sub(from);
+        adjacency.extend_from_slice(&self.adjacency[from as usize..to as usize]);
+        offsets.extend(
+            self.offsets[vertices.start + 1..=vertices.end].iter().map(|&o| o.wrapping_add(shift)),
+        );
     }
 
     /// Number of vertices.

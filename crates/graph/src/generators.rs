@@ -260,23 +260,46 @@ impl EdgeBatch {
     pub fn is_empty(&self) -> bool {
         self.insert.is_empty() && self.delete.is_empty()
     }
+
+    /// The batch's effective edge delta against `g`: endpoints normalized
+    /// to `u < v`, self-loops and duplicates dropped, inserts already in
+    /// `g` and deletes not in it dropped, and a delete of an edge the batch
+    /// also inserts dropped (insert wins). Both lists come back sorted, in
+    /// the form [`DataGraph::with_batch`] takes. Errors if an insert names
+    /// a vertex outside `g`; such a delete is absent and dropped.
+    pub fn effective(&self, g: &DataGraph) -> Result<EdgeBatch, GraphError> {
+        let n = g.num_vertices();
+        let norm = |&(u, v): &(VertexId, VertexId)| if u <= v { (u, v) } else { (v, u) };
+        let mut wanted: Vec<(VertexId, VertexId)> =
+            self.insert.iter().map(norm).filter(|&(u, v)| u != v).collect();
+        wanted.sort_unstable();
+        wanted.dedup();
+        if let Some(&(_, v)) = wanted.iter().find(|&&(_, v)| v as usize >= n) {
+            return Err(GraphError::VertexOutOfRange { vertex: u64::from(v), bound: n as u64 });
+        }
+        let mut delete: Vec<(VertexId, VertexId)> = self
+            .delete
+            .iter()
+            .map(norm)
+            .filter(|e| (e.1 as usize) < n && g.has_edge(e.0, e.1))
+            .filter(|e| wanted.binary_search(e).is_err())
+            .collect();
+        delete.sort_unstable();
+        delete.dedup();
+        wanted.retain(|&(u, v)| !g.has_edge(u, v));
+        Ok(EdgeBatch { insert: wanted, delete })
+    }
 }
 
-/// Applies a batch to a graph, producing the post-mutation graph from
-/// scratch: final edge set = (current − deletes) ∪ inserts, so an edge
-/// appearing in both lists ends up present (insert wins). The vertex count
-/// is preserved — mutations may not reference vertices outside the graph.
+/// Applies a batch to a graph: final edge set = (current − deletes) ∪
+/// inserts, so an edge appearing in both lists ends up present (insert
+/// wins). Self-loops, duplicates, absent deletes and present inserts are
+/// dropped ([`EdgeBatch::effective`]), and the effective delta is merged
+/// into the graph's CSR ([`DataGraph::with_batch`]). The vertex count is
+/// preserved — an insert may not reference a vertex outside the graph.
 pub fn apply_edge_batch(g: &DataGraph, batch: &EdgeBatch) -> Result<DataGraph, GraphError> {
-    let mut edges: std::collections::BTreeSet<(VertexId, VertexId)> =
-        g.edges().map(|(u, v)| if u <= v { (u, v) } else { (v, u) }).collect();
-    for &(u, v) in &batch.delete {
-        edges.remove(&if u <= v { (u, v) } else { (v, u) });
-    }
-    for &(u, v) in &batch.insert {
-        edges.insert(if u <= v { (u, v) } else { (v, u) });
-    }
-    let list: Vec<(VertexId, VertexId)> = edges.into_iter().collect();
-    DataGraph::from_edges(g.num_vertices(), &list)
+    let effective = batch.effective(g)?;
+    g.with_batch(&effective.insert, &effective.delete)
 }
 
 /// Generates `num_batches` seeded random mutation batches against `base`,

@@ -73,8 +73,7 @@ pub fn patch_cached_views(state: &ServiceState, outcome: &MutateOutcome) -> Patc
         for (key, mut cached) in group {
             cached.count = (cached.count as i64 + delta.count_delta()).max(0) as u64;
             if let Some(instances) = cached.instances.take() {
-                let mut patched = (*instances).clone();
-                delta.patch(&mut patched);
+                let patched = delta.patched(&instances);
                 cached.count = patched.len() as u64;
                 cached.instances = Some(Arc::new(patched));
             }
