@@ -20,7 +20,7 @@
 
 use psgl_baselines::{afrati, sgia};
 use psgl_bench::datasets::{self, Dataset};
-use psgl_bench::report::{banner, sci, timed, Table};
+use psgl_bench::report::{banner, extension_note, sci, timed, Table, EXTENSION};
 use psgl_core::{list_subgraphs_prepared, PsglConfig, PsglShared};
 use psgl_mapreduce::MrError;
 use psgl_pattern::{catalog, Pattern};
@@ -44,9 +44,13 @@ const AFRATI_COST_BUDGET: u64 = 150_000_000;
 const AFRATI_REDUCERS: usize = 64;
 
 fn run_case(ds: &Dataset, pattern: &Pattern, workers: usize, table: &Table) {
-    let base = PsglConfig::with_workers(workers);
-    let shared = PsglShared::prepare(&ds.graph, pattern, &base).expect("prepare");
-    let (psgl, psgl_ms) = timed(|| list_subgraphs_prepared(&shared, &base).expect("psgl"));
+    let paper = PsglConfig::with_workers(workers).kernels(false);
+    let shared = PsglShared::prepare(&ds.graph, pattern, &paper).expect("prepare");
+    let (psgl, psgl_ms) = timed(|| list_subgraphs_prepared(&shared, &paper).expect("psgl"));
+    let extension = PsglConfig::with_workers(workers);
+    let shared = PsglShared::prepare(&ds.graph, pattern, &extension).expect("prepare");
+    let (ext, ext_ms) = timed(|| list_subgraphs_prepared(&shared, &extension).expect("psgl"));
+    assert_eq!(ext.instance_count, psgl.instance_count, "the kernels must not change results");
     let (af, af_ms) = timed(|| {
         afrati::run_with_budgets(
             &ds.graph,
@@ -65,37 +69,47 @@ fn run_case(ds: &Dataset, pattern: &Pattern, workers: usize, table: &Table) {
             Some(SGIA_COST_BUDGET),
         )
     });
-    let (af_ratio, af_shfl) = match af {
+    // A finished baseline has a wall; one cut off has only its status.
+    let (af_wall, af_shfl) = match af {
         Ok(r) => {
             assert_eq!(psgl.instance_count, r.instance_count, "count mismatch vs Afrati");
-            (format!("{:.2}", af_ms / psgl_ms), sci(r.metrics.shuffle_records))
+            (Ok(af_ms), sci(r.metrics.shuffle_records))
         }
         Err(MrError::ShuffleBudgetExceeded { records, .. }) => {
-            ("OOM".into(), format!(">{}", sci(records)))
+            (Err("OOM"), format!(">{}", sci(records)))
         }
-        Err(MrError::CostBudgetExceeded { .. }) => ("DNF".into(), "-".into()),
+        Err(MrError::CostBudgetExceeded { .. }) => (Err("DNF"), "-".into()),
     };
-    let (sg_ratio, sg_shfl) = match sg {
+    let (sg_wall, sg_shfl) = match sg {
         Ok(r) => {
             assert_eq!(psgl.instance_count, r.instance_count, "count mismatch vs SGIA-MR");
-            (
-                format!("{:.2}", sg_ms / psgl_ms),
-                sci(r.rounds.iter().map(|m| m.shuffle_records).sum()),
-            )
+            (Ok(sg_ms), sci(r.rounds.iter().map(|m| m.shuffle_records).sum()))
         }
         Err(MrError::ShuffleBudgetExceeded { records, .. }) => {
-            ("OOM".into(), format!(">{}", sci(records)))
+            (Err("OOM"), format!(">{}", sci(records)))
         }
-        Err(MrError::CostBudgetExceeded { .. }) => ("DNF".into(), "-".into()),
+        Err(MrError::CostBudgetExceeded { .. }) => (Err("DNF"), "-".into()),
+    };
+    let ratio = |wall: Result<f64, &str>, psgl_ms: f64| {
+        wall.map_or_else(str::to_string, |ms| format!("{:.2}", ms / psgl_ms))
     };
     table.row(&[
         format!("{} {}", ds.name, pattern),
         sci(psgl.instance_count),
         format!("{psgl_ms:.0}"),
-        af_ratio,
-        sg_ratio,
+        ratio(af_wall, psgl_ms),
+        ratio(sg_wall, psgl_ms),
         af_shfl,
         sg_shfl,
+    ]);
+    table.row(&[
+        format!("{} {}{EXTENSION}", ds.name, pattern),
+        sci(ext.instance_count),
+        format!("{ext_ms:.0}"),
+        ratio(af_wall, ext_ms),
+        ratio(sg_wall, ext_ms),
+        "-".into(),
+        "-".into(),
     ]);
 }
 
@@ -116,7 +130,7 @@ fn main() {
         catalog::four_clique(),
     ];
     let table = Table::new(&[
-        ("case", 30),
+        ("case", 38),
         ("instances", 11),
         ("PSgL ms", 9),
         ("Afrati/PSgL", 12),
@@ -134,4 +148,5 @@ fn main() {
          the MapReduce systems trading places across datasets and some baseline runs not \
          finishing at all."
     );
+    extension_note();
 }

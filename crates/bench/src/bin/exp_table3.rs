@@ -15,13 +15,13 @@
 
 use psgl_baselines::{afrati, centralized, onehop};
 use psgl_bench::datasets::{self, Dataset};
-use psgl_bench::report::{banner, timed, Table};
+use psgl_bench::report::{banner, extension_note, timed, Table, EXTENSION};
 use psgl_core::{list_subgraphs, PsglConfig};
 use psgl_pattern::catalog;
 
 fn run_case(ds: &Dataset, workers: usize, table: &Table) {
     let pattern = catalog::triangle();
-    let config = PsglConfig::with_workers(workers);
+    let config = PsglConfig::with_workers(workers).kernels(false);
     let (psgl, psgl_ms) = timed(|| list_subgraphs(&ds.graph, &pattern, &config).expect("psgl"));
     let (af, af_ms) = timed(|| afrati::run(&ds.graph, &pattern, workers, None).expect("afrati"));
     let oh_config =
@@ -39,6 +39,17 @@ fn run_case(ds: &Dataset, workers: usize, table: &Table) {
         format!("{cn_ms:.0}"),
         format!("{psgl_ms:.0}"),
     ]);
+    let config = PsglConfig::with_workers(workers);
+    let (ext, ext_ms) = timed(|| list_subgraphs(&ds.graph, &pattern, &config).expect("psgl"));
+    assert_eq!(ext.instance_count, cn, "the kernels must not change results");
+    table.row(&[
+        format!("{}{EXTENSION}", ds.name),
+        ext.instance_count.to_string(),
+        "-".into(),
+        "-".into(),
+        "-".into(),
+        format!("{ext_ms:.0}"),
+    ]);
 }
 
 fn main() {
@@ -52,7 +63,7 @@ fn main() {
     );
     let workers = 8;
     let table = Table::new(&[
-        ("graph", 12),
+        ("graph", 20),
         ("triangles", 11),
         ("Afrati ms", 10),
         ("OneHop ms", 10),
@@ -66,4 +77,5 @@ fn main() {
         "\ncolumn mapping: OneHop ~ PowerGraph, Centrl ~ GraphChi. shape: PSgL well ahead of \
          Afrati; the specialized one-hop triangle path may win its special case (paper: 4-6x)."
     );
+    extension_note();
 }

@@ -16,7 +16,7 @@
 
 use psgl_baselines::{afrati, onehop};
 use psgl_bench::datasets::{self, Dataset};
-use psgl_bench::report::{banner, sci, timed, Table};
+use psgl_bench::report::{banner, extension_note, sci, timed, Table, EXTENSION};
 use psgl_core::{list_subgraphs, PsglConfig, PsglError};
 use psgl_mapreduce::MrError;
 use psgl_pattern::{catalog, Pattern, PatternVertex};
@@ -81,7 +81,7 @@ fn main() {
         cases.iter().map(|case| &case.ds),
     );
     let table = Table::new(&[
-        ("case", 34),
+        ("case", 42),
         ("order", 18),
         ("Afrati ms", 10),
         ("OneHop ms", 12),
@@ -91,14 +91,24 @@ fn main() {
     for case in cases {
         let g = &case.ds.graph;
         let budget: u64 = 50_000_000; // one-hop intermediate cap (~2 GB)
-        let config =
-            PsglConfig { gpsi_budget: Some(3_000_000), ..PsglConfig::with_workers(workers) };
-        let (psgl, psgl_ms) = timed(|| list_subgraphs(g, &case.pattern, &config));
-        let (psgl_count, psgl_str) = match &psgl {
-            Ok(r) => (Some(r.instance_count), format!("{psgl_ms:.0}")),
-            Err(PsglError::OutOfMemory { .. }) => (None, "OOM".to_string()),
-            Err(e) => panic!("unexpected: {e}"),
+        let paper = PsglConfig {
+            gpsi_budget: Some(3_000_000),
+            ..PsglConfig::with_workers(workers).kernels(false)
         };
+        let psgl_run = |config: &PsglConfig| {
+            let (psgl, psgl_ms) = timed(|| list_subgraphs(g, &case.pattern, config));
+            match psgl {
+                Ok(r) => (Some(r.instance_count), format!("{psgl_ms:.0}")),
+                Err(PsglError::OutOfMemory { .. }) => (None, "OOM".to_string()),
+                Err(e) => panic!("unexpected: {e}"),
+            }
+        };
+        let (psgl_count, psgl_str) = psgl_run(&paper);
+        let (ext_count, ext_str) = psgl_run(&paper.clone().kernels(true));
+        if let (Some(a), Some(b)) = (psgl_count, ext_count) {
+            assert_eq!(a, b, "the kernels must not change results");
+        }
+        let psgl_count = psgl_count.or(ext_count);
         let (af, af_ms) = timed(|| {
             afrati::run_with_budgets(g, &case.pattern, 64, Some(budget), Some(150_000_000))
         });
@@ -135,9 +145,18 @@ fn main() {
             peak,
             psgl_str,
         ]);
+        table.row(&[
+            format!("{} {}{EXTENSION}", case.ds.name, case.pattern),
+            case.order_name.to_string(),
+            "-".into(),
+            "-".into(),
+            "-".into(),
+            ext_str,
+        ]);
     }
     println!(
         "\nshape: PSgL completes every row; the one-hop engine OOMs on complex patterns and on \
          bad traversal orders; Afrati is slow or OOM on the heavy joins (paper Table 4)."
     );
+    extension_note();
 }

@@ -143,10 +143,11 @@ impl<'g> PsglShared<'g> {
     /// index live in a catalog and plans in a per-graph plan cache, so
     /// none of the offline work of [`Self::prepare`] is repeated.
     ///
-    /// The closing kernels read adjacency from `ordered` alone, so it must
-    /// have been built (or [`OrderedGraph::reorient`]ed) for `graph`; an
-    /// ordered graph of another graph panics here when its vertex count or
-    /// adjacency length differs.
+    /// The closing kernels read adjacency from `ordered` alone, so its
+    /// rank-space graph must be `graph` relabelled: built for it by
+    /// [`OrderedGraph::new`], or patched to it by
+    /// [`OrderedGraph::with_batch`]. An ordered graph of another graph
+    /// panics here when its vertex or edge count differs.
     pub fn from_parts(
         graph: &'g DataGraph,
         ordered: Arc<OrderedGraph>,
@@ -154,10 +155,10 @@ impl<'g> PsglShared<'g> {
         plan: &QueryPlan,
     ) -> PsglShared<'g> {
         assert_eq!(
-            (ordered.len(), ordered.adjacency_len() as u64),
-            (graph.num_vertices(), 2 * graph.num_edges()),
-            "ordered graph built for another graph: (vertices, adjacency length) of the \
-             ordered graph vs the data graph"
+            (ordered.len(), ordered.rank_graph().num_edges()),
+            (graph.num_vertices(), graph.num_edges()),
+            "ordered graph built for another graph: (vertices, edges) of the ordered graph \
+             vs the data graph"
         );
         PsglShared {
             graph,

@@ -1,17 +1,18 @@
-//! The mutable graph tier: base CSR + edge-overlay sets with epoch
-//! snapshots and periodic compaction.
+//! The mutable graph tier: a base CSR patched one epoch per batch, with
+//! epoch snapshots and periodic compaction.
 //!
 //! [`DataGraph`] is an immutable CSR — the right trade for the listing hot
 //! path, the wrong one for a live graph. [`DeltaGraph`] layers mutability on
-//! top: a *base* CSR plus sorted insert/delete overlay sets, advanced one
-//! epoch per applied batch. Every epoch materializes an [`EpochArtifacts`]
-//! snapshot (graph + ordered view + bloom index) that queries borrow like
-//! any other `DataGraph`, so the expansion kernel runs unmodified. The
-//! snapshot is the previous one patched, not rebuilt: the batch's effective
-//! delta is merged into each touched adjacency list and every other list is
-//! copied whole ([`DataGraph::with_batch`]), one sequential pass over the
-//! CSR that yields the same bytes as building the new edge set from
-//! scratch.
+//! top: a *base* CSR, advanced one epoch per applied batch, and a count of
+//! how far the current edge set has drifted from it. Every epoch
+//! materializes an [`EpochArtifacts`] snapshot (graph + ordered view +
+//! bloom index) that queries borrow like any other `DataGraph`, so the
+//! expansion kernel runs unmodified. The snapshot is the previous one
+//! patched, not rebuilt: the batch's effective delta is merged into each
+//! touched adjacency list and every other list is copied whole
+//! ([`DataGraph::with_batch`]), one sequential pass over the CSR that
+//! yields the same bytes as building the new edge set from scratch. The
+//! ordered view's rank-space graph is patched by the same routine.
 //!
 //! Three maintenance rules keep incremental listing exact and cheap:
 //!
@@ -23,26 +24,27 @@
 //!    instances that never touched a changed edge, breaking
 //!    `post = pre − dying + born` as a multiset identity. Degree drift
 //!    costs a little pruning precision, never correctness. The ordered
-//!    view's *rank-space adjacency* is a different story: it is adjacency,
-//!    not order, so each epoch re-derives it against its own snapshot
-//!    under the pinned ranks ([`OrderedGraph::reorient`]) — the compiled
+//!    view's *rank-space graph* is a different story: it is adjacency,
+//!    not order, so each epoch patches it with the batch translated to
+//!    the pinned ranks ([`OrderedGraph::with_batch`]) — the compiled
 //!    kernels walk it as the real neighbor lists.
 //! 2. **Grow-only bloom.** Inserted edges are added to a clone of the
 //!    previous epoch's [`EdgeIndex`]; deleted edges deliberately stay in
 //!    the filter (a stale bit is a false positive, caught by the exact
 //!    neighborhood check). The no-false-negative guarantee therefore
 //!    survives any mix of insertions and deletions.
-//! 3. **Compaction.** When the overlay outgrows its threshold, the current
-//!    snapshot becomes the new base and both the ordering and the index
-//!    are rebuilt at nominal precision. [`ApplyOutcome::compacted`] tells
-//!    the caller (e.g. the service's materialized views, which are keyed to
-//!    the pinned ordering) to drop state that a rebuilt order invalidates.
+//! 3. **Compaction.** When the drift from the base (edges inserted or
+//!    deleted since, net of those that cancel) outgrows its threshold, the
+//!    current snapshot becomes the new base and both the ordering and the
+//!    index are rebuilt at nominal precision. [`ApplyOutcome::compacted`]
+//!    tells the caller (e.g. the service's materialized views, which are
+//!    keyed to the pinned ordering) to drop state that a rebuilt order
+//!    invalidates.
 
 use psgl_core::EdgeIndex;
 use psgl_graph::generators::EdgeBatch;
 use psgl_graph::{DataGraph, GraphError, OrderedGraph, VertexId};
 use psgl_obs::Value as TraceValue;
-use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
 
 /// Process-wide mutation counters in the global [`psgl_obs::registry`]:
@@ -82,8 +84,8 @@ pub struct EpochArtifacts {
     pub epoch: u64,
     /// The materialized CSR snapshot of this epoch.
     pub graph: Arc<DataGraph>,
-    /// The ordered view: ranks pinned across epochs, rank-space adjacency
-    /// re-derived per epoch (see module docs).
+    /// The ordered view: ranks pinned across epochs, rank-space graph
+    /// patched per epoch (see module docs).
     pub ordered: Arc<OrderedGraph>,
     /// The bloom edge index, incrementally grown since the last compaction.
     pub index: Arc<EdgeIndex>,
@@ -105,18 +107,17 @@ pub struct ApplyOutcome {
     pub compacted: bool,
 }
 
-/// A mutable graph: immutable CSR base + insert/delete overlay sets, with
-/// an epoch-numbered artifact snapshot per applied batch.
+/// A mutable graph: an immutable CSR base patched one epoch per applied
+/// batch, with an epoch-numbered artifact snapshot per epoch.
 pub struct DeltaGraph {
     /// The last compacted CSR.
     base: Arc<DataGraph>,
-    /// Edges present now but not in `base` (normalized `u < v`).
-    inserts: BTreeSet<(VertexId, VertexId)>,
-    /// Edges in `base` but deleted since (normalized `u < v`).
-    deletes: BTreeSet<(VertexId, VertexId)>,
+    /// `|E_current Δ E_base|`: edges present now but not in `base`, plus
+    /// edges in `base` but deleted since.
+    drift: usize,
     /// Snapshot of the current epoch.
     current: EpochArtifacts,
-    /// Overlay size (`inserts + deletes`) that triggers compaction.
+    /// Drift from `base` that triggers compaction.
     compact_threshold: usize,
     /// Bloom precision used for index (re)builds.
     bits_per_edge: usize,
@@ -134,8 +135,7 @@ impl DeltaGraph {
         DeltaGraph {
             current: EpochArtifacts { epoch: 0, graph: Arc::clone(&base), ordered, index },
             base,
-            inserts: BTreeSet::new(),
-            deletes: BTreeSet::new(),
+            drift: 0,
             compact_threshold,
             bits_per_edge,
         }
@@ -153,8 +153,7 @@ impl DeltaGraph {
     ) -> DeltaGraph {
         DeltaGraph {
             base: Arc::clone(&graph),
-            inserts: BTreeSet::new(),
-            deletes: BTreeSet::new(),
+            drift: 0,
             current: EpochArtifacts { epoch, graph, ordered, index },
             compact_threshold,
             bits_per_edge,
@@ -171,9 +170,10 @@ impl DeltaGraph {
         self.current.epoch
     }
 
-    /// Current overlay size (mutations since the last compaction).
+    /// Current overlay size: how many edges differ from the last
+    /// compacted base (mutations since then, net of those that cancel).
     pub fn overlay_len(&self) -> usize {
-        self.inserts.len() + self.deletes.len()
+        self.drift
     }
 
     /// Applies one mutation batch, advancing the graph one epoch.
@@ -195,7 +195,10 @@ impl DeltaGraph {
             }
         }
         let EdgeBatch { insert: inserted, delete: deleted } = batch.effective(g)?;
+        // Both numberings take the same patch; ranks stay pinned (see
+        // module docs).
         let next = Arc::new(g.with_batch(&inserted, &deleted)?);
+        let ordered = Arc::new(self.current.ordered.with_batch(&inserted, &deleted)?);
 
         // Grow-only bloom maintenance: clone the previous filter and add
         // the new edges; deletions leave stale bits (see module docs).
@@ -209,21 +212,18 @@ impl DeltaGraph {
             Arc::new(idx)
         };
 
-        // Fold the effective delta into the overlay relative to `base`.
-        for &e in &inserted {
-            if !self.deletes.remove(&e) {
-                self.inserts.insert(e);
-            }
-        }
-        for &e in &deleted {
-            if !self.inserts.remove(&e) {
-                self.deletes.insert(e);
+        // An effective change moves the edge away from `base` unless it
+        // undoes an earlier one.
+        for (list, insert) in [(&inserted, true), (&deleted, false)] {
+            for &(u, v) in list {
+                if self.base.has_edge(u, v) == insert {
+                    self.drift -= 1;
+                } else {
+                    self.drift += 1;
+                }
             }
         }
 
-        // Ranks stay pinned; the rank-space adjacency must track the new
-        // snapshot (see module docs).
-        let ordered = Arc::new(self.current.ordered.reorient(&next));
         self.current =
             EpochArtifacts { epoch: self.current.epoch + 1, graph: next, ordered, index };
         let compacted = self.overlay_len() > self.compact_threshold;
@@ -257,8 +257,7 @@ impl DeltaGraph {
     pub fn compact(&mut self) {
         counters().compactions.inc();
         self.base = Arc::clone(&self.current.graph);
-        self.inserts.clear();
-        self.deletes.clear();
+        self.drift = 0;
         self.current.ordered = Arc::new(OrderedGraph::new(&self.base));
         self.current.index = Arc::new(EdgeIndex::build(&self.base, self.bits_per_edge));
     }

@@ -160,3 +160,84 @@ fn every_epoch_hashes_like_the_rebuilt_graph() {
     assert!(dg.artifacts().graph.has_edge(u, v), "insert wins over a same-batch delete");
     assert!(out.inserted.is_empty() && out.deleted.is_empty());
 }
+
+/// `(min, max)` of a pair: the one name of an undirected edge.
+fn norm((u, v): (VertexId, VertexId)) -> (VertexId, VertexId) {
+    (u.min(v), u.max(v))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every epoch's ordered view is the from-scratch rank-space build of
+    /// that epoch's graph under the pinned permutation, and the overlay
+    /// size is the epoch's distance from the base, so compaction fires
+    /// exactly when that distance passes the threshold. The batches are
+    /// hostile: duplicates, reversed pairs, self-loops, edges both inserted
+    /// and deleted, and a vertex that loses every edge at once.
+    #[test]
+    fn every_epoch_is_the_rank_space_build_of_its_graph(
+        n in 4usize..28,
+        m in 0u64..60,
+        graph_seed in 0u64..100_000,
+        threshold in 2usize..24,
+        batches in collection::vec(
+            (
+                collection::vec((0u32..28, 0u32..28), 0..10),
+                collection::vec((0u32..28, 0u32..28), 0..10),
+                0u32..56,
+            ),
+            1..12,
+        ),
+    ) {
+        let n32 = n as u32;
+        let m = m.min(n as u64 * (n as u64 - 1) / 4);
+        let g = erdos_renyi_gnm(n, m, graph_seed).unwrap();
+        let mut dg = DeltaGraph::new(g.clone(), 8, threshold);
+        let mut base: BTreeSet<(VertexId, VertexId)> = g.edges().collect();
+        let mut edges = base.clone();
+        let mut pinned = dg.artifacts().ordered.ranks().to_vec();
+        for (insert, delete, victim) in batches {
+            let insert: Vec<_> = insert.into_iter().map(|(u, v)| (u % n32, v % n32)).collect();
+            let mut delete: Vec<_> = delete.into_iter().map(|(u, v)| (u % n32, v % n32)).collect();
+            // Every other insert is also deleted, reversed: insert wins.
+            delete.extend(insert.iter().step_by(2).map(|&(u, v)| (v, u)));
+            // Half the time a vertex loses every edge it has.
+            if victim < n32 {
+                let list = dg.artifacts().graph.neighbors(victim).to_vec();
+                delete.extend(list.into_iter().map(|u| (u, victim)));
+            }
+            for &e in &delete {
+                edges.remove(&norm(e));
+            }
+            edges.extend(insert.iter().map(|&e| norm(e)).filter(|&(u, v)| u != v));
+            let drift = edges.symmetric_difference(&base).count();
+
+            let out = dg.apply(&EdgeBatch { insert, delete }).unwrap();
+            prop_assert_eq!(out.compacted, drift > threshold, "compaction at drift {}", drift);
+            if out.compacted {
+                base = edges.clone();
+                pinned = psgl_graph::OrderedGraph::new(&dg.artifacts().graph).ranks().to_vec();
+            }
+            prop_assert_eq!(dg.overlay_len(), edges.symmetric_difference(&base).count());
+
+            let art = dg.artifacts();
+            let o = &art.ordered;
+            prop_assert_eq!(art.graph.edges().collect::<BTreeSet<_>>(), edges.clone());
+            prop_assert_eq!(o.ranks(), &pinned[..], "ranks moved at epoch {}", art.epoch);
+            let relabelled: Vec<_> =
+                edges.iter().map(|&(u, v)| (pinned[u as usize], pinned[v as usize])).collect();
+            let scratch = DataGraph::from_edges(n, &relabelled).unwrap();
+            prop_assert_eq!(o.rank_graph().content_hash(), scratch.content_hash());
+            for r in 0..n32 {
+                let list = scratch.neighbors(r);
+                let below = list.partition_point(|&x| x < r);
+                let v = o.vertex(r);
+                prop_assert_eq!(o.neighbors_of_rank(r), list, "epoch {} rank {}", art.epoch, r);
+                prop_assert_eq!(o.lower_of_rank(r), &list[..below]);
+                prop_assert_eq!(o.higher_of_rank(r), &list[below..]);
+                prop_assert_eq!((o.nb(v) as usize, o.ns(v) as usize), (below, list.len() - below));
+            }
+        }
+    }
+}

@@ -2,10 +2,9 @@
 //!
 //! These support the analyses the paper leans on: connected components
 //! (the preprocessing drops isolated vertices; components bound where
-//! instances can live), BFS (pattern connectivity arguments), and the
-//! core decomposition — the arboricity `α(G)` in Chiba–Nishizeki's
-//! `O(α(G)·m)` bound satisfies `α(G) ≤ degeneracy + 1`, so
-//! [`core_decomposition`] gives a cheap complexity certificate for the
+//! instances can live), sorted-list searches, and the core decomposition
+//! — the arboricity `α(G)` in Chiba–Nishizeki's `O(α(G)·m)` bound
+//! satisfies `α(G) ≤ degeneracy + 1`, so [`core_decomposition`] gives a cheap complexity certificate for the
 //! centralized baseline on a given graph.
 
 use crate::csr::{DataGraph, VertexId};
@@ -45,47 +44,6 @@ pub fn sorted_contains_all(haystack: &[VertexId], needles: &[VertexId]) -> bool 
     true
 }
 
-/// Intersects two sorted slices into `out` (cleared first). Skewed inputs
-/// gallop through the longer side; near-equal sizes fall back to a plain
-/// two-pointer merge. Both paths are allocation-free beyond `out`'s
-/// capacity, so a caller reusing `out` across calls stays off the heap.
-pub fn intersect_sorted_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
-    out.clear();
-    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if short.is_empty() {
-        return;
-    }
-    // Galloping pays once the size ratio covers its log factor.
-    if long.len() / short.len() >= 16 {
-        let mut rest = long;
-        for &x in short {
-            let i = gallop_lower_bound(rest, x);
-            if i == rest.len() {
-                return;
-            }
-            if rest[i] == x {
-                out.push(x);
-                rest = &rest[i + 1..];
-            } else {
-                rest = &rest[i..];
-            }
-        }
-    } else {
-        let (mut i, mut j) = (0, 0);
-        while i < short.len() && j < long.len() {
-            match short[i].cmp(&long[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(short[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-    }
-}
-
 /// Connected components by iterative BFS. Returns `(labels, count)` where
 /// `labels[v]` is a component id in `0..count` (numbered by discovery).
 pub fn connected_components(g: &DataGraph) -> (Vec<u32>, usize) {
@@ -110,30 +68,6 @@ pub fn connected_components(g: &DataGraph) -> (Vec<u32>, usize) {
         count += 1;
     }
     (labels, count as usize)
-}
-
-/// BFS distances from `source` (`u32::MAX` = unreachable).
-pub fn bfs_distances(g: &DataGraph, source: VertexId) -> Vec<u32> {
-    let n = g.num_vertices();
-    let mut dist = vec![u32::MAX; n];
-    dist[source as usize] = 0;
-    let mut frontier = vec![source];
-    let mut next = Vec::new();
-    let mut level = 0u32;
-    while !frontier.is_empty() {
-        level += 1;
-        for &v in &frontier {
-            for &u in g.neighbors(v) {
-                if dist[u as usize] == u32::MAX {
-                    dist[u as usize] = level;
-                    next.push(u);
-                }
-            }
-        }
-        std::mem::swap(&mut frontier, &mut next);
-        next.clear();
-    }
-    dist
 }
 
 /// Core decomposition (Matula–Beck peeling in `O(n + m)`): returns
@@ -245,26 +179,6 @@ mod tests {
         assert!(!sorted_contains_all(&hay, &[3, 3]));
     }
 
-    #[test]
-    fn intersect_sorted_both_paths_agree() {
-        let a: Vec<VertexId> = (0..1000).filter(|x| x % 3 == 0).collect();
-        let b: Vec<VertexId> = (0..1000).filter(|x| x % 5 == 0).collect();
-        let expected: Vec<VertexId> = (0..1000).filter(|x| x % 15 == 0).collect();
-        let mut out = Vec::new();
-        // Merge path (comparable sizes).
-        intersect_sorted_into(&a, &b, &mut out);
-        assert_eq!(out, expected);
-        // Galloping path (skewed sizes), both argument orders.
-        let tiny: Vec<VertexId> = vec![0, 30, 31, 990];
-        intersect_sorted_into(&tiny, &b, &mut out);
-        assert_eq!(out, vec![0, 30, 990]);
-        intersect_sorted_into(&b, &tiny, &mut out);
-        assert_eq!(out, vec![0, 30, 990]);
-        // Empty sides clear the output.
-        intersect_sorted_into(&a, &[], &mut out);
-        assert!(out.is_empty());
-    }
-
     fn two_triangles() -> DataGraph {
         DataGraph::from_edges(7, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]).unwrap()
     }
@@ -285,13 +199,6 @@ mod tests {
     fn components_of_empty_graph() {
         let g = DataGraph::from_edges(0, &[]).unwrap();
         assert_eq!(connected_components(&g).1, 0);
-    }
-
-    #[test]
-    fn bfs_distances_on_path() {
-        let g = DataGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3)]).unwrap();
-        let d = bfs_distances(&g, 0);
-        assert_eq!(d, vec![0, 1, 2, 3, u32::MAX]);
     }
 
     #[test]

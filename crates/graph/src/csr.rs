@@ -21,9 +21,9 @@ pub type VertexId = u32;
 #[derive(Clone, Debug)]
 pub struct DataGraph {
     /// `offsets[v]..offsets[v+1]` indexes `adjacency` for vertex `v`.
-    offsets: Vec<u64>,
+    pub(crate) offsets: Vec<u64>,
     /// Concatenated sorted neighbor lists (each undirected edge twice).
-    adjacency: Vec<VertexId>,
+    pub(crate) adjacency: Vec<VertexId>,
 }
 
 impl DataGraph {

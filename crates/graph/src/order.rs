@@ -8,19 +8,22 @@
 //! initial-vertex rule exploits.
 //!
 //! Every automorphism-breaking constraint (Section 5.2.1) is a comparison
-//! of ranks, so [`OrderedGraph`] also keeps the adjacency in *rank space*:
-//! vertex `v` appears as `rank(v)`, and each list holds neighbour ranks in
-//! ascending order. A rank window is then a sub-slice, and the `nb`/`ns`
-//! halves are the two sides of one split point.
+//! of ranks, so [`OrderedGraph`] also keeps the graph *relabelled by
+//! rank*: vertex `v` appears as `rank(v)`, and each list holds neighbour
+//! ranks in ascending order. A rank window is then a sub-slice, and the
+//! `nb`/`ns` halves are the two sides of one split point. Only
+//! [`OrderedGraph::new`] builds that graph (with one scatter); a mutation
+//! batch patches it like any other CSR ([`OrderedGraph::with_batch`]).
 
 use crate::csr::{DataGraph, VertexId};
+use crate::error::GraphError;
 
-/// Total vertex order derived from `(degree, id)`, with the adjacency
-/// stored a second time in *rank space*: there a vertex is named by its
-/// rank, and `neighbors_of_rank(r)` holds its neighbours' ranks in
-/// ascending order. Because the list is sorted by rank, it splits at one
-/// point into the lower-rank neighbours (`lower_of_rank`, `nb` of them)
-/// and the higher-rank ones (`higher_of_rank`, `ns`), and any rank window
+/// Total vertex order derived from `(degree, id)`, with the graph stored a
+/// second time in *rank space*: there a vertex is named by its rank, and
+/// `neighbors_of_rank(r)` holds its neighbours' ranks in ascending order.
+/// Because the list is sorted by rank, it splits at one point into the
+/// lower-rank neighbours (`lower_of_rank`, `nb` of them) and the
+/// higher-rank ones (`higher_of_rank`, `ns`), and any rank window
 /// `[lo, hi)` is a sub-slice found by two binary searches. The closing
 /// kernels (`psgl-core`'s `kernel.rs`) work in this space; everything that
 /// leaves them (Gpsis, messages, placement) keeps original ids, crossing
@@ -35,51 +38,24 @@ pub struct OrderedGraph {
     rank: Vec<u32>,
     /// `by_rank[r]` = the vertex of rank `r` (the inverse of `rank`).
     by_rank: Vec<VertexId>,
-    /// CSR offsets over ranks: `offsets[r]..offsets[r + 1]` indexes
-    /// `adjacency` for the vertex of rank `r`.
-    offsets: Vec<u64>,
-    /// Neighbour ranks, ascending per list.
-    adjacency: Vec<u32>,
+    /// The graph relabelled by rank: vertex `r` is the vertex of rank `r`.
+    graph: DataGraph,
     /// `split[r]` = how many of rank `r`'s neighbours rank below it: the
     /// list's first `split[r]` entries are `lower_of_rank(r)`.
     split: Vec<u32>,
 }
 
 impl OrderedGraph {
-    /// Computes ranks and the rank-space adjacency for `g` in
-    /// `O(n log n + m)`.
+    /// Computes ranks and the rank-space graph for `g` in
+    /// `O(n log n + m)`. The lists are built with one scatter: ranks are
+    /// visited in ascending order and each is appended to its neighbours'
+    /// lists, so every list comes out sorted without a sort. When rank `r`
+    /// is reached, exactly its lower-rank neighbours have been appended to
+    /// its own list, which is its split.
     pub fn new(g: &DataGraph) -> Self {
         let n = g.num_vertices();
         let mut by_rank: Vec<VertexId> = (0..n as VertexId).collect();
         by_rank.sort_unstable_by_key(|&v| (g.degree(v), v));
-        Self::from_by_rank(by_rank, g)
-    }
-
-    /// Rebuilds the rank-space adjacency (and with it the `nb`/`ns` split)
-    /// against `g` while keeping this graph's rank permutation verbatim.
-    ///
-    /// Dynamic-graph epochs pin the total order at base construction
-    /// (re-deriving it from mutated degrees would move canonical instance
-    /// representatives and break incremental parity), but the adjacency
-    /// must always reflect the graph actually being listed. After this,
-    /// degree is no longer monotone in rank. `g` must have the same vertex
-    /// count the ranks were derived for.
-    pub fn reorient(&self, g: &DataGraph) -> Self {
-        assert_eq!(
-            self.rank.len(),
-            g.num_vertices(),
-            "reorient requires the vertex set the ranks were built for"
-        );
-        Self::from_by_rank(self.by_rank.clone(), g)
-    }
-
-    /// Builds the rank-space CSR of `g` under a fixed order in `O(n + m)`
-    /// with one scatter: ranks are visited in ascending order and each is
-    /// appended to its neighbours' lists, so every list comes out sorted
-    /// without a sort. When rank `r` is reached, exactly its lower-rank
-    /// neighbours have been appended to its own list, which is its split.
-    fn from_by_rank(by_rank: Vec<VertexId>, g: &DataGraph) -> Self {
-        let n = g.num_vertices();
         let mut rank = vec![0u32; n];
         for (r, &v) in by_rank.iter().enumerate() {
             rank[v as usize] = r as u32;
@@ -99,7 +75,40 @@ impl OrderedGraph {
                 cursor[ru] += 1;
             }
         }
-        OrderedGraph { rank, by_rank, offsets, adjacency, split }
+        let graph = DataGraph::from_csr(offsets, adjacency).expect("a relabelled CSR is a CSR");
+        OrderedGraph { rank, by_rank, graph, split }
+    }
+
+    /// This ordered graph patched with an effective edge delta, given in
+    /// ids as [`DataGraph::with_batch`] takes it (and rejected as there):
+    /// the rank permutation is kept verbatim, so degree need no longer be
+    /// monotone in rank, and the rank-space graph becomes that of the
+    /// patched graph. The batch is translated to ranks once and merged
+    /// into the touched lists; only the touched ranks' splits move.
+    pub fn with_batch(
+        &self,
+        inserted: &[(VertexId, VertexId)],
+        deleted: &[(VertexId, VertexId)],
+    ) -> Result<Self, GraphError> {
+        let rank = |x: VertexId| {
+            let bound = self.rank.len() as u64;
+            let out_of_range = GraphError::VertexOutOfRange { vertex: u64::from(x), bound };
+            self.rank.get(x as usize).copied().ok_or(out_of_range)
+        };
+        let to_ranks = |edges: &[(VertexId, VertexId)]| -> Result<Vec<_>, GraphError> {
+            edges.iter().map(|&(u, v)| Ok((rank(u)?, rank(v)?))).collect()
+        };
+        let (inserted, deleted) = (to_ranks(inserted)?, to_ranks(deleted)?);
+        let graph = self.graph.with_batch(&inserted, &deleted)?;
+        // An edge is a lower-rank neighbour of its higher-ranked end.
+        let mut split = self.split.clone();
+        for &(a, b) in &inserted {
+            split[a.max(b) as usize] += 1;
+        }
+        for &(a, b) in &deleted {
+            split[a.max(b) as usize] -= 1;
+        }
+        Ok(OrderedGraph { rank: self.rank.clone(), by_rank: self.by_rank.clone(), graph, split })
     }
 
     /// Rank of `v` (0 = smallest degree).
@@ -143,36 +152,36 @@ impl OrderedGraph {
     /// Ranks of the neighbours of the vertex of rank `r`, ascending.
     #[inline]
     pub fn neighbors_of_rank(&self, r: u32) -> &[u32] {
-        &self.adjacency[self.offsets[r as usize] as usize..self.offsets[r as usize + 1] as usize]
+        self.graph.neighbors(r)
     }
 
     /// The neighbours of rank `r` that rank below it (`nb` of them),
     /// ascending.
     #[inline]
     pub fn lower_of_rank(&self, r: u32) -> &[u32] {
-        let start = self.offsets[r as usize] as usize;
-        &self.adjacency[start..start + self.split[r as usize] as usize]
+        let start = self.graph.offsets[r as usize] as usize;
+        &self.graph.adjacency[start..start + self.split[r as usize] as usize]
     }
 
     /// The neighbours of rank `r` that rank above it (`ns` of them),
     /// ascending.
     #[inline]
     pub fn higher_of_rank(&self, r: u32) -> &[u32] {
-        let start = self.offsets[r as usize] as usize + self.split[r as usize] as usize;
-        &self.adjacency[start..self.offsets[r as usize + 1] as usize]
+        let start = self.graph.offsets[r as usize] as usize + self.split[r as usize] as usize;
+        &self.graph.adjacency[start..self.graph.offsets[r as usize + 1] as usize]
     }
 
     /// Degree of the vertex of rank `r`.
     #[inline]
     pub fn degree_of_rank(&self, r: u32) -> u32 {
-        (self.offsets[r as usize + 1] - self.offsets[r as usize]) as u32
+        self.graph.degree(r)
     }
 
-    /// Total length of the rank-space adjacency: twice the edge count of
-    /// the graph it was built for.
+    /// The graph relabelled by rank: its vertex `r` is the vertex of rank
+    /// `r`, with the same edge count as the graph it was built for.
     #[inline]
-    pub fn adjacency_len(&self) -> usize {
-        self.adjacency.len()
+    pub fn rank_graph(&self) -> &DataGraph {
+        &self.graph
     }
 
     /// Number of vertices.
@@ -267,7 +276,7 @@ mod tests {
         assert_eq!(o.lower_of_rank(1), [] as [u32; 0]);
         assert_eq!(o.higher_of_rank(1), [2, 3]);
         assert_eq!(o.degree_of_rank(1), g.degree(2));
-        assert_eq!(o.adjacency_len() as u64, 2 * g.num_edges());
+        assert_eq!(o.rank_graph().num_edges(), g.num_edges());
         for r in 0..4 {
             assert_eq!(o.rank(o.vertex(r)), r);
             assert_eq!(o.ranks()[o.vertex(r) as usize], r);
@@ -275,10 +284,12 @@ mod tests {
     }
 
     #[test]
-    fn reorient_keeps_ranks_and_follows_the_new_adjacency() {
-        let g0 = star();
-        let g1 = DataGraph::from_edges(5, &[(1, 2), (2, 3), (3, 4)]).unwrap();
-        let o = OrderedGraph::new(&g0).reorient(&g1);
+    fn with_batch_keeps_ranks_and_follows_the_new_adjacency() {
+        // The star becomes the path 1-2-3-4: every hub edge goes, three
+        // leaf edges come (one of them given reversed).
+        let o = OrderedGraph::new(&star())
+            .with_batch(&[(1, 2), (3, 2), (3, 4)], &[(0, 1), (0, 2), (0, 3), (0, 4)])
+            .unwrap();
         assert_eq!(o.vertices_by_rank(), [1, 2, 3, 4, 0]);
         // The old hub (rank 4) is isolated now; vertex 2 (rank 1) has
         // neighbours 1 (rank 0) and 3 (rank 2).
@@ -286,6 +297,18 @@ mod tests {
         assert_eq!(o.lower_of_rank(1), [0]);
         assert_eq!(o.higher_of_rank(1), [2]);
         assert_eq!((o.nb(2), o.ns(2)), (1, 1));
+        assert_eq!((o.nb(0), o.ns(0)), (0, 0));
+        assert_eq!(o.rank_graph().num_edges(), 3);
+    }
+
+    #[test]
+    fn with_batch_rejects_a_batch_that_is_not_effective() {
+        let o = OrderedGraph::new(&star());
+        // Present insert, absent delete, self-loop, out-of-range endpoint.
+        assert!(o.with_batch(&[(0, 1)], &[]).is_err());
+        assert!(o.with_batch(&[], &[(1, 2)]).is_err());
+        assert!(o.with_batch(&[(3, 3)], &[]).is_err());
+        assert!(o.with_batch(&[(1, 5)], &[]).is_err());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! distribution strategies (which need `map(vp) belongs to worker i`,
 //! Equation 4) and the MapReduce shuffle.
 
-use crate::csr::{DataGraph, VertexId};
+use crate::csr::VertexId;
 use crate::hash::hash_u64;
 
 /// Random (hash) partitioner over `k` workers.
@@ -93,24 +93,6 @@ impl HashPartitioner {
         owned
     }
 
-    /// Per-worker vertex counts for `g` — used to report partition balance.
-    pub fn vertex_counts(&self, g: &DataGraph) -> Vec<usize> {
-        let mut counts = vec![0usize; self.workers as usize];
-        for v in g.vertices() {
-            counts[self.owner(v)] += 1;
-        }
-        counts
-    }
-
-    /// Per-worker degree sums (edge workload proxy) for `g`.
-    pub fn degree_sums(&self, g: &DataGraph) -> Vec<u64> {
-        let mut sums = vec![0u64; self.workers as usize];
-        for v in g.vertices() {
-            sums[self.owner(v)] += u64::from(g.degree(v));
-        }
-        sums
-    }
-
     /// Max/mean imbalance factor of a per-worker load vector
     /// (1.0 = perfectly balanced; undefined/1.0 for all-zero loads).
     pub fn imbalance(loads: &[u64]) -> f64 {
@@ -127,7 +109,6 @@ impl HashPartitioner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::erdos_renyi_gnm;
 
     #[test]
     fn owner_is_stable_and_in_range() {
@@ -158,25 +139,6 @@ mod tests {
         let b = HashPartitioner::with_salt(8, 2);
         let diffs = (0..1000u32).filter(|&v| a.owner(v) != b.owner(v)).count();
         assert!(diffs > 500, "salts should decorrelate placements ({diffs} differ)");
-    }
-
-    #[test]
-    fn vertex_counts_are_roughly_balanced() {
-        let g = erdos_renyi_gnm(10_000, 20_000, 3).unwrap();
-        let p = HashPartitioner::new(10);
-        let counts = p.vertex_counts(&g);
-        assert_eq!(counts.iter().sum::<usize>(), g.num_vertices());
-        for &c in &counts {
-            assert!((800..1200).contains(&c), "unbalanced partition: {counts:?}");
-        }
-    }
-
-    #[test]
-    fn degree_sums_account_every_half_edge() {
-        let g = erdos_renyi_gnm(500, 1_500, 5).unwrap();
-        let p = HashPartitioner::new(4);
-        let sums = p.degree_sums(&g);
-        assert_eq!(sums.iter().sum::<u64>(), g.degree_sum());
     }
 
     #[test]

@@ -87,3 +87,45 @@ fn the_edge_index_prunes_half_the_triangle_gpsis_of_table_2() {
     let pruned = without.saturating_sub(with) as f64 / without as f64;
     assert!(pruned >= 0.5, "the index prunes {:.1} % of {without} Gpsis", 100.0 * pruned);
 }
+
+/// Table 2, PG5 on UsPatent~ from v1 and from v3: the index prunes at
+/// least half of the Gpsis the house generates without it (the paper
+/// reports 92.87 % and 63.89 %).
+#[test]
+fn the_edge_index_prunes_half_the_house_gpsis_of_table_2() {
+    let ds = datasets::uspatent(0.1);
+    let pattern = catalog::house();
+    for init in [0, 2] {
+        let generated = |use_index: bool| {
+            let config =
+                PsglConfig::with_workers(8).init_vertex(init).edge_index(use_index).kernels(false);
+            let shared = PsglShared::prepare(&ds.graph, &pattern, &config).unwrap();
+            list_subgraphs_prepared(&shared, &config).unwrap().stats.expand.generated
+        };
+        let (with, without) = (generated(true), generated(false));
+        let pruned = without.saturating_sub(with) as f64 / without as f64;
+        assert!(
+            pruned >= 0.5,
+            "from v{}: the index prunes {:.1} % of {without} Gpsis",
+            init + 1,
+            100.0 * pruned
+        );
+    }
+}
+
+/// The bloom sweep's end points (`exp_ablation_bloom`, PG2 on
+/// LiveJournal~): at 8 bits per edge the run generates fewer Gpsis than
+/// with no index at all.
+#[test]
+fn an_eight_bit_index_generates_fewer_square_gpsis_than_none() {
+    let ds = datasets::livejournal(0.1);
+    let pattern = catalog::square();
+    let paper = PsglConfig::with_workers(8).kernels(false);
+    let generated = |config: PsglConfig| {
+        let shared = PsglShared::prepare(&ds.graph, &pattern, &config).unwrap();
+        list_subgraphs_prepared(&shared, &config).unwrap().stats.expand.generated
+    };
+    let none = generated(paper.clone().edge_index(false));
+    let eight = generated(PsglConfig { index_bits_per_edge: 8, ..paper });
+    assert!(eight < none, "8 bits per edge generate {eight} Gpsis, no index {none}");
+}

@@ -15,6 +15,7 @@ use psgl::graph::{DataGraph, DegreeStats, OrderedGraph};
 use psgl::pattern::labeled::automorphisms_labeled;
 use psgl::pattern::{catalog, Pattern};
 use psgl::sim::fingerprint::fingerprint_run;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn one_superstep_from(start: Start) -> RunRequest<'static> {
@@ -280,7 +281,8 @@ fn labelled_oracle(graph: &DataGraph, pattern: &Pattern, labels: &[u16], plabels
 /// The closing kernels work in rank space and cut a rank window out of a
 /// sorted list. Two setups break the assumptions that would make a
 /// shortcut there look safe. Ranks pinned on another graph (a
-/// `DeltaGraph` epoch's `reorient`) make degree non-monotone in rank, so
+/// `DeltaGraph` epoch: the other graph's order patched with the edge
+/// difference of the two graphs) make degree non-monotone in rank, so
 /// a degree bound folded into the window would drop instances. Labels
 /// make the wedge join check each candidate, so it may not count a slice.
 /// In both, every harvest mode must agree on every counter, and the count
@@ -288,8 +290,13 @@ fn labelled_oracle(graph: &DataGraph, pattern: &Pattern, labels: &[u16], plabels
 #[test]
 fn kernels_agree_when_ranks_do_not_follow_degree_and_with_labels() {
     let graph = chung_lu(300, 6.0, 1.8, 3).unwrap();
-    let ordered =
-        Arc::new(OrderedGraph::new(&chung_lu(300, 6.0, 1.8, 4).unwrap()).reorient(&graph));
+    let other = chung_lu(300, 6.0, 1.8, 4).unwrap();
+    let now: BTreeSet<(u32, u32)> = graph.edges().collect();
+    let then: BTreeSet<(u32, u32)> = other.edges().collect();
+    let inserted: Vec<_> = now.difference(&then).copied().collect();
+    let deleted: Vec<_> = then.difference(&now).copied().collect();
+    let ordered = Arc::new(OrderedGraph::new(&other).with_batch(&inserted, &deleted).unwrap());
+    assert_eq!(ordered.rank_graph().num_edges(), graph.num_edges());
     assert!(
         graph.edges().any(|(u, v)| graph.degree(u) < graph.degree(v) && ordered.less(v, u)),
         "the pinned ranks still follow degree"
