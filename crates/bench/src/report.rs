@@ -1,92 +1,89 @@
 //! Uniform table rendering for the experiment binaries.
 //!
-//! Every experiment prints (a) a header identifying the paper artifact it
-//! regenerates, (b) a fixed-width table whose rows mirror the paper's, and
-//! (c) a `shape:` line summarizing what to compare against the paper
-//! (`EXPERIMENTS.md` records both sides).
+//! Every experiment prints a banner identifying the paper artifact it
+//! regenerates, then fixed-width tables whose rows mirror the paper's. The
+//! paper experiments ([`crate::paper`]) render into a string that ends in
+//! checked verdict lines; the `BENCH_*` binaries print as they go.
 
 use crate::datasets::Dataset;
+use std::fmt::Write;
 use std::time::Instant;
 
-/// Row label of the one run per case that an experiment makes with the
-/// closing kernels on (DESIGN.md §12). The kernels are this
-/// reproduction's extension, not the paper's Algorithm 1: every paper row
-/// runs with `kernels(false)`, and no `shape:` line reads this row.
-pub const EXTENSION: &str = "+kernels";
-
-/// Prints the standard experiment banner, with the machine's core count
-/// and one line per distinct stand-in dataset giving its size and
-/// [`content_hash`](psgl_graph::DataGraph::content_hash), so a generator
-/// change shows as a diff in the recorded output rather than as drift.
+/// Prints the standard experiment banner ([`banner_text`]).
 pub fn banner<'a>(
     artifact: &str,
     description: &str,
     scale: f64,
     stand_ins: impl IntoIterator<Item = &'a Dataset>,
 ) {
+    print!("{}", banner_text(artifact, description, scale, stand_ins));
+}
+
+/// The standard experiment banner, with the machine's core count and one
+/// line per distinct stand-in dataset giving its size and
+/// [`content_hash`](psgl_graph::DataGraph::content_hash), so a generator
+/// change shows as a diff in the recorded output rather than as drift.
+pub fn banner_text<'a>(
+    artifact: &str,
+    description: &str,
+    scale: f64,
+    stand_ins: impl IntoIterator<Item = &'a Dataset>,
+) -> String {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("================================================================");
-    println!("{artifact}: {description}");
-    println!("(synthetic stand-in datasets, PSGL_SCALE={scale}; see DESIGN.md §3)");
+    let rule = "=".repeat(64);
+    let mut out = format!("{rule}\n{artifact}: {description}\n");
+    let _ = writeln!(out, "(synthetic stand-in datasets, PSGL_SCALE={scale}; see DESIGN.md §3)");
     let mut seen = Vec::new();
     for ds in stand_ins {
         let hash = ds.graph.content_hash();
         if !seen.contains(&(ds.name, hash)) {
             seen.push((ds.name, hash));
-            println!(
-                "(stand-in {}: {} vertices, {} edges, content hash {hash:016x})",
-                ds.name,
-                ds.graph.num_vertices(),
-                ds.graph.num_edges()
+            let (n, m) = (ds.graph.num_vertices(), ds.graph.num_edges());
+            let _ = writeln!(
+                out,
+                "(stand-in {}: {n} vertices, {m} edges, content hash {hash:016x})",
+                ds.name
             );
         }
     }
-    println!("(machine: {cores} cores)");
-    println!("================================================================");
+    let _ = writeln!(out, "(machine: {cores} cores)\n{rule}");
+    out
 }
 
-/// The line that explains an experiment's [`EXTENSION`] row.
-pub fn extension_note() {
-    println!(
-        "({EXTENSION}: the closing kernels, an extension beyond the paper, with the default \
-         strategy (WA,0.5); the other rows run the paper's Algorithm 1 with kernels off)"
-    );
+/// A table's header line and the rule under it, for `(name, width)`
+/// columns.
+pub fn header_text(columns: &[(&str, usize)]) -> String {
+    let names: Vec<String> = columns.iter().map(|&(name, _)| name.to_string()).collect();
+    let header = cells_text(columns, &names);
+    format!("{header}\n{}", "-".repeat(header.len()))
+}
+
+/// One table line: the first cell left-aligned and the rest right-aligned,
+/// each padded to its column's width. Cells beyond the columns are
+/// ignored.
+pub fn cells_text(columns: &[(&str, usize)], cells: &[String]) -> String {
+    let mut line = String::new();
+    for (i, (cell, &(_, w))) in cells.iter().zip(columns).enumerate() {
+        let _ = if i == 0 { write!(line, "{cell:<w$}") } else { write!(line, " {cell:>w$}") };
+    }
+    line
 }
 
 /// A fixed-width table printer.
 pub struct Table {
-    widths: Vec<usize>,
+    columns: Vec<(&'static str, usize)>,
 }
 
 impl Table {
     /// Creates a table and prints its header row.
-    pub fn new(columns: &[(&str, usize)]) -> Table {
-        let widths: Vec<usize> = columns.iter().map(|&(_, w)| w).collect();
-        let mut header = String::new();
-        for (i, &(name, w)) in columns.iter().enumerate() {
-            if i == 0 {
-                header.push_str(&format!("{name:<w$}"));
-            } else {
-                header.push_str(&format!(" {name:>w$}"));
-            }
-        }
-        println!("{header}");
-        println!("{}", "-".repeat(header.len()));
-        Table { widths }
+    pub fn new(columns: &[(&'static str, usize)]) -> Table {
+        println!("{}", header_text(columns));
+        Table { columns: columns.to_vec() }
     }
 
     /// Prints one row; cells beyond the declared column count are ignored.
     pub fn row(&self, cells: &[String]) {
-        let mut line = String::new();
-        for (i, cell) in cells.iter().enumerate().take(self.widths.len()) {
-            let w = self.widths[i];
-            if i == 0 {
-                line.push_str(&format!("{cell:<w$}"));
-            } else {
-                line.push_str(&format!(" {cell:>w$}"));
-            }
-        }
-        println!("{line}");
+        println!("{}", cells_text(&self.columns, cells));
     }
 }
 
@@ -155,5 +152,12 @@ mod tests {
         assert_eq!(percentile(&xs, 0.99), 4.0);
         assert_eq!(percentile(&xs, 0.0), 1.0);
         assert!(percentile(&[], 0.5).is_nan());
+    }
+
+    #[test]
+    fn cells_pad_first_left_and_the_rest_right() {
+        let columns = [("a", 3), ("b", 4)];
+        assert_eq!(header_text(&columns), "a      b\n--------");
+        assert_eq!(cells_text(&columns, &["x".into(), "y".into(), "z".into()]), "x      y");
     }
 }

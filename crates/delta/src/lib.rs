@@ -13,9 +13,13 @@
 //! Two layers:
 //!
 //! - [`DeltaGraph`] ([`overlay`]) — a mutable tier over the immutable CSR
-//!   [`DataGraph`](psgl_graph::DataGraph): base CSR + insert/delete overlay
-//!   sets, epoch-numbered snapshots, periodic compaction back into the CSR,
-//!   and bloom [`EdgeIndex`](psgl_core::EdgeIndex) maintenance that stays
+//!   [`DataGraph`](psgl_graph::DataGraph): each epoch's snapshot is the
+//!   previous CSR patched with the batch's effective delta
+//!   ([`DataGraph::with_batch`](psgl_graph::DataGraph::with_batch)), its
+//!   ordered view's rank-space graph is patched by the same routine, and a
+//!   drift count against the base decides when to compact (the snapshot
+//!   becomes the new base, ordering and index rebuilt). Bloom
+//!   [`EdgeIndex`](psgl_core::EdgeIndex) maintenance stays
 //!   false-negative-free under deletions (stale bits tolerated until a
 //!   compaction rebuild).
 //! - [`DeltaQuery`] ([`engine`]) — delta-restricted expansion: for each

@@ -1,50 +1,51 @@
-//! The paper's mechanisms, checked at a small scale with kernels off.
+//! The paper's mechanisms, checked at scale 0.1 on a case subset.
 //!
-//! The closing kernels finish most instances in place, so with them on
-//! the distribution strategies of Algorithm 3 have little left to place,
-//! and a default that hides a paper mechanism shows up only as a flat
-//! figure. These tests run the paper's Algorithm 1 (`kernels(false)`) on
-//! the experiment binaries' stand-in datasets and hold the shape the
-//! paper reports.
+//! Each test runs an experiment of `psgl_bench::paper`, the functions the
+//! `exp` binary prints, so a shape held here is literally a figure's
+//! verdict. The paper rows run Algorithm 1 with kernels off. A test holds
+//! the deviation rule ([`paper::check`]) over the verdicts its case subset
+//! computes: each passes unless listed, and each listed one fails. It also
+//! names the verdicts it stands for, which must pass. That every listed id
+//! names a verdict is checked by `exp`, which runs every case.
+//!
+//! The list is `paper::DEVIATIONS`, recorded at scale 1, plus
+//! [`FAILING_AT_THIS_SCALE`]. No wall-clock verdict runs here: Fig. 7 and
+//! Table 3 stay in the binary, and so does Table 4, whose one-hop runs
+//! fit their budget at this scale.
 
-use psgl::core::{list_subgraphs_prepared, PsglConfig, PsglShared, Strategy};
-use psgl::pattern::catalog;
-use psgl_bench::datasets;
+use psgl_bench::paper::{self, Report};
+
+const SCALE: f64 = 0.1;
+
+/// Verdicts that pass at scale 1 and fail at this one. Fig. 3's PG2 on
+/// WebGoogle~: (WA,1) has a 3 % smaller makespan than (WA,0.5) here
+/// (284 487 against 293 675), 4 % larger at scale 1 (29.75 M against
+/// 28.58 M).
+const FAILING_AT_THIS_SCALE: &[&str] = &["fig3.wa05_best(WebGoogle~)"];
+
+/// Holds the deviation rule over the verdicts of `report`, and that each of
+/// `claims` is one of them and passes.
+fn holds(report: &Report, claims: &[&str]) {
+    let computed = |id: &&str| report.verdicts.iter().any(|v| v.id == *id);
+    let listed: Vec<&str> =
+        [paper::DEVIATIONS, FAILING_AT_THIS_SCALE].concat().into_iter().filter(computed).collect();
+    let problems = paper::check(&[report], &listed);
+    assert!(problems.is_empty(), "{problems:#?}\n{}", report.render());
+    for claim in claims {
+        let verdict = report.verdicts.iter().find(|v| v.id == *claim);
+        assert!(verdict.is_some_and(|v| v.pass), "{claim}: {verdict:?}\n{}", report.render());
+    }
+}
 
 /// Figure 3 on the three skewed PG2 cases: workload-aware placement with
 /// α = 0.5 gives a smaller simulated makespan and a smaller cost
-/// imbalance than both Random and Roulette (Section 7.2). The test holds
-/// only the order; at scale 0.1 the measured makespan margin is at least
-/// 15 % in every case.
+/// imbalance than both Random and Roulette (Section 7.2).
 #[test]
 fn workload_aware_placement_beats_random_and_roulette_on_squares() {
-    let scale = 0.1;
-    let pattern = catalog::square();
-    for ds in [datasets::webgoogle(scale), datasets::wikitalk(scale), datasets::uspatent(scale)] {
-        let config = PsglConfig::with_workers(8).kernels(false);
-        let shared = PsglShared::prepare(&ds.graph, &pattern, &config).unwrap();
-        let run = |strategy: Strategy| {
-            let stats =
-                list_subgraphs_prepared(&shared, &config.clone().strategy(strategy)).unwrap().stats;
-            (stats.simulated_makespan, stats.cost_imbalance)
-        };
-        let (wa_makespan, wa_imbalance) = run(Strategy::WorkloadAware { alpha: 0.5 });
-        for (name, strategy) in
-            [("Random", Strategy::Random), ("Roulette", Strategy::RouletteWheel)]
-        {
-            let (makespan, imbalance) = run(strategy);
-            assert!(
-                wa_makespan < makespan,
-                "{}: (WA,0.5) makespan {wa_makespan} is not below {name}'s {makespan}",
-                ds.name
-            );
-            assert!(
-                wa_imbalance < imbalance,
-                "{}: (WA,0.5) imbalance {wa_imbalance:.3} is not below {name}'s {imbalance:.3}",
-                ds.name
-            );
-        }
-    }
+    let graphs = ["WebGoogle~", "WikiTalk~", "UsPatent~"];
+    let report = paper::fig3(SCALE, Some(&graphs));
+    let claims = graphs.map(|g| format!("fig3.wa05_beats_random_roulette({g})"));
+    holds(&report, &claims.each_ref().map(String::as_str));
 }
 
 /// Figure 5 on WikiTalk~ with 13 workers: workload-aware placement with
@@ -52,40 +53,45 @@ fn workload_aware_placement_beats_random_and_roulette_on_squares() {
 /// max/mean of the per-worker Eq. 2 cost) than both Random and Roulette.
 #[test]
 fn workload_aware_placement_balances_the_workers_of_figure_5() {
-    let ds = datasets::wikitalk(0.1);
-    let config = PsglConfig::with_workers(13).kernels(false);
-    let shared = PsglShared::prepare(&ds.graph, &catalog::square(), &config).unwrap();
-    let max_over_mean = |strategy: Strategy| {
-        let costs = list_subgraphs_prepared(&shared, &config.clone().strategy(strategy))
-            .unwrap()
-            .stats
-            .per_worker_cost;
-        let mean = costs.iter().sum::<u64>() as f64 / costs.len() as f64;
-        *costs.iter().max().unwrap() as f64 / mean
-    };
-    let wa = max_over_mean(Strategy::WorkloadAware { alpha: 0.5 });
-    for (name, strategy) in [("Random", Strategy::Random), ("Roulette", Strategy::RouletteWheel)] {
-        let other = max_over_mean(strategy);
-        assert!(wa < other, "(WA,0.5) max/mean {wa:.3} is not below {name}'s {other:.3}");
-    }
+    let report = paper::fig5(SCALE, None);
+    holds(&report, &["fig5.wa05_max_over_mean_below_random_roulette"]);
+}
+
+/// Figure 6: v1 stays within 15 % of the best initial vertex on power-law
+/// graphs, and no initial vertex costs more than 3.5× the best on the
+/// Erdős–Rényi control.
+#[test]
+fn the_initial_vertex_matters_little_on_the_random_graph_of_figure_6() {
+    let cases = ["LiveJournal~ PG1/triangle", "RandGraph PG1/triangle", "RandGraph PG2/square"];
+    let report = paper::fig6(SCALE, Some(&cases));
+    holds(
+        &report,
+        &[
+            "fig6.v1_within_15pct_of_best(LiveJournal~ PG1/triangle)",
+            "fig6.gap_within_3_5x(RandGraph PG1/triangle)",
+            "fig6.gap_within_3_5x(RandGraph PG2/square)",
+        ],
+    );
+}
+
+/// Figure 8 at 10 and 20 workers: the makespan falls, and the listed
+/// deviation holds — the efficiency at 20 workers stays below 0.9.
+#[test]
+fn doubling_the_workers_of_figure_8_lowers_the_makespan() {
+    let report = paper::fig8(SCALE, Some(&["10", "20"]));
+    holds(&report, &["fig8.makespan_falls_when_workers_double(10 to 20)"]);
 }
 
 /// Table 2, PG1 on LiveJournal~ from v1: the light-weight edge index
 /// prunes at least half of the Gpsis the run generates without it (the
-/// paper reports 58 %).
+/// paper reports 58 %). The 4-clique case beside it carries Table 2's
+/// listed deviation: without the index it finishes within its budget.
 #[test]
 fn the_edge_index_prunes_half_the_triangle_gpsis_of_table_2() {
-    let ds = datasets::livejournal(0.1);
-    let pattern = catalog::triangle();
-    let generated = |use_index: bool| {
-        let config =
-            PsglConfig::with_workers(8).init_vertex(0).edge_index(use_index).kernels(false);
-        let shared = PsglShared::prepare(&ds.graph, &pattern, &config).unwrap();
-        list_subgraphs_prepared(&shared, &config).unwrap().stats.expand.generated
-    };
-    let (with, without) = (generated(true), generated(false));
-    let pruned = without.saturating_sub(with) as f64 / without as f64;
-    assert!(pruned >= 0.5, "the index prunes {:.1} % of {without} Gpsis", 100.0 * pruned);
+    let cases = ["LiveJournal~ PG1/triangle(v1)", "LiveJournal~ PG4/4-clique(v1)"];
+    let report = paper::table2(SCALE, Some(&cases));
+    holds(&report, &["table2.index_prunes_half(LiveJournal~ PG1/triangle(v1))"]);
+    assert!(report.verdicts.iter().any(|v| v.id == "table2.noindex_clique_ooms"));
 }
 
 /// Table 2, PG5 on UsPatent~ from v1 and from v3: the index prunes at
@@ -93,39 +99,20 @@ fn the_edge_index_prunes_half_the_triangle_gpsis_of_table_2() {
 /// reports 92.87 % and 63.89 %).
 #[test]
 fn the_edge_index_prunes_half_the_house_gpsis_of_table_2() {
-    let ds = datasets::uspatent(0.1);
-    let pattern = catalog::house();
-    for init in [0, 2] {
-        let generated = |use_index: bool| {
-            let config =
-                PsglConfig::with_workers(8).init_vertex(init).edge_index(use_index).kernels(false);
-            let shared = PsglShared::prepare(&ds.graph, &pattern, &config).unwrap();
-            list_subgraphs_prepared(&shared, &config).unwrap().stats.expand.generated
-        };
-        let (with, without) = (generated(true), generated(false));
-        let pruned = without.saturating_sub(with) as f64 / without as f64;
-        assert!(
-            pruned >= 0.5,
-            "from v{}: the index prunes {:.1} % of {without} Gpsis",
-            init + 1,
-            100.0 * pruned
-        );
-    }
+    let cases = ["UsPatent~ PG5/house(v1)", "UsPatent~ PG5/house(v3)"];
+    holds(
+        &paper::table2(SCALE, Some(&cases)),
+        &[
+            "table2.index_prunes_half(UsPatent~ PG5/house(v1))",
+            "table2.index_prunes_half(UsPatent~ PG5/house(v3))",
+        ],
+    );
 }
 
-/// The bloom sweep's end points (`exp_ablation_bloom`, PG2 on
-/// LiveJournal~): at 8 bits per edge the run generates fewer Gpsis than
-/// with no index at all.
+/// The bloom sweep's end points (PG2 on LiveJournal~): at 8 bits per edge
+/// the run generates fewer Gpsis than with no index at all.
 #[test]
 fn an_eight_bit_index_generates_fewer_square_gpsis_than_none() {
-    let ds = datasets::livejournal(0.1);
-    let pattern = catalog::square();
-    let paper = PsglConfig::with_workers(8).kernels(false);
-    let generated = |config: PsglConfig| {
-        let shared = PsglShared::prepare(&ds.graph, &pattern, &config).unwrap();
-        list_subgraphs_prepared(&shared, &config).unwrap().stats.expand.generated
-    };
-    let none = generated(paper.clone().edge_index(false));
-    let eight = generated(PsglConfig { index_bits_per_edge: 8, ..paper });
-    assert!(eight < none, "8 bits per edge generate {eight} Gpsis, no index {none}");
+    let report = paper::bloom(SCALE, Some(&["8"]));
+    holds(&report, &["bloom.eight_bits_generate_fewer_gpsis_than_none"]);
 }

@@ -13,7 +13,8 @@
 //! grows as the fourth power of its degree: the word-boundary test keeps
 //! the 132-spoke hub for the catalog's shapes. The same sweep over the 112
 //! connected six-vertex patterns is `#[ignore]`d here and runs in release
-//! in CI.
+//! in CI; tier-1 keeps the cheapest six-vertex pattern that gives a WHITE
+//! slot two arena targets, which no smaller pattern does.
 
 mod common;
 
@@ -176,6 +177,18 @@ fn every_connected_pattern_on_three_to_five_vertices_matches_the_oracle() {
         "connected graphs on 3, 4 and 5 vertices"
     );
     sweep(&by_size.concat());
+}
+
+/// `K6` without the edges `3-5` and `4-5`: a closing expansion filters a
+/// WHITE slot's arena against two mapped pattern neighbours at once. Of
+/// the six-vertex patterns that do, it is the cheapest to sweep; an arena
+/// that checks only its first target passes every smaller pattern and
+/// fails this one.
+#[test]
+fn a_six_vertex_pattern_with_two_arena_targets_matches_the_oracle() {
+    let k6 = (0..6).flat_map(|a| (a + 1..6).map(move |b| (a, b)));
+    let edges: Vec<_> = k6.filter(|&e| e != (3, 5) && e != (4, 5)).collect();
+    sweep(&[Pattern::new("K6 minus 3-5 and 4-5", 6, &edges).unwrap()]);
 }
 
 #[test]
