@@ -124,11 +124,21 @@ pub fn run(g: &DataGraph, p: &Pattern, config: &OneHopConfig) -> Result<OneHopRe
     }
     let mut intermediates = vec![current.len() as u64];
     let mut peak = current.len() as u64;
+    // Past the budget a round only counts what it would store, so the
+    // simulated OOM reports the round's full size without holding it.
+    let budget = config.intermediate_budget.unwrap_or(u64::MAX);
     // One round per subsequent traversal vertex, plus a final verification
     // round for the last vertex's deferred checks.
     for round in 1..=np {
         let extend_to = order.get(round).copied();
         let mut next: Vec<Embedding> = Vec::new();
+        let mut produced = 0u64;
+        let mut keep = |emb: Embedding| {
+            produced += 1;
+            if produced <= budget {
+                next.push(emb);
+            }
+        };
         for emb in &current {
             // (a) resolve the deferred cross-edge checks that became local:
             // the embedding now "sits at" order[round-1]'s data vertex, so
@@ -153,7 +163,7 @@ pub fn run(g: &DataGraph, p: &Pattern, config: &OneHopConfig) -> Result<OneHopRe
             emb.pending &= !(1 << (round - 1));
             // (b) extend to the next traversal vertex, if any.
             let Some(nv) = extend_to else {
-                next.push(emb);
+                keep(emb);
                 continue;
             };
             // Parent: the earliest already-mapped pattern neighbor.
@@ -185,16 +195,14 @@ pub fn run(g: &DataGraph, p: &Pattern, config: &OneHopConfig) -> Result<OneHopRe
                 let mut e2 = emb;
                 e2.slots[nv as usize] = cand;
                 e2.pending |= 1 << round;
-                next.push(e2);
+                keep(e2);
             }
         }
-        peak = peak.max(next.len() as u64);
-        if let Some(budget) = config.intermediate_budget {
-            if next.len() as u64 > budget {
-                return Err(OneHopError::OutOfMemory { intermediates: next.len() as u64, budget });
-            }
+        peak = peak.max(produced);
+        if produced > budget {
+            return Err(OneHopError::OutOfMemory { intermediates: produced, budget });
         }
-        intermediates.push(next.len() as u64);
+        intermediates.push(produced);
         current = next;
     }
     Ok(OneHopResult {
@@ -282,6 +290,29 @@ mod tests {
         let p = catalog::square();
         let config = OneHopConfig { order: natural_order(&p), intermediate_budget: Some(50) };
         assert!(matches!(run(&g, &p, &config), Err(OneHopError::OutOfMemory { .. })));
+    }
+
+    #[test]
+    fn oom_reports_the_whole_round_it_did_not_store() {
+        // Every budget below the peak trips on the first extension round
+        // past it (the seeds are not budgeted) and reports that round's
+        // full size, as the unbudgeted run counts it.
+        let g = chung_lu(400, 8.0, 1.9, 11).unwrap();
+        let p = catalog::tailed_triangle();
+        let order = vec![3, 1, 0, 2];
+        let free = run(&g, &p, &OneHopConfig { order: order.clone(), intermediate_budget: None });
+        let sizes = free.unwrap().intermediates.split_off(1);
+        let peak = *sizes.iter().max().unwrap();
+        for budget in [0, sizes[0] - 1, sizes[0], peak - 1] {
+            let config = OneHopConfig { order: order.clone(), intermediate_budget: Some(budget) };
+            let tripped = *sizes.iter().find(|&&n| n > budget).unwrap();
+            match run(&g, &p, &config) {
+                Err(OneHopError::OutOfMemory { intermediates, budget: b }) => {
+                    assert_eq!((intermediates, b), (tripped, budget), "budget {budget}");
+                }
+                other => panic!("budget {budget}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -3,12 +3,13 @@
 //! Messages travel in fixed-capacity chunks recycled through a
 //! [`ChunkPool`] (see [`crate::chunk`]): senders fill pooled chunks, the
 //! exchange moves them by pointer, and each receiver reads its inbox in
-//! place. It sorts a retained 12-byte `(vertex, part, slot)` index of its
-//! messages, not the messages, and copies each vertex's messages from the
-//! chunks they were delivered in into that vertex's batch. Only spilled
-//! segments, and every chunk of a run under a live-chunk cap, are copied
-//! into a retained gather buffer first. Steady-state supersteps therefore
-//! allocate nothing on the message path.
+//! place. It orders a retained 12-byte `(vertex, part, slot)` index of
+//! its messages by a counting sort on the vertex, not the messages, and
+//! copies each vertex's messages from the chunks they were delivered in
+//! into that vertex's batch. Only spilled segments, and every chunk of a
+//! run under a live-chunk cap, are copied into a retained gather buffer
+//! first. Steady-state supersteps therefore allocate nothing on the
+//! message path.
 //!
 //! Scheduling is pluggable through the [`Executor`] seam (see
 //! [`crate::exec`]): [`run_controlled`] takes the production
@@ -163,15 +164,32 @@ impl std::fmt::Display for BspError {
 
 impl std::error::Error for BspError {}
 
+/// An inbox of fewer than `num_vertices / COUNTING_SORT_MIN_FILL` messages
+/// is regrouped by `sort_unstable` instead of the counting sort, whose
+/// prefix sum and reset walk one count per graph vertex whatever the inbox
+/// size. Both give the same order.
+const COUNTING_SORT_MIN_FILL: usize = 16;
+
 /// Per-worker scratch retained across supersteps so the hot loop reuses
 /// buffers instead of reallocating them.
 struct WorkerScratch<M> {
+    /// Vertices of the graph: the range of message destinations.
+    num_vertices: usize,
     /// The regroup index: one `(vertex, part, slot)` key per inbox
     /// message, where `part` is the message's inbox part and `slot` its
-    /// position in that part's chunk, or in `gather`. Keys are unique, so
-    /// an unstable sort yields ascending vertices with delivery order kept
-    /// within each vertex.
+    /// position in that part's chunk, or in `gather`. Keys are unique and
+    /// ordered: ascending vertices, delivery order within each vertex —
+    /// exactly `sort_unstable`'s order. A counting sort by vertex writes
+    /// them here straight from the inbox, so no second index-sized buffer
+    /// exists; small inboxes are sorted in place instead.
     index: Vec<(VertexId, u32, u32)>,
+    /// The counting sort's one `u32` per vertex: keys per vertex, then
+    /// each vertex's next position in `index`. All zero between
+    /// supersteps; allocated by the first counting sort.
+    counts: Vec<u32>,
+    /// Where each inbox part's messages start in `gather`, and where the
+    /// last one ends: a part read in place has an empty range.
+    starts: Vec<u32>,
     /// Messages that are not read where they were delivered: decoded
     /// spill segments and, under a live-chunk cap, every resident chunk,
     /// copied here so the chunk goes back to the pool before `compute`
@@ -179,6 +197,19 @@ struct WorkerScratch<M> {
     gather: Vec<(VertexId, M)>,
     /// Per-vertex message batch handed to `compute`.
     batch: Vec<M>,
+}
+
+impl<M> WorkerScratch<M> {
+    fn new(num_vertices: usize) -> Self {
+        WorkerScratch {
+            num_vertices,
+            index: Vec::new(),
+            counts: Vec::new(),
+            starts: Vec::new(),
+            gather: Vec::new(),
+            batch: Vec::new(),
+        }
+    }
 }
 
 /// How the superstep loop ended. Every way out of a run is one of these,
@@ -278,11 +309,15 @@ pub fn run_controlled<P: VertexProgram>(
             (states, Frontier::empty(l), 0)
         }
     };
-    // Owned vertex lists for superstep 0, one per local partition slot.
-    let owned: Vec<Vec<VertexId>> = partitioner.owned_vertices(num_vertices, &locals);
-    let mut scratches: Vec<WorkerScratch<P::Message>> = (0..l)
-        .map(|_| WorkerScratch { index: Vec::new(), gather: Vec::new(), batch: Vec::new() })
-        .collect();
+    // Owned vertex lists, one per local partition slot: only superstep 0
+    // reads them, so a run that starts later (seeds, a resume) skips them.
+    let owned: Vec<Vec<VertexId>> = if superstep == 0 {
+        partitioner.owned_vertices(num_vertices, &locals)
+    } else {
+        vec![Vec::new(); l]
+    };
+    let mut scratches: Vec<WorkerScratch<P::Message>> =
+        (0..l).map(|_| WorkerScratch::new(num_vertices)).collect();
     // Spill-store totals — stall nanos, spilled chunks, re-admitted
     // chunks, write failures — as of the last barrier, for per-superstep
     // deltas. The store may be shared across slices of one logical run,
@@ -603,9 +638,10 @@ fn finalize_metrics<M>(
 /// `outbox` in place. Superstep 0 runs `compute` on every owned vertex;
 /// later supersteps index `inbox` (resident chunks and spilled segments,
 /// in delivery order) with one `(vertex, part, slot)` key per message,
-/// sort the keys, and call `compute` once per vertex with its messages,
-/// each copied into the batch from where it sits. Polls for a hard cancel
-/// every 32 `compute` calls.
+/// ordered by a counting sort on the vertex (see [`index_inbox`]), and
+/// call `compute` once per vertex with its messages, each copied into the
+/// batch from where it sits. Polls for a hard cancel every 32 `compute`
+/// calls.
 ///
 /// Resident chunks are read in place and stay in `inbox` until the last
 /// `compute` call returns; only then do they go back to the pool. Spilled
@@ -637,7 +673,6 @@ fn run_worker<P: VertexProgram>(
     spill: Option<&SpillStore>,
 ) -> Result<WorkerSuperstepMetrics, SpillError> {
     let started = Instant::now();
-    let WorkerScratch { index, gather, batch } = scratch;
     let mut ctx = Context {
         superstep,
         worker,
@@ -658,55 +693,19 @@ fn run_worker<P: VertexProgram>(
                 break;
             }
             active_vertices += 1;
-            batch.clear();
-            program.compute(&mut ctx, state, v, batch);
+            scratch.batch.clear();
+            program.compute(&mut ctx, state, v, &mut scratch.batch);
         }
     } else if !poll.should_abort() {
-        let in_place = !pool.is_capped();
-        let total = inbox.iter().map(InboxPart::tuples).sum::<u64>();
-        assert!(
-            total <= u64::from(u32::MAX) && inbox.len() <= u32::MAX as usize,
-            "an inbox of {total} messages in {} parts overflows the regroup index",
-            inbox.len()
-        );
-        index.clear();
-        index.reserve(total as usize);
-        gather.clear();
-        for (p, part) in (0u32..).zip(inbox.iter_mut()) {
-            match part {
-                InboxPart::Chunk(c) if in_place => {
-                    index.extend(c.iter().zip(0..).map(|(&(v, _), slot)| (v, p, slot)));
-                }
-                _ => {
-                    let base = gather.len();
-                    match std::mem::take(part) {
-                        InboxPart::Chunk(mut c) => {
-                            gather.append(&mut c);
-                            pool.release(c);
-                        }
-                        InboxPart::Spilled(seg) => {
-                            let store = spill.expect("spilled inbox part without a spill store");
-                            timed(&mut ctx.spill_nanos, || store.readmit(seg, gather))?;
-                        }
-                    }
-                    let gathered = gather[base..].iter().zip(base as u32..);
-                    index.extend(gathered.map(|(&(v, _), slot)| (v, p, slot)));
-                }
-            }
-        }
-        index.sort_unstable();
+        index_inbox(inbox, scratch, pool, spill, &mut ctx.spill_nanos)?;
+        let WorkerScratch { index, gather, batch, .. } = scratch;
         messages_in = index.len() as u64;
         for run in index.chunk_by(|a, b| a.0 == b.0) {
             if active_vertices & 31 == 31 && poll.should_abort() {
                 break;
             }
             batch.clear();
-            batch.extend(run.iter().map(|&(_, p, slot)| match &inbox[p as usize] {
-                // A part still holding its chunk is read in place; a taken
-                // part's messages were gathered.
-                InboxPart::Chunk(c) if !c.is_empty() => c[slot as usize].1,
-                _ => gather[slot as usize].1,
-            }));
+            batch.extend(run.iter().map(|&(_, p, slot)| keyed(inbox, gather, p, slot).1));
             active_vertices += 1;
             program.compute(&mut ctx, state, run[0].0, batch);
         }
@@ -724,6 +723,142 @@ fn run_worker<P: VertexProgram>(
         cost: ctx.cost,
         elapsed_nanos: (started.elapsed().as_nanos() as u64).saturating_sub(ctx.spill_nanos),
     })
+}
+
+/// Fills `scratch.index` with one `(vertex, part, slot)` key per message
+/// of `inbox`, in ascending vertex order with delivery order kept within
+/// each vertex. Parts that are not read in place — spilled segments and,
+/// under a live-chunk cap, every chunk — are first moved into
+/// `scratch.gather` (a taken part becomes a zero-capacity placeholder).
+///
+/// The keys are unique and produced in `(part, slot)` order, so a stable
+/// counting sort by vertex gives exactly `sort_unstable`'s order: count the
+/// keys per vertex, turn the counts into start positions, and scatter the
+/// keys a second time straight from the inbox. That costs two reads of the
+/// inbox and one of the counts, and no buffer beside the index. An inbox
+/// small against the graph, or one addressing a vertex past
+/// `num_vertices`, is sorted instead.
+fn index_inbox<M: Encode>(
+    inbox: &mut [InboxPart<M>],
+    scratch: &mut WorkerScratch<M>,
+    pool: &ChunkPool<M>,
+    spill: Option<&SpillStore>,
+    spill_nanos: &mut u64,
+) -> Result<(), SpillError> {
+    let WorkerScratch { num_vertices, index, counts, starts, gather, .. } = scratch;
+    let in_place = !pool.is_capped();
+    let total = inbox.iter().map(InboxPart::tuples).sum::<u64>();
+    assert!(
+        total <= u64::from(u32::MAX) && inbox.len() <= u32::MAX as usize,
+        "an inbox of {total} messages in {} parts overflows the regroup index",
+        inbox.len()
+    );
+    let total = total as usize;
+    gather.clear();
+    starts.clear();
+    for part in inbox.iter_mut() {
+        starts.push(gather.len() as u32);
+        match part {
+            InboxPart::Chunk(_) if in_place => {}
+            _ => match std::mem::take(part) {
+                InboxPart::Chunk(mut c) => {
+                    gather.append(&mut c);
+                    pool.release(c);
+                }
+                InboxPart::Spilled(seg) => {
+                    let store = spill.expect("spilled inbox part without a spill store");
+                    timed(spill_nanos, || store.readmit(seg, gather))?;
+                }
+            },
+        }
+    }
+    starts.push(gather.len() as u32);
+    let (inbox, gather, starts) = (&*inbox, &gather[..], &starts[..]);
+    index.clear();
+    let counted = total * COUNTING_SORT_MIN_FILL >= *num_vertices && {
+        counts.resize(*num_vertices, 0);
+        counting_sort(inbox, gather, starts, counts, index, total)
+    };
+    if !counted {
+        index.reserve(total);
+        for_each_key(inbox, gather, starts, |v, p, slot| index.push((v, p, slot)));
+        index.sort_unstable();
+    }
+    Ok(())
+}
+
+/// Fills the empty `index` with the `total` inbox keys by a stable
+/// counting sort on the vertex and leaves `counts` all zero. Returns
+/// false, with `index` still empty, when a key addresses a vertex past
+/// `counts`.
+fn counting_sort<M>(
+    inbox: &[InboxPart<M>],
+    gather: &[(VertexId, M)],
+    starts: &[u32],
+    counts: &mut [u32],
+    index: &mut Vec<(VertexId, u32, u32)>,
+    total: usize,
+) -> bool {
+    let mut in_range = true;
+    for_each_key(inbox, gather, starts, |v, _, _| match counts.get_mut(v as usize) {
+        Some(c) => *c += 1,
+        None => in_range = false,
+    });
+    if !in_range {
+        counts.fill(0);
+        return false;
+    }
+    // Each vertex's first position in the index.
+    let mut next = 0u32;
+    for c in counts.iter_mut() {
+        (*c, next) = (next, next + *c);
+    }
+    index.resize(total, (0, 0, 0));
+    for_each_key(inbox, gather, starts, |v, p, slot| {
+        let at = &mut counts[v as usize];
+        index[*at as usize] = (v, p, slot);
+        *at += 1;
+    });
+    counts.fill(0);
+    true
+}
+
+/// Calls `key` with every inbox message's `(vertex, part, slot)` in
+/// delivery order, which is `(part, slot)` order: a part's messages sit in
+/// its chunk, or at `starts[part]..starts[part + 1]` of `gather` once
+/// taken.
+fn for_each_key<M>(
+    inbox: &[InboxPart<M>],
+    gather: &[(VertexId, M)],
+    starts: &[u32],
+    mut key: impl FnMut(VertexId, u32, u32),
+) {
+    for ((p, part), range) in (0u32..).zip(inbox).zip(starts.windows(2)) {
+        let (lo, hi) = (range[0], range[1]);
+        if lo < hi {
+            for (slot, &(v, _)) in (lo..).zip(&gather[lo as usize..hi as usize]) {
+                key(v, p, slot);
+            }
+        } else if let InboxPart::Chunk(c) = part {
+            for (slot, &(v, _)) in (0u32..).zip(c.iter()) {
+                key(v, p, slot);
+            }
+        }
+    }
+}
+
+/// The message a `(part, slot)` key names: in the part's chunk while the
+/// part still holds it, in `gather` once the part was taken.
+fn keyed<'a, M>(
+    inbox: &'a [InboxPart<M>],
+    gather: &'a [(VertexId, M)],
+    part: u32,
+    slot: u32,
+) -> &'a (VertexId, M) {
+    match &inbox[part as usize] {
+        InboxPart::Chunk(c) if !c.is_empty() => &c[slot as usize],
+        _ => &gather[slot as usize],
+    }
 }
 
 #[cfg(test)]
@@ -1530,8 +1665,7 @@ mod tests {
                 .collect();
             // Superstep 3: the probe records its calls and sends nothing.
             let prog = Probe::new(16, Trip::Nothing);
-            let mut scratch =
-                WorkerScratch { index: Vec::new(), gather: Vec::new(), batch: Vec::new() };
+            let mut scratch = WorkerScratch::new(16);
             let mut outbox: WorkerOutbox<u32> = vec![OutStream::default()];
             let poll = CancelPoll { token: None, hard_deadline: false };
             let p = HashPartitioner::new(1);
@@ -1565,6 +1699,113 @@ mod tests {
             assert_eq!(pool.outstanding(), 0, "cap {max_live:?}: every chunk went back");
             assert_eq!(store.live_bytes(), 0, "cap {max_live:?}: every segment was read");
         }
+    }
+
+    /// One random inbox for the regroup test: `parts` parts, each a chunk
+    /// of up to 8 messages kept resident or spilled, with destinations
+    /// from `dest`. Returns the inbox, its keys as the old regroup built
+    /// them — slots in the chunk for a part read in place, in the gather
+    /// buffer for a taken one — and the messages in delivery order.
+    #[allow(clippy::type_complexity)]
+    fn random_inbox(
+        rng: &mut impl FnMut(usize) -> usize,
+        parts: u32,
+        pool: &ChunkPool<u32>,
+        store: &SpillStore,
+        dest: &mut dyn FnMut(&mut dyn FnMut(usize) -> usize) -> VertexId,
+    ) -> (Vec<InboxPart<u32>>, Vec<(VertexId, u32, u32)>, Vec<(VertexId, u32)>) {
+        let (mut inbox, mut keys, mut delivered, mut taken) =
+            (Vec::new(), Vec::new(), Vec::new(), 0);
+        for p in 0..parts {
+            let spilled = rng(3) == 0;
+            let mut chunk = pool.acquire();
+            for _ in 0..usize::from(spilled) + rng(9) {
+                let v = dest(&mut *rng);
+                chunk.push((v, delivered.len() as u32));
+                delivered.push((v, delivered.len() as u32));
+            }
+            if spilled || pool.is_capped() {
+                keys.extend(chunk.iter().zip(taken..).map(|(&(v, _), slot)| (v, p, slot)));
+                taken += chunk.len() as u32;
+            } else {
+                keys.extend(chunk.iter().zip(0..).map(|(&(v, _), slot)| (v, p, slot)));
+            }
+            inbox.push(if spilled {
+                let seg = store.spill(std::slice::from_ref(&chunk)).unwrap();
+                pool.release(chunk);
+                InboxPart::Spilled(seg)
+            } else {
+                InboxPart::Chunk(chunk)
+            });
+        }
+        (inbox, keys, delivered)
+    }
+
+    /// `index_inbox` against `sort_unstable` of the same keys, on random
+    /// inboxes mixing chunks read in place, chunks gathered under a
+    /// live-chunk cap and spilled segments, for graphs on both sides of
+    /// the crossover: the index is that sorted key list, each key names
+    /// its message, and the counts were taken exactly when the inbox was
+    /// not small against the graph, and are zero again. Destinations cover
+    /// vertex 0, the largest vertex, one vertex taking every message, a
+    /// vertex past a graph at the crossover (the sort takes over), and an
+    /// empty inbox.
+    #[test]
+    fn the_counting_regroup_orders_keys_as_sort_unstable_does() {
+        let store = SpillStore::create(&SpillConfig::in_temp()).unwrap();
+        let lcg = |mut state: u64| {
+            move |bound: usize| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 33) as usize % bound
+            }
+        };
+        let mut pick = lcg(7);
+        for round in 0..80u64 {
+            let parts = if round == 0 { 0 } else { 1 + pick(12) as u32 };
+            let span = [1, 7, 64, 1_000, 50_000][pick(5)];
+            let top = span as VertexId - 1;
+            let kind = pick(4);
+            let mut dest = |rng: &mut dyn FnMut(usize) -> usize| match kind {
+                0 => rng(span) as VertexId,
+                1 => 0,
+                2 => top,
+                _ => [0, top][rng(2)],
+            };
+            for max_live in [None, Some(2)] {
+                let pool = ChunkPool::with_limit(4, max_live);
+                let (inbox, _, delivered) =
+                    random_inbox(&mut lcg(round), parts, &pool, &store, &mut dest);
+                inbox.into_iter().for_each(|part| part.release(&pool, Some(&store)));
+                let total = delivered.len();
+                let fill = total * COUNTING_SORT_MIN_FILL;
+                for vertices in [span, fill.max(1), fill + 1] {
+                    // The same inbox again, fresh for this graph size.
+                    let (mut inbox, mut keys, mut delivered) =
+                        random_inbox(&mut lcg(round), parts, &pool, &store, &mut dest);
+                    let case = format!("round {round}, {vertices} vertices, cap {max_live:?}");
+                    keys.sort_unstable();
+                    // Message numbers rise in delivery order: by vertex, stably.
+                    delivered.sort_unstable();
+                    let mut scratch = WorkerScratch::new(vertices);
+                    index_inbox(&mut inbox, &mut scratch, &pool, Some(&store), &mut 0).unwrap();
+                    assert_eq!(scratch.index, keys, "{case}");
+                    let read: Vec<(VertexId, u32)> = (scratch.index.iter())
+                        .map(|&(_, p, slot)| *keyed(&inbox, &scratch.gather, p, slot))
+                        .collect();
+                    assert_eq!(read, delivered, "{case}");
+                    let counted = if fill >= vertices { vertices } else { 0 };
+                    assert_eq!(scratch.counts.len(), counted, "{case}");
+                    assert!(scratch.counts.iter().all(|&c| c == 0), "{case}");
+                    for part in inbox.drain(..) {
+                        part.release(&pool, Some(&store));
+                    }
+                }
+                assert_eq!(pool.outstanding(), 0, "round {round}, cap {max_live:?}");
+            }
+        }
+        assert_eq!(store.live_bytes(), 0, "every segment was read or discarded");
     }
 
     // ── the one way out, across every terminal state ────────────────────

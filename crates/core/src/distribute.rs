@@ -92,11 +92,20 @@ pub fn estimated_load(degree: u32, white_neighbors: u32) -> f64 {
 /// Per-worker distributor state: the strategy, a worker-local workload view
 /// (Section 6: maintaining a global view would need synchronization, so
 /// each worker tracks only the Gpsis *it* distributed), and an RNG.
+///
+/// The workload-aware rule reads `W_j^α` for every candidate but changes
+/// one `W_j` per choice, so each worker's penalty is cached and
+/// recomputed only after its `W_j` changed: at most one `powf` per choice
+/// in the long run, none for a lone candidate, and bit-identical to
+/// computing it afresh. The cache is derived state: snapshots leave it
+/// out and a restored distributor rebuilds it on demand.
 #[derive(Clone, Debug)]
 pub struct Distributor {
     strategy: Strategy,
     /// Local view of per-worker accumulated workload `W_j`.
     workload: Vec<f64>,
+    /// `W_j^α` per worker; `None` until first read after `W_j` changed.
+    penalty: Vec<Option<f64>>,
     rng: SmallRng,
 }
 
@@ -107,6 +116,7 @@ impl Distributor {
         Distributor {
             strategy,
             workload: vec![0.0; num_workers],
+            penalty: vec![None; num_workers],
             rng: SmallRng::seed_from_u64(seed),
         }
     }
@@ -118,8 +128,7 @@ impl Distributor {
         if candidates.len() == 1 {
             if let Strategy::WorkloadAware { .. } = self.strategy {
                 let c = &candidates[0];
-                self.workload[partitioner.owner(c.vd)] +=
-                    estimated_load(c.degree, c.white_neighbors);
+                self.add_load(partitioner.owner(c.vd), estimated_load(c.degree, c.white_neighbors));
             }
             return 0;
         }
@@ -175,7 +184,11 @@ impl Distributor {
         for (k, c) in candidates.iter().enumerate() {
             let j = partitioner.owner(c.vd);
             let w_ij = estimated_load(c.degree, c.white_neighbors);
-            let penalty = if alpha == 0.0 { 0.0 } else { self.workload[j].powf(alpha) };
+            let penalty = if alpha == 0.0 {
+                0.0
+            } else {
+                *self.penalty[j].get_or_insert_with(|| self.workload[j].powf(alpha))
+            };
             let score = penalty + w_ij;
             if score < best_score {
                 best_score = score;
@@ -184,8 +197,14 @@ impl Distributor {
                 best_worker = j;
             }
         }
-        self.workload[best_worker] += best_load;
+        self.add_load(best_worker, best_load);
         best
+    }
+
+    /// `W_j += load`, invalidating the cached `W_j^α`.
+    fn add_load(&mut self, j: usize, load: f64) {
+        self.workload[j] += load;
+        self.penalty[j] = None;
     }
 
     /// The local workload view (tests, ablation reporting).
@@ -206,6 +225,7 @@ impl Distributor {
     pub fn from_snapshot(strategy: Strategy, snapshot: DistributorSnapshot) -> Distributor {
         Distributor {
             strategy,
+            penalty: vec![None; snapshot.workload.len()],
             workload: snapshot.workload,
             rng: SmallRng::from_state(snapshot.rng_state),
         }
@@ -349,6 +369,67 @@ mod tests {
                 assert_eq!(uninterrupted.choose(&cands, &p), resumed.choose(&cands, &p));
             }
             assert_eq!(uninterrupted.workload_view(), resumed.workload_view());
+        }
+    }
+
+    /// Algorithm 3 as the paper states it: `W_j^α` computed afresh for
+    /// every candidate. Other strategies do not read the workload view.
+    fn choose_uncached(d: &mut Distributor, cands: &[GrayCandidate], p: &HashPartitioner) -> usize {
+        let Strategy::WorkloadAware { alpha } = d.strategy else {
+            return d.choose(cands, p);
+        };
+        let (mut best, mut best_score, mut best_load, mut best_worker) = (0, f64::INFINITY, 0.0, 0);
+        for (k, c) in cands.iter().enumerate() {
+            let j = p.owner(c.vd);
+            let w_ij = estimated_load(c.degree, c.white_neighbors);
+            let penalty = if alpha == 0.0 { 0.0 } else { d.workload[j].powf(alpha) };
+            if penalty + w_ij < best_score {
+                (best, best_score, best_load, best_worker) = (k, penalty + w_ij, w_ij, j);
+            }
+        }
+        d.workload[best_worker] += best_load;
+        best
+    }
+
+    #[test]
+    fn cached_penalties_choose_exactly_as_uncached() {
+        let p = HashPartitioner::new(5);
+        for (name, strategy) in Strategy::paper_variants() {
+            for seed in 0..4u64 {
+                let mut stream = SmallRng::seed_from_u64(seed);
+                let mut cached = Distributor::new(strategy, 5, seed);
+                let mut uncached = Distributor::new(strategy, 5, seed);
+                for step in 0..2_000 {
+                    if step == 1_000 {
+                        cached = Distributor::from_snapshot(strategy, cached.snapshot());
+                        uncached = Distributor::from_snapshot(strategy, uncached.snapshot());
+                    }
+                    // Lone candidates (no penalty read) mixed with choices
+                    // among up to five, on hub and leaf vertices alike.
+                    let n =
+                        if stream.gen_range(0..3u8) == 0 { 1 } else { stream.gen_range(2..6u8) };
+                    let cands: Vec<GrayCandidate> = (0..n)
+                        .map(|k| {
+                            let degree = match stream.gen_range(0..4u8) {
+                                0 => stream.gen_range(0..3u32),
+                                1 => stream.gen_range(500..5_000u32),
+                                _ => stream.gen_range(1..40u32),
+                            };
+                            cand(k, stream.gen_range(0..64u32), degree, stream.gen_range(0..4u32))
+                        })
+                        .collect();
+                    let case = format!("{name} seed {seed} step {step}");
+                    assert_eq!(
+                        cached.choose(&cands, &p),
+                        choose_uncached(&mut uncached, &cands, &p),
+                        "{case}"
+                    );
+                    let bits = |d: &Distributor| {
+                        d.workload_view().iter().map(|w| w.to_bits()).collect::<Vec<_>>()
+                    };
+                    assert_eq!(bits(&cached), bits(&uncached), "{case}");
+                }
+            }
         }
     }
 
