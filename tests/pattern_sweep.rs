@@ -8,8 +8,11 @@
 //! off, counting and listing, on three graphs: a small Chung–Lu graph, a
 //! planted hub (the builder of `cross_validation`'s word-boundary test, with
 //! 20 spokes), and a graph with two labels. Counts must equal the
-//! centralized oracle's, and a listing must hold each of the oracle's
-//! instances exactly once. The graphs are small because a hub's star count
+//! centralized oracle's, a listing must hold each of the oracle's
+//! instances exactly once, and the counting and the listing run must agree
+//! on every expansion counter: a count-only shortcut (a popcount, a sliced
+//! wedge window, a counted wedge intersection) bumps each counter by what
+//! the listing's walk bumps. The graphs are small because a hub's star count
 //! grows as the fourth power of its degree: the word-boundary test keeps
 //! the 132-spoke hub for the catalog's shapes. The same sweep over the 112
 //! connected six-vertex patterns is `#[ignore]`d here and runs in release
@@ -19,7 +22,7 @@
 mod common;
 
 use psgl::baselines::centralized;
-use psgl::core::{list_subgraphs_prepared, PsglConfig, PsglShared};
+use psgl::core::{list_subgraphs_prepared, ExpandStats, PsglConfig, PsglShared};
 use psgl::graph::{generators, DataGraph, VertexId};
 use psgl::pattern::isomorphism::isomorphic;
 use psgl::pattern::{Pattern, PatternVertex};
@@ -83,15 +86,16 @@ impl Case {
         found
     }
 
-    /// Runs `p` from initial vertex `v`; returns the count and, when
-    /// `collect`, the listed instances in canonical form, sorted.
+    /// Runs `p` from initial vertex `v`; returns the count, the listed
+    /// instances in canonical form, sorted, when `collect`, and the
+    /// expansion counters.
     fn run(
         &self,
         p: &Pattern,
         v: PatternVertex,
         kernels: bool,
         collect: bool,
-    ) -> (u64, Option<Vec<Vec<VertexId>>>) {
+    ) -> (u64, Option<Vec<Vec<VertexId>>>, ExpandStats) {
         let config = PsglConfig::with_workers(2).init_vertex(v).kernels(kernels).collect(collect);
         let shared = match &self.labels {
             None => PsglShared::prepare(&self.graph, p, &config),
@@ -110,7 +114,7 @@ impl Case {
             listed.sort_unstable();
             listed
         });
-        (result.instance_count, listed)
+        (result.instance_count, listed, result.stats.expand)
     }
 }
 
@@ -149,19 +153,17 @@ fn sweep(patterns: &[Pattern]) {
             let oracle = case.oracle(p);
             for v in p.vertices() {
                 for kernels in [true, false] {
-                    for collect in [false, true] {
-                        let context = format!(
-                            "{}: pattern with edges {:?} from initial vertex {v}, \
-                             kernels {kernels}, collect {collect}",
-                            case.name,
-                            p.edges().collect::<Vec<_>>()
-                        );
-                        let (count, listed) = case.run(p, v, kernels, collect);
-                        assert_eq!(count, oracle.len() as u64, "{context}");
-                        if let Some(listed) = listed {
-                            assert!(listed == oracle, "{context}: listed instances differ");
-                        }
-                    }
+                    let context = format!(
+                        "{}: pattern with edges {:?} from initial vertex {v}, kernels {kernels}",
+                        case.name,
+                        p.edges().collect::<Vec<_>>()
+                    );
+                    let (count, _, counted) = case.run(p, v, kernels, false);
+                    assert_eq!(count, oracle.len() as u64, "{context}, counting");
+                    let (count, listed, walked) = case.run(p, v, kernels, true);
+                    assert_eq!(count, oracle.len() as u64, "{context}, listing");
+                    assert!(listed.as_ref() == Some(&oracle), "{context}: listed instances differ");
+                    assert_eq!(walked, counted, "{context}: listing and counting disagree");
                 }
             }
         }

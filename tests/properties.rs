@@ -46,7 +46,8 @@ fn arb_pattern() -> impl Strategy<Value = Pattern> {
 
 /// `o` holds `g`'s adjacency in rank space: rank → id inverts `rank`,
 /// every list is strictly ascending and equals the ranks of the vertex's
-/// neighbours, and it splits at `nb` into lower and higher ranks.
+/// neighbours, it splits at `nb` into lower and higher ranks, and
+/// `degree_sorted()` says whether degree is monotone in rank.
 fn check_rank_space(o: &OrderedGraph, g: &DataGraph) {
     prop_assert_eq!(o.len(), g.num_vertices());
     prop_assert_eq!(o.rank_graph().num_edges(), g.num_edges());
@@ -66,6 +67,9 @@ fn check_rank_space(o: &OrderedGraph, g: &DataGraph) {
         prop_assert_eq!(o.lower_of_rank(r), &list[..below as usize]);
         prop_assert_eq!(o.higher_of_rank(r), &list[below as usize..]);
     }
+    // Whether degree is monotone in rank, read off `g` directly.
+    let by_rank: Vec<u32> = o.vertices_by_rank().iter().map(|&v| g.degree(v)).collect();
+    prop_assert_eq!(o.degree_sorted(), by_rank.windows(2).all(|w| w[0] <= w[1]));
 }
 
 proptest! {
@@ -106,6 +110,7 @@ proptest! {
                 prop_assert!(o.less(u, v));
             }
         }
+        prop_assert!(o.degree_sorted(), "fresh ranks follow degree");
         check_rank_space(&o, &g);
 
         // Ranks pinned on `g`, patched with a mutation batch (a delta
