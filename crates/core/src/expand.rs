@@ -130,8 +130,15 @@ pub struct ExpandScratch {
     /// The word-mask odometer's masks: per level, one mask over the
     /// universe per WHITE slot.
     pub(crate) masks: Vec<u64>,
-    /// One binding's adjacency row over the universe.
+    /// The word-mask odometer's row table: `N(c) ∩ U` for the binding `c`
+    /// at universe position `i` in words `i * w..(i + 1) * w` (`w` words a
+    /// row), when the expansion caches rows; otherwise one row, rebuilt for
+    /// each use. Grown to the largest table needed, never shrunk, and at
+    /// most 1 MiB while rows are cached.
     pub(crate) row: Vec<u64>,
+    /// Bit `i` set iff position `i`'s row in `row` has been built in the
+    /// current expansion; cleared when a caching expansion starts.
+    pub(crate) built: Vec<u64>,
     /// Ranks of the two-hop vertex's wedge targets that were mapped
     /// before the expansion started (static across the odometer).
     pub(crate) w_static: Vec<u32>,

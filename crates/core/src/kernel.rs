@@ -35,15 +35,18 @@
 //! [`ExpandStats::results`] first, and is built as a Gpsi only when the
 //! worker's [`Harvested`] keeps tuples or per-vertex tallies. Under
 //! [`Harvested::CountOnly`] (the paper's default output) the kernels bump
-//! two counters per survivor and never build a Gpsi. A Close whose final
-//! slot has no pattern edge to the last binding counts its survivors as a
-//! popcount of the final mask. A TwoHop join whose two-hop vertex has one
-//! pattern neighbour counts them as its rank window's slice length minus
-//! the mapped vertices inside the slice; with two pattern neighbours, and
-//! ranks that follow degree, the degree bound is a prefix of the same
-//! list, and the survivors are one sorted intersection of the slice with
-//! the other neighbour's list ([`count_common`]), minus the mapped vertices
-//! in both (see [`join_two_hop`]). None of them visits a survivor.
+//! two counters per survivor and never build a Gpsi. An odometer Close
+//! counts a prefix's survivors as a popcount of its final mask, ANDed with
+//! the last binding's row when the final slot has a pattern edge to it; a
+//! two-WHITE Close without that edge (a two-leaf star) counts them as a
+//! rank window of its final arena ([`close_pair`]). A TwoHop join whose
+//! two-hop vertex has one pattern neighbour counts them as its rank
+//! window's slice length minus the mapped vertices inside the slice; with
+//! two pattern neighbours, and ranks that follow degree, the degree bound
+//! is a prefix of the same list, and the survivors are one sorted
+//! intersection of the slice with the other neighbour's list
+//! ([`count_common`]), minus the mapped vertices in both (see
+//! [`join_two_hop`]). None of them visits a survivor.
 //!
 //! Two shapes of closing expansion exist (selected per partial instance by
 //! the dispatch rule in [`crate::expand::expand_gpsi`]):
@@ -69,9 +72,9 @@
 //! ascends through its side of `N(v_d)` with one cursor per connectivity
 //! target ([`arena_filter`]), and a wedge join with several targets that
 //! it does not count walks its seed list in rank order with one cursor per
-//! other target ([`join_two_hop`]). The odometer's rows and final joins
-//! ([`merge_positions`]) and `close_pair`'s hub walk run the same step
-//! inline on their one cursor.
+//! other target ([`join_two_hop`]). The odometer's rows ([`build_row`])
+//! and `close_pair`'s hub walk run the same step inline on their one
+//! cursor.
 //!
 //! The one exception is [`close_pair`], the triangle join: it marks its
 //! final arena in `cmap` (one byte per rank, in [`ExpandScratch`], sized
@@ -90,21 +93,27 @@
 //! slot's arena as a mask. Binding a slot at position `i` *folds* into
 //! every later slot's mask: the order side cuts its range, its bit `i` is
 //! cleared (injectivity), and a slot with a pattern edge to the binding
-//! ANDs the binding's *row* `N(c) ∩ U`. A row is built once per binding,
-//! by a merge that walks the shorter list and gallops a monotone cursor
-//! through the longer, over one side of `c`'s split when every slot it
-//! serves is ordered to that side. A fold that empties a later slot kills
-//! the prefix, and each deeper level visits only its survivors, so the
-//! odometer's work follows its output instead of the product of its
-//! arenas.
+//! ANDs the binding's *row* `N(c) ∩ U`. A row is built by a merge that
+//! walks the shorter list and gallops a monotone cursor through the
+//! longer, over one side of `c`'s split when every row use of the
+//! expansion is on that side. It is built once per universe position per
+//! expansion, on the position's first use, and every later binding of the
+//! position reuses it ([`Rows`]): the expansion holds a table of one row
+//! per position while that fits in [`ROW_TABLE_WORDS`]. An odometer of one
+//! level binds no position twice, and a larger universe exceeds the
+//! table, so both rebuild one row per use, over the span it serves. A fold
+//! that empties a later slot kills the prefix, and each deeper level
+//! visits only its survivors, so the odometer's work follows its output
+//! instead of the product of its arenas.
 //!
-//! The final slot builds no row and is not folded against the last
-//! binding `c`. When it has a pattern edge to `c`, the merge of `c`'s
-//! (one-sided) list against `U`, inside the final slot's range, tests one
-//! mask bit per hit; otherwise the final mask's bits inside the range are
-//! the survivors. A triangle (the two-WHITE Close) binds one slot and
-//! joins the other in [`close_pair`], which marks its final arena once
-//! and walks each binding's list against the marks.
+//! The final slot is not folded against the last binding `c`: its
+//! survivors are the words `fin & row & window`, the final mask ANDed with
+//! `c`'s row when the final slot has a pattern edge to `c`, inside the
+//! final slot's range, with `c`'s own bit cleared. A count-only Close adds
+//! up their popcounts; otherwise a bit walk queues their ranks. A
+//! triangle (the two-WHITE Close) binds one slot and joins the other in
+//! [`close_pair`], which marks its final arena once and walks each
+//! binding's list against the marks.
 
 use crate::checkpoint::Harvested;
 use crate::expand::{prepare_white_slots, ExpandScratch, WhiteMeta, KERNEL_MAX_SLOTS};
@@ -119,6 +128,12 @@ use psgl_pattern::PatternVertex;
 /// when the list is shorter than this many times the arena; beyond that,
 /// walking the arena and galloping into the list is cheaper.
 const PROBE_RATIO: usize = 4;
+
+/// An odometer expansion caches one row per universe position while its
+/// row table, `|U|` rows of `⌈|U| / 64⌉` words, fits in this many words
+/// (1 MiB, a universe of up to 2 880 ranks); a larger universe rebuilds
+/// one row per use.
+const ROW_TABLE_WORDS: usize = 1 << 17;
 
 /// [`count_common`] merges two lists unless one is more than this many
 /// times as long as the other; then galloping through the longer is
@@ -258,6 +273,7 @@ pub(crate) fn expand_specialized(
         by_id,
         masks,
         row,
+        built,
         w_static,
         w_targets,
         kept,
@@ -407,11 +423,11 @@ pub(crate) fn expand_specialized(
         // still take at level d (words outside it are never read).
         let od = nw - 1;
         merge_arenas(cand_data, &ranges[..nw], universe);
+        let universe: &[u32] = universe;
         let words = universe.len().div_ceil(64);
         let stride = nw * words;
         masks.clear();
         masks.resize(od.max(1) * stride, 0);
-        row.resize(words, 0);
         let mut range = [[(0usize, 0usize); KERNEL_MAX_SLOTS]; KERNEL_MAX_SLOTS];
         for si in 0..nw {
             let at = si * words;
@@ -425,26 +441,46 @@ pub(crate) fn expand_specialized(
             };
         }
 
-        // The pair facts between a later slot s and a binding slot d, and
-        // which bindings need a row: one with a pattern edge from a later
-        // slot, unless that slot is the final one joined against the last
-        // binding's list. A row covers one side of the binding's split
-        // when every slot it serves is ordered to that side.
+        // The pair facts between a later slot s and a binding slot d. A
+        // binding needs a row when a later slot has a pattern edge to it:
+        // a fold row, or the final join of the last binding. The rows
+        // cover one side of the binding's split when every row use of the
+        // expansion is on that side (`higher_of_rank` for a clique).
         let side = |s: usize, d: usize| match white_meta[s] {
             WhiteMeta { gt_mask, .. } if (gt_mask >> d) & 1 == 1 => Side::Above,
             WhiteMeta { lt_mask, .. } if (lt_mask >> d) & 1 == 1 => Side::Below,
             _ => Side::Any,
         };
         let edge = |s: usize, d: usize| (white_meta[s].edge_mask >> d) & 1 == 1;
-        let mut row_side = [None; KERNEL_MAX_SLOTS];
-        for (d, rs) in row_side.iter_mut().enumerate().take(od.saturating_sub(1)) {
+        let mut row_side = None;
+        for d in 0..od {
             for s in (d + 1..=od).filter(|&s| edge(s, d)) {
-                *rs = Some(match *rs {
+                row_side = Some(match row_side {
                     Some(seen) if seen != side(s, d) => Side::Any,
                     _ => side(s, d),
                 });
             }
         }
+        // A position is bound at several levels only from two odometer
+        // levels on; then each position's row is cached, within budget.
+        let cached = od >= 2 && universe.len() * words <= ROW_TABLE_WORDS;
+        let need = if cached { universe.len() * words } else { words };
+        if row.len() < need {
+            row.resize(need, 0);
+        }
+        if cached {
+            built.clear();
+            built.resize(words, 0);
+        }
+        let mut rows = Rows {
+            ordered,
+            universe,
+            side: row_side.unwrap_or(Side::Any),
+            words,
+            cached,
+            table: row,
+            built,
+        };
 
         // A listing walks each odometer level in id order (see the module
         // doc): `by_id` holds the positions an odometer slot can take, by
@@ -505,14 +541,15 @@ pub(crate) fn expand_specialized(
                     depth -= 1;
                     continue;
                 }
-                let c = fin.universe[i];
-                fin.chosen[depth] = c;
+                fin.chosen[depth] = universe[i];
                 fin.stats.combinations_examined += 1;
                 if depth + 1 == od {
-                    let s = side(od, depth);
-                    let join = edge(od, depth).then(|| s.list(ordered, c));
-                    let own = &masks[(depth * nw + od) * words..][..words];
-                    fin.close(own, s.cut(range[depth][od], i), join, i);
+                    let cut = side(od, depth).cut(range[depth][od], i);
+                    if cut.0 < cut.1 {
+                        let join = edge(od, depth).then(|| rows.of(i, cut, fin.stats));
+                        let own = &masks[(depth * nw + od) * words..][..words];
+                        fin.close(own, cut, join, i);
+                    }
                     continue;
                 }
                 // Fold the binding into every later slot of level depth + 1.
@@ -523,18 +560,14 @@ pub(crate) fn expand_specialized(
                 if cut[depth + 1..=od].iter().any(|&(lo, hi)| lo >= hi) {
                     continue;
                 }
-                if let Some(rs) = row_side[depth] {
-                    let served = (depth + 1..=od).filter(|&s| edge(s, depth)).map(|s| cut[s]);
-                    let span =
-                        served.fold((usize::MAX, 0), |(a, b), (lo, hi)| (a.min(lo), b.max(hi)));
-                    fin.stats.intersect_gallop += 1;
-                    build_row(rs.list(ordered, c), fin.universe, span, row);
-                }
+                let served = (depth + 1..=od).filter(|&s| edge(s, depth)).map(|s| cut[s]);
+                let span = served.fold((usize::MAX, 0), |(a, b), (lo, hi)| (a.min(lo), b.max(hi)));
+                let row = (span.0 < span.1).then(|| rows.of(i, span, fin.stats));
                 let (done, below) = masks.split_at_mut((depth + 1) * stride);
                 let alive = (depth + 1..=od).all(|s| {
                     let src = &done[depth * stride + s * words..][..words];
                     let dst = &mut below[s * words..][..words];
-                    let with = edge(s, depth).then_some(&row[..]);
+                    let with = row.filter(|_| edge(s, depth));
                     range[depth + 1][s] = fold(src, range[depth][s], side(s, depth), i, with, dst);
                     range[depth + 1][s].0 < range[depth + 1][s].1
                 });
@@ -656,24 +689,38 @@ fn next_bit(words: &[u64], from: usize, to: usize) -> usize {
     to
 }
 
-/// The number of set positions in `[lo, hi)`.
-fn count_bits(words: &[u64], (lo, hi): (usize, usize)) -> u64 {
-    (lo / 64..hi.div_ceil(64)).map(|w| u64::from((words[w] & window(w, lo, hi)).count_ones())).sum()
+/// The words of `src` over `[lo, hi)`, each ANDed with `row` when one is
+/// given and with bit `at` cleared, as `(word index, word)`: a fold's new
+/// mask, and the survivors of a final join.
+#[inline(always)]
+fn masked<'a>(
+    src: &'a [u64],
+    (lo, hi): (usize, usize),
+    at: usize,
+    row: Option<&'a [u64]>,
+) -> impl Iterator<Item = (usize, u64)> + 'a {
+    (lo / 64..hi.div_ceil(64)).map(move |w| {
+        let mut v = src[w] & row.map_or(!0, |row| row[w]) & window(w, lo, hi);
+        if w == at / 64 {
+            v &= !(1u64 << (at % 64));
+        }
+        (w, v)
+    })
 }
 
-/// Calls `hit(j)`, ascending, for each position `j` in `[lo, hi)` whose
-/// rank is in the sorted list `list`: walks the shorter of `list` and
-/// `universe[lo..hi]` and gallops a monotone cursor through the longer.
-#[inline]
-fn merge_positions(
-    list: &[u32],
-    universe: &[u32],
-    (lo, hi): (usize, usize),
-    mut hit: impl FnMut(usize),
-) {
+/// A binding's row: sets the bit of every position in `span` whose rank is
+/// in the sorted `list` (the binding's, possibly one-sided, adjacency),
+/// after clearing the words `span` covers. Other words are left as they
+/// are; a fold or a final join reads only words inside the range it was
+/// cut to. A merge: walks the shorter of `list` and `universe[span]` and
+/// gallops a monotone cursor through the longer.
+#[inline(always)]
+fn build_row(list: &[u32], universe: &[u32], (lo, hi): (usize, usize), row: &mut [u64]) {
     if lo >= hi {
         return;
     }
+    row[lo / 64..hi.div_ceil(64)].fill(0);
+    let mut set = |j: usize| row[j / 64] |= 1 << (j % 64);
     let span = &universe[lo..hi];
     let first = gallop_lower_bound(list, span[0]);
     let list = &list[first..first + list[first..].partition_point(|&x| x <= span[span.len() - 1])];
@@ -685,7 +732,7 @@ fn merge_positions(
                 break;
             }
             if span[from] == x {
-                hit(lo + from);
+                set(lo + from);
                 from += 1;
             }
         }
@@ -696,23 +743,51 @@ fn merge_positions(
                 break;
             }
             if list[from] == x {
-                hit(lo + j);
+                set(lo + j);
                 from += 1;
             }
         }
     }
 }
 
-/// A binding's row: sets the bit of every position in `span` whose rank is
-/// in the sorted `list` (the binding's, possibly one-sided, adjacency),
-/// after clearing the words `span` covers. Other words are left as they
-/// are; a fold reads only words inside the range it was cut to.
-fn build_row(list: &[u32], universe: &[u32], span: (usize, usize), row: &mut [u64]) {
-    if span.0 >= span.1 {
-        return;
+/// Where an odometer expansion's rows come from: the row `N(c) ∩ U` of the
+/// binding `c` at a universe position, merged from the `side` of `c`'s
+/// split that every row use of the expansion is on (all of `N(c)` when
+/// the uses differ). When `cached`, each position's row is built once, on
+/// its first use, over the whole of its side, into its own `words`-long
+/// stretch of `table`, and `built` marks it; every later binding of the
+/// position reuses it. Otherwise `table` holds one row, rebuilt for each
+/// use over the span that use serves.
+struct Rows<'e> {
+    ordered: &'e OrderedGraph,
+    universe: &'e [u32],
+    side: Side,
+    words: usize,
+    cached: bool,
+    table: &'e mut [u64],
+    built: &'e mut [u64],
+}
+
+impl Rows<'_> {
+    /// The row of the binding at position `at`, valid over `span`.
+    #[inline(always)]
+    fn of(&mut self, at: usize, span: (usize, usize), stats: &mut ExpandStats) -> &[u64] {
+        let (words, universe) = (self.words, self.universe);
+        let (start, span) = if self.cached {
+            (at * words, self.side.cut((0, universe.len()), at))
+        } else {
+            (0, span)
+        };
+        let row = &mut self.table[start..][..words];
+        if !(self.cached && bit(self.built, at)) {
+            stats.intersect_gallop += 1;
+            build_row(self.side.list(self.ordered, universe[at]), universe, span, row);
+            if self.cached {
+                self.built[at / 64] |= 1 << (at % 64);
+            }
+        }
+        row
     }
-    row[span.0 / 64..span.1.div_ceil(64)].fill(0);
-    merge_positions(list, universe, span, |j| row[j / 64] |= 1 << (j % 64));
 }
 
 /// Folds a binding at position `at` into a later slot's mask: the slot's
@@ -730,13 +805,8 @@ fn fold(
     row: Option<&[u64]>,
     dst: &mut [u64],
 ) -> (usize, usize) {
-    let (lo, hi) = side.cut(range, at);
     let (mut a, mut b) = (usize::MAX, 0);
-    for w in lo / 64..hi.div_ceil(64) {
-        let mut v = src[w] & row.map_or(!0, |row| row[w]) & window(w, lo, hi);
-        if w == at / 64 {
-            v &= !(1u64 << (at % 64));
-        }
+    for (w, v) in masked(src, side.cut(range, at), at, row) {
         dst[w] = v;
         if v != 0 {
             a = a.min(w);
@@ -773,13 +843,13 @@ struct Final<'e, 's> {
 impl Final<'_, '_> {
     /// Closes one odometer prefix (every slot but the final one bound):
     /// the final slot's survivors are the set positions of `fin` inside
-    /// `range`, and also in `join` (the last binding's one-sided list) when
-    /// the final slot has a pattern edge to it; position `skip` (the last
-    /// binding, which `fin` was not folded against) is excluded. A Close
-    /// counts each survivor as a closed instance; a TwoHop queues them and
-    /// wedge-joins each.
+    /// `range`, ANDed with `row` (the last binding's row) when the final
+    /// slot has a pattern edge to it; position `skip` (the last binding,
+    /// which `fin` was not folded against) is excluded. A count-only Close
+    /// counts them as a popcount; a listing queues their ranks, and a
+    /// TwoHop queues them and wedge-joins each.
     #[inline(always)]
-    fn close(&mut self, fin: &[u64], range: (usize, usize), join: Option<&[u32]>, skip: usize) {
+    fn close(&mut self, fin: &[u64], range: (usize, usize), row: Option<&[u64]>, skip: usize) {
         let Final {
             shared,
             base,
@@ -798,34 +868,14 @@ impl Final<'_, '_> {
             ref mut stats,
         } = *self;
         let od = white_meta.len() - 1;
+        // A count-only Close adds popcounts and visits no survivor.
         let queue = w_extra.is_some() || !matches!(harvest, Harvested::CountOnly);
         let mut n = 0u64;
-        match join {
-            Some(list) => {
-                stats.intersect_gallop += 1;
-                merge_positions(list, universe, range, |j| {
-                    if bit(fin, j) {
-                        n += 1;
-                        if queue {
-                            kept.push(universe[j]);
-                        }
-                    }
-                });
-            }
-            // A count-only Close: a popcount, never a visit.
-            None if !queue => {
-                let own = (range.0..range.1).contains(&skip) && bit(fin, skip);
-                n = count_bits(fin, range) - u64::from(own);
-            }
-            None => {
-                let mut j = next_bit(fin, range.0, range.1);
-                while j < range.1 {
-                    if j != skip {
-                        n += 1;
-                        kept.push(universe[j]);
-                    }
-                    j = next_bit(fin, j + 1, range.1);
-                }
+        for (w, mut v) in masked(fin, range, skip, row) {
+            n += u64::from(v.count_ones());
+            while queue && v != 0 {
+                kept.push(universe[w * 64 + v.trailing_zeros() as usize]);
+                v &= v - 1;
             }
         }
         stats.combinations_examined += n;
@@ -994,7 +1044,11 @@ fn keep_closed(
 /// window-and-injectivity first. All rank-window masks and arena slices
 /// are hoisted out of the per-prefix loop. Under `Instances` slot 0 is
 /// walked through an id-sorted copy of its arena, so the bindings come in
-/// id order.
+/// id order. Without a pattern edge between the two slots (two-leaf
+/// stars), a count-only harvest counts each binding's survivors as the
+/// window of the rank-sorted final arena that two `partition_point`s
+/// find, minus the binding itself, and bumps every counter by what the
+/// walk would.
 #[allow(clippy::too_many_arguments)]
 fn close_pair(
     shared: &PsglShared<'_>,
@@ -1016,6 +1070,7 @@ fn close_pair(
     let window_lt = fin.lt_mask & 1 == 1;
     let window_gt = fin.gt_mask & 1 == 1;
     let joined = fin.edge_mask & 1 == 1;
+    let count_only = matches!(harvest, Harvested::CountOnly);
     let np = shared.pattern.num_vertices();
     if joined {
         for &x in arena {
@@ -1089,9 +1144,25 @@ fn close_pair(
                     emit_closed(x, kept, generated, harvest, stats);
                 }
             }
+        } else if count_only {
+            // No white-white edge (two-leaf stars), counted: the window is
+            // a sub-slice of the rank-sorted arena, and every member of it
+            // but `c0` closes an instance. The counters take what the walk
+            // below takes.
+            *cost += arena.len() as u64;
+            let from = arena.partition_point(|&x| x < lo);
+            let window = &arena[from..from + arena[from..].partition_point(|&x| x < hi)];
+            let inside = u64::from(window.binary_search(&c0).is_ok());
+            let closed = window.len() as u64 - inside;
+            stats.combinations_examined += arena.len() as u64;
+            stats.pruned_order += (arena.len() - window.len()) as u64;
+            stats.pruned_injectivity += inside;
+            stats.generated += closed;
+            stats.results += closed;
+            *generated += closed;
         } else {
-            // No white-white edge (two-leaf stars): every arena member
-            // in the window closes an instance.
+            // No white-white edge, listed: every arena member in the window
+            // closes an instance.
             *cost += arena.len() as u64;
             for &x in arena {
                 stats.combinations_examined += 1;
@@ -1298,13 +1369,14 @@ fn join_two_hop(
 #[cfg(test)]
 mod tests {
     use super::{
-        bit, build_row, count_bits, count_common, fold, merge_arenas, merge_positions, next_bit,
-        seek, set_arena, Side, GALLOP_RATIO,
+        bit, build_row, count_common, fold, masked, merge_arenas, next_bit, seek, set_arena, Rows,
+        Side, GALLOP_RATIO,
     };
     use crate::expand::list_all;
+    use crate::stats::ExpandStats;
     use crate::{PsglConfig, PsglShared};
     use psgl_graph::generators::erdos_renyi_gnm;
-    use psgl_graph::VertexId;
+    use psgl_graph::{OrderedGraph, VertexId};
     use psgl_pattern::catalog;
 
     fn sorted(mut v: Vec<Vec<VertexId>>) -> Vec<Vec<VertexId>> {
@@ -1379,8 +1451,10 @@ mod tests {
         assert_eq!(next_bit(&words, 201, 255), 255, "a set bit at the end is outside");
         assert_eq!(next_bit(&words, 5, 5), 5);
         for (lo, hi) in [(0, 320), (1, 256), (63, 64), (64, 200), (64, 201), (4, 4)] {
-            let want = set.iter().filter(|&&j| (lo..hi).contains(&j)).count() as u64;
-            assert_eq!(count_bits(&words, (lo, hi)), want, "[{lo}, {hi})");
+            let want = set.iter().filter(|&&j| (lo..hi).contains(&j)).count() as u32;
+            let got: u32 =
+                masked(&words, (lo, hi), usize::MAX, None).map(|(_, v)| v.count_ones()).sum();
+            assert_eq!(got, want, "[{lo}, {hi})");
         }
     }
 
@@ -1394,12 +1468,66 @@ mod tests {
             for span in [(0, 200), (63, 129), (64, 65), (1, 199), (100, 100)] {
                 let want: Vec<usize> =
                     (span.0..span.1).filter(|&j| list.contains(&universe[j])).collect();
-                let mut hits = Vec::new();
-                merge_positions(list, &universe, span, |j| hits.push(j));
-                assert_eq!(hits, want, "list of {}, span {span:?}", list.len());
                 let mut row = vec![!0u64; 4];
                 build_row(list, &universe, span, &mut row);
                 assert_eq!(set_positions(&row, span), want, "row, list of {}", list.len());
+            }
+        }
+    }
+
+    #[test]
+    fn mask_rows_cached_per_position_match_build_row_over_every_span() {
+        // Random universes of two to four words over the ranks of a graph
+        // dense enough that most rows have members on both sides.
+        let ordered = OrderedGraph::new(&erdos_renyi_gnm(300, 6000, 17).unwrap());
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for keep_one_in in [2u64, 4] {
+            let universe: Vec<u32> =
+                (0..ordered.len() as u32).filter(|_| draw() % keep_one_in == 0).collect();
+            let (n, words) = (universe.len(), universe.len().div_ceil(64));
+            assert!(words >= 2, "a universe of {n} ranks");
+            for side in [Side::Above, Side::Below, Side::Any] {
+                // Stale words, as a table left by an earlier expansion has.
+                let mut table = vec![!0u64; n * words];
+                let mut built = vec![0u64; words];
+                let mut rows = Rows {
+                    ordered: &ordered,
+                    universe: &universe,
+                    side,
+                    words,
+                    cached: true,
+                    table: &mut table,
+                    built: &mut built,
+                };
+                let mut stats = ExpandStats::default();
+                for at in (0..n).rev() {
+                    // Every span on the row's side whose ends are word
+                    // boundaries, their neighbours, or every 11th position.
+                    let (lo, hi) = side.cut((0, n), at);
+                    let ends: Vec<usize> = (lo..=hi)
+                        .filter(|&j| {
+                            j == lo || j == hi || matches!(j % 64, 0 | 1 | 63) || j % 11 == 0
+                        })
+                        .collect();
+                    for (k, &a) in ends.iter().enumerate() {
+                        for &b in &ends[k..] {
+                            let list = side.list(&ordered, universe[at]);
+                            let mut want = vec![0u64; words];
+                            build_row(list, &universe, (a, b), &mut want);
+                            let got = set_positions(rows.of(at, (a, b), &mut stats), (a, b));
+                            let context =
+                                format!("{side:?}, position {at} of {n}, span [{a}, {b})");
+                            assert_eq!(got, set_positions(&want, (a, b)), "{context}");
+                        }
+                    }
+                }
+                assert_eq!(stats.intersect_gallop, n as u64, "{side:?}: one build per position");
             }
         }
     }

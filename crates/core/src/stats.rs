@@ -30,7 +30,8 @@ psgl_obs::counters! {
         cmap_probes: "Connectivity-map lookups of the two-WHITE Close (`close_pair`).",
         cmap_hits: "Of `cmap_probes`, lookups that found the required connectivity.",
         intersect_gallop: "Exact adjacency tests and merges taken by forward-galloping cursors \
-            (one per target tested, per row or join merged, per hub binding).",
+            (one per target tested, per hub binding, and per odometer row built; a row is built \
+            once per universe position per expansion while its table fits, else once per use).",
         intersect_probe: "Final arenas the two-WHITE Close marked into the connectivity map.",
     }
 }

@@ -275,3 +275,44 @@ fn kernel_masks_cross_word_boundaries_around_a_hub() {
         }
     }
 }
+
+/// A hub of 3 000 spokes: an expansion of the hub binds over a universe of
+/// 47 mask words, and a table of one row per position (3 000 × 47 words)
+/// would exceed the kernels' 2^17-word budget, so the odometer rebuilds a
+/// row for each use instead of caching it. The spokes form a ring, each
+/// joined to the next two, so every three consecutive spokes close a
+/// 4-clique with the hub and no four spokes of the ring form a clique;
+/// three planted 4-cliques of spokes far apart make the 5-cliques. Every
+/// initial vertex must give the oracle's count, and a listing that many
+/// distinct tuples.
+#[test]
+fn kernel_rows_past_the_table_budget_match_the_oracle() {
+    let spokes = 3000u32;
+    let ring = |j: u32| (j - 1) % spokes + 1;
+    let mut edges: Vec<(u32, u32)> = (1..=spokes).map(|v| (0, v)).collect();
+    edges.extend((1..=spokes).flat_map(|j| [(j, ring(j + 1)), (j, ring(j + 2))]));
+    for group in [[10, 760, 1510, 2260], [400, 1150, 1900, 2650], [5, 1005, 2005, 2995]] {
+        for (k, &a) in group.iter().enumerate() {
+            edges.extend(group[k + 1..].iter().map(|&b| (a, b)));
+        }
+    }
+    let g = DataGraph::from_edges(spokes as usize + 1, &edges).unwrap();
+    let ordered = psgl::graph::OrderedGraph::new(&g);
+    assert_eq!(ordered.nb(0), spokes, "every spoke ranks below the hub");
+    for pattern in [catalog::four_clique(), catalog::clique(5)] {
+        let expected = centralized::count(&g, &pattern);
+        assert!(expected > 0, "{pattern}: nothing to compare");
+        for v in pattern.vertices() {
+            let config = PsglConfig::with_workers(2).init_vertex(v);
+            let got = list_subgraphs(&g, &pattern, &config).unwrap().instance_count;
+            assert_eq!(got, expected, "{pattern} from v{}", v + 1);
+            let mut listed = list_subgraphs(&g, &pattern, &config.collect(true))
+                .unwrap()
+                .instances
+                .expect("collect(true) keeps the tuples");
+            listed.sort_unstable();
+            listed.dedup();
+            assert_eq!(listed.len() as u64, expected, "{pattern} from v{}: distinct tuples", v + 1);
+        }
+    }
+}

@@ -14,10 +14,12 @@
 //! wedge window, a counted wedge intersection) bumps each counter by what
 //! the listing's walk bumps. The graphs are small because a hub's star count
 //! grows as the fourth power of its degree: the word-boundary test keeps
-//! the 132-spoke hub for the catalog's shapes. The same sweep over the 112
-//! connected six-vertex patterns is `#[ignore]`d here and runs in release
-//! in CI; tier-1 keeps the cheapest six-vertex pattern that gives a WHITE
-//! slot two arena targets, which no smaller pattern does.
+//! the 132-spoke hub for the catalog's shapes, and the closing shapes get a
+//! sweep of their own around a 68-spoke hub, whose universes span two mask
+//! words. The same sweep over the 112 connected six-vertex patterns is
+//! `#[ignore]`d here and runs in release in CI; tier-1 keeps the cheapest
+//! six-vertex pattern that gives a WHITE slot two arena targets, which no
+//! smaller pattern does.
 
 mod common;
 
@@ -25,7 +27,7 @@ use psgl::baselines::centralized;
 use psgl::core::{list_subgraphs_prepared, ExpandStats, PsglConfig, PsglShared};
 use psgl::graph::{generators, DataGraph, VertexId};
 use psgl::pattern::isomorphism::isomorphic;
-use psgl::pattern::{Pattern, PatternVertex};
+use psgl::pattern::{catalog, Pattern, PatternVertex};
 
 /// Every connected pattern on `k` vertices, one per isomorphism class: the
 /// connected edge subsets of `K_k`, without isomorphic repeats.
@@ -147,8 +149,8 @@ fn cases() -> Vec<Case> {
 
 /// Every pattern from every initial vertex, kernels on and off, counting
 /// and listing, on every case.
-fn sweep(patterns: &[Pattern]) {
-    for case in cases() {
+fn sweep(cases: &[Case], patterns: &[Pattern]) {
+    for case in cases {
         for p in patterns {
             let oracle = case.oracle(p);
             for v in p.vertices() {
@@ -178,7 +180,7 @@ fn every_connected_pattern_on_three_to_five_vertices_matches_the_oracle() {
         [2, 6, 21],
         "connected graphs on 3, 4 and 5 vertices"
     );
-    sweep(&by_size.concat());
+    sweep(&cases(), &by_size.concat());
 }
 
 /// `K6` without the edges `3-5` and `4-5`: a closing expansion filters a
@@ -190,7 +192,57 @@ fn every_connected_pattern_on_three_to_five_vertices_matches_the_oracle() {
 fn a_six_vertex_pattern_with_two_arena_targets_matches_the_oracle() {
     let k6 = (0..6).flat_map(|a| (a + 1..6).map(move |b| (a, b)));
     let edges: Vec<_> = k6.filter(|&e| e != (3, 5) && e != (4, 5)).collect();
-    sweep(&[Pattern::new("K6 minus 3-5 and 4-5", 6, &edges).unwrap()]);
+    sweep(&cases(), &[Pattern::new("K6 minus 3-5 and 4-5", 6, &edges).unwrap()]);
+}
+
+/// The closing shapes around a hub of 68 spokes: an expansion of the hub
+/// binds over a universe of two mask words, and a clique's or a diamond's
+/// cached rows span both. The 20-spoke hub of [`cases`] fits one word.
+#[test]
+fn closing_shapes_around_a_hub_beyond_one_mask_word_match_the_oracle() {
+    let hub =
+        Case { name: "planted hub of 68 spokes", graph: common::planted_hub(68), labels: None };
+    let diamond = Pattern::new("diamond", 4, &[(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]).unwrap();
+    let (k4, k5, tailed) = (catalog::clique(4), catalog::clique(5), catalog::tailed_triangle());
+    sweep(&[hub], &[k4, k5, diamond, tailed]);
+}
+
+/// The 4-leaf star around the same hub: its hub expansion binds three
+/// odometer levels over two mask words and counts each prefix's survivors
+/// as a popcount across both. The hub alone centres C(68, 4) = 814 385
+/// stars, too many for the oracle's listing, so a listing is held to the
+/// oracle's count by its distinct instances, each a star of the graph, and
+/// to the counting run by every expansion counter. About 10 s in release;
+/// a debug build skips it.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "814 385 stars: run in release")]
+fn a_four_leaf_star_around_a_hub_beyond_one_mask_word_matches_the_oracle() {
+    let hub =
+        Case { name: "planted hub of 68 spokes", graph: common::planted_hub(68), labels: None };
+    let star = catalog::star(4);
+    let expected = centralized::count(&hub.graph, &star);
+    for v in star.vertices() {
+        for kernels in [true, false] {
+            let context = format!("4-leaf star from initial vertex {v}, kernels {kernels}");
+            let (count, _, counted) = hub.run(&star, v, kernels, false);
+            assert_eq!(count, expected, "{context}, counting");
+            let (count, listed, walked) = hub.run(&star, v, kernels, true);
+            assert_eq!(count, expected, "{context}, listing");
+            assert_eq!(walked, counted, "{context}: listing and counting disagree");
+            // An instance in canonical form is its four data edges: each an
+            // edge of the graph, five distinct vertices in all.
+            let mut listed = listed.expect("collect(true) keeps the tuples");
+            let is_star = |edges: &Vec<VertexId>| {
+                let mut ends = edges.clone();
+                ends.sort_unstable();
+                ends.dedup();
+                ends.len() == 5 && edges.chunks(2).all(|e| hub.graph.has_edge(e[0], e[1]))
+            };
+            assert!(listed.iter().all(is_star), "{context}: a listed tuple is not a star");
+            listed.dedup();
+            assert_eq!(listed.len() as u64, expected, "{context}: distinct instances");
+        }
+    }
 }
 
 #[test]
@@ -198,5 +250,5 @@ fn a_six_vertex_pattern_with_two_arena_targets_matches_the_oracle() {
 fn every_connected_pattern_on_six_vertices_matches_the_oracle() {
     let patterns = connected_patterns(6);
     assert_eq!(patterns.len(), 112, "connected graphs on 6 vertices");
-    sweep(&patterns);
+    sweep(&cases(), &patterns);
 }
