@@ -7,11 +7,12 @@ use proptest::collection::vec;
 use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig, Strategy as _};
 use psgl_bsp::DEFAULT_CHUNK_CAPACITY;
 use psgl_cluster::frame::{decode, encode, read_frame, Frame, FrameError, FrameKind};
-use psgl_core::gpsi::{Gpsi, MAX_GPSI_VERTICES};
+use psgl_core::gpsi::{Gpsi, MAX_GPSI_VERTICES, UNMAPPED};
 use psgl_graph::VertexId;
 
-/// Arbitrary valid Gpsi raw parts: `expanding` in range and the
-/// black ⊆ mapped invariant the decoder enforces.
+/// Arbitrary valid Gpsi raw parts, with the invariants the decoder
+/// enforces: `mapped` within the 12 slots, black ⊆ mapped, a slot holding
+/// a vertex exactly when it is mapped, and a GRAY `expanding` vertex.
 fn gpsi_strategy() -> impl proptest::Strategy<Value = Gpsi> {
     (
         vec(proptest::any::<u32>(), MAX_GPSI_VERTICES),
@@ -20,11 +21,48 @@ fn gpsi_strategy() -> impl proptest::Strategy<Value = Gpsi> {
         0u8..MAX_GPSI_VERTICES as u8,
     )
         .prop_map(|(mapping, black, mapped, expanding)| {
-            let mut arr = [0 as VertexId; MAX_GPSI_VERTICES];
-            arr.copy_from_slice(&mapping);
-            // Force the invariant instead of filtering: black ⊆ mapped.
-            Gpsi::from_raw_parts(arr, black & mapped, mapped, expanding)
+            // Force the invariants instead of filtering.
+            let gray = 1u16 << expanding;
+            let mapped = (mapped & ((1 << MAX_GPSI_VERTICES) - 1)) | gray;
+            let black = black & mapped & !gray;
+            let arr: [VertexId; MAX_GPSI_VERTICES] = std::array::from_fn(|i| {
+                if (mapped >> i) & 1 == 1 {
+                    mapping[i].min(UNMAPPED - 1)
+                } else {
+                    UNMAPPED
+                }
+            });
+            Gpsi::from_raw_parts(arr, black, mapped, expanding)
         })
+}
+
+/// A frame whose checksum holds but whose tuple the engine never sends is
+/// a typed `BadPayload`, for each field rule the Gpsi decoder enforces: a
+/// member that accepted it would expand a vertex it cannot find.
+#[test]
+fn a_tuple_the_engine_never_sends_is_a_bad_payload() {
+    let mut mapping = [UNMAPPED; MAX_GPSI_VERTICES];
+    mapping[0] = 7;
+    let mut slot_1 = mapping;
+    slot_1[1] = 8;
+    for (bad, why) in [
+        // Expanding slot 1, which is not mapped.
+        (Gpsi::from_raw_parts(mapping, 0, 0b1, 1), "gpsi expanding vertex is not gray"),
+        // A mapped bit at slot 1, which holds UNMAPPED.
+        (Gpsi::from_raw_parts(mapping, 0, 0b11, 0), "gpsi mapping disagrees with the mapped set"),
+        // A mapped bit at 13, past the twelve slots.
+        (Gpsi::from_raw_parts(mapping, 0, 0b1 | 1 << 13, 0), "gpsi mapped set exceeds the width"),
+        // Slot 1 holds a vertex without its mapped bit.
+        (Gpsi::from_raw_parts(slot_1, 0, 0b1, 0), "gpsi mapping disagrees with the mapped set"),
+    ] {
+        let good = Gpsi::from_raw_parts(mapping, 0, 0b1, 0);
+        let tuples = vec![(7, good), (7, bad)];
+        let frame = Frame { kind: FrameKind::Data, superstep: 2, src: 0, dst: 1, tuples };
+        let bytes = encode(&frame);
+        assert_eq!(decode::<Gpsi>(&bytes).unwrap_err(), FrameError::BadPayload(why));
+        let mut cursor = std::io::Cursor::new(bytes.as_slice());
+        assert_eq!(read_frame::<Gpsi>(&mut cursor).unwrap_err(), FrameError::BadPayload(why));
+    }
 }
 
 fn frame_strategy() -> impl proptest::Strategy<Value = Frame<Gpsi>> {

@@ -349,7 +349,7 @@ impl Checkpoint {
             let mut frontier = Vec::new();
             for _ in 0..n {
                 let v = r.u32("frontier vertex")?;
-                let gpsi = Gpsi::decode(r.take(Gpsi::ENCODED_LEN, "frontier gpsi")?)
+                let gpsi = <Gpsi>::decode(r.take(<Gpsi>::ENCODED_LEN, "frontier gpsi")?)
                     .map_err(|e| CheckpointError::new(format!("frontier: {e}")))?;
                 frontier.push((v, gpsi));
             }
@@ -588,6 +588,16 @@ mod tests {
         }
     }
 
+    /// [`sample`] with the expanding vertex of its first frontier tuple
+    /// chosen, as the engine sends it. Decoding accepts only a GRAY
+    /// expanding vertex; `sample`'s tuple, whose bytes the golden pins,
+    /// still names the BLACK vertex it has just expanded.
+    fn decodable() -> Checkpoint {
+        let mut cp = sample();
+        cp.parts[0].frontier[0].1.set_expanding(1);
+        cp
+    }
+
     /// Part `i` of `cp` as a cluster member's shard sink captures it: one
     /// part, no run-level prefix.
     fn shard(cp: &Checkpoint, i: usize) -> Checkpoint {
@@ -628,7 +638,7 @@ mod tests {
     /// guards.
     #[test]
     fn roundtrip_preserves_everything() {
-        let cp = sample();
+        let cp = decodable();
         assert_eq!(Checkpoint::from_bytes(&cp.to_bytes()).unwrap(), cp);
         let shards: Vec<Checkpoint> = (0..2).map(|i| shard(&cp, i)).collect();
         for one in &shards {
@@ -685,7 +695,7 @@ mod tests {
         let bad = Gpsi::from_raw_parts(mapping, 0b10, 0b01, 0);
         let why = "gpsi black set exceeds mapped set";
 
-        let mut cp = sample();
+        let mut cp = decodable();
         cp.parts[1].frontier.push((7, bad));
         let err = Checkpoint::from_bytes(&cp.to_bytes()).unwrap_err();
         assert!(err.message.contains(why), "{err}");

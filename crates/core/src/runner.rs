@@ -6,6 +6,12 @@
 //! mapping the selected initial pattern vertex to itself), and every later
 //! superstep executes the *expansion phase* (Algorithm 1) on the Gpsis that
 //! arrived as messages.
+//!
+//! The program's messages are Gpsis at the pattern's width
+//! ([`message_width`]): `compute` widens each one it receives to the
+//! 12-slot [`Gpsi`] expansion works on and narrows each one it generates
+//! before sending it. Frontiers leave and enter a run as 12-slot Gpsis —
+//! seeds, checkpoints, cluster shards — and are converted at those edges.
 
 use crate::checkpoint::{
     pattern_hash, Checkpoint, CheckpointError, CheckpointGuard, Harvested, PartCheckpoint,
@@ -14,7 +20,7 @@ use crate::checkpoint::{
 use crate::config::PsglConfig;
 use crate::distribute::{Distributor, Strategy};
 use crate::expand::{expand_gpsi, ExpandScratch};
-use crate::gpsi::Gpsi;
+use crate::gpsi::{message_width, Gpsi};
 use crate::init_vertex::SelectionRule;
 use crate::shared::{PsglError, PsglShared};
 use crate::stats::{ExpandStats, RunStats};
@@ -73,7 +79,8 @@ pub struct WorkerState {
     failed: bool,
 }
 
-struct PsglProgram<'a> {
+/// The vertex program of a run whose messages carry `W` mapping slots.
+struct PsglProgram<'a, const W: usize> {
     shared: &'a PsglShared<'a>,
     config: &'a PsglConfig,
     /// The empty harvest every worker starts from (per-vertex counts are
@@ -86,8 +93,8 @@ struct PsglProgram<'a> {
     defer_budget: bool,
 }
 
-impl VertexProgram for PsglProgram<'_> {
-    type Message = Gpsi;
+impl<const W: usize> VertexProgram for PsglProgram<'_, W> {
+    type Message = Gpsi<W>;
     type WorkerState = WorkerState;
 
     fn create_worker_state(&self, worker: usize) -> WorkerState {
@@ -114,10 +121,10 @@ impl VertexProgram for PsglProgram<'_> {
 
     fn compute(
         &self,
-        ctx: &mut Context<'_, Gpsi>,
+        ctx: &mut Context<'_, Gpsi<W>>,
         state: &mut WorkerState,
         vertex: VertexId,
-        messages: &mut Vec<Gpsi>,
+        messages: &mut Vec<Gpsi<W>>,
     ) {
         if state.failed {
             return; // drain mode after a simulated OOM
@@ -130,7 +137,7 @@ impl VertexProgram for PsglProgram<'_> {
                 && self.shared.label_ok(init, vertex)
             {
                 ctx.add_cost(1);
-                ctx.send(vertex, Gpsi::initial(init, vertex));
+                ctx.send(vertex, Gpsi::initial(init, vertex).with_width());
             }
             return;
         }
@@ -155,7 +162,7 @@ impl VertexProgram for PsglProgram<'_> {
             let before = stats.cost;
             expand_gpsi(
                 self.shared,
-                gpsi,
+                gpsi.with_width(),
                 scratch,
                 distributor,
                 ctx.partitioner(),
@@ -178,7 +185,7 @@ impl VertexProgram for PsglProgram<'_> {
             }
             for g in out.drain(..) {
                 let dest = g.map(g.expanding()).expect("expanding vertex is mapped");
-                ctx.send(dest, g);
+                ctx.send(dest, g.with_width());
             }
         }
     }
@@ -256,9 +263,10 @@ pub enum Start {
     /// vertex. The seed edge is not verified yet — neither end is BLACK —
     /// so the first expansion checks it exactly. Expansion from
     /// a seed is exact, so the instances found are exactly the completions
-    /// of the seeds. The caller is responsible for seed validity: every
-    /// already-mapped pair satisfies the partial order and the expanding
-    /// vertex is mapped. No seeds, no instances.
+    /// of the seeds. The caller is responsible for seed validity: only
+    /// pattern vertices are mapped, every already-mapped pair satisfies
+    /// the partial order and the expanding vertex is mapped. No seeds, no
+    /// instances.
     Seeds(Vec<Gpsi>),
 }
 
@@ -482,25 +490,35 @@ impl WorkerState {
 }
 
 /// Rebuilds the engine's resume point from a checkpoint whose guard
-/// matches this run. Its parts must be exactly the partitions hosted here,
-/// `locals` (ascending): every partition of an in-process run, or a
-/// cluster member's local partitions.
-fn restore(
+/// matches this run, its frontier narrowed to the run's message width `W`.
+/// Its parts must be exactly the partitions hosted here, `locals`
+/// (ascending): every partition of an in-process run, or a cluster
+/// member's local partitions.
+fn restore<const W: usize>(
     config: &PsglConfig,
     cp: Checkpoint,
     locals: &[usize],
-) -> Result<ResumePoint<Gpsi, WorkerState>, PsglError> {
+) -> Result<ResumePoint<Gpsi<W>, WorkerState>, PsglError> {
+    let error = |message: String| PsglError::Checkpoint(CheckpointError::new(message));
     if !cp.parts.iter().map(|part| part.partition as usize).eq(locals.iter().copied()) {
         let parts: Vec<u32> = cp.parts.iter().map(|part| part.partition).collect();
-        return Err(PsglError::Checkpoint(CheckpointError::new(format!(
+        return Err(error(format!(
             "checkpoint parts {parts:?} are not the hosted partitions {locals:?}"
-        ))));
+        )));
     }
-    let (worker_states, frontier) = cp
-        .parts
-        .into_iter()
-        .map(|part| (WorkerState::restore(config.strategy, part.worker), part.frontier))
-        .unzip();
+    let mut worker_states = Vec::with_capacity(cp.parts.len());
+    let mut frontier = Vec::with_capacity(cp.parts.len());
+    for part in cp.parts {
+        if let Some((_, g)) =
+            part.frontier.iter().find(|(_, g)| u32::from(g.mapped_mask()) >> W != 0)
+        {
+            return Err(error(format!(
+                "frontier gpsi {g:?} maps a slot past the run's {W}-slot messages"
+            )));
+        }
+        worker_states.push(WorkerState::restore(config.strategy, part.worker));
+        frontier.push(part.frontier.into_iter().map(|(v, g)| (v, g.with_width())).collect());
+    }
     Ok(ResumePoint {
         superstep: cp.superstep,
         frontier,
@@ -512,9 +530,10 @@ fn restore(
 
 /// Adapts the engine's [`FrontierSink`] callback (local states + inboxes
 /// at a checkpoint barrier) into one single-part [`Checkpoint`] per local
-/// partition for the cluster's [`ShardSink`]. A shard carries no run-level
-/// prefix: the coordinator owns the global superstep history, and a
-/// member's metrics restart at the resume superstep.
+/// partition for the cluster's [`ShardSink`], its frontier widened to 12
+/// slots. A shard carries no run-level prefix: the coordinator owns the
+/// global superstep history, and a member's metrics restart at the resume
+/// superstep.
 struct EngineShardSink<'a> {
     sink: &'a dyn ShardSink,
     guard: CheckpointGuard,
@@ -522,8 +541,8 @@ struct EngineShardSink<'a> {
     partitions: Vec<usize>,
 }
 
-impl FrontierSink<Gpsi, WorkerState> for EngineShardSink<'_> {
-    fn capture(&self, superstep: u32, states: &[WorkerState], frontier: &[Vec<Chunk<Gpsi>>]) {
+impl<const W: usize> FrontierSink<Gpsi<W>, WorkerState> for EngineShardSink<'_> {
+    fn capture(&self, superstep: u32, states: &[WorkerState], frontier: &[Vec<Chunk<Gpsi<W>>>]) {
         let shards = self
             .partitions
             .iter()
@@ -536,7 +555,10 @@ impl FrontierSink<Gpsi, WorkerState> for EngineShardSink<'_> {
                 parts: vec![PartCheckpoint {
                     partition: partition as u32,
                     worker: snapshot_worker(ws),
-                    frontier: inbox.iter().flat_map(|c| c.iter().copied()).collect(),
+                    frontier: inbox
+                        .iter()
+                        .flat_map(|c| c.iter().map(|(v, g)| (*v, g.with_width())))
+                        .collect(),
                 }],
             })
             .collect();
@@ -604,12 +626,42 @@ fn assemble_listing(
 /// Runs the vertex program as `request` describes: the superstep loop
 /// entered from `request.start`, executed under `request.hooks`, until it
 /// completes or `request.stop` ends it — the one way into the BSP engine.
+///
+/// The run's messages carry Gpsis at the pattern's [`message_width`],
+/// except a cluster member's: its exchange and `PSGW` frames carry 12-slot
+/// Gpsis.
 pub fn run(
     shared: &PsglShared<'_>,
     config: &PsglConfig,
-    request: RunRequest<'_>,
+    mut request: RunRequest<'_>,
 ) -> Result<ListingEnd, PsglError> {
-    let RunRequest { start, hooks, stop, cluster, harvest } = request;
+    match request.cluster.take() {
+        Some(ClusterMember { exchange, shard_sink }) => {
+            run_at(shared, config, request, Some(Member { exchange, shard_sink }))
+        }
+        None => match message_width(shared.pattern.num_vertices()) {
+            4 => run_at::<4>(shared, config, request, None),
+            8 => run_at::<8>(shared, config, request, None),
+            _ => run_at::<12>(shared, config, request, None),
+        },
+    }
+}
+
+/// A [`ClusterMember`] of a run whose messages carry `W` slots.
+struct Member<'a, const W: usize> {
+    exchange: &'a dyn Exchange<Gpsi<W>>,
+    shard_sink: Option<&'a dyn ShardSink>,
+}
+
+/// [`run`] with `W`-slot messages; `request.cluster` has been moved to
+/// `cluster`.
+fn run_at<const W: usize>(
+    shared: &PsglShared<'_>,
+    config: &PsglConfig,
+    request: RunRequest<'_>,
+    cluster: Option<Member<'_, W>>,
+) -> Result<ListingEnd, PsglError> {
+    let RunRequest { start, hooks, stop, harvest, .. } = request;
     let harvest = match harvest {
         Harvest::PerVertex => Harvested::PerVertex(Vec::new()),
         Harvest::Listing if config.collect_instances => Harvested::Instances(Vec::new()),
@@ -618,7 +670,7 @@ pub fn run(
     let partitioner = hooks
         .partitioner
         .unwrap_or_else(|| HashPartitioner::with_salt(config.workers, hash_u64(config.seed)));
-    let program = PsglProgram {
+    let program = PsglProgram::<W> {
         shared,
         config,
         harvest,
@@ -655,10 +707,10 @@ pub fn run(
         Start::Seeds(seeds) => {
             let worker_states =
                 (0..config.workers).map(|w| program.create_worker_state(w)).collect();
-            let mut frontier: Vec<Vec<(VertexId, Gpsi)>> = vec![Vec::new(); config.workers];
+            let mut frontier: Vec<Vec<(VertexId, Gpsi<W>)>> = vec![Vec::new(); config.workers];
             for g in seeds {
                 let dest = g.map(g.expanding()).expect("seed expanding vertex is mapped");
-                frontier[partitioner.owner(dest)].push((dest, g));
+                frontier[partitioner.owner(dest)].push((dest, g.with_width()));
             }
             Some(ResumePoint {
                 superstep: 1,
@@ -699,7 +751,7 @@ pub fn run(
         checkpoint: stop.checkpoint && cluster.is_none(),
         resume,
         exchange: cluster.as_ref().map(|member| member.exchange),
-        sink: shard_sink.as_ref().map(|s| s as &dyn FrontierSink<Gpsi, WorkerState>),
+        sink: shard_sink.as_ref().map(|s| s as &dyn FrontierSink<Gpsi<W>, WorkerState>),
         spill: spill_store.as_ref(),
         tracer: hooks.tracer,
     };
@@ -769,7 +821,7 @@ pub fn run(
                     .map(|(partition, (ws, frontier))| PartCheckpoint {
                         partition: partition as u32,
                         worker: snapshot_worker(ws),
-                        frontier,
+                        frontier: frontier.into_iter().map(|(v, g)| (v, g.with_width())).collect(),
                     })
                     .collect(),
             });
@@ -1341,20 +1393,44 @@ mod tests {
         else {
             panic!("the initialization superstep leaves a frontier")
         };
-        assert!(restore(&config, (*checkpoint).clone(), &[0, 1, 2]).is_ok());
+        assert!(restore::<4>(&config, (*checkpoint).clone(), &[0, 1, 2]).is_ok());
         // An extra part: partition 1 is not hosted.
-        let err = restore(&config, (*checkpoint).clone(), &[0, 2]).err().expect("extra part");
+        let err = restore::<4>(&config, (*checkpoint).clone(), &[0, 2]).err().expect("extra part");
         assert!(matches!(&err, PsglError::Checkpoint(e) if e.message.contains("[0, 1, 2]")));
         // A missing part.
         let mut missing = *checkpoint;
         missing.parts.remove(1);
-        let err = restore(&config, missing.clone(), &[0, 1, 2]).err().expect("missing part");
+        let err = restore::<4>(&config, missing.clone(), &[0, 1, 2]).err().expect("missing part");
         assert!(matches!(&err, PsglError::Checkpoint(e) if e.message.contains("[0, 2]")));
         match run(&shared, &config, resuming(missing)) {
             Err(PsglError::Checkpoint(_)) => {}
             Err(e) => panic!("wrong error {e}"),
             Ok(_) => panic!("a checkpoint without partition 1 resumed"),
         }
+    }
+
+    /// A square's run carries 4-slot messages: a checkpoint tuple that
+    /// maps slot 4 is rejected at restore, not narrowed away.
+    #[test]
+    fn restore_rejects_a_frontier_wider_than_the_message_width() {
+        let g = erdos_renyi_gnm(120, 700, 21).unwrap();
+        let config = PsglConfig::with_workers(3).kernels(false);
+        let shared = PsglShared::prepare(&g, &catalog::square(), &config).unwrap();
+        let ListingEnd::Preempted { mut checkpoint, .. } =
+            run(&shared, &config, one_superstep_from(Start::Init)).unwrap()
+        else {
+            panic!("the initialization superstep leaves a frontier")
+        };
+        let (_, gpsi) = checkpoint.parts[0].frontier[0];
+        let mut wide = gpsi;
+        wide.assign(4, 9);
+        checkpoint.parts[0].frontier.push((9, wide));
+        assert!(restore::<12>(&config, (*checkpoint).clone(), &[0, 1, 2]).is_ok());
+        let err = restore::<4>(&config, *checkpoint, &[0, 1, 2]).err().expect("a slot past 4");
+        assert!(
+            matches!(&err, PsglError::Checkpoint(e) if e.message.contains("past the run's 4")),
+            "{err}"
+        );
     }
 
     #[test]

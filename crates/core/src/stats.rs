@@ -63,7 +63,9 @@ pub struct RunStats {
     /// Of `messages`, how many were delivered on the sending worker's own
     /// fast path without touching the exchange.
     pub messages_local: u64,
-    /// Bytes of message tuples that crossed the inter-worker exchange.
+    /// Bytes of message tuples that crossed the inter-worker exchange:
+    /// remote messages times the `(VertexId, Gpsi<W>)` tuple at the run's
+    /// message width (28, 44 or 60 bytes).
     pub bytes_exchanged: u64,
     /// Gpsi messages produced per superstep (the paper's per-iteration
     /// intermediate-result curves; also the sim harness's message-

@@ -348,7 +348,14 @@ impl Scenario {
             SpillFault::Healthy => {}
             SpillFault::SlowWrites => spill.faults.slow_write_per_chunk_us = 50,
             SpillFault::WriteFailure => spill.faults.fail_write_after_bytes = Some(0),
-            SpillFault::ByteCap => spill.max_spill_bytes = Some(4096),
+            SpillFault::ByteCap => {
+                // Room for 24 tuples, each a vertex id and a Gpsi at the
+                // run's message width (4W + 5 bytes): two eight-tuple
+                // chunks land on disk with their framing, then the store
+                // reports exhaustion.
+                let width = psgl_core::gpsi::message_width(self.pattern.num_vertices());
+                spill.max_spill_bytes = Some(24 * (4 + 4 * width as u64 + 5));
+            }
             SpillFault::CorruptRead => spill.faults.corrupt_read = true,
             SpillFault::ShortRead => spill.faults.short_read = true,
         }

@@ -7,11 +7,11 @@ use psgl::baselines::centralized;
 use psgl::bsp::SpillConfig;
 use psgl::core::{
     list_subgraphs, list_subgraphs_prepared, list_subgraphs_prepared_with, run, CancelReason,
-    CancelToken, Checkpoint, EdgeIndex, Harvest, ListingEnd, ListingResult, PsglConfig, PsglShared,
-    QueryPlan, RunRequest, RunnerHooks, Start, Stop, Strategy,
+    CancelToken, Checkpoint, EdgeIndex, Gpsi, Harvest, ListingEnd, ListingResult, PsglConfig,
+    PsglShared, QueryPlan, RunRequest, RunnerHooks, Start, Stop, Strategy,
 };
 use psgl::graph::generators::{chung_lu, erdos_renyi_gnm};
-use psgl::graph::{DataGraph, DegreeStats, OrderedGraph};
+use psgl::graph::{DataGraph, DegreeStats, OrderedGraph, VertexId};
 use psgl::pattern::labeled::automorphisms_labeled;
 use psgl::pattern::{catalog, Pattern};
 use psgl::sim::fingerprint::fingerprint_run;
@@ -190,6 +190,62 @@ fn every_start_and_stop_gives_the_whole_runs_answer() {
             fingerprint_run(&list_subgraphs_prepared_with(&shared, &config, &hooks).unwrap()),
             fingerprint_run(&run(&shared, &config, request).unwrap().completed()),
         );
+    }
+}
+
+/// A run's messages carry each Gpsi at its pattern's width: 4 slots up to
+/// four vertices, 8 up to eight, 12 beyond. Patterns on both sides of the
+/// two boundaries run with kernels off, so that every Gpsi crosses the
+/// message plane: resident, spilled under a live-chunk cap,
+/// checkpoint-resumed and sliced. Each mode lists the oracle's instances
+/// with the same counters, and the exchange moves each remote message as
+/// one tuple of the width's size.
+#[test]
+fn every_message_width_lists_the_oracles_instances_in_every_mode() {
+    let graph = erdos_renyi_gnm(40, 70, 5).unwrap();
+    let tuple_bytes = [
+        std::mem::size_of::<(VertexId, Gpsi<4>)>(),
+        std::mem::size_of::<(VertexId, Gpsi<8>)>(),
+        std::mem::size_of::<(VertexId, Gpsi<8>)>(),
+        std::mem::size_of::<(VertexId, Gpsi)>(),
+    ];
+    assert_eq!(tuple_bytes, [28, 44, 44, 60]);
+    let patterns = [catalog::square(), catalog::cycle(5), catalog::cycle(8), catalog::path(9)];
+    for (pattern, tuple) in patterns.iter().zip(tuple_bytes) {
+        let config = PsglConfig::with_workers(3).collect(true).kernels(false);
+        let shared = PsglShared::prepare(&graph, pattern, &config).unwrap();
+        let resident = whole(&shared, &config);
+        let name = pattern.name();
+        assert!(resident.instance_count > 0, "{name}: nothing to compare");
+        assert_eq!(resident.instance_count, centralized::count(&graph, pattern), "{name}");
+        let stats = &resident.stats;
+        let remote = stats.messages - stats.messages_local;
+        assert!(remote > 0, "{name}: no message crossed the exchange");
+        assert_eq!(stats.bytes_exchanged, remote * tuple as u64, "{name}");
+        let spilled = {
+            let hooks = RunnerHooks {
+                chunk_capacity: Some(16),
+                max_live_chunks: Some(8),
+                spill: Some(SpillConfig::in_temp()),
+                ..Default::default()
+            };
+            list_subgraphs_prepared_with(&shared, &config, &hooks).unwrap()
+        };
+        assert!(spilled.stats.spill_chunks > 0, "{name}: the cap never bit");
+        for (mode, got) in [
+            ("spilled", spilled),
+            ("resumed", resumed(&shared, &config)),
+            ("sliced", sliced(&shared, &config)),
+        ] {
+            let context = format!("{name} {mode}");
+            assert_eq!(got.instances, resident.instances, "{context}");
+            assert_eq!(got.stats.expand, stats.expand, "{context}");
+            assert_eq!(got.stats.messages, stats.messages, "{context}");
+            assert_eq!(got.stats.messages_local, stats.messages_local, "{context}");
+            assert_eq!(got.stats.bytes_exchanged, stats.bytes_exchanged, "{context}");
+            assert_eq!(got.stats.supersteps, stats.supersteps, "{context}");
+            assert_eq!(got.stats.chunks_outstanding, 0, "{context}");
+        }
     }
 }
 
