@@ -116,10 +116,12 @@ pub struct ExpandScratch {
     /// GRAY candidates handed to the distribution strategy.
     pub(crate) grays: Vec<GrayCandidate>,
     /// Connectivity map of the closing kernels: one mark per data vertex,
-    /// indexed by rank, all-zero between expansions. Only the two-WHITE
-    /// Close (`close_pair`) sets it, marking its final arena for its
-    /// expansion. Sized to the data graph by the first such expansion
-    /// (pre-steady-state; retained afterwards).
+    /// indexed by rank, all-zero between expansions. The two-WHITE Close
+    /// (`close_pair`) marks its final arena for its expansion; a TwoHop
+    /// expansion whose count-only wedge join has one static target marks
+    /// that target's side and the mapped ranks. Sized to the data graph
+    /// by the first such expansion (pre-steady-state; retained
+    /// afterwards).
     pub(crate) cmap: Vec<u8>,
     /// A closing expansion's candidate universe: the rank-sorted union of
     /// its distinct slot arenas, the positions its word masks range over.
@@ -586,22 +588,22 @@ fn finalize_combination(
     out.push(g);
 }
 
-/// Unit-test driver: expands every Gpsi of a single-worker listing of
-/// `pattern` in `g` to completion and returns the instances it harvested
-/// (the BSP runner is the real driver), the counters, and the scratch, so
-/// tests can inspect what the kernels left behind.
+/// Unit-test driver: expands every Gpsi of a single-worker run of
+/// `pattern` in `g` to completion into `harvest` (the BSP runner is the
+/// real driver), and returns the counters and the scratch, so tests can
+/// inspect what the kernels left behind.
 #[cfg(test)]
-pub(crate) fn list_all(
+fn expand_all(
     g: &psgl_graph::DataGraph,
     pattern: &psgl_pattern::Pattern,
     config: &crate::PsglConfig,
-) -> (Vec<Vec<VertexId>>, ExpandStats, ExpandScratch) {
+    harvest: &mut Harvested,
+) -> (ExpandStats, ExpandScratch) {
     let shared = PsglShared::prepare(g, pattern, config).unwrap();
     let partitioner = HashPartitioner::new(1);
     let mut distributor = Distributor::new(crate::distribute::Strategy::Random, 1, 7);
     let mut scratch = ExpandScratch::new();
     let mut stats = ExpandStats::default();
-    let mut harvest = Harvested::Instances(Vec::new());
     let mut queue: Vec<Gpsi> = g
         .vertices()
         .filter(|&v| g.degree(v) >= pattern.degree(shared.init_vertex))
@@ -616,13 +618,36 @@ pub(crate) fn list_all(
             &mut distributor,
             &partitioner,
             &mut out,
-            &mut harvest,
+            harvest,
             &mut stats,
         );
         queue.append(&mut out);
     }
+    (stats, scratch)
+}
+
+/// [`expand_all`] listing: the instances it harvested, the counters and
+/// the scratch.
+#[cfg(test)]
+pub(crate) fn list_all(
+    g: &psgl_graph::DataGraph,
+    pattern: &psgl_pattern::Pattern,
+    config: &crate::PsglConfig,
+) -> (Vec<Vec<VertexId>>, ExpandStats, ExpandScratch) {
+    let mut harvest = Harvested::Instances(Vec::new());
+    let (stats, scratch) = expand_all(g, pattern, config, &mut harvest);
     let Harvested::Instances(found) = harvest else { unreachable!() };
     (found, stats, scratch)
+}
+
+/// [`expand_all`] counting only (the count is the counters' `results`).
+#[cfg(test)]
+pub(crate) fn count_all(
+    g: &psgl_graph::DataGraph,
+    pattern: &psgl_pattern::Pattern,
+    config: &crate::PsglConfig,
+) -> (ExpandStats, ExpandScratch) {
+    expand_all(g, pattern, config, &mut Harvested::CountOnly)
 }
 
 #[cfg(test)]

@@ -43,10 +43,14 @@
 //! two-hop vertex has one pattern neighbour counts them as its rank
 //! window's slice length minus the mapped vertices inside the slice; with
 //! two pattern neighbours, and ranks that follow degree, the degree bound
-//! is a prefix of the same list, and the survivors are one sorted
-//! intersection of the slice with the other neighbour's list
-//! ([`count_common`]), minus the mapped vertices in both (see
-//! [`join_two_hop`]). None of them visits a survivor.
+//! is a prefix of the same list. When both neighbours were mapped before
+//! the expansion, the survivors are one sorted intersection of the slice
+//! with the other neighbour's list ([`count_common`]), minus the mapped
+//! vertices in both. When one of them is a WHITE binding `c` (a cycle's
+//! rim), the expansion has marked the other, static one, `t`, and each
+//! binding is one walk of byte probes: of the slice of `N(c)` when `c`
+//! seeds the join, or of `N(c)` cut to the slice's rank span when `t`
+//! does (see [`join_two_hop`]). None of them visits a survivor.
 //!
 //! Two shapes of closing expansion exist (selected per partial instance by
 //! the dispatch rule in [`crate::expand::expand_gpsi`]):
@@ -76,12 +80,20 @@
 //! and `close_pair`'s hub walk run the same step inline on their one
 //! cursor.
 //!
-//! The one exception is [`close_pair`], the triangle join: it marks its
-//! final arena in `cmap` (one byte per rank, in [`ExpandScratch`], sized
-//! to the data graph on first use) for the whole expansion, and probes one byte
-//! per neighbour of a short binding list (`cmap_probes`); a hub binding
-//! walks the arena and seeks into its list instead. The marks are cleared
-//! by walking the arena again, so the map is all-zero between expansions.
+//! Two joins probe marks instead. Both mark a set that is the same for
+//! every binding of the expansion in `cmap` (one byte per rank, in
+//! [`ExpandScratch`], sized to the data graph on first use), probe one
+//! byte per member of a binding's list, and clear the marks by walking the
+//! marked lists again, so the map is all-zero between expansions:
+//!
+//! - [`close_pair`], the triangle join, marks its final arena and probes
+//!   a short binding list (`cmap_probes`); a hub binding walks the arena
+//!   and seeks into its list instead.
+//! - A count-only wedge join with one static target `t` and one WHITE
+//!   target marks, in bit 0, the members of `N(t)` inside the two-hop
+//!   vertex's static window and degree bound, and in bit 1 the mapped
+//!   ranks. The `cmap_*` counters count `close_pair` alone: a listing
+//!   walks this join, and the counters must not tell the two apart.
 //!
 //! ## The word-mask odometer
 //!
@@ -128,6 +140,15 @@ use psgl_pattern::PatternVertex;
 /// when the list is shorter than this many times the arena; beyond that,
 /// walking the arena and galloping into the list is cheaper.
 const PROBE_RATIO: usize = 4;
+
+#[cfg(test)]
+thread_local! {
+    /// Marked wedge joins run on this thread: seeded from the static
+    /// target, seeded from the WHITE one, and either with other WHITE
+    /// bindings in the prefix. Tests read it to know that their shapes
+    /// reach both seeds.
+    static MARKED_JOINS: std::cell::Cell<[u64; 3]> = const { std::cell::Cell::new([0; 3]) };
+}
 
 /// An odometer expansion caches one row per universe position while its
 /// row table, `|U|` rows of `⌈|U| / 64⌉` words, fits in this many words
@@ -207,6 +228,11 @@ struct WExtra {
     lt_slots: u16,
     /// Bit `i` set iff the order requires `w`'s candidate above slot `i`'s.
     gt_slots: u16,
+    /// The count-only wedge join probes per-expansion marks in `cmap`:
+    /// `w` has one target mapped before the expansion and one WHITE one,
+    /// and the run is unlabelled with ranks that follow degree (see
+    /// [`join_two_hop`]).
+    marked: bool,
 }
 
 /// Expands `gpsi` with a closing kernel. Preconditions (checked by the
@@ -324,7 +350,12 @@ pub(crate) fn expand_specialized(
                 gt_slots |= 1 << i;
             }
         }
-        WExtra { w, min_degree: p.degree(w), lo, hi, edge_slots, lt_slots, gt_slots }
+        let marked = matches!(harvest, Harvested::CountOnly)
+            && shared.labels.is_none()
+            && ordered.degree_sorted()
+            && w_static.len() == 1
+            && edge_slots.count_ones() == 1;
+        WExtra { w, min_degree: p.degree(w), lo, hi, edge_slots, lt_slots, gt_slots, marked }
     });
 
     // Per-slot candidate arenas. Slots whose pruning facts are identical
@@ -367,6 +398,13 @@ pub(crate) fn expand_specialized(
         ranges[si] = (start, cand_data.len());
     }
 
+    // A marked wedge join's static target: marked past every early
+    // return, cleared once the expansion's bindings are done.
+    let marked_side = w_extra
+        .as_ref()
+        .filter(|wx| wx.marked)
+        .map(|wx| mark_static(ordered, wx, w_static[0], mapped, cmap));
+
     let examined_before = stats.combinations_examined;
     let mut generated: u64 = 0;
     chosen.clear();
@@ -384,6 +422,7 @@ pub(crate) fn expand_specialized(
             chosen,
             w_static,
             w_targets,
+            cmap,
             w_kept,
             &mut generated,
             &mut cost,
@@ -502,6 +541,7 @@ pub(crate) fn expand_specialized(
             universe,
             chosen,
             w_targets,
+            cmap,
             kept,
             w_kept,
             generated: &mut generated,
@@ -579,9 +619,77 @@ pub(crate) fn expand_specialized(
         }
     }
 
+    if let Some(side) = marked_side {
+        clear_static(cmap, side, mapped);
+    }
+
     cost += stats.combinations_examined - examined_before;
     cost += generated;
     stats.cost += cost;
+}
+
+/// Marks a wedge join's static target `t` in `cmap` for one expansion:
+/// bit 0 on the members of `N(t)` that `w` may take before any WHITE slot
+/// binds (inside `w`'s static rank window, with degree reaching `w`'s
+/// pattern degree: a slice when the ranks follow degree), bit 1 on the
+/// mapped ranks. Returns the marked slice for [`clear_static`]. Out of
+/// line: it runs once per expansion, and keeps the expansion's body small.
+#[inline(never)]
+fn mark_static<'g>(
+    ordered: &'g OrderedGraph,
+    wx: &WExtra,
+    t: u32,
+    mapped: &[u32],
+    cmap: &mut Vec<u8>,
+) -> &'g [u32] {
+    if cmap.len() < ordered.len() {
+        cmap.resize(ordered.len(), 0);
+    }
+    let nt = ordered.neighbors_of_rank(t);
+    let prefix = nt.partition_point(|&x| ordered.degree_of_rank(x) < wx.min_degree);
+    let from = nt.partition_point(|&x| x < wx.lo).max(prefix);
+    let side = &nt[from..nt.partition_point(|&x| x < wx.hi).max(from)];
+    for &x in side {
+        cmap[x as usize] = 1;
+    }
+    for &m in mapped.iter().filter(|&&m| m != UNMAPPED) {
+        cmap[m as usize] |= 2;
+    }
+    side
+}
+
+/// Clears what [`mark_static`] marked, walking the same two lists.
+#[inline(never)]
+fn clear_static(cmap: &mut [u8], side: &[u32], mapped: &[u32]) {
+    for &x in side.iter().chain(mapped).filter(|&&x| x != UNMAPPED) {
+        cmap[x as usize] = 0;
+    }
+}
+
+/// The stretch of the sorted `list` inside the rank span of the sorted
+/// `window`: the only part of it that can meet the window.
+#[inline(always)]
+fn within_span<'a>(list: &'a [u32], window: &[u32]) -> &'a [u32] {
+    match (window.first(), window.last()) {
+        (Some(&first), Some(&last)) => {
+            &list[list.partition_point(|&x| x < first)..list.partition_point(|&x| x <= last)]
+        }
+        _ => &[],
+    }
+}
+
+/// Over `list`, the members marked in bit 0 alone (on the static target's
+/// side, not mapped) and the members marked in bit 1 (mapped): one byte
+/// probe each.
+#[inline(always)]
+fn tally_marks(cmap: &[u8], list: &[u32]) -> (usize, usize) {
+    let (mut joined, mut mapped) = (0usize, 0usize);
+    for &x in list {
+        let b = cmap[x as usize];
+        joined += usize::from(b == 1);
+        mapped += usize::from(b >> 1);
+    }
+    (joined, mapped)
 }
 
 /// Where a later WHITE slot sits, in rank order, relative to an earlier
@@ -832,6 +940,7 @@ struct Final<'e, 's> {
     universe: &'e [u32],
     chosen: &'e mut [u32],
     w_targets: &'e mut Vec<u32>,
+    cmap: &'e [u8],
     kept: &'e mut Vec<u32>,
     w_kept: &'e mut Vec<u32>,
     generated: &'e mut u64,
@@ -860,6 +969,7 @@ impl Final<'_, '_> {
             universe,
             ref mut chosen,
             ref mut w_targets,
+            cmap,
             ref mut kept,
             ref mut w_kept,
             ref mut generated,
@@ -909,8 +1019,8 @@ impl Final<'_, '_> {
                 for &x in kept.iter() {
                     chosen[od] = x;
                     join_two_hop(
-                        shared, base, mapped, white_meta, wx, chosen, w_static, w_targets, w_kept,
-                        generated, cost, harvest, stats,
+                        shared, base, mapped, white_meta, wx, chosen, w_static, w_targets, cmap,
+                        w_kept, generated, cost, harvest, stats,
                     );
                 }
                 kept.clear();
@@ -1204,8 +1314,23 @@ fn close_pair(
 ///   ([`OrderedGraph::degree_sorted`]; a delta epoch may not, and walks);
 /// - the window is what is left of the rank window `[lo, hi)` past that
 ///   prefix, and the survivors are its members adjacent to the other
-///   target, if any ([`count_common`]), minus the mapped vertices among
+///   target, if any, minus the mapped vertices and WHITE bindings among
 ///   them.
+///
+/// With two targets mapped before the expansion, the survivors are one
+/// [`count_common`] of the window and the other list. With one static
+/// target `t` and one WHITE binding `c` ([`WExtra::marked`]), the
+/// expansion has marked `t`'s side of the static window in bit 0 of
+/// `cmap` and the mapped ranks in bit 1, and one walk of byte probes
+/// counts the join, with no search of `t`'s list:
+///
+/// - `bt = c`: the walk of the window finds the survivors (bit 0 alone)
+///   and the mapped vertices inside it (bit 1);
+/// - `bt = t`: the window is the bit-0 ranks inside `[lo, hi)`, so the
+///   mapped vertices inside it are a range test and a probe each, and the
+///   walk of `N(c)` over the window's rank span finds the survivors.
+///
+/// The prefix's other WHITE bindings are looked up one by one.
 ///
 /// Every counter is bumped by exactly what the per-element walk below
 /// would bump: `combinations_examined` by `|N(bt)|`, `pruned_degree` by the
@@ -1225,6 +1350,7 @@ fn join_two_hop(
     chosen: &[u32],
     w_static: &[u32],
     w_targets: &mut Vec<u32>,
+    cmap: &[u8],
     kept: &mut Vec<u32>,
     generated: &mut u64,
     cost: &mut u64,
@@ -1277,26 +1403,56 @@ fn join_two_hop(
         let from = nbt.partition_point(|&x| x < lo).max(prefix);
         let to = nbt.partition_point(|&x| x < hi).max(from);
         let window = &nbt[from..to];
-        let in_window = |m: u32| (lo..hi).contains(&m) && seek(window, &mut 0, m);
-        let inside = mapped.iter().chain(chosen).filter(|&&m| in_window(m)).count();
-        let tested = window.len() - inside;
-        let closed = if w_targets.len() == 1 || window.is_empty() {
-            tested
+        let in_window = |m: &&u32| (lo..hi).contains(*m) && seek(window, &mut 0, **m);
+        #[cfg(test)]
+        if wx.marked {
+            MARKED_JOINS.with(|joins| {
+                let mut tally = joins.get();
+                tally[base_i] += 1;
+                tally[2] += u64::from(chosen.len() > 1);
+                joins.set(tally);
+            });
+        }
+        let (inside, closed) = if !wx.marked {
+            let inside = mapped.iter().chain(chosen).filter(in_window).count();
+            let closed = if w_targets.len() == 1 {
+                window.len() - inside
+            } else {
+                // The window's members adjacent to the other target, minus
+                // the mapped ones among them.
+                let other = within_span(ordered.neighbors_of_rank(w_targets[1 - base_i]), window);
+                let inside_joined = mapped
+                    .iter()
+                    .chain(chosen)
+                    .filter(|m| in_window(m) && seek(other, &mut 0, **m))
+                    .count();
+                count_common(window, other) as usize - inside_joined
+            };
+            (inside, closed)
+        } else if base_i == 1 {
+            // Seeded from the WHITE target: one walk of its window probes
+            // the static target's marks and the mapped ones. The binding
+            // is not in its own list; the prefix's other WHITE bindings
+            // are looked up in the window.
+            let (mut closed, mut inside) = tally_marks(cmap, window);
+            for &m in chosen.iter().filter(in_window) {
+                inside += 1;
+                closed -= usize::from(cmap[m as usize] & 1);
+            }
+            (inside, closed)
         } else {
-            // The window's members adjacent to the other target, minus the
-            // mapped ones among them. Only the other list's stretch inside
-            // the window's rank span can meet it.
-            let list = ordered.neighbors_of_rank(w_targets[1 - base_i]);
-            let (first, last) = (window[0], window[window.len() - 1]);
-            let other =
-                &list[list.partition_point(|&x| x < first)..list.partition_point(|&x| x <= last)];
-            let inside_joined = mapped
-                .iter()
-                .chain(chosen)
-                .filter(|&&m| in_window(m) && seek(other, &mut 0, m))
-                .count();
-            count_common(window, other) as usize - inside_joined
+            // Seeded from the static target: its window is the marked ranks
+            // inside `[lo, hi)`, so a mapped vertex or a WHITE binding is
+            // in it by a range test and a probe, and the survivors are one
+            // walk of the WHITE target's list over the window's rank span.
+            let in_side = |m: &&u32| (lo..hi).contains(*m) && cmap[**m as usize] & 1 == 1;
+            let inside = mapped.iter().chain(chosen).filter(in_side).count();
+            let other = within_span(ordered.neighbors_of_rank(w_targets[1]), window);
+            let inside_joined =
+                chosen.iter().filter(in_side).filter(|&&m| seek(other, &mut 0, m)).count();
+            (inside, tally_marks(cmap, other).0 - inside_joined)
         };
+        let tested = window.len() - inside;
         stats.combinations_examined += nbt.len() as u64;
         stats.pruned_degree += prefix as u64;
         stats.pruned_order += (nbt.len() - prefix - window.len()) as u64;
@@ -1370,14 +1526,14 @@ fn join_two_hop(
 mod tests {
     use super::{
         bit, build_row, count_common, fold, masked, merge_arenas, next_bit, seek, set_arena, Rows,
-        Side, GALLOP_RATIO,
+        Side, GALLOP_RATIO, MARKED_JOINS,
     };
-    use crate::expand::list_all;
+    use crate::expand::{count_all, list_all};
     use crate::stats::ExpandStats;
     use crate::{PsglConfig, PsglShared};
     use psgl_graph::generators::erdos_renyi_gnm;
-    use psgl_graph::{OrderedGraph, VertexId};
-    use psgl_pattern::catalog;
+    use psgl_graph::{DataGraph, OrderedGraph, VertexId};
+    use psgl_pattern::{catalog, Pattern};
 
     fn sorted(mut v: Vec<Vec<VertexId>>) -> Vec<Vec<VertexId>> {
         v.sort();
@@ -1662,12 +1818,84 @@ mod tests {
         assert!(stats.kernel_twohop > 0);
     }
 
+    /// A 5-cycle with a pendant vertex: from initial vertex 3 or 4 its
+    /// TwoHop expansion binds two WHITE slots, one of them the two-hop
+    /// vertex's WHITE target.
+    fn tailed_pentagon() -> Pattern {
+        let edges = [(0, 3), (0, 4), (0, 5), (1, 2), (1, 4), (2, 3)];
+        Pattern::new("tailed pentagon", 6, &edges).unwrap()
+    }
+
+    /// A sparse G(n, m) with a hub joined to 70 of its vertices: the hub's
+    /// expansions bind over universes that can span two mask words, and
+    /// its list is the long side of every wedge join it takes part in.
+    fn hub_of_70() -> DataGraph {
+        let g = erdos_renyi_gnm(90, 130, 6).unwrap();
+        let spokes = (1..=70u32).map(|v| (0, v)).filter(|&(a, b)| !g.has_edge(a, b));
+        let edges: Vec<(u32, u32)> = g.edges().chain(spokes).collect();
+        DataGraph::from_edges(g.num_vertices(), &edges).unwrap()
+    }
+
+    #[test]
+    fn marked_wedge_joins_count_what_the_walk_and_the_generic_path_find() {
+        // The count-only wedge join with one static target and one WHITE
+        // target probes per-expansion marks. Whichever list seeds it (the
+        // lower-degree target), it must count what the generic path finds
+        // and bump every counter as the listing's walk does. Each pattern
+        // runs from two initial vertices (the tailed pentagon's bind two
+        // WHITE slots before its wedge join) and reaches both seeds on
+        // every graph.
+        let graphs = [
+            ("G(36, 120)", erdos_renyi_gnm(36, 120, 3).unwrap()),
+            ("G(50, 140)", erdos_renyi_gnm(50, 140, 8).unwrap()),
+            ("hub of 70", hub_of_70()),
+        ];
+        let patterns = [
+            (catalog::cycle(5), [0, 2], false),
+            (catalog::cycle(6), [0, 2], false),
+            (catalog::cycle(7), [0, 3], false),
+            (tailed_pentagon(), [3, 4], true),
+        ];
+        for (name, g) in &graphs {
+            for (pattern, starts, two_whites) in &patterns {
+                let (generic, _) = count_all(g, pattern, &PsglConfig::default().kernels(false));
+                let before = MARKED_JOINS.with(|joins| joins.get());
+                for &v in starts {
+                    let config = PsglConfig::default().init_vertex(v);
+                    let context = format!("{name}, {} from {v}", pattern.name());
+                    let (counted, scratch) = count_all(g, pattern, &config);
+                    assert!(scratch.cmap.iter().all(|&b| b == 0), "{context}: marks left behind");
+                    assert_eq!(counted.results, generic.results, "{context}: kernels off");
+                    let (listed, walked, _) = list_all(g, pattern, &config);
+                    assert_eq!(listed.len() as u64, counted.results, "{context}");
+                    assert_eq!(walked, counted, "{context}: counting and listing disagree");
+                }
+                let after = MARKED_JOINS.with(|joins| joins.get());
+                let joins: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+                let context = format!("{name}, {}: marked joins {joins:?}", pattern.name());
+                assert!(joins[0] > 0 && joins[1] > 0, "{context}: both seeds");
+                assert_eq!(joins[2] > 0, *two_whites, "{context}: two WHITE bindings");
+            }
+        }
+    }
+
     #[test]
     fn cmap_is_all_zero_after_every_run() {
+        // Listings mark only in the two-WHITE Close; the count-only cycles
+        // mark a wedge join's static target too.
         let g = erdos_renyi_gnm(70, 420, 9).unwrap();
         for pattern in catalog::paper_patterns() {
             let (_, _, scratch) = list_all(&g, &pattern, &PsglConfig::default());
             assert!(scratch.cmap.iter().all(|&b| b == 0), "{}", pattern.name());
+        }
+        let g = erdos_renyi_gnm(50, 170, 9).unwrap();
+        let counted = [catalog::cycle(5), catalog::cycle(6), catalog::cycle(7), tailed_pentagon()];
+        for pattern in catalog::paper_patterns().into_iter().chain(counted) {
+            for v in pattern.vertices() {
+                let config = PsglConfig::default().init_vertex(v);
+                let (_, scratch) = count_all(&g, &pattern, &config);
+                assert!(scratch.cmap.iter().all(|&b| b == 0), "{} from {v}", pattern.name());
+            }
         }
     }
 

@@ -721,6 +721,11 @@ fn run_at<const W: usize>(
             })
         }
     };
+    // The superstep the engine's first per-superstep metrics entry
+    // describes: a seeded start runs no superstep 0.
+    let first_superstep = resume
+        .as_ref()
+        .map_or(0, |rp| (rp.superstep as usize).saturating_sub(rp.prior_supersteps.len()));
     let shard_sink = cluster.as_ref().and_then(|member| {
         member.shard_sink.map(|sink| EngineShardSink { sink, guard: guard(), partitions: locals() })
     });
@@ -792,15 +797,21 @@ fn run_at<const W: usize>(
     })?;
     match outcome {
         RunOutcome::Complete(result) => {
+            if let Some(ws) = result.worker_states.iter().find(|ws| ws.failed) {
+                // What every worker sent in the superstep that tripped the
+                // budget: the frontier the run could not hold.
+                let tripped = (ws.emitted_superstep as usize).checked_sub(first_superstep);
+                let in_flight = tripped
+                    .and_then(|s| result.metrics.supersteps.get(s))
+                    .map_or(0, |s| s.messages_out());
+                return Err(PsglError::OutOfMemory {
+                    in_flight,
+                    budget: config.gpsi_budget.unwrap_or(0),
+                });
+            }
             let mut expand = ExpandStats::default();
             for ws in &result.worker_states {
                 expand.merge(&ws.stats);
-                if ws.failed {
-                    return Err(PsglError::OutOfMemory {
-                        in_flight: expand.generated,
-                        budget: config.gpsi_budget.unwrap_or(0),
-                    });
-                }
             }
             let mut listing = assemble_listing(shared, expand, &result.metrics);
             attach_harvest(&mut listing, result.worker_states);
@@ -1012,12 +1023,13 @@ mod tests {
             other => panic!("expected OOM, got {other:?}"),
         }
         // The per-worker trip: a budget the 500 initial Gpsis fit under, so
-        // the barrier check passes, and a lone worker that outgrows it
-        // while expanding. It stops sending at the budget, so the barrier
-        // never sees the excess — the run drains and reports the trip.
-        let c = PsglConfig { gpsi_budget: Some(500), ..PsglConfig::with_workers(1).kernels(false) };
+        // the barrier check passes, and workers that outgrow it while
+        // expanding. Each stops sending at the budget, so the barrier never
+        // sees the excess: the run drains and reports what both workers
+        // sent in the superstep that tripped it, at most 500 each.
+        let c = PsglConfig { gpsi_budget: Some(500), ..PsglConfig::with_workers(2).kernels(false) };
         match list_subgraphs(&g, &catalog::square(), &c) {
-            Err(PsglError::OutOfMemory { in_flight, budget: 500 }) => assert!(in_flight > 500),
+            Err(PsglError::OutOfMemory { in_flight, budget: 500 }) => assert_eq!(in_flight, 921),
             other => panic!("expected the per-worker OOM, got {other:?}"),
         }
     }

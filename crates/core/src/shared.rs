@@ -34,7 +34,9 @@ pub enum PsglError {
     /// The in-flight Gpsi volume exceeded the configured budget — the
     /// simulated OutOfMemory failure of Tables 2 and 4.
     OutOfMemory {
-        /// Gpsis in flight when the budget tripped.
+        /// Gpsis in flight when the budget tripped: what every worker
+        /// sent in the superstep that tripped it (a worker that outgrows
+        /// the budget stops sending there).
         in_flight: u64,
         /// The configured budget.
         budget: u64,

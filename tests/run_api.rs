@@ -345,10 +345,11 @@ fn labelled_oracle(graph: &DataGraph, pattern: &Pattern, labels: &[u16], plabels
 /// `DeltaGraph` epoch: the other graph's order patched with the edge
 /// difference of the two graphs) make degree non-monotone in rank, so
 /// the degree prefix a `partition_point` finds would be arbitrary and
-/// could cut survivors: a square's or a 5-cycle's two-target wedge join
-/// must walk instead (`degree_sorted()` is false), which also keeps its
-/// degree and order counters the walk's. Labels make the wedge join
-/// check each candidate, so it may not count a slice.
+/// could cut survivors: a square's, a 5-cycle's or a 6-cycle's two-target
+/// wedge join must walk instead (`degree_sorted()` is false), neither
+/// counting an intersection nor probing marks of its static target, which
+/// also keeps its degree and order counters the walk's. Labels make the
+/// wedge join check each candidate, so it may not count a slice.
 /// In both, every harvest mode must agree on every counter, and the count
 /// must be the oracle's.
 #[test]
@@ -375,6 +376,7 @@ fn kernels_agree_when_ranks_do_not_follow_degree_and_with_labels() {
         catalog::square(),
         catalog::four_clique(),
         catalog::cycle(5),
+        catalog::cycle(6),
     ];
     for pattern in patterns {
         let plan = QueryPlan::prepare(&pattern, &config, &histogram).unwrap();
