@@ -89,16 +89,35 @@ pub fn estimated_load(degree: u32, white_neighbors: u32) -> f64 {
     c.max(1.0)
 }
 
+/// Algorithm 3's penalty `W^α` for `α > 0`. The paper's two nonzero
+/// exponents take no `powf`: `W^½` is `W.sqrt()` and `W^1` is `W`. Both are
+/// exact: `sqrt` is correctly rounded, `powf(W, 0.5)` agrees with it bit
+/// for bit (`penalty_shortcuts_equal_powf` holds the platform's libm to
+/// that), and `powf(W, 1.0)` is `W`. Any other `α` keeps `powf`.
+#[inline]
+fn pow_alpha(workload: f64, alpha: f64) -> f64 {
+    if alpha == 0.5 {
+        workload.sqrt()
+    } else if alpha == 1.0 {
+        workload
+    } else {
+        workload.powf(alpha)
+    }
+}
+
 /// Per-worker distributor state: the strategy, a worker-local workload view
 /// (Section 6: maintaining a global view would need synchronization, so
 /// each worker tracks only the Gpsis *it* distributed), and an RNG.
 ///
 /// The workload-aware rule reads `W_j^α` for every candidate but changes
 /// one `W_j` per choice, so each worker's penalty is cached and
-/// recomputed only after its `W_j` changed: at most one `powf` per choice
+/// recomputed only after its `W_j` changed: at most one penalty per choice
 /// in the long run, none for a lone candidate, and bit-identical to
-/// computing it afresh. The cache is derived state: snapshots leave it
-/// out and a restored distributor rebuilds it on demand.
+/// computing it afresh. Each choice still invalidates one `W_j`, so
+/// recomputations are common; at the paper's `α` of ½ and 1 one is a
+/// square root or nothing, not a `powf` (see [`pow_alpha`]). The cache is
+/// derived state: snapshots leave it out and a restored distributor
+/// rebuilds it on demand.
 #[derive(Clone, Debug)]
 pub struct Distributor {
     strategy: Strategy,
@@ -187,7 +206,7 @@ impl Distributor {
             let penalty = if alpha == 0.0 {
                 0.0
             } else {
-                *self.penalty[j].get_or_insert_with(|| self.workload[j].powf(alpha))
+                *self.penalty[j].get_or_insert_with(|| pow_alpha(self.workload[j], alpha))
             };
             let score = penalty + w_ij;
             if score < best_score {
@@ -431,6 +450,28 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `pow_alpha` takes `W^½` as a square root and `W^1` as `W`; the
+    /// uncached reference above keeps `powf`. Both shortcuts must agree with
+    /// `powf` bit for bit wherever a workload can land: on integers (sums of
+    /// binomial loads) up to 2^32 and on doubles across the range the sums
+    /// reach. A platform whose libm rounds `powf(x, 0.5)` differently fails
+    /// here with the value.
+    #[test]
+    fn penalty_shortcuts_equal_powf() {
+        let agree = |w: f64| {
+            assert_eq!(pow_alpha(w, 0.5).to_bits(), w.powf(0.5).to_bits(), "sqrt({w:e})");
+            assert_eq!(pow_alpha(w, 1.0).to_bits(), w.powf(1.0).to_bits(), "{w:e}^1");
+        };
+        (0..100_000u64).chain((0..1u64 << 32).step_by(65_521)).for_each(|w| agree(w as f64));
+        let mut rng = SmallRng::seed_from_u64(11);
+        for _ in 0..200_000 {
+            // A uniform mantissa at a uniform binary exponent in [-20, 100].
+            let exponent = rng.gen_range(-20..101i32);
+            agree(rng.gen_range(1.0..2.0f64) * 2f64.powi(exponent));
+        }
+        agree(f64::INFINITY);
     }
 
     #[test]

@@ -29,14 +29,23 @@
 //! retained across calls. GRAY membership tests run as one galloping
 //! subset check over the sorted adjacency slice
 //! ([`psgl_graph::algo::sorted_contains_all`]) instead of one binary
-//! search per edge, partial-order probes collapse to a precomputed rank
-//! window per WHITE vertex, and candidate combinations are enumerated by
-//! an odometer over the scratch buffers instead of a recursive
+//! search per edge, and candidate combinations are enumerated by an
+//! odometer over the scratch buffers instead of a recursive
 //! cross-product.
+//!
+//! Partial-order probes collapse to a precomputed rank window per WHITE
+//! vertex. In an unlabelled run whose ranks follow degree
+//! ([`psgl_graph::OrderedGraph::degree_sorted`]) that window is a
+//! sub-slice of `v_d`'s rank-sorted list, cut by binary search past the
+//! degree bound's prefix: only its members are visited, and the degree,
+//! order and injectivity counters are charged arithmetically with what a
+//! walk of all of `N(v_d)` would charge. A labelled run, or a delta epoch
+//! whose ranks stopped following degree, walks `N(v_d)` through a
+//! slot-independent prefilter instead.
 
 use crate::checkpoint::Harvested;
 use crate::distribute::{Distributor, GrayCandidate};
-use crate::gpsi::Gpsi;
+use crate::gpsi::{Gpsi, MAX_GPSI_VERTICES};
 use crate::shared::PsglShared;
 use crate::stats::ExpandStats;
 use psgl_graph::algo::sorted_contains_all;
@@ -92,10 +101,13 @@ pub struct ExpandScratch {
     pub(crate) white_meta: Vec<WhiteMeta>,
     /// Connectivity-target arena sliced by `WhiteMeta::conn_*`.
     pub(crate) conn_data: Vec<VertexId>,
-    /// Slot-independent prefilter output: `(candidate, degree, rank)` for
-    /// every neighbor of `v_d` that survives injectivity, so the per-slot
-    /// scans below it are compare-only over scratch-resident data.
+    /// Slot-independent prefilter output of the walk: `(candidate, degree,
+    /// rank)` for every neighbor of `v_d` that survives injectivity, so the
+    /// per-slot scans below it are compare-only over scratch-resident data.
     pub(crate) base_cands: Vec<(VertexId, u32, u32)>,
+    /// One slot's survivors of the rank window as `id << 32 | rank`, sorted
+    /// before they enter the arena so that the arena stays in id order.
+    pub(crate) id_rank: Vec<u64>,
     /// Candidate arena: `cand_data[cand_bounds[i]..cand_bounds[i+1]]` holds
     /// the valid data vertices for WHITE slot `i` (their ranks, in the
     /// closing kernels).
@@ -190,10 +202,7 @@ pub fn expand_gpsi(
     stats.expanded += 1;
     let mut cost: u64 = 1; // cost_g: the constant GRAY-verification term
 
-    // Hoisted out of every loop below: the expanding vertex's adjacency
-    // slice and degree are loop-invariant for the whole expansion.
     let neighbors_vd = shared.graph.neighbors(vd);
-    let deg_vd = u64::from(shared.graph.degree(vd));
 
     scratch.gray_edges.clear();
     scratch.white_meta.clear();
@@ -249,10 +258,45 @@ pub fn expand_gpsi(
         }
     }
 
+    if scratch.white_meta.is_empty() {
+        // Verification-only expansion: the base Gpsi itself is the single
+        // combination, and Algorithm 5 has no slot to fill.
+        finalize_combination(
+            shared,
+            &gpsi,
+            &[],
+            &[],
+            &mut scratch.grays,
+            distributor,
+            partitioner,
+            out,
+            harvest,
+            stats,
+        );
+        stats.cost += cost + 1; // c_e for the one generated Gpsi
+        return;
+    }
+
+    // --- Algorithm 5: candidate sets for WHITE neighbors ----------------
+    scratch.conn_data.clear();
+    scratch.cand_data.clear();
+    scratch.cand_rank.clear();
+    scratch.cand_bounds.clear();
+    scratch.cand_bounds.push(0);
+    prepare_white_slots(shared, &gpsi, vp, &mut scratch.white_meta, &mut scratch.conn_data);
+    let filled = if shared.labels.is_none() && shared.ordered.degree_sorted() {
+        window_arenas(shared, &gpsi, vd, scratch, &mut cost, stats)
+    } else {
+        walked_arenas(shared, &gpsi, neighbors_vd, scratch, &mut cost, stats)
+    };
+    if !filled {
+        stats.died_no_candidates += 1;
+        stats.cost += cost;
+        return;
+    }
+
     let ExpandScratch {
         white_meta,
-        conn_data,
-        base_cands,
         cand_data,
         cand_rank,
         cand_bounds,
@@ -262,14 +306,212 @@ pub fn expand_gpsi(
         grays,
         ..
     } = scratch;
-    conn_data.clear();
-    cand_data.clear();
-    cand_rank.clear();
-    cand_bounds.clear();
 
-    // --- Algorithm 5: candidate sets for WHITE neighbors ----------------
-    prepare_white_slots(shared, &gpsi, vp, white_meta, conn_data);
+    // --- odometer: combine candidates into new Gpsis ---------------------
+    let examined_before = stats.combinations_examined;
+    let nw = white_meta.len();
+    let mut generated: u64 = 0;
+    chosen.clear();
+    chosen.resize(nw, 0);
+    chosen_rank.clear();
+    chosen_rank.resize(nw, 0);
+    cursors.clear();
+    cursors.resize(nw, 0);
+    cursors[0] = cand_bounds[0];
+    let mut depth = 0usize;
+    loop {
+        if cursors[depth] == cand_bounds[depth + 1] {
+            // This slot's candidates are exhausted: backtrack.
+            if depth == 0 {
+                break;
+            }
+            depth -= 1;
+            cursors[depth] += 1;
+            continue;
+        }
+        let cd = cand_data[cursors[depth]];
+        let rank_cd = cand_rank[cursors[depth]];
+        // Each examined combination-prefix is real enumeration work,
+        // even when a pruning rule rejects it — charging it is what
+        // makes the cost metric track the paper's
+        // f(v_p) ≈ C(deg(v_d), w_vp) bound (and the initial-vertex
+        // gaps of Figure 6 measurable).
+        stats.combinations_examined += 1;
+        let passes = 'check: {
+            // New-vs-new injectivity.
+            if chosen[..depth].contains(&cd) {
+                stats.pruned_injectivity += 1;
+                break 'check false;
+            }
+            let meta = &white_meta[depth];
+            let (lt, gt, em) = (meta.lt_mask, meta.gt_mask, meta.edge_mask);
+            let earlier = chosen[..depth].iter().zip(chosen_rank[..depth].iter());
+            for (i, (&prev, &prev_rank)) in earlier.enumerate() {
+                // New-vs-new partial order via the hoisted masks and
+                // cached ranks (ranks are a permutation, so
+                // `!less(a, b)` ⇔ `rank(a) >= rank(b)` exactly).
+                if (lt >> i) & 1 == 1 && rank_cd >= prev_rank {
+                    stats.pruned_order += 1;
+                    break 'check false;
+                }
+                if (gt >> i) & 1 == 1 && prev_rank >= rank_cd {
+                    stats.pruned_order += 1;
+                    break 'check false;
+                }
+                // New-vs-new pattern edge through the index.
+                if (em >> i) & 1 == 1 {
+                    stats.index_probes += 1;
+                    if let Some(false) = shared.index_check(cd, prev) {
+                        stats.pruned_connectivity += 1;
+                        break 'check false;
+                    }
+                }
+            }
+            true
+        };
+        if !passes {
+            cursors[depth] += 1;
+            continue;
+        }
+        chosen[depth] = cd;
+        chosen_rank[depth] = rank_cd;
+        if depth + 1 == nw {
+            finalize_combination(
+                shared,
+                &gpsi,
+                white_meta,
+                chosen,
+                grays,
+                distributor,
+                partitioner,
+                out,
+                harvest,
+                stats,
+            );
+            generated += 1;
+            cursors[depth] += 1;
+        } else {
+            depth += 1;
+            cursors[depth] = cand_bounds[depth];
+        }
+    }
+    cost += stats.combinations_examined - examined_before; // enumeration work
+    cost += generated; // c_e per generated Gpsi
+    stats.cost += cost;
+}
 
+/// Algorithm 5 in rank space: fills the candidate arena of every WHITE
+/// slot from the sub-slice of `v_d`'s rank-sorted list that the slot's
+/// degree bound and rank window leave, for an unlabelled run whose ranks
+/// follow degree. Returns false when a slot is left without candidates
+/// (after charging it), as [`walked_arenas`] does.
+///
+/// The members of `N(v_d)` below the degree bound (rule 1a) are a prefix,
+/// and the rank window `[lo_rank, hi_rank)` (rule 1b) is what is left of
+/// the slot's rank span past it, each found by a `partition_point`. The
+/// mapped data vertices inside `N(v_d)` (the set `U`, found by one binary
+/// search each) are skipped. Every counter is charged what the walk
+/// charges, which checks injectivity, then degree, then the window:
+/// `pruned_injectivity` by `|U|`, `pruned_degree` by the prefix less the
+/// members of `U` in it, and `pruned_order` by the rest outside the window
+/// less the members of `U` there. Only the window's members are visited;
+/// each is mapped back to its id and probed against the index in the
+/// walk's order. Its survivors are sorted by id, so the arena, and with it
+/// every generated Gpsi and distributor choice, comes out as the walk's.
+fn window_arenas(
+    shared: &PsglShared<'_>,
+    gpsi: &Gpsi,
+    vd: VertexId,
+    scratch: &mut ExpandScratch,
+    cost: &mut u64,
+    stats: &mut ExpandStats,
+) -> bool {
+    let ExpandScratch { white_meta, conn_data, id_rank, cand_data, cand_rank, cand_bounds, .. } =
+        scratch;
+    let ordered = &*shared.ordered;
+    let nbrs = ordered.neighbors_of_rank(ordered.rank(vd));
+    let np = shared.pattern.num_vertices();
+    // Positions of `U` in `nbrs`, ascending.
+    let mut used_at = [0usize; MAX_GPSI_VERTICES];
+    let mut n_used = 0;
+    for ud in (0..np as PatternVertex).filter_map(|up| gpsi.map(up)) {
+        if ud == vd {
+            continue;
+        }
+        if let Ok(i) = nbrs.binary_search(&ordered.rank(ud)) {
+            used_at[n_used] = i;
+            n_used += 1;
+        }
+    }
+    let used_at = &mut used_at[..n_used];
+    used_at.sort_unstable();
+    for meta in white_meta.iter() {
+        *cost += nbrs.len() as u64; // neighborhood scan
+        let prefix = match meta.min_degree {
+            // Every member of `N(v_d)` has degree >= 1: a bound of 1 cuts
+            // nothing.
+            0 | 1 => 0,
+            d => nbrs.partition_point(|&x| ordered.degree_of_rank(x) < d),
+        };
+        let from = nbrs.partition_point(|&x| x < meta.lo_rank).max(prefix);
+        let to = nbrs.partition_point(|&x| x < meta.hi_rank).max(from);
+        let below = used_at.iter().filter(|&&i| i < prefix).count();
+        let inside = used_at.iter().filter(|&&i| (from..to).contains(&i)).count();
+        let outside = n_used - below - inside;
+        stats.pruned_injectivity += n_used as u64;
+        stats.pruned_degree += (prefix - below) as u64;
+        stats.pruned_order += (nbrs.len() - prefix - (to - from) - outside) as u64;
+
+        let targets = &conn_data[meta.conn_start..meta.conn_end];
+        let mut skips = used_at.iter().copied().filter(|&i| i >= from);
+        let mut skip = skips.next().unwrap_or(usize::MAX);
+        id_rank.clear();
+        'cand: for (at, &x) in (from..to).zip(&nbrs[from..to]) {
+            if at == skip {
+                skip = skips.next().unwrap_or(usize::MAX);
+                continue;
+            }
+            let cd = ordered.vertex(x);
+            // Pruning rule 2: connectivity to GRAY pattern neighbors of wv
+            // through the light-weight index, as in [`walked_arenas`].
+            for &vd3 in targets {
+                stats.index_probes += 1;
+                if let Some(false) = shared.index_check(cd, vd3) {
+                    stats.pruned_connectivity += 1;
+                    continue 'cand;
+                }
+            }
+            id_rank.push(u64::from(cd) << 32 | u64::from(x));
+        }
+        if id_rank.is_empty() {
+            return false;
+        }
+        id_rank.sort_unstable();
+        cand_data.extend(id_rank.iter().map(|&k| (k >> 32) as VertexId));
+        cand_rank.extend(id_rank.iter().map(|&k| k as u32));
+        cand_bounds.push(cand_data.len());
+    }
+    true
+}
+
+/// Algorithm 5 by walking `N(v_d)` (`neighbors_vd`, in id order) for every
+/// WHITE slot, checking injectivity, degree, label, the rank window and
+/// the index in turn: the path of labelled runs, where a label is checked
+/// before the window, and of delta epochs whose ranks no longer follow
+/// degree, where the degree bound is no prefix. Returns false when a slot
+/// is left without candidates (after charging it).
+fn walked_arenas(
+    shared: &PsglShared<'_>,
+    gpsi: &Gpsi,
+    neighbors_vd: &[VertexId],
+    scratch: &mut ExpandScratch,
+    cost: &mut u64,
+    stats: &mut ExpandStats,
+) -> bool {
+    let ExpandScratch {
+        white_meta, conn_data, base_cands, cand_data, cand_rank, cand_bounds, ..
+    } = scratch;
+    let np = shared.pattern.num_vertices();
     // Slot-independent prefilter: one pass over `N(v_d)` drops
     // already-used data vertices (injectivity is the same for every WHITE
     // slot) and caches each survivor's degree and rank, so the per-slot
@@ -279,19 +521,16 @@ pub fn expand_gpsi(
     // equivalent to a per-slot scan.
     base_cands.clear();
     let mut used: u64 = 0;
-    if !white_meta.is_empty() {
-        for &cd in neighbors_vd {
-            if gpsi.uses_data_vertex(cd, np) {
-                used += 1;
-                continue;
-            }
-            base_cands.push((cd, shared.graph.degree(cd), shared.ordered.rank(cd)));
+    for &cd in neighbors_vd {
+        if gpsi.uses_data_vertex(cd, np) {
+            used += 1;
+            continue;
         }
+        base_cands.push((cd, shared.graph.degree(cd), shared.ordered.rank(cd)));
     }
 
-    cand_bounds.push(0);
     for meta in white_meta.iter() {
-        cost += deg_vd; // neighborhood scan
+        *cost += neighbors_vd.len() as u64; // neighborhood scan
         stats.pruned_injectivity += used;
         let start = cand_data.len();
         'cand: for &(cd, deg_cd, rank_cd) in base_cands.iter() {
@@ -325,122 +564,11 @@ pub fn expand_gpsi(
             cand_rank.push(rank_cd);
         }
         if cand_data.len() == start {
-            stats.died_no_candidates += 1;
-            stats.cost += cost;
-            return;
+            return false;
         }
         cand_bounds.push(cand_data.len());
     }
-
-    // --- odometer: combine candidates into new Gpsis ---------------------
-    let examined_before = stats.combinations_examined;
-    let nw = white_meta.len();
-    let mut generated: u64 = 0;
-    if nw == 0 {
-        // Verification-only expansion: the base Gpsi itself is the single
-        // combination.
-        finalize_combination(
-            shared,
-            &gpsi,
-            white_meta,
-            chosen,
-            grays,
-            distributor,
-            partitioner,
-            out,
-            harvest,
-            stats,
-        );
-        generated = 1;
-    } else {
-        chosen.clear();
-        chosen.resize(nw, 0);
-        chosen_rank.clear();
-        chosen_rank.resize(nw, 0);
-        cursors.clear();
-        cursors.resize(nw, 0);
-        cursors[0] = cand_bounds[0];
-        let mut depth = 0usize;
-        loop {
-            if cursors[depth] == cand_bounds[depth + 1] {
-                // This slot's candidates are exhausted: backtrack.
-                if depth == 0 {
-                    break;
-                }
-                depth -= 1;
-                cursors[depth] += 1;
-                continue;
-            }
-            let cd = cand_data[cursors[depth]];
-            let rank_cd = cand_rank[cursors[depth]];
-            // Each examined combination-prefix is real enumeration work,
-            // even when a pruning rule rejects it — charging it is what
-            // makes the cost metric track the paper's
-            // f(v_p) ≈ C(deg(v_d), w_vp) bound (and the initial-vertex
-            // gaps of Figure 6 measurable).
-            stats.combinations_examined += 1;
-            let passes = 'check: {
-                // New-vs-new injectivity.
-                if chosen[..depth].contains(&cd) {
-                    stats.pruned_injectivity += 1;
-                    break 'check false;
-                }
-                let meta = &white_meta[depth];
-                let (lt, gt, em) = (meta.lt_mask, meta.gt_mask, meta.edge_mask);
-                let earlier = chosen[..depth].iter().zip(chosen_rank[..depth].iter());
-                for (i, (&prev, &prev_rank)) in earlier.enumerate() {
-                    // New-vs-new partial order via the hoisted masks and
-                    // cached ranks (ranks are a permutation, so
-                    // `!less(a, b)` ⇔ `rank(a) >= rank(b)` exactly).
-                    if (lt >> i) & 1 == 1 && rank_cd >= prev_rank {
-                        stats.pruned_order += 1;
-                        break 'check false;
-                    }
-                    if (gt >> i) & 1 == 1 && prev_rank >= rank_cd {
-                        stats.pruned_order += 1;
-                        break 'check false;
-                    }
-                    // New-vs-new pattern edge through the index.
-                    if (em >> i) & 1 == 1 {
-                        stats.index_probes += 1;
-                        if let Some(false) = shared.index_check(cd, prev) {
-                            stats.pruned_connectivity += 1;
-                            break 'check false;
-                        }
-                    }
-                }
-                true
-            };
-            if !passes {
-                cursors[depth] += 1;
-                continue;
-            }
-            chosen[depth] = cd;
-            chosen_rank[depth] = rank_cd;
-            if depth + 1 == nw {
-                finalize_combination(
-                    shared,
-                    &gpsi,
-                    white_meta,
-                    chosen,
-                    grays,
-                    distributor,
-                    partitioner,
-                    out,
-                    harvest,
-                    stats,
-                );
-                generated += 1;
-                cursors[depth] += 1;
-            } else {
-                depth += 1;
-                cursors[depth] = cand_bounds[depth];
-            }
-        }
-    }
-    cost += stats.combinations_examined - examined_before; // enumeration work
-    cost += generated; // c_e per generated Gpsi
-    stats.cost += cost;
+    true
 }
 
 /// Algorithm 5's per-WHITE-slot preparation, shared by the generic
@@ -557,28 +685,23 @@ fn finalize_combination(
         return;
     }
     // Useful GRAYs: those with WHITE neighbors or unverified incident edges.
+    // An edge is verified iff one of its ends is BLACK, so an edge at a
+    // GRAY vertex is unverified iff its other end is GRAY too.
     grays.clear();
-    for gv in 0..np as PatternVertex {
-        if !g.is_gray(gv) {
-            continue;
-        }
-        let mut useful = false;
-        let mut white_neighbors = 0u32;
-        for nv in p.neighbors(gv) {
-            if !g.is_mapped(nv) {
-                white_neighbors += 1;
-                useful = true;
-            } else if !g.is_edge_verified(gv, nv) {
-                useful = true;
-            }
-        }
-        if useful {
+    let white = ((1u32 << np) - 1) & !u32::from(g.mapped_mask());
+    let gray = u32::from(g.gray_mask());
+    let mut rest = gray;
+    while rest != 0 {
+        let gv = rest.trailing_zeros() as PatternVertex;
+        rest &= rest - 1;
+        let nb = p.neighbor_mask(gv);
+        if nb & (white | gray) != 0 {
             let vd = g.map(gv).unwrap();
             grays.push(GrayCandidate {
                 vp: gv,
                 vd,
                 degree: shared.graph.degree(vd),
-                white_neighbors,
+                white_neighbors: (nb & white).count_ones(),
             });
         }
     }

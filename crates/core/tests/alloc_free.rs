@@ -86,16 +86,21 @@ fn steady_state_expansion_allocates_nothing() {
     // Triangle and 4-clique close through the Close kernel's joined final
     // slot, tailed-triangle through its unjoined one (the tail has no
     // WHITE neighbor); square and path(4) through the TwoHop wedge join.
+    // With the kernels off, every pattern runs the generic odometer over
+    // arenas cut from rank windows.
     let g = erdos_renyi_gnm(120, 1500, 7).unwrap();
-    let config = PsglConfig::default();
     let partitioner = HashPartitioner::new(1);
-    for (pattern, twohop) in [
+    let cases = [
         (catalog::triangle(), false),
         (catalog::four_clique(), false),
         (catalog::square(), true),
         (catalog::tailed_triangle(), false),
         (catalog::path(4), true),
-    ] {
+    ];
+    for ((pattern, twohop), kernels) in
+        cases.into_iter().flat_map(|case| [(case.clone(), true), (case, false)])
+    {
+        let config = PsglConfig::default().kernels(kernels);
         let shared = PsglShared::prepare(&g, &pattern, &config).unwrap();
         let mut scratch = ExpandScratch::new();
         let mut queue: Vec<Gpsi> = Vec::new();
@@ -106,7 +111,11 @@ fn steady_state_expansion_allocates_nothing() {
             drive(&shared, &partitioner, &mut distributor, &mut scratch, &mut queue, &mut out);
         assert!(warm.results > 0, "{pattern:?}: fixture graph should contain instances");
         let fired = if twohop { warm.kernel_twohop } else { warm.kernel_close };
-        assert!(fired > 0, "{pattern:?}: the closing kernel this case covers never ran");
+        let covered = if kernels { fired > 0 } else { warm.kernel_close + warm.kernel_twohop == 0 };
+        assert!(
+            covered,
+            "{pattern:?}: kernels {kernels}, the expansion this case covers never ran"
+        );
         // Fresh same-seeded distributor (created *outside* the measured
         // region — its workload Vec allocates) replays the identical
         // expansion sequence.
@@ -116,6 +125,6 @@ fn steady_state_expansion_allocates_nothing() {
             drive(&shared, &partitioner, &mut distributor, &mut scratch, &mut queue, &mut out);
         let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
         assert_eq!(again, warm, "{pattern:?}: replay must expand the same way");
-        assert_eq!(delta, 0, "{pattern:?}: steady-state run hit the allocator {delta} times");
+        assert_eq!(delta, 0, "{pattern:?} kernels {kernels}: steady state allocated {delta} times");
     }
 }

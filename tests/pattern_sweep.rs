@@ -24,10 +24,16 @@
 mod common;
 
 use psgl::baselines::centralized;
-use psgl::core::{list_subgraphs_prepared, ExpandStats, PsglConfig, PsglShared};
+use psgl::core::{
+    list_subgraphs, list_subgraphs_prepared, run, ExpandStats, Harvest, PsglConfig, PsglShared,
+    RunRequest,
+};
+use psgl::delta::{DeltaGraph, DeltaQuery};
+use psgl::graph::generators::EdgeBatch;
 use psgl::graph::{generators, DataGraph, VertexId};
 use psgl::pattern::isomorphism::isomorphic;
 use psgl::pattern::{catalog, Pattern, PatternVertex};
+use psgl::sim::fingerprint::fingerprint_run;
 
 /// Every connected pattern on `k` vertices, one per isomorphism class: the
 /// connected edge subsets of `K_k`, without isomorphic repeats.
@@ -251,4 +257,126 @@ fn every_connected_pattern_on_six_vertices_matches_the_oracle() {
     let patterns = connected_patterns(6);
     assert_eq!(patterns.len(), 112, "connected graphs on 6 vertices");
     sweep(&cases(), &patterns);
+}
+
+/// Runs `p` from initial vertex `v`, kernels off, under one of the three
+/// harvests: counting, listing or per-vertex tallies.
+fn run_harvest(
+    shared: &PsglShared<'_>,
+    v: PatternVertex,
+    harvest: &str,
+) -> psgl::core::ListingResult {
+    let config = PsglConfig::with_workers(2).init_vertex(v).kernels(false);
+    let (config, harvest) = match harvest {
+        "count" => (config, Harvest::Listing),
+        "list" => (config.collect(true), Harvest::Listing),
+        _ => (config, Harvest::PerVertex),
+    };
+    run(shared, &config, RunRequest { harvest, ..Default::default() }).unwrap().completed()
+}
+
+/// With the kernels off, an unlabelled run whose ranks follow degree fills
+/// each WHITE slot from its rank window in `v_d`'s rank-sorted list and
+/// charges the counters arithmetically; a labelled run walks `N(v_d)` and
+/// checks each candidate. A run in which every data vertex and every
+/// pattern vertex carry the same label walks, yet no label can reject a
+/// candidate, so it is an exact oracle for the window: both runs must
+/// agree on every expansion counter (`pruned_label` is 0 on both), on the
+/// messages of every superstep, on the run's fingerprint (per-worker cost
+/// and local deliveries, which follow the order Gpsis are generated in,
+/// since each distributor choice depends on the choices before it), and
+/// on the instances, under all three harvests. The patterns are every
+/// connected one on three to five vertices, from every initial vertex,
+/// whose WHITE slots take degree bounds of 1 to 4, over the sweep's two
+/// unlabelled graphs; and the catalog's small shapes around a hub of 212
+/// spokes, whose rank windows cut long lists.
+#[test]
+fn the_rank_window_charges_and_generates_what_the_walk_does() {
+    let hub = common::planted_hub(212);
+    let small = [catalog::path(3), catalog::square(), catalog::tailed_triangle()];
+    let diamond = Pattern::new("diamond", 4, &[(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]).unwrap();
+    let around_hub = [small.as_slice(), &[catalog::four_clique(), diamond]].concat();
+    let swept: Vec<Pattern> = (3..=5).flat_map(connected_patterns).collect();
+    let unlabelled = cases().into_iter().filter(|case| case.labels.is_none());
+    let hub = ("planted hub of 212 spokes", hub, around_hub);
+    let graphs = unlabelled.map(|case| (case.name, case.graph, swept.clone())).chain([hub]);
+    let mut bounds = [0u64; 5];
+    for (name, graph, patterns) in graphs {
+        for p in &patterns {
+            let np = p.num_vertices();
+            for v in p.vertices() {
+                p.vertices().filter(|&w| w != v).for_each(|w| bounds[p.degree(w) as usize] += 1);
+                let config = PsglConfig::with_workers(2).init_vertex(v).kernels(false);
+                let window = PsglShared::prepare(&graph, p, &config).unwrap();
+                let uniform = vec![0u16; graph.num_vertices()];
+                let walk =
+                    PsglShared::prepare_labeled(&graph, p, &config, uniform, vec![0; np]).unwrap();
+                for harvest in ["count", "list", "per-vertex"] {
+                    let context = format!(
+                        "{name}: pattern with edges {:?} from initial vertex {v}, {harvest}",
+                        p.edges().collect::<Vec<_>>()
+                    );
+                    let (a, b) = (run_harvest(&window, v, harvest), run_harvest(&walk, v, harvest));
+                    assert_eq!(a.stats.expand, b.stats.expand, "{context}: counters");
+                    assert_eq!(a.stats.expand.pruned_label, 0, "{context}");
+                    let sent = |r: &psgl::core::ListingResult| {
+                        let s = &r.stats;
+                        (s.messages_out_per_superstep.clone(), s.messages_in_per_superstep.clone())
+                    };
+                    assert_eq!(sent(&a), sent(&b), "{context}: messages per superstep");
+                    assert_eq!(a.instance_count, b.instance_count, "{context}");
+                    assert_eq!(a.instances, b.instances, "{context}: instances");
+                    assert_eq!(a.per_vertex, b.per_vertex, "{context}: per-vertex tallies");
+                    assert_eq!(fingerprint_run(&a), fingerprint_run(&b), "{context}: fingerprint");
+                }
+            }
+        }
+    }
+    assert!(bounds[1..=3].iter().all(|&n| n > 0), "degree bounds 1, 2, 3 reached: {bounds:?}");
+}
+
+/// A delta epoch keeps the ranks of the graph it was compacted from, so
+/// after a batch that lifts low-degree vertices past hubs its ranks no
+/// longer follow degree (`degree_sorted()` is false), and the kernels-off
+/// expansion walks `N(v_d)` instead of cutting rank windows. The epoch's
+/// full listing, and the previous listing patched with the batch's signed
+/// delta, must both equal a scratch recompute on a freshly ordered graph,
+/// which takes the rank windows.
+#[test]
+fn a_delta_epoch_whose_ranks_stopped_following_degree_walks_to_the_same_instances() {
+    let base = generators::chung_lu(200, 5.0, 2.0, 23).unwrap();
+    let mut dg = DeltaGraph::new(base.clone(), 10, usize::MAX);
+    let lowest = dg.artifacts().ordered.vertices_by_rank()[..4].to_vec();
+    let insert: Vec<(VertexId, VertexId)> = lowest
+        .iter()
+        .flat_map(|&u| (0..40).map(move |i| (u, (u + 1 + i * 3) % 200)))
+        .filter(|&(u, w)| u != w && !base.has_edge(u, w))
+        .collect();
+    let config = PsglConfig::with_workers(2).kernels(false);
+    let patterns =
+        [catalog::triangle(), catalog::square(), catalog::tailed_triangle(), catalog::house()];
+    let queries: Vec<DeltaQuery> =
+        patterns.iter().map(|p| DeltaQuery::new(p, &config).unwrap()).collect();
+    let views: Vec<_> = queries.iter().map(|q| q.full(dg.artifacts()).unwrap()).collect();
+    let pre = dg.artifacts().clone();
+    let out = dg.apply(&EdgeBatch { insert, delete: Vec::new() }).unwrap();
+    let post = dg.artifacts();
+    assert!(!out.compacted && !post.ordered.degree_sorted(), "the epoch's ranks follow degree");
+    // The two orders break automorphisms at different representatives, so
+    // instances compare in canonical form.
+    let canonical_sorted = |p: &Pattern, tuples: &[Vec<VertexId>]| {
+        let mut listed: Vec<_> = tuples.iter().map(|t| canonical(p, t)).collect();
+        listed.sort_unstable();
+        listed
+    };
+    for ((p, query), view) in patterns.iter().zip(&queries).zip(views) {
+        let scratch = list_subgraphs(&post.graph, p, &config.clone().collect(true)).unwrap();
+        let scratch = canonical_sorted(p, &scratch.instances.unwrap());
+        let full = query.full(post).unwrap();
+        assert_eq!(canonical_sorted(p, &full), scratch, "{}: the epoch's listing", p.name());
+        let delta = query.delta(&pre, post, &out.inserted, &out.deleted).unwrap();
+        let patched = delta.patched(&view);
+        assert_eq!(canonical_sorted(p, &patched), scratch, "{}: the patched listing", p.name());
+        assert!(delta.count_delta() > 0, "{}: the batch made no instance", p.name());
+    }
 }
