@@ -41,16 +41,20 @@
 //! two-WHITE Close without that edge (a two-leaf star) counts them as a
 //! rank window of its final arena ([`close_pair`]). A TwoHop join whose
 //! two-hop vertex has one pattern neighbour counts them as its rank
-//! window's slice length minus the mapped vertices inside the slice; with
-//! two pattern neighbours, and ranks that follow degree, the degree bound
-//! is a prefix of the same list. When both neighbours were mapped before
-//! the expansion, the survivors are one sorted intersection of the slice
-//! with the other neighbour's list ([`count_common`]), minus the mapped
-//! vertices in both. When one of them is a WHITE binding `c` (a cycle's
-//! rim), the expansion has marked the other, static one, `t`, and each
-//! binding is one walk of byte probes: of the slice of `N(c)` when `c`
-//! seeds the join, or of `N(c)` cut to the slice's rank span when `t`
-//! does (see [`join_two_hop`]). None of them visits a survivor.
+//! window's slice length minus the mapped vertices and bindings inside the
+//! slice; with two pattern neighbours, and ranks that follow degree, the
+//! degree bound is the prefix of the same list below a rank floor. Whether
+//! a mapped vertex or binding lies in the slice is a range test, and then
+//! the pattern's answer when a pattern edge joins it to the seed target,
+//! a search only when none does. With two neighbours the survivors are one
+//! sorted intersection of the slice with the other neighbour's list
+//! ([`count_common`]), minus the mapped vertices and bindings in both,
+//! unless one neighbour was mapped before the expansion and the other is a
+//! WHITE binding `c` (a cycle's rim): then the expansion has marked the
+//! static one, `t`, and each binding is one walk of byte probes, of the
+//! slice of `N(c)` when `c` seeds the join, or of `N(c)` cut to the slice's
+//! rank span when `t` does (see [`count_two_hop`]). None of them visits a
+//! survivor.
 //!
 //! Two shapes of closing expansion exist (selected per partial instance by
 //! the dispatch rule in [`crate::expand::expand_gpsi`]):
@@ -134,7 +138,7 @@ use crate::shared::PsglShared;
 use crate::stats::ExpandStats;
 use psgl_graph::algo::gallop_lower_bound;
 use psgl_graph::{OrderedGraph, VertexId};
-use psgl_pattern::PatternVertex;
+use psgl_pattern::{Pattern, PatternVertex};
 
 /// [`close_pair`] walks a binding's list against its marked final arena
 /// when the list is shorter than this many times the arena; beyond that,
@@ -148,6 +152,10 @@ thread_local! {
     /// bindings in the prefix. Tests read it to know that their shapes
     /// reach both seeds.
     static MARKED_JOINS: std::cell::Cell<[u64; 3]> = const { std::cell::Cell::new([0; 3]) };
+    /// Members of a count-only wedge join tested against a target inside
+    /// its rank range on this thread: decided by the pattern, found by a
+    /// search, and searched for in vain.
+    static WINDOW_TESTS: std::cell::Cell<[u64; 3]> = const { std::cell::Cell::new([0; 3]) };
 }
 
 /// An odometer expansion caches one row per universe position while its
@@ -228,10 +236,25 @@ struct WExtra {
     lt_slots: u16,
     /// Bit `i` set iff the order requires `w`'s candidate above slot `i`'s.
     gt_slots: u16,
+    /// The wedge join counts its window ([`count_two_hop`]): the run is
+    /// unlabelled and counts, and `w` has one target, or two while the
+    /// ranks follow degree.
+    counted: bool,
+    /// Rule 1a as a rank test when `counted`: the first rank whose degree
+    /// reaches `min_degree` ([`OrderedGraph::rank_floor`]), or 0 for a
+    /// bound of 1, which every member of a target's list meets.
+    floor: u32,
+    /// When `counted`, per wedge target in `w_targets` order, the members
+    /// the pattern joins to it: bit `u` for the vertex mapped at pattern
+    /// vertex `u`, bit `np + i` for WHITE slot `i`'s binding. Every pattern
+    /// edge among the mapped vertices and the bindings holds in the data
+    /// graph by the time `w` joins, so such a member is in the target's
+    /// list without a search.
+    near: [u32; 2],
     /// The count-only wedge join probes per-expansion marks in `cmap`:
     /// `w` has one target mapped before the expansion and one WHITE one,
     /// and the run is unlabelled with ranks that follow degree (see
-    /// [`join_two_hop`]).
+    /// [`count_two_hop`]).
     marked: bool,
 }
 
@@ -322,41 +345,9 @@ pub(crate) fn expand_specialized(
     // Two-hop vertex facts: static rank window and wedge targets from the
     // pre-bound mapping, slot masks for the dynamic part.
     w_static.clear();
-    let w_extra = extra.map(|w| {
-        let (mut lo, mut hi) = (0u32, u32::MAX);
-        for up in (0..np as PatternVertex).filter(|&v| gpsi.is_mapped(v)) {
-            let rank_ud = mapped[up as usize];
-            if shared.order.requires_less(w, up) {
-                hi = hi.min(rank_ud);
-            }
-            if shared.order.requires_less(up, w) {
-                lo = lo.max(rank_ud.saturating_add(1));
-            }
-        }
-        for v3 in p.neighbors(w) {
-            if gpsi.is_mapped(v3) {
-                w_static.push(mapped[v3 as usize]);
-            }
-        }
-        let (mut edge_slots, mut lt_slots, mut gt_slots) = (0u16, 0u16, 0u16);
-        for (i, meta) in white_meta.iter().enumerate() {
-            if p.has_edge(w, meta.wv) {
-                edge_slots |= 1 << i;
-            }
-            if shared.order.requires_less(w, meta.wv) {
-                lt_slots |= 1 << i;
-            }
-            if shared.order.requires_less(meta.wv, w) {
-                gt_slots |= 1 << i;
-            }
-        }
-        let marked = matches!(harvest, Harvested::CountOnly)
-            && shared.labels.is_none()
-            && ordered.degree_sorted()
-            && w_static.len() == 1
-            && edge_slots.count_ones() == 1;
-        WExtra { w, min_degree: p.degree(w), lo, hi, edge_slots, lt_slots, gt_slots, marked }
-    });
+    let count_only = matches!(harvest, Harvested::CountOnly);
+    let w_extra =
+        extra.map(|w| two_hop_facts(shared, &gpsi, mapped, white_meta, w, w_static, count_only));
 
     // Per-slot candidate arenas. Slots whose pruning facts are identical
     // (same degree bound, rank window, label class and connectivity targets
@@ -628,12 +619,108 @@ pub(crate) fn expand_specialized(
     stats.cost += cost;
 }
 
+/// The facts of the two-hop vertex `w` for one expansion, from the
+/// mapping before it: the static rank window, the wedge targets mapped
+/// before it (pushed to `w_static`), the slot masks for the dynamic part,
+/// and how the join runs. Out of line: it runs once per TwoHop expansion,
+/// and keeps the expansion's body, which every Close shares, small.
+#[inline(never)]
+fn two_hop_facts(
+    shared: &PsglShared<'_>,
+    gpsi: &Gpsi,
+    mapped: &[u32],
+    white_meta: &[WhiteMeta],
+    w: PatternVertex,
+    w_static: &mut Vec<u32>,
+    count_only: bool,
+) -> WExtra {
+    let p = &shared.pattern;
+    let np = p.num_vertices();
+    let (mut lo, mut hi) = (0u32, u32::MAX);
+    for up in (0..np as PatternVertex).filter(|&v| gpsi.is_mapped(v)) {
+        let rank_ud = mapped[up as usize];
+        if shared.order.requires_less(w, up) {
+            hi = hi.min(rank_ud);
+        }
+        if shared.order.requires_less(up, w) {
+            lo = lo.max(rank_ud.saturating_add(1));
+        }
+    }
+    for v3 in p.neighbors(w) {
+        if gpsi.is_mapped(v3) {
+            w_static.push(mapped[v3 as usize]);
+        }
+    }
+    let (mut edge_slots, mut lt_slots, mut gt_slots) = (0u16, 0u16, 0u16);
+    for (i, meta) in white_meta.iter().enumerate() {
+        if p.has_edge(w, meta.wv) {
+            edge_slots |= 1 << i;
+        }
+        if shared.order.requires_less(w, meta.wv) {
+            lt_slots |= 1 << i;
+        }
+        if shared.order.requires_less(meta.wv, w) {
+            gt_slots |= 1 << i;
+        }
+    }
+    // `w`'s pattern degree is its number of wedge targets. One target
+    // needs no degree bound; two need a rank floor.
+    let min_degree = p.degree(w);
+    let floor = match min_degree {
+        1 => Some(0),
+        d => shared.ordered.rank_floor(d),
+    };
+    let counted = count_only && shared.labels.is_none() && min_degree <= 2 && floor.is_some();
+    let near = if counted { join_near(p, gpsi, white_meta, w, edge_slots) } else { [0; 2] };
+    let marked = counted && w_static.len() == 1 && edge_slots.count_ones() == 1;
+    WExtra {
+        w,
+        min_degree,
+        lo,
+        hi,
+        edge_slots,
+        lt_slots,
+        gt_slots,
+        counted,
+        floor: floor.unwrap_or(0),
+        near,
+        marked,
+    }
+}
+
+/// [`WExtra::near`] for a counted wedge join of `w`: per wedge target, in
+/// `w_targets` order (mapped before the expansion, then WHITE slots in
+/// slot order), its pattern neighbours among the mapped vertices and the
+/// WHITE slots.
+fn join_near(
+    p: &Pattern,
+    gpsi: &Gpsi,
+    white_meta: &[WhiteMeta],
+    w: PatternVertex,
+    edge_slots: u16,
+) -> [u32; 2] {
+    let np = p.num_vertices();
+    let whites = (0..white_meta.len()).filter(|&i| (edge_slots >> i) & 1 == 1);
+    let targets =
+        p.neighbors(w).filter(|&v| gpsi.is_mapped(v)).chain(whites.map(|i| white_meta[i].wv));
+    let mut near = [0u32; 2];
+    for (near, t) in near.iter_mut().zip(targets) {
+        *near = p.neighbors(t).filter(|&v| gpsi.is_mapped(v)).fold(0, |bits, v| bits | 1 << v);
+        for (i, meta) in white_meta.iter().enumerate() {
+            if p.has_edge(t, meta.wv) {
+                *near |= 1 << (np + i);
+            }
+        }
+    }
+    near
+}
+
 /// Marks a wedge join's static target `t` in `cmap` for one expansion:
 /// bit 0 on the members of `N(t)` that `w` may take before any WHITE slot
-/// binds (inside `w`'s static rank window, with degree reaching `w`'s
-/// pattern degree: a slice when the ranks follow degree), bit 1 on the
-/// mapped ranks. Returns the marked slice for [`clear_static`]. Out of
-/// line: it runs once per expansion, and keeps the expansion's body small.
+/// binds (inside `w`'s static rank window, at or above its rank floor: a
+/// slice), bit 1 on the mapped ranks. Returns the marked slice for
+/// [`clear_static`]. Out of line: it runs once per expansion, and keeps
+/// the expansion's body small.
 #[inline(never)]
 fn mark_static<'g>(
     ordered: &'g OrderedGraph,
@@ -646,9 +733,7 @@ fn mark_static<'g>(
         cmap.resize(ordered.len(), 0);
     }
     let nt = ordered.neighbors_of_rank(t);
-    let prefix = nt.partition_point(|&x| ordered.degree_of_rank(x) < wx.min_degree);
-    let from = nt.partition_point(|&x| x < wx.lo).max(prefix);
-    let side = &nt[from..nt.partition_point(|&x| x < wx.hi).max(from)];
+    let side = window_of(nt, 0, wx.lo.max(wx.floor), wx.hi);
     for &x in side {
         cmap[x as usize] = 1;
     }
@@ -664,6 +749,16 @@ fn clear_static(cmap: &mut [u8], side: &[u32], mapped: &[u32]) {
     for &x in side.iter().chain(mapped).filter(|&&x| x != UNMAPPED) {
         cmap[x as usize] = 0;
     }
+}
+
+/// The members of the sorted `list[skip..]` in `[lo, hi)`, found without
+/// a search of a side that is unbounded (`lo == 0`, `hi == u32::MAX`).
+#[inline(always)]
+fn window_of(list: &[u32], skip: usize, lo: u32, hi: u32) -> &[u32] {
+    let from = if lo == 0 { skip } else { skip + list[skip..].partition_point(|&x| x < lo) };
+    let to =
+        if hi == u32::MAX { list.len() } else { from + list[from..].partition_point(|&x| x < hi) };
+    &list[from..to]
 }
 
 /// The stretch of the sorted `list` inside the rank span of the sorted
@@ -1299,47 +1394,53 @@ fn close_pair(
     }
 }
 
+/// Whether member `m` of a count-only wedge join, the `i`th of the mapped
+/// ranks then the WHITE bindings, is a neighbour of target `t` in `list`,
+/// which holds every neighbour of `t` in the rank range the caller has
+/// tested `m` against: by the pattern when it joins `m`'s pattern vertex to
+/// `t`'s (bit `i` of `near`, [`WExtra::near`]), else by a search.
+#[inline(always)]
+fn joined(t: u32, near: u32, list: &[u32], i: usize, m: u32) -> bool {
+    let by_pattern = (near >> i) & 1 == 1;
+    let hit = m != t && (by_pattern || list.binary_search(&m).is_ok());
+    #[cfg(test)]
+    if m != t {
+        WINDOW_TESTS.with(|tests| {
+            let mut tally = tests.get();
+            tally[if by_pattern { 0 } else { 1 + usize::from(!hit) }] += 1;
+            tests.set(tally);
+        });
+    }
+    hit
+}
+
+/// `w`'s rank window `[lo, hi)` over a fully bound WHITE combination
+/// (`chosen`, one rank per slot): the static window cut by each binding
+/// the order puts `w` below or above.
+#[inline(always)]
+fn join_window(wx: &WExtra, chosen: &[u32]) -> (u32, u32) {
+    let (mut lo, mut hi) = (wx.lo, wx.hi);
+    for (i, &rank) in chosen.iter().enumerate() {
+        if (wx.lt_slots >> i) & 1 == 1 {
+            hi = hi.min(rank);
+        }
+        if (wx.gt_slots >> i) & 1 == 1 {
+            lo = lo.max(rank.saturating_add(1));
+        }
+    }
+    (lo, hi)
+}
+
 /// Wedge-joins the two-hop vertex's candidates over a fully bound WHITE
 /// combination (`chosen`, one rank per slot of `white_meta`) and emits
 /// one instance per survivor.
 ///
-/// The candidates are `N(bt)` for the lowest-degree wedge target `bt`,
-/// and `w`'s rank window is a sub-slice of it. A count-only harvest of an
-/// unlabelled run counts the survivors without visiting one when `w` has
-/// one or two pattern neighbours (its wedge targets):
-///
-/// - the degree bound (rule 1a) is a prefix of `N(bt)`: empty for one
-///   target, since every member of `N(bt)` has degree ≥ 1, and found by a
-///   `partition_point` for two when the ranks follow degree
-///   ([`OrderedGraph::degree_sorted`]; a delta epoch may not, and walks);
-/// - the window is what is left of the rank window `[lo, hi)` past that
-///   prefix, and the survivors are its members adjacent to the other
-///   target, if any, minus the mapped vertices and WHITE bindings among
-///   them.
-///
-/// With two targets mapped before the expansion, the survivors are one
-/// [`count_common`] of the window and the other list. With one static
-/// target `t` and one WHITE binding `c` ([`WExtra::marked`]), the
-/// expansion has marked `t`'s side of the static window in bit 0 of
-/// `cmap` and the mapped ranks in bit 1, and one walk of byte probes
-/// counts the join, with no search of `t`'s list:
-///
-/// - `bt = c`: the walk of the window finds the survivors (bit 0 alone)
-///   and the mapped vertices inside it (bit 1);
-/// - `bt = t`: the window is the bit-0 ranks inside `[lo, hi)`, so the
-///   mapped vertices inside it are a range test and a probe each, and the
-///   walk of `N(c)` over the window's rank span finds the survivors.
-///
-/// The prefix's other WHITE bindings are looked up one by one.
-///
-/// Every counter is bumped by exactly what the per-element walk below
-/// would bump: `combinations_examined` by `|N(bt)|`, `pruned_degree` by the
-/// prefix, `pruned_order` by the rest outside the window,
-/// `pruned_injectivity` by the mapped vertices in the window and, with two
-/// targets, `intersect_gallop` by the other window members and
-/// `pruned_connectivity` by those of them that do not survive. Listings,
-/// labelled runs and three or more targets walk `N(bt)`, checking degree →
-/// label → window → injectivity → each other target.
+/// The candidates are `N(bt)` for the lowest-degree wedge target `bt`. A
+/// count-only join of one or two targets ([`WExtra::counted`]) counts its
+/// survivors without visiting one ([`count_two_hop`]). Listings, labelled
+/// runs, three or more targets and a delta epoch whose ranks stopped
+/// following degree walk `N(bt)` here, checking degree → label → window →
+/// injectivity → each other target.
 #[allow(clippy::too_many_arguments)]
 fn join_two_hop(
     shared: &PsglShared<'_>,
@@ -1358,16 +1459,11 @@ fn join_two_hop(
     stats: &mut ExpandStats,
 ) {
     let ordered = &*shared.ordered;
-    // Fold the chosen WHITE ranks into w's static rank window.
-    let (mut lo, mut hi) = (wx.lo, wx.hi);
-    for (i, &rank) in chosen.iter().enumerate() {
-        if (wx.lt_slots >> i) & 1 == 1 {
-            hi = hi.min(rank);
-        }
-        if (wx.gt_slots >> i) & 1 == 1 {
-            lo = lo.max(rank.saturating_add(1));
-        }
+    if wx.counted {
+        count_two_hop(ordered, mapped, wx, chosen, w_static, cmap, generated, cost, stats);
+        return;
     }
+    let (lo, hi) = join_window(wx, chosen);
     // Wedge targets: every pattern neighbor of w is mapped now.
     w_targets.clear();
     w_targets.extend_from_slice(w_static);
@@ -1390,83 +1486,6 @@ fn join_two_hop(
     let bt = w_targets[base_i];
     let nbt = ordered.neighbors_of_rank(bt);
     *cost += u64::from(base_deg);
-
-    let sliced = w_targets.len() == 1 || w_targets.len() == 2 && ordered.degree_sorted();
-    if sliced && shared.labels.is_none() && matches!(harvest, Harvested::CountOnly) {
-        debug_assert_eq!(wx.min_degree as usize, w_targets.len());
-        // Rule 1a: with ranks that follow degree, the members below the
-        // degree bound are a prefix of `N(bt)`; a bound of 1 cuts nothing.
-        let prefix = match wx.min_degree {
-            1 => 0,
-            d => nbt.partition_point(|&x| ordered.degree_of_rank(x) < d),
-        };
-        let from = nbt.partition_point(|&x| x < lo).max(prefix);
-        let to = nbt.partition_point(|&x| x < hi).max(from);
-        let window = &nbt[from..to];
-        let in_window = |m: &&u32| (lo..hi).contains(*m) && seek(window, &mut 0, **m);
-        #[cfg(test)]
-        if wx.marked {
-            MARKED_JOINS.with(|joins| {
-                let mut tally = joins.get();
-                tally[base_i] += 1;
-                tally[2] += u64::from(chosen.len() > 1);
-                joins.set(tally);
-            });
-        }
-        let (inside, closed) = if !wx.marked {
-            let inside = mapped.iter().chain(chosen).filter(in_window).count();
-            let closed = if w_targets.len() == 1 {
-                window.len() - inside
-            } else {
-                // The window's members adjacent to the other target, minus
-                // the mapped ones among them.
-                let other = within_span(ordered.neighbors_of_rank(w_targets[1 - base_i]), window);
-                let inside_joined = mapped
-                    .iter()
-                    .chain(chosen)
-                    .filter(|m| in_window(m) && seek(other, &mut 0, **m))
-                    .count();
-                count_common(window, other) as usize - inside_joined
-            };
-            (inside, closed)
-        } else if base_i == 1 {
-            // Seeded from the WHITE target: one walk of its window probes
-            // the static target's marks and the mapped ones. The binding
-            // is not in its own list; the prefix's other WHITE bindings
-            // are looked up in the window.
-            let (mut closed, mut inside) = tally_marks(cmap, window);
-            for &m in chosen.iter().filter(in_window) {
-                inside += 1;
-                closed -= usize::from(cmap[m as usize] & 1);
-            }
-            (inside, closed)
-        } else {
-            // Seeded from the static target: its window is the marked ranks
-            // inside `[lo, hi)`, so a mapped vertex or a WHITE binding is
-            // in it by a range test and a probe, and the survivors are one
-            // walk of the WHITE target's list over the window's rank span.
-            let in_side = |m: &&u32| (lo..hi).contains(*m) && cmap[**m as usize] & 1 == 1;
-            let inside = mapped.iter().chain(chosen).filter(in_side).count();
-            let other = within_span(ordered.neighbors_of_rank(w_targets[1]), window);
-            let inside_joined =
-                chosen.iter().filter(in_side).filter(|&&m| seek(other, &mut 0, m)).count();
-            (inside, tally_marks(cmap, other).0 - inside_joined)
-        };
-        let tested = window.len() - inside;
-        stats.combinations_examined += nbt.len() as u64;
-        stats.pruned_degree += prefix as u64;
-        stats.pruned_order += (nbt.len() - prefix - window.len()) as u64;
-        stats.pruned_injectivity += inside as u64;
-        if w_targets.len() == 2 {
-            stats.intersect_gallop += tested as u64;
-            stats.pruned_connectivity += (tested - closed) as u64;
-        }
-        let closed = closed as u64;
-        stats.generated += closed;
-        stats.results += closed;
-        *generated += closed;
-        return;
-    }
 
     // A listing keeps the survivors in id order. With one wedge target
     // every member of the window survives, so it walks `N(bt)` in id
@@ -1522,11 +1541,163 @@ fn join_two_hop(
     }
 }
 
+/// The count-only wedge join ([`WExtra::counted`]): counts the two-hop
+/// vertex's survivors over one WHITE combination without visiting one.
+///
+/// The seed is `N(bt)` for the lowest-degree wedge target `bt`, and the
+/// rank order decides what the walk would test per member:
+///
+/// - the degree bound (rule 1a) is the prefix of `N(bt)` below `w`'s rank
+///   floor: empty for one target, since every member of `N(bt)` has
+///   degree ≥ 1, and found by one `partition_point` for two;
+/// - the window is what is left of the rank window `[lo, hi)` past that
+///   prefix; a side of `[lo, hi)` that is unbounded, or that the floor
+///   already cuts, is not searched;
+/// - the survivors are the window's members adjacent to the other target,
+///   if any, minus the mapped vertices and WHITE bindings among them.
+///
+/// Whether a mapped vertex or a binding `m` lies in the window is mostly
+/// decided by the pattern: every pattern edge among the mapped vertices
+/// and the bindings holds in the data graph by now (the expansion's entry
+/// checks the unverified mapped–mapped edges, each arena seeks its slot's
+/// targets, the odometer's rows check binding–binding edges), so `m` is in
+/// the window iff it lies in `[max(lo, floor), hi)`, is not `bt`, and its
+/// pattern vertex is a pattern neighbour of `bt`'s ([`WExtra::near`]);
+/// only a member without that edge is searched for. The same rule tests
+/// it against the other target.
+///
+/// With two targets mapped before the expansion, or two WHITE bindings
+/// (a square's wedge), the survivors are one [`count_common`] of the
+/// window and the other list. With one static target `t` and one WHITE
+/// binding `c` ([`WExtra::marked`]), the expansion has marked `t`'s side
+/// of the static window in bit 0 of `cmap` and the mapped ranks in bit 1,
+/// and one walk of byte probes counts the join, with no search of `t`'s
+/// list:
+///
+/// - `bt = c`: the walk of the window finds the survivors (bit 0 alone)
+///   and the mapped vertices inside it (bit 1);
+/// - `bt = t`: the window is the bit-0 ranks inside `[lo, hi)`, so the
+///   mapped vertices inside it are a range test and a probe each, and the
+///   walk of `N(c)` over the window's rank span finds the survivors.
+///
+/// Every counter is bumped by exactly what the walk in [`join_two_hop`]
+/// would bump: `combinations_examined` by `|N(bt)|`, `pruned_degree` by the
+/// prefix, `pruned_order` by the rest outside the window,
+/// `pruned_injectivity` by the mapped vertices in the window and, with two
+/// targets, `intersect_gallop` by the other window members and
+/// `pruned_connectivity` by those of them that do not survive. Out of line,
+/// so that the walk compiles without it.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn count_two_hop(
+    ordered: &OrderedGraph,
+    mapped: &[u32],
+    wx: &WExtra,
+    chosen: &[u32],
+    w_static: &[u32],
+    cmap: &[u8],
+    generated: &mut u64,
+    cost: &mut u64,
+    stats: &mut ExpandStats,
+) {
+    let (lo, hi) = join_window(wx, chosen);
+    // The wedge targets in `w_targets` order: static, then WHITE.
+    let whites = chosen.iter().enumerate().filter(|&(i, _)| (wx.edge_slots >> i) & 1 == 1);
+    let mut targets = [0u32; 2];
+    for (t, &r) in targets.iter_mut().zip(w_static.iter().chain(whites.map(|(_, r)| r))) {
+        *t = r;
+    }
+    let two = wx.min_degree == 2;
+    debug_assert_eq!(w_static.len() + (wx.edge_slots.count_ones() as usize), 1 + usize::from(two));
+    let base_i =
+        usize::from(two && ordered.degree_of_rank(targets[1]) < ordered.degree_of_rank(targets[0]));
+    let bt = targets[base_i];
+    let nbt = ordered.neighbors_of_rank(bt);
+    *cost += nbt.len() as u64;
+
+    let prefix = if wx.floor == 0 { 0 } else { nbt.partition_point(|&x| x < wx.floor) };
+    // `lo` cuts nothing that the floor has not cut already.
+    let window = window_of(nbt, prefix, if lo > wx.floor { lo } else { 0 }, hi);
+    let start = lo.max(wx.floor);
+    let in_window =
+        |i: usize, m: u32| (start..hi).contains(&m) && joined(bt, wx.near[base_i], window, i, m);
+    let members = || mapped.iter().chain(chosen).copied().enumerate();
+    let np = mapped.len();
+    #[cfg(test)]
+    if wx.marked {
+        MARKED_JOINS.with(|joins| {
+            let mut tally = joins.get();
+            tally[base_i] += 1;
+            tally[2] += u64::from(chosen.len() > 1);
+            joins.set(tally);
+        });
+    }
+    let (inside, closed) = if !wx.marked {
+        let members_inside = members().filter(|&(i, m)| in_window(i, m));
+        if !two {
+            let inside = members_inside.count();
+            (inside, window.len() - inside)
+        } else {
+            // The window's members adjacent to the other target, minus
+            // the mapped ones among them.
+            let (ot, near) = (targets[1 - base_i], wx.near[1 - base_i]);
+            let other = within_span(ordered.neighbors_of_rank(ot), window);
+            let (mut inside, mut inside_joined) = (0, 0);
+            for (i, m) in members_inside {
+                inside += 1;
+                inside_joined += usize::from(joined(ot, near, other, i, m));
+            }
+            (inside, count_common(window, other) as usize - inside_joined)
+        }
+    } else if base_i == 1 {
+        // Seeded from the WHITE target: one walk of its window probes
+        // the static target's marks and the mapped ones. The binding
+        // is not in its own list; the prefix's other WHITE bindings
+        // are tested against the window.
+        let (mut closed, mut inside) = tally_marks(cmap, window);
+        for (i, &m) in chosen.iter().enumerate() {
+            if in_window(np + i, m) {
+                inside += 1;
+                closed -= usize::from(cmap[m as usize] & 1);
+            }
+        }
+        (inside, closed)
+    } else {
+        // Seeded from the static target: its window is the marked ranks
+        // inside `[lo, hi)`, so a mapped vertex or a WHITE binding is
+        // in it by a range test and a probe, and the survivors are one
+        // walk of the WHITE target's list over the window's rank span.
+        let in_side = |m: u32| (lo..hi).contains(&m) && cmap[m as usize] & 1 == 1;
+        let inside = mapped.iter().chain(chosen).filter(|&&m| in_side(m)).count();
+        let (c, near) = (targets[1], wx.near[1]);
+        let other = within_span(ordered.neighbors_of_rank(c), window);
+        let inside_joined = chosen
+            .iter()
+            .enumerate()
+            .filter(|&(i, &m)| in_side(m) && joined(c, near, other, np + i, m))
+            .count();
+        (inside, tally_marks(cmap, other).0 - inside_joined)
+    };
+    let tested = window.len() - inside;
+    stats.combinations_examined += nbt.len() as u64;
+    stats.pruned_degree += prefix as u64;
+    stats.pruned_order += (nbt.len() - prefix - window.len()) as u64;
+    stats.pruned_injectivity += inside as u64;
+    if two {
+        stats.intersect_gallop += tested as u64;
+        stats.pruned_connectivity += (tested - closed) as u64;
+    }
+    let closed = closed as u64;
+    stats.generated += closed;
+    stats.results += closed;
+    *generated += closed;
+}
+
 #[cfg(test)]
 mod tests {
     use super::{
         bit, build_row, count_common, fold, masked, merge_arenas, next_bit, seek, set_arena, Rows,
-        Side, GALLOP_RATIO, MARKED_JOINS,
+        Side, GALLOP_RATIO, MARKED_JOINS, WINDOW_TESTS,
     };
     use crate::expand::{count_all, list_all};
     use crate::stats::ExpandStats;
@@ -1876,6 +2047,41 @@ mod tests {
                 assert!(joins[0] > 0 && joins[1] > 0, "{context}: both seeds");
                 assert_eq!(joins[2] > 0, *two_whites, "{context}: two WHITE bindings");
             }
+        }
+    }
+
+    #[test]
+    fn counted_wedge_joins_decide_members_by_pattern_or_search_as_the_walk_does() {
+        // A count-only wedge join decides whether a mapped vertex or a
+        // binding lies in a target's window by the pattern when an edge
+        // joins their pattern vertices and by a search when none does, and
+        // cuts its window at the rank floor of `w`'s degree bound (a
+        // square's floor is that of degree 2). Counting must agree with the
+        // listing's walk on every counter, from every initial vertex.
+        let graphs =
+            [("G(40, 300)", erdos_renyi_gnm(40, 300, 4).unwrap()), ("hub of 70", hub_of_70())];
+        let patterns =
+            [catalog::path(4), catalog::tailed_triangle(), catalog::square(), catalog::path(5)];
+        for (name, g) in &graphs {
+            let before = WINDOW_TESTS.with(|tests| tests.get());
+            for pattern in &patterns {
+                let (generic, _) = count_all(g, pattern, &PsglConfig::default().kernels(false));
+                for v in 0..pattern.num_vertices() as u8 {
+                    let config = PsglConfig::default().init_vertex(v);
+                    let context = format!("{name}, {} from {v}", pattern.name());
+                    let (counted, _) = count_all(g, pattern, &config);
+                    assert_eq!(counted.results, generic.results, "{context}: kernels off");
+                    let (listed, walked, _) = list_all(g, pattern, &config);
+                    assert_eq!(listed.len() as u64, counted.results, "{context}");
+                    assert_eq!(walked, counted, "{context}: counting and listing disagree");
+                }
+            }
+            // Members in a target's rank range: decided by the pattern,
+            // found by a search, and missed by one (so a join that took
+            // every member as adjacent would count wrong).
+            let after = WINDOW_TESTS.with(|tests| tests.get());
+            let tally: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+            assert!(tally.iter().all(|&n| n > 0), "{name}: members tested {tally:?}");
         }
     }
 

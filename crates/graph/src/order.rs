@@ -15,11 +15,18 @@
 //! [`OrderedGraph::new`] builds that graph (with one scatter); a mutation
 //! batch patches it like any other CSR ([`OrderedGraph::with_batch`]).
 //! While degree is monotone in rank ([`OrderedGraph::degree_sorted`]),
-//! pruning rule 1a is a rank window too: the neighbours below a degree
-//! bound are a prefix of every list.
+//! pruning rule 1a is a rank window too: the vertices below a degree bound
+//! are the ranks below one *rank floor* ([`OrderedGraph::rank_floor`]),
+//! so they are a prefix of every list, and a vertex meets the bound iff
+//! its rank reaches the floor.
 
 use crate::csr::{DataGraph, VertexId};
 use crate::error::GraphError;
+
+/// The degree bounds up to which [`OrderedGraph::rank_floor`] reads a
+/// table: every degree a pattern vertex can have (a pattern has at most
+/// twelve vertices).
+const RANK_FLOOR_DEGREES: u32 = 12;
 
 /// Total vertex order derived from `(degree, id)`, with the graph stored a
 /// second time in *rank space*: there a vertex is named by its rank, and
@@ -52,8 +59,10 @@ pub struct OrderedGraph {
     /// `split[r]` = how many of rank `r`'s neighbours rank below it: the
     /// list's first `split[r]` entries are `lower_of_rank(r)`.
     split: Vec<u32>,
-    /// Whether degree never falls as rank rises (see [`Self::degree_sorted`]).
-    degree_sorted: bool,
+    /// `floors[d]` = the first rank whose degree is at least `d`, for
+    /// `d <= RANK_FLOOR_DEGREES`; `None` when degree falls somewhere as
+    /// rank rises (see [`Self::degree_sorted`]).
+    floors: Option<[u32; RANK_FLOOR_DEGREES as usize + 1]>,
 }
 
 impl OrderedGraph {
@@ -87,7 +96,8 @@ impl OrderedGraph {
             }
         }
         let graph = DataGraph::from_csr(offsets, adjacency).expect("a relabelled CSR is a CSR");
-        OrderedGraph { rank, by_rank, graph, split, degree_sorted: true }
+        let floors = Some(rank_floors(&graph));
+        OrderedGraph { rank, by_rank, graph, split, floors }
     }
 
     /// This ordered graph patched with an effective edge delta, given in
@@ -96,7 +106,8 @@ impl OrderedGraph {
     /// monotone in rank, and the rank-space graph becomes that of the
     /// patched graph. The batch is translated to ranks once and merged
     /// into the touched lists; only the touched ranks' splits move. One
-    /// scan of the patched degrees decides [`Self::degree_sorted`].
+    /// scan of the patched degrees decides [`Self::degree_sorted`], and
+    /// with it whether the rank floors exist.
     pub fn with_batch(
         &self,
         inserted: &[(VertexId, VertexId)],
@@ -122,8 +133,9 @@ impl OrderedGraph {
         }
         let degree_sorted =
             (1..graph.num_vertices() as u32).all(|r| graph.degree(r - 1) <= graph.degree(r));
+        let floors = degree_sorted.then(|| rank_floors(&graph));
         let (rank, by_rank) = (self.rank.clone(), self.by_rank.clone());
-        Ok(OrderedGraph { rank, by_rank, graph, split, degree_sorted })
+        Ok(OrderedGraph { rank, by_rank, graph, split, floors })
     }
 
     /// Whether degree is monotone in rank: `degree_of_rank(r) <=
@@ -138,12 +150,25 @@ impl OrderedGraph {
     /// survivor (a common neighbour of two vertices has degree ≥ 2), so
     /// the flag does not decide the count: it keeps the join's
     /// `pruned_degree`, `pruned_order` and `intersect_gallop` equal to the
-    /// per-element walk's. What it guards against is a `partition_point`
-    /// over degrees that are not monotone, whose prefix is arbitrary and
-    /// could cut survivors.
+    /// per-element walk's. What it guards against is cutting a list at a
+    /// degree bound while degree is not monotone in rank: that prefix is
+    /// arbitrary and could cut survivors.
     #[inline]
     pub fn degree_sorted(&self) -> bool {
-        self.degree_sorted
+        self.floors.is_some()
+    }
+
+    /// Pruning rule 1a as a rank test: the first rank whose degree is at
+    /// least `d` (`len()` when none is), so that a vertex has degree `>= d`
+    /// iff its rank is at least this floor, and the members of a
+    /// rank-sorted list below the bound are the prefix of ranks below it.
+    /// `None` unless [`Self::degree_sorted`]. A table lookup for every
+    /// degree a pattern vertex can have (`d <= 12`), built in `O(12 log n)`
+    /// by [`Self::new`] and [`Self::with_batch`]; one binary search beyond.
+    #[inline]
+    pub fn rank_floor(&self, d: u32) -> Option<u32> {
+        let floors = self.floors.as_ref()?;
+        Some(floors.get(d as usize).copied().unwrap_or_else(|| first_rank_of(&self.graph, d)))
     }
 
     /// Rank of `v` (0 = smallest degree).
@@ -236,6 +261,27 @@ impl OrderedGraph {
     }
 }
 
+/// The rank floors of a rank graph whose degree is monotone in rank: one
+/// binary search over the ranks for each degree bound in the table.
+fn rank_floors(graph: &DataGraph) -> [u32; RANK_FLOOR_DEGREES as usize + 1] {
+    std::array::from_fn(|d| first_rank_of(graph, d as u32))
+}
+
+/// The first rank of `graph` whose degree is at least `d`, by binary
+/// search: degree must be monotone in rank.
+fn first_rank_of(graph: &DataGraph, d: u32) -> u32 {
+    let (mut lo, mut hi) = (0u32, graph.num_vertices() as u32);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if graph.degree(mid) < d {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,6 +304,20 @@ mod tests {
         assert!(o.less(1, 0));
         assert!(!o.less(0, 1));
         assert!(o.degree_sorted());
+    }
+
+    #[test]
+    fn rank_floors_are_the_first_rank_of_each_degree() {
+        // Ranks 0..=3 are the leaves (degree 1), rank 4 the center (4).
+        let o = OrderedGraph::new(&star());
+        let floors: Vec<_> = (0..=6).map(|d| o.rank_floor(d)).collect();
+        assert_eq!(floors, [0, 0, 4, 4, 4, 5, 5].map(Some));
+        assert_eq!(o.rank_floor(40), Some(5), "past the table, a search");
+        // Joining two leaves lifts them to degree 2 at ranks 2 and 3, below
+        // the center; the path 1-2 lifts ranks 0 and 1 above rank 2.
+        let joined = o.with_batch(&[(3, 4)], &[]).unwrap();
+        assert_eq!(joined.rank_floor(2), Some(2));
+        assert_eq!(o.with_batch(&[(1, 2)], &[]).unwrap().rank_floor(2), None);
     }
 
     #[test]

@@ -342,9 +342,11 @@ fn loopback_oversized_worker_count_is_a_bad_request_and_the_connection_keeps_ser
 }
 
 /// Writes a dense pseudo-random edge list (LCG-generated, deterministic)
-/// to a temp file and loads it as `name`. Counting squares on it occupies
-/// a worker long enough to observe cancellation races deterministically.
-fn load_dense_graph(client: &mut Client, name: &str) -> std::path::PathBuf {
+/// of `edges` edges over 1 000 vertices to a temp file and loads it as
+/// `name`. Counting squares on it occupies a worker long enough to observe
+/// cancellation races deterministically; the tests that need that count
+/// to take at least 100 ms load [`TIMED_EDGES`], the rest [`DENSE_EDGES`].
+fn load_dense_graph(client: &mut Client, name: &str, edges: u64) -> std::path::PathBuf {
     use std::io::Write as _;
     use std::sync::atomic::{AtomicUsize, Ordering};
     // Tests run in parallel in one process: a file per call, or one test
@@ -354,7 +356,7 @@ fn load_dense_graph(client: &mut Client, name: &str) -> std::path::PathBuf {
     let path =
         std::env::temp_dir().join(format!("psgl-{name}-{}-{serial}.txt", std::process::id()));
     let mut f = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
-    let (n, m) = (1_000u64, 30_000u64);
+    let (n, m) = (1_000u64, edges);
     let mut state = 0x5EEDu64;
     let mut step = move || {
         state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -380,6 +382,13 @@ fn load_dense_graph(client: &mut Client, name: &str) -> std::path::PathBuf {
     path
 }
 
+/// Edges of the dense graph most cancellation tests count squares on.
+const DENSE_EDGES: u64 = 30_000;
+
+/// Edges of the dense graph for the tests that time its square count
+/// against a floor of 100 ms: denser, so that a faster count stays above it.
+const TIMED_EDGES: u64 = 40_000;
+
 fn slow_request(graph: &str, extra: &[(&'static str, Json)]) -> Json {
     let mut fields = vec![
         ("verb", Json::from("count")),
@@ -402,7 +411,7 @@ fn loopback_timeout_cancels_within_twice_the_deadline() {
 
     let handle = serve(test_config()).expect("bind loopback");
     let mut client = Client::connect(handle.addr()).expect("connect");
-    let path = load_dense_graph(&mut client, "dense");
+    let path = load_dense_graph(&mut client, "dense", TIMED_EDGES);
 
     // Baseline: how long the query takes uninterrupted on this machine.
     let start = Instant::now();
@@ -494,7 +503,7 @@ fn loopback_disconnect_mid_query_cancels_the_job_and_frees_the_slot() {
     let config = ServiceConfig { pool: 1, queue_cap: 2, ..test_config() };
     let handle = serve(config).expect("bind loopback");
     let mut monitor = Client::connect(handle.addr()).expect("connect");
-    let path = load_dense_graph(&mut monitor, "dense");
+    let path = load_dense_graph(&mut monitor, "dense", DENSE_EDGES);
     monitor.load("karate", "karate-club", "fixture").unwrap();
 
     // A raw connection submits the slow query, waits until it occupies the
@@ -532,7 +541,7 @@ fn loopback_cancel_verb_aborts_a_running_query_by_id() {
     let config = ServiceConfig { pool: 1, queue_cap: 2, ..test_config() };
     let handle = serve(config).expect("bind loopback");
     let mut monitor = Client::connect(handle.addr()).expect("connect");
-    let path = load_dense_graph(&mut monitor, "dense");
+    let path = load_dense_graph(&mut monitor, "dense", DENSE_EDGES);
 
     let addr = handle.addr();
     let victim = std::thread::spawn(move || {
@@ -789,7 +798,7 @@ fn loopback_expired_deadline_jumps_the_queue_and_cancels_promptly() {
     let config = ServiceConfig { pool: 1, queue_cap: 8, slice_supersteps: 1, ..test_config() };
     let handle = serve(config).expect("bind loopback");
     let mut monitor = Client::connect(handle.addr()).expect("connect");
-    let path = load_dense_graph(&mut monitor, "dense");
+    let path = load_dense_graph(&mut monitor, "dense", TIMED_EDGES);
     monitor.load("karate", "karate-club", "fixture").unwrap();
 
     // Baseline: one uninterrupted scan on this machine.
@@ -858,7 +867,7 @@ fn loopback_mid_stream_disconnect_frees_the_tenant_accounting() {
 
     let handle = serve(test_config()).expect("bind loopback");
     let mut monitor = Client::connect(handle.addr()).expect("connect");
-    let path = load_dense_graph(&mut monitor, "dense");
+    let path = load_dense_graph(&mut monitor, "dense", DENSE_EDGES);
     monitor.load("karate", "karate-club", "fixture").unwrap();
 
     // A raw connection asks for every dense triangle as one-instance
@@ -944,7 +953,7 @@ fn loopback_spill_serves_concurrent_giant_queries_without_overloaded() {
     };
     let handle = serve(config).expect("bind loopback");
     let mut monitor = Client::connect(handle.addr()).expect("connect");
-    let path = load_dense_graph(&mut monitor, "dense");
+    let path = load_dense_graph(&mut monitor, "dense", DENSE_EDGES);
 
     let addr = handle.addr();
     let a = std::thread::spawn(move || {
@@ -1007,7 +1016,7 @@ fn loopback_mid_spill_disconnect_frees_the_slot_and_removes_the_spill_dir() {
     };
     let handle = serve(config).expect("bind loopback");
     let mut monitor = Client::connect(handle.addr()).expect("connect");
-    let path = load_dense_graph(&mut monitor, "dense");
+    let path = load_dense_graph(&mut monitor, "dense", DENSE_EDGES);
     monitor.load("karate", "karate-club", "fixture").unwrap();
 
     // A raw connection submits the giant query and vanishes once its run

@@ -3,6 +3,8 @@
 use proptest::prelude::*;
 use psgl::baselines::centralized;
 use psgl::core::{list_subgraphs, list_subgraphs_prepared, EdgeIndex, PsglConfig, PsglShared};
+use psgl::delta::DeltaGraph;
+use psgl::graph::generators::{chung_lu, EdgeBatch};
 use psgl::graph::{DataGraph, GraphBuilder, OrderedGraph};
 use psgl::pattern::automorphism::automorphisms;
 use psgl::pattern::{break_automorphisms, Pattern};
@@ -67,9 +69,15 @@ fn check_rank_space(o: &OrderedGraph, g: &DataGraph) {
         prop_assert_eq!(o.lower_of_rank(r), &list[..below as usize]);
         prop_assert_eq!(o.higher_of_rank(r), &list[below as usize..]);
     }
-    // Whether degree is monotone in rank, read off `g` directly.
+    // Whether degree is monotone in rank, read off `g` directly, and while
+    // it is, each degree bound's rank floor: the first rank of that degree
+    // or more, the degree `partition_point` over all ranks.
     let by_rank: Vec<u32> = o.vertices_by_rank().iter().map(|&v| g.degree(v)).collect();
     prop_assert_eq!(o.degree_sorted(), by_rank.windows(2).all(|w| w[0] <= w[1]));
+    for d in 0..=12 {
+        let first = by_rank.partition_point(|&deg| deg < d) as u32;
+        prop_assert_eq!(o.rank_floor(d), o.degree_sorted().then_some(first), "floor of {}", d);
+    }
 }
 
 proptest! {
@@ -91,6 +99,7 @@ proptest! {
     fn ordering_invariants(
         g in arb_graph(),
         toggles in proptest::collection::vec((0u32..24, 0u32..24), 0..24),
+        seed in any::<u64>(),
     ) {
         let o = OrderedGraph::new(&g);
         // Ranks are a permutation.
@@ -140,6 +149,30 @@ proptest! {
             prop_assert_eq!(o2.rank(v), o.rank(v));
         }
         check_rank_space(&o2, &g2);
+
+        // A power-law graph's rank floors, through a delta epoch that
+        // lifts the lowest-ranked vertex above all but a handful of
+        // degrees (its ranks stop following degree: no floors) and the
+        // compaction after it (fresh ranks: floors again).
+        let pl = chung_lu(300, 6.0, 2.1, seed).unwrap();
+        let mut delta = DeltaGraph::new(pl.clone(), 8, usize::MAX);
+        let o = &delta.artifacts().ordered;
+        check_rank_space(o, &pl);
+        let (low, next) = (o.vertex(0), o.vertex(1));
+        let insert: Vec<_> = pl
+            .vertices()
+            .filter(|&v| v != low && v != next && !pl.has_edge(low, v))
+            .map(|v| (low, v))
+            .collect();
+        delta.apply(&EdgeBatch { insert, delete: Vec::new() }).unwrap();
+        let epoch = delta.artifacts();
+        prop_assert!(!epoch.ordered.degree_sorted(), "rank 0 now outranks rank 1 in degree");
+        prop_assert_eq!(epoch.ordered.rank_floor(2), None);
+        check_rank_space(&epoch.ordered, &epoch.graph);
+        delta.compact();
+        let compacted = delta.artifacts();
+        prop_assert!(compacted.ordered.rank_floor(2).is_some());
+        check_rank_space(&compacted.ordered, &compacted.graph);
     }
 
     #[test]
