@@ -100,9 +100,9 @@ impl<M> ChunkPool<M> {
         self.capacity
     }
 
-    /// Whether the pool has a live-chunk cap.
-    pub(crate) fn is_capped(&self) -> bool {
-        self.max_live.is_some()
+    /// The pool's live-chunk cap, if it has one.
+    pub(crate) fn max_live(&self) -> Option<u64> {
+        self.max_live
     }
 
     /// Hands out an empty chunk, recycling a released one when possible;

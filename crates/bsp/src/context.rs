@@ -3,7 +3,7 @@
 
 use crate::chunk::{push_chunked, ChunkPool, PoolExhausted};
 use crate::frontier::OutStream;
-use crate::spill::SpillStore;
+use crate::spill::{SpillScratch, SpillStore};
 use psgl_graph::partition::HashPartitioner;
 use psgl_graph::VertexId;
 use std::time::Instant;
@@ -23,11 +23,13 @@ pub struct Context<'a, M> {
     /// The run's spill store (`None` = tier disabled, grow-in-place
     /// degradation).
     pub(crate) spill: Option<&'a SpillStore>,
+    /// The worker's retained buffers its sends' spills are encoded in.
+    pub(crate) spill_scratch: &'a mut SpillScratch,
     pub(crate) cost: u64,
     pub(crate) messages_out: u64,
     pub(crate) local_delivered: u64,
     /// Nanoseconds this worker spent inside the spill store: its sends'
-    /// spill writes and its inbox's re-admission reads. The store counts
+    /// spill writes and its inbox's segment reads. The store counts
     /// them as stall, so the worker leaves them out of its elapsed time.
     pub(crate) spill_nanos: u64,
 }
@@ -68,7 +70,8 @@ impl<M: Encode> Context<'_, M> {
             self.local_delivered += 1;
         }
         let stream = &mut self.outbox[dest];
-        push_or_spill(self.pool, self.spill, stream, &mut self.spill_nanos, to, msg);
+        let spill = self.spill.map(|store| (store, &mut *self.spill_scratch));
+        push_or_spill(self.pool, spill, stream, &mut self.spill_nanos, to, msg);
     }
 
     /// Adds `units` to this worker's cost for the current superstep
@@ -91,14 +94,14 @@ impl<M: Encode> Context<'_, M> {
 #[inline]
 fn push_or_spill<M: Encode>(
     pool: &ChunkPool<M>,
-    spill: Option<&SpillStore>,
+    spill: Option<(&SpillStore, &mut SpillScratch)>,
     stream: &mut OutStream<M>,
     spill_nanos: &mut u64,
     to: VertexId,
     msg: M,
 ) {
     let list = &mut stream.chunks;
-    let Some(store) = spill else {
+    let Some((store, scratch)) = spill else {
         push_chunked(pool, list, to, msg);
         return;
     };
@@ -109,22 +112,24 @@ fn push_or_spill<M: Encode>(
                 next.push((to, msg));
                 list.push(next);
             }
-            Err(PoolExhausted) => match timed(spill_nanos, || store.spill(list)) {
-                Ok(seg) => {
-                    stream.spilled.push(seg);
-                    for c in list.drain(..) {
-                        pool.release(c);
+            Err(PoolExhausted) => {
+                match timed(spill_nanos, || store.spill(list, pool.capacity(), scratch)) {
+                    Ok(seg) => {
+                        stream.spilled.push(seg);
+                        for c in list.drain(..) {
+                            pool.release(c);
+                        }
+                        // The releases above refilled the free list, so this
+                        // acquire is served from it, under the cap.
+                        let mut c = pool.acquire();
+                        c.push((to, msg));
+                        list.push(c);
                     }
-                    // The releases above refilled the free list, so this
-                    // acquire is served from it, under the cap.
-                    let mut c = pool.acquire();
-                    c.push((to, msg));
-                    list.push(c);
+                    // Degradable write failure: grow the full chunk in place,
+                    // exactly the pre-spill behavior.
+                    Err(_) => list.last_mut().expect("list checked non-empty").push((to, msg)),
                 }
-                // Degradable write failure: grow the full chunk in place,
-                // exactly the pre-spill behavior.
-                Err(_) => list.last_mut().expect("list checked non-empty").push((to, msg)),
-            },
+            }
         },
         None => {
             // A destination's first chunk is structural demand: served
@@ -137,7 +142,7 @@ fn push_or_spill<M: Encode>(
 }
 
 /// Runs `f`, adding its wall time to `nanos`. Workers time their own spill
-/// writes and re-admission reads with it.
+/// writes and segment reads with it.
 pub(crate) fn timed<T>(nanos: &mut u64, f: impl FnOnce() -> T) -> T {
     let start = Instant::now();
     let out = f();

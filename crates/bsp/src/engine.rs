@@ -4,12 +4,13 @@
 //! [`ChunkPool`] (see [`crate::chunk`]): senders fill pooled chunks, the
 //! exchange moves them by pointer, and each receiver reads its inbox in
 //! place. It orders a retained 12-byte `(vertex, part, slot)` index of
-//! its messages by a counting sort on the vertex, not the messages, and
-//! copies each vertex's messages from the chunks they were delivered in
-//! into that vertex's batch. Only spilled segments, and every chunk of a
-//! run under a live-chunk cap, are copied into a retained gather buffer
-//! first. Steady-state supersteps therefore allocate nothing on the
-//! message path.
+//! its messages by a counting sort on the vertex, not the messages (the
+//! crate's `regroup` module), and copies each vertex's messages from the
+//! chunks they were delivered in into that vertex's batch. Under a
+//! live-chunk cap a worker instead reads its inbox one range of vertices
+//! at a time (`read_by_range`), so that what it holds at once is set by
+//! the cap, not by the inbox. Steady-state supersteps allocate nothing on
+//! the message path.
 //!
 //! Scheduling is pluggable through the [`Executor`] seam (see
 //! [`crate::exec`]): [`run_controlled`] takes the production
@@ -33,10 +34,12 @@ use crate::frontier::{Frontier, InboxPart, OutStream};
 use crate::metrics::{
     EngineMetrics, NetSuperstepMetrics, SuperstepMetrics, WorkerSuperstepMetrics,
 };
-use crate::spill::{SpillError, SpillStore};
+use crate::regroup::{order_by_vertex, Key};
+use crate::spill::{Block, SpillError, SpillScratch, SpillSegment, SpillStore};
 use psgl_graph::partition::HashPartitioner;
 use psgl_graph::VertexId;
 use psgl_obs::Value as TraceValue;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -113,7 +116,8 @@ pub enum BspError {
         message: String,
     },
     /// The spill tier failed on the read side: a spilled frontier segment
-    /// could not be re-admitted (truncated or corrupt blob, I/O error).
+    /// could not be read back (a truncated or corrupt header or block, an
+    /// I/O error), before `compute` or in a later range group after it.
     /// The tuples on disk were the only copy, so the run aborts cleanly
     /// — every resident chunk was released before this was reported —
     /// instead of answering from a damaged frontier. Write-side spill
@@ -164,52 +168,121 @@ impl std::fmt::Display for BspError {
 
 impl std::error::Error for BspError {}
 
-/// An inbox of fewer than `num_vertices / COUNTING_SORT_MIN_FILL` messages
-/// is regrouped by `sort_unstable` instead of the counting sort, whose
-/// prefix sum and reset walk one count per graph vertex whatever the inbox
-/// size. Both give the same order.
-const COUNTING_SORT_MIN_FILL: usize = 16;
-
 /// Per-worker scratch retained across supersteps so the hot loop reuses
 /// buffers instead of reallocating them.
 struct WorkerScratch<M> {
-    /// Vertices of the graph: the range of message destinations.
-    num_vertices: usize,
-    /// The regroup index: one `(vertex, part, slot)` key per inbox
-    /// message, where `part` is the message's inbox part and `slot` its
-    /// position in that part's chunk, or in `gather`. Keys are unique and
-    /// ordered: ascending vertices, delivery order within each vertex —
-    /// exactly `sort_unstable`'s order. A counting sort by vertex writes
-    /// them here straight from the inbox, so no second index-sized buffer
-    /// exists; small inboxes are sorted in place instead.
-    index: Vec<(VertexId, u32, u32)>,
-    /// The counting sort's one `u32` per vertex: keys per vertex, then
-    /// each vertex's next position in `index`. All zero between
-    /// supersteps; allocated by the first counting sort.
-    counts: Vec<u32>,
-    /// Where each inbox part's messages start in `gather`, and where the
-    /// last one ends: a part read in place has an empty range.
-    starts: Vec<u32>,
-    /// Messages that are not read where they were delivered: decoded
-    /// spill segments and, under a live-chunk cap, every resident chunk,
-    /// copied here so the chunk goes back to the pool before `compute`
-    /// sends.
-    gather: Vec<(VertexId, M)>,
+    /// Where the worker's inbox is regrouped.
+    inbox: InboxScratch<M>,
     /// Per-vertex message batch handed to `compute`.
     batch: Vec<M>,
+    /// Where the worker's sends encode the segments they spill.
+    spill: SpillScratch,
 }
 
 impl<M> WorkerScratch<M> {
     fn new(num_vertices: usize) -> Self {
         WorkerScratch {
-            num_vertices,
-            index: Vec::new(),
-            counts: Vec::new(),
-            starts: Vec::new(),
-            gather: Vec::new(),
+            inbox: InboxScratch {
+                num_vertices,
+                index: Vec::new(),
+                counts: Vec::new(),
+                resident: Vec::new(),
+                group: Vec::new(),
+                pieces: Vec::new(),
+                table: Vec::new(),
+                raw: Vec::new(),
+            },
             batch: Vec::new(),
+            spill: SpillScratch::default(),
         }
     }
+}
+
+/// The buffers a worker regroups its inbox in.
+struct InboxScratch<M> {
+    /// Vertices of the graph: the range of message destinations.
+    num_vertices: usize,
+    /// The regroup index: one `(vertex, part, slot)` key per message being
+    /// regrouped, ordered by vertex with delivery order kept within each
+    /// vertex (see [`crate::regroup`]).
+    index: Vec<Key>,
+    /// The counting sort's counts, all zero between regroups.
+    counts: Vec<u32>,
+    /// Under a live-chunk cap: the resident chunks' messages, copied out
+    /// run by run (see [`Piece::Resident`]) so the chunks go back to the
+    /// pool before `compute` sends.
+    resident: Vec<(VertexId, M)>,
+    /// Under a live-chunk cap: the range group being delivered.
+    group: Vec<(VertexId, M)>,
+    /// Under a live-chunk cap: the inbox's pieces, in delivery order.
+    pieces: Vec<Piece>,
+    /// Under a live-chunk cap: the block tables of the inbox's segments.
+    table: Vec<Block>,
+    /// Under a live-chunk cap: the bytes of the last segment read.
+    raw: Vec<u8>,
+}
+
+/// One piece of a capped worker's inbox, and where its unread messages
+/// start.
+enum Piece {
+    /// A run of consecutive resident chunks, copied out ordered by vertex,
+    /// delivery order kept within each: its unread messages are
+    /// `resident[next..end]`.
+    Resident { next: usize, end: usize },
+    /// The segment at `inbox[part]`, holding `tuples` tuples, whose block
+    /// table is `table[blocks]`. Its unread tuples start at tuple `next`,
+    /// addressed to `vertex`; it is consumed once `next == tuples`.
+    Spilled { part: usize, blocks: Range<usize>, tuples: u64, next: u64, vertex: VertexId },
+}
+
+impl Piece {
+    /// The vertex of the piece's first unread message, if any is left.
+    fn next_vertex<M>(&self, resident: &[(VertexId, M)]) -> Option<VertexId> {
+        match *self {
+            Piece::Resident { next, end } => (next < end).then(|| resident[next].0),
+            Piece::Spilled { tuples, next, vertex, .. } => (next < tuples).then_some(vertex),
+        }
+    }
+
+    /// How many of the piece's unread messages lie below vertex `until`:
+    /// exactly for resident ones; for a segment, an upper bound — every
+    /// unread tuple of the blocks that start below `until`.
+    fn unread_below<M>(
+        &self,
+        until: u64,
+        inbox: &[InboxPart<M>],
+        resident: &[(VertexId, M)],
+        table: &[Block],
+    ) -> u64 {
+        match self {
+            Piece::Resident { next, end } => {
+                resident[*next..*end].partition_point(|t| u64::from(t.0) < until) as u64
+            }
+            Piece::Spilled { part, blocks, tuples, next, vertex } => {
+                if next == tuples || u64::from(*vertex) >= until {
+                    return 0;
+                }
+                let seg = segment(inbox, *part);
+                seg.tuples_before(blocks_below(seg, &table[blocks.clone()], *next, until)) - next
+            }
+        }
+    }
+}
+
+/// The unconsumed segment at `inbox[part]`.
+fn segment<M>(inbox: &[InboxPart<M>], part: usize) -> &SpillSegment {
+    match &inbox[part] {
+        InboxPart::Spilled(seg) => seg,
+        InboxPart::Chunk(_) => unreachable!("a segment leaves its inbox slot with its last tuple"),
+    }
+}
+
+/// The end of the blocks of `seg` (block table `table`) that a read from
+/// its unread tuple `next` up to vertex `until` must cover: past the block
+/// holding `next` and every later block that starts below `until`.
+fn blocks_below(seg: &SpillSegment, table: &[Block], next: u64, until: u64) -> usize {
+    let current = seg.block_of(next);
+    current + 1 + table[current + 1..].partition_point(|b| u64::from(b.first) < until)
 }
 
 /// How the superstep loop ended. Every way out of a run is one of these,
@@ -524,7 +597,7 @@ pub fn run_controlled<P: VertexProgram>(
         // and release them. Re-admission happens in `run_worker`, in
         // delivery order, with zero pool acquisitions.
         if let (Some(store), Some(cap)) = (spill, config.max_live_chunks) {
-            frontier.evict(&pool, store, cap as i64);
+            frontier.evict(&pool, store, cap as i64, &mut scratches[0].spill);
         }
         superstep += 1;
     };
@@ -636,26 +709,22 @@ fn finalize_metrics<M>(
 
 /// Executes one worker for one superstep, filling the engine-owned
 /// `outbox` in place. Superstep 0 runs `compute` on every owned vertex;
-/// later supersteps index `inbox` (resident chunks and spilled segments,
-/// in delivery order) with one `(vertex, part, slot)` key per message,
-/// ordered by a counting sort on the vertex (see [`index_inbox`]), and
-/// call `compute` once per vertex with its messages, each copied into the
-/// batch from where it sits. Polls for a hard cancel every 32 `compute`
-/// calls.
+/// later supersteps regroup `inbox` (resident chunks and spilled segments,
+/// in delivery order) by vertex and call `compute` once per vertex with
+/// its messages in delivery order, vertices ascending. Polls for a hard
+/// cancel every 32 `compute` calls.
 ///
-/// Resident chunks are read in place and stay in `inbox` until the last
-/// `compute` call returns; only then do they go back to the pool. Spilled
-/// segments are decoded into the gather buffer (a taken part becomes a
-/// zero-capacity placeholder). Under a live-chunk cap every resident
-/// chunk is copied into the gather buffer too and released before
-/// `compute` runs: an inbox held under a cap starves the outbox, which
-/// then spills or grows in place. Either way a panic or a failed
-/// re-admission anywhere in here leaves every still-acquired chunk
-/// reachable for the engine's epilogue.
+/// An uncapped pool's inbox is read in place ([`read_in_place`]); its
+/// chunks go back to the pool after the last `compute` call. Under a
+/// live-chunk cap the inbox is read one range of vertices at a time
+/// ([`read_by_range`]), and its chunks go back before the first call. A
+/// panic or a failed read anywhere in here leaves every still-acquired
+/// chunk and unread segment in `inbox`, reachable for the engine's
+/// epilogue.
 ///
 /// Time spent inside the spill store — the sends' spill writes and the
-/// inbox's re-admission reads — is the store's stall, reported per
-/// superstep as `spill_stall_nanos`, and is left out of `elapsed_nanos`.
+/// inbox's segment reads — is the store's stall, reported per superstep
+/// as `spill_stall_nanos`, and is left out of `elapsed_nanos`.
 #[allow(clippy::too_many_arguments)]
 fn run_worker<P: VertexProgram>(
     program: &P,
@@ -673,46 +742,54 @@ fn run_worker<P: VertexProgram>(
     spill: Option<&SpillStore>,
 ) -> Result<WorkerSuperstepMetrics, SpillError> {
     let started = Instant::now();
-    let mut ctx = Context {
-        superstep,
-        worker,
-        partitioner,
-        pool,
-        outbox: &mut outbox[..],
-        spill,
-        cost: 0,
-        messages_out: 0,
-        local_delivered: 0,
-        spill_nanos: 0,
+    let WorkerScratch { inbox: regroup, batch, spill: spill_scratch } = scratch;
+    let mut calls = Calls {
+        program,
+        state,
+        batch,
+        poll,
+        made: 0,
+        ctx: Context {
+            superstep,
+            worker,
+            partitioner,
+            pool,
+            outbox: &mut outbox[..],
+            spill,
+            spill_scratch,
+            cost: 0,
+            messages_out: 0,
+            local_delivered: 0,
+            spill_nanos: 0,
+        },
     };
-    let mut active_vertices = 0u64;
     let mut messages_in = 0u64;
     if superstep == 0 {
         for (i, &v) in owned.iter().enumerate() {
             if i & 31 == 0 && poll.should_abort() {
                 break;
             }
-            active_vertices += 1;
-            scratch.batch.clear();
-            program.compute(&mut ctx, state, v, &mut scratch.batch);
+            calls.batch.clear();
+            calls.call(v);
         }
     } else if !poll.should_abort() {
-        index_inbox(inbox, scratch, pool, spill, &mut ctx.spill_nanos)?;
-        let WorkerScratch { index, gather, batch, .. } = scratch;
-        messages_in = index.len() as u64;
-        for run in index.chunk_by(|a, b| a.0 == b.0) {
-            if active_vertices & 31 == 31 && poll.should_abort() {
-                break;
+        messages_in = inbox.iter().map(InboxPart::tuples).sum();
+        let read = match pool.max_live() {
+            None => {
+                read_in_place(inbox, regroup, &mut calls);
+                Ok(())
             }
-            batch.clear();
-            batch.extend(run.iter().map(|&(_, p, slot)| keyed(inbox, gather, p, slot).1));
-            active_vertices += 1;
-            program.compute(&mut ctx, state, run[0].0, batch);
-        }
+            Some(cap) => {
+                let budget = cap * pool.capacity() as u64 / partitioner.workers() as u64;
+                read_by_range(inbox, regroup, pool, spill, budget.max(1), &mut calls)
+            }
+        };
+        read?;
         for part in inbox.drain(..) {
             part.release(pool, spill);
         }
     }
+    let Calls { made: active_vertices, ctx, .. } = calls;
     let tuple_bytes = std::mem::size_of::<(VertexId, P::Message)>() as u64;
     Ok(WorkerSuperstepMetrics {
         active_vertices,
@@ -725,139 +802,195 @@ fn run_worker<P: VertexProgram>(
     })
 }
 
-/// Fills `scratch.index` with one `(vertex, part, slot)` key per message
-/// of `inbox`, in ascending vertex order with delivery order kept within
-/// each vertex. Parts that are not read in place — spilled segments and,
-/// under a live-chunk cap, every chunk — are first moved into
-/// `scratch.gather` (a taken part becomes a zero-capacity placeholder).
-///
-/// The keys are unique and produced in `(part, slot)` order, so a stable
-/// counting sort by vertex gives exactly `sort_unstable`'s order: count the
-/// keys per vertex, turn the counts into start positions, and scatter the
-/// keys a second time straight from the inbox. That costs two reads of the
-/// inbox and one of the counts, and no buffer beside the index. An inbox
-/// small against the graph, or one addressing a vertex past
-/// `num_vertices`, is sorted instead.
-fn index_inbox<M: Encode>(
-    inbox: &mut [InboxPart<M>],
-    scratch: &mut WorkerScratch<M>,
-    pool: &ChunkPool<M>,
-    spill: Option<&SpillStore>,
-    spill_nanos: &mut u64,
-) -> Result<(), SpillError> {
-    let WorkerScratch { num_vertices, index, counts, starts, gather, .. } = scratch;
-    let in_place = !pool.is_capped();
+/// One worker's `compute` calls in one superstep.
+struct Calls<'a, 'c, P: VertexProgram> {
+    program: &'a P,
+    state: &'a mut P::WorkerState,
+    ctx: Context<'c, P::Message>,
+    /// The batch of the vertex being called.
+    batch: &'a mut Vec<P::Message>,
+    poll: CancelPoll<'a>,
+    /// `compute` calls made so far: the superstep's active vertices.
+    made: u64,
+}
+
+impl<P: VertexProgram> Calls<'_, '_, P> {
+    /// Calls `compute` on `vertex` with the batch.
+    fn call(&mut self, vertex: VertexId) {
+        self.made += 1;
+        self.program.compute(&mut self.ctx, self.state, vertex, self.batch);
+    }
+
+    /// Calls `compute` once per vertex of `index`, which is ordered by
+    /// vertex, with the messages `message` fetches for the vertex's keys.
+    /// Returns false when a hard cancel stopped it.
+    fn per_vertex(&mut self, index: &[Key], message: impl Fn(u32, u32) -> P::Message) -> bool {
+        for run in index.chunk_by(|a, b| a.0 == b.0) {
+            if self.made & 31 == 31 && self.poll.should_abort() {
+                return false;
+            }
+            self.batch.clear();
+            self.batch.extend(run.iter().map(|&(_, p, slot)| message(p, slot)));
+            self.call(run[0].0);
+        }
+        true
+    }
+}
+
+/// Reads an uncapped worker's inbox where the exchange delivered it: the
+/// regroup index orders one `(vertex, part, slot)` key per message by a
+/// counting sort on the vertex (see [`crate::regroup`]), and each vertex's
+/// batch copies its messages from the chunks they sit in. Spilling needs
+/// a cap, so every part is a resident chunk.
+fn read_in_place<P: VertexProgram>(
+    inbox: &[InboxPart<P::Message>],
+    scratch: &mut InboxScratch<P::Message>,
+    calls: &mut Calls<'_, '_, P>,
+) {
     let total = inbox.iter().map(InboxPart::tuples).sum::<u64>();
     assert!(
         total <= u64::from(u32::MAX) && inbox.len() <= u32::MAX as usize,
         "an inbox of {total} messages in {} parts overflows the regroup index",
         inbox.len()
     );
-    let total = total as usize;
-    gather.clear();
-    starts.clear();
-    for part in inbox.iter_mut() {
-        starts.push(gather.len() as u32);
-        match part {
-            InboxPart::Chunk(_) if in_place => {}
-            _ => match std::mem::take(part) {
-                InboxPart::Chunk(mut c) => {
-                    gather.append(&mut c);
-                    pool.release(c);
-                }
-                InboxPart::Spilled(seg) => {
-                    let store = spill.expect("spilled inbox part without a spill store");
-                    timed(spill_nanos, || store.readmit(seg, gather))?;
-                }
-            },
+    let InboxScratch { num_vertices, index, counts, .. } = scratch;
+    order_by_vertex(inbox, total as usize, 0, *num_vertices, counts, index);
+    calls.per_vertex(index, |part, slot| keyed(inbox, part, slot).1);
+}
+
+/// Reads a capped worker's inbox one range group at a time: a run of
+/// consecutive destination vertices whose messages fit `budget`, the
+/// worker's share of the live-chunk cap in tuples.
+///
+/// First the inbox is cut into pieces in delivery order. Each run of
+/// consecutive resident chunks is copied into the side buffer ordered by
+/// vertex, delivery order kept within each, and its chunks go back to the
+/// pool: an inbox held under a cap starves the outbox (DESIGN.md §14).
+/// Each segment's block table is read. Then, group by group from the
+/// lowest unread vertex `lo`, the group's end is the largest `until` whose
+/// unread messages below it fit the budget — counting every unread tuple
+/// of a segment block that starts below `until`, so the count is an upper
+/// bound — or `lo + 1` when vertex `lo` alone does not fit. The group
+/// gathers, piece by piece in delivery order, the side buffer's messages
+/// below `until` and, with one read per segment, the segment's tuples
+/// below it; it is regrouped by vertex and handed to `compute`. A segment
+/// is deleted, and counted as re-admitted, after its last tuple is read.
+///
+/// So the messages held at once are the side buffer, which the barrier
+/// eviction holds to the cap, and a group of at most `budget` messages,
+/// or one vertex's: never more as the inbox grows.
+fn read_by_range<P: VertexProgram>(
+    inbox: &mut [InboxPart<P::Message>],
+    scratch: &mut InboxScratch<P::Message>,
+    pool: &ChunkPool<P::Message>,
+    spill: Option<&SpillStore>,
+    budget: u64,
+    calls: &mut Calls<'_, '_, P>,
+) -> Result<(), SpillError> {
+    let InboxScratch { num_vertices, index, counts, resident, group, pieces, table, raw } = scratch;
+    resident.clear();
+    pieces.clear();
+    table.clear();
+    let mut p = 0;
+    while p < inbox.len() {
+        if let InboxPart::Spilled(seg) = &inbox[p] {
+            let store = spill.expect("spilled inbox part without a spill store");
+            let first = table.len();
+            timed(&mut calls.ctx.spill_nanos, || store.read_table(seg, table, raw))?;
+            let (tuples, vertex) = (seg.tuples, table.get(first).map_or(0, |b| b.first));
+            pieces.push(Piece::Spilled {
+                part: p,
+                blocks: first..table.len(),
+                tuples,
+                next: 0,
+                vertex,
+            });
+            p += 1;
+            continue;
         }
+        let end = (p..inbox.len()).find(|&q| matches!(inbox[q], InboxPart::Spilled(_)));
+        let end = end.unwrap_or(inbox.len());
+        let run = &mut inbox[p..end];
+        let total = run.iter().map(InboxPart::tuples).sum::<u64>() as usize;
+        order_by_vertex(&*run, total, 0, *num_vertices, counts, index);
+        let at = resident.len();
+        resident.extend(index.iter().map(|&(_, part, slot)| *keyed(run, part, slot)));
+        for part in run.iter_mut() {
+            std::mem::take(part).release(pool, spill);
+        }
+        pieces.push(Piece::Resident { next: at, end: resident.len() });
+        p += run.len();
     }
-    starts.push(gather.len() as u32);
-    let (inbox, gather, starts) = (&*inbox, &gather[..], &starts[..]);
-    index.clear();
-    let counted = total * COUNTING_SORT_MIN_FILL >= *num_vertices && {
-        counts.resize(*num_vertices, 0);
-        counting_sort(inbox, gather, starts, counts, index, total)
-    };
-    if !counted {
-        index.reserve(total);
-        for_each_key(inbox, gather, starts, |v, p, slot| index.push((v, p, slot)));
-        index.sort_unstable();
+    while let Some(lo) = pieces.iter().filter_map(|piece| piece.next_vertex(resident)).min() {
+        let until = group_end(lo, budget, |until| {
+            pieces.iter().map(|piece| piece.unread_below(until, inbox, resident, table)).sum()
+        });
+        group.clear();
+        for piece in pieces.iter_mut() {
+            match piece {
+                Piece::Resident { next, end } => {
+                    let n = resident[*next..*end].partition_point(|t| u64::from(t.0) < until);
+                    group.extend_from_slice(&resident[*next..*next + n]);
+                    *next += n;
+                }
+                Piece::Spilled { part, blocks, tuples, next, vertex } => {
+                    if next == tuples || u64::from(*vertex) >= until {
+                        continue;
+                    }
+                    let store = spill.expect("spilled inbox part without a spill store");
+                    let (seg, table) = (segment(inbox, *part), &table[blocks.clone()]);
+                    let read = seg.block_of(*next)..blocks_below(seg, table, *next, until);
+                    let (at, stop) = timed(&mut calls.ctx.spill_nanos, || {
+                        store.read_blocks(seg, table, read.clone(), *next, until, raw, group)
+                    })?;
+                    *next = at;
+                    match stop {
+                        Some(v) => *vertex = v,
+                        None if at < *tuples => *vertex = table[read.end].first,
+                        None => {
+                            let InboxPart::Spilled(seg) = std::mem::take(&mut inbox[*part]) else {
+                                unreachable!("an unconsumed segment")
+                            };
+                            store.consumed(seg);
+                        }
+                    }
+                }
+            }
+        }
+        let top = group.iter().map(|t| t.0).max().expect("a group holds vertex lo's messages");
+        order_by_vertex(&group[..], group.len(), lo, (top - lo) as usize + 1, counts, index);
+        if !calls.per_vertex(index, |_, slot| group[slot as usize].1) {
+            break;
+        }
     }
     Ok(())
 }
 
-/// Fills the empty `index` with the `total` inbox keys by a stable
-/// counting sort on the vertex and leaves `counts` all zero. Returns
-/// false, with `index` still empty, when a key addresses a vertex past
-/// `counts`.
-fn counting_sort<M>(
-    inbox: &[InboxPart<M>],
-    gather: &[(VertexId, M)],
-    starts: &[u32],
-    counts: &mut [u32],
-    index: &mut Vec<(VertexId, u32, u32)>,
-    total: usize,
-) -> bool {
-    let mut in_range = true;
-    for_each_key(inbox, gather, starts, |v, _, _| match counts.get_mut(v as usize) {
-        Some(c) => *c += 1,
-        None => in_range = false,
-    });
-    if !in_range {
-        counts.fill(0);
-        return false;
+/// The end of the range group that starts at vertex `lo`: the largest
+/// `until` at which `held(until)`, the unread messages below `until`, fit
+/// `budget`, or `lo + 1` when vertex `lo`'s alone do not. `held` never
+/// falls as `until` grows.
+fn group_end(lo: VertexId, budget: u64, held: impl Fn(u64) -> u64) -> u64 {
+    let (mut fits, mut over) = (u64::from(lo) + 1, u64::from(VertexId::MAX) + 2);
+    if held(fits) > budget {
+        return fits;
     }
-    // Each vertex's first position in the index.
-    let mut next = 0u32;
-    for c in counts.iter_mut() {
-        (*c, next) = (next, next + *c);
-    }
-    index.resize(total, (0, 0, 0));
-    for_each_key(inbox, gather, starts, |v, p, slot| {
-        let at = &mut counts[v as usize];
-        index[*at as usize] = (v, p, slot);
-        *at += 1;
-    });
-    counts.fill(0);
-    true
-}
-
-/// Calls `key` with every inbox message's `(vertex, part, slot)` in
-/// delivery order, which is `(part, slot)` order: a part's messages sit in
-/// its chunk, or at `starts[part]..starts[part + 1]` of `gather` once
-/// taken.
-fn for_each_key<M>(
-    inbox: &[InboxPart<M>],
-    gather: &[(VertexId, M)],
-    starts: &[u32],
-    mut key: impl FnMut(VertexId, u32, u32),
-) {
-    for ((p, part), range) in (0u32..).zip(inbox).zip(starts.windows(2)) {
-        let (lo, hi) = (range[0], range[1]);
-        if lo < hi {
-            for (slot, &(v, _)) in (lo..).zip(&gather[lo as usize..hi as usize]) {
-                key(v, p, slot);
-            }
-        } else if let InboxPart::Chunk(c) = part {
-            for (slot, &(v, _)) in (0u32..).zip(c.iter()) {
-                key(v, p, slot);
-            }
+    while over - fits > 1 {
+        let mid = fits + (over - fits) / 2;
+        if held(mid) <= budget {
+            fits = mid;
+        } else {
+            over = mid;
         }
     }
+    fits
 }
 
-/// The message a `(part, slot)` key names: in the part's chunk while the
-/// part still holds it, in `gather` once the part was taken.
-fn keyed<'a, M>(
-    inbox: &'a [InboxPart<M>],
-    gather: &'a [(VertexId, M)],
-    part: u32,
-    slot: u32,
-) -> &'a (VertexId, M) {
+/// The message a `(part, slot)` key of an in-place regroup names.
+fn keyed<M>(inbox: &[InboxPart<M>], part: u32, slot: u32) -> &(VertexId, M) {
     match &inbox[part as usize] {
-        InboxPart::Chunk(c) if !c.is_empty() => &c[slot as usize],
-        _ => &gather[slot as usize],
+        InboxPart::Chunk(c) => &c[slot as usize],
+        InboxPart::Spilled(_) => unreachable!("a spilled inbox part is never keyed"),
     }
 }
 
@@ -1289,6 +1422,8 @@ mod tests {
 
     // ── spill tier ──────────────────────────────────────────────────────
 
+    use crate::chunk::Chunk;
+    use crate::regroup::COUNTING_SORT_MIN_FILL;
     use crate::spill::{SpillConfig, SpillFaults};
 
     fn run_min_label_spilling(
@@ -1633,36 +1768,57 @@ mod tests {
         }
     }
 
-    /// A hand-built inbox with spilled segments between resident chunks,
-    /// one of them grown past the chunk capacity, through `run_worker`
-    /// over an uncapped pool (chunks read in place, segments gathered) and
-    /// a capped one (everything gathered): ascending vertices, delivery
-    /// order within each, and every chunk and blob returned by the end.
+    /// A hand-built inbox through `run_worker`: all resident over an
+    /// uncapped pool (read in place), and with spilled segments between
+    /// resident chunks over a capped one, whose budget of four tuples cuts
+    /// it into many range groups. Segments of several chunks span several
+    /// blocks and groups, a chunk is grown past the chunk capacity, and
+    /// vertex 5's messages sit in resident chunks and in the segments of
+    /// two sources. Either way: ascending vertices, delivery order within
+    /// each, and every chunk and segment returned by the end.
     #[test]
     fn a_mixed_inbox_is_read_in_delivery_order() {
-        // Message `m` is the m-th tuple delivered.
-        let parts: [&[(VertexId, u32)]; 4] = [
-            &[(5, 0), (2, 1), (5, 2)],
-            &[(2, 3), (9, 4)],
-            &[(9, 5), (5, 6), (0, 7), (2, 8)],
-            &[(0, 9), (5, 10)],
+        // `(spilled, chunks)` in delivery order; message `m` is the m-th
+        // tuple delivered.
+        let parts: [(bool, &[&[VertexId]]); 7] = [
+            (true, &[&[5, 2, 5], &[9, 0]]),
+            (false, &[&[2, 5, 9]]),
+            (true, &[&[5, 5, 1, 12], &[3, 5, 0, 2], &[7]]),
+            (false, &[&[5, 0]]),
+            (false, &[&[12, 12, 3]]),
+            (true, &[&[1, 5, 9, 9, 9]]),
+            (false, &[&[14, 5]]),
         ];
-        let want = [(0, vec![7, 9]), (2, vec![1, 3, 8]), (5, vec![0, 2, 6, 10]), (9, vec![4, 5])];
+        let mut want = std::collections::BTreeMap::<VertexId, Vec<u32>>::new();
+        let delivered = parts.iter().flat_map(|(_, chunks)| chunks.iter().copied().flatten());
+        for (m, &v) in (0u32..).zip(delivered) {
+            want.entry(v).or_default().push(m);
+        }
+        let total = want.values().map(Vec::len).sum::<usize>();
         let store = SpillStore::create(&SpillConfig::in_temp()).unwrap();
-        for max_live in [None, Some(4)] {
+        for max_live in [None, Some(2)] {
             let pool = ChunkPool::with_limit(2, max_live);
-            let mut inbox: Vec<InboxPart<u32>> = (parts.iter().enumerate())
-                .map(|(i, tuples)| {
-                    let mut chunk = pool.acquire();
-                    chunk.extend_from_slice(tuples);
-                    if i % 2 == 0 {
-                        return InboxPart::Chunk(chunk);
-                    }
-                    let seg = store.spill(std::slice::from_ref(&chunk)).unwrap();
-                    pool.release(chunk);
-                    InboxPart::Spilled(seg)
-                })
-                .collect();
+            let (mut inbox, mut m) = (Vec::new(), 0u32);
+            for &(spilled, chunks) in &parts {
+                let chunks: Vec<Chunk<u32>> = (chunks.iter())
+                    .map(|vertices| {
+                        let mut chunk = pool.acquire();
+                        for &v in *vertices {
+                            chunk.push((v, m));
+                            m += 1;
+                        }
+                        chunk
+                    })
+                    .collect();
+                if spilled && max_live.is_some() {
+                    let mut scratch = SpillScratch::default();
+                    let seg = store.spill(&chunks, pool.capacity(), &mut scratch).unwrap();
+                    chunks.into_iter().for_each(|c| pool.release(c));
+                    inbox.push(InboxPart::Spilled(seg));
+                } else {
+                    inbox.extend(chunks.into_iter().map(InboxPart::Chunk));
+                }
+            }
             // Superstep 3: the probe records its calls and sends nothing.
             let prog = Probe::new(16, Trip::Nothing);
             let mut scratch = WorkerScratch::new(16);
@@ -1684,75 +1840,64 @@ mod tests {
                 Some(&store),
             )
             .unwrap();
-            assert_eq!((m.messages_in, m.active_vertices), (11, 4), "cap {max_live:?}");
+            let case = format!("cap {max_live:?}");
+            assert_eq!(
+                (m.messages_in, m.active_vertices),
+                (total as u64, want.len() as u64),
+                "{case}"
+            );
             let order: Vec<_> = prog.order.into_inner().into_iter().map(|(_, _, v)| v).collect();
-            assert_eq!(order, [0, 2, 5, 9], "cap {max_live:?}: ascending vertices");
+            assert_eq!(order, want.keys().copied().collect::<Vec<_>>(), "{case}: ascending");
             let calls = prog.calls.into_inner();
             for (v, batch) in &want {
-                assert_eq!(
-                    calls[&(3, *v)],
-                    std::slice::from_ref(batch),
-                    "cap {max_live:?}: vertex {v}"
-                );
+                assert_eq!(calls[&(3, *v)], std::slice::from_ref(batch), "{case}: vertex {v}");
             }
-            assert!(inbox.is_empty(), "cap {max_live:?}: the inbox is consumed");
-            assert_eq!(pool.outstanding(), 0, "cap {max_live:?}: every chunk went back");
-            assert_eq!(store.live_bytes(), 0, "cap {max_live:?}: every segment was read");
+            if max_live.is_some() {
+                let held = scratch.inbox.group.capacity();
+                assert!(held < total, "{case}: one group of {held} held the whole inbox");
+            }
+            assert!(inbox.is_empty(), "{case}: the inbox is consumed");
+            assert_eq!(pool.outstanding(), 0, "{case}: every chunk went back");
+            assert_eq!(store.live_bytes(), 0, "{case}: every segment was read");
+            assert_eq!(store.readmitted(), store.spilled_chunks(), "{case}");
         }
     }
 
-    /// One random inbox for the regroup test: `parts` parts, each a chunk
-    /// of up to 8 messages kept resident or spilled, with destinations
-    /// from `dest`. Returns the inbox, its keys as the old regroup built
-    /// them — slots in the chunk for a part read in place, in the gather
-    /// buffer for a taken one — and the messages in delivery order.
+    /// One random inbox of `parts` resident chunks of up to 8 messages,
+    /// with destinations from `dest`. Returns the inbox, its regroup keys
+    /// in delivery order, and the messages in delivery order.
     #[allow(clippy::type_complexity)]
     fn random_inbox(
         rng: &mut impl FnMut(usize) -> usize,
         parts: u32,
         pool: &ChunkPool<u32>,
-        store: &SpillStore,
         dest: &mut dyn FnMut(&mut dyn FnMut(usize) -> usize) -> VertexId,
-    ) -> (Vec<InboxPart<u32>>, Vec<(VertexId, u32, u32)>, Vec<(VertexId, u32)>) {
-        let (mut inbox, mut keys, mut delivered, mut taken) =
-            (Vec::new(), Vec::new(), Vec::new(), 0);
+    ) -> (Vec<InboxPart<u32>>, Vec<Key>, Vec<(VertexId, u32)>) {
+        let (mut inbox, mut keys, mut delivered) = (Vec::new(), Vec::new(), Vec::new());
         for p in 0..parts {
-            let spilled = rng(3) == 0;
             let mut chunk = pool.acquire();
-            for _ in 0..usize::from(spilled) + rng(9) {
+            for _ in 0..rng(9) {
                 let v = dest(&mut *rng);
                 chunk.push((v, delivered.len() as u32));
                 delivered.push((v, delivered.len() as u32));
             }
-            if spilled || pool.is_capped() {
-                keys.extend(chunk.iter().zip(taken..).map(|(&(v, _), slot)| (v, p, slot)));
-                taken += chunk.len() as u32;
-            } else {
-                keys.extend(chunk.iter().zip(0..).map(|(&(v, _), slot)| (v, p, slot)));
-            }
-            inbox.push(if spilled {
-                let seg = store.spill(std::slice::from_ref(&chunk)).unwrap();
-                pool.release(chunk);
-                InboxPart::Spilled(seg)
-            } else {
-                InboxPart::Chunk(chunk)
-            });
+            keys.extend(chunk.iter().zip(0..).map(|(&(v, _), slot)| (v, p, slot)));
+            inbox.push(InboxPart::Chunk(chunk));
         }
         (inbox, keys, delivered)
     }
 
-    /// `index_inbox` against `sort_unstable` of the same keys, on random
-    /// inboxes mixing chunks read in place, chunks gathered under a
-    /// live-chunk cap and spilled segments, for graphs on both sides of
-    /// the crossover: the index is that sorted key list, each key names
-    /// its message, and the counts were taken exactly when the inbox was
-    /// not small against the graph, and are zero again. Destinations cover
-    /// vertex 0, the largest vertex, one vertex taking every message, a
-    /// vertex past a graph at the crossover (the sort takes over), and an
-    /// empty inbox.
+    /// `order_by_vertex` against `sort_unstable` of the same keys, on
+    /// random inboxes read in place and on the same messages gathered into
+    /// one run keyed from its lowest vertex (a range group), for spans on
+    /// both sides of the crossover: the index is that sorted key list, each
+    /// key names its message, and the counts were taken exactly when the
+    /// keys were not few against the span, and are zero again.
+    /// Destinations cover vertex 0, the largest vertex, one vertex taking
+    /// every message, a vertex past a span at the crossover (the sort takes
+    /// over), and an empty inbox.
     #[test]
     fn the_counting_regroup_orders_keys_as_sort_unstable_does() {
-        let store = SpillStore::create(&SpillConfig::in_temp()).unwrap();
         let lcg = |mut state: u64| {
             move |bound: usize| {
                 state = state
@@ -1762,6 +1907,7 @@ mod tests {
             }
         };
         let mut pick = lcg(7);
+        let pool = ChunkPool::new(4);
         for round in 0..80u64 {
             let parts = if round == 0 { 0 } else { 1 + pick(12) as u32 };
             let span = [1, 7, 64, 1_000, 50_000][pick(5)];
@@ -1773,39 +1919,42 @@ mod tests {
                 2 => top,
                 _ => [0, top][rng(2)],
             };
-            for max_live in [None, Some(2)] {
-                let pool = ChunkPool::with_limit(4, max_live);
-                let (inbox, _, delivered) =
-                    random_inbox(&mut lcg(round), parts, &pool, &store, &mut dest);
-                inbox.into_iter().for_each(|part| part.release(&pool, Some(&store)));
-                let total = delivered.len();
-                let fill = total * COUNTING_SORT_MIN_FILL;
-                for vertices in [span, fill.max(1), fill + 1] {
-                    // The same inbox again, fresh for this graph size.
-                    let (mut inbox, mut keys, mut delivered) =
-                        random_inbox(&mut lcg(round), parts, &pool, &store, &mut dest);
-                    let case = format!("round {round}, {vertices} vertices, cap {max_live:?}");
-                    keys.sort_unstable();
-                    // Message numbers rise in delivery order: by vertex, stably.
-                    delivered.sort_unstable();
-                    let mut scratch = WorkerScratch::new(vertices);
-                    index_inbox(&mut inbox, &mut scratch, &pool, Some(&store), &mut 0).unwrap();
-                    assert_eq!(scratch.index, keys, "{case}");
-                    let read: Vec<(VertexId, u32)> = (scratch.index.iter())
-                        .map(|&(_, p, slot)| *keyed(&inbox, &scratch.gather, p, slot))
-                        .collect();
-                    assert_eq!(read, delivered, "{case}");
-                    let counted = if fill >= vertices { vertices } else { 0 };
-                    assert_eq!(scratch.counts.len(), counted, "{case}");
-                    assert!(scratch.counts.iter().all(|&c| c == 0), "{case}");
-                    for part in inbox.drain(..) {
-                        part.release(&pool, Some(&store));
-                    }
-                }
-                assert_eq!(pool.outstanding(), 0, "round {round}, cap {max_live:?}");
+            let (mut inbox, mut keys, mut delivered) =
+                random_inbox(&mut lcg(round), parts, &pool, &mut dest);
+            keys.sort_unstable();
+            let total = delivered.len();
+            let fill = total * COUNTING_SORT_MIN_FILL;
+            for vertices in [span, fill.max(1), fill + 1] {
+                let case = format!("round {round}, {vertices} vertices");
+                let mut scratch: WorkerScratch<u32> = WorkerScratch::new(vertices);
+                let InboxScratch { index, counts, .. } = &mut scratch.inbox;
+                order_by_vertex(&inbox[..], total, 0, vertices, counts, index);
+                assert_eq!(*index, keys, "{case}");
+                let read: Vec<(VertexId, u32)> =
+                    index.iter().map(|&(_, p, slot)| *keyed(&inbox, p, slot)).collect();
+                let mut sorted = delivered.clone();
+                // Message numbers rise in delivery order: by vertex, stably.
+                sorted.sort_unstable();
+                assert_eq!(read, sorted, "{case}");
+                let counted = if fill >= vertices { vertices } else { 0 };
+                assert_eq!(counts.len(), counted, "{case}");
+                assert!(counts.iter().all(|&c| c == 0), "{case}");
+
+                // The same messages as one gathered run, keyed from its
+                // lowest vertex.
+                let lo = delivered.iter().map(|t| t.0).min().unwrap_or(0);
+                let gathered: Vec<Key> =
+                    (0u32..).zip(&delivered).map(|(i, t)| (t.0, 0, i)).collect();
+                let mut want = gathered.clone();
+                want.sort_unstable();
+                order_by_vertex(&delivered[..], total, lo, vertices, counts, index);
+                assert_eq!(*index, want, "{case}, gathered");
+                assert!(counts.iter().all(|&c| c == 0), "{case}, gathered");
             }
+            delivered.clear();
+            inbox.drain(..).for_each(|part| part.release(&pool, None));
         }
-        assert_eq!(store.live_bytes(), 0, "every segment was read or discarded");
+        assert_eq!(pool.outstanding(), 0);
     }
 
     // ── the one way out, across every terminal state ────────────────────
@@ -1891,6 +2040,8 @@ mod tests {
         /// `Some`: the row runs over this exchange (which disables spill).
         exchange: Option<LoopExchange>,
         want: Want,
+        /// The run must end after `compute` was called in superstep 1.
+        after_compute: bool,
     }
 
     impl Default for Row {
@@ -1905,6 +2056,7 @@ mod tests {
                 faults: None,
                 exchange: None,
                 want: Want::Complete,
+                after_compute: false,
             }
         }
     }
@@ -1924,6 +2076,7 @@ mod tests {
         };
         let expired = || Some(CancelToken::with_timeout(std::time::Duration::ZERO));
         let corrupt = Some(SpillFaults { corrupt_read: true, ..SpillFaults::default() });
+        let short = Some(SpillFaults { short_read: true, ..SpillFaults::default() });
         let exchange =
             |fail_after, abort_after| Some(LoopExchange { k: 4, fail_after, abort_after });
         use CancelReason::*;
@@ -1954,11 +2107,25 @@ mod tests {
                 ..Row::default()
             },
             Row {
-                name: "re-admission failure",
+                name: "corrupt segment header, read before compute",
                 faults: corrupt,
                 want: Want::Failed(|e| {
                     matches!(e, BspError::Spill { superstep: 1, error: SpillError::Corrupt { .. } })
                 }),
+                ..Row::default()
+            },
+            Row {
+                // A worker's budget is 3 of its 48 messages, so a segment
+                // that holds more than 3 is resumed in a later range group.
+                name: "short block in a later range group",
+                faults: short,
+                want: Want::Failed(|e| {
+                    matches!(
+                        e,
+                        BspError::Spill { superstep: 1, error: SpillError::Truncated { .. } }
+                    )
+                }),
+                after_compute: true,
                 ..Row::default()
             },
             Row {
@@ -2129,6 +2296,10 @@ mod tests {
                         }
                         (Err(e), _) => panic!("{case}: failed with {e}"),
                     };
+                    if row.after_compute {
+                        let called = prog.calls.lock().keys().any(|&(s, _)| s == 1);
+                        assert!(called, "{case}: the read failed before any compute call");
+                    }
                     if let Some(m) = metrics {
                         assert_eq!(m.chunks_outstanding, 0, "{case}");
                         // Rows that end at superstep 0 stop before the cap bites.

@@ -56,12 +56,11 @@ impl Executor for ThreadExecutor {
         if tasks.len() == 1 {
             return SerialExecutor.run_superstep(superstep, tasks);
         }
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for task in tasks {
-                scope.spawn(move |_| (task.run)());
+                scope.spawn(task.run);
             }
-        })
-        .expect("executor worker threads never unwind");
+        });
     }
 }
 

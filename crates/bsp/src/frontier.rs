@@ -13,7 +13,7 @@
 use crate::chunk::{push_chunked, Chunk, ChunkPool};
 use crate::context::Encode;
 use crate::exchange::WorkerOutbox;
-use crate::spill::{SpillError, SpillSegment, SpillStore};
+use crate::spill::{SpillError, SpillScratch, SpillSegment, SpillStore};
 use psgl_graph::VertexId;
 
 /// One (source → destination) stream of a worker's outbox: what the
@@ -58,10 +58,10 @@ fn discard_segment(seg: SpillSegment, spill: Option<&SpillStore>) {
 
 /// One slot of a destination inbox: a resident pool chunk, or a spilled
 /// segment standing in for the chunks it displaced. Parts appear in
-/// delivery order, and a worker's regroup index orders messages by their
-/// part's position, so a segment's tuples are delivered exactly where its
-/// chunks' would have been: results are bit-identical to a run that never
-/// spilled.
+/// delivery order, and a worker gathers each vertex's messages from its
+/// parts in that order, so a segment's tuples are delivered exactly where
+/// its chunks' would have been: results are bit-identical to a run that
+/// never spilled.
 pub(crate) enum InboxPart<M> {
     /// A resident pooled chunk (zero-capacity = consumed placeholder).
     Chunk(Chunk<M>),
@@ -156,9 +156,10 @@ impl<M> Frontier<M> {
         self.inboxes.iter().flatten().map(InboxPart::tuples).sum()
     }
 
-    /// Empties the frontier into per-destination tuple runs (delivery
-    /// order preserved), releasing resident chunks and re-admitting
-    /// spilled segments — the checkpointable form. On a re-admission
+    /// Empties the frontier into per-destination tuple runs, releasing
+    /// resident chunks and reading whole spilled segments back — the
+    /// checkpointable form. Each vertex's messages keep their delivery
+    /// order; a segment's tuples come back ordered by vertex. On a re-admission
     /// failure every remaining chunk is still released (the pool stays
     /// balanced) and the typed error is reported after the sweep.
     pub(crate) fn flatten(
@@ -207,9 +208,15 @@ impl<M> Frontier<M> {
     /// in delivery order (oldest first): at a barrier the whole frontier is
     /// equally cold, and oldest-first makes eviction deterministic and
     /// sequential on disk. A write failure stops eviction entirely: the
-    /// frontier stays resident (degraded, never wrong).
-    pub(crate) fn evict(&mut self, pool: &ChunkPool<M>, store: &SpillStore, cap: i64)
-    where
+    /// frontier stays resident (degraded, never wrong). Segments are
+    /// encoded in `scratch`.
+    pub(crate) fn evict(
+        &mut self,
+        pool: &ChunkPool<M>,
+        store: &SpillStore,
+        cap: i64,
+        scratch: &mut SpillScratch,
+    ) where
         M: Encode,
     {
         for inbox in self.inboxes.iter_mut() {
@@ -239,7 +246,7 @@ impl<M> Frontier<M> {
                         _ => break,
                     }
                 }
-                match store.spill(&run) {
+                match store.spill(&run, pool.capacity(), scratch) {
                     Ok(seg) => {
                         for c in run {
                             pool.release(c);

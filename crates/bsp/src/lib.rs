@@ -35,6 +35,7 @@ pub mod exchange;
 pub mod exec;
 pub mod frontier;
 pub mod metrics;
+mod regroup;
 pub mod spill;
 
 pub use cancel::{CancelReason, CancelToken};
@@ -50,4 +51,6 @@ pub use frontier::OutStream;
 pub use metrics::{
     CarriedCounters, EngineMetrics, NetSuperstepMetrics, SuperstepMetrics, WorkerSuperstepMetrics,
 };
-pub use spill::{SpillConfig, SpillError, SpillFaults, SpillSegment, SpillStore, SPILL_MAGIC};
+pub use spill::{
+    SpillConfig, SpillError, SpillFaults, SpillScratch, SpillSegment, SpillStore, SPILL_MAGIC,
+};

@@ -1,7 +1,10 @@
 //! A worker reads its inbox where the exchange delivered it: regrouping
 //! sorts a 12-byte `(vertex, part, slot)` key per message, not the
 //! messages, so the superstep that receives the largest inbox allocates
-//! the index and nothing proportional to the messages themselves.
+//! the index and nothing proportional to the messages themselves. Under a
+//! live-chunk cap with the spill tier, it reads its inbox one range of
+//! vertices at a time, so that superstep allocates what the cap sets,
+//! whatever the inbox's size.
 //!
 //! A counting `#[global_allocator]` tracks live and peak heap bytes; an
 //! executor wrapper resets the peak at the start of the measured superstep
@@ -10,7 +13,7 @@
 
 use psgl_bsp::{
     run_controlled, BspConfig, Context, Encode, EngineMetrics, Executor, RunControl, RunOutcome,
-    SerialExecutor, VertexProgram, WorkerTask,
+    SerialExecutor, SpillConfig, SpillStore, VertexProgram, WorkerTask,
 };
 use psgl_graph::partition::HashPartitioner;
 use psgl_graph::VertexId;
@@ -61,7 +64,7 @@ unsafe impl GlobalAlloc for PeakAlloc {
 #[global_allocator]
 static GLOBAL: PeakAlloc = PeakAlloc;
 
-/// Both tests run engines; the measured superstep must not see the other
+/// The tests run engines; the measured superstep must not see another
 /// test's allocations.
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
@@ -123,9 +126,15 @@ impl Executor for Metered {
     }
 }
 
-fn relay(n: usize, config: &BspConfig, executor: &dyn Executor) -> EngineMetrics {
+fn relay(
+    n: usize,
+    config: &BspConfig,
+    executor: &dyn Executor,
+    spill: Option<&SpillStore>,
+) -> EngineMetrics {
     let p = HashPartitioner::new(2);
-    match run_controlled(n, &p, &Relay { n }, config, executor, RunControl::default()).unwrap() {
+    let control = RunControl { spill, ..RunControl::default() };
+    match run_controlled(n, &p, &Relay { n }, config, executor, control).unwrap() {
         RunOutcome::Complete(r) => r.metrics,
         RunOutcome::Cancelled(_) => unreachable!("nothing cancels this run"),
     }
@@ -135,7 +144,7 @@ fn relay(n: usize, config: &BspConfig, executor: &dyn Executor) -> EngineMetrics
 fn the_largest_inbox_is_regrouped_without_copying_it() {
     let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let meter = Metered { superstep: 2, grew: AtomicUsize::new(0) };
-    let m = relay(20_000, &BspConfig::default(), &meter);
+    let m = relay(20_000, &BspConfig::default(), &meter, None);
     assert_eq!(m.superstep_count(), 3);
     let last = &m.supersteps[2];
     assert_eq!(last.messages_out(), 0, "the measured superstep sends nothing");
@@ -158,8 +167,42 @@ fn a_capped_inbox_is_released_before_compute() {
     // over the cap.
     let cap = 32;
     let config = BspConfig { chunk_capacity: 64, max_live_chunks: Some(cap), ..Default::default() };
-    let m = relay(2_000, &config, &SerialExecutor);
+    let m = relay(2_000, &config, &SerialExecutor, None);
     assert!(m.carried.pool_exhausted > 0, "the cap must bind");
     let peak = m.carried.chunks_live_peak;
     assert!(peak <= cap, "{peak} chunks live under a cap of {cap}");
+}
+
+#[test]
+fn a_spilled_inbox_is_read_within_a_bound_set_by_the_cap() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    // 32 chunks of 64 tuples: 2 048 messages, about 1/20 of the smaller
+    // run's largest inbox.
+    let (cap, capacity) = (32, 64);
+    let config =
+        BspConfig { chunk_capacity: capacity, max_live_chunks: Some(cap), ..Default::default() };
+    // What the cap lets a capped superstep hold: the resident inbox the
+    // barrier eviction leaves (at most the cap's tuples), and each
+    // worker's range group (its share of them, plus one vertex's two
+    // messages) with the encoded bytes it was read from and its 12-byte
+    // keys. Eight times the cap's tuples covers all of that with every
+    // buffer at twice its length, as a doubling growth can leave it. Read
+    // whole, as before ranges, the inbox alone costs 96 bytes a message.
+    let tuple = std::mem::size_of::<(VertexId, Msg)>();
+    let bound = 8 * cap as usize * capacity * tuple;
+    for n in [20_000, 80_000] {
+        let store = SpillStore::create(&SpillConfig::in_temp()).unwrap();
+        let meter = Metered { superstep: 2, grew: AtomicUsize::new(0) };
+        let m = relay(n, &config, &meter, Some(&store));
+        assert_eq!(m.superstep_count(), 3);
+        let inbox: u64 = m.supersteps[2].workers.iter().map(|w| w.messages_in).sum();
+        assert_eq!(inbox, 2 * n as u64);
+        assert!(m.carried.spill_chunks > 0, "{n} vertices: the cap must bind");
+        assert_eq!(m.carried.readmitted_chunks, m.carried.spill_chunks, "{n} vertices");
+        let grew = meter.grew.load(Ordering::Relaxed);
+        assert!(
+            grew < bound,
+            "the capped superstep receiving {inbox} messages allocated {grew} bytes >= {bound}"
+        );
+    }
 }

@@ -704,7 +704,8 @@ mod tests {
         assert!(err.message.contains(why), "{err}");
 
         let store = psgl_bsp::SpillStore::create(&psgl_bsp::SpillConfig::in_temp()).unwrap();
-        let segment = store.spill(&[vec![(7, bad)]]).unwrap();
+        let mut scratch = psgl_bsp::SpillScratch::default();
+        let segment = store.spill(&[vec![(7, bad)]], 1, &mut scratch).unwrap();
         let mut out: Vec<(VertexId, Gpsi)> = Vec::new();
         assert_eq!(
             store.readmit(segment, &mut out),

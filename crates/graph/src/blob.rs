@@ -5,9 +5,11 @@
 //! magic: [u8; 8] | payload | checksum: u64 LE (FxHash of the payload)
 //! ```
 //!
-//! [`seal`] frames a payload, [`unseal`] checks the frame and hands the
-//! payload back, and [`Reader`] walks it as bounds-checked little-endian
-//! fields. Corruption and truncation are typed errors, never a panic and
+//! [`seal`] frames a payload ([`seal_in_place`] one already laid out
+//! between a magic's and a checksum's room), [`unseal`] checks the frame
+//! and hands the payload back, and [`Reader`] walks it as bounds-checked
+//! little-endian fields. A format that checks parts of a file one at a
+//! time records each part's [`checksum`] inside a sealed header. Corruption and truncation are typed errors, never a panic and
 //! never a silently short result; each format maps them into its own error
 //! type.
 
@@ -17,7 +19,8 @@ use std::hash::Hasher;
 const MAGIC_BYTES: usize = 8;
 const CHECKSUM_BYTES: usize = 8;
 
-fn checksum(payload: &[u8]) -> u64 {
+/// The FxHash checksum a sealed frame ends with, over `payload`.
+pub fn checksum(payload: &[u8]) -> u64 {
     let mut hasher = FxHasher::default();
     hasher.write(payload);
     hasher.finish()
@@ -25,11 +28,24 @@ fn checksum(payload: &[u8]) -> u64 {
 
 /// Frames `payload` as `magic | payload | FxHash(payload)`.
 pub fn seal(magic: &[u8; MAGIC_BYTES], payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(MAGIC_BYTES + payload.len() + CHECKSUM_BYTES);
-    out.extend_from_slice(magic);
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&checksum(payload).to_le_bytes());
+    let mut out = vec![0; MAGIC_BYTES + payload.len() + CHECKSUM_BYTES];
+    out[MAGIC_BYTES..MAGIC_BYTES + payload.len()].copy_from_slice(payload);
+    seal_in_place(magic, &mut out);
     out
+}
+
+/// Seals a frame whose payload is already in place: writes `magic` over
+/// its first eight bytes and the payload's checksum over its last eight.
+/// The result is what [`seal`] returns for that payload.
+///
+/// # Panics
+///
+/// If `frame` is shorter than a magic plus a checksum.
+pub fn seal_in_place(magic: &[u8; MAGIC_BYTES], frame: &mut [u8]) {
+    let end = frame.len() - CHECKSUM_BYTES;
+    frame[..MAGIC_BYTES].copy_from_slice(magic);
+    let sum = checksum(&frame[MAGIC_BYTES..end]);
+    frame[end..].copy_from_slice(&sum.to_le_bytes());
 }
 
 /// Why [`unseal`] rejected a frame.
@@ -146,6 +162,11 @@ mod tests {
         }
         // An empty payload is a legal blob.
         assert_eq!(unseal(MAGIC, &seal(MAGIC, &[])), Ok(&[][..]));
+        // Sealing in place gives the same frame.
+        let mut in_place = vec![0xAA; frame.len()];
+        in_place[8..15].copy_from_slice(b"payload");
+        seal_in_place(MAGIC, &mut in_place);
+        assert_eq!(in_place, frame);
     }
 
     #[test]

@@ -198,11 +198,11 @@ pub fn run_job<J: MapReduceJob>(
     type Shuffle<J> = Vec<(<J as MapReduceJob>::Key, <J as MapReduceJob>::Value)>;
     let chunks: Vec<&[J::Input]> = inputs.chunks(chunk).collect();
     let mut partitions: Vec<Shuffle<J>> = (0..r).map(|_| Vec::new()).collect();
-    let mapper_outputs: Vec<Vec<Shuffle<J>>> = crossbeam::thread::scope(|scope| {
+    let mapper_outputs: Vec<Vec<Shuffle<J>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = chunks
             .into_iter()
             .map(|split| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut local: Vec<Vec<(J::Key, J::Value)>> =
                         (0..r).map(|_| Vec::new()).collect();
                     for input in split {
@@ -216,8 +216,7 @@ pub fn run_job<J: MapReduceJob>(
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("mapper join")).collect()
-    })
-    .expect("mapper scope");
+    });
     let mut shuffle_records = 0u64;
     for local in mapper_outputs {
         for (dest, mut recs) in local.into_iter().enumerate() {
@@ -233,14 +232,14 @@ pub fn run_job<J: MapReduceJob>(
     // --- reduce phase (parallel over reducers) --------------------------
     let reducer_records: Vec<u64> = partitions.iter().map(|p| p.len() as u64).collect();
     let cost_budget = config.cost_budget;
-    let reduced: Vec<(Vec<J::Output>, ReduceCtx)> = crossbeam::thread::scope(|scope| {
+    let reduced: Vec<(Vec<J::Output>, ReduceCtx)> = std::thread::scope(|scope| {
         // The intermediate collect is what makes the reducers parallel: all
         // threads must spawn before the first join.
         #[allow(clippy::needless_collect)]
         let handles: Vec<_> = partitions
             .into_iter()
             .map(|mut part| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     // Group by key in sorted order for determinism.
                     part.sort_by(|a, b| a.0.cmp(&b.0));
                     let mut out = Vec::new();
@@ -261,8 +260,7 @@ pub fn run_job<J: MapReduceJob>(
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("reducer join")).collect()
-    })
-    .expect("reducer scope");
+    });
     let mut outputs = Vec::new();
     let mut reducer_cost = Vec::with_capacity(r);
     for (mut out, ctx) in reduced {

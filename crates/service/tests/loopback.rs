@@ -1004,37 +1004,33 @@ fn loopback_mid_spill_disconnect_frees_the_slot_and_removes_the_spill_dir() {
     use std::io::Write as _;
     use std::time::{Duration, Instant};
 
-    // Spill into a directory this test owns, so it can watch segment
-    // files appear and assert they are gone after the cancel.
+    // Spill into a directory this test owns, so it can assert the run's
+    // files are gone after the cancel, and count the segments written as
+    // they are written.
     let base = std::env::temp_dir().join(format!("psgl-spill-loopback-{}", std::process::id()));
     std::fs::create_dir_all(&base).unwrap();
-    let config = ServiceConfig {
-        pool: 1,
-        queue_cap: 2,
-        defaults: spill_defaults(SpillConfig { dir: Some(base.clone()), ..SpillConfig::default() }),
-        ..test_config()
+    let written = psgl_obs::Counter::default();
+    let spill = SpillConfig {
+        dir: Some(base.clone()),
+        segments_written: Some(written.clone()),
+        ..SpillConfig::default()
     };
+    let config =
+        ServiceConfig { pool: 1, queue_cap: 2, defaults: spill_defaults(spill), ..test_config() };
     let handle = serve(config).expect("bind loopback");
     let mut monitor = Client::connect(handle.addr()).expect("connect");
     let path = load_dense_graph(&mut monitor, "dense", DENSE_EDGES);
     monitor.load("karate", "karate-club", "fixture").unwrap();
 
     // A raw connection submits the giant query and vanishes once its run
-    // has demonstrably spilled (a non-empty segment file on disk).
+    // has demonstrably spilled. A segment lives only until it is read
+    // back, so the test watches the count of segments written, which only
+    // grows, rather than the files themselves.
     let mut doomed = std::net::TcpStream::connect(handle.addr()).unwrap();
     writeln!(doomed, "{}", slow_request("dense", &[])).unwrap();
     doomed.flush().unwrap();
-    let spilled = |base: &std::path::Path| {
-        std::fs::read_dir(base).is_ok_and(|runs| {
-            runs.flatten().any(|run| {
-                std::fs::read_dir(run.path()).is_ok_and(|files| {
-                    files.flatten().any(|f| f.metadata().is_ok_and(|m| m.len() > 0))
-                })
-            })
-        })
-    };
     let deadline = Instant::now() + Duration::from_secs(60);
-    while !spilled(&base) {
+    while written.get() == 0 {
         assert!(Instant::now() < deadline, "abandoned query never spilled");
         std::thread::sleep(Duration::from_millis(5));
     }

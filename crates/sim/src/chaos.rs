@@ -50,10 +50,11 @@ pub enum SpillFault {
     /// A tiny spill-byte budget: early segments land on disk, then the
     /// store reports exhaustion and later evictions degrade to resident.
     ByteCap,
-    /// Blobs come back corrupted: re-admission must abort the run with a
-    /// typed spill error, never feed wrong tuples onward.
+    /// Segment headers come back corrupted: reading one must abort the run
+    /// with a typed spill error, never feed wrong tuples onward.
     CorruptRead,
-    /// Blobs come back truncated: same contract as [`SpillFault::CorruptRead`].
+    /// A segment read resumed in a later range group comes back truncated:
+    /// same contract as [`SpillFault::CorruptRead`].
     ShortRead,
 }
 
@@ -375,9 +376,9 @@ impl Scenario {
             }
             Err(e) => return Err(divergence(e.to_string())),
         };
-        // Reaching here with a read fault means the run never needed the
-        // disk; with a write fault it means eviction degraded to resident
-        // growth. Either way the answer must be exactly the reference's.
+        // Reaching here with a read fault means the run never read a
+        // segment back (or, for a short read, never resumed one); with a
+        // write fault it means eviction degraded to resident growth. Either way the answer must be exactly the reference's.
         let violations = invariants::check(graph, &self.pattern, &result, reference.instance_count);
         if !violations.is_empty() {
             return Err(self.failure(violations, Some("memory-bounded re-run".to_string())));
