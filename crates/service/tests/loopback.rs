@@ -345,7 +345,7 @@ fn loopback_oversized_worker_count_is_a_bad_request_and_the_connection_keeps_ser
 /// of `edges` edges over 1 000 vertices to a temp file and loads it as
 /// `name`. Counting squares on it occupies a worker long enough to observe
 /// cancellation races deterministically; the tests that need that count
-/// to take at least 100 ms load [`TIMED_EDGES`], the rest [`DENSE_EDGES`].
+/// to take at least 100 ms load theirs through [`load_timed_graph`].
 fn load_dense_graph(client: &mut Client, name: &str, edges: u64) -> std::path::PathBuf {
     use std::io::Write as _;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -385,9 +385,29 @@ fn load_dense_graph(client: &mut Client, name: &str, edges: u64) -> std::path::P
 /// Edges of the dense graph most cancellation tests count squares on.
 const DENSE_EDGES: u64 = 30_000;
 
-/// Edges of the dense graph for the tests that time its square count
-/// against a floor of 100 ms: denser, so that a faster count stays above it.
-const TIMED_EDGES: u64 = 40_000;
+/// Loads a dense graph as `dense` whose uncached square count takes at
+/// least 100 ms on this machine, for the tests that time cancellation
+/// against that count: [`DENSE_EDGES`] edges, doubled after each count
+/// that was faster, at most four times. Returns the graph's file, the
+/// count's reply and how long it took.
+fn load_timed_graph(client: &mut Client) -> (std::path::PathBuf, Json, u64) {
+    let mut edges = DENSE_EDGES;
+    loop {
+        let path = load_dense_graph(client, "dense", edges);
+        let start = std::time::Instant::now();
+        let baseline = client.request(&slow_request("dense", &[])).unwrap();
+        let baseline_ms = start.elapsed().as_millis() as u64;
+        if baseline_ms >= 100 {
+            return (path, baseline, baseline_ms);
+        }
+        std::fs::remove_file(&path).ok();
+        assert!(
+            edges < DENSE_EDGES << 4,
+            "a square count on {edges} edges took {baseline_ms}ms, still under the 100 ms floor"
+        );
+        edges *= 2;
+    }
+}
 
 fn slow_request(graph: &str, extra: &[(&'static str, Json)]) -> Json {
     let mut fields = vec![
@@ -411,12 +431,8 @@ fn loopback_timeout_cancels_within_twice_the_deadline() {
 
     let handle = serve(test_config()).expect("bind loopback");
     let mut client = Client::connect(handle.addr()).expect("connect");
-    let path = load_dense_graph(&mut client, "dense", TIMED_EDGES);
-
     // Baseline: how long the query takes uninterrupted on this machine.
-    let start = Instant::now();
-    let baseline = client.request(&slow_request("dense", &[])).unwrap();
-    let baseline_ms = start.elapsed().as_millis() as u64;
+    let (path, baseline, baseline_ms) = load_timed_graph(&mut client);
     assert!(baseline_ms >= 100, "dense square count too fast ({baseline_ms}ms) to time out");
 
     // A deadline at a quarter of the baseline must cancel, and the
@@ -798,14 +814,10 @@ fn loopback_expired_deadline_jumps_the_queue_and_cancels_promptly() {
     let config = ServiceConfig { pool: 1, queue_cap: 8, slice_supersteps: 1, ..test_config() };
     let handle = serve(config).expect("bind loopback");
     let mut monitor = Client::connect(handle.addr()).expect("connect");
-    let path = load_dense_graph(&mut monitor, "dense", TIMED_EDGES);
-    monitor.load("karate", "karate-club", "fixture").unwrap();
-
     // Baseline: one uninterrupted scan on this machine.
-    let start = Instant::now();
-    monitor.request(&slow_request("dense", &[])).unwrap();
-    let baseline_ms = start.elapsed().as_millis() as u64;
+    let (path, _, baseline_ms) = load_timed_graph(&mut monitor);
     assert!(baseline_ms >= 100, "dense square count too fast ({baseline_ms}ms)");
+    monitor.load("karate", "karate-club", "fixture").unwrap();
 
     // A backlog of three scans. Under a FIFO scheduler a later query
     // would wait for every one of them (~4x baseline) before running.
